@@ -1,24 +1,9 @@
-"""Exact rational row reduction: compiled kernel with pure-Python fallback.
+"""Exact rational row reduction: rref, rank and nullspace over the rationals.
 
-The compiled extension is optional; if it failed to build (or the env var
-IMVERMA_PURE is set to a non-empty value) the pure backend is used. Both
-implement the same contract and return bit-identical results, which the test
-suite checks whenever both are importable.
+The implementation lives in the pyref submodule and is re-exported here; the
+library imports these names from this package.
 """
 
-import os
+from imverma._kernels.pyref import nullspace, rank, rref
 
-from imverma._kernels import pyref
-
-if os.environ.get("IMVERMA_PURE"):
-    _impl = pyref
-else:
-    try:
-        from imverma._kernels import _speedups as _impl
-    except ImportError:
-        _impl = pyref
-
-BACKEND = _impl.BACKEND_NAME
-rref = _impl.rref
-rank = _impl.rank
-nullspace = _impl.nullspace
+__all__ = ["nullspace", "rank", "rref"]

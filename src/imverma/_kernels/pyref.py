@@ -3,14 +3,10 @@
 Matrices are lists of rows, rows are lists of Fraction. Everything here is
 deterministic: reduced row echelon form is unique, and the nullspace basis is
 the standard free-column construction read off the RREF, ordered by free
-column index. The compiled twin in _speedups.pyx implements the same contract
-with fraction-free integer elimination; both backends must return identical
-output.
+column index.
 """
 
 from fractions import Fraction
-
-BACKEND_NAME = "python"
 
 
 def rref(rows):

@@ -21,7 +21,7 @@ from imverma._kernels import nullspace, rank
 from imverma.errors import (AutomorphismError, ContextMismatchError, ImvermaError,
                             NotARootError)
 from imverma.finite import (DiagramAutomorphism, FiniteAlgebra, FiniteElement,
-                            _neg, root_height)
+                            _neg, add_scaled, root_height)
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,8 @@ class LoopElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return LoopElement(self.algebra, out, self.c + other.c, self.d + other.d)
+        return LoopElement(self.algebra, add_scaled(dict(self.terms), other.terms),
+                           self.c + other.c, self.d + other.d)
 
     def __neg__(self):
         return LoopElement(self.algebra, {k: -v for k, v in self.terms.items()},
@@ -88,9 +82,6 @@ class LoopElement:
 
     def is_zero(self):
         return not self.terms and not self.c and not self.d
-
-    def max_abs_degree(self):
-        return max((abs(n) for (_, n) in self.terms), default=0)
 
     def __repr__(self):
         from imverma.finite import key_name
@@ -207,10 +198,6 @@ class AffineAlgebra:
                     out.append(r)
         return out
 
-    def root_weight_on_h(self, r: AffineRoot, i):
-        """r evaluated on h_i (i in 1..N); the delta part vanishes on h_i."""
-        return self.finite.roots.pairing(r.finite, i - 1)
-
 
 def affine_bracket(a: LoopElement, b: LoopElement) -> LoopElement:
     """The loop-realization bracket, including central term and d-grading."""
@@ -220,30 +207,18 @@ def affine_bracket(a: LoopElement, b: LoopElement) -> LoopElement:
     fin = alg.finite
     terms = {}
     c_out = Fraction(0)
-
-    def add_term(key, n, coeff):
-        if not coeff:
-            return
-        k = (key, n)
-        w = terms.get(k, 0) + coeff
-        if w:
-            terms[k] = w
-        else:
-            del terms[k]
-
     for (k1, n1), c1 in a.terms.items():
         for (k2, n2), c2 in b.terms.items():
             coeff = c1 * c2
-            for k, c in fin._bracket_table[(k1, k2)].items():
-                add_term(k, n1 + n2, coeff * c)
+            image = fin._bracket_table[(k1, k2)]
+            add_scaled(terms, {(k, n1 + n2): c for k, c in image.items()}, coeff)
             if n1 == -n2 and n1 != 0:
                 c_out += coeff * n1 * fin.form_keys(k1, k2)
+    # [d, x (x) t^n] = n x (x) t^n
     if a.d:
-        for (k2, n2), c2 in b.terms.items():
-            add_term(k2, n2, a.d * n2 * c2)
+        add_scaled(terms, {k: k[1] * c for k, c in b.terms.items() if k[1]}, a.d)
     if b.d:
-        for (k1, n1), c1 in a.terms.items():
-            add_term(k1, n1, -b.d * n1 * c1)
+        add_scaled(terms, {k: k[1] * c for k, c in a.terms.items() if k[1]}, -b.d)
     return LoopElement(alg, terms, c=c_out)
 
 

@@ -21,6 +21,7 @@ weight space. Audit failures are errors, never silently accepted.
 """
 
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from imverma._kernels import nullspace, rank, rref
 from imverma.affine import AffineAlgebra
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
 from imverma.errors import AuditError, ImvermaError, ModuleDataError
-from imverma.finite import _neg, build_simple_algebra
+from imverma.finite import _neg, add_scaled, build_simple_algebra
 from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
                            monomial_name)
 
@@ -53,34 +54,31 @@ def gen_name(algebra: AffineAlgebra, key, n) -> str:
     return "x[" + ",".join(str(c) for c in val) + f"]@{n}"
 
 
+# e1@-2, f2@0, h1@3, x[1,1]@2: kind, index or root coordinates, loop degree
+GEN_NAME = r"(?:([efh])(\d+)|x\[(-?\d+(?:,-?\d+)*)\])@(-?\d+)"
+
+
 def parse_gen(algebra: AffineAlgebra, name: str):
-    base, sep, deg = name.partition("@")
-    if not sep:
+    if name.partition("@")[0] in ("c", "d"):
+        raise ModuleDataError(f"{name[0]} is implicit and has no stored table")
+    match = re.fullmatch(GEN_NAME, name)
+    if match is None:
         raise ModuleDataError(f"malformed generator name {name!r}")
+    kind, index, coords, deg = match.groups()
     n = int(deg)
-    rank_ = algebra.rank
-    if base in ("c", "d"):
-        raise ModuleDataError(f"{base} is implicit and has no stored table")
-    if base[0] in "efh" and base[1:].isdigit():
-        i = int(base[1:])
-        if not 1 <= i <= rank_:
-            raise ModuleDataError(f"generator index out of range in {name!r}")
-        if base[0] == "h":
-            return ("h", i), n
-        simple = algebra.finite.roots.simple_roots[i - 1]
-        return ("x", simple if base[0] == "e" else _neg(simple)), n
-    if base.startswith("x[") and base.endswith("]"):
-        coords = tuple(int(t) for t in base[2:-1].split(","))
-        return ("x", coords), n
-    raise ModuleDataError(f"malformed generator name {name!r}")
+    if coords is not None:
+        return ("x", tuple(int(t) for t in coords.split(","))), n
+    i = int(index)
+    if not 1 <= i <= algebra.rank:
+        raise ModuleDataError(f"generator index out of range in {name!r}")
+    if kind == "h":
+        return ("h", i), n
+    simple = algebra.finite.roots.simple_roots[i - 1]
+    return ("x", simple if kind == "e" else _neg(simple)), n
 
 
 def _weight_sort_key(w: Weight):
     return (w.d_value, w.h_values, w.c_value)
-
-
-def _frac(s):
-    return Fraction(s)
 
 
 class ExplicitModule:
@@ -161,23 +159,16 @@ class ExplicitModule:
         out = {}
         if kind == "h" and n == 0:
             for (widx, i), cv in vec.items():
-                s = self.weights[widx].h_values[val - 1] * cv
-                if s:
-                    out[(widx, i)] = out.get((widx, i), 0) + s
+                add_scaled(out, {(widx, i): cv}, self.weights[widx].h_values[val - 1])
             return out
         for (widx, i), cv in vec.items():
             if widx not in self.defined.get(gkey, ()):
                 raise UndefinedActionError(
                     f"{gen_name(self.algebra, *gkey)} undefined at weight index {widx}")
             tgt = self.target_index(gkey, widx)
-            for (r, c), v in self.blocks[gkey].get(widx, {}).items():
-                if c == i and v:
-                    k = (tgt, r)
-                    w = out.get(k, 0) + cv * v
-                    if w:
-                        out[k] = w
-                    else:
-                        del out[k]
+            block = self.blocks[gkey].get(widx, {})
+            column = {(tgt, r): v for (r, c), v in block.items() if c == i and v}
+            add_scaled(out, column, cv)
         return out
 
     def apply_d(self, vec):
@@ -390,7 +381,8 @@ class ExplicitModule:
             cartan = cartan_matrix_of_type(spec["label"]) if "label" in spec \
                 else make_cartan_matrix(spec["cartan"])
             algebra = AffineAlgebra(build_simple_algebra(cartan))
-        weights = [Weight(tuple(_frac(x) for x in w["h"]), _frac(w["c"]), _frac(w["d"]))
+        weights = [Weight(tuple(Fraction(x) for x in w["h"]), Fraction(w["c"]),
+                          Fraction(w["d"]))
                    for w in data["weights"]]
         labels = [[] for _ in weights]
         locs = []  # global index -> (widx, local)
@@ -409,7 +401,7 @@ class ExplicitModule:
             for r, c, v in triples:
                 swidx, slocal = locs[int(c)]
                 twidx, tlocal = locs[int(r)]
-                per_src.setdefault(swidx, {})[(tlocal, slocal)] = _frac(v)
+                per_src.setdefault(swidx, {})[(tlocal, slocal)] = Fraction(v)
             blocks[gk] = per_src
             if gk not in defined:
                 # actions without an explicit defined list are taken as total
@@ -442,36 +434,20 @@ class ExplicitModule:
             for widx in range(len(self.weights)):
                 for j in range(self.dim(widx)):
                     vec = {(widx, j): Fraction(1)}
+                    # g1 g2 v == [g1, g2] v + g2 g1 v, compared as sparse dicts
                     try:
-                        lhs = _vec_sub(self.apply(g1, self.apply(g2, vec)),
-                                       self.apply(g2, self.apply(g1, vec)))
-                        rhs = {}
+                        lhs = self.apply(g1, self.apply(g2, vec))
+                        rhs = self.apply(g2, self.apply(g1, vec))
                         for (key, n), cv in b.terms.items():
-                            for k, v in self.apply((key, n), vec).items():
-                                w = rhs.get(k, 0) + cv * v
-                                if w:
-                                    rhs[k] = w
-                                else:
-                                    del rhs[k]
+                            add_scaled(rhs, self.apply((key, n), vec), cv)
                         if b.d:
-                            for k, v in self.apply_d(vec).items():
-                                w = rhs.get(k, 0) + b.d * v
-                                if w:
-                                    rhs[k] = w
-                                else:
-                                    del rhs[k]
-                        if b.c:
-                            cval = self.weights[widx].c_value
-                            if cval:
-                                w = rhs.get((widx, j), 0) + b.c * cval
-                                if w:
-                                    rhs[(widx, j)] = w
-                                else:
-                                    rhs.pop((widx, j), None)
+                            add_scaled(rhs, self.apply_d(vec), b.d)
+                        if b.c and self.weights[widx].c_value:
+                            add_scaled(rhs, {(widx, j): self.weights[widx].c_value}, b.c)
                     except UndefinedActionError:
                         continue
                     checked += 1
-                    if _vec_sub(lhs, rhs):
+                    if lhs != rhs:
                         failures.append({
                             "pair": [gen_name(self.algebra, *g1),
                                      gen_name(self.algebra, *g2)],
@@ -480,6 +456,7 @@ class ExplicitModule:
 
 
 def _nonneg_vectors(rank_, total_max):
+    """Non-negative integer rank_-tuples with sum <= total_max, lexicographic."""
     out = []
 
     def rec(i, left, acc):
@@ -492,7 +469,7 @@ def _nonneg_vectors(rank_, total_max):
             acc.pop()
 
     rec(0, total_max, [])
-    return [s for s in out if sum(s) <= total_max]
+    return out
 
 
 def _random_unimodular(rng, n):
@@ -545,17 +522,6 @@ def _mat_mul(a, b):
                 for j in range(m):
                     if rowb[j]:
                         rowo[j] += v * rowb[j]
-    return out
-
-
-def _vec_sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k, 0) - v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
     return out
 
 

@@ -13,15 +13,16 @@ codes: 0 success, 1 domain error (library diagnostic verbatim on stderr),
 import argparse
 import json
 import os
+import re
 import sys
 
 from imverma.affine import (AffineAlgebra, check_closed_partition, natural_spec,
                             standard_spec, twisted_fixed_subalgebra)
 from imverma.cartan import cartan_matrix_of_type, cartan_matrix_from_text
-from imverma.category import (ExplicitModule, build_loop_module,
-                              check_category_membership,
-                              decompose_into_reduced_vermas, sl2_irrep_matrices,
-                              torsion_decompose)
+from imverma.category import (GEN_NAME, ExplicitModule, _nonneg_vectors,
+                              build_loop_module, check_category_membership,
+                              decompose_into_reduced_vermas, parse_gen,
+                              sl2_irrep_matrices, torsion_decompose)
 from imverma.errors import CartanMatrixError, ImvermaError
 from imverma.finite import build_simple_algebra, diagram_automorphism
 from imverma.verma import (VermaModule, monomial_name, parse_weight, parse_window,
@@ -93,30 +94,40 @@ def _report(command, config, result):
             "config": config, "result": result}
 
 
+# PBW symbols F[1,1]@-2 and B1@3; a --monomial list splits only at commas
+# outside [...]
+_SYMBOL = r"F\[(-?\d+(?:,-?\d+)*)\]@(-?\d+)|B(\d+)@(-?\d+)"
+_SYMBOL_SEP = r",(?![^\[\]]*\])"
+
+
 def _parse_symbol(text, rank):
     text = text.strip()
-    if text.startswith("B"):
-        head, _, deg = text.partition("@")
-        i = int(head[1:])
-        if not 1 <= i <= rank:
-            raise UsageError(f"B symbol index out of range in {text!r}")
-        l = int(deg)
-        if l <= 0:
-            raise UsageError(f"B symbol needs positive degree: {text!r}")
-        return ("B", i, l)
-    if text.startswith("F[") and "]" in text:
-        coords, _, deg = text.partition("]")
-        gamma = tuple(int(x) for x in coords[2:].split(","))
-        if not deg.startswith("@"):
-            raise UsageError(f"malformed F symbol {text!r}")
-        return ("F", gamma, int(deg[1:]))
-    raise UsageError(f"malformed PBW symbol {text!r} (want F[coords]@n or Bi@l)")
+    match = re.fullmatch(_SYMBOL, text)
+    if match is None:
+        raise UsageError(f"malformed PBW symbol {text!r} (want F[coords]@n or Bi@l)")
+    coords, n, i, l = match.groups()
+    if coords is not None:
+        return ("F", tuple(int(x) for x in coords.split(",")), int(n))
+    i, l = int(i), int(l)
+    if not 1 <= i <= rank:
+        raise UsageError(f"B symbol index out of range in {text!r}")
+    if l <= 0:
+        raise UsageError(f"B symbol needs positive degree: {text!r}")
+    return ("B", i, l)
 
 
 def _parse_gen_string(algebra, text):
-    from imverma.category import parse_gen
-    key, n = parse_gen(algebra, text.strip())
+    text = text.strip()
+    if not re.fullmatch(GEN_NAME, text):
+        raise UsageError(f"malformed generator {text!r} (want e1@-2, h2@3 or x[1,1]@2)")
+    key, n = parse_gen(algebra, text)
     return algebra.loop(algebra.finite.element({key: 1}), n)
+
+
+def _require_nonneg(args, *names):
+    for name in names:
+        if getattr(args, name) < 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be non-negative")
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -157,13 +168,17 @@ def _parse_perm(text, rank):
     perm = {}
     for part in text.split(","):
         a, _, b = part.partition(":")
-        perm[int(a)] = int(b)
+        try:
+            perm[int(a)] = int(b)
+        except ValueError:
+            raise UsageError(f"malformed permutation {text!r} (want 1:3,3:1)") from None
     for i in range(1, rank + 1):
         perm.setdefault(i, i)
     return perm
 
 
 def _cmd_roots(args):
+    _require_nonneg(args, "height", "loop_degree")
     alg = _load_algebra(args)
     spec = natural_spec(alg) if args.which == "natural" else standard_spec(alg)
     records = []
@@ -180,6 +195,7 @@ def _cmd_roots(args):
 
 
 def _cmd_partition(args):
+    _require_nonneg(args, "height", "loop_degree")
     alg = _load_algebra(args)
     spec = natural_spec(alg) if args.which == "natural" else standard_spec(alg)
     rep = check_closed_partition(spec, args.height, args.loop_degree)
@@ -190,6 +206,7 @@ def _cmd_partition(args):
 
 
 def _cmd_verma_dims(args):
+    _require_nonneg(args, "delta_max")
     alg = _load_algebra(args)
     lam = _parse_weight_arg(args.lam, alg.rank)
     window = _parse_window_arg(args.window) if args.window else None
@@ -198,8 +215,11 @@ def _cmd_verma_dims(args):
         cap = max(args.delta_max, 1)
         window = TruncationWindow(L=cap, N=cap, H=max(1, args.delta_max))
     mod = VermaModule(alg, lam, reduced=args.reduced)
-    offset_s = tuple(int(x) for x in args.offset.split(",")) if args.offset \
-        else tuple(0 for _ in range(alg.rank))
+    try:
+        offset_s = tuple(int(x) for x in args.offset.split(",")) if args.offset \
+            else tuple(0 for _ in range(alg.rank))
+    except ValueError:
+        raise UsageError(f"malformed offset {args.offset!r} (want s1,s2,...)") from None
     if len(offset_s) != alg.rank:
         raise UsageError("offset length must equal the rank")
     rows = []
@@ -231,7 +251,7 @@ def _cmd_verma_act(args):
     mod = VermaModule(alg, lam, reduced=args.reduced)
     symbols = []
     if args.monomial:
-        for tok in args.monomial.split(","):
+        for tok in re.split(_SYMBOL_SEP, args.monomial):
             if tok.strip():
                 symbols.append(_parse_symbol(tok, alg.rank))
     v = mod.monomial(*symbols)
@@ -258,7 +278,7 @@ def _cmd_singular(args):
         raise UsageError("--window L=..,N=..,H=.. is required")
     mod = VermaModule(alg, lam, reduced=args.reduced)
     offsets = []
-    for s in _all_offsets(alg.rank, window.H):
+    for s in _nonneg_vectors(alg.rank, window.H):
         offsets.append((None, s))
     found = mod.singular_vectors(offsets, window)
     result = {
@@ -275,22 +295,6 @@ def _cmd_singular(args):
     cfg = _config_dict(args, ["type", "matrix_file", "lam", "reduced", "window"])
     _emit(args, _report("singular", cfg, result))
     return 0
-
-
-def _all_offsets(rank, hmax):
-    out = []
-
-    def rec(i, left, acc):
-        if i == rank:
-            out.append(tuple(acc))
-            return
-        for v in range(left + 1):
-            acc.append(v)
-            rec(i + 1, left - v, acc)
-            acc.pop()
-
-    rec(0, hmax, [])
-    return sorted(out)
 
 
 def _load_module(args):

@@ -43,6 +43,23 @@ def _sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def add_scaled(out, terms, scale=1):
+    """Add scale * terms into the sparse dict out, in place, and return out.
+
+    A sparse {key: coeff} dict never holds a zero: a sum that cancels removes
+    its key. With scale 1 the coefficients are added as they are, without a
+    multiplication.
+    """
+    unit = scale == 1
+    for k, v in terms.items():
+        w = out.get(k, 0) + (v if unit else scale * v)
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
 class FiniteRootSystem:
     """Root system generated from a Cartan matrix by root strings."""
 
@@ -79,9 +96,6 @@ class FiniteRootSystem:
         top = [g for g in pos if root_height(g) == root_height(self.theta)]
         if len(top) != 1:
             raise ImvermaError("no unique highest root; matrix is not irreducible simple type")
-
-    def is_root(self, gamma):
-        return gamma in self.root_set
 
     def pairing(self, gamma, i):
         """gamma(h_{i+1}) = sum_j c_j a_{i j} (0-based i)."""
@@ -183,14 +197,7 @@ class FiniteElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return FiniteElement(self.algebra, out)
+        return FiniteElement(self.algebra, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return FiniteElement(self.algebra, {k: -v for k, v in self.terms.items()})
@@ -331,12 +338,9 @@ class FiniteAlgebra:
         out = {}
         for k1, c1 in x.terms.items():
             for k2, c2 in y.terms.items():
-                for k, c in self._bracket_table[(k1, k2)].items():
-                    w = out.get(k, 0) + c1 * c2 * c
-                    if w:
-                        out[k] = w
-                    else:
-                        out.pop(k, None)
+                image = self._bracket_table[(k1, k2)]
+                if image:
+                    add_scaled(out, image, c1 * c2)
         return FiniteElement(self, out)
 
     # -- invariant form ----------------------------------------------------------
@@ -472,8 +476,8 @@ class DiagramAutomorphism:
         out = {}
         for k, c in x.terms.items():
             s, k2 = self.image_key(k)
-            out[k2] = out.get(k2, 0) + s * c
-        return FiniteElement(self.algebra, {k: v for k, v in out.items() if v})
+            add_scaled(out, {k2: c}, s)
+        return FiniteElement(self.algebra, out)
 
     def _verify(self):
         alg = self.algebra

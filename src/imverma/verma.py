@@ -32,7 +32,7 @@ from itertools import combinations_with_replacement
 
 from imverma.affine import AffineAlgebra, LoopElement
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
-from imverma.finite import _neg, root_height
+from imverma.finite import _neg, add_scaled, root_height
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,10 @@ def parse_weight(text, rank) -> Weight:
         for part in text.split(","):
             key, _, val = part.partition("=")
             key = key.strip()
-            if not val:
-                raise ImvermaError(f"malformed weight assignment {part!r}")
-            value = Fraction(val.strip())
+            try:
+                value = Fraction(val.strip())
+            except (ValueError, ZeroDivisionError):
+                raise ImvermaError(f"malformed weight assignment {part!r}") from None
             if key == "c":
                 c = value
             elif key == "d":
@@ -106,7 +107,10 @@ def parse_window(text) -> TruncationWindow:
         key, _, val = part.partition("=")
         if key.strip().upper() not in ("L", "N", "H") or not val:
             raise ImvermaError(f"malformed window component {part!r}")
-        vals[key.strip().upper()] = int(val)
+        try:
+            vals[key.strip().upper()] = int(val)
+        except ValueError:
+            raise ImvermaError(f"malformed window component {part!r}") from None
     if set(vals) != {"L", "N", "H"}:
         raise ImvermaError("window must assign L, N and H")
     return TruncationWindow(vals["L"], vals["N"], vals["H"])
@@ -169,14 +173,7 @@ class ModuleVector:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return ModuleVector(self.module, out)
+        return ModuleVector(self.module, add_scaled(dict(self.terms), other.terms))
 
     def __neg__(self):
         return ModuleVector(self.module, {k: -v for k, v in self.terms.items()})
@@ -302,25 +299,18 @@ class VermaModule:
         if v.module is not self:
             raise ContextMismatchError("vector from a different module")
         out = {}
-
-        def accumulate(mono, coeff):
-            w = out.get(mono, 0) + coeff
-            if w:
-                out[mono] = w
-            else:
-                del out[mono]
-
         for mono, cv in v.terms.items():
             for (key, n), cg in g.terms.items():
-                for m2, c2 in self._act_key(key, n, mono).items():
-                    accumulate(m2, cv * cg * c2)
+                image = self._act_key(key, n, mono)
+                if image:
+                    add_scaled(out, image, cv * cg)
             if g.c and self.lam.c_value:
-                accumulate(mono, cv * g.c * self.lam.c_value)
+                add_scaled(out, {mono: cv * g.c * self.lam.c_value})
             if g.d:
                 k, _ = monomial_offset(mono, self.rank)
                 val = self.lam.d_value + k
                 if val:
-                    accumulate(mono, cv * g.d * val)
+                    add_scaled(out, {mono: cv * g.d * val})
         result = ModuleVector(self, out)
         if degree_cap is not None:
             worst = result.max_factor_degree()
@@ -339,22 +329,11 @@ class VermaModule:
             out = self._act_vacuum(key, n)
         else:
             out = {}
-
-            def accumulate(m, c):
-                w = out.get(m, 0) + c
-                if w:
-                    out[m] = w
-                else:
-                    del out[m]
-
             head, rest = mono[0], mono[1:]
             for m2, c2 in self._act_key(key, n, rest).items():
-                for m3, c3 in self._prepend(head, m2).items():
-                    accumulate(m3, c2 * c3)
-            br = self._symbol_bracket_loop(key, n, head)
-            for (k2, n2), c in br:
-                for m3, c3 in self._act_key(k2, n2, rest).items():
-                    accumulate(m3, c * c3)
+                add_scaled(out, self._prepend(head, m2), c2)
+            for (k2, n2), c in self._symbol_bracket_loop(key, n, head):
+                add_scaled(out, self._act_key(k2, n2, rest), c)
         self._act_cache[ck] = out
         return out
 
@@ -406,26 +385,16 @@ class VermaModule:
             out = {(sym,) + mono: Fraction(1)}
         else:
             out = {}
-
-            def accumulate(m, c):
-                w = out.get(m, 0) + c
-                if w:
-                    out[m] = w
-                else:
-                    del out[m]
-
             head, rest = mono[0], mono[1:]
             for m2, c2 in self._prepend(sym, rest).items():
-                for m3, c3 in self._prepend(head, m2).items():
-                    accumulate(m3, c2 * c3)
+                add_scaled(out, self._prepend(head, m2), c2)
             br = _negative_symbol_bracket(self.algebra.finite, sym, head)
             if br is not None:
                 sym2, coeff = br
                 if sym2[0] == "B" and self.reduced:
                     pass  # h_i (x) t^{l}, l != 0 is zero in the reduced quotient
                 else:
-                    for m3, c3 in self._prepend(sym2, rest).items():
-                        accumulate(m3, coeff * c3)
+                    add_scaled(out, self._prepend(sym2, rest), coeff)
         self._prepend_cache[ck] = out
         return out
 

@@ -3,6 +3,8 @@ determinism, config file and output-directory environment variable."""
 
 import json
 
+import pytest
+
 from imverma.cli import main
 
 
@@ -44,11 +46,46 @@ def test_unknown_type_is_usage_error(capsys):
     assert "unknown type" in err
 
 
-def test_malformed_window_is_usage_error(capsys):
-    code, _, err = run(capsys, "singular", "--type", "A1", "--lambda", "h1=0",
-                       "--window", "L=2,N=2")
-    assert code == 1 or code == 2  # library diagnostic surfaces
-    assert "window" in err
+@pytest.mark.parametrize("argv, word", [
+    pytest.param(("singular", "--type", "A1", "--lambda", "h1=0",
+                  "--window", "L=2,N=2"), "window", id="window-missing-H"),
+    pytest.param(("singular", "--type", "A1", "--lambda", "h1=0",
+                  "--window", "L=x,N=1,H=1"), "window", id="window-not-int"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@x"), "generator",
+                 id="gen-degree-not-int"),
+    pytest.param(("verma-dims", "--type", "A1", "--lambda", "h1=1/0",
+                  "--delta-max", "2"), "weight", id="lambda-zero-denominator"),
+    pytest.param(("verma-dims", "--type", "A1", "--lambda", "h1=abc",
+                  "--delta-max", "2"), "weight", id="lambda-not-rational"),
+    pytest.param(("roots", "--type", "A1", "--height", "-1",
+                  "--loop-degree", "1"), "height", id="negative-height"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
+                  "--monomial", "B1@x"), "symbol", id="symbol-degree-not-int"),
+    pytest.param(("verma-act", "--type", "A2", "--gen", "e1@0",
+                  "--monomial", "F[1,x]@0"), "symbol", id="symbol-root-not-int"),
+    pytest.param(("verma-dims", "--type", "A2", "--offset", "1,a",
+                  "--delta-max", "2"), "offset", id="offset-not-int"),
+    pytest.param(("algebra", "--type", "A3", "--twist", "1:x"), "permutation",
+                 id="twist-not-int"),
+])
+def test_malformed_window_is_usage_error(capsys, argv, word):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert word in err
+
+
+def test_verma_act_non_simple_root_monomial(capsys):
+    # the comma inside F[1,1] belongs to the root, not to the symbol list
+    code, out, _ = run(capsys, "verma-act", "--type", "A2",
+                       "--lambda", "h1=-1/2,h2=-1/2", "--reduced",
+                       "--gen", "e1@0", "--monomial", "F[1,1]@0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["result"]["input"] == "F([1,1],0)*v"
+    assert data["result"]["image"] == {"F([0,1],0)*v": "1"}
 
 
 def test_domain_error_exit_one(capsys):
