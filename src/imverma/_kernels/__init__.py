@@ -1,9 +1,11 @@
 """Exact rational row reduction: rref, rank and nullspace over the rationals.
 
-The implementation lives in the pyref submodule and is re-exported here; the
-library imports these names from this package.
+One sparse, fraction-free eliminator in the sparse submodule: rows become
+primitive integer rows {column: int}, elimination stops at full column rank,
+and results are read off the unique reduced row echelon form as Fraction rows.
+The library imports these names from this package.
 """
 
-from imverma._kernels.pyref import nullspace, rank, rref
+from imverma._kernels.sparse import nullspace, rank, rref
 
 __all__ = ["nullspace", "rank", "rref"]

@@ -22,6 +22,7 @@ weight space. Audit failures are errors, never silently accepted.
 
 import random
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -75,6 +76,26 @@ def parse_gen(algebra: AffineAlgebra, name: str):
         return ("h", i), n
     simple = algebra.finite.roots.simple_roots[i - 1]
     return ("x", simple if kind == "e" else _neg(simple)), n
+
+
+@contextmanager
+def _module_field(name):
+    """Turn a parse error inside one field of module data into ModuleDataError."""
+    try:
+        yield
+    except KeyError as ex:
+        raise ModuleDataError(f"bad module data in {name!r}: missing key {ex}") from None
+    except ZeroDivisionError:
+        raise ModuleDataError(f"bad module data in {name!r}: zero denominator") from None
+    except (AttributeError, IndexError, TypeError, ValueError) as ex:
+        raise ModuleDataError(f"bad module data in {name!r}: {ex}") from None
+
+
+def _index(value, size):
+    i = int(value)
+    if not 0 <= i < size:
+        raise IndexError(f"index {value!r} out of range for {size} entries")
+    return i
 
 
 def _weight_sort_key(w: Weight):
@@ -376,40 +397,65 @@ class ExplicitModule:
 
     @staticmethod
     def from_json_dict(data, algebra=None):
-        if algebra is None:
-            spec = data["algebra"]
-            cartan = cartan_matrix_of_type(spec["label"]) if "label" in spec \
-                else make_cartan_matrix(spec["cartan"])
-            algebra = AffineAlgebra(build_simple_algebra(cartan))
-        weights = [Weight(tuple(Fraction(x) for x in w["h"]), Fraction(w["c"]),
-                          Fraction(w["d"]))
-                   for w in data["weights"]]
+        """Rebuild a module from to_json_dict output.
+
+        Malformed data (a missing key, a bad rational, an index out of range,
+        an action row outside the generator's target weight) raises
+        ModuleDataError naming the field.
+        """
+        with _module_field("algebra"):
+            if algebra is None:
+                spec = data["algebra"]
+                cartan = cartan_matrix_of_type(spec["label"]) if "label" in spec \
+                    else make_cartan_matrix(spec["cartan"])
+                algebra = AffineAlgebra(build_simple_algebra(cartan))
+        with _module_field("weights"):
+            weights = [Weight(tuple(Fraction(x) for x in w["h"]), Fraction(w["c"]),
+                              Fraction(w["d"]))
+                       for w in data["weights"]]
+            for w in weights:
+                if len(w.h_values) != algebra.rank:
+                    raise ValueError(f"{len(w.h_values)} h values for rank "
+                                     f"{algebra.rank}")
         labels = [[] for _ in weights]
         locs = []  # global index -> (widx, local)
-        for entry in data["basis"]:
-            widx = int(entry["weight"])
-            locs.append((widx, len(labels[widx])))
-            labels[widx].append(entry["label"])
+        with _module_field("basis"):
+            for entry in data["basis"]:
+                widx = _index(entry["weight"], len(weights))
+                locs.append((widx, len(labels[widx])))
+                labels[widx].append(entry["label"])
         blocks = {}
         defined = {}
-        for name, srcs in data.get("defined", {}).items():
-            gk = parse_gen(algebra, name)
-            defined[gk] = set(int(s) for s in srcs)
-        for name, triples in data.get("actions", {}).items():
-            gk = parse_gen(algebra, name)
-            per_src = {}
-            for r, c, v in triples:
-                swidx, slocal = locs[int(c)]
-                twidx, tlocal = locs[int(r)]
-                per_src.setdefault(swidx, {})[(tlocal, slocal)] = Fraction(v)
-            blocks[gk] = per_src
-            if gk not in defined:
-                # actions without an explicit defined list are taken as total
-                defined[gk] = set(per_src)
-        return ExplicitModule(algebra, weights, labels, blocks, defined,
-                              provenance=data.get("provenance", "user-supplied"),
-                              loop_window=int(data.get("loop_window", 1)),
-                              meta=data.get("meta"))
+        with _module_field("defined"):
+            for name, srcs in data.get("defined", {}).items():
+                gk = parse_gen(algebra, name)
+                defined[gk] = set(_index(s, len(weights)) for s in srcs)
+        arrows = {}  # (name, source widx, target widx) -> generator key
+        with _module_field("actions"):
+            for name, triples in data.get("actions", {}).items():
+                gk = parse_gen(algebra, name)
+                per_src = {}
+                for r, c, v in triples:
+                    swidx, slocal = locs[_index(c, len(locs))]
+                    twidx, tlocal = locs[_index(r, len(locs))]
+                    arrows[(name, swidx, twidx)] = gk
+                    per_src.setdefault(swidx, {})[(tlocal, slocal)] = Fraction(v)
+                blocks[gk] = per_src
+                if gk not in defined:
+                    # actions without an explicit defined list are taken as total
+                    defined[gk] = set(per_src)
+        with _module_field("loop_window"):
+            loop_window = int(data.get("loop_window", 1))
+        module = ExplicitModule(algebra, weights, labels, blocks, defined,
+                                provenance=data.get("provenance", "user-supplied"),
+                                loop_window=loop_window, meta=data.get("meta"))
+        for name, swidx, twidx in sorted(arrows):
+            gk = arrows[(name, swidx, twidx)]
+            if module.weight_shift(weights[swidx], gk) != weights[twidx]:
+                raise ModuleDataError(
+                    f"bad module data in 'actions': {name} on weight index {swidx} "
+                    f"has a row in weight index {twidx}, not in its target weight")
+        return module
 
     # -- invariant: bracket compatibility ------------------------------------------
 

@@ -23,7 +23,7 @@ from imverma.category import (GEN_NAME, ExplicitModule, _nonneg_vectors,
                               build_loop_module, check_category_membership,
                               decompose_into_reduced_vermas, parse_gen,
                               sl2_irrep_matrices, torsion_decompose)
-from imverma.errors import CartanMatrixError, ImvermaError
+from imverma.errors import CartanMatrixError, ImvermaError, ModuleDataError
 from imverma.finite import build_simple_algebra, diagram_automorphism
 from imverma.verma import (VermaModule, monomial_name, parse_weight, parse_window,
                            symbol_sort_key)
@@ -33,6 +33,13 @@ SCHEMA_VERSION = "1"
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _load_algebra(args) -> AffineAlgebra:
@@ -298,9 +305,17 @@ def _cmd_singular(args):
 
 
 def _load_module(args):
+    _require_nonneg(args, "kmax", "gwindow", "nilpotency_cap")
     if getattr(args, "module", None):
         with open(args.module) as fh:
-            return ExplicitModule.from_json_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as ex:
+                raise ModuleDataError(f"{args.module}: not JSON: {ex}") from None
+        try:
+            return ExplicitModule.from_json_dict(data)
+        except ModuleDataError as ex:
+            raise ModuleDataError(f"{args.module}: {ex}") from None
     if getattr(args, "summands", None):
         alg = _load_algebra(args)
         window = _parse_window_arg(args.window) if args.window else None
@@ -380,6 +395,8 @@ def _cmd_category_decompose(args):
 
 
 def _cmd_loopmod(args):
+    if args.dim < 1:
+        raise UsageError("--dim must be positive")
     alg = _load_algebra(args)
     if alg.rank != 1:
         raise UsageError("built-in loop modules exist for type A1 only")
@@ -415,7 +432,7 @@ def _add_common_out(p):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="imverma",
         description="Exact computations with imaginary Verma modules over "
                     "affine Lie algebras in the loop realization.")

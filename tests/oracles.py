@@ -1,7 +1,7 @@
 """Independent oracles: deliberately different computation paths from the
 library (reflection closure instead of root strings, generating functions
-instead of enumeration, a from-scratch linear solver instead of the package
-kernels), so an agreement is meaningful."""
+instead of enumeration, dense Gauss-Jordan over Fraction cells instead of the
+package's sparse fraction-free kernel), so an agreement is meaningful."""
 
 from fractions import Fraction
 
@@ -50,9 +50,19 @@ def string_length_down(root_set, alpha, beta):
     return p
 
 
-def gauss_solve_nullspace(rows, ncols):
-    """From-scratch exact nullspace (row elimination + back substitution)."""
-    mat = [list(r) for r in rows]
+def dense_rref(rows):
+    """Dense Gauss-Jordan reduced row echelon form over Fraction cells.
+
+    Returns (echelon_rows, pivot_columns) with zero rows dropped, the same
+    contract as the package's sparse fraction-free rref.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    mat = [[Fraction(x) for x in row] for row in rows]
+    for row in mat:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
     pivots = []
     r = 0
     for c in range(ncols):
@@ -60,7 +70,7 @@ def gauss_solve_nullspace(rows, ncols):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
+        inv = 1 / mat[r][c]
         mat[r] = [x * inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
@@ -68,6 +78,14 @@ def gauss_solve_nullspace(rows, ncols):
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def gauss_solve_nullspace(rows, ncols):
+    """From-scratch exact nullspace: the free-column basis of dense_rref."""
+    ech, pivots = dense_rref(rows)
     out = []
     piv = set(pivots)
     for free in range(ncols):
@@ -76,7 +94,7 @@ def gauss_solve_nullspace(rows, ncols):
         v = [Fraction(0)] * ncols
         v[free] = Fraction(1)
         for prow, pcol in enumerate(pivots):
-            v[pcol] = -mat[prow][free]
+            v[pcol] = -ech[prow][free]
         out.append(v)
     return out
 

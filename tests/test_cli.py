@@ -1,11 +1,19 @@
 """CLI surface: the documented subcommands, exit codes, output formats,
 determinism, config file and output-directory environment variable."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from imverma.affine import AffineAlgebra
+from imverma.cartan import cartan_matrix_of_type
+from imverma.category import build_loop_module, sl2_irrep_matrices
 from imverma.cli import main
+from imverma.finite import build_simple_algebra
 
 
 def run(capsys, *argv):
@@ -67,6 +75,19 @@ def test_unknown_type_is_usage_error(capsys):
                   "--delta-max", "2"), "offset", id="offset-not-int"),
     pytest.param(("algebra", "--type", "A3", "--twist", "1:x"), "permutation",
                  id="twist-not-int"),
+    pytest.param(("loopmod", "--type", "A1", "--dim", "-1"), "dim",
+                 id="negative-dim"),
+    pytest.param(("loopmod", "--type", "A1", "--dim", "0"), "dim",
+                 id="zero-dim"),
+    pytest.param(("category-check", "--type", "A1", "--summands", "h1=-1/2",
+                  "--window", "L=3,N=4,H=1", "--kmax", "-1"), "kmax",
+                 id="negative-kmax"),
+    pytest.param(("category-split", "--type", "A1", "--summands", "h1=-1/2",
+                  "--window", "L=3,N=4,H=1", "--gwindow", "-1"), "gwindow",
+                 id="negative-gwindow"),
+    pytest.param(("category-decompose", "--type", "A1", "--summands", "h1=-1/2",
+                  "--window", "L=3,N=4,H=1", "--nilpotency-cap", "-1"),
+                 "nilpotency-cap", id="negative-nilpotency-cap"),
 ])
 def test_malformed_window_is_usage_error(capsys, argv, word):
     code, out, err = run(capsys, *argv)
@@ -75,6 +96,50 @@ def test_malformed_window_is_usage_error(capsys, argv, word):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert word in err
+
+
+def _tampered(edit):
+    data = build_loop_module(
+        AffineAlgebra(build_simple_algebra(cartan_matrix_of_type("A1"))),
+        sl2_irrep_matrices(2), 2, 1).to_json_dict()
+    edit(data)
+    return json.dumps(data)
+
+
+def _row_off_target(data):
+    triples = next(v for _, v in sorted(data["actions"].items()) if v)
+    triples[0][0] = triples[0][1]  # e/f changes the weight, so row != column
+
+
+@pytest.mark.parametrize("text, word", [
+    pytest.param("not json", "JSON", id="not-json"),
+    pytest.param("{}", "'algebra'", id="empty-object"),
+    pytest.param('{"weights": [{"h": ["x"]}]}', "'algebra'", id="no-algebra"),
+    pytest.param("[1, 2]", "'algebra'", id="not-an-object"),
+    pytest.param(_tampered(lambda d: d["weights"][0].update(h=["x"])), "'weights'",
+                 id="bad-rational"),
+    pytest.param(_tampered(lambda d: d["weights"][0].update(c="1/0")), "'weights'",
+                 id="zero-denominator"),
+    pytest.param(_tampered(lambda d: d["weights"][0].update(h=["1", "2"])),
+                 "'weights'", id="wrong-rank"),
+    pytest.param(_tampered(lambda d: d.pop("basis")), "'basis'", id="no-basis"),
+    pytest.param(_tampered(lambda d: d["basis"][0].update(weight=-1)), "'basis'",
+                 id="negative-weight-index"),
+    pytest.param(_tampered(lambda d: d["defined"].update({"e1@0": [99]})),
+                 "'defined'", id="defined-index-out-of-range"),
+    pytest.param(_tampered(lambda d: d["actions"].update({"e1@0": [[0, 99, "1"]]})),
+                 "'actions'", id="action-index-out-of-range"),
+    pytest.param(_tampered(_row_off_target), "'actions'", id="action-off-target"),
+])
+def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
+    path = tmp_path / "module.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "category-check", "--module", str(path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert str(path) in err and word in err
 
 
 def test_verma_act_non_simple_root_monomial(capsys):
@@ -202,3 +267,61 @@ def test_matrix_file_input(tmp_path, capsys):
     code, out, _ = run(capsys, "algebra", "--matrix-file", str(mf))
     data = json.loads(out)
     assert data["result"]["dimension"] == 8
+
+
+# Small valid and malformed values per flag; windows stay within L=2,N=1,H=1
+# so one example runs in milliseconds. None marks a flag without a value.
+_TYPE = ["A1", "A1", "A2", "Z9", ""]
+_LAMBDA = ["h1=-1/2", "h1=-1/2,h2=-1/2", "h1=1/0", "h1=abc", "x", ""]
+_WINDOW = ["L=2,N=1,H=1", "L=1,N=1,H=1", "L=2,N=1", "L=x,N=1,H=1",
+           "L=0,N=0,H=0", "L=-1,N=1,H=1", ""]
+_INT = ["-1", "0", "1", "2", "x", ""]
+_SUMMANDS = ["h1=-1/2", "h1=-1/2|h1=-3/2", "h1=-1/2,h2=-1/2", "h1=x", "|"]
+_CATEGORY = {"--type": _TYPE, "--summands": _SUMMANDS, "--window": _WINDOW,
+             "--kmax": _INT, "--gwindow": _INT, "--scramble": ["3", "x"],
+             "--nilpotency-cap": _INT, "--module": ["", "/nonexistent.json"]}
+_FLAGS = {
+    "algebra": {"--type": _TYPE + ["A3"], "--twist": ["1:3,3:1", "1:x", "1:2"],
+                "--loop-degree": _INT},
+    "roots": {"--type": _TYPE, "--which": ["natural", "standard", "other"],
+              "--height": _INT, "--loop-degree": _INT},
+    "partition": {"--type": _TYPE, "--which": ["natural", "standard"],
+                  "--height": _INT, "--loop-degree": ["-1", "0", "1", "x"]},
+    "verma-dims": {"--type": _TYPE, "--lambda": _LAMBDA, "--delta-max": _INT,
+                   "--offset": ["1", "1,0", "1,a", ""], "--reduced": [None],
+                   "--window": _WINDOW, "--format": ["json", "csv", "xml"]},
+    "verma-act": {"--type": _TYPE, "--lambda": _LAMBDA, "--reduced": [None],
+                  "--gen": ["e1@0", "f1@-1", "h1@1", "x[1,1]@0", "c@0", "e3@0",
+                            "e1@x", ""],
+                  "--monomial": ["F[1]@1", "B1@1", "B1@0", "F[1,x]@0", "F[1]@1,B1@2",
+                                 ""]},
+    "singular": {"--type": _TYPE, "--lambda": _LAMBDA, "--full": [None],
+                 "--window": _WINDOW},
+    "category-check": _CATEGORY,
+    "category-split": _CATEGORY,
+    "category-decompose": _CATEGORY,
+    "loopmod": {"--type": _TYPE, "--dim": _INT, "--loop-degree": ["-1", "0", "1"]},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, pool in _FLAGS[command].items():
+        if draw(st.booleans()):
+            value = draw(st.sampled_from(pool))
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -1,5 +1,5 @@
 """Exact row reduction: planted-rank oracles, nullspace verification, and
-agreement with the independent from-scratch solver in oracles.py."""
+agreement with the independent dense Gauss-Jordan reference in oracles.py."""
 
 import random
 from fractions import Fraction
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imverma._kernels import nullspace, rank, rref
-from oracles import gauss_solve_nullspace
+from oracles import dense_rref, gauss_solve_nullspace
 
 
 def random_matrix(rng, m, n, den_max=6):
@@ -86,6 +86,16 @@ def test_ragged_rejected():
         rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
 
 
+def test_ragged_after_full_rank():
+    # elimination stops once every column has a pivot; the short last row
+    # must still be rejected
+    rows = [[Fraction(2), 0, 0], [0, Fraction(1, 3), 0], [0, 0, 5], [1, 2]]
+    for call in (lambda: rref(rows), lambda: rank(rows),
+                 lambda: nullspace(rows, 3)):
+        with pytest.raises(ValueError, match="ragged"):
+            call()
+
+
 small_fraction = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 
 
@@ -106,3 +116,49 @@ def test_property_nullspace_and_rank(rows):
     assert len(gauss_solve_nullspace(ns, n)) == n - len(ns)
     for v in ns:
         assert len(gauss_solve_nullspace(oracle + [v], n)) == n - len(oracle)
+
+
+sparse_value = st.one_of(st.integers(-9, 9), small_fraction)
+sparse_entry = st.one_of(st.just(0), st.just(0), sparse_value)
+
+
+@st.composite
+def tall_sparse_matrix(draw):
+    """Up to 40 x 8, about 30 % nonzero, mixed int/Fraction entries.
+
+    "full" puts a diagonal block first, so elimination reaches full column
+    rank before the trailing rows; "deficient" builds every row from fewer
+    than ncols base rows, so the rank is planted below ncols.
+    """
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(sparse_entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=40))
+    kind = draw(st.sampled_from(["random", "full", "deficient"]))
+    if kind == "full":
+        diag = draw(st.lists(st.one_of(st.integers(1, 9), small_fraction)
+                             .filter(bool), min_size=ncols, max_size=ncols))
+        rows = [[d if j == i else 0 for j in range(ncols)]
+                for i, d in enumerate(diag)] + rows
+    elif kind == "deficient":
+        base = rows[:draw(st.integers(0, ncols - 1))]
+        coeffs = st.lists(st.integers(-2, 2), min_size=len(base),
+                          max_size=len(base))
+        combos = [draw(coeffs) for _ in rows]
+        rows = [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(ncols)]
+                for cs in combos]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(tall_sparse_matrix())
+def test_property_tall_sparse_matches_dense(rows):
+    n = len(rows[0])
+    before = [[(type(x), x) for x in row] for row in rows]
+    ech, piv = rref(rows)
+    assert (ech, piv) == dense_rref(rows)
+    assert all(type(x) is Fraction for row in ech for x in row)
+    assert rank(rows) == len(piv)
+    ns = nullspace(rows, n)
+    assert ns == gauss_solve_nullspace(rows, n)
+    assert all(type(x) is Fraction for v in ns for x in v)
+    assert [[(type(x), x) for x in row] for row in rows] == before
