@@ -8,11 +8,18 @@ when every image of the stored basis stays inside the stored basis; all
 report-style checks count the undefined pairs they skip instead of guessing.
 h_i (x) t^0, d and c act diagonally straight from the weight data.
 
+A block is the only matrix form: a sparse {(target row, source column): v}
+dict. Products, sums and scalings stay sparse (_mat_mul, add_scaled); dense
+rows are built by _dense only as input to the exact kernels. The target
+weight index of every stored (generator, source) pair is computed once, when
+the module is built, so target_index is a lookup.
+
 Torsion is the joint kernel of the Heisenberg generators h_{i,l} (l != 0),
 computed per weight space over the reduced-admissible weights; weight spaces
 outside h*_red are reported as excluded (they already violate the
 diagonalizability axiom, and torsion candidates in the source theory carry
-reduced-admissible weights). The torsion-free part is the pivot complement.
+reduced-admissible weights). The torsion-free part is the span of the
+Heisenberg images arriving from neighboring weight spaces.
 
 The decomposition pipeline: torsion basis -> iterated e_{i,0}-power extraction
 of vectors annihilated by every windowed e_{j,n} -> summand weights -> exact
@@ -122,6 +129,11 @@ class ExplicitModule:
         for gkey, srcs in defined.items():
             self.defined[gkey] = {remap[s] for s in srcs}
             self.blocks.setdefault(gkey, {})
+        # target weight index (None outside the store) of every stored pair
+        self.targets = {
+            gkey: {s: self.windex.get(self.weight_shift(self.weights[s], gkey))
+                   for s in set(per_src) | self.defined.get(gkey, set())}
+            for gkey, per_src in self.blocks.items()}
         self.provenance = provenance
         self.loop_window = loop_window
         self.meta = meta
@@ -146,7 +158,8 @@ class ExplicitModule:
         return Weight(hs, w.c_value, w.d_value + n)
 
     def target_index(self, gkey, src_widx):
-        return self.windex.get(self.weight_shift(self.weights[src_widx], gkey))
+        """Target weight index of a stored (generator, source) pair, or None."""
+        return self.targets[gkey][src_widx]
 
     def generator_keys(self):
         return sorted(self.blocks, key=lambda gk: (gk[1], str(gk[0])))
@@ -162,17 +175,14 @@ class ExplicitModule:
 
     # -- action ------------------------------------------------------------------
 
-    def block_matrix(self, gkey, src_widx):
-        """Dense (target dim) x (source dim) matrix, or raise if undefined."""
+    def block(self, gkey, src_widx):
+        """(sparse block, target index, target dim), or raise if undefined."""
         if src_widx not in self.defined.get(gkey, ()):
             raise UndefinedActionError(
                 f"{gen_name(self.algebra, *gkey)} undefined at weight index {src_widx}")
         tgt = self.target_index(gkey, src_widx)
-        nrows = self.dim(tgt) if tgt is not None else 0
-        mat = [[Fraction(0)] * self.dim(src_widx) for _ in range(nrows)]
-        for (r, c), v in self.blocks[gkey].get(src_widx, {}).items():
-            mat[r][c] = v
-        return mat, tgt
+        ntgt = self.dim(tgt) if tgt is not None else 0
+        return self.blocks[gkey].get(src_widx, {}), tgt, ntgt
 
     def apply(self, gkey, vec):
         """Apply a generator to {(widx, i): coeff}; exact or raises."""
@@ -295,21 +305,23 @@ class ExplicitModule:
             shift.append(table)
         gkeys = sorted({gk for m in summands for gk in m.blocks},
                        key=lambda gk: (gk[1], str(gk[0])))
+        # per weight: (summand index, summand, local weight index) carrying it
+        carriers = [[(si, m, m.windex[w]) for si, m in enumerate(summands)
+                     if w in m.windex] for w in weights]
         blocks = {gk: {} for gk in gkeys}
         defined = {gk: set() for gk in gkeys}
         for gk in gkeys:
-            for gi, w in enumerate(weights):
-                carriers = [(si, m) for si, m in enumerate(summands) if w in m.windex]
-                if all(m.windex[w] in m.defined.get(gk, ()) for _, m in carriers):
+            for gi, carried in enumerate(carriers):
+                if all(li in m.defined.get(gk, ()) for _, m, li in carried):
                     defined[gk].add(gi)
                     entries = {}
-                    for si, m in carriers:
-                        li = m.windex[w]
-                        ti = m.target_index(gk, li)
-                        for (r, c), v in m.blocks[gk].get(li, {}).items():
-                            roff = shift[si][ti][1]
+                    for si, m, li in carried:
+                        mat = m.blocks[gk].get(li)
+                        if mat:
+                            roff = shift[si][m.target_index(gk, li)][1]
                             coff = shift[si][li][1]
-                            entries[(r + roff, c + coff)] = v
+                            for (r, c), v in mat.items():
+                                entries[(r + roff, c + coff)] = v
                     if entries:
                         blocks[gk][gi] = entries
         metas = [m.meta for m in summands]
@@ -325,13 +337,15 @@ class ExplicitModule:
                               provenance=provenance, loop_window=lw, meta=meta)
 
     def scrambled(self, seed):
-        """Weight-preserving change of basis by random exact invertible maps."""
+        """Weight-preserving change of basis by random exact invertible maps.
+
+        Each block B becomes S_tgt^-1 B S_src, computed on sparse blocks.
+        """
         rng = random.Random(seed)
         mats = []
         invs = []
         for widx in range(len(self.weights)):
-            n = self.dim(widx)
-            s, sinv = _random_unimodular(rng, n)
+            s, sinv = _random_unimodular(rng, self.dim(widx))
             mats.append(s)
             invs.append(sinv)
         blocks = {}
@@ -345,12 +359,7 @@ class ExplicitModule:
                     if mat:
                         raise ModuleDataError("nonzero block without a target weight")
                     continue
-                dense = [[Fraction(0)] * self.dim(src) for _ in range(self.dim(tgt))]
-                for (r, c), v in mat.items():
-                    dense[r][c] = v
-                new = _mat_mul(_mat_mul(invs[tgt], dense), mats[src])
-                entries = {(r, c): v for r, row in enumerate(new)
-                           for c, v in enumerate(row) if v}
+                entries = _mat_mul(_mat_mul(invs[tgt], mat), mats[src])
                 if entries:
                     blocks[gk][src] = entries
         labels = [[f"w{widx}b{j}" for j in range(self.dim(widx))]
@@ -519,8 +528,7 @@ def _nonneg_vectors(rank_, total_max):
 
 
 def _random_unimodular(rng, n):
-    """(S, S^-1) exact: product of elementary shears and swaps."""
-    s = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    """(S, S^-1) exact and sparse: a product of elementary shears and swaps."""
     ops = []
     for _ in range(2 * n + 2):
         kind = rng.choice(["shear", "swap"]) if n > 1 else "none"
@@ -532,43 +540,51 @@ def _random_unimodular(rng, n):
         elif kind == "swap":
             i, j = rng.sample(range(n), 2)
             ops.append(("swap", i, j))
-    for op in ops:
-        if op[0] == "shear":
-            _, i, j, cval = op
-            for col in range(n):
-                s[i][col] += cval * s[j][col]
-        else:
-            _, i, j = op
-            s[i], s[j] = s[j], s[i]
-    sinv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for op in reversed(ops):
-        if op[0] == "shear":
-            _, i, j, cval = op
-            for col in range(n):
-                sinv[i][col] -= cval * sinv[j][col]
-        else:
-            _, i, j = op
-            sinv[i], sinv[j] = sinv[j], sinv[i]
-    # ops were applied to S on the left; the inverse of the product applied in
-    # reverse with inverted shears reconstructs S^-1 exactly
-    return s, sinv
+    # S applies the row operations in order; S^-1 undoes them in reverse
+    s = [{i: Fraction(1)} for i in range(n)]
+    sinv = [{i: Fraction(1)} for i in range(n)]
+    for rows, sequence, sign in ((s, ops, 1), (sinv, reversed(ops), -1)):
+        for op in sequence:
+            if op[0] == "shear":
+                _, i, j, cval = op
+                add_scaled(rows[i], rows[j], sign * cval)
+            else:
+                _, i, j = op
+                rows[i], rows[j] = rows[j], rows[i]
+    return tuple({(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+                 for rows in (s, sinv))
 
 
 def _mat_mul(a, b):
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            v = a[i][t]
-            if v:
-                rowb = b[t]
-                rowo = out[i]
-                for j in range(m):
-                    if rowb[j]:
-                        rowo[j] += v * rowb[j]
+    """Product of sparse {(r, c): v} matrices; a zero is never stored."""
+    b_rows = {}
+    for (t, j), v in b.items():
+        if v:
+            b_rows.setdefault(t, []).append((j, v))
+    out = {}
+    for (i, t), v in a.items():
+        if v and t in b_rows:
+            add_scaled(out, {(i, j): w for j, w in b_rows[t]}, v)
     return out
+
+
+def _dense(mat, nrows, ncols):
+    """Dense Fraction rows of a sparse matrix: the form the kernels take."""
+    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for (r, c), v in mat.items():
+        rows[r][c] = v
+    return rows
+
+
+def _sparse(rows):
+    """Sparse form of dense rows, such as the kernels return."""
+    return {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row) if x}
+
+
+def _images(mat, vectors, nrows):
+    """Dense rows mat @ v, one per dense coordinate row v in vectors."""
+    transposed = {(c, r): x for (r, c), x in mat.items()}
+    return _dense(_mat_mul(_sparse(vectors), transposed), len(vectors), nrows)
 
 
 # -- Heisenberg slice ---------------------------------------------------------------
@@ -643,20 +659,17 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
         for src in keep:
             if src not in module.defined.get(gk, ()):
                 continue
-            tgt = module.target_index(gk, src)
+            mat, tgt, ntgt = module.block(gk, src)
             if tgt is None or tgt not in new_of_old:
                 # a zero image is exact; anything else leaves the slice
-                mat, _ = module.block_matrix(gk, src)
-                if all(all(x == 0 for x in row) for row in mat):
+                if not any(mat.values()):
                     defined[gk].add(new_of_old[src])
                 continue
-            mat, _ = module.block_matrix(gk, src)
             tgt_rows = split.torsion_free[tgt]
             piv = pivots[tgt]
             entries = {}
             ok = True
-            for col, vec in enumerate(split.torsion_free[src]):
-                img = _mat_vec(mat, vec)
+            for col, img in enumerate(_images(mat, split.torsion_free[src], ntgt)):
                 coeffs = [img[p] for p in piv]
                 recon = [sum(coeffs[i] * tgt_rows[i][j] for i in range(len(coeffs)))
                          for j in range(len(img))]
@@ -684,8 +697,8 @@ def g_kernel_raw(module: ExplicitModule, widx, gwindow):
         if widx not in module.defined.get(gk, ()):
             continue
         used += 1
-        mat, _ = module.block_matrix(gk, widx)
-        rows.extend(mat)
+        mat, _, ntgt = module.block(gk, widx)
+        rows.extend(_dense(mat, ntgt, n))
     return nullspace(rows, n) if used else None, used
 
 
@@ -729,14 +742,12 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
     arrivals = {widx: [] for widx in admissible}
     for gk in gkeys:
         for src in module.defined.get(gk, ()):
-            tgt = module.target_index(gk, src)
+            mat, tgt, ntgt = module.block(gk, src)
             if tgt is None or tgt not in arrivals:
                 continue
-            mat, _ = module.block_matrix(gk, src)
-            for col in range(module.dim(src)):
-                vec = [mat[r][col] for r in range(len(mat))]
-                if any(vec):
-                    arrivals[tgt].append(vec)
+            columns = {(c, r): v for (r, c), v in mat.items()}
+            arrivals[tgt].extend(vec for vec in _dense(columns, module.dim(src), ntgt)
+                                 if any(vec))
     for widx in admissible:
         rows = arrivals[widx]
         tf, _ = rref(rows) if rows else ([], [])
@@ -774,9 +785,8 @@ def _check_axioms(split: GCompatibleSplit):
             if widx not in module.defined.get(gk, ()):
                 iv_skip += 1
                 continue
-            mat, _ = module.block_matrix(gk, widx)
-            for row_vec in rows:
-                img = _mat_vec(mat, row_vec)
+            mat, _, ntgt = module.block(gk, widx)
+            for img in _images(mat, rows, ntgt):
                 if any(img):
                     iv_fail.append({"generator": gen_name(module.algebra, *gk),
                                     "weight_index": widx})
@@ -792,8 +802,8 @@ def _check_axioms(split: GCompatibleSplit):
             if widx not in module.defined.get(gk, ()):
                 skipped += 1
                 continue
-            mat, tgt = module.block_matrix(gk, widx)
-            images = [_mat_vec(mat, v) for v in tf_rows]
+            mat, tgt, ntgt = module.block(gk, widx)
+            images = _images(mat, tf_rows, ntgt)
             checked += 1
             if rank(images) != len(tf_rows):
                 inj_fail.append({"generator": gen_name(module.algebra, *gk),
@@ -814,7 +824,13 @@ def _check_axioms(split: GCompatibleSplit):
                             "injectivity_violations": inj_fail,
                             "surjectivity_violations": surj_fail,
                             "checked": checked, "skipped": skipped}
-    # (iii): windowed: no escape-free subspace of TF (candidate submodule)
+    # (iii): windowed: no escape-free subspace of TF (candidate submodule).
+    # The escape of an image is read by the rows vanishing exactly on TF at
+    # its target: their kernel is TF, the same as that of the projection onto
+    # T along TF. An image in a space outside the analysis escapes entirely.
+    outside = set(split.excluded + split.unchecked + split.deficient)
+    annihilators = {w: nullspace(split.torsion_free.get(w, []), module.dim(w))
+                    for w in range(len(module.weights)) if w not in outside}
     iii_candidates = []
     for widx, tf_rows in split.torsion_free.items():
         n = module.dim(widx)
@@ -822,24 +838,20 @@ def _check_axioms(split: GCompatibleSplit):
         for gk in module.generator_keys():
             if widx not in module.defined.get(gk, ()):
                 continue
-            mat, tgt = module.block_matrix(gk, widx)
+            mat, tgt, ntgt = module.block(gk, widx)
             if tgt is None:
                 continue
-            proj = _projection_off_tf(split, tgt)
-            if proj is None:
-                # target entirely outside the admissible analysis: full escape
-                escape_rows.extend(mat)
-                continue
-            escape_rows.extend(_mat_mul(proj, mat))
+            if tgt in outside:
+                escape_rows.extend(_dense(mat, ntgt, n))
+            else:
+                ann = annihilators[tgt]
+                escape_rows.extend(_dense(_mat_mul(_sparse(ann), mat), len(ann), n))
         if not escape_rows:
             continue
         kernel = nullspace(escape_rows, n)
-        # restrict candidates to TF
-        tf_span = list(tf_rows)
-        for v in kernel:
-            if _in_span(tf_span, v) and any(v):
-                iii_candidates.append({"weight_index": widx})
-                break
+        # a candidate is a nonzero escape-free vector inside TF
+        if kernel and rank(kernel + tf_rows) < len(kernel) + len(tf_rows):
+            iii_candidates.append({"weight_index": widx})
     split.verdicts["iii"] = {
         "passed": not iii_candidates,
         "candidate_invariant_subspaces": iii_candidates,
@@ -860,47 +872,6 @@ def _check_axioms(split: GCompatibleSplit):
                 alone = False
         isolated[widx] = alone
     split.verdicts["torsion_isolated"] = {"passed": True, "by_weight": isolated}
-
-
-def _projection_off_tf(split: GCompatibleSplit, widx):
-    """Matrix projecting V_widx onto its T-part coordinates along TF, or None."""
-    module = split.module
-    n = module.dim(widx)
-    if widx in split.excluded or widx in split.unchecked \
-            or widx in split.deficient:
-        return None
-    t_rows = split.torsion.get(widx, [])
-    tf_rows = split.torsion_free.get(widx, [])
-    if not t_rows:
-        return [[Fraction(0)] * n for _ in range(0)]  # no escape possible
-    basis = t_rows + tf_rows
-    inv = _mat_inverse([[basis[r][c] for r in range(n)] for c in range(n)])
-    # coordinates in the (T, TF) basis: first len(t_rows) rows are the T part
-    return inv[: len(t_rows)]
-
-
-def _mat_inverse(m):
-    n = len(m)
-    aug = [list(m[i]) + [Fraction(1 if j == i else 0) for j in range(n)]
-           for i in range(n)]
-    ech, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ImvermaError("singular basis matrix")
-    return [row[n:] for row in ech]
-
-
-def _mat_vec(mat, vec):
-    return [sum((row[j] * vec[j] for j in range(len(vec)) if vec[j]), Fraction(0))
-            for row in mat]
-
-
-def _in_span(rows, vec):
-    if not any(vec):
-        return True
-    if not rows:
-        return False
-    base = rank(rows)
-    return rank(rows + [vec]) == base
 
 
 # -- loop modules ------------------------------------------------------------------
@@ -942,40 +913,38 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
             name = f"{nameprefix}{i}"
             if name not in matrices:
                 raise ModuleDataError(f"missing generator matrix {name!r}")
-            mats[key] = [[Fraction(x) for x in row] for row in matrices[name]]
+            mats[key] = {(r, c): v for r, row in enumerate(matrices[name])
+                         for c, v in enumerate(map(Fraction, row)) if v}
     for i in range(1, n + 1):
-        h = mats[("h", i)]
-        for r in range(dim):
-            for c in range(dim):
-                if r != c and h[r][c]:
-                    raise ModuleDataError(
-                        f"h{i} matrix is not diagonal; basis is not a weight basis")
+        if any(r != c for r, c in mats[("h", i)]):
+            raise ModuleDataError(
+                f"h{i} matrix is not diagonal; basis is not a weight basis")
     # derive matrices for all root vectors through extraspecial decompositions
     for g in fin.roots.positive_roots:
         if sum(g) < 2:
             continue
         a1, b1 = fin.extraspecial[g]
         nconst = fin.nmat[(a1, b1)]
-        mats[("x", g)] = _mat_scale(
-            _commutator(mats[("x", a1)], mats[("x", b1)]), Fraction(1, nconst))
+        mats[("x", g)] = add_scaled(
+            {}, _commutator(mats[("x", a1)], mats[("x", b1)]), Fraction(1, nconst))
         nneg = fin.nmat[(_neg(a1), _neg(b1))]
-        mats[("x", _neg(g))] = _mat_scale(
-            _commutator(mats[("x", _neg(a1))], mats[("x", _neg(b1))]),
+        mats[("x", _neg(g))] = add_scaled(
+            {}, _commutator(mats[("x", _neg(a1))], mats[("x", _neg(b1))]),
             Fraction(1, nneg))
     # verify the full bracket table
     for k1 in fin.basis:
         for k2 in fin.basis:
-            want = [[Fraction(0)] * dim for _ in range(dim)]
+            want = {}
             for k, cv in fin._bracket_table[(k1, k2)].items():
-                want = _mat_add(want, _mat_scale(mats[k], cv))
+                add_scaled(want, mats[k], cv)
             got = _commutator(mats[k1], mats[k2])
             if got != want:
                 from imverma.finite import key_name
                 raise ModuleDataError(
                     "generator matrices violate the bracket table at pair "
                     f"({key_name(k1)}, {key_name(k2)})")
-    fin_weights = [tuple(mats[("h", i)][j][j] for i in range(1, n + 1))
-                   for j in range(dim)]
+    fin_weights = [tuple(mats[("h", i)].get((j, j), Fraction(0))
+                         for i in range(1, n + 1)) for j in range(dim)]
     weights = []
     labels = []
     windex = {}
@@ -1006,10 +975,9 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
             for (j, lj), (wj, cj) in locs.items():
                 if wj != widx:
                     continue
-                for r in range(dim):
-                    if mat[r][j]:
-                        twidx, tloc = locs[(r, lj + nn)]
-                        entries[(tloc, cj)] = mat[r][j]
+                for (r, c), v in mat.items():
+                    if c == j:
+                        entries[(locs[(r, lj + nn)][1], cj)] = v
             defined[gk].add(widx)
             if entries:
                 blocks[gk][widx] = entries
@@ -1020,19 +988,7 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
 
 
 def _commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, s):
-    return [[s * x for x in row] for row in a]
+    return add_scaled(_mat_mul(a, b), _mat_mul(b, a), -1)
 
 
 # -- category membership -----------------------------------------------------------

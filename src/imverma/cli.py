@@ -141,6 +141,7 @@ def _require_nonneg(args, *names):
 
 
 def _cmd_algebra(args):
+    _require_nonneg(args, "loop_degree")
     alg = _load_algebra(args)
     fin = alg.finite
     result = {
@@ -156,13 +157,13 @@ def _cmd_algebra(args):
     if getattr(args, "twist", None):
         perm = _parse_perm(args.twist, fin.rank)
         aut = diagram_automorphism(fin, perm)
-        tw = twisted_fixed_subalgebra(alg, aut, args.loop_degree or 2)
+        tw = twisted_fixed_subalgebra(alg, aut, args.loop_degree)
         result["twist"] = {
             "permutation": {str(k): v for k, v in sorted(perm.items())},
             "order": aut.order,
             "graded_dimensions": {str(m): tw.graded_dimension(m)
-                                  for m in range(-(args.loop_degree or 2),
-                                                 (args.loop_degree or 2) + 1)},
+                                  for m in range(-args.loop_degree,
+                                                 args.loop_degree + 1)},
             "natural_borel_slice_dims": {str(m): v for m, v in
                                          sorted(tw.natural_borel_slice_dims().items())},
         }
@@ -397,6 +398,7 @@ def _cmd_category_decompose(args):
 def _cmd_loopmod(args):
     if args.dim < 1:
         raise UsageError("--dim must be positive")
+    _require_nonneg(args, "loop_degree")
     alg = _load_algebra(args)
     if alg.rank != 1:
         raise UsageError("built-in loop modules exist for type A1 only")

@@ -1,7 +1,9 @@
 """Independent oracles: deliberately different computation paths from the
 library (reflection closure instead of root strings, generating functions
 instead of enumeration, dense Gauss-Jordan over Fraction cells instead of the
-package's sparse fraction-free kernel), so an agreement is meaningful."""
+package's sparse fraction-free kernel, dense matrix products and an explicit
+basis inverse instead of sparse blocks and annihilator rows), so an agreement
+is meaningful."""
 
 from fractions import Fraction
 
@@ -97,6 +99,39 @@ def gauss_solve_nullspace(rows, ncols):
             v[pcol] = -ech[prow][free]
         out.append(v)
     return out
+
+
+def dense_mat_mul(a, b):
+    """Product of dense Fraction row lists, cell by cell ([] if either is empty)."""
+    if not a or not b:
+        return []
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[Fraction(0)] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            v = a[i][t]
+            if v:
+                for j in range(m):
+                    if b[t][j]:
+                        out[i][j] += v * b[t][j]
+    return out
+
+
+def t_projection(t_rows, tf_rows):
+    """Rows projecting a vector onto its T coordinates along TF.
+
+    The T and TF rows together are a basis; the first len(t_rows) rows of the
+    inverse of the matrix with these basis vectors as columns read off the T
+    part of a vector's coordinates. The inverse comes from dense_rref of the
+    matrix augmented by the identity.
+    """
+    basis = t_rows + tf_rows
+    n = len(basis)
+    aug = [[basis[r][c] for r in range(n)] + [Fraction(int(j == c)) for j in range(n)]
+           for c in range(n)]
+    ech, pivots = dense_rref(aug)
+    assert pivots == list(range(n)), "T and TF rows are not a basis"
+    return [row[n:] for row in ech[:len(t_rows)]]
 
 
 def solve_invariant_form(algebra):

@@ -7,18 +7,22 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from imverma._kernels import nullspace, rank, rref
 from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import AuditError, ModuleDataError
 from imverma.finite import build_simple_algebra
-from imverma.category import (ExplicitModule, audit_decomposition,
+from imverma.category import (ExplicitModule, _mat_mul, audit_decomposition,
                               build_loop_module, check_category_membership,
                               decompose_into_reduced_vermas,
                               extract_annihilated_vector, g_kernel_raw, gen_name,
                               heisenberg_slice, parse_gen, sl2_irrep_matrices,
                               torsion_decompose)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
+from oracles import dense_mat_mul, t_projection
 
 
 def aff(label):
@@ -174,6 +178,39 @@ def test_nonadmissible_highest_weight_excluded():
     hw = [i for i, w in enumerate(em.weights)
           if w.h_values == (Fraction(2),) and w.d_value == 0]
     assert hw[0] in split.excluded
+
+
+def _escape_module():
+    """A1 module whose TF at weight index 1 holds an escape-free line.
+
+    Weights d = -1, 0, 0, 1 (h = -1/2, except h = 3/2 at index 2) with bases
+    m1,m2 | b0,b1,b2 | e0 | u1,u2. h_{1,+-1} carry b1, b2 to the outer spaces
+    and back, so T = <b0> and TF = <b1, b2> at index 1; e_{1,0} sends b0, b1,
+    b2 to e0, -e0, -e0, so b1 - b2 stays inside TF under every generator
+    while no kernel basis vector of the escape rows lies in TF.
+    """
+    labels = ["m1", "m2", "b0", "b1", "b2", "e0", "u1", "u2"]
+    widx = [0, 0, 1, 1, 1, 2, 3, 3]
+    return ExplicitModule.from_json_dict({
+        "algebra": {"label": "A1"},
+        "weights": [{"h": [h], "c": "0", "d": d}
+                    for h, d in (("-1/2", "-1"), ("-1/2", "0"), ("3/2", "0"),
+                                 ("-1/2", "1"))],
+        "basis": [{"label": lab, "weight": w} for lab, w in zip(labels, widx)],
+        "actions": {"h1@1": [[3, 0, "1"], [4, 1, "1"], [6, 3, "1"], [7, 4, "1"]],
+                    "h1@-1": [[3, 6, "1"], [4, 7, "1"], [0, 3, "1"], [1, 4, "1"]],
+                    "e1@0": [[5, 2, "1"], [5, 3, "-1"], [5, 4, "-1"]]},
+        "defined": {"h1@1": [0, 1], "h1@-1": [3, 1], "e1@0": [1]},
+    })
+
+
+def test_invariant_subspace_candidate_independent_of_kernel_basis():
+    split = torsion_decompose(_escape_module(), 1)
+    assert split.torsion == {1: [[1, 0, 0]]}
+    assert split.unchecked == [2]
+    # the escape kernel at index 1 is {b0 = b1 + b2}; it meets TF in b1 - b2
+    assert split.verdicts["iii"]["candidate_invariant_subspaces"] == [
+        {"weight_index": 0}, {"weight_index": 1}, {"weight_index": 3}]
 
 
 # -- membership --------------------------------------------------------------------
@@ -413,3 +450,62 @@ def test_json_defined_defaults_to_action_support():
     # tables without an explicit defined list are taken as total on listed sources
     for gk, srcs in em2.defined.items():
         assert srcs == set(em2.blocks.get(gk, {}))
+
+
+# -- sparse blocks against dense oracles ------------------------------------------------
+
+
+def _as_dense(mat, nrows, ncols):
+    return [[mat.get((r, c), Fraction(0)) for c in range(ncols)] for r in range(nrows)]
+
+
+cancelling_value = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
+                                    Fraction(1, 2), Fraction(-2, 3)])
+
+
+def sparse_matrix(nrows, ncols):
+    return st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+        cancelling_value, max_size=nrows * ncols)
+
+
+@st.composite
+def sparse_pair(draw):
+    """(a, b, n, k, m): sparse n x k and k x m matrices, zeros stored at times."""
+    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
+    return draw(sparse_matrix(n, k)), draw(sparse_matrix(k, m)), n, k, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_pair())
+def test_property_sparse_mat_mul_matches_dense(pair):
+    a, b, n, k, m = pair
+    prod = _mat_mul(a, b)
+    assert all(prod.values())
+    assert _as_dense(prod, n, m) == dense_mat_mul(_as_dense(a, n, k), _as_dense(b, k, m))
+
+
+def test_sparse_mat_mul_empty_and_cancelling():
+    assert _mat_mul({}, {(0, 0): Fraction(1)}) == {}
+    assert _mat_mul({(0, 0): Fraction(1)}, {}) == {}
+    assert _mat_mul({(0, 0): Fraction(0)}, {(0, 0): Fraction(1)}) == {}
+    # [1 1] @ [1 -1]^T cancels to zero, which must not be stored
+    a = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
+    b = {(0, 0): Fraction(1), (1, 0): Fraction(-1)}
+    assert _mat_mul(a, b) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+             min_size=n, max_size=n),
+    st.integers(0, n))))
+def test_property_annihilator_rows_match_t_projection(case):
+    rows, t = case
+    n = len(rows)
+    assume(rank(rows) == n)
+    basis = [[Fraction(x) for x in row] for row in rows]
+    t_rows, tf_rows = basis[:t], basis[t:]
+    # the projection onto T along TF and the rows vanishing on TF share
+    # their kernel TF, so they span the same row space
+    assert rref(nullspace(tf_rows, n)) == rref(t_projection(t_rows, tf_rows))

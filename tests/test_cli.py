@@ -88,6 +88,11 @@ def test_unknown_type_is_usage_error(capsys):
     pytest.param(("category-decompose", "--type", "A1", "--summands", "h1=-1/2",
                   "--window", "L=3,N=4,H=1", "--nilpotency-cap", "-1"),
                  "nilpotency-cap", id="negative-nilpotency-cap"),
+    pytest.param(("algebra", "--type", "A3", "--twist", "1:3,3:1",
+                  "--loop-degree", "-1"), "loop-degree",
+                 id="algebra-negative-loop-degree"),
+    pytest.param(("loopmod", "--type", "A1", "--dim", "2", "--loop-degree", "-1"),
+                 "loop-degree", id="loopmod-negative-loop-degree"),
 ])
 def test_malformed_window_is_usage_error(capsys, argv, word):
     code, out, err = run(capsys, *argv)
@@ -173,6 +178,15 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["result"]["status"] == "pass"
+
+
+def test_algebra_twist_loop_degree_zero(capsys):
+    code, out, _ = run(capsys, "algebra", "--type", "A3",
+                       "--twist", "1:3,3:1", "--loop-degree", "0")
+    assert code == 0
+    data = json.loads(out)
+    assert data["config"]["loop_degree"] == 0
+    assert data["result"]["twist"]["graded_dimensions"] == {"0": 10}
 
 
 def test_roots_record_shape(capsys):
