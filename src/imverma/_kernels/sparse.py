@@ -1,7 +1,9 @@
 """Exact row reduction over the rationals on sparse integer rows.
 
-Matrices come in as lists of dense rows of int or Fraction entries; results go
-out as dense rows of Fraction. Inside, each nonzero row becomes a primitive
+Matrices come in as lists of sparse rows {column: int | Fraction} over a
+stated number of columns; a missing column is zero and a stored zero is
+ignored. Results go out as sparse rows {column: Fraction} that store no zero,
+keyed in ascending column order. Inside, each nonzero row becomes a primitive
 integer row {column: int}: it is scaled by the lcm of its denominators and
 divided by the gcd of its entries. Rows are reduced one at a time against the
 pivot rows found so far, fraction-free (r <- a*r - b*p, in the spirit of
@@ -18,8 +20,6 @@ construction read off it, ordered by free column index.
 from fractions import Fraction
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-
 
 def _without_content(row):
     g = gcd(*row.values())
@@ -27,8 +27,8 @@ def _without_content(row):
 
 
 def _primitive(row):
-    """Primitive integer {column: int} proportional to a dense row; {} if zero."""
-    nz = [(j, x.numerator, x.denominator) for j, x in enumerate(row) if x]
+    """Primitive integer {column: int} proportional to a sparse row; {} if zero."""
+    nz = [(j, x.numerator, x.denominator) for j, x in row.items() if x]
     den = lcm(*[d for _, _, d in nz])
     return _without_content({j: n * (den // d) for j, n, d in nz})
 
@@ -51,12 +51,12 @@ def _eliminate(r, p, c):
 def _echelon(rows, ncols):
     """{pivot column: primitive row} whose smallest column is the pivot.
 
-    Every row's length is checked first, so a ragged matrix is rejected even
-    when elimination stops early at full column rank.
+    Every row's columns are checked first, so a column outside range(ncols)
+    is rejected even when elimination stops early at full column rank.
     """
     for row in rows:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
+        if row and not (min(row) >= 0 and max(row) < ncols):
+            raise ValueError(f"column outside range({ncols})")
     pivots = {}
     for row in rows:
         if len(pivots) == ncols:
@@ -87,30 +87,24 @@ def _back_substitute(pivots):
     return reduced
 
 
-def rref(rows):
+def rref(rows, ncols):
     """Reduced row echelon form.
 
     Returns (echelon_rows, pivot_columns). The input is not modified. Zero
     rows are dropped from the result.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     reduced = _back_substitute(_echelon(rows, ncols))
     pivots = sorted(reduced)
     ech = []
     for c in pivots:
         r = reduced[c]
         lead = r[c]
-        out = [_ZERO] * ncols
-        for j, v in r.items():
-            out[j] = Fraction(v, lead)
-        ech.append(out)
+        ech.append({j: Fraction(r[j], lead) for j in sorted(r)})
     return ech, pivots
 
 
-def rank(rows):
-    return len(_echelon(rows, len(rows[0]))) if rows else 0
+def rank(rows, ncols):
+    return len(_echelon(rows, ncols))
 
 
 def nullspace(rows, ncols):
@@ -127,11 +121,7 @@ def nullspace(rows, ncols):
     for free in range(ncols):
         if free in reduced:
             continue
-        v = [_ZERO] * ncols
+        v = {c: Fraction(-r[free], r[c]) for c, r in reduced.items() if free in r}
         v[free] = Fraction(1)
-        for c, r in reduced.items():
-            x = r.get(free)
-            if x:
-                v[c] = Fraction(-x, r[c])
-        basis.append(v)
+        basis.append(dict(sorted(v.items())))
     return basis

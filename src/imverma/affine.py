@@ -352,24 +352,21 @@ class TwistedSubalgebra:
         self.algebra = algebra
         self.aut = aut
         self.window = window
-        fin = algebra.finite
-        m = aut.matrix()
-        dim = fin.dimension
-        self.even_basis = self._eigenbasis(m, Fraction(1))
-        self.odd_basis = self._eigenbasis(m, Fraction(-1))
+        dim = algebra.finite.dimension
+        self.even_basis = self._eigenbasis(Fraction(1))
+        self.odd_basis = self._eigenbasis(Fraction(-1))
         if len(self.even_basis) + len(self.odd_basis) != dim:
             raise ImvermaError("eigenspaces do not span; automorphism is not semisimple?")
 
-    def _eigenbasis(self, m, eigval):
+    def _eigenbasis(self, eigval):
+        """Basis of the eigval-eigenspace: the kernel of (aut matrix) - eigval."""
         fin = self.algebra.finite
-        dim = fin.dimension
-        rows = [[m[i][j] - (eigval if i == j else 0) for j in range(dim)]
-                for i in range(dim)]
-        vecs = nullspace(rows, dim)
-        out = []
-        for v in vecs:
-            out.append(fin.element({fin.basis[i]: v[i] for i in range(dim) if v[i]}))
-        return out
+        rows = [{i: -eigval} for i in range(fin.dimension)]
+        for j, key in enumerate(fin.basis):
+            s, k2 = self.aut.image_key(key)
+            add_scaled(rows[fin.basis_index[k2]], {j: s})
+        return [fin.element({fin.basis[i]: x for i, x in v.items()})
+                for v in nullspace(rows, fin.dimension)]
 
     def graded_basis(self, m: int):
         """Basis of the degree-m piece as loop elements."""
@@ -382,11 +379,12 @@ class TwistedSubalgebra:
         return len(self.even_basis) if m % 2 == 0 else len(self.odd_basis)
 
     def _finite_coords(self, x: FiniteElement):
-        fin = self.algebra.finite
-        return [x.terms.get(k, Fraction(0)) for k in fin.basis]
+        basis_index = self.algebra.finite.basis_index
+        return {basis_index[k]: v for k, v in x.terms.items()}
 
     def check_bracket_closure(self) -> dict:
         """Verify [piece_m, piece_m'] lands in piece_{m+m'} + C c inside the window."""
+        dim = self.algebra.finite.dimension
         failures = []
         checked = 0
         for m in range(-self.window, self.window + 1):
@@ -395,7 +393,7 @@ class TwistedSubalgebra:
                     continue
                 target = self.even_basis if (m + mp) % 2 == 0 else self.odd_basis
                 target_rows = [self._finite_coords(x) for x in target]
-                base_rank = rank(target_rows)
+                base_rank = rank(target_rows, dim)
                 for u in self.graded_basis(m):
                     for v in self.graded_basis(mp):
                         w = affine_bracket(u, v)
@@ -413,7 +411,8 @@ class TwistedSubalgebra:
                         else:
                             x = self.algebra.finite.element(fin_terms)
                             if not x.is_zero():
-                                if rank(target_rows + [self._finite_coords(x)]) != base_rank:
+                                if (rank(target_rows + [self._finite_coords(x)], dim)
+                                        != base_rank):
                                     failures.append({"degrees": [m, mp],
                                                      "reason": "image outside eigenspace"})
         return {"checked_brackets": checked, "failures": failures,
@@ -431,14 +430,11 @@ class TwistedSubalgebra:
         dims = {}
         for m in range(-self.window, self.window + 1):
             keys = pos_keys + h_keys if m >= 0 else pos_keys
-            slice_rows = []
-            for k in keys:
-                row = [Fraction(0)] * fin.dimension
-                row[fin.basis_index[k]] = Fraction(1)
-                slice_rows.append(row)
+            slice_rows = [{fin.basis_index[k]: 1} for k in keys]
             eig = self.even_basis if m % 2 == 0 else self.odd_basis
             eig_rows = [self._finite_coords(x) for x in eig]
-            inter = len(slice_rows) + len(eig_rows) - rank(slice_rows + eig_rows)
+            inter = (len(slice_rows) + len(eig_rows)
+                     - rank(slice_rows + eig_rows, fin.dimension))
             dims[m] = inter + (2 if m == 0 else 0)  # c and d at degree 0
         return dims
 

@@ -9,8 +9,10 @@ report-style checks count the undefined pairs they skip instead of guessing.
 h_i (x) t^0, d and c act diagonally straight from the weight data.
 
 A block is the only matrix form: a sparse {(target row, source column): v}
-dict. Products, sums and scalings stay sparse (_mat_mul, add_scaled); dense
-rows are built by _dense only as input to the exact kernels. The target
+dict. Products, sums and scalings stay sparse (_mat_mul, add_scaled). The
+exact kernels take and return sparse rows {column: v}; _rows and _block
+convert between a block and its rows, and coordinate vectors (torsion and
+torsion-free bases) are kept as such rows. The target
 weight index of every stored (generator, source) pair is computed once, when
 the module is built, so target_index is a lookup.
 
@@ -568,23 +570,23 @@ def _mat_mul(a, b):
     return out
 
 
-def _dense(mat, nrows, ncols):
-    """Dense Fraction rows of a sparse matrix: the form the kernels take."""
-    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+def _rows(mat, nrows):
+    """The sparse rows {column: v} of a block: the form the kernels take."""
+    rows = [{} for _ in range(nrows)]
     for (r, c), v in mat.items():
         rows[r][c] = v
     return rows
 
 
-def _sparse(rows):
-    """Sparse form of dense rows, such as the kernels return."""
-    return {(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row) if x}
+def _block(rows):
+    """The block whose rows are the given sparse rows."""
+    return {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
 
 
-def _images(mat, vectors, nrows):
-    """Dense rows mat @ v, one per dense coordinate row v in vectors."""
+def _images(mat, vectors):
+    """Sparse rows mat @ v, one per sparse coordinate row v in vectors."""
     transposed = {(c, r): x for (r, c), x in mat.items()}
-    return _dense(_mat_mul(_sparse(vectors), transposed), len(vectors), nrows)
+    return _rows(_mat_mul(_block(vectors), transposed), len(vectors))
 
 
 # -- Heisenberg slice ---------------------------------------------------------------
@@ -611,8 +613,8 @@ def heisenberg_slice(algebra: AffineAlgebra, gwindow: int):
 class GCompatibleSplit:
     module: ExplicitModule
     gwindow: int
-    torsion: dict = field(default_factory=dict)       # widx -> list of coord rows
-    torsion_free: dict = field(default_factory=dict)  # widx -> list of coord rows
+    torsion: dict = field(default_factory=dict)       # widx -> sparse coord rows
+    torsion_free: dict = field(default_factory=dict)  # widx -> sparse coord rows
     excluded: list = field(default_factory=list)      # non-admissible weight indices
     unchecked: list = field(default_factory=list)     # no evaluable G-generator
     deficient: list = field(default_factory=list)     # T + TF short of the space
@@ -625,7 +627,7 @@ class GCompatibleSplit:
         out = []
         for widx in sorted(self.torsion):
             for row in self.torsion[widx]:
-                out.append((widx, {(widx, i): v for i, v in enumerate(row) if v}))
+                out.append((widx, {(widx, i): v for i, v in row.items()}))
         return out
 
     def passed(self):
@@ -646,11 +648,7 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
     weights = [module.weights[w] for w in keep]
     labels = [[f"tf{w}b{j}" for j in range(len(split.torsion_free[w]))]
               for w in keep]
-    pivots = {}
-    for w in keep:
-        rows = split.torsion_free[w]
-        _, piv = rref(rows)
-        pivots[w] = piv
+    pivots = {w: rref(split.torsion_free[w], module.dim(w))[1] for w in keep}
     blocks = {}
     defined = {}
     for gk in module.heisenberg_keys(split.gwindow):
@@ -669,10 +667,11 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
             piv = pivots[tgt]
             entries = {}
             ok = True
-            for col, img in enumerate(_images(mat, split.torsion_free[src], ntgt)):
-                coeffs = [img[p] for p in piv]
-                recon = [sum(coeffs[i] * tgt_rows[i][j] for i in range(len(coeffs)))
-                         for j in range(len(img))]
+            for col, img in enumerate(_images(mat, split.torsion_free[src])):
+                coeffs = [img.get(p, 0) for p in piv]
+                recon = {}
+                for cval, row in zip(coeffs, tgt_rows):
+                    add_scaled(recon, row, cval)
                 if recon != img:
                     ok = False
                     break
@@ -698,7 +697,7 @@ def g_kernel_raw(module: ExplicitModule, widx, gwindow):
             continue
         used += 1
         mat, _, ntgt = module.block(gk, widx)
-        rows.extend(_dense(mat, ntgt, n))
+        rows.extend(_rows(mat, ntgt))
     return nullspace(rows, n) if used else None, used
 
 
@@ -746,20 +745,19 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
             if tgt is None or tgt not in arrivals:
                 continue
             columns = {(c, r): v for (r, c), v in mat.items()}
-            arrivals[tgt].extend(vec for vec in _dense(columns, module.dim(src), ntgt)
-                                 if any(vec))
+            arrivals[tgt].extend(vec for vec in _rows(columns, module.dim(src)) if vec)
     for widx in admissible:
-        rows = arrivals[widx]
-        tf, _ = rref(rows) if rows else ([], [])
+        n = module.dim(widx)
+        tf, _ = rref(arrivals[widx], n)
         if tf:
             split.torsion_free[widx] = tf
         t_rows = split.torsion.get(widx, [])
-        joint = rank(t_rows + tf)
+        joint = rank(t_rows + tf, n)
         if joint != len(t_rows) + len(tf):
             raise ModuleDataError(
                 f"Heisenberg images meet the torsion kernel at weight index "
                 f"{widx}; the split is not direct")
-        if joint != module.dim(widx):
+        if joint != n:
             split.deficient.append(widx)
     _check_axioms(split)
     return split
@@ -786,8 +784,8 @@ def _check_axioms(split: GCompatibleSplit):
                 iv_skip += 1
                 continue
             mat, _, ntgt = module.block(gk, widx)
-            for img in _images(mat, rows, ntgt):
-                if any(img):
+            for img in _images(mat, rows):
+                if img:
                     iv_fail.append({"generator": gen_name(module.algebra, *gk),
                                     "weight_index": widx})
     split.verdicts["iv"] = {"passed": not iv_fail, "violations": iv_fail,
@@ -803,9 +801,9 @@ def _check_axioms(split: GCompatibleSplit):
                 skipped += 1
                 continue
             mat, tgt, ntgt = module.block(gk, widx)
-            images = _images(mat, tf_rows, ntgt)
+            images = _images(mat, tf_rows)
             checked += 1
-            if rank(images) != len(tf_rows):
+            if rank(images, ntgt) != len(tf_rows):
                 inj_fail.append({"generator": gen_name(module.algebra, *gk),
                                  "weight_index": widx})
             reverse = (gk[0], -gk[1])
@@ -813,9 +811,8 @@ def _check_axioms(split: GCompatibleSplit):
                           and tgt in module.defined.get(reverse, ()))
             if tgt_inside:
                 tgt_tf = split.torsion_free.get(tgt, [])
-                span = [r for r in images if any(r)]
-                base = rank(span)
-                if rank(span + tgt_tf) != base or base != len(tgt_tf):
+                base = rank(images, ntgt)
+                if rank(images + tgt_tf, ntgt) != base or base != len(tgt_tf):
                     surj_fail.append({"generator": gen_name(module.algebra, *gk),
                                       "weight_index": widx})
             else:
@@ -842,15 +839,15 @@ def _check_axioms(split: GCompatibleSplit):
             if tgt is None:
                 continue
             if tgt in outside:
-                escape_rows.extend(_dense(mat, ntgt, n))
+                escape_rows.extend(_rows(mat, ntgt))
             else:
                 ann = annihilators[tgt]
-                escape_rows.extend(_dense(_mat_mul(_sparse(ann), mat), len(ann), n))
+                escape_rows.extend(_rows(_mat_mul(_block(ann), mat), len(ann)))
         if not escape_rows:
             continue
         kernel = nullspace(escape_rows, n)
         # a candidate is a nonzero escape-free vector inside TF
-        if kernel and rank(kernel + tf_rows) < len(kernel) + len(tf_rows):
+        if kernel and rank(kernel + tf_rows, n) < len(kernel) + len(tf_rows):
             iii_candidates.append({"weight_index": widx})
     split.verdicts["iii"] = {
         "passed": not iii_candidates,
@@ -1215,11 +1212,11 @@ def _offset_between(algebra: AffineAlgebra, lam: Weight, nu: Weight):
     # solve sum_j s_j a_{ij} = diff_i
     a = algebra.finite.cartan
     n = algebra.rank
-    aug = [[Fraction(a[i, j]) for j in range(n)] + [diff[i]] for i in range(n)]
-    ech, pivots = rref(aug)
+    aug = [{j: a[i, j] for j in range(n) if a[i, j]} | {n: diff[i]} for i in range(n)]
+    ech, pivots = rref(aug, n + 1)
     if pivots != list(range(n)):
         return None
-    s = [ech[i][n] for i in range(n)]
+    s = [row.get(n, 0) for row in ech]
     if any(x.denominator != 1 or x < 0 for x in s):
         return None
     return (int(k), tuple(int(x) for x in s))

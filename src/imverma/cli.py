@@ -337,9 +337,11 @@ def _load_module(args):
 
 def _split_result(module, split):
     def vecs(rows_by_widx):
+        # the report lists every coordinate of a vector, zeros included
         out = {}
         for widx, rows in sorted(rows_by_widx.items()):
-            out[str(widx)] = [[str(x) for x in row] for row in rows]
+            n = module.dim(widx)
+            out[str(widx)] = [[str(row.get(i, 0)) for i in range(n)] for row in rows]
         return out
 
     verdicts = {}

@@ -494,11 +494,9 @@ class VermaModule:
                 for j, mono in enumerate(basis):
                     image = self.act(g, ModuleVector(self, {mono: Fraction(1)}))
                     for m2, c2 in image.terms.items():
-                        row = rows.setdefault((gname, m2), [Fraction(0)] * len(basis))
-                        row[j] += c2
-            kernel = nullspace(list(rows.values()), len(basis))
-            for vec in kernel:
-                terms = {basis[j]: vec[j] for j in range(len(basis)) if vec[j]}
+                        rows.setdefault((gname, m2), {})[j] = c2
+            for vec in nullspace(list(rows.values()), len(basis)):
+                terms = {basis[j]: x for j, x in vec.items()}
                 found.append((exact, ModuleVector(self, terms)))
         return found
 

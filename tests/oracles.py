@@ -3,7 +3,8 @@ library (reflection closure instead of root strings, generating functions
 instead of enumeration, dense Gauss-Jordan over Fraction cells instead of the
 package's sparse fraction-free kernel, dense matrix products and an explicit
 basis inverse instead of sparse blocks and annihilator rows), so an agreement
-is meaningful."""
+is meaningful. sparse_rows and dense_rows convert between the dense test
+matrices and the sparse rows the package kernels take and return."""
 
 from fractions import Fraction
 
@@ -83,6 +84,17 @@ def dense_rref(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def sparse_rows(rows):
+    """Dense rows as the sparse rows {column: value} the package kernels take."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense_rows(rows, ncols):
+    """Sparse rows {column: value}, such as the package kernels return, as
+    dense Fraction rows of length ncols, for comparison with the oracles."""
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
 
 
 def gauss_solve_nullspace(rows, ncols):

@@ -1,5 +1,8 @@
 """Exact row reduction: planted-rank oracles, nullspace verification, and
-agreement with the independent dense Gauss-Jordan reference in oracles.py."""
+agreement with the independent dense Gauss-Jordan reference in oracles.py.
+
+The kernels take and return sparse rows {column: value}; the dense test
+matrices are converted at this boundary (oracles.sparse_rows / dense_rows)."""
 
 import random
 from fractions import Fraction
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imverma._kernels import nullspace, rank, rref
-from oracles import dense_rref, gauss_solve_nullspace
+from oracles import dense_rows, dense_rref, gauss_solve_nullspace, sparse_rows
 
 
 def random_matrix(rng, m, n, den_max=6):
@@ -21,14 +24,21 @@ def mat_vec(rows, v):
     return [sum(r[j] * v[j] for j in range(len(v))) for r in rows]
 
 
+def assert_output_rows(rows, ncols):
+    """The output contract: Fraction values, no stored zero, columns in
+    range(ncols), keys in ascending column order."""
+    for row in rows:
+        assert all(type(x) is Fraction and x for x in row.values())
+        assert all(0 <= j < ncols for j in row)
+        assert list(row) == sorted(row)
+
+
 def test_rref_known_matrix():
-    rows = [[Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(2), Fraction(4), Fraction(6)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
-    ech, piv = rref(rows)
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}, {1: 1, 2: 1}]
+    ech, piv = rref(rows, 3)
     assert piv == [0, 1]
-    assert ech == [[Fraction(1), Fraction(0), Fraction(1)],
-                   [Fraction(0), Fraction(1), Fraction(1)]]
+    assert ech == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+    assert_output_rows(ech, 3)
 
 
 def test_nullspace_annihilates():
@@ -36,7 +46,9 @@ def test_nullspace_annihilates():
     for trial in range(30):
         m, n = rng.randint(1, 8), rng.randint(1, 8)
         a = random_matrix(rng, m, n)
-        for v in nullspace(a, n):
+        ns = nullspace(sparse_rows(a), n)
+        assert_output_rows(ns, n)
+        for v in dense_rows(ns, n):
             assert all(x == 0 for x in mat_vec(a, v))
 
 
@@ -53,47 +65,54 @@ def test_planted_rank():
             c[i][i] += Fraction(100)
         a = [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(n)]
              for i in range(m)] if r else [[Fraction(0)] * n for _ in range(m)]
-        assert rank(a) == r
-        assert len(nullspace(a, n)) == n - r
+        assert rank(sparse_rows(a), n) == r
+        assert len(nullspace(sparse_rows(a), n)) == n - r
 
 
 def test_rank_nullity():
     rng = random.Random(3)
     for trial in range(25):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
-        a = random_matrix(rng, m, n)
-        assert rank(a) + len(nullspace(a, n)) == n
+        a = sparse_rows(random_matrix(rng, m, n))
+        assert rank(a, n) + len(nullspace(a, n)) == n
 
 
 def test_rref_idempotent():
     rng = random.Random(5)
     for trial in range(15):
-        a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        ech, piv = rref(a)
-        ech2, piv2 = rref(ech)
-        assert ech == ech2 and piv == piv2
+        n = rng.randint(1, 6)
+        ech, piv = rref(sparse_rows(random_matrix(rng, rng.randint(1, 6), n)), n)
+        assert rref(ech, n) == (ech, piv)
 
 
 def test_empty_and_zero():
-    assert rref([]) == ([], [])
-    assert rank([[Fraction(0), Fraction(0)]]) == 0
-    basis = nullspace([[Fraction(0), Fraction(0)]], 2)
-    assert len(basis) == 2
+    assert rref([], 3) == ([], [])
+    assert rank([], 0) == 0 and nullspace([], 0) == []
+    assert rank([{}], 2) == 0
+    # a stored zero is a zero entry
+    assert rank([{0: 0, 1: Fraction(0)}], 2) == 0
+    assert nullspace([{}], 2) == [{0: 1}, {1: 1}]
 
 
-def test_ragged_rejected():
-    with pytest.raises(ValueError):
-        rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
+OUT_OF_RANGE = [pytest.param(-1, id="column-minus-1"),
+                pytest.param(3, id="column-ncols")]
 
 
-def test_ragged_after_full_rank():
-    # elimination stops once every column has a pivot; the short last row
-    # must still be rejected
-    rows = [[Fraction(2), 0, 0], [0, Fraction(1, 3), 0], [0, 0, 5], [1, 2]]
-    for call in (lambda: rref(rows), lambda: rank(rows),
-                 lambda: nullspace(rows, 3)):
-        with pytest.raises(ValueError, match="ragged"):
-            call()
+@pytest.mark.parametrize("bad", OUT_OF_RANGE)
+@pytest.mark.parametrize("kernel", [rref, rank, nullspace])
+def test_column_out_of_range_rejected(kernel, bad):
+    with pytest.raises(ValueError, match="range"):
+        kernel([{0: 1, bad: 2}], 3)
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE)
+@pytest.mark.parametrize("kernel", [rref, rank, nullspace])
+def test_column_out_of_range_after_full_rank(kernel, bad):
+    # elimination stops once every column has a pivot; the bad column in the
+    # last row must still be rejected
+    rows = [{0: Fraction(2)}, {1: Fraction(1, 3)}, {2: 5}, {0: 1, bad: 2}]
+    with pytest.raises(ValueError, match="range"):
+        kernel(rows, 3)
 
 
 small_fraction = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
@@ -105,8 +124,8 @@ small_fraction = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_property_nullspace_and_rank(rows):
     n = len(rows[0])
-    ns = nullspace(rows, n)
-    assert rank(rows) + len(ns) == n
+    ns = dense_rows(nullspace(sparse_rows(rows), n), n)
+    assert rank(sparse_rows(rows), n) + len(ns) == n
     for v in ns:
         assert all(x == 0 for x in mat_vec(rows, v))
     # the oracle's kernel: equal nullity, independent vectors, each in the
@@ -150,15 +169,17 @@ def tall_sparse_matrix(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(tall_sparse_matrix())
-def test_property_tall_sparse_matches_dense(rows):
+@given(tall_sparse_matrix(), st.booleans())
+def test_property_tall_sparse_matches_dense(rows, store_zeros):
     n = len(rows[0])
-    before = [[(type(x), x) for x in row] for row in rows]
-    ech, piv = rref(rows)
-    assert (ech, piv) == dense_rref(rows)
-    assert all(type(x) is Fraction for row in ech for x in row)
-    assert rank(rows) == len(piv)
-    ns = nullspace(rows, n)
-    assert ns == gauss_solve_nullspace(rows, n)
-    assert all(type(x) is Fraction for v in ns for x in v)
-    assert [[(type(x), x) for x in row] for row in rows] == before
+    # with store_zeros every entry is stored, zeros included
+    sp = [dict(enumerate(row)) for row in rows] if store_zeros else sparse_rows(rows)
+    before = [[(j, type(x), x) for j, x in row.items()] for row in sp]
+    ech, piv = rref(sp, n)
+    assert (dense_rows(ech, n), piv) == dense_rref(rows)
+    assert_output_rows(ech, n)
+    assert rank(sp, n) == len(piv)
+    ns = nullspace(sp, n)
+    assert dense_rows(ns, n) == gauss_solve_nullspace(rows, n)
+    assert_output_rows(ns, n)
+    assert [[(j, type(x), x) for j, x in row.items()] for row in sp] == before

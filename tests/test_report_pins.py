@@ -1,8 +1,10 @@
 """Report bytes pinned across commits: the sha1 of the stdout of fixed CLI
-argvs, recorded when the dense matrix helpers of the category layer were
-replaced by sparse blocks. A refactor that claims unchanged answers must keep
-every hash; a change that means to alter a report updates its constant and
-says why."""
+argvs. The category argvs were recorded when the dense matrix helpers of the
+category layer were replaced by sparse blocks; the singular and twisted
+algebra argvs, the other callers of the exact kernels, were recorded before
+the kernels moved to sparse rows. A refactor that claims unchanged answers
+must keep every hash; a change that means to alter a report updates its
+constant and says why."""
 
 import hashlib
 
@@ -34,6 +36,21 @@ PINNED = [
     pytest.param(
         ("loopmod", "--type", "A1", "--dim", "3", "--loop-degree", "2"),
         "19f934d521ac67ccdcc919b646187cb3c3e44577", id="loopmod-A1-dim3"),
+    # 12 vectors, some with two terms and a coefficient of -1
+    pytest.param(
+        ("singular", "--type", "A2", "--lambda", "h1=1,h2=0",
+         "--window", "L=3,N=2,H=2"),
+        "e151d95fcbe24cea72e8dd1cb177ee8837e3ded8", id="singular-A2"),
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=0",
+         "--window", "L=3,N=2,H=2"),
+        "9ca2a76a21b88484bee3da686404cd08a630ee27", id="singular-full-A1"),
+    pytest.param(
+        ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
+        "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),
+    pytest.param(
+        ("algebra", "--type", "D4", "--twist", "3:4,4:3", "--loop-degree", "3"),
+        "b4f73960dbc127b28cd0021cd7517d8285d3ab7d", id="algebra-twist-D4"),
 ]
 
 
