@@ -13,8 +13,13 @@ dict. Products, sums and scalings stay sparse (_mat_mul, add_scaled). The
 exact kernels take and return sparse rows {column: v}; _rows and _block
 convert between a block and its rows, and coordinate vectors (torsion and
 torsion-free bases) are kept as such rows. The target
-weight index of every stored (generator, source) pair is computed once, when
-the module is built, so target_index is a lookup.
+weight index of every stored (generator, source) pair is handed to the module
+when it is built, so target_index is a lookup: the constructors that derive
+tables (from_reduced_verma, direct_sum, scrambled, torsion_free_restriction)
+already know each target, and modules built from weight data alone
+(from_json_dict, build_loop_module) shift weights to find them. direct_sum
+shifts a weight only for a pair whose target no carrying summand holds: that
+target can still be a weight of another summand.
 
 Torsion is the joint kernel of the Heisenberg generators h_{i,l} (l != 0),
 computed per weight space over the reduced-admissible weights; weight spaces
@@ -111,11 +116,33 @@ def _weight_sort_key(w: Weight):
     return (w.d_value, w.h_values, w.c_value)
 
 
+def weight_shift(algebra: AffineAlgebra, w: Weight, gkey) -> Weight:
+    """The weight a generator x (x) t^n or h_i (x) t^n maps weight w to."""
+    (kind, val), n = gkey
+    if kind == "h":
+        return Weight(w.h_values, w.c_value, w.d_value + n)
+    rs = algebra.finite.roots
+    hs = tuple(w.h_values[i] + rs.pairing(val, i) for i in range(algebra.rank))
+    return Weight(hs, w.c_value, w.d_value + n)
+
+
+def _shifted_targets(algebra, weights, sources):
+    """{gkey: {source: index of its shifted weight, or None}} for the given
+    {gkey: sources}: the targets of a module known only by its weights."""
+    windex = {w: i for i, w in enumerate(weights)}
+    return {gk: {s: windex.get(weight_shift(algebra, weights[s], gk)) for s in srcs}
+            for gk, srcs in sources.items()}
+
+
 class ExplicitModule:
-    """Windowed weight-module data with exact sparse action tables."""
+    """Windowed weight-module data with exact sparse action tables.
+
+    targets gives {gkey: {source: target weight index or None}} for every
+    stored or defined (generator, source) pair, indexed like weights.
+    """
 
     def __init__(self, algebra: AffineAlgebra, weights, labels, blocks, defined,
-                 provenance="user-supplied", loop_window=1, meta=None):
+                 targets, provenance="user-supplied", loop_window=1, meta=None):
         self.algebra = algebra
         order = sorted(range(len(weights)), key=lambda i: _weight_sort_key(weights[i]))
         remap = {old: new for new, old in enumerate(order)}
@@ -131,11 +158,10 @@ class ExplicitModule:
         for gkey, srcs in defined.items():
             self.defined[gkey] = {remap[s] for s in srcs}
             self.blocks.setdefault(gkey, {})
-        # target weight index (None outside the store) of every stored pair
         self.targets = {
-            gkey: {s: self.windex.get(self.weight_shift(self.weights[s], gkey))
-                   for s in set(per_src) | self.defined.get(gkey, set())}
-            for gkey, per_src in self.blocks.items()}
+            gkey: {remap[s]: None if t is None else remap[t]
+                   for s, t in targets[gkey].items()}
+            for gkey in self.blocks}
         self.provenance = provenance
         self.loop_window = loop_window
         self.meta = meta
@@ -150,14 +176,6 @@ class ExplicitModule:
 
     def dim(self, widx) -> int:
         return len(self.labels[widx])
-
-    def weight_shift(self, w: Weight, gkey) -> Weight:
-        (kind, val), n = gkey
-        if kind == "h":
-            return Weight(w.h_values, w.c_value, w.d_value + n)
-        rs = self.algebra.finite.roots
-        hs = tuple(w.h_values[i] + rs.pairing(val, i) for i in range(self.algebra.rank))
-        return Weight(hs, w.c_value, w.d_value + n)
 
     def target_index(self, gkey, src_widx):
         """Target weight index of a stored (generator, source) pair, or None."""
@@ -245,6 +263,7 @@ class ExplicitModule:
                 mono_index[m] = (widx, j)
         blocks = {}
         defined = {}
+        targets = {}
         gkeys = [(key, n) for key in algebra.finite.basis
                  for n in range(-loop_window, loop_window + 1)
                  if not (key[0] == "h" and n == 0)]
@@ -253,6 +272,7 @@ class ExplicitModule:
             g = algebra.loop(algebra.finite.element({key: 1}), n)
             blocks[gkey] = {}
             defined[gkey] = set()
+            targets[gkey] = {}
             if key[0] == "h":
                 shift = (n, (0,) * algebra.rank)
             else:
@@ -276,11 +296,12 @@ class ExplicitModule:
                         break
                 if ok:
                     defined[gkey].add(widx)
+                    targets[gkey][widx] = want
                     if entries:
                         blocks[gkey][widx] = entries
         meta = {"kind": "reduced-verma", "height": height, "kmax": kmax,
                 "window": {"L": window.L, "N": window.N, "H": window.H}}
-        em = ExplicitModule(algebra, weights, labels, blocks, defined,
+        em = ExplicitModule(algebra, weights, labels, blocks, defined, targets,
                             provenance="reduced-verma", loop_window=loop_window,
                             meta=meta)
         return em
@@ -312,18 +333,29 @@ class ExplicitModule:
                      if w in m.windex] for w in weights]
         blocks = {gk: {} for gk in gkeys}
         defined = {gk: set() for gk in gkeys}
+        targets = {gk: {} for gk in gkeys}
         for gk in gkeys:
             for gi, carried in enumerate(carriers):
                 if all(li in m.defined.get(gk, ()) for _, m, li in carried):
                     defined[gk].add(gi)
                     entries = {}
+                    tgt = None
                     for si, m, li in carried:
+                        tl = m.target_index(gk, li)
+                        if tl is None:
+                            continue
+                        tgt = shift[si][tl][0]
                         mat = m.blocks[gk].get(li)
                         if mat:
-                            roff = shift[si][m.target_index(gk, li)][1]
+                            roff = shift[si][tl][1]
                             coff = shift[si][li][1]
                             for (r, c), v in mat.items():
                                 entries[(r + roff, c + coff)] = v
+                    if tgt is None:
+                        # the shifted weight is outside every carrier; it may
+                        # still be a weight of another summand
+                        tgt = windex.get(weight_shift(algebra, weights[gi], gk))
+                    targets[gk][gi] = tgt
                     if entries:
                         blocks[gk][gi] = entries
         metas = [m.meta for m in summands]
@@ -335,7 +367,7 @@ class ExplicitModule:
                         "height": metas[0]["height"], "kmax": metas[0]["kmax"],
                         "window": dict(metas[0]["window"])}
         lw = min(m.loop_window for m in summands)
-        return ExplicitModule(algebra, weights, labels, blocks, defined,
+        return ExplicitModule(algebra, weights, labels, blocks, defined, targets,
                               provenance=provenance, loop_window=lw, meta=meta)
 
     def scrambled(self, seed):
@@ -367,7 +399,8 @@ class ExplicitModule:
         labels = [[f"w{widx}b{j}" for j in range(self.dim(widx))]
                   for widx in range(len(self.weights))]
         return ExplicitModule(self.algebra, list(self.weights), labels, blocks,
-                              defined, provenance=f"{self.provenance}+scramble",
+                              defined, self.targets,
+                              provenance=f"{self.provenance}+scramble",
                               loop_window=self.loop_window, meta=self.meta)
 
     # -- serialization ------------------------------------------------------------
@@ -457,12 +490,15 @@ class ExplicitModule:
                     defined[gk] = set(per_src)
         with _module_field("loop_window"):
             loop_window = int(data.get("loop_window", 1))
+        sources = {gk: set(blocks.get(gk, ())) | defined.get(gk, set())
+                   for gk in set(blocks) | set(defined)}
         module = ExplicitModule(algebra, weights, labels, blocks, defined,
+                                _shifted_targets(algebra, weights, sources),
                                 provenance=data.get("provenance", "user-supplied"),
                                 loop_window=loop_window, meta=data.get("meta"))
         for name, swidx, twidx in sorted(arrows):
             gk = arrows[(name, swidx, twidx)]
-            if module.weight_shift(weights[swidx], gk) != weights[twidx]:
+            if weight_shift(algebra, weights[swidx], gk) != weights[twidx]:
                 raise ModuleDataError(
                     f"bad module data in 'actions': {name} on weight index {swidx} "
                     f"has a row in weight index {twidx}, not in its target weight")
@@ -651,13 +687,16 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
     pivots = {w: rref(split.torsion_free[w], module.dim(w))[1] for w in keep}
     blocks = {}
     defined = {}
+    targets = {}
     for gk in module.heisenberg_keys(split.gwindow):
         blocks[gk] = {}
         defined[gk] = set()
+        targets[gk] = {}
         for src in keep:
             if src not in module.defined.get(gk, ()):
                 continue
             mat, tgt, ntgt = module.block(gk, src)
+            targets[gk][new_of_old[src]] = new_of_old.get(tgt)
             if tgt is None or tgt not in new_of_old:
                 # a zero image is exact; anything else leaves the slice
                 if not any(mat.values()):
@@ -682,7 +721,7 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
                 defined[gk].add(new_of_old[src])
                 if entries:
                     blocks[gk][new_of_old[src]] = entries
-    return ExplicitModule(module.algebra, weights, labels, blocks, defined,
+    return ExplicitModule(module.algebra, weights, labels, blocks, defined, targets,
                           provenance=f"{module.provenance}+torsion-free",
                           loop_window=split.gwindow, meta=None)
 
@@ -899,7 +938,7 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
     fin = algebra.finite
     n = algebra.rank
     if dim == 0:
-        return ExplicitModule(algebra, [], [], {}, {}, provenance="loop-module",
+        return ExplicitModule(algebra, [], [], {}, {}, {}, provenance="loop-module",
                               loop_window=degree_window,
                               meta={"kind": "loop-module", "finite_dim": 0})
     mats = {}
@@ -979,6 +1018,7 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
             if entries:
                 blocks[gk][widx] = entries
     return ExplicitModule(algebra, weights, labels, blocks, defined,
+                          _shifted_targets(algebra, weights, defined),
                           provenance="loop-module", loop_window=degree_window,
                           meta={"kind": "loop-module", "finite_dim": dim,
                                 "degree_window": degree_window})

@@ -314,22 +314,23 @@ class FiniteAlgebra:
     # -- bracket ---------------------------------------------------------------
 
     def _bracket_keys(self, k1, k2):
+        """[k1, k2] as {basis key: int}: every structure constant is an integer."""
         t1, v1 = k1
         t2, v2 = k2
         if t1 == "h" and t2 == "h":
             return {}
         if t1 == "h":
             c = self.roots.pairing(v2, v1 - 1)
-            return {k2: Fraction(c)} if c else {}
+            return {k2: c} if c else {}
         if t2 == "h":
             c = self.roots.pairing(v1, v2 - 1)
-            return {k1: Fraction(-c)} if c else {}
+            return {k1: -c} if c else {}
         s = _add(v1, v2)
         if all(x == 0 for x in s):
-            return {("h", i + 1): Fraction(c) for i, c in enumerate(self._coroot[v1]) if c}
+            return {("h", i + 1): c for i, c in enumerate(self._coroot[v1]) if c}
         if s in self.roots.root_set:
             n = self.nmat[(v1, v2)]
-            return {("x", s): Fraction(n)} if n else {}
+            return {("x", s): n} if n else {}
         return {}
 
     def bracket(self, x: FiniteElement, y: FiniteElement) -> FiniteElement:

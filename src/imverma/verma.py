@@ -24,12 +24,18 @@ over a TruncationWindow (max length L, max per-factor |loop degree| N, max
 height H) and is exact on that slice. act() itself is exact and uncapped: it
 grows the output rather than truncating, and a per-factor degree cap may be
 supplied to detect (not silently absorb) window escapes.
+
+Coefficients are exact int | Fraction. Straightening (_prepend, _act_key)
+works with the integer Chevalley structure constants, so it stays in int
+arithmetic; lambda enters only on the highest-weight vector (_act_vacuum) and
+through the central and d terms of act.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from imverma._kernels import Echelon
 from imverma.affine import AffineAlgebra, LoopElement
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
 from imverma.finite import _neg, add_scaled, root_height
@@ -128,12 +134,6 @@ def symbol_sort_key(sym):
     return (1, root_height(gamma), gamma, n)
 
 
-def symbol_offset(sym):
-    if sym[0] == "B":
-        return (-sym[2], None)
-    return (sym[2], sym[1])
-
-
 def monomial_offset(mono, rank):
     k = 0
     s = [0] * rank
@@ -162,7 +162,8 @@ def monomial_name(mono):
 
 @dataclass
 class ModuleVector:
-    """Sparse rational combination of PBW monomials in one Verma module."""
+    """Sparse exact (int | Fraction) combination of PBW monomials in one
+    Verma module."""
 
     module: "VermaModule"
     terms: dict = field(default_factory=dict)
@@ -347,11 +348,11 @@ class VermaModule:
                 return {(): val} if val else {}
             if self.reduced or n > 0:
                 return {}
-            return {(("B", key[1], -n),): Fraction(1)}
+            return {(("B", key[1], -n),): 1}
         gamma = key[1]
         if gamma in self.algebra.finite.roots.positive_set:
             return {}
-        return {(("F", _neg(gamma), n),): Fraction(1)}
+        return {(("F", _neg(gamma), n),): 1}
 
     def _symbol_bracket_loop(self, key, n, sym):
         """[key (x) t^n, symbol] as a list of ((key2, n2), coeff) loop terms.
@@ -382,7 +383,7 @@ class VermaModule:
         if hit is not None:
             return hit
         if not mono or symbol_sort_key(sym) <= symbol_sort_key(mono[0]):
-            out = {(sym,) + mono: Fraction(1)}
+            out = {(sym,) + mono: 1}
         else:
             out = {}
             head, rest = mono[0], mono[1:]
@@ -475,10 +476,13 @@ class VermaModule:
         """Basis of the joint kernel of all windowed raising operators.
 
         Returns a list of (offset, ModuleVector) pairs; the kernel is computed
-        weight space by weight space with exact rational elimination.
+        weight space by weight space with exact rational elimination. Each
+        raising operator's rows (one per image monomial) go to the echelon as
+        one batch, in annihilator_generators order; once every basis monomial
+        has a pivot the kernel is empty and no further operator is applied.
+        The reduced row echelon form is unique, so the basis is the one that
+        elimination over every operator's rows gives.
         """
-        from imverma._kernels import nullspace
-
         gens = self.annihilator_generators(window)
         found = []
         spaces = {}
@@ -489,13 +493,17 @@ class VermaModule:
         for exact in sorted(spaces):
             basis = sorted(spaces[exact],
                            key=lambda m: tuple(symbol_sort_key(s2) for s2 in m))
-            rows = {}
-            for gname, g in gens:
+            echelon = Echelon(len(basis))
+            for _, g in gens:
+                if echelon.full:
+                    break
+                rows = {}
                 for j, mono in enumerate(basis):
-                    image = self.act(g, ModuleVector(self, {mono: Fraction(1)}))
+                    image = self.act(g, ModuleVector(self, {mono: 1}))
                     for m2, c2 in image.terms.items():
-                        rows.setdefault((gname, m2), {})[j] = c2
-            for vec in nullspace(list(rows.values()), len(basis)):
+                        rows.setdefault(m2, {})[j] = c2
+                echelon.feed(list(rows.values()))
+            for vec in echelon.nullspace():
                 terms = {basis[j]: x for j, x in vec.items()}
                 found.append((exact, ModuleVector(self, terms)))
         return found
@@ -527,7 +535,7 @@ def _negative_symbol_bracket(fin, s1, s2):
         i, l = s1[1], s1[2]
         gamma, n = s2[1], s2[2]
         c = -fin.roots.pairing(gamma, i - 1)
-        return (("F", gamma, n - l), Fraction(c)) if c else None
+        return (("F", gamma, n - l), c) if c else None
     if s2[0] == "B":
         res = _negative_symbol_bracket(fin, s2, s1)
         if res is None:
@@ -540,7 +548,7 @@ def _negative_symbol_bracket(fin, s1, s2):
     if total not in fin.roots.positive_set:
         return None
     n = fin.nmat[(_neg(g1), _neg(g2))]
-    return (("F", total, n1 + n2), Fraction(n)) if n else None
+    return (("F", total, n1 + n2), n) if n else None
 
 
 def _root_multisets(fin, s):

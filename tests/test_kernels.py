@@ -1,17 +1,19 @@
-"""Exact row reduction: planted-rank oracles, nullspace verification, and
-agreement with the independent dense Gauss-Jordan reference in oracles.py.
+"""Exact row reduction: planted-rank oracles, nullspace verification,
+agreement with the independent dense Gauss-Jordan reference in oracles.py,
+and the incremental echelon fed in batches.
 
 The kernels take and return sparse rows {column: value}; the dense test
 matrices are converted at this boundary (oracles.sparse_rows / dense_rows)."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from imverma._kernels import nullspace, rank, rref
+from imverma._kernels import Echelon, nullspace, rank, rref
 from oracles import dense_rows, dense_rref, gauss_solve_nullspace, sparse_rows
 
 
@@ -183,3 +185,44 @@ def test_property_tall_sparse_matches_dense(rows, store_zeros):
     assert dense_rows(ns, n) == gauss_solve_nullspace(rows, n)
     assert_output_rows(ns, n)
     assert [[(j, type(x), x) for j, x in row.items()] for row in sp] == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(tall_sparse_matrix(), st.data())
+def test_property_batched_echelon_matches_one_shot(rows, data):
+    """Rows split into random batches give the one-shot and oracle results;
+    full turns true exactly when the rows fed so far reach full column rank;
+    a bad column is rejected even after full rank; inputs are untouched."""
+    n = len(rows[0])
+    sp = sparse_rows(rows)
+    before = [[(j, type(x), x) for j, x in row.items()] for row in sp]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(sp)), max_size=6)))
+    bounds = [0] + cuts + [len(sp)]
+    echelon = Echelon(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        echelon.feed(sp[lo:hi])
+        assert echelon.full == (len(dense_rref(rows[:hi])[1]) == n)
+    ech, piv = echelon.rref()
+    assert (ech, piv) == rref(sp, n)
+    assert (dense_rows(ech, n), piv) == dense_rref(rows)
+    assert echelon.rank() == rank(sp, n) == len(piv)
+    ns = echelon.nullspace()
+    assert ns == nullspace(sp, n)
+    assert dense_rows(ns, n) == gauss_solve_nullspace(rows, n)
+    assert_output_rows(ns, n)
+    assert [[(j, type(x), x) for j, x in row.items()] for row in sp] == before
+    bad = data.draw(st.sampled_from([-1, n]))
+    with pytest.raises(ValueError, match=re.escape(f"column outside range({n})")):
+        echelon.feed([{0: 1}, {bad: 1}])
+    assert echelon.rank() == len(piv)
+
+
+@pytest.mark.parametrize("bad", OUT_OF_RANGE)
+def test_echelon_batch_after_full_rank_rejects_bad_column(bad):
+    echelon = Echelon(3).feed([{0: 2}, {1: Fraction(1, 3)}])
+    assert not echelon.full and echelon.nullspace() == [{2: 1}]
+    echelon.feed([{2: 5}])
+    assert echelon.full and echelon.nullspace() == []
+    with pytest.raises(ValueError, match=r"column outside range\(3\)"):
+        echelon.feed([{0: 1}, {bad: 2}])
+    assert echelon.rank() == 3

@@ -2,7 +2,10 @@
 argvs. The category argvs were recorded when the dense matrix helpers of the
 category layer were replaced by sparse blocks; the singular and twisted
 algebra argvs, the other callers of the exact kernels, were recorded before
-the kernels moved to sparse rows. A refactor that claims unchanged answers
+the kernels moved to sparse rows. The fractional-lambda singular argvs (the
+W workloads of the roadmap) were recorded before the action layer moved to
+integer straightening coefficients and the singular search to per-operator
+feeding. A refactor that claims unchanged answers
 must keep every hash; a change that means to alter a report updates its
 constant and says why."""
 
@@ -45,6 +48,22 @@ PINNED = [
         ("singular", "--full", "--type", "A1", "--lambda", "h1=0",
          "--window", "L=3,N=2,H=2"),
         "9ca2a76a21b88484bee3da686404cd08a630ee27", id="singular-full-A1"),
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+         "--window", "L=4,N=3,H=2"),
+        "b3cc0a3f21520da26ec26fca6b6909e3cd5e11ee", id="W1-singular-full-A1"),
+    pytest.param(
+        ("singular", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/2",
+         "--window", "L=4,N=2,H=3"),
+        "3aac65f0f87c37ac5d65e42c697d4574b9591f45", id="W2-singular-A2"),
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+         "--window", "L=5,N=3,H=2"),
+        "6f34341a6ca80ac8e6e8c001df6d4dadc85f49da", id="W5-singular-full-A1"),
+    pytest.param(
+        ("singular", "--type", "A3", "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2",
+         "--window", "L=4,N=3,H=3"),
+        "f980bc596c47f8bd3afccd094888d51020ca1f99", id="W7-singular-A3"),
     pytest.param(
         ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
         "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),

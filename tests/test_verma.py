@@ -1,10 +1,13 @@
 """Verma layer: dimension tables against the generating-function oracle,
 the worked action examples, bracket compatibility as a property, singular
 vector kernels in both directions of the irreducibility criterion, and local
-nilpotency against closed-form sl2 Verma coefficients."""
+nilpotency against closed-form sl2 Verma coefficients, the singular-vector
+search against the dense oracle over every raising operator's rows, and the
+integer straightening coefficients."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,10 +15,12 @@ from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
 from imverma.finite import build_simple_algebra
-from imverma.verma import (TruncationWindow, VermaModule, Weight,
-                           monomial_offset, parse_weight, parse_window)
+from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
+                           monomial_offset, parse_weight, parse_window,
+                           symbol_sort_key)
 
-from oracles import colored_partition_counts, sl2_lowering_string_coefficient
+from oracles import (colored_partition_counts, gauss_solve_nullspace,
+                     sl2_lowering_string_coefficient)
 
 
 def aff(label):
@@ -294,6 +299,110 @@ def test_singular_vectors_generic_lambda_only_highest_weight():
     assert len(found) == 1
     (k, s), v = found[0]
     assert (k, s) == (0, (0,)) and v == mod.vacuum()
+
+
+def all_operator_kernel(mod, offsets, window):
+    """The joint kernel weight space by weight space, from the rows of every
+    windowed raising operator at once, by the dense oracle."""
+    gens = mod.annihilator_generators(window)
+    spaces = {}
+    for offset in offsets:
+        for mono in mod.basis_monomials(offset, window):
+            spaces.setdefault(monomial_offset(mono, mod.rank), set()).add(mono)
+    found = []
+    for exact in sorted(spaces):
+        basis = sorted(spaces[exact],
+                       key=lambda m: tuple(symbol_sort_key(x) for x in m))
+        rows = {}
+        for gname, g in gens:
+            for j, mono in enumerate(basis):
+                image = mod.act(g, mod.vector({mono: 1}))
+                for m2, c2 in image.terms.items():
+                    rows.setdefault((gname, m2), [Fraction(0)] * len(basis))[j] = c2
+        for vec in gauss_solve_nullspace(list(rows.values()), len(basis)):
+            found.append((exact, ModuleVector(mod, {basis[j]: x for j, x in
+                                                    enumerate(vec) if x})))
+    return found
+
+
+def offsets_up_to(rank_, height):
+    return [(None, s) for s in product(range(height + 1), repeat=rank_)
+            if sum(s) <= height]
+
+
+SINGULAR_CASES = [
+    # empty kernels off the delta string of the highest weight (the unreduced
+    # window still has kernel vectors on it, made of B-symbols only)
+    pytest.param("A1", "h1=-1/2", False, "L=3,N=2,H=2", False, id="A1-full-half"),
+    pytest.param("A3", "h1=-1/2,h2=-1/2,h3=-1/2", True, "L=3,N=1,H=2", False,
+                 id="A3-reduced-half"),
+    # nonempty kernels below the highest weight
+    pytest.param("A1", "h1=0", True, "L=3,N=2,H=2", True, id="A1-h1-zero"),
+    pytest.param("A2", "h1=1,h2=0", True, "L=3,N=2,H=2", True, id="A2-h1-one"),
+    pytest.param("C2", "h1=0,h2=-1/2", True, "L=3,N=1,H=2", True, id="C2-h1-zero"),
+]
+
+
+@pytest.mark.parametrize("label, lam_text, reduced, window_text, below",
+                         SINGULAR_CASES)
+def test_singular_vectors_match_oracle_over_all_operators(label, lam_text, reduced,
+                                                          window_text, below):
+    a = aff(label)
+    mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=reduced)
+    window = parse_window(window_text)
+    offsets = offsets_up_to(a.rank, window.H)
+    want = all_operator_kernel(mod, offsets, window)
+    assert mod.singular_vectors(offsets, window) == want
+    zero = (0,) * a.rank
+    assert [v for off, v in want if off == (0, zero)] == [mod.vacuum()]
+    assert any(s != zero for (_, s), _ in want) == below
+
+
+def test_singular_search_stops_applying_operators_at_full_rank():
+    # most weight spaces reach full column rank before the last raising
+    # operator, so fewer actions are computed for the same kernel
+    mod = VermaModule(A1, LAM_HALF, reduced=False)
+    window = TruncationWindow(L=3, N=2, H=2)
+    offsets = offsets_up_to(1, 2)
+    want = all_operator_kernel(mod, offsets, window)
+    calls = []
+    act = mod.act
+    mod.act = lambda g, v, degree_cap=None: calls.append(g) or act(g, v, degree_cap)
+    assert mod.singular_vectors(offsets, window) == want
+    del mod.act
+    per_operator = sum(len(mod.basis_monomials(off, window)) for off in offsets)
+    assert 0 < len(calls) < per_operator * len(mod.annihilator_generators(window))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "D4"])
+def test_bracket_table_is_integral(label):
+    fin = aff(label).finite
+    values = [c for image in fin._bracket_table.values() for c in image.values()]
+    assert values and all(type(c) is int for c in values)
+
+
+def test_straightening_coefficients_are_int_away_from_lambda():
+    # lowering root vectors and Cartan loops never reach lambda: their images
+    # of a unit monomial carry int coefficients; lambda enters at the vacuum
+    lam = parse_weight("h1=-1/2,h2=-1/3", 2)
+    mod = VermaModule(A2, lam, reduced=False)
+    window = TruncationWindow(L=3, N=2, H=3)
+    monos = [m for s in ((0, 0), (1, 0), (1, 1), (2, 1))
+             for m in mod.basis_monomials((None, s), window)]
+    keys = [("x", tuple(-x for x in g)) for g in A2.finite.roots.positive_roots]
+    keys += [("h", 1), ("h", 2)]
+    seen = 0
+    for mono in monos:
+        for key in keys:
+            for n in (-2, -1, 1, 2):
+                image = mod._act_key(key, n, mono)
+                assert all(type(c) is int for c in image.values()), (key, n, mono)
+                seen += len(image)
+        image = mod.act(A2.f(1, 1), mod.vector({mono: 1}))
+        assert all(type(c) is int for c in image.terms.values())
+    assert seen > 100
+    alpha1 = A2.finite.roots.simple_roots[0]
+    assert mod._act_key(("x", alpha1), -1, (("F", alpha1, 1),)) == {(): Fraction(-1, 2)}
 
 
 def test_unreduced_smoke_nonzero_central_charge():
