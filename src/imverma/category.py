@@ -12,14 +12,15 @@ A block is the only matrix form: a sparse {(target row, source column): v}
 dict. Products, sums and scalings stay sparse (_mat_mul, add_scaled). The
 exact kernels take and return sparse rows {column: v}; _rows and _block
 convert between a block and its rows, and coordinate vectors (torsion and
-torsion-free bases) are kept as such rows. The target
-weight index of every stored (generator, source) pair is handed to the module
-when it is built, so target_index is a lookup: the constructors that derive
-tables (from_reduced_verma, direct_sum, scrambled, torsion_free_restriction)
-already know each target, and modules built from weight data alone
-(from_json_dict, build_loop_module) shift weights to find them. direct_sum
-shifts a weight only for a pair whose target no carrying summand holds: that
-target can still be a weight of another summand.
+torsion-free bases) are kept as such rows.
+
+One map holds the action: defined = {gkey: {source weight index: block}}. A
+present key is a defined pair, and {} is a defined zero action. The target
+weight index of each pair is derived once, when the module is built, from the
+weights alone (_targets): x_gamma (x) t^n moves the (h, c) part of a weight by
+gamma and its d value by n, so each (h, c) class is shifted once per root and
+each d value once per loop degree, and a pair then costs integer lookups. No
+constructor hands targets in.
 
 Torsion is the joint kernel of the Heisenberg generators h_{i,l} (l != 0),
 computed per weight space over the reduced-admissible weights; weight spaces
@@ -82,7 +83,10 @@ def parse_gen(algebra: AffineAlgebra, name: str):
     kind, index, coords, deg = match.groups()
     n = int(deg)
     if coords is not None:
-        return ("x", tuple(int(t) for t in coords.split(","))), n
+        root = tuple(int(t) for t in coords.split(","))
+        if root not in algebra.finite.roots.root_set:
+            raise ModuleDataError(f"{name!r} names no root of the algebra")
+        return ("x", root), n
     i = int(index)
     if not 1 <= i <= algebra.rank:
         raise ModuleDataError(f"generator index out of range in {name!r}")
@@ -101,7 +105,7 @@ def _module_field(name):
         raise ModuleDataError(f"bad module data in {name!r}: missing key {ex}") from None
     except ZeroDivisionError:
         raise ModuleDataError(f"bad module data in {name!r}: zero denominator") from None
-    except (AttributeError, IndexError, TypeError, ValueError) as ex:
+    except (AttributeError, IndexError, TypeError, ValueError, ImvermaError) as ex:
         raise ModuleDataError(f"bad module data in {name!r}: {ex}") from None
 
 
@@ -116,33 +120,50 @@ def _weight_sort_key(w: Weight):
     return (w.d_value, w.h_values, w.c_value)
 
 
-def weight_shift(algebra: AffineAlgebra, w: Weight, gkey) -> Weight:
-    """The weight a generator x (x) t^n or h_i (x) t^n maps weight w to."""
-    (kind, val), n = gkey
-    if kind == "h":
-        return Weight(w.h_values, w.c_value, w.d_value + n)
+def _targets(algebra: AffineAlgebra, weights, defined):
+    """{gkey: {source: target weight index or None}} for the pairs of defined.
+
+    Weights are indexed by ((h, c) class, d value). Each class is shifted once
+    per root, and each d value once per loop degree; every pair is then a
+    lookup of integers.
+    """
+    classes = {}
+    dvals = {}
+    cells = [(classes.setdefault((w.h_values, w.c_value), len(classes)),
+              dvals.setdefault(w.d_value, len(dvals))) for w in weights]
+    at = {cell: i for i, cell in enumerate(cells)}
     rs = algebra.finite.roots
-    hs = tuple(w.h_values[i] + rs.pairing(val, i) for i in range(algebra.rank))
-    return Weight(hs, w.c_value, w.d_value + n)
-
-
-def _shifted_targets(algebra, weights, sources):
-    """{gkey: {source: index of its shifted weight, or None}} for the given
-    {gkey: sources}: the targets of a module known only by its weights."""
-    windex = {w: i for i, w in enumerate(weights)}
-    return {gk: {s: windex.get(weight_shift(algebra, weights[s], gk)) for s in srcs}
-            for gk, srcs in sources.items()}
+    class_moves = {}  # finite key -> per class: shifted class, or None
+    d_moves = {}  # loop degree -> per d value: shifted d value, or None
+    targets = {}
+    for gkey, per_src in defined.items():
+        key, n = gkey
+        if key not in class_moves:
+            if key[0] == "h":
+                class_moves[key] = range(len(classes))
+            else:
+                shift = [rs.pairing(key[1], i) for i in range(algebra.rank)]
+                class_moves[key] = [
+                    classes.get((tuple(h + p for h, p in zip(hs, shift)), c))
+                    for hs, c in classes]
+        if n not in d_moves:
+            d_moves[n] = [dvals.get(d + n) for d in dvals]
+        cmove, dmove = class_moves[key], d_moves[n]
+        targets[gkey] = {s: at.get((cmove[cells[s][0]], dmove[cells[s][1]]))
+                         for s in per_src}
+    return targets
 
 
 class ExplicitModule:
     """Windowed weight-module data with exact sparse action tables.
 
-    targets gives {gkey: {source: target weight index or None}} for every
-    stored or defined (generator, source) pair, indexed like weights.
+    defined gives {gkey: {source: sparse block}} for every (generator, source)
+    pair whose table is exact, indexed like weights; targets gives the target
+    weight index (or None) of the same pairs.
     """
 
-    def __init__(self, algebra: AffineAlgebra, weights, labels, blocks, defined,
-                 targets, provenance="user-supplied", loop_window=1, meta=None):
+    def __init__(self, algebra: AffineAlgebra, weights, labels, defined,
+                 provenance="user-supplied", loop_window=1, meta=None):
         self.algebra = algebra
         order = sorted(range(len(weights)), key=lambda i: _weight_sort_key(weights[i]))
         remap = {old: new for new, old in enumerate(order)}
@@ -151,17 +172,9 @@ class ExplicitModule:
         self.windex = {w: i for i, w in enumerate(self.weights)}
         if len(self.windex) != len(self.weights):
             raise ModuleDataError("duplicate weights in module data")
-        self.blocks = {}
-        self.defined = {}
-        for gkey, per_src in blocks.items():
-            self.blocks[gkey] = {remap[s]: dict(mat) for s, mat in per_src.items()}
-        for gkey, srcs in defined.items():
-            self.defined[gkey] = {remap[s] for s in srcs}
-            self.blocks.setdefault(gkey, {})
-        self.targets = {
-            gkey: {remap[s]: None if t is None else remap[t]
-                   for s, t in targets[gkey].items()}
-            for gkey in self.blocks}
+        self.defined = {gkey: {remap[s]: mat for s, mat in per_src.items()}
+                        for gkey, per_src in defined.items()}
+        self.targets = _targets(algebra, self.weights, self.defined)
         self.provenance = provenance
         self.loop_window = loop_window
         self.meta = meta
@@ -182,7 +195,7 @@ class ExplicitModule:
         return self.targets[gkey][src_widx]
 
     def generator_keys(self):
-        return sorted(self.blocks, key=lambda gk: (gk[1], str(gk[0])))
+        return sorted(self.defined, key=lambda gk: (gk[1], str(gk[0])))
 
     def heisenberg_keys(self, gwindow):
         out = []
@@ -197,12 +210,12 @@ class ExplicitModule:
 
     def block(self, gkey, src_widx):
         """(sparse block, target index, target dim), or raise if undefined."""
-        if src_widx not in self.defined.get(gkey, ()):
+        mat = self.defined.get(gkey, {}).get(src_widx)
+        if mat is None:
             raise UndefinedActionError(
                 f"{gen_name(self.algebra, *gkey)} undefined at weight index {src_widx}")
         tgt = self.target_index(gkey, src_widx)
-        ntgt = self.dim(tgt) if tgt is not None else 0
-        return self.blocks[gkey].get(src_widx, {}), tgt, ntgt
+        return mat, tgt, self.dim(tgt) if tgt is not None else 0
 
     def apply(self, gkey, vec):
         """Apply a generator to {(widx, i): coeff}; exact or raises."""
@@ -212,12 +225,13 @@ class ExplicitModule:
             for (widx, i), cv in vec.items():
                 add_scaled(out, {(widx, i): cv}, self.weights[widx].h_values[val - 1])
             return out
+        per_src = self.defined.get(gkey, {})
         for (widx, i), cv in vec.items():
-            if widx not in self.defined.get(gkey, ()):
+            block = per_src.get(widx)
+            if block is None:
                 raise UndefinedActionError(
                     f"{gen_name(self.algebra, *gkey)} undefined at weight index {widx}")
             tgt = self.target_index(gkey, widx)
-            block = self.blocks[gkey].get(widx, {})
             column = {(tgt, r): v for (r, c), v in block.items() if c == i and v}
             add_scaled(out, column, cv)
         return out
@@ -242,7 +256,6 @@ class ExplicitModule:
         is marked defined exactly when every image stays inside the store.
         """
         mod = VermaModule(algebra, lam, reduced=True)
-        spaces = []  # (weight, [monomials])
         mono_index = {}
         offsets = []
         for s in _nonneg_vectors(algebra.rank, height):
@@ -261,18 +274,14 @@ class ExplicitModule:
             labels.append([monomial_name(m) for m in basis])
             for j, m in enumerate(basis):
                 mono_index[m] = (widx, j)
-        blocks = {}
         defined = {}
-        targets = {}
         gkeys = [(key, n) for key in algebra.finite.basis
                  for n in range(-loop_window, loop_window + 1)
                  if not (key[0] == "h" and n == 0)]
         for gkey in gkeys:
             key, n = gkey
             g = algebra.loop(algebra.finite.element({key: 1}), n)
-            blocks[gkey] = {}
-            defined[gkey] = set()
-            targets[gkey] = {}
+            per_src = defined[gkey] = {}
             if key[0] == "h":
                 shift = (n, (0,) * algebra.rank)
             else:
@@ -295,16 +304,12 @@ class ExplicitModule:
                     if not ok:
                         break
                 if ok:
-                    defined[gkey].add(widx)
-                    targets[gkey][widx] = want
-                    if entries:
-                        blocks[gkey][widx] = entries
+                    per_src[widx] = entries
         meta = {"kind": "reduced-verma", "height": height, "kmax": kmax,
                 "window": {"L": window.L, "N": window.N, "H": window.H}}
-        em = ExplicitModule(algebra, weights, labels, blocks, defined, targets,
-                            provenance="reduced-verma", loop_window=loop_window,
-                            meta=meta)
-        return em
+        return ExplicitModule(algebra, weights, labels, defined,
+                              provenance="reduced-verma", loop_window=loop_window,
+                              meta=meta)
 
     @staticmethod
     def direct_sum(summands, provenance="direct-sum"):
@@ -326,38 +331,23 @@ class ExplicitModule:
                 table[li] = (gi, len(labels[gi]))
                 labels[gi].extend(f"s{si}:{lab}" for lab in m.labels[li])
             shift.append(table)
-        gkeys = sorted({gk for m in summands for gk in m.blocks},
-                       key=lambda gk: (gk[1], str(gk[0])))
         # per weight: (summand index, summand, local weight index) carrying it
         carriers = [[(si, m, m.windex[w]) for si, m in enumerate(summands)
                      if w in m.windex] for w in weights]
-        blocks = {gk: {} for gk in gkeys}
-        defined = {gk: set() for gk in gkeys}
-        targets = {gk: {} for gk in gkeys}
-        for gk in gkeys:
+        defined = {}
+        for gk in dict.fromkeys(gk for m in summands for gk in m.defined):
+            per_src = defined[gk] = {}
             for gi, carried in enumerate(carriers):
-                if all(li in m.defined.get(gk, ()) for _, m, li in carried):
-                    defined[gk].add(gi)
-                    entries = {}
-                    tgt = None
-                    for si, m, li in carried:
-                        tl = m.target_index(gk, li)
-                        if tl is None:
-                            continue
-                        tgt = shift[si][tl][0]
-                        mat = m.blocks[gk].get(li)
-                        if mat:
-                            roff = shift[si][tl][1]
-                            coff = shift[si][li][1]
-                            for (r, c), v in mat.items():
-                                entries[(r + roff, c + coff)] = v
-                    if tgt is None:
-                        # the shifted weight is outside every carrier; it may
-                        # still be a weight of another summand
-                        tgt = windex.get(weight_shift(algebra, weights[gi], gk))
-                    targets[gk][gi] = tgt
-                    if entries:
-                        blocks[gk][gi] = entries
+                if not all(li in m.defined.get(gk, ()) for _, m, li in carried):
+                    continue
+                entries = per_src[gi] = {}
+                for si, m, li in carried:
+                    mat = m.defined[gk][li]
+                    if mat:
+                        roff = shift[si][m.target_index(gk, li)][1]
+                        coff = shift[si][li][1]
+                        for (r, c), v in mat.items():
+                            entries[(r + roff, c + coff)] = v
         metas = [m.meta for m in summands]
         meta = None
         if all(mt is not None for mt in metas):
@@ -367,7 +357,7 @@ class ExplicitModule:
                         "height": metas[0]["height"], "kmax": metas[0]["kmax"],
                         "window": dict(metas[0]["window"])}
         lw = min(m.loop_window for m in summands)
-        return ExplicitModule(algebra, weights, labels, blocks, defined, targets,
+        return ExplicitModule(algebra, weights, labels, defined,
                               provenance=provenance, loop_window=lw, meta=meta)
 
     def scrambled(self, seed):
@@ -382,24 +372,18 @@ class ExplicitModule:
             s, sinv = _random_unimodular(rng, self.dim(widx))
             mats.append(s)
             invs.append(sinv)
-        blocks = {}
-        defined = {gk: set(srcs) for gk, srcs in self.defined.items()}
-        for gk, per_src in self.blocks.items():
-            blocks[gk] = {}
-            for src in self.defined.get(gk, ()):
+        defined = {}
+        for gk, per_src in self.defined.items():
+            defined[gk] = {}
+            for src, mat in per_src.items():
                 tgt = self.target_index(gk, src)
-                mat = per_src.get(src, {})
-                if tgt is None:
-                    if mat:
-                        raise ModuleDataError("nonzero block without a target weight")
-                    continue
-                entries = _mat_mul(_mat_mul(invs[tgt], mat), mats[src])
-                if entries:
-                    blocks[gk][src] = entries
+                if tgt is None and mat:
+                    raise ModuleDataError("nonzero block without a target weight")
+                defined[gk][src] = _mat_mul(_mat_mul(invs[tgt], mat), mats[src]) \
+                    if mat else {}
         labels = [[f"w{widx}b{j}" for j in range(self.dim(widx))]
                   for widx in range(len(self.weights))]
-        return ExplicitModule(self.algebra, list(self.weights), labels, blocks,
-                              defined, self.targets,
+        return ExplicitModule(self.algebra, list(self.weights), labels, defined,
                               provenance=f"{self.provenance}+scramble",
                               loop_window=self.loop_window, meta=self.meta)
 
@@ -416,14 +400,14 @@ class ExplicitModule:
         for gk in self.generator_keys():
             name = gen_name(self.algebra, *gk)
             triples = []
-            for src in sorted(self.blocks.get(gk, {})):
+            for src, mat in sorted(self.defined[gk].items()):
                 base_src = self._starts[src]
                 tgt = self.target_index(gk, src)
                 base_tgt = self._starts[tgt] if tgt is not None else 0
-                for (r, c), v in sorted(self.blocks[gk][src].items()):
+                for (r, c), v in sorted(mat.items()):
                     triples.append([base_tgt + r, base_src + c, str(v)])
             actions[name] = triples
-            defined[name] = sorted(self.defined.get(gk, ()))
+            defined[name] = sorted(self.defined[gk])
         alg = {"label": self.algebra.finite.cartan.label} \
             if self.algebra.finite.cartan.label else \
             {"cartan": [list(r) for r in self.algebra.finite.cartan.entries]}
@@ -444,7 +428,8 @@ class ExplicitModule:
         """Rebuild a module from to_json_dict output.
 
         Malformed data (a missing key, a bad rational, an index out of range,
-        an action row outside the generator's target weight) raises
+        an action row outside the generator's target weight or at a source its
+        defined list omits, audit metadata that cannot be read) raises
         ModuleDataError naming the field.
         """
         with _module_field("algebra"):
@@ -468,37 +453,38 @@ class ExplicitModule:
                 widx = _index(entry["weight"], len(weights))
                 locs.append((widx, len(labels[widx])))
                 labels[widx].append(entry["label"])
-        blocks = {}
         defined = {}
         with _module_field("defined"):
             for name, srcs in data.get("defined", {}).items():
-                gk = parse_gen(algebra, name)
-                defined[gk] = set(_index(s, len(weights)) for s in srcs)
+                defined[parse_gen(algebra, name)] = {_index(s, len(weights)): {}
+                                                     for s in srcs}
         arrows = {}  # (name, source widx, target widx) -> generator key
         with _module_field("actions"):
             for name, triples in data.get("actions", {}).items():
                 gk = parse_gen(algebra, name)
-                per_src = {}
+                # actions without an explicit defined list are taken as total
+                listed = gk in defined
+                per_src = defined.setdefault(gk, {})
                 for r, c, v in triples:
                     swidx, slocal = locs[_index(c, len(locs))]
                     twidx, tlocal = locs[_index(r, len(locs))]
+                    if listed and swidx not in per_src:
+                        raise ValueError(f"{name} has a row at weight index {swidx}, "
+                                         "which its 'defined' list omits")
                     arrows[(name, swidx, twidx)] = gk
                     per_src.setdefault(swidx, {})[(tlocal, slocal)] = Fraction(v)
-                blocks[gk] = per_src
-                if gk not in defined:
-                    # actions without an explicit defined list are taken as total
-                    defined[gk] = set(per_src)
         with _module_field("loop_window"):
             loop_window = int(data.get("loop_window", 1))
-        sources = {gk: set(blocks.get(gk, ())) | defined.get(gk, set())
-                   for gk in set(blocks) | set(defined)}
-        module = ExplicitModule(algebra, weights, labels, blocks, defined,
-                                _shifted_targets(algebra, weights, sources),
+        with _module_field("meta"):
+            meta = data.get("meta")
+            if meta and "window" in meta:
+                _audit_bounds(meta)
+        module = ExplicitModule(algebra, weights, labels, defined,
                                 provenance=data.get("provenance", "user-supplied"),
-                                loop_window=loop_window, meta=data.get("meta"))
+                                loop_window=loop_window, meta=meta)
+        at = [module.windex[w] for w in weights]
         for name, swidx, twidx in sorted(arrows):
-            gk = arrows[(name, swidx, twidx)]
-            if weight_shift(algebra, weights[swidx], gk) != weights[twidx]:
+            if module.target_index(arrows[(name, swidx, twidx)], at[swidx]) != at[twidx]:
                 raise ModuleDataError(
                     f"bad module data in 'actions': {name} on weight index {swidx} "
                     f"has a row in weight index {twidx}, not in its target weight")
@@ -685,22 +671,17 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
     labels = [[f"tf{w}b{j}" for j in range(len(split.torsion_free[w]))]
               for w in keep]
     pivots = {w: rref(split.torsion_free[w], module.dim(w))[1] for w in keep}
-    blocks = {}
     defined = {}
-    targets = {}
     for gk in module.heisenberg_keys(split.gwindow):
-        blocks[gk] = {}
-        defined[gk] = set()
-        targets[gk] = {}
+        per_src = defined[gk] = {}
         for src in keep:
             if src not in module.defined.get(gk, ()):
                 continue
             mat, tgt, ntgt = module.block(gk, src)
-            targets[gk][new_of_old[src]] = new_of_old.get(tgt)
-            if tgt is None or tgt not in new_of_old:
+            if tgt not in new_of_old:
                 # a zero image is exact; anything else leaves the slice
                 if not any(mat.values()):
-                    defined[gk].add(new_of_old[src])
+                    per_src[new_of_old[src]] = {}
                 continue
             tgt_rows = split.torsion_free[tgt]
             piv = pivots[tgt]
@@ -718,10 +699,8 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
                     if cval:
                         entries[(r, col)] = cval
             if ok:
-                defined[gk].add(new_of_old[src])
-                if entries:
-                    blocks[gk][new_of_old[src]] = entries
-    return ExplicitModule(module.algebra, weights, labels, blocks, defined, targets,
+                per_src[new_of_old[src]] = entries
+    return ExplicitModule(module.algebra, weights, labels, defined,
                           provenance=f"{module.provenance}+torsion-free",
                           loop_window=split.gwindow, meta=None)
 
@@ -938,7 +917,7 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
     fin = algebra.finite
     n = algebra.rank
     if dim == 0:
-        return ExplicitModule(algebra, [], [], {}, {}, {}, provenance="loop-module",
+        return ExplicitModule(algebra, [], [], {}, provenance="loop-module",
                               loop_window=degree_window,
                               meta={"kind": "loop-module", "finite_dim": 0})
     mats = {}
@@ -998,8 +977,7 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
     gkeys = [(key, nn) for key in fin.basis
              for nn in range(-degree_window, degree_window + 1)
              if not (key[0] == "h" and nn == 0)]
-    blocks = {gk: {} for gk in gkeys}
-    defined = {gk: set() for gk in gkeys}
+    defined = {gk: {} for gk in gkeys}
     for gk in gkeys:
         key, nn = gk
         mat = mats[key]
@@ -1014,11 +992,8 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
                 for (r, c), v in mat.items():
                     if c == j:
                         entries[(locs[(r, lj + nn)][1], cj)] = v
-            defined[gk].add(widx)
-            if entries:
-                blocks[gk][widx] = entries
-    return ExplicitModule(algebra, weights, labels, blocks, defined,
-                          _shifted_targets(algebra, weights, defined),
+            defined[gk][widx] = entries
+    return ExplicitModule(algebra, weights, labels, defined,
                           provenance="loop-module", loop_window=degree_window,
                           meta={"kind": "loop-module", "finite_dim": dim,
                                 "degree_window": degree_window})
@@ -1056,7 +1031,7 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
         simple = module.algebra.finite.roots.simple_roots[i - 1]
         for nn in range(-gwindow, gwindow + 1):
             gk = (("x", simple), nn)
-            if gk not in module.blocks:
+            if gk not in module.defined:
                 continue
             for widx in range(len(module.weights)):
                 for j in range(module.dim(widx)):
@@ -1210,9 +1185,7 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
     if not meta or "window" not in meta:
         raise AuditError("module carries no window metadata; cannot audit "
                          "against windowed reduced Verma dimensions")
-    window = TruncationWindow(meta["window"]["L"], meta["window"]["N"],
-                              meta["window"]["H"])
-    height, kmax = meta["height"], meta["kmax"]
+    window, height, kmax = _audit_bounds(meta)
     mismatches = []
     per_weight = []
     modules = {}
@@ -1239,6 +1212,13 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
                          f"weight spaces: {mismatches[:5]}")
     return {"passed": True, "weights_audited": len(per_weight),
             "per_weight": per_weight}
+
+
+def _audit_bounds(meta):
+    """(window, height, kmax) of the build that the dimension audit compares to."""
+    w = meta["window"]
+    return (TruncationWindow(int(w["L"]), int(w["N"]), int(w["H"])),
+            int(meta["height"]), int(meta["kmax"]))
 
 
 def _offset_between(algebra: AffineAlgebra, lam: Weight, nu: Weight):

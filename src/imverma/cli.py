@@ -79,12 +79,10 @@ def _config_dict(args, keys):
     return out
 
 
-def _emit(args, payload, default_format="json"):
-    fmt = getattr(args, "format", None) or default_format
-    if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = payload  # pre-rendered CSV text
+def _emit(args, payload):
+    """Write a report: a dict as sorted JSON, a str (pre-rendered CSV) as is."""
+    text = payload if isinstance(payload, str) else \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
     out = getattr(args, "out", None)
     if out:
         outdir = os.environ.get("IMVERMA_OUTDIR", "")
@@ -233,7 +231,7 @@ def _cmd_verma_dims(args):
     rows = []
     for k in range(args.delta_max + 1):
         rows.append((k, mod.weight_dim((-k, offset_s), window)))
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         lines = ["# command=verma-dims",
                  f"# type={args.type or args.matrix_file}",
                  f"# lambda={args.lam or ''}",
@@ -243,7 +241,7 @@ def _cmd_verma_dims(args):
                  f"# schema_version={SCHEMA_VERSION}",
                  "k,dimension"]
         lines += [f"{k},{d}" for k, d in rows]
-        _emit(args, "\n".join(lines) + "\n", default_format="csv")
+        _emit(args, "\n".join(lines) + "\n")
     else:
         cfg = _config_dict(args, ["type", "matrix_file", "lam", "delta_max",
                                   "offset", "reduced", "window"])
@@ -432,7 +430,6 @@ def _add_algebra_flags(p):
 
 def _add_common_out(p):
     p.add_argument("--out", help="output path (IMVERMA_OUTDIR joins relative paths)")
-    p.add_argument("--format", choices=["json", "csv"])
 
 
 def build_parser():
@@ -473,6 +470,7 @@ def build_parser():
     p.add_argument("--offset", help="finite offset s1,s2,... (default zeros)")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--window", help='e.g. "L=8,N=6,H=4"')
+    p.add_argument("--format", choices=["json", "csv"], default="csv")
     _add_common_out(p)
     p.set_defaults(func=_cmd_verma_dims)
 

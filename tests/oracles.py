@@ -2,11 +2,14 @@
 library (reflection closure instead of root strings, generating functions
 instead of enumeration, dense Gauss-Jordan over Fraction cells instead of the
 package's sparse fraction-free kernel, dense matrix products and an explicit
-basis inverse instead of sparse blocks and annihilator rows), so an agreement
+basis inverse instead of sparse blocks and annihilator rows, one weight shift
+per action pair instead of shifts cached per weight class), so an agreement
 is meaningful. sparse_rows and dense_rows convert between the dense test
 matrices and the sparse rows the package kernels take and return."""
 
 from fractions import Fraction
+
+from imverma.verma import Weight
 
 
 def roots_by_reflection_closure(cartan):
@@ -195,3 +198,15 @@ def solve_invariant_form(algebra):
 def sl2_lowering_string_coefficient(lam_h, k):
     """e f^k v = k (lam - k + 1) f^{k-1} v in the sl2 Verma module."""
     return Fraction(k) * (lam_h - k + 1)
+
+
+def weight_shift(algebra, w, gkey):
+    """The weight x_gamma (x) t^n or h_i (x) t^n maps w to, with
+    gamma(h_i) = sum_j c_j a_ij read off the Cartan matrix."""
+    (kind, val), n = gkey
+    hs = w.h_values
+    if kind == "x":
+        cartan = algebra.finite.cartan
+        hs = tuple(h + sum(c * cartan[i, j] for j, c in enumerate(val))
+                   for i, h in enumerate(hs))
+    return Weight(hs, w.c_value, w.d_value + n)

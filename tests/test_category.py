@@ -20,9 +20,9 @@ from imverma.category import (ExplicitModule, _mat_mul, audit_decomposition,
                               decompose_into_reduced_vermas,
                               extract_annihilated_vector, g_kernel_raw, gen_name,
                               heisenberg_slice, parse_gen, sl2_irrep_matrices,
-                              torsion_decompose)
+                              torsion_decompose, torsion_free_restriction)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
-from oracles import dense_mat_mul, sparse_rows, t_projection
+from oracles import dense_mat_mul, sparse_rows, t_projection, weight_shift
 
 
 def aff(label):
@@ -63,6 +63,10 @@ def test_generator_names_round_trip():
         parse_gen(A1, "h1")
     with pytest.raises(ModuleDataError):
         parse_gen(A1, "e7@0")
+    for algebra, name in ((A1, "x[1,1]@0"), (A1, "x[2]@0"), (A2, "x[1,-1]@0"),
+                          (A2, "x[0,0]@1")):
+        with pytest.raises(ModuleDataError, match="no root"):
+            parse_gen(algebra, name)
 
 
 def test_bracket_compatibility_invariant_full():
@@ -332,7 +336,7 @@ def test_extract_power_iteration_path():
     em = verma_a1()
     for gk in list(em.defined):
         if gk[0][0] == "h":
-            em.defined[gk] = set()
+            em.defined[gk] = {}
     fidx = next(i for i, w in enumerate(em.weights)
                 if w.h_values != LAM.h_values and w.d_value == 0)
     vec = {(fidx, 0): Fraction(1)}
@@ -349,7 +353,7 @@ def test_extract_cap_exceeded():
     em = verma_a1()
     for gk in list(em.defined):
         if gk[0][0] == "h":
-            em.defined[gk] = set()
+            em.defined[gk] = {}
     fidx = next(i for i, w in enumerate(em.weights)
                 if w.h_values != LAM.h_values and w.d_value == 0)
     vec = {(fidx, 0): Fraction(1)}
@@ -416,6 +420,65 @@ def test_scramble_preserves_dims_and_torsion():
     assert checked and not failures
 
 
+# -- targets ----------------------------------------------------------------------
+
+
+def a2_summands():
+    window = TruncationWindow(L=3, N=4, H=1)
+    return [ExplicitModule.from_reduced_verma(A2, parse_weight(t, 2), height=1,
+                                              kmax=4, window=window, loop_window=3)
+            for t in ("h1=1/4,h2=-7/4", "h1=-7/4,h2=-3/4")]
+
+
+def a2_sum():
+    """Two A2 summands whose pairs can target the other summand's weights."""
+    return ExplicitModule.direct_sum(a2_summands())
+
+
+def a1_sum():
+    return ExplicitModule.direct_sum([verma_a1(), verma_a1("h1=-3/2")])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(verma_a1, id="from_reduced_verma"),
+    pytest.param(a1_sum, id="direct_sum-A1"),
+    pytest.param(a2_sum, id="direct_sum-A2"),
+    pytest.param(lambda: a2_sum().scrambled(7), id="scrambled"),
+    pytest.param(lambda: torsion_free_restriction(torsion_decompose(a1_sum(), 4)),
+                 id="torsion_free_restriction"),
+    pytest.param(lambda: ExplicitModule.from_json_dict(
+        json.loads(json.dumps(a2_sum().scrambled(7).to_json_dict()))),
+                 id="from_json_dict"),
+    pytest.param(lambda: build_loop_module(A1, sl2_irrep_matrices(3), 3, 2),
+                 id="build_loop_module"),
+])
+def test_targets_match_weight_shift(build):
+    em = build()
+    pairs = 0
+    for gk, per_src in em.defined.items():
+        for src in per_src:
+            want = em.windex.get(weight_shift(em.algebra, em.weights[src], gk))
+            assert em.target_index(gk, src) == want
+            pairs += 1
+    assert pairs
+
+
+def test_direct_sum_targets_reach_other_summands():
+    # a pair whose target weight only the other summand carries: no carrying
+    # summand knows that target, so only the weights can supply it
+    summands = a2_summands()
+    em = ExplicitModule.direct_sum(summands)
+    owners = [set(m.weights) for m in summands]
+    crossing = 0
+    for gk, per_src in em.defined.items():
+        for src in per_src:
+            tgt = em.target_index(gk, src)
+            if tgt is not None and not any(
+                    em.weights[src] in ws and em.weights[tgt] in ws for ws in owners):
+                crossing += 1
+    assert crossing
+
+
 # -- serialization -------------------------------------------------------------------
 
 
@@ -448,8 +511,9 @@ def test_json_defined_defaults_to_action_support():
     del data["defined"]
     em2 = ExplicitModule.from_json_dict(data)
     # tables without an explicit defined list are taken as total on listed sources
-    for gk, srcs in em2.defined.items():
-        assert srcs == set(em2.blocks.get(gk, {}))
+    for gk, per_src in em2.defined.items():
+        assert all(per_src.values())
+        assert set(per_src) == {s for s, mat in em.defined[gk].items() if mat}
 
 
 # -- sparse blocks against dense oracles ------------------------------------------------

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from imverma.affine import AffineAlgebra
 from imverma.cartan import cartan_matrix_of_type
-from imverma.category import build_loop_module, sl2_irrep_matrices
+from imverma.category import ExplicitModule, build_loop_module, sl2_irrep_matrices
 from imverma.cli import main
 from imverma.finite import build_simple_algebra
+from imverma.verma import TruncationWindow, parse_weight
 
 
 def run(capsys, *argv):
@@ -93,6 +94,8 @@ def test_unknown_type_is_usage_error(capsys):
                  id="algebra-negative-loop-degree"),
     pytest.param(("loopmod", "--type", "A1", "--dim", "2", "--loop-degree", "-1"),
                  "loop-degree", id="loopmod-negative-loop-degree"),
+    pytest.param(("algebra", "--type", "A1", "--format", "csv"), "--format",
+                 id="format-without-csv-rendering"),
 ])
 def test_malformed_window_is_usage_error(capsys, argv, word):
     code, out, err = run(capsys, *argv)
@@ -116,6 +119,11 @@ def _row_off_target(data):
     triples[0][0] = triples[0][1]  # e/f changes the weight, so row != column
 
 
+def _row_at_undefined_source(data):
+    name, triples = next((k, v) for k, v in sorted(data["actions"].items()) if v)
+    data["defined"][name].remove(data["basis"][triples[0][1]]["weight"])
+
+
 @pytest.mark.parametrize("text, word", [
     pytest.param("not json", "JSON", id="not-json"),
     pytest.param("{}", "'algebra'", id="empty-object"),
@@ -135,6 +143,12 @@ def _row_off_target(data):
     pytest.param(_tampered(lambda d: d["actions"].update({"e1@0": [[0, 99, "1"]]})),
                  "'actions'", id="action-index-out-of-range"),
     pytest.param(_tampered(_row_off_target), "'actions'", id="action-off-target"),
+    pytest.param(_tampered(_row_at_undefined_source), "'actions'",
+                 id="action-at-undefined-source"),
+    pytest.param(_tampered(lambda d: d["actions"].update({"x[1,1]@0": [[0, 0, "1"]]})),
+                 "'actions'", id="action-name-not-a-root"),
+    pytest.param(_tampered(lambda d: d["actions"].update({"x[2]@0": [[0, 0, "1"]]})),
+                 "'actions'", id="action-name-twice-a-root"),
 ])
 def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
     path = tmp_path / "module.json"
@@ -145,6 +159,41 @@ def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert str(path) in err and word in err
+
+
+def _reduced_verma_file(tmp_path, edit):
+    alg = AffineAlgebra(build_simple_algebra(cartan_matrix_of_type("A1")))
+    data = ExplicitModule.from_reduced_verma(
+        alg, parse_weight("h1=-1/2", 1), height=1, kmax=3,
+        window=TruncationWindow(L=3, N=4, H=1), loop_window=3).to_json_dict()
+    edit(data["meta"])
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_decompose_module_file_with_meta(tmp_path, capsys):
+    path = _reduced_verma_file(tmp_path, lambda meta: None)
+    code, out, _ = run(capsys, "category-decompose", "--module", str(path))
+    assert code == 0
+    assert json.loads(out)["result"]["audit"]["passed"]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda meta: meta["window"].pop("N"), id="no-window-N"),
+    pytest.param(lambda meta: meta.pop("height"), id="no-height"),
+    pytest.param(lambda meta: meta.update(kmax="x"), id="bad-kmax"),
+    pytest.param(lambda meta: meta["window"].update(L=0), id="zero-window-L"),
+])
+def test_unreadable_audit_meta_is_one_line(tmp_path, capsys, edit):
+    path = _reduced_verma_file(tmp_path, edit)
+    for command in ("category-decompose", "category-check"):
+        code, out, err = run(capsys, command, "--module", str(path))
+        assert code == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert str(path) in err and "'meta'" in err
 
 
 def test_verma_act_non_simple_root_monomial(capsys):
@@ -303,7 +352,7 @@ _FLAGS = {
                   "--height": _INT, "--loop-degree": ["-1", "0", "1", "x"]},
     "verma-dims": {"--type": _TYPE, "--lambda": _LAMBDA, "--delta-max": _INT,
                    "--offset": ["1", "1,0", "1,a", ""], "--reduced": [None],
-                   "--window": _WINDOW, "--format": ["json", "csv", "xml"]},
+                   "--window": _WINDOW},
     "verma-act": {"--type": _TYPE, "--lambda": _LAMBDA, "--reduced": [None],
                   "--gen": ["e1@0", "f1@-1", "h1@1", "x[1,1]@0", "c@0", "e3@0",
                             "e1@x", ""],
@@ -316,6 +365,8 @@ _FLAGS = {
     "category-decompose": _CATEGORY,
     "loopmod": {"--type": _TYPE, "--dim": _INT, "--loop-degree": ["-1", "0", "1"]},
 }
+for _pool in _FLAGS.values():
+    _pool["--format"] = ["json", "csv", "xml"]
 
 
 @st.composite
