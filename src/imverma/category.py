@@ -96,6 +96,16 @@ def parse_gen(algebra: AffineAlgebra, name: str):
     return ("x", simple if kind == "e" else _neg(simple)), n
 
 
+def _parse_gen_once(algebra, name, named):
+    """parse_gen, refusing a generator that named ({gkey: name}) already holds
+    under another spelling, such as e1@0 and x[1]@0."""
+    gk = parse_gen(algebra, name)
+    if gk in named:
+        raise ValueError(f"{name!r} and {named[gk]!r} name the same generator")
+    named[gk] = name
+    return gk
+
+
 @contextmanager
 def _module_field(name):
     """Turn a parse error inside one field of module data into ModuleDataError."""
@@ -428,9 +438,9 @@ class ExplicitModule:
         """Rebuild a module from to_json_dict output.
 
         Malformed data (a missing key, a bad rational, an index out of range,
-        an action row outside the generator's target weight or at a source its
-        defined list omits, audit metadata that cannot be read) raises
-        ModuleDataError naming the field.
+        a generator named twice in one field, an action row outside the
+        generator's target weight or at a source its defined list omits, audit
+        metadata that cannot be read) raises ModuleDataError naming the field.
         """
         with _module_field("algebra"):
             if algebra is None:
@@ -455,13 +465,15 @@ class ExplicitModule:
                 labels[widx].append(entry["label"])
         defined = {}
         with _module_field("defined"):
+            named = {}
             for name, srcs in data.get("defined", {}).items():
-                defined[parse_gen(algebra, name)] = {_index(s, len(weights)): {}
-                                                     for s in srcs}
+                gk = _parse_gen_once(algebra, name, named)
+                defined[gk] = {_index(s, len(weights)): {} for s in srcs}
         arrows = {}  # (name, source widx, target widx) -> generator key
         with _module_field("actions"):
+            named = {}
             for name, triples in data.get("actions", {}).items():
-                gk = parse_gen(algebra, name)
+                gk = _parse_gen_once(algebra, name, named)
                 # actions without an explicit defined list are taken as total
                 listed = gk in defined
                 per_src = defined.setdefault(gk, {})

@@ -25,8 +25,8 @@ from imverma.category import (GEN_NAME, ExplicitModule, _nonneg_vectors,
                               sl2_irrep_matrices, torsion_decompose)
 from imverma.errors import CartanMatrixError, ImvermaError, ModuleDataError
 from imverma.finite import build_simple_algebra, diagram_automorphism
-from imverma.verma import (VermaModule, monomial_name, parse_weight, parse_window,
-                           symbol_sort_key)
+from imverma.verma import (TruncationWindow, VermaModule, monomial_name, parse_weight,
+                           parse_window, symbol_sort_key)
 
 SCHEMA_VERSION = "1"
 
@@ -216,10 +216,6 @@ def _cmd_verma_dims(args):
     alg = _load_algebra(args)
     lam = _parse_weight_arg(args.lam, alg.rank)
     window = _parse_window_arg(args.window) if args.window else None
-    if window is None:
-        from imverma.verma import TruncationWindow
-        cap = max(args.delta_max, 1)
-        window = TruncationWindow(L=cap, N=cap, H=max(1, args.delta_max))
     mod = VermaModule(alg, lam, reduced=args.reduced)
     try:
         offset_s = tuple(int(x) for x in args.offset.split(",")) if args.offset \
@@ -228,6 +224,12 @@ def _cmd_verma_dims(args):
         raise UsageError(f"malformed offset {args.offset!r} (want s1,s2,...)") from None
     if len(offset_s) != alg.rank:
         raise UsageError("offset length must equal the rank")
+    if window is None:
+        # the default window reaches the offset's height; an offset with a
+        # negative coordinate has no monomials, whatever the height
+        cap = max(args.delta_max, 1)
+        height = sum(offset_s) if min(offset_s) >= 0 else 0
+        window = TruncationWindow(L=cap, N=cap, H=max(cap, height))
     rows = []
     for k in range(args.delta_max + 1):
         rows.append((k, mod.weight_dim((-k, offset_s), window)))

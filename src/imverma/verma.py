@@ -33,7 +33,7 @@ through the central and d terms of act.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import cache
 
 from imverma._kernels import Echelon
 from imverma.affine import AffineAlgebra, LoopElement
@@ -127,11 +127,18 @@ def parse_window(text) -> TruncationWindow:
 # ("B", i, l): h_i (x) t^{-l}, l > 0       ("F", gamma, n): x_{-gamma} (x) t^n
 
 
+@cache
 def symbol_sort_key(sym):
+    """The canonical PBW order of one symbol; cached, since a window holds
+    few distinct symbols and every sort and straightening step compares them."""
     if sym[0] == "B":
         return (0, 0, (sym[1],), sym[2])
     _, gamma, n = sym
     return (1, root_height(gamma), gamma, n)
+
+
+def _monomial_sort_key(mono):
+    return tuple(map(symbol_sort_key, mono))
 
 
 def monomial_offset(mono, rank):
@@ -214,7 +221,7 @@ class ModuleVector:
         if not self.terms:
             return "0"
         bits = []
-        for mono in sorted(self.terms, key=lambda m: tuple(symbol_sort_key(s) for s in m)):
+        for mono in sorted(self.terms, key=_monomial_sort_key):
             bits.append(f"{self.terms[mono]}*{monomial_name(mono)}")
         return " + ".join(bits)
 
@@ -406,6 +413,13 @@ class VermaModule:
 
         k = None aggregates over every delta-degree the window can reach (the
         weight spaces over a fixed h*-weight, all d-eigenvalues at once).
+
+        The list is in canonical PBW order (sorted by the symbol_sort_key
+        sequence) and holds each monomial once. Nothing is generated only to
+        be dropped: the B-part total is bounded by what the F-degrees can
+        offset, F-degrees are chosen slot by slot within the reach of the
+        remaining slots (see _degree_assignments), and the F-parts for one
+        degree target are computed once and shared by every B-part with it.
         """
         k, s = offset
         s = tuple(s)
@@ -420,14 +434,6 @@ class VermaModule:
             flen = len(multiset)
             if flen > window.L:
                 continue
-            groups = []
-            i = 0
-            while i < len(multiset):
-                j = i
-                while j < len(multiset) and multiset[j] == multiset[i]:
-                    j += 1
-                groups.append((multiset[i], j - i))
-                i = j
             max_b_len = window.L - flen
             if self.reduced:
                 b_parts = [((), 0)]
@@ -441,13 +447,20 @@ class VermaModule:
                     hi = min(window.N * max_b_len, -k + flen * window.N)
                 if hi < lo:
                     continue
-                b_parts = list(_b_multisets(self.rank, window.N, max_b_len, lo, hi))
+                b_parts = _b_multisets(self.rank, window.N, max_b_len, lo, hi)
+            f_parts = {}
             for b_mono, b_total in b_parts:
                 target = None if k is None else k + b_total
-                for f_sym_groups in _degree_assignments(groups, target, window.N):
-                    mono = tuple(b_mono) + f_sym_groups
-                    out.append(mono)
-        return sorted(out, key=lambda m: tuple(symbol_sort_key(s2) for s2 in m))
+                fs = f_parts.get(target)
+                if fs is None:
+                    fs = f_parts[target] = [
+                        (_monomial_sort_key(f), f)
+                        for f in _degree_assignments(multiset, target, window.N)]
+                b_key = _monomial_sort_key(b_mono)
+                out += [(b_key + f_key, b_mono + f) for f_key, f in fs]
+        # the sort keys are distinct, so the monomials are never compared
+        out.sort()
+        return [mono for _, mono in out]
 
     def weight_dim(self, offset, window: TruncationWindow) -> int:
         """Exact count of PBW monomials at the offset inside the window.
@@ -491,8 +504,7 @@ class VermaModule:
                 exact = monomial_offset(mono, self.rank)
                 spaces.setdefault(exact, set()).add(mono)
         for exact in sorted(spaces):
-            basis = sorted(spaces[exact],
-                           key=lambda m: tuple(symbol_sort_key(s2) for s2 in m))
+            basis = sorted(spaces[exact], key=_monomial_sort_key)
             echelon = Echelon(len(basis))
             for _, g in gens:
                 if echelon.full:
@@ -574,53 +586,73 @@ def _root_multisets(fin, s):
 
 
 def _b_multisets(rank, max_l, max_len, total_min, total_max):
-    """((B-monomial, total l)) pairs: colored partitions with parts <= max_l
-    and total in [total_min, total_max]."""
-    parts = [(i, l) for i in range(1, rank + 1) for l in range(1, max_l + 1)]
+    """(B-monomial, total l) pairs: colored partitions with at most max_len
+    parts, each at most max_l, and total in [total_min, total_max].
 
-    def rec(idx, length_left, acc, total):
-        if total_min <= total <= total_max:
-            yield tuple(acc), total
-        if length_left == 0 or total >= total_max:
+    A part is added only if the total stays within total_max and can still
+    reach total_min with the parts left, so every branch yields a pair.
+    """
+    parts = [("B", i, l) for i in range(1, rank + 1) for l in range(1, max_l + 1)]
+    out = []
+    acc = []
+
+    def rec(idx, length_left, total):
+        if total >= total_min:
+            out.append((tuple(acc), total))
+        if not length_left:
             return
+        # a part l must leave total + l + (length_left - 1) * max_l >= total_min
+        least = total_min - (length_left - 1) * max_l - total
+        most = total_max - total
         for j in range(idx, len(parts)):
-            i, l = parts[j]
-            if total + l > total_max:
-                continue
-            acc.append(("B", i, l))
-            yield from rec(j, length_left - 1, acc, total + l)
-            acc.pop()
+            sym = parts[j]
+            if least <= sym[2] <= most:
+                acc.append(sym)
+                rec(j, length_left - 1, total + sym[2])
+                acc.pop()
 
-    yield from rec(0, max_len, [], 0)
+    rec(0, max_len, 0)
+    return out
 
 
-def _degree_assignments(groups, target, max_n):
+def _degree_assignments(multiset, target, max_n):
     """Assign per-factor loop degrees, summing to target unless target is None.
 
-    groups: list of (root, multiplicity); within a group degrees are weakly
-    increasing (multiset), each in [-max_n, max_n]. Yields F-symbol tuples in
+    multiset: roots in _root_multisets order; the degrees of equal roots are
+    weakly increasing, each in [-max_n, max_n]. Returns F-symbol tuples in
     canonical member order.
-    """
-    results = []
 
-    def rec(gidx, remaining, acc):
-        if gidx == len(groups):
-            if remaining is None or remaining == 0:
+    Degrees are chosen one slot at a time. With a target, a degree n is tried
+    only while the remainder after it stays reachable: with a slots left for
+    the same root (each at least n) and b slots for other roots after them,
+    the remainder must lie in [n*a - max_n*b, max_n*(a + b)]. Every branch
+    then ends in an assignment; without a target nothing is pruned.
+    """
+    last = len(multiset) - 1
+    slots = []  # (root, a, b) for each slot, from the last one back
+    a = 0
+    for i in range(last, -1, -1):
+        gamma = multiset[i]
+        a = a + 1 if i < last and multiset[i + 1] == gamma else 0
+        slots.append((gamma, a, last - i - a))
+    slots.reverse()
+    results = []
+    acc = []
+
+    def rec(i, lo, remaining):
+        if i > last:
+            if not remaining:
                 results.append(tuple(acc))
             return
-        gamma, mult = groups[gidx]
-        # bound pruning: remaining must be achievable by the groups left
-        slots_after = sum(m for _, m in groups[gidx + 1:])
-        for combo in combinations_with_replacement(range(-max_n, max_n + 1), mult):
-            if remaining is None:
-                rest = None
-            else:
-                rest = remaining - sum(combo)
-                if abs(rest) > slots_after * max_n:
-                    continue
-            acc.extend(("F", gamma, n) for n in combo)
-            rec(gidx + 1, rest, acc)
-            del acc[len(acc) - mult:]
+        gamma, a, b = slots[i]
+        hi = max_n
+        if remaining is not None:
+            lo = max(lo, remaining - max_n * (a + b))
+            hi = min(hi, (remaining + max_n * b) // (a + 1))
+        for n in range(lo, hi + 1):
+            acc.append(("F", gamma, n))
+            rec(i + 1, n if a else -max_n, None if remaining is None else remaining - n)
+            acc.pop()
 
-    rec(0, target, [])
+    rec(0, -max_n, target)
     return results

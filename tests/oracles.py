@@ -3,13 +3,15 @@ library (reflection closure instead of root strings, generating functions
 instead of enumeration, dense Gauss-Jordan over Fraction cells instead of the
 package's sparse fraction-free kernel, dense matrix products and an explicit
 basis inverse instead of sparse blocks and annihilator rows, one weight shift
-per action pair instead of shifts cached per weight class), so an agreement
-is meaningful. sparse_rows and dense_rows convert between the dense test
+per action pair instead of shifts cached per weight class, every multiset of
+window symbols instead of pruned PBW enumeration), so an agreement is
+meaningful. sparse_rows and dense_rows convert between the dense test
 matrices and the sparse rows the package kernels take and return."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from imverma.verma import Weight
+from imverma.verma import Weight, symbol_sort_key
 
 
 def roots_by_reflection_closure(cartan):
@@ -210,3 +212,33 @@ def weight_shift(algebra, w, gkey):
         hs = tuple(h + sum(c * cartan[i, j] for j, c in enumerate(val))
                    for i, h in enumerate(hs))
     return Weight(hs, w.c_value, w.d_value + n)
+
+
+def brute_basis_monomials(mod, offset, window):
+    """Every multiset of at most window.L window symbols with the given (k, s)
+    offset (only s when k is None), in canonical order.
+
+    The symbols are B(i, l) for 1 <= l <= N unless the module is reduced, and
+    F(gamma, n) for |n| <= N with gamma a positive root from
+    roots_by_reflection_closure; nothing is pruned before the offset filter.
+    """
+    k, s = offset
+    rank = mod.rank
+    n_max = window.N
+    positive = [r for r in roots_by_reflection_closure(mod.algebra.finite.cartan)
+                if min(r) >= 0]
+    symbols = [("F", gamma, n) for gamma in positive
+               for n in range(-n_max, n_max + 1)]
+    if not mod.reduced:
+        symbols += [("B", i, l) for i in range(1, rank + 1)
+                    for l in range(1, n_max + 1)]
+    symbols.sort(key=symbol_sort_key)
+    out = []
+    for length in range(window.L + 1):
+        for mono in combinations_with_replacement(symbols, length):
+            degree = sum(sym[2] if sym[0] == "F" else -sym[2] for sym in mono)
+            coords = tuple(sum(sym[1][i] for sym in mono if sym[0] == "F")
+                           for i in range(rank))
+            if coords == tuple(s) and k in (None, degree):
+                out.append(mono)
+    return sorted(out, key=lambda m: [symbol_sort_key(sym) for sym in m])

@@ -49,6 +49,30 @@ def test_verma_dims_json_format(capsys):
     assert data["result"]["dims"][0] == {"k": 0, "dimension": 1}
 
 
+@pytest.mark.parametrize("typ, lam, offset, window, rows", [
+    pytest.param("A1", "h1=-1/2", "3", "L=1,N=1,H=3", ["0,0", "1,0"],
+                 id="A1-offset-3"),
+    pytest.param("A2", "", "1,1", "L=1,N=1,H=2", ["0,1", "1,1"], id="A2-offset-1-1"),
+    # no monomials at a negative coordinate, so the height is not needed
+    pytest.param("A2", "", "3,-1", "L=1,N=1,H=1", ["0,0", "1,0"], id="A2-negative"),
+])
+def test_verma_dims_default_window_reaches_offset_height(capsys, typ, lam, offset,
+                                                         window, rows):
+    code, out, err = run(capsys, "verma-dims", "--type", typ, "--lambda", lam,
+                         "--offset", offset, "--delta-max", "1")
+    assert (code, err) == (0, "")
+    assert f"# window={window}" in out
+    assert out.splitlines()[-3:] == ["k,dimension", *rows]
+
+
+def test_verma_dims_user_window_below_offset_height_fails(capsys):
+    code, out, err = run(capsys, "verma-dims", "--type", "A1", "--offset", "3",
+                         "--delta-max", "1", "--window", "L=2,N=2,H=2")
+    assert code == 1
+    assert out == ""
+    assert err.strip() == "offset height 3 exceeds window H=2"
+
+
 def test_unknown_type_is_usage_error(capsys):
     code, out, err = run(capsys, "verma-dims", "--type", "Z9", "--delta-max", "2")
     assert code == 2
@@ -124,6 +148,13 @@ def _row_at_undefined_source(data):
     data["defined"][name].remove(data["basis"][triples[0][1]]["weight"])
 
 
+def _generator_named_twice(field):
+    """Repeat e1@0's entry of one field under the spelling x[1]@0."""
+    def edit(data):
+        data[field]["x[1]@0"] = data[field]["e1@0"]
+    return edit
+
+
 @pytest.mark.parametrize("text, word", [
     pytest.param("not json", "JSON", id="not-json"),
     pytest.param("{}", "'algebra'", id="empty-object"),
@@ -149,6 +180,10 @@ def _row_at_undefined_source(data):
                  "'actions'", id="action-name-not-a-root"),
     pytest.param(_tampered(lambda d: d["actions"].update({"x[2]@0": [[0, 0, "1"]]})),
                  "'actions'", id="action-name-twice-a-root"),
+    pytest.param(_tampered(_generator_named_twice("actions")), "'actions'",
+                 id="action-generator-named-twice"),
+    pytest.param(_tampered(_generator_named_twice("defined")), "'defined'",
+                 id="defined-generator-named-twice"),
 ])
 def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
     path = tmp_path / "module.json"

@@ -5,9 +5,10 @@ algebra argvs, the other callers of the exact kernels, were recorded before
 the kernels moved to sparse rows. The fractional-lambda singular argvs (the
 W workloads of the roadmap) were recorded before the action layer moved to
 integer straightening coefficients and the singular search to per-operator
-feeding. A refactor that claims unchanged answers
-must keep every hash; a change that means to alter a report updates its
-constant and says why."""
+feeding. The verma-dims argvs were recorded before PBW enumeration was made
+to prune degree assignments slot by slot. A refactor that claims unchanged
+answers must keep every hash; a change that means to alter a report updates
+its constant and says why."""
 
 import hashlib
 
@@ -70,6 +71,15 @@ PINNED = [
     pytest.param(
         ("algebra", "--type", "D4", "--twist", "3:4,4:3", "--loop-degree", "3"),
         "b4f73960dbc127b28cd0021cd7517d8285d3ab7d", id="algebra-twist-D4"),
+    pytest.param(
+        ("verma-dims", "--type", "A2", "--offset", "2,1",
+         "--window", "L=5,N=5,H=3", "--delta-max", "6"),
+        "95896608ed9309289b43124cb33b4cc7e56d412b", id="dims-A2"),
+    pytest.param(
+        ("verma-dims", "--type", "A3", "--reduced",
+         "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2", "--offset", "2,1,1",
+         "--window", "L=4,N=3,H=4", "--delta-max", "4"),
+        "25f8f70a82eaba16d4cd756e2b38b93439971356", id="dims-reduced-A3"),
 ]
 
 

@@ -19,8 +19,8 @@ from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
                            monomial_offset, parse_weight, parse_window,
                            symbol_sort_key)
 
-from oracles import (colored_partition_counts, gauss_solve_nullspace,
-                     sl2_lowering_string_coefficient)
+from oracles import (brute_basis_monomials, colored_partition_counts,
+                     gauss_solve_nullspace, sl2_lowering_string_coefficient)
 
 
 def aff(label):
@@ -115,10 +115,42 @@ def test_basis_monomials_are_canonical_and_unique():
     seen = set()
     for s in [(0, 0), (1, 0), (1, 1), (2, 0)]:
         for k in range(-3, 4):
-            for m in mod.basis_monomials((k, s), window):
+            monos = mod.basis_monomials((k, s), window)
+            keys = [[symbol_sort_key(sym) for sym in m] for m in monos]
+            # strictly increasing: canonical order and no repeats
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            for m, key in zip(monos, keys):
+                assert key == sorted(key)
                 assert m not in seen
                 seen.add(m)
                 assert monomial_offset(m, 2) == (k, s)
+
+
+# (type, window, offsets): each type has an offset whose root multisets
+# repeat a root, where degrees are chosen weakly increasing within a group;
+# s = 0 has only the empty F-part, which fits degree target 0 alone
+BRUTE_CASES = [
+    ("A1", TruncationWindow(L=4, N=2, H=3), [(0,), (2,), (3,)]),
+    ("A2", TruncationWindow(L=3, N=2, H=3), [(0, 0), (1, 1), (2, 1)]),
+    ("C2", TruncationWindow(L=3, N=2, H=3), [(1, 1), (2, 1)]),
+    ("A3", TruncationWindow(L=3, N=1, H=3), [(1, 1, 0), (2, 1, 0)]),
+]
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["unreduced", "reduced"])
+@pytest.mark.parametrize("label, window, offsets", BRUTE_CASES,
+                         ids=[c[0] for c in BRUTE_CASES])
+def test_basis_monomials_match_brute_force(label, window, offsets, reduced):
+    alg = aff(label)
+    lam = parse_weight(",".join(f"h{i + 1}=-1/2" for i in range(alg.rank)), alg.rank)
+    mod = VermaModule(alg, lam, reduced=reduced)
+    found = 0
+    for s in offsets:
+        for k in [None, *range(-3, 3)]:
+            expected = brute_basis_monomials(mod, (k, s), window)
+            assert mod.basis_monomials((k, s), window) == expected
+            found += len(expected)
+    assert found
 
 
 def test_offset_height_over_window_rejected():
