@@ -46,8 +46,8 @@ from imverma.affine import AffineAlgebra
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
 from imverma.errors import AuditError, ImvermaError, ModuleDataError
 from imverma.finite import _neg, add_scaled, build_simple_algebra
-from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
-                           monomial_name)
+from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
+                           vanishes_by_weight)
 
 
 class UndefinedActionError(ModuleDataError):
@@ -263,7 +263,9 @@ class ExplicitModule:
 
         Stores weight spaces lambda + k delta - s (ht(s) <= height, |k| <= kmax)
         with the PBW basis truncated by the window; a (generator, source) pair
-        is marked defined exactly when every image stays inside the store.
+        is marked defined exactly when every image stays inside the store. The
+        images are the act_monomial images of the basis monomials; a pair that
+        vanishes_by_weight is a defined zero without acting.
         """
         mod = VermaModule(algebra, lam, reduced=True)
         mono_index = {}
@@ -290,27 +292,24 @@ class ExplicitModule:
                  if not (key[0] == "h" and n == 0)]
         for gkey in gkeys:
             key, n = gkey
-            g = algebra.loop(algebra.finite.element({key: 1}), n)
             per_src = defined[gkey] = {}
-            if key[0] == "h":
-                shift = (n, (0,) * algebra.rank)
-            else:
-                shift = (n, key[1])
+            shift_s = key[1] if key[0] == "x" else (0,) * algebra.rank
             for widx, ((k, s), basis) in enumerate(offsets):
-                want = off_index.get(
-                    (k + shift[0], tuple(a - b for a, b in zip(s, shift[1]))))
+                if vanishes_by_weight(key, s):
+                    per_src[widx] = {}
+                    continue
+                want = off_index.get((k + n, tuple(a - b for a, b in zip(s, shift_s))))
                 entries = {}
                 ok = True
                 for j, m in enumerate(basis):
-                    image = mod.act(g, ModuleVector(mod, {m: Fraction(1)}))
-                    for m2, c2 in image.terms.items():
+                    for m2, c2 in mod.act_monomial(key, n, m).items():
                         hit = mono_index.get(m2)
                         if hit is None:
                             ok = False
                             break
                         if hit[0] != want:
                             raise ImvermaError("weight bookkeeping mismatch")
-                        entries[(hit[1], j)] = entries.get((hit[1], j), 0) + c2
+                        entries[(hit[1], j)] = c2
                     if not ok:
                         break
                 if ok:

@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 
 from imverma.affine import (AffineAlgebra, check_closed_partition, natural_spec,
                             standard_spec, twisted_fixed_subalgebra)
@@ -225,11 +226,12 @@ def _cmd_verma_dims(args):
     if len(offset_s) != alg.rank:
         raise UsageError("offset length must equal the rank")
     if window is None:
-        # the default window reaches the offset's height; an offset with a
-        # negative coordinate has no monomials, whatever the height
+        # the default window reaches the offset's height, in length too: a
+        # monomial of offset s has up to ht(s) F-factors. An offset with a
+        # negative coordinate has no monomials, whatever the window
         cap = max(args.delta_max, 1)
-        height = sum(offset_s) if min(offset_s) >= 0 else 0
-        window = TruncationWindow(L=cap, N=cap, H=max(cap, height))
+        reach = max(cap, sum(offset_s) if min(offset_s) >= 0 else 0)
+        window = TruncationWindow(L=reach, N=cap, H=reach)
     rows = []
     for k in range(args.delta_max + 1):
         rows.append((k, mod.weight_dim((-k, offset_s), window)))
@@ -521,6 +523,15 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser main uses, built by build_parser on the first call.
+
+    Parsing does not modify a parser, so one serves every call in a process.
+    """
+    return build_parser()
+
+
 def _apply_config_file(argv):
     if "--config" not in argv:
         return argv
@@ -554,9 +565,8 @@ def main(argv=None) -> int:
     except OSError as ex:
         print(f"cannot read config file: {ex}", file=sys.stderr)
         return 2
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
     try:

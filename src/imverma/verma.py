@@ -19,16 +19,23 @@ A monomial's weight offset from lambda is (k, s): weight = lambda + k*delta
 - sum_i s_i alpha_i, where F(gamma, n) contributes (n, gamma) and B(i, l)
 contributes (-l, 0).
 
+Every PBW symbol has s >= 0 coordinatewise, so every monomial does: the
+weight spaces with a negative coordinate of s are zero.
+
 All weight spaces with s != 0 are infinite dimensional; every enumeration is
 over a TruncationWindow (max length L, max per-factor |loop degree| N, max
-height H) and is exact on that slice. act() itself is exact and uncapped: it
+height H) and is exact on that slice. The action is exact and uncapped: it
 grows the output rather than truncating, and a per-factor degree cap may be
-supplied to detect (not silently absorb) window escapes.
+supplied to act() to detect (not silently absorb) window escapes.
 
-Coefficients are exact int | Fraction. Straightening (_prepend, _act_key)
-works with the integer Chevalley structure constants, so it stays in int
-arithmetic; lambda enters only on the highest-weight vector (_act_vacuum) and
-through the central and d terms of act.
+The action has one entry point, act_monomial(key, n, mono): the memoised
+sparse image {monomial: coefficient} of key (x) t^n on one PBW monomial.
+Straightening (act_monomial, _prepend) works with the integer Chevalley
+structure constants, so it stays in int arithmetic; lambda enters only on the
+highest-weight vector (_act_vacuum) and, when lambda(c) != 0, through the
+central terms of the brackets. act() is a sum of act_monomial images plus the
+c and d parts of the loop element; the bulk callers (the singular search and
+the explicit tables of the category layer) call act_monomial directly.
 """
 
 from dataclasses import dataclass, field
@@ -244,6 +251,7 @@ class VermaModule:
             for i, v in enumerate(lam.h_values) if v.denominator == 1 and v < 0
         ) if reduced else ()
         self._act_cache = {}
+        self._bracket_cache = {}
         self._prepend_cache = {}
 
     def __repr__(self):
@@ -296,7 +304,8 @@ class VermaModule:
     # -- generator action -----------------------------------------------------
 
     def act(self, g: LoopElement, v: ModuleVector, degree_cap=None) -> ModuleVector:
-        """Exact action of a loop element; commutes g past PBW factors.
+        """Exact action of a loop element: the act_monomial images of its
+        terms on the monomials of v, plus its c and d parts.
 
         With degree_cap set, raises WindowOverflowError (carrying the smallest
         sufficient cap) if any output monomial has a per-factor loop degree
@@ -309,7 +318,7 @@ class VermaModule:
         out = {}
         for mono, cv in v.terms.items():
             for (key, n), cg in g.terms.items():
-                image = self._act_key(key, n, mono)
+                image = self.act_monomial(key, n, mono)
                 if image:
                     add_scaled(out, image, cv * cg)
             if g.c and self.lam.c_value:
@@ -328,7 +337,17 @@ class VermaModule:
                     f"cap was {degree_cap}", required=worst)
         return result
 
-    def _act_key(self, key, n, mono):
+    def act_monomial(self, key, n, mono):
+        """The image of key (x) t^n on the PBW monomial mono (applied to the
+        highest-weight vector), as a sparse dict {monomial: int | Fraction}.
+
+        key is a basis key of the finite algebra, ("h", i) or ("x", gamma),
+        or "__c__" for the central element (with n = 0). The image is exact
+        and memoised per (key, n, mono): the dict returned is the memo entry
+        and must not be modified. Its coefficients are int unless lambda
+        enters, that is unless a term reaches the highest-weight vector
+        through h_i (x) t^0 or the central element.
+        """
         ck = (key, n, mono)
         hit = self._act_cache.get(ck)
         if hit is not None:
@@ -338,10 +357,10 @@ class VermaModule:
         else:
             out = {}
             head, rest = mono[0], mono[1:]
-            for m2, c2 in self._act_key(key, n, rest).items():
+            for m2, c2 in self.act_monomial(key, n, rest).items():
                 add_scaled(out, self._prepend(head, m2), c2)
             for (k2, n2), c in self._symbol_bracket_loop(key, n, head):
-                add_scaled(out, self._act_key(k2, n2, rest), c)
+                add_scaled(out, self.act_monomial(k2, n2, rest), c)
         self._act_cache[ck] = out
         return out
 
@@ -362,26 +381,32 @@ class VermaModule:
         return {(("F", _neg(gamma), n),): 1}
 
     def _symbol_bracket_loop(self, key, n, sym):
-        """[key (x) t^n, symbol] as a list of ((key2, n2), coeff) loop terms.
+        """[key (x) t^n, symbol] as a tuple of ((key2, n2), coeff) loop terms,
+        memoised per (key, n, sym).
 
         A central term is encoded under the sentinel key "__c__"; it commutes
-        past everything and evaluates to lambda(c) on the vacuum.
+        past everything and evaluates to lambda(c) on the vacuum, so it is
+        left out when lambda(c) = 0.
         """
+        ck = (key, n, sym)
+        hit = self._bracket_cache.get(ck)
+        if hit is not None:
+            return hit
         if key == "__c__":
-            return []
-        fin = self.algebra.finite
-        if sym[0] == "B":
-            other = ("h", sym[1]), -sym[2]
+            pairs = ()
         else:
-            other = ("x", _neg(sym[1])), sym[2]
-        (k2, n2) = other
-        pairs = []
-        for k, c in fin._bracket_table[(key, k2)].items():
-            pairs.append(((k, n + n2), c))
-        if n == -n2 and n != 0:
-            cf = fin.form_keys(key, k2)
-            if cf and self.lam.c_value:
-                pairs.append((("__c__", 0), n * cf))
+            if sym[0] == "B":
+                k2, n2 = ("h", sym[1]), -sym[2]
+            else:
+                k2, n2 = ("x", _neg(sym[1])), sym[2]
+            fin = self.algebra.finite
+            pairs = [((k, n + n2), c) for k, c in fin._bracket_table[(key, k2)].items()]
+            if n == -n2 and n != 0 and self.lam.c_value:
+                cf = fin.form_keys(key, k2)
+                if cf:
+                    pairs.append((("__c__", 0), n * cf))
+            pairs = tuple(pairs)
+        self._bracket_cache[ck] = pairs
         return pairs
 
     def _prepend(self, sym, mono):
@@ -475,28 +500,45 @@ class VermaModule:
 
     def annihilator_generators(self, window: TruncationWindow):
         """e_{i,m} for |m| <= N, plus h_{i,l} (0 < l <= N) in the unreduced case."""
-        gens = []
-        for i in range(1, self.rank + 1):
-            for m in range(-window.N, window.N + 1):
-                gens.append((f"e{i}@{m}", self.algebra.e(i, m)))
+        alg = self.algebra
+        return [(name, alg.loop(alg.finite.element({key: 1}), n))
+                for name, key, n in self._raising_operators(window)]
+
+    def _raising_operators(self, window):
+        """The annihilator_generators as (name, key, n), each the single term
+        key (x) t^n with coefficient 1, in the same order."""
+        simple = self.algebra.finite.roots.simple_roots
+        ops = [(f"e{i}@{m}", ("x", simple[i - 1]), m)
+               for i in range(1, self.rank + 1)
+               for m in range(-window.N, window.N + 1)]
         if not self.reduced:
-            for i in range(1, self.rank + 1):
-                for l in range(1, window.N + 1):
-                    gens.append((f"h{i}@{l}", self.algebra.h(i, l)))
-        return gens
+            ops += [(f"h{i}@{l}", ("h", i), l)
+                    for i in range(1, self.rank + 1)
+                    for l in range(1, window.N + 1)]
+        return ops
 
     def singular_vectors(self, offsets, window: TruncationWindow):
         """Basis of the joint kernel of all windowed raising operators.
 
         Returns a list of (offset, ModuleVector) pairs; the kernel is computed
         weight space by weight space with exact rational elimination. Each
-        raising operator's rows (one per image monomial) go to the echelon as
-        one batch, in annihilator_generators order; once every basis monomial
-        has a pivot the kernel is empty and no further operator is applied.
-        The reduced row echelon form is unique, so the basis is the one that
-        elimination over every operator's rows gives.
+        raising operator's rows (one per image monomial, built from the
+        act_monomial images of the basis monomials) go to the echelon as one
+        batch, in annihilator_generators order. Two kinds of operator are not
+        applied:
+
+        - once every basis monomial has a pivot, the kernel is empty and no
+          further operator is applied;
+        - an operator that vanishes_by_weight on the space: e_i (x) t^m maps
+          the offset s to s - alpha_i, which has a negative coordinate when
+          s_i = 0, and the weight spaces with such an offset are zero.
+
+        Skipped operators would have fed no row or none that changes the
+        echelon, and the reduced row echelon form is unique, so the basis is
+        the one that elimination over every operator's rows gives.
         """
-        gens = self.annihilator_generators(window)
+        ops = self._raising_operators(window)
+        live = {}  # s -> the (key, n) that do not vanish by weight at s
         found = []
         spaces = {}
         for offset in offsets:
@@ -504,15 +546,18 @@ class VermaModule:
                 exact = monomial_offset(mono, self.rank)
                 spaces.setdefault(exact, set()).add(mono)
         for exact in sorted(spaces):
+            s = exact[1]
+            if s not in live:
+                live[s] = [(key, n) for _, key, n in ops
+                           if not vanishes_by_weight(key, s)]
             basis = sorted(spaces[exact], key=_monomial_sort_key)
             echelon = Echelon(len(basis))
-            for _, g in gens:
+            for key, n in live[s]:
                 if echelon.full:
                     break
                 rows = {}
                 for j, mono in enumerate(basis):
-                    image = self.act(g, ModuleVector(self, {mono: 1}))
-                    for m2, c2 in image.terms.items():
+                    for m2, c2 in self.act_monomial(key, n, mono).items():
                         rows.setdefault(m2, {})[j] = c2
                 echelon.feed(list(rows.values()))
             for vec in echelon.nullspace():
@@ -533,6 +578,19 @@ class VermaModule:
             if p > cap:
                 return None
         return p
+
+
+def vanishes_by_weight(key, s):
+    """True when key (x) t^n is zero on every weight space of offset s, in the
+    module and in its reduced quotient, for every n.
+
+    A root vector x_gamma maps the offset s to s - gamma. Every PBW monomial
+    has an offset with no negative coordinate, since each symbol adds a
+    positive root or nothing; so when s - gamma has a negative coordinate
+    the target weight space is zero, and so is the image. Only positive
+    roots gamma can do this, as s >= 0; Cartan loops keep s and never do.
+    """
+    return key[0] == "x" and any(a < g for a, g in zip(s, key[1]))
 
 
 def _negative_symbol_bracket(fin, s1, s2):

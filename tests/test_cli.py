@@ -3,12 +3,17 @@ determinism, config file and output-directory environment variable."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imverma
 from imverma.affine import AffineAlgebra
 from imverma.cartan import cartan_matrix_of_type
 from imverma.category import ExplicitModule, build_loop_module, sl2_irrep_matrices
@@ -50,9 +55,12 @@ def test_verma_dims_json_format(capsys):
 
 
 @pytest.mark.parametrize("typ, lam, offset, window, rows", [
-    pytest.param("A1", "h1=-1/2", "3", "L=1,N=1,H=3", ["0,0", "1,0"],
+    # three F-factors of degrees in [-1, 1]: (-1, 0, 1), (0, 0, 0) at k = 0
+    # and (-1, -1, 1), (-1, 0, 0) at k = 1
+    pytest.param("A1", "h1=-1/2", "3", "L=3,N=1,H=3", ["0,2", "1,2"],
                  id="A1-offset-3"),
-    pytest.param("A2", "", "1,1", "L=1,N=1,H=2", ["0,1", "1,1"], id="A2-offset-1-1"),
+    # F(a1+a2) with or without one B(i, 1), and F(a1) F(a2)
+    pytest.param("A2", "", "1,1", "L=2,N=1,H=2", ["0,6", "1,5"], id="A2-offset-1-1"),
     # no monomials at a negative coordinate, so the height is not needed
     pytest.param("A2", "", "3,-1", "L=1,N=1,H=1", ["0,0", "1,0"], id="A2-negative"),
 ])
@@ -262,6 +270,28 @@ def test_determinism_byte_identical(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["result"]["status"] == "pass"
+
+
+SEQUENCE = [
+    ("singular", "--type", "A1", "--lambda", "h1=0"),  # --window is required
+    ("singular", "--type", "A2", "--lambda", "h1=1,h2=0", "--window", "L=3,N=2,H=2"),
+    ("category-decompose", "--type", "A1", "--summands", "h1=-1/2|h1=-3/2",
+     "--window", "L=3,N=4,H=1", "--gwindow", "3", "--scramble", "11"),
+    ("verma-dims", "--type", "A2", "--offset", "1,1", "--delta-max", "2"),
+]
+
+
+def test_subcommands_in_one_process_match_fresh_processes(capsys):
+    # main reuses one parser within a process: each run must still give the
+    # bytes and exit code of a fresh process running that argv alone
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(imverma.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    for argv in SEQUENCE:
+        alone = subprocess.run([sys.executable, "-m", "imverma.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (alone.returncode, alone.stdout, alone.stderr)
+        assert code == (2 if argv is SEQUENCE[0] else 0)
 
 
 def test_algebra_twist_loop_degree_zero(capsys):

@@ -6,7 +6,10 @@ the kernels moved to sparse rows. The fractional-lambda singular argvs (the
 W workloads of the roadmap) were recorded before the action layer moved to
 integer straightening coefficients and the singular search to per-operator
 feeding. The verma-dims argvs were recorded before PBW enumeration was made
-to prune degree assignments slot by slot. A refactor that claims unchanged
+to prune degree assignments slot by slot. The central-charge, C2 and
+unreduced A2 singular argvs were recorded before the singular search and the
+explicit tables moved to per-monomial action images and skipped the raising
+operators that vanish by weight. A refactor that claims unchanged
 answers must keep every hash; a change that means to alter a report updates
 its constant and says why."""
 
@@ -65,6 +68,20 @@ PINNED = [
         ("singular", "--type", "A3", "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2",
          "--window", "L=4,N=3,H=3"),
         "f980bc596c47f8bd3afccd094888d51020ca1f99", id="W7-singular-A3"),
+    # lambda(c) != 0, so the central term of the brackets runs
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2,c=1",
+         "--window", "L=3,N=2,H=2"),
+        "a869e062d51eac5d76cb5781c33cbe5a4a42215e", id="singular-full-A1-central"),
+    pytest.param(
+        ("singular", "--type", "C2", "--lambda", "h1=-3/4,h2=1/4",
+         "--window", "L=3,N=3,H=2"),
+        "67b2615432946e966b9d3c7429054cc35baa521e", id="singular-C2"),
+    # the Cartan loops h_{i,l} at rank 2
+    pytest.param(
+        ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3",
+         "--window", "L=3,N=2,H=2"),
+        "80193018fb3c4ae138d96cc777ab33397a4b8293", id="singular-full-A2"),
     pytest.param(
         ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
         "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),

@@ -17,7 +17,7 @@ from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowErr
 from imverma.finite import build_simple_algebra
 from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
                            monomial_offset, parse_weight, parse_window,
-                           symbol_sort_key)
+                           symbol_sort_key, vanishes_by_weight)
 
 from oracles import (brute_basis_monomials, colored_partition_counts,
                      gauss_solve_nullspace, sl2_lowering_string_coefficient)
@@ -267,6 +267,69 @@ def test_bracket_compatibility_property():
             assert (lhs - rhs).is_zero()
 
 
+def hand_act(mod, g, v):
+    """act(g, v) summed by hand from the act_monomial images of g's terms on
+    v's monomials, plus g's c and d parts."""
+    out = {}
+    for mono, cv in v.terms.items():
+        for (key, n), cg in g.terms.items():
+            for m2, c2 in mod.act_monomial(key, n, mono).items():
+                out[m2] = out.get(m2, 0) + cv * cg * c2
+        k, _ = monomial_offset(mono, mod.rank)
+        out[mono] = (out.get(mono, 0) + cv * g.c * mod.lam.c_value
+                     + cv * g.d * (mod.lam.d_value + k))
+    return {m: c for m, c in out.items() if c}
+
+
+def test_act_is_the_sum_of_monomial_images_fraction_coefficients():
+    mod = VermaModule(A2, parse_weight("h1=-1/2,h2=-1/3", 2), reduced=True)
+    a1, a2, theta = (1, 0), (0, 1), (1, 1)
+    v = mod.vector({(("F", a1, -1),): Fraction(2, 3),
+                    (("F", a2, 1), ("F", a1, 0)): Fraction(-5, 7),
+                    (("F", theta, 1),): Fraction(1, 2)})
+    for g in (A2.e(1, 1), A2.e(2, 0), A2.h(1, 2), A2.f(1, -1)):
+        got = mod.act(g, v)
+        assert got.terms == hand_act(mod, g, v)
+        assert not got.is_zero()
+
+
+@pytest.mark.parametrize("reduced, lam_text", [
+    pytest.param(True, "h1=-1/2,d=3", id="reduced"),
+    pytest.param(False, "h1=-1/2,c=1,d=3", id="full-central"),
+])
+def test_act_is_the_sum_of_monomial_images_loop_elements(reduced, lam_text):
+    mod = VermaModule(A1, parse_weight(lam_text, 1), reduced=reduced)
+    alpha = (1,)
+    g = (2 * A1.e(1, 1) + Fraction(1, 3) * A1.h(1, -2) - A1.f(1, 0)
+         + Fraction(5, 2) * A1.c_elem() + 3 * A1.d_elem())
+    assert len(g.terms) == 3 and g.c and g.d
+    v = mod.vector({(("F", alpha, -1),): Fraction(3, 2),
+                    (("F", alpha, -1), ("F", alpha, 2)): -1})
+    got = mod.act(g, v)
+    assert got.terms == hand_act(mod, g, v)
+    assert not got.is_zero()
+    if not reduced:
+        # [e (x) t, f (x) t^-1] = h + c: lambda(h) + lambda(c) on the vacuum
+        assert mod.act(A1.e(1, 1), mod.monomial(("F", alpha, -1))) == \
+            Fraction(1, 2) * mod.vacuum()
+
+
+def test_act_degree_cap_overflow_on_the_summed_images():
+    mod = VermaModule(A1, parse_weight("h1=-1/2", 1), reduced=False)
+    alpha = (1,)
+    g = A1.h(1, 3) + 2 * A1.e(1, -1)
+    v = mod.vector({(("F", alpha, 2),): Fraction(1, 3),
+                    (("B", 1, 1), ("F", alpha, 1), ("F", alpha, 1)): 1})
+    want = hand_act(mod, g, v)
+    worst = max(sym[2] if sym[0] == "B" else abs(sym[2])
+                for mono in want for sym in mono)
+    assert worst == 5
+    with pytest.raises(WindowOverflowError) as exc:
+        mod.act(g, v, degree_cap=worst - 1)
+    assert exc.value.required == worst
+    assert mod.act(g, v, degree_cap=worst).terms == want
+
+
 def test_act_rejects_foreign_contexts():
     mod = VermaModule(A1, LAM_HALF, reduced=True)
     other = aff("A1")
@@ -390,6 +453,29 @@ def test_singular_vectors_match_oracle_over_all_operators(label, lam_text, reduc
     assert any(s != zero for (_, s), _ in want) == below
 
 
+def search_with_calls(mod, offsets, window):
+    """singular_vectors, and the (key, n, mono) of each act_monomial call it
+    makes itself (the recursion inside act_monomial is not counted)."""
+    calls = []
+    inner = mod.act_monomial
+    depth = [0]
+
+    def counted(key, n, mono):
+        if not depth[0]:
+            calls.append((key, n, mono))
+        depth[0] += 1
+        try:
+            return inner(key, n, mono)
+        finally:
+            depth[0] -= 1
+
+    mod.act_monomial = counted
+    try:
+        return mod.singular_vectors(offsets, window), calls
+    finally:
+        del mod.act_monomial
+
+
 def test_singular_search_stops_applying_operators_at_full_rank():
     # most weight spaces reach full column rank before the last raising
     # operator, so fewer actions are computed for the same kernel
@@ -397,13 +483,44 @@ def test_singular_search_stops_applying_operators_at_full_rank():
     window = TruncationWindow(L=3, N=2, H=2)
     offsets = offsets_up_to(1, 2)
     want = all_operator_kernel(mod, offsets, window)
-    calls = []
-    act = mod.act
-    mod.act = lambda g, v, degree_cap=None: calls.append(g) or act(g, v, degree_cap)
-    assert mod.singular_vectors(offsets, window) == want
-    del mod.act
+    found, calls = search_with_calls(mod, offsets, window)
+    assert found == want
     per_operator = sum(len(mod.basis_monomials(off, window)) for off in offsets)
     assert 0 < len(calls) < per_operator * len(mod.annihilator_generators(window))
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2"])
+def test_skipped_raising_operators_are_zero(label, reduced):
+    # e_i (x) t^m maps the offset s to s - alpha_i, which has a negative
+    # coordinate when s_i = 0: the operator kills the whole space, and the
+    # search never applies it there
+    a = aff(label)
+    lam = Weight.make([Fraction(-1, 2 + i) for i in range(a.rank)])
+    mod = VermaModule(a, lam, reduced=reduced)
+    window = TruncationWindow(L=2, N=1, H=2)
+    offsets = offsets_up_to(a.rank, window.H)
+    simple = a.finite.roots.simple_roots
+    skipped = nonzero = 0
+    for _, s in offsets:
+        for mono in mod.basis_monomials((None, s), window):
+            for i in range(1, a.rank + 1):
+                key = ("x", simple[i - 1])
+                assert vanishes_by_weight(key, s) == (s[i - 1] == 0)
+                for m in range(-window.N, window.N + 1):
+                    image = mod.act(a.e(i, m), mod.vector({mono: 1}))
+                    if s[i - 1] == 0:
+                        assert mod.act_monomial(key, m, mono) == {}
+                        assert image.is_zero(), (i, m, mono)
+                        skipped += 1
+                    else:
+                        nonzero += not image.is_zero()
+    assert skipped and nonzero
+    found, calls = search_with_calls(mod, offsets, window)
+    assert calls
+    assert not any(vanishes_by_weight(key, monomial_offset(mono, a.rank)[1])
+                   for key, _, mono in calls)
+    assert found == all_operator_kernel(mod, offsets, window)
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "D4"])
@@ -427,14 +544,15 @@ def test_straightening_coefficients_are_int_away_from_lambda():
     for mono in monos:
         for key in keys:
             for n in (-2, -1, 1, 2):
-                image = mod._act_key(key, n, mono)
+                image = mod.act_monomial(key, n, mono)
                 assert all(type(c) is int for c in image.values()), (key, n, mono)
                 seen += len(image)
         image = mod.act(A2.f(1, 1), mod.vector({mono: 1}))
         assert all(type(c) is int for c in image.terms.values())
     assert seen > 100
     alpha1 = A2.finite.roots.simple_roots[0]
-    assert mod._act_key(("x", alpha1), -1, (("F", alpha1, 1),)) == {(): Fraction(-1, 2)}
+    assert mod.act_monomial(("x", alpha1), -1, (("F", alpha1, 1),)) == \
+        {(): Fraction(-1, 2)}
 
 
 def test_unreduced_smoke_nonzero_central_charge():
