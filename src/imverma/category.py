@@ -15,7 +15,8 @@ convert between a block and its rows, and coordinate vectors (torsion and
 torsion-free bases) are kept as such rows.
 
 One map holds the action: defined = {gkey: {source weight index: block}}. A
-present key is a defined pair, and {} is a defined zero action. The target
+present key is a defined pair, and {} is a defined zero action; table() reads
+one pair as (block, target index, target dim), or None if undefined. The target
 weight index of each pair is derived once, when the module is built, from the
 weights alone (_targets): x_gamma (x) t^n moves the (h, c) part of a weight by
 gamma and its d value by n, so each (h, c) class is shifted once per root and
@@ -31,12 +32,15 @@ Heisenberg images arriving from neighboring weight spaces.
 
 The decomposition pipeline: torsion basis -> iterated e_{i,0}-power extraction
 of vectors annihilated by every windowed e_{j,n} -> summand weights -> exact
-dimension audit against windowed reduced Verma dimensions on every stored
-weight space. Audit failures are errors, never silently accepted.
+dimension audit: the summands' windowed reduced Verma spaces (windowed_spaces,
+the map that also builds a reduced Verma store) must fill every stored weight
+space exactly and no other weight. Audit failures are errors, never silently
+accepted.
 """
 
 import random
 import re
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -207,25 +211,16 @@ class ExplicitModule:
     def generator_keys(self):
         return sorted(self.defined, key=lambda gk: (gk[1], str(gk[0])))
 
-    def heisenberg_keys(self, gwindow):
-        out = []
-        for l in range(-gwindow, gwindow + 1):
-            if l == 0:
-                continue
-            for i in range(1, self.algebra.rank + 1):
-                out.append((("h", i), l))
-        return out
-
     # -- action ------------------------------------------------------------------
 
-    def block(self, gkey, src_widx):
-        """(sparse block, target index, target dim), or raise if undefined."""
-        mat = self.defined.get(gkey, {}).get(src_widx)
-        if mat is None:
-            raise UndefinedActionError(
-                f"{gen_name(self.algebra, *gkey)} undefined at weight index {src_widx}")
-        tgt = self.target_index(gkey, src_widx)
-        return mat, tgt, self.dim(tgt) if tgt is not None else 0
+    def table(self, gkey, src_widx):
+        """(sparse block, target index, target dim) of a stored (generator,
+        source) pair, or None where the pair is undefined."""
+        per_src = self.defined.get(gkey)
+        if per_src is None or src_widx not in per_src:
+            return None
+        tgt = self.targets[gkey][src_widx]
+        return per_src[src_widx], tgt, 0 if tgt is None else len(self.labels[tgt])
 
     def apply(self, gkey, vec):
         """Apply a generator to {(widx, i): coeff}; exact or raises."""
@@ -235,23 +230,14 @@ class ExplicitModule:
             for (widx, i), cv in vec.items():
                 add_scaled(out, {(widx, i): cv}, self.weights[widx].h_values[val - 1])
             return out
-        per_src = self.defined.get(gkey, {})
         for (widx, i), cv in vec.items():
-            block = per_src.get(widx)
-            if block is None:
+            entry = self.table(gkey, widx)
+            if entry is None:
                 raise UndefinedActionError(
                     f"{gen_name(self.algebra, *gkey)} undefined at weight index {widx}")
-            tgt = self.target_index(gkey, widx)
+            block, tgt, _ = entry
             column = {(tgt, r): v for (r, c), v in block.items() if c == i and v}
             add_scaled(out, column, cv)
-        return out
-
-    def apply_d(self, vec):
-        out = {}
-        for (widx, i), cv in vec.items():
-            s = self.weights[widx].d_value * cv
-            if s:
-                out[(widx, i)] = s
         return out
 
     # -- constructors ----------------------------------------------------------
@@ -268,33 +254,18 @@ class ExplicitModule:
         vanishes_by_weight is a defined zero without acting.
         """
         mod = VermaModule(algebra, lam, reduced=True)
-        mono_index = {}
-        offsets = []
-        for s in _nonneg_vectors(algebra.rank, height):
-            for k in range(-kmax, kmax + 1):
-                basis = mod.basis_monomials((k, s), window)
-                if basis:
-                    offsets.append(((k, s), basis))
-        weights = []
-        labels = []
-        off_index = {}
-        for (k, s), basis in offsets:
-            w = mod.weight_of_offset((k, s))
-            widx = len(weights)
-            off_index[(k, s)] = widx
-            weights.append(w)
-            labels.append([monomial_name(m) for m in basis])
-            for j, m in enumerate(basis):
-                mono_index[m] = (widx, j)
+        spaces = list(windowed_spaces(mod, height, kmax, window))
+        off_index = {off: widx for widx, (off, _, _) in enumerate(spaces)}
+        mono_index = {m: (widx, j) for widx, (_, _, basis) in enumerate(spaces)
+                      for j, m in enumerate(basis)}
+        weights = [w for _, w, _ in spaces]
+        labels = [[monomial_name(m) for m in basis] for _, _, basis in spaces]
         defined = {}
-        gkeys = [(key, n) for key in algebra.finite.basis
-                 for n in range(-loop_window, loop_window + 1)
-                 if not (key[0] == "h" and n == 0)]
-        for gkey in gkeys:
+        for gkey in loop_keys(algebra, loop_window):
             key, n = gkey
             per_src = defined[gkey] = {}
             shift_s = key[1] if key[0] == "x" else (0,) * algebra.rank
-            for widx, ((k, s), basis) in enumerate(offsets):
+            for widx, ((k, s), _, basis) in enumerate(spaces):
                 if vanishes_by_weight(key, s):
                     per_src[widx] = {}
                     continue
@@ -347,13 +318,13 @@ class ExplicitModule:
         for gk in dict.fromkeys(gk for m in summands for gk in m.defined):
             per_src = defined[gk] = {}
             for gi, carried in enumerate(carriers):
-                if not all(li in m.defined.get(gk, ()) for _, m, li in carried):
+                tables = [m.table(gk, li) for _, m, li in carried]
+                if None in tables:
                     continue
                 entries = per_src[gi] = {}
-                for si, m, li in carried:
-                    mat = m.defined[gk][li]
+                for (si, _, li), (mat, tgt, _) in zip(carried, tables):
                     if mat:
-                        roff = shift[si][m.target_index(gk, li)][1]
+                        roff = shift[si][tgt][1]
                         coff = shift[si][li][1]
                         for (r, c), v in mat.items():
                             entries[(r + roff, c + coff)] = v
@@ -530,8 +501,6 @@ class ExplicitModule:
                         rhs = self.apply(g2, self.apply(g1, vec))
                         for (key, n), cv in b.terms.items():
                             add_scaled(rhs, self.apply((key, n), vec), cv)
-                        if b.d:
-                            add_scaled(rhs, self.apply_d(vec), b.d)
                         if b.c and self.weights[widx].c_value:
                             add_scaled(rhs, {(widx, j): self.weights[widx].c_value}, b.c)
                     except UndefinedActionError:
@@ -543,6 +512,52 @@ class ExplicitModule:
                                      gen_name(self.algebra, *g2)],
                             "weight_index": widx, "basis_index": j})
         return checked, failures
+
+
+# -- generator families and windowed spaces -------------------------------------------
+
+
+def loop_keys(algebra: AffineAlgebra, window):
+    """The stored loop generators key (x) t^n, |n| <= window: every finite basis
+    key at every degree except h_i (x) t^0, which acts from the weights."""
+    return [(key, n) for key in algebra.finite.basis
+            for n in range(-window, window + 1)
+            if not (key[0] == "h" and n == 0)]
+
+
+def raising_keys(algebra: AffineAlgebra, degrees):
+    """e_i (x) t^n for each simple root, then each degree n."""
+    return [(("x", simple), n) for simple in algebra.finite.roots.simple_roots
+            for n in degrees]
+
+
+def heisenberg_keys(algebra: AffineAlgebra, gwindow):
+    """h_i (x) t^l for 0 < |l| <= gwindow, ordered by l, then i."""
+    return [(("h", i), l) for l in range(-gwindow, gwindow + 1) if l
+            for i in range(1, algebra.rank + 1)]
+
+
+def _nilpotency(module, gkey, vec, cap):
+    """The least p <= cap + 1 with gkey^p vec = 0, or None; gkey is applied
+    at most cap + 1 times."""
+    p = 0
+    while vec:
+        if p > cap:
+            return None
+        vec = module.apply(gkey, vec)
+        p += 1
+    return p
+
+
+def windowed_spaces(verma: VermaModule, height, kmax, window: TruncationWindow):
+    """((k, s), weight, PBW basis) of each nonzero windowed weight space
+    lambda + k delta - s of a Verma module, ht(s) <= height and |k| <= kmax,
+    in order of s (lexicographic), then k."""
+    for s in _nonneg_vectors(verma.rank, height):
+        for k in range(-kmax, kmax + 1):
+            basis = verma.basis_monomials((k, s), window)
+            if basis:
+                yield (k, s), verma.weight_of_offset((k, s)), basis
 
 
 def _nonneg_vectors(rank_, total_max):
@@ -632,10 +647,8 @@ def heisenberg_slice(algebra: AffineAlgebra, gwindow: int):
     dimension per k is the rank.
     """
     out = {"c": algebra.c_elem(), "slices": {}}
-    for k in range(-gwindow, gwindow + 1):
-        if k == 0:
-            continue
-        out["slices"][k] = [algebra.h(i, k) for i in range(1, algebra.rank + 1)]
+    for (_, i), k in heisenberg_keys(algebra, gwindow):
+        out["slices"].setdefault(k, []).append(algebra.h(i, k))
     return out
 
 
@@ -683,12 +696,13 @@ def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
               for w in keep]
     pivots = {w: rref(split.torsion_free[w], module.dim(w))[1] for w in keep}
     defined = {}
-    for gk in module.heisenberg_keys(split.gwindow):
+    for gk in heisenberg_keys(module.algebra, split.gwindow):
         per_src = defined[gk] = {}
         for src in keep:
-            if src not in module.defined.get(gk, ()):
+            entry = module.table(gk, src)
+            if entry is None:
                 continue
-            mat, tgt, ntgt = module.block(gk, src)
+            mat, tgt, _ = entry
             if tgt not in new_of_old:
                 # a zero image is exact; anything else leaves the slice
                 if not any(mat.values()):
@@ -721,11 +735,12 @@ def g_kernel_raw(module: ExplicitModule, widx, gwindow):
     n = module.dim(widx)
     rows = []
     used = 0
-    for gk in module.heisenberg_keys(gwindow):
-        if widx not in module.defined.get(gk, ()):
+    for gk in heisenberg_keys(module.algebra, gwindow):
+        entry = module.table(gk, widx)
+        if entry is None:
             continue
         used += 1
-        mat, _, ntgt = module.block(gk, widx)
+        mat, _, ntgt = entry
         rows.extend(_rows(mat, ntgt))
     return nullspace(rows, n) if used else None, used
 
@@ -743,8 +758,6 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
     outside h*_red are excluded (axiom (1) already fails there).
     """
     split = GCompatibleSplit(module, gwindow)
-    any_gen = False
-    saw_admissible = False
     admissible = []
     for widx, w in enumerate(module.weights):
         if module.dim(widx) == 0:
@@ -752,26 +765,23 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
         if not w.is_reduced_admissible():
             split.excluded.append(widx)
             continue
-        saw_admissible = True
         kernel, used = g_kernel_raw(module, widx, gwindow)
         if kernel is None:
             split.unchecked.append(widx)
             continue
         admissible.append(widx)
-        any_gen = True
         if kernel:
             split.torsion[widx] = kernel
-    if saw_admissible and not any_gen:
+    if split.unchecked and not admissible:
         raise ModuleDataError(
             "window too small: no Heisenberg generator is evaluable on any "
             "admissible weight space")
     # TF per space: span of all arriving Heisenberg images
-    gkeys = module.heisenberg_keys(gwindow)
     arrivals = {widx: [] for widx in admissible}
-    for gk in gkeys:
+    for gk in heisenberg_keys(module.algebra, gwindow):
         for src in module.defined.get(gk, ()):
-            mat, tgt, ntgt = module.block(gk, src)
-            if tgt is None or tgt not in arrivals:
+            mat, tgt, _ = module.table(gk, src)
+            if tgt not in arrivals:
                 continue
             columns = {(c, r): v for (r, c), v in mat.items()}
             arrivals[tgt].extend(vec for vec in _rows(columns, module.dim(src)) if vec)
@@ -795,6 +805,7 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
 def _check_axioms(split: GCompatibleSplit):
     module = split.module
     gwindow = split.gwindow
+    hkeys = heisenberg_keys(module.algebra, gwindow)
     t_dim = split.torsion_dim()
     tf_dim = sum(len(v) for v in split.torsion_free.values())
     split.verdicts["i"] = {
@@ -808,12 +819,12 @@ def _check_axioms(split: GCompatibleSplit):
     iv_fail = []
     iv_skip = 0
     for widx, rows in split.torsion.items():
-        for gk in module.heisenberg_keys(gwindow):
-            if widx not in module.defined.get(gk, ()):
+        for gk in hkeys:
+            entry = module.table(gk, widx)
+            if entry is None:
                 iv_skip += 1
                 continue
-            mat, _, ntgt = module.block(gk, widx)
-            for img in _images(mat, rows):
+            for img in _images(entry[0], rows):
                 if img:
                     iv_fail.append({"generator": gen_name(module.algebra, *gk),
                                     "weight_index": widx})
@@ -825,22 +836,20 @@ def _check_axioms(split: GCompatibleSplit):
     checked = 0
     skipped = 0
     for widx, tf_rows in split.torsion_free.items():
-        for gk in module.heisenberg_keys(gwindow):
-            if widx not in module.defined.get(gk, ()):
+        for gk in hkeys:
+            entry = module.table(gk, widx)
+            if entry is None:
                 skipped += 1
                 continue
-            mat, tgt, ntgt = module.block(gk, widx)
+            mat, tgt, ntgt = entry
             images = _images(mat, tf_rows)
             checked += 1
-            if rank(images, ntgt) != len(tf_rows):
+            base = rank(images, ntgt)
+            if base != len(tf_rows):
                 inj_fail.append({"generator": gen_name(module.algebra, *gk),
                                  "weight_index": widx})
-            reverse = (gk[0], -gk[1])
-            tgt_inside = (tgt is not None
-                          and tgt in module.defined.get(reverse, ()))
-            if tgt_inside:
+            if module.table((gk[0], -gk[1]), tgt) is not None:
                 tgt_tf = split.torsion_free.get(tgt, [])
-                base = rank(images, ntgt)
                 if rank(images + tgt_tf, ntgt) != base or base != len(tgt_tf):
                     surj_fail.append({"generator": gen_name(module.algebra, *gk),
                                       "weight_index": widx})
@@ -858,13 +867,15 @@ def _check_axioms(split: GCompatibleSplit):
     annihilators = {w: nullspace(split.torsion_free.get(w, []), module.dim(w))
                     for w in range(len(module.weights)) if w not in outside}
     iii_candidates = []
+    gkeys = module.generator_keys()
     for widx, tf_rows in split.torsion_free.items():
         n = module.dim(widx)
         escape_rows = []
-        for gk in module.generator_keys():
-            if widx not in module.defined.get(gk, ()):
+        for gk in gkeys:
+            entry = module.table(gk, widx)
+            if entry is None:
                 continue
-            mat, tgt, ntgt = module.block(gk, widx)
+            mat, tgt, ntgt = entry
             if tgt is None:
                 continue
             if tgt in outside:
@@ -985,13 +996,11 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
             widx = windex[w]
             locs[(j, l)] = (widx, len(labels[widx]))
             labels[widx].append(f"m{j}@t^{l}")
-    gkeys = [(key, nn) for key in fin.basis
-             for nn in range(-degree_window, degree_window + 1)
-             if not (key[0] == "h" and nn == 0)]
-    defined = {gk: {} for gk in gkeys}
-    for gk in gkeys:
+    defined = {}
+    for gk in loop_keys(algebra, degree_window):
         key, nn = gk
         mat = mats[key]
+        per_src = defined[gk] = {}
         for widx, w in enumerate(weights):
             l = int(w.d_value)
             if abs(l + nn) > degree_window:
@@ -1003,7 +1012,7 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
                 for (r, c), v in mat.items():
                     if c == j:
                         entries[(locs[(r, lj + nn)][1], cj)] = v
-            defined[gk][widx] = entries
+            per_src[widx] = entries
     return ExplicitModule(algebra, weights, labels, defined,
                           provenance="loop-module", loop_window=degree_window,
                           meta={"kind": "loop-module", "finite_dim": dim,
@@ -1038,28 +1047,23 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
     fails = []
     inconclusive = 0
     checked = 0
-    for i in range(1, module.algebra.rank + 1):
-        simple = module.algebra.finite.roots.simple_roots[i - 1]
-        for nn in range(-gwindow, gwindow + 1):
-            gk = (("x", simple), nn)
-            if gk not in module.defined:
-                continue
-            for widx in range(len(module.weights)):
-                for j in range(module.dim(widx)):
-                    vec = {(widx, j): Fraction(1)}
-                    steps = 0
-                    try:
-                        while vec and steps <= nilpotency_cap:
-                            vec = module.apply(gk, vec)
-                            steps += 1
-                        if vec:
-                            fails.append({"generator": gen_name(module.algebra, *gk),
-                                          "weight_index": widx, "basis_index": j,
-                                          "cap": nilpotency_cap})
-                        else:
-                            checked += 1
-                    except UndefinedActionError:
-                        inconclusive += 1
+    for gk in raising_keys(module.algebra, range(-gwindow, gwindow + 1)):
+        if gk not in module.defined:
+            continue
+        for widx in range(len(module.weights)):
+            for j in range(module.dim(widx)):
+                try:
+                    p = _nilpotency(module, gk, {(widx, j): Fraction(1)},
+                                    nilpotency_cap)
+                except UndefinedActionError:
+                    inconclusive += 1
+                    continue
+                if p is None:
+                    fails.append({"generator": gen_name(module.algebra, *gk),
+                                  "weight_index": widx, "basis_index": j,
+                                  "cap": nilpotency_cap})
+                else:
+                    checked += 1
     report["axioms"]["2"] = {"passed": not fails, "violations": fails,
                              "checked": checked, "inconclusive": inconclusive,
                              "cap": nilpotency_cap}
@@ -1086,7 +1090,7 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
 
 
 def _vec_is_torsion(module, vec, gwindow):
-    for gk in module.heisenberg_keys(gwindow):
+    for gk in heisenberg_keys(module.algebra, gwindow):
         try:
             if module.apply(gk, vec):
                 return False
@@ -1111,17 +1115,13 @@ def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
         raise ModuleDataError("not torsion: some Heisenberg generator acts "
                               "nontrivially on the input vector")
     alg = module.algebra
-    e_keys = [(("x", alg.finite.roots.simple_roots[i - 1]), 0)
-              for i in range(1, alg.rank + 1)]
+    e_keys = raising_keys(alg, (0,))
 
     def nilp(v, gk):
-        p = 0
-        w = v
-        while w:
-            w = module.apply(gk, w)
-            p += 1
-            if p > cap:
-                raise ModuleDataError(f"nilpotency cap {cap} exceeded during extraction")
+        # extraction needs p <= cap; _nilpotency may report p = cap + 1
+        p = _nilpotency(module, gk, v, cap)
+        if p is None or p > cap:
+            raise ModuleDataError(f"nilpotency cap {cap} exceeded during extraction")
         return p
 
     frontier = [vec]
@@ -1149,17 +1149,14 @@ def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
         raise ModuleDataError(f"extraction did not stabilize within {cap} rounds")
     # verify annihilation at every windowed loop degree, wherever defined
     verified = 0
-    for i in range(1, alg.rank + 1):
-        simple = alg.finite.roots.simple_roots[i - 1]
-        for nn in range(-gwindow, gwindow + 1):
-            gk = (("x", simple), nn)
-            try:
-                if module.apply(gk, out):
-                    raise ModuleDataError(
-                        f"extracted vector not annihilated by {gen_name(alg, *gk)}")
-                verified += 1
-            except UndefinedActionError:
-                continue
+    for gk in raising_keys(alg, range(-gwindow, gwindow + 1)):
+        try:
+            if module.apply(gk, out):
+                raise ModuleDataError(
+                    f"extracted vector not annihilated by {gen_name(alg, *gk)}")
+            verified += 1
+        except UndefinedActionError:
+            continue
     widxs = {k[0] for k in out}
     if len(widxs) != 1:
         raise ModuleDataError("extracted vector is not weight-homogeneous")
@@ -1174,7 +1171,8 @@ def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
     vector is pushed to a fully annihilated vector, and the multiset of their
     weights is audited: on every stored weight space the stored dimension must
     equal the sum of windowed reduced Verma dimensions of the claimed
-    summands. Audit failure raises AuditError.
+    summands, and no summand space may lie outside the store. Audit failure
+    raises AuditError.
     """
     report = check_category_membership(module, gwindow)
     if not report["passed"]:
@@ -1191,33 +1189,29 @@ def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
 
 
 def audit_decomposition(module: ExplicitModule, summand_weights):
-    """Exact windowed dimension audit of a claimed decomposition."""
+    """Exact windowed dimension audit of a claimed decomposition.
+
+    Each claimed summand's windowed weight spaces (windowed_spaces, with the
+    bounds of the module's build) are added forward onto their weights. Every
+    stored weight space must match its sum, and a summand space of nonzero
+    dimension at a weight the module does not store is a mismatch too.
+    """
     meta = module.meta
     if not meta or "window" not in meta:
         raise AuditError("module carries no window metadata; cannot audit "
                          "against windowed reduced Verma dimensions")
     window, height, kmax = _audit_bounds(meta)
-    mismatches = []
-    per_weight = []
-    modules = {}
-    for nu_idx, nu in enumerate(module.weights):
-        expected = 0
-        for lam in summand_weights:
-            off = _offset_between(module.algebra, lam, nu)
-            if off is None:
-                continue
-            k, s = off
-            if sum(s) > height or abs(k) > kmax:
-                continue
-            key = (lam.h_values, lam.c_value, lam.d_value)
-            if key not in modules:
-                modules[key] = VermaModule(module.algebra, lam, reduced=True)
-            expected += modules[key].weight_dim((k, s), window)
-        got = module.dim(nu_idx)
-        per_weight.append({"weight_index": nu_idx, "expected": expected,
-                           "stored": got})
-        if expected != got:
-            mismatches.append(per_weight[-1])
+    expected = {}
+    for lam, mult in Counter(summand_weights).items():
+        verma = VermaModule(module.algebra, lam, reduced=True)
+        for _, w, basis in windowed_spaces(verma, height, kmax, window):
+            expected[w] = expected.get(w, 0) + mult * len(basis)
+    per_weight = [{"weight_index": nu_idx, "expected": expected.pop(nu, 0),
+                   "stored": module.dim(nu_idx)}
+                  for nu_idx, nu in enumerate(module.weights)]
+    mismatches = [row for row in per_weight if row["expected"] != row["stored"]]
+    mismatches += [{"weight": repr(w), "expected": n, "stored": 0}
+                   for w, n in expected.items()]
     if mismatches:
         raise AuditError(f"decomposition audit failed on {len(mismatches)} "
                          f"weight spaces: {mismatches[:5]}")
@@ -1230,24 +1224,3 @@ def _audit_bounds(meta):
     w = meta["window"]
     return (TruncationWindow(int(w["L"]), int(w["N"]), int(w["H"])),
             int(meta["height"]), int(meta["kmax"]))
-
-
-def _offset_between(algebra: AffineAlgebra, lam: Weight, nu: Weight):
-    """(k, s) with nu = lam + k delta - sum s_i alpha_i, or None."""
-    if nu.c_value != lam.c_value:
-        return None
-    k = nu.d_value - lam.d_value
-    if k.denominator != 1:
-        return None
-    diff = [lam.h_values[i] - nu.h_values[i] for i in range(algebra.rank)]
-    # solve sum_j s_j a_{ij} = diff_i
-    a = algebra.finite.cartan
-    n = algebra.rank
-    aug = [{j: a[i, j] for j in range(n) if a[i, j]} | {n: diff[i]} for i in range(n)]
-    ech, pivots = rref(aug, n + 1)
-    if pivots != list(range(n)):
-        return None
-    s = [row.get(n, 0) for row in ech]
-    if any(x.denominator != 1 or x < 0 for x in s):
-        return None
-    return (int(k), tuple(int(x) for x in s))

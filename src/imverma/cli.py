@@ -26,8 +26,8 @@ from imverma.category import (GEN_NAME, ExplicitModule, _nonneg_vectors,
                               sl2_irrep_matrices, torsion_decompose)
 from imverma.errors import CartanMatrixError, ImvermaError, ModuleDataError
 from imverma.finite import build_simple_algebra, diagram_automorphism
-from imverma.verma import (TruncationWindow, VermaModule, monomial_name, parse_weight,
-                           parse_window, symbol_sort_key)
+from imverma.verma import (TruncationWindow, VermaModule, _monomial_sort_key,
+                           monomial_name, parse_weight, parse_window, symbol_sort_key)
 
 SCHEMA_VERSION = "1"
 
@@ -271,7 +271,7 @@ def _cmd_verma_act(args):
         "generator": args.gen,
         "input": monomial_name(tuple(sorted(symbols, key=symbol_sort_key))),
         "image": {monomial_name(m): str(c) for m, c in sorted(
-            image.terms.items(), key=lambda kv: tuple(symbol_sort_key(s) for s in kv[0]))},
+            image.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))},
         "flags": list(mod.flags),
     }
     cfg = _config_dict(args, ["type", "matrix_file", "lam", "reduced", "gen",
@@ -297,8 +297,7 @@ def _cmd_singular(args):
         "singular_vectors": [
             {"offset": {"delta": k, "finite": list(s)},
              "vector": {monomial_name(m): str(c) for m, c in sorted(
-                 v.terms.items(),
-                 key=lambda kv: tuple(symbol_sort_key(x) for x in kv[0]))}}
+                 v.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))}}
             for (k, s), v in found
         ],
     }

@@ -423,11 +423,7 @@ class VermaModule:
                 add_scaled(out, self._prepend(head, m2), c2)
             br = _negative_symbol_bracket(self.algebra.finite, sym, head)
             if br is not None:
-                sym2, coeff = br
-                if sym2[0] == "B" and self.reduced:
-                    pass  # h_i (x) t^{l}, l != 0 is zero in the reduced quotient
-                else:
-                    add_scaled(out, self._prepend(sym2, rest), coeff)
+                add_scaled(out, self._prepend(br[0], rest), br[1])
         self._prepend_cache[ck] = out
         return out
 

@@ -217,6 +217,43 @@ def test_invariant_subspace_candidate_independent_of_kernel_basis():
         {"weight_index": 0}, {"weight_index": 1}, {"weight_index": 3}]
 
 
+def _a1_line_module(actions, defined, ds=("0", "1", "2")):
+    """A1 module with one vector at h1 = -1/2 for each d in ds; the global
+    basis index of that vector is its weight index."""
+    return ExplicitModule.from_json_dict({
+        "algebra": {"label": "A1"},
+        "weights": [{"h": ["-1/2"], "c": "0", "d": d} for d in ds],
+        "basis": [{"label": f"v{d}", "weight": i} for i, d in enumerate(ds)],
+        "actions": actions, "defined": defined,
+    })
+
+
+def test_split_reports_heisenberg_generator_killing_tf():
+    # v1 arrives from both sides, so TF = <v1> at d = 1, but h1@1 kills it
+    em = _a1_line_module({"h1@1": [[1, 0, "1"]],
+                          "h1@-1": [[0, 1, "1"], [1, 2, "1"]]},
+                         {"h1@1": [0, 1], "h1@-1": [1, 2]})
+    split = torsion_decompose(em, 1)
+    assert split.torsion_free == {0: [{0: 1}], 1: [{0: 1}]}
+    assert split.verdicts["ii"]["injectivity_violations"] == [
+        {"generator": "h1@1", "weight_index": 1}]
+    assert not split.passed()
+
+
+def test_split_rejects_torsion_meeting_arrivals():
+    # every Heisenberg table kills v1, and h1@1 also carries v0 onto it
+    em = _a1_line_module({"h1@1": [[1, 0, "1"]]},
+                         {"h1@1": [0, 1], "h1@-1": [1]}, ds=("0", "1"))
+    with pytest.raises(ModuleDataError, match="split is not direct"):
+        torsion_decompose(em, 1)
+
+
+def test_split_rejects_window_without_heisenberg_tables():
+    em = _a1_line_module({}, {"e1@0": [0]}, ds=("0",))
+    with pytest.raises(ModuleDataError, match="window too small"):
+        torsion_decompose(em, 1)
+
+
 # -- membership --------------------------------------------------------------------
 
 
@@ -284,6 +321,31 @@ def test_bad_generator_matrices_rejected():
         build_loop_module(A1, nondiag, 2, 2)
     with pytest.raises(ModuleDataError, match="missing generator"):
         build_loop_module(A1, {"e1": mats["e1"]}, 2, 2)
+
+
+def a2_standard_matrices():
+    """e_i = E_{i,i+1}, f_i = E_{i+1,i}, h_i = E_{ii} - E_{i+1,i+1} on C^3."""
+    def unit(*entries):
+        m = [[Fraction(0)] * 3 for _ in range(3)]
+        for r, c, v in entries:
+            m[r][c] = Fraction(v)
+        return m
+    return {"e1": unit((0, 1, 1)), "e2": unit((1, 2, 1)),
+            "f1": unit((1, 0, 1)), "f2": unit((2, 1, 1)),
+            "h1": unit((0, 0, 1), (1, 1, -1)), "h2": unit((1, 1, 1), (2, 2, -1))}
+
+
+def test_loop_module_a2_standard_representation():
+    # x_{+-(alpha1+alpha2)} are derived from the simple root matrices
+    lm = build_loop_module(A2, a2_standard_matrices(), 3, 1)
+    assert lm.total_dim == 9
+    assert (("x", (1, 1)), 1) in lm.defined and (("x", (-1, -1)), 0) in lm.defined
+    checked, failures = lm.check_bracket_compatibility()
+    assert checked and failures == []
+    flipped = a2_standard_matrices()
+    flipped["f2"][2][1] = Fraction(-1)
+    with pytest.raises(ModuleDataError, match="violate the bracket table"):
+        build_loop_module(A2, flipped, 3, 1)
 
 
 # -- extraction ----------------------------------------------------------------------
@@ -401,6 +463,17 @@ def test_audit_fails_on_wrong_claim():
         audit_decomposition(em, [wrong])
     with pytest.raises(AuditError, match="audit failed"):
         audit_decomposition(em, [em.weights[0], em.weights[0]])
+
+
+def test_audit_fails_on_summand_space_the_module_does_not_store():
+    # each extra summand has nonzero windowed dimensions only at weights the
+    # module does not store, so its claim cannot match
+    em = verma_a1()
+    for extra in (parse_weight("h1=-1/3", 1),
+                  Weight(LAM.h_values, LAM.c_value, LAM.d_value + 100)):
+        with pytest.raises(AuditError, match="audit failed"):
+            audit_decomposition(em, [LAM, extra])
+    assert audit_decomposition(em, [LAM])["passed"]
 
 
 def test_audit_requires_window_metadata():

@@ -239,6 +239,31 @@ def test_unreadable_audit_meta_is_one_line(tmp_path, capsys, edit):
         assert str(path) in err and "'meta'" in err
 
 
+def test_audit_meta_height_above_window_is_one_line(tmp_path, capsys):
+    # the audit cannot lay out summand spaces above the window's H
+    path = _reduced_verma_file(tmp_path, lambda meta: meta.update(height=3))
+    code, out, err = run(capsys, "category-decompose", "--module", str(path))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "exceeds window H=1" in err
+
+
+def test_check_reports_nilpotency_cap_violations(tmp_path, capsys):
+    mod_file = tmp_path / "loop.json"
+    code, _, _ = run(capsys, "loopmod", "--type", "A1", "--dim", "3",
+                     "--loop-degree", "1", "--out", str(mod_file))
+    assert code == 0
+    for cap, violations in (("1", 5), ("16", 0)):
+        code, out, _ = run(capsys, "category-check", "--module", str(mod_file),
+                           "--gwindow", "1", "--nilpotency-cap", cap)
+        assert code == 0
+        axiom = json.loads(out)["result"]["axioms"]["2"]
+        assert len(axiom["violations"]) == violations
+        assert axiom["passed"] == (violations == 0)
+
+
 def test_verma_act_non_simple_root_monomial(capsys):
     # the comma inside F[1,1] belongs to the root, not to the symbol list
     code, out, _ = run(capsys, "verma-act", "--type", "A2",

@@ -9,7 +9,9 @@ feeding. The verma-dims argvs were recorded before PBW enumeration was made
 to prune degree assignments slot by slot. The central-charge, C2 and
 unreduced A2 singular argvs were recorded before the singular search and the
 explicit tables moved to per-monomial action images and skipped the raising
-operators that vanish by weight. A refactor that claims unchanged
+operators that vanish by weight. The three-summand decompose argvs, in which
+two summands share a weight space, were recorded before the category layer
+moved to one table accessor and one windowed-space map. A refactor that claims unchanged
 answers must keep every hash; a change that means to alter a report updates
 its constant and says why."""
 
@@ -24,6 +26,19 @@ PINNED = [
         ("category-decompose", "--type", "A1", "--summands", "h1=-1/2|h1=-3/2",
          "--window", "L=3,N=4,H=1", "--gwindow", "3", "--scramble", "11"),
         "7bd3b6d673c0ea8de5b597166e075b7b16b407a8", id="W3-decompose-A1"),
+    # three summands, two of them sharing a weight space
+    pytest.param(
+        ("category-decompose", "--type", "A2",
+         "--summands", "h1=1/4,h2=-7/4|h1=-3/4,h2=-7/4|h1=-7/4,h2=-3/4",
+         "--window", "L=3,N=4,H=1", "--kmax", "4", "--gwindow", "3",
+         "--scramble", "7"),
+        "b945be5f4fd2f5bf619fb7175544f64e11472029", id="decompose-A2-three"),
+    pytest.param(
+        ("category-decompose", "--type", "A1",
+         "--summands", "h1=-3/4|h1=-7/4|h1=-19/4",
+         "--window", "L=4,N=5,H=1", "--kmax", "5", "--gwindow", "4",
+         "--scramble", "7"),
+        "7b0dc4597a7209ca09a9f966e7900e687e8f6cb3", id="decompose-A1-three"),
     pytest.param(
         ("category-check", "--type", "A2",
          "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
