@@ -17,9 +17,24 @@ echelon form, nor the nullspace. A caller that builds its rows in batches,
 such as the singular-vector search (one batch per raising operator), can stop
 building them there.
 
-The reduced row echelon form is unique, so every result is the same value any
-exact elimination gives; the nullspace basis is the standard free-column
-construction read off it, ordered by free column index.
+Elimination order, chosen to cut fill-in (in the spirit of Markowitz,
+Management Sci. 3 (1957), and of structured Gaussian elimination,
+LaMacchia-Odlyzko 1990):
+
+- feed order: each batch's rows are eliminated fewest nonzeros first (a
+  stable sort, so equal lengths keep their batch order);
+- pivot rule: a row is reduced at its highest column, so a stored row's pivot
+  is its largest column;
+- read-out: a full echelon's reduced row echelon form is the identity and its
+  nullspace is empty, so neither eliminates anything. A rank-deficient one
+  first eliminates its stored rows again at their lowest column (the
+  canonical pass), then back-substitutes.
+
+Rank does not depend on the order, so the full-rank stop holds under any
+order, and the reduced row echelon form of a row space is unique, so every
+result is the same value, byte for byte, that any exact elimination gives;
+the nullspace basis is the standard free-column construction read off it,
+ordered by free column index.
 """
 
 from fractions import Fraction
@@ -53,10 +68,22 @@ def _eliminate(r, p, c):
     return _without_content(out)
 
 
+def _insert(pivots, r, lead):
+    """Reduce r at its lead column (max or min) until it is zero or its lead
+    column has no pivot row, where it is stored."""
+    while r:
+        c = lead(r)
+        p = pivots.get(c)
+        if p is None:
+            pivots[c] = r
+            return
+        r = _eliminate(r, p, c)
+
+
 def _back_substitute(pivots):
     """Clear every pivot row in the other pivot columns, largest pivot first.
 
-    A row reduced earlier is zero in all pivot columns but its own, so
+    The rows pivot on their lowest column. A row reduced earlier is zero in all pivot columns but its own, so
     clearing one column of a later row never fills another pivot column.
     """
     reduced = {}
@@ -71,7 +98,7 @@ def _back_substitute(pivots):
 class Echelon:
     """Row echelon form over Q^ncols, grown one batch of sparse rows at a time.
 
-    Holds {pivot column: primitive row} whose smallest column is the pivot.
+    Holds {pivot column: primitive row} whose largest column is the pivot.
     Each batch's columns are checked before the batch is eliminated, so a
     column outside range(ncols) is rejected even once full holds and no row
     of the batch needs eliminating.
@@ -87,31 +114,42 @@ class Echelon:
         return len(self.pivots) == self.ncols
 
     def feed(self, rows):
-        """Eliminate a batch of sparse rows; returns self. Rows are not modified."""
+        """Eliminate a batch of sparse rows, fewest nonzeros first; returns
+        self. Rows are not modified."""
         ncols = self.ncols
         for row in rows:
             if row and not (min(row) >= 0 and max(row) < ncols):
                 raise ValueError(f"column outside range({ncols})")
         pivots = self.pivots
-        for row in rows:
+        for row in sorted(rows, key=len):
             if len(pivots) == ncols:
                 break
-            r = _primitive(row)
-            while r:
-                c = min(r)
-                p = pivots.get(c)
-                if p is None:
-                    pivots[c] = r
-                    break
-                r = _eliminate(r, p, c)
+            _insert(pivots, _primitive(row), max)
         return self
 
     def rank(self):
         return len(self.pivots)
 
+    def _reduced(self):
+        """{pivot column: primitive row} of the unique reduced row echelon form.
+
+        The stored rows are eliminated again at their lowest column, which
+        turns the highest-column echelon into the lowest-column one, and then
+        back-substituted.
+        """
+        lowest = {}
+        for r in self.pivots.values():
+            _insert(lowest, r, min)
+        return _back_substitute(lowest)
+
     def rref(self):
-        """(echelon_rows, pivot_columns) of the unique reduced row echelon form."""
-        reduced = _back_substitute(self.pivots)
+        """(echelon_rows, pivot_columns) of the unique reduced row echelon form.
+
+        The identity, with no elimination, once full holds.
+        """
+        if self.full:
+            return [{c: Fraction(1)} for c in range(self.ncols)], list(range(self.ncols))
+        reduced = self._reduced()
         pivots = sorted(reduced)
         ech = []
         for c in pivots:
@@ -124,12 +162,12 @@ class Echelon:
         """Basis of the vectors every fed row annihilates.
 
         One basis vector per free column, in ascending free-column order; the
-        vector has a 1 in its free column. Empty, with no back-substitution,
-        once full holds.
+        vector has a 1 in its free column. Empty, with no elimination, once
+        full holds.
         """
         if self.full:
             return []
-        reduced = _back_substitute(self.pivots)
+        reduced = self._reduced()
         basis = []
         for free in range(self.ncols):
             if free in reduced:

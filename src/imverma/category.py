@@ -538,11 +538,11 @@ def heisenberg_keys(algebra: AffineAlgebra, gwindow):
 
 
 def _nilpotency(module, gkey, vec, cap):
-    """The least p <= cap + 1 with gkey^p vec = 0, or None; gkey is applied
-    at most cap + 1 times."""
+    """The least p <= cap with gkey^p vec = 0, or None; gkey is applied at
+    most cap times."""
     p = 0
     while vec:
-        if p > cap:
+        if p >= cap:
             return None
         vec = module.apply(gkey, vec)
         p += 1
@@ -1118,9 +1118,8 @@ def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
     e_keys = raising_keys(alg, (0,))
 
     def nilp(v, gk):
-        # extraction needs p <= cap; _nilpotency may report p = cap + 1
         p = _nilpotency(module, gk, v, cap)
-        if p is None or p > cap:
+        if p is None:
             raise ModuleDataError(f"nilpotency cap {cap} exceeded during extraction")
         return p
 

@@ -509,7 +509,8 @@ def build_parser():
                        help="Heisenberg/loop degree window for the checks")
         p.add_argument("--scramble", type=int, help="scramble seed")
         p.add_argument("--nilpotency-cap", dest="nilpotency_cap", type=int,
-                       default=16)
+                       default=16,
+                       help="largest nilpotency degree of e_{i,n} accepted")
         _add_common_out(p)
         p.set_defaults(func=func)
 

@@ -210,13 +210,6 @@ class ModuleVector:
     def is_zero(self):
         return not self.terms
 
-    def weight_offset(self):
-        """(k, s) if homogeneous, else None."""
-        offs = {monomial_offset(m, self.module.rank) for m in self.terms}
-        if len(offs) == 1:
-            return offs.pop()
-        return None
-
     def max_factor_degree(self):
         worst = 0
         for mono in self.terms:
@@ -560,20 +553,6 @@ class VermaModule:
                 terms = {basis[j]: x for j, x in vec.items()}
                 found.append((exact, ModuleVector(self, terms)))
         return found
-
-    def nilpotency_degree(self, v: ModuleVector, i, n, cap=16):
-        """Least p with e_{i,n}^p v = 0, or None when the cap is exceeded."""
-        if v.module is not self:
-            raise ContextMismatchError("vector from a different module")
-        g = self.algebra.e(i, n)
-        w = v
-        p = 0
-        while not w.is_zero():
-            w = self.act(g, w)
-            p += 1
-            if p > cap:
-                return None
-        return p
 
 
 def vanishes_by_weight(key, s):

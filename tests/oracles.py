@@ -4,9 +4,10 @@ instead of enumeration, dense Gauss-Jordan over Fraction cells instead of the
 package's sparse fraction-free kernel, dense matrix products and an explicit
 basis inverse instead of sparse blocks and annihilator rows, one weight shift
 per action pair instead of shifts cached per weight class, every multiset of
-window symbols instead of pruned PBW enumeration), so an agreement is
-meaningful. sparse_rows and dense_rows convert between the dense test
-matrices and the sparse rows the package kernels take and return."""
+window symbols instead of pruned PBW enumeration, symbol-by-symbol weight
+offsets, repeated application of VermaModule.act for nilpotency degrees), so
+an agreement is meaningful. sparse_rows and dense_rows convert between the
+dense test matrices and the sparse rows the package kernels take and return."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -200,6 +201,32 @@ def solve_invariant_form(algebra):
 def sl2_lowering_string_coefficient(lam_h, k):
     """e f^k v = k (lam - k + 1) f^{k-1} v in the sl2 Verma module."""
     return Fraction(k) * (lam_h - k + 1)
+
+
+def weight_offset(v):
+    """(k, s) of a homogeneous ModuleVector, else None: each symbol adds its
+    own offset, (n, gamma) for F(gamma, n) and (-l, 0) for B(i, l)."""
+    offsets = set()
+    for mono in v.terms:
+        k, s = 0, (0,) * v.module.rank
+        for sym in mono:
+            if sym[0] == "B":
+                k -= sym[2]
+            else:
+                k += sym[2]
+                s = tuple(a + b for a, b in zip(s, sym[1]))
+        offsets.add((k, s))
+    return offsets.pop() if len(offsets) == 1 else None
+
+
+def nilpotency_degree(mod, v, i, n, cap=16):
+    """The least p <= cap with e_{i,n}^p v = 0 under VermaModule.act, or None."""
+    g = mod.algebra.e(i, n)
+    for p in range(cap + 1):
+        if v.is_zero():
+            return p
+        v = mod.act(g, v)
+    return None
 
 
 def weight_shift(algebra, w, gkey):

@@ -255,7 +255,10 @@ def test_check_reports_nilpotency_cap_violations(tmp_path, capsys):
     code, _, _ = run(capsys, "loopmod", "--type", "A1", "--dim", "3",
                      "--loop-degree", "1", "--out", str(mod_file))
     assert code == 0
-    for cap, violations in (("1", 5), ("16", 0)):
+    # the cap bounds the nilpotency degree itself: the middle vectors have
+    # degree 2 and the lowest degree 3, so both fail at cap 1, the lowest
+    # alone at cap 2, and none from cap 3 on
+    for cap, violations in (("1", 14), ("2", 5), ("3", 0), ("16", 0)):
         code, out, _ = run(capsys, "category-check", "--module", str(mod_file),
                            "--gwindow", "1", "--nilpotency-cap", cap)
         assert code == 0

@@ -1,6 +1,7 @@
 """Exact row reduction: planted-rank oracles, nullspace verification,
 agreement with the independent dense Gauss-Jordan reference in oracles.py,
-and the incremental echelon fed in batches.
+the incremental echelon fed in batches, results that do not depend on the
+order rows are fed in, and a count guard on the elimination order.
 
 The kernels take and return sparse rows {column: value}; the dense test
 matrices are converted at this boundary (oracles.sparse_rows / dense_rows)."""
@@ -13,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import imverma._kernels.sparse as sparse
 from imverma._kernels import Echelon, nullspace, rank, rref
+from imverma.cli import main
 from oracles import dense_rows, dense_rref, gauss_solve_nullspace, sparse_rows
 
 
@@ -85,6 +88,13 @@ def test_rref_idempotent():
         n = rng.randint(1, 6)
         ech, piv = rref(sparse_rows(random_matrix(rng, rng.randint(1, 6), n)), n)
         assert rref(ech, n) == (ech, piv)
+
+
+def test_rref_pivot_set_differs_from_elimination_pivots():
+    # elimination pivots this row on its highest column, 1; the reduced row
+    # echelon form pivots on 0 and leaves 1 free
+    assert nullspace([{0: 1, 1: 1}], 2) == [{0: -1, 1: 1}]
+    assert rref([{0: 1, 1: 1}], 2) == ([{0: 1, 1: 1}], [0])
 
 
 def test_empty_and_zero():
@@ -215,6 +225,52 @@ def test_property_batched_echelon_matches_one_shot(rows, data):
     with pytest.raises(ValueError, match=re.escape(f"column outside range({n})")):
         echelon.feed([{0: 1}, {bad: 1}])
     assert echelon.rank() == len(piv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tall_sparse_matrix(), st.data())
+def test_property_any_row_order_gives_the_same_results(rows, data):
+    """Any permutation of the rows, split into any batches, gives the same
+    rref, rank, nullspace and full as the rows fed in order at once, and
+    those are the dense oracle's; "deficient" matrices run the canonical
+    pass of a rank-deficient echelon."""
+    n = len(rows[0])
+    shuffled = data.draw(st.permutations(rows))
+    sp = sparse_rows(shuffled)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(sp)), max_size=6)))
+    bounds = [0] + cuts + [len(sp)]
+    echelon = Echelon(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        echelon.feed(sp[lo:hi])
+    in_order = Echelon(n).feed(sparse_rows(rows))
+    ech, piv = echelon.rref()
+    assert (ech, piv) == in_order.rref()
+    assert (dense_rows(ech, n), piv) == dense_rref(rows)
+    assert echelon.rank() == in_order.rank() == len(piv)
+    ns = echelon.nullspace()
+    assert ns == in_order.nullspace()
+    assert dense_rows(ns, n) == gauss_solve_nullspace(rows, n)
+    assert echelon.full == in_order.full == (len(piv) == n)
+
+
+def test_singular_search_elimination_count(monkeypatch):
+    """The W1 singular search (a pinned report) counts its eliminations.
+
+    Counts repeat exactly. Fed in batch order with lowest-column pivots it
+    makes 2,856; shortest rows first alone 1,865; highest-column pivots alone
+    967; both 908. The bound fails if either half of the order is undone.
+    """
+    calls = []
+    eliminate = sparse._eliminate
+
+    def counting(r, p, c):
+        calls.append(c)
+        return eliminate(r, p, c)
+
+    monkeypatch.setattr(sparse, "_eliminate", counting)
+    assert main(["singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+                 "--window", "L=4,N=3,H=2"]) == 0
+    assert len(calls) < 950
 
 
 @pytest.mark.parametrize("bad", OUT_OF_RANGE)

@@ -11,7 +11,9 @@ unreduced A2 singular argvs were recorded before the singular search and the
 explicit tables moved to per-monomial action images and skipped the raising
 operators that vanish by weight. The three-summand decompose argvs, in which
 two summands share a weight space, were recorded before the category layer
-moved to one table accessor and one windowed-space map. A refactor that claims unchanged
+moved to one table accessor and one windowed-space map. The two larger
+full singular windows, W6 and W9, were recorded before exact elimination fed
+rows shortest first and pivoted on their highest column. A refactor that claims unchanged
 answers must keep every hash; a change that means to alter a report updates
 its constant and says why."""
 
@@ -79,6 +81,15 @@ PINNED = [
         ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
          "--window", "L=5,N=3,H=2"),
         "6f34341a6ca80ac8e6e8c001df6d4dadc85f49da", id="W5-singular-full-A1"),
+    # the windows where elimination order changes the most work
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+         "--window", "L=6,N=3,H=2"),
+        "15c2a0dc191a8f7e4c4610f4174910d8fff8d393", id="W6-singular-full-A1"),
+    pytest.param(
+        ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/2",
+         "--window", "L=4,N=2,H=3"),
+        "0fb59fe8db7fe96e6eb2ff2036504d9613e15e65", id="W9-singular-full-A2"),
     pytest.param(
         ("singular", "--type", "A3", "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2",
          "--window", "L=4,N=3,H=3"),
