@@ -83,8 +83,9 @@ def _insert(pivots, r, lead):
 def _back_substitute(pivots):
     """Clear every pivot row in the other pivot columns, largest pivot first.
 
-    The rows pivot on their lowest column. A row reduced earlier is zero in all pivot columns but its own, so
-    clearing one column of a later row never fills another pivot column.
+    The rows pivot on their lowest column. A row reduced earlier is zero in
+    all pivot columns but its own, so clearing one column of a later row never
+    fills another pivot column.
     """
     reduced = {}
     for c in sorted(pivots, reverse=True):

@@ -144,36 +144,7 @@ class AffineAlgebra:
             return self.loop(self._h0_finite, 0) + self.c_elem()
         return self.loop(self.finite.h(i), n)
 
-    def affine_cartan_entry(self, i, j):
-        """a_ij of the affine matrix, indices 0..N."""
-        fin = self.finite
-        if i >= 1 and j >= 1:
-            return fin.cartan[i - 1, j - 1]
-        theta = self.theta
-        if i == 0 and j == 0:
-            return 2
-        if i == 0:
-            # alpha_j(h_0) = -<alpha_j, theta^vee> since h_0 = c - h_theta
-            return -self._alpha_on_coroot(j, theta)
-        # j == 0: alpha_0(h_i) = -theta(h_i)
-        return -fin.roots.pairing(theta, i - 1)
-
-    def _alpha_on_coroot(self, j, gamma):
-        # alpha_j(h_gamma) = 2 (alpha_j|gamma)/(gamma|gamma)
-        fin = self.finite
-        aj = fin.roots.simple_roots[j - 1]
-        val = 2 * fin.root_form(aj, gamma) / fin.root_form(gamma, gamma)
-        if val.denominator != 1:
-            raise ImvermaError("non-integral affine Cartan entry")
-        return int(val)
-
     # -- roots ---------------------------------------------------------------
-
-    def alpha0(self):
-        return AffineRoot(_neg(self.theta), 1)
-
-    def delta(self):
-        return AffineRoot(tuple(0 for _ in range(self.rank)), 1)
 
     def is_affine_root(self, r: AffineRoot) -> bool:
         zero = all(x == 0 for x in r.finite)
@@ -247,23 +218,14 @@ def standard_partition_contains(algebra: AffineAlgebra, r: AffineRoot) -> bool:
 
 @dataclass
 class ClosedPartitionSpec:
-    """Membership predicate for a candidate closed partition.
-
-    For the named partitions the predicate is global; a custom partition is an
-    explicit root list trusted only inside its declared window.
-    """
+    """Membership predicate for a candidate closed partition; for the named
+    partitions the predicate is global."""
 
     algebra: AffineAlgebra
     name: str
     _predicate: object
-    window: tuple = None  # (height, degree) for custom sets
 
     def contains(self, r: AffineRoot) -> bool:
-        if self.window is not None:
-            h, deg = self.window
-            if abs(root_height(r.finite)) > h or abs(r.n) > deg:
-                raise ImvermaError(f"root {r} outside the declared window of custom "
-                                   f"partition {self.name!r}")
         return self._predicate(r)
 
 
@@ -275,12 +237,6 @@ def natural_spec(algebra) -> ClosedPartitionSpec:
 def standard_spec(algebra) -> ClosedPartitionSpec:
     return ClosedPartitionSpec(algebra, "standard",
                                lambda r: standard_partition_contains(algebra, r))
-
-
-def custom_spec(algebra, roots, height, degree, name="custom") -> ClosedPartitionSpec:
-    rootset = set(roots)
-    return ClosedPartitionSpec(algebra, name, lambda r: r in rootset,
-                               window=(height, degree))
 
 
 def check_closed_partition(spec: ClosedPartitionSpec, height, degree) -> dict:
@@ -381,42 +337,6 @@ class TwistedSubalgebra:
     def _finite_coords(self, x: FiniteElement):
         basis_index = self.algebra.finite.basis_index
         return {basis_index[k]: v for k, v in x.terms.items()}
-
-    def check_bracket_closure(self) -> dict:
-        """Verify [piece_m, piece_m'] lands in piece_{m+m'} + C c inside the window."""
-        dim = self.algebra.finite.dimension
-        failures = []
-        checked = 0
-        for m in range(-self.window, self.window + 1):
-            for mp in range(m, self.window + 1):
-                if abs(m + mp) > self.window:
-                    continue
-                target = self.even_basis if (m + mp) % 2 == 0 else self.odd_basis
-                target_rows = [self._finite_coords(x) for x in target]
-                base_rank = rank(target_rows, dim)
-                for u in self.graded_basis(m):
-                    for v in self.graded_basis(mp):
-                        w = affine_bracket(u, v)
-                        checked += 1
-                        if w.d:
-                            failures.append({"degrees": [m, mp], "reason": "d component"})
-                            continue
-                        fin_terms = {}
-                        for (k, n), cv in w.terms.items():
-                            if n != m + mp:
-                                failures.append({"degrees": [m, mp],
-                                                 "reason": f"stray degree {n}"})
-                                break
-                            fin_terms[k] = cv
-                        else:
-                            x = self.algebra.finite.element(fin_terms)
-                            if not x.is_zero():
-                                if (rank(target_rows + [self._finite_coords(x)], dim)
-                                        != base_rank):
-                                    failures.append({"degrees": [m, mp],
-                                                     "reason": "image outside eigenspace"})
-        return {"checked_brackets": checked, "failures": failures,
-                "passed": not failures}
 
     def natural_borel_slice_dims(self) -> dict:
         """dim of (fixed-point set  intersect  b_nat) per degree in the window.

@@ -177,7 +177,14 @@ def cartan_matrix_from_text(text, label=""):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(tok) for tok in line.split()])
+        row = []
+        for tok in line.split():
+            try:
+                row.append(int(tok))
+            except ValueError:
+                raise CartanMatrixError(
+                    f"Cartan matrix entry {tok!r} is not an integer") from None
+        rows.append(row)
     if not rows:
         raise CartanMatrixError("empty Cartan matrix text")
     return make_cartan_matrix(rows, label=label)

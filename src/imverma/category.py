@@ -101,9 +101,12 @@ def parse_gen(algebra: AffineAlgebra, name: str):
 
 
 def _parse_gen_once(algebra, name, named):
-    """parse_gen, refusing a generator that named ({gkey: name}) already holds
-    under another spelling, such as e1@0 and x[1]@0."""
+    """parse_gen, refusing h_i (x) t^0, which acts from the weights, and a
+    generator that named ({gkey: name}) already holds under another spelling,
+    such as e1@0 and x[1]@0."""
     gk = parse_gen(algebra, name)
+    if gk[0][0] == "h" and gk[1] == 0:
+        raise ValueError(f"{name!r} is implicit and has no stored table")
     if gk in named:
         raise ValueError(f"{name!r} and {named[gk]!r} name the same generator")
     named[gk] = name
@@ -408,9 +411,10 @@ class ExplicitModule:
         """Rebuild a module from to_json_dict output.
 
         Malformed data (a missing key, a bad rational, an index out of range,
-        a generator named twice in one field, an action row outside the
-        generator's target weight or at a source its defined list omits, audit
-        metadata that cannot be read) raises ModuleDataError naming the field.
+        a generator named twice in one field, a table for h_i (x) t^0 (it acts
+        from the weights), an action row outside the generator's target weight
+        or at a source its defined list omits, audit metadata that cannot be
+        read) raises ModuleDataError naming the field.
         """
         with _module_field("algebra"):
             if algebra is None:
@@ -471,47 +475,6 @@ class ExplicitModule:
                     f"bad module data in 'actions': {name} on weight index {swidx} "
                     f"has a row in weight index {twidx}, not in its target weight")
         return module
-
-    # -- invariant: bracket compatibility ------------------------------------------
-
-    def check_bracket_compatibility(self, max_pairs=None, rng_seed=0):
-        """[g,g'] action == commutator of actions wherever everything is defined.
-
-        Returns (checked, failures). max_pairs samples generator pairs for
-        large modules; None checks every pair.
-        """
-        from imverma.affine import affine_bracket
-
-        gkeys = self.generator_keys()
-        pairs = [(g1, g2) for i, g1 in enumerate(gkeys) for g2 in gkeys[i + 1:]]
-        if max_pairs is not None and len(pairs) > max_pairs:
-            pairs = random.Random(rng_seed).sample(pairs, max_pairs)
-        checked = 0
-        failures = []
-        for g1, g2 in pairs:
-            b = affine_bracket(
-                self.algebra.loop(self.algebra.finite.element({g1[0]: 1}), g1[1]),
-                self.algebra.loop(self.algebra.finite.element({g2[0]: 1}), g2[1]))
-            for widx in range(len(self.weights)):
-                for j in range(self.dim(widx)):
-                    vec = {(widx, j): Fraction(1)}
-                    # g1 g2 v == [g1, g2] v + g2 g1 v, compared as sparse dicts
-                    try:
-                        lhs = self.apply(g1, self.apply(g2, vec))
-                        rhs = self.apply(g2, self.apply(g1, vec))
-                        for (key, n), cv in b.terms.items():
-                            add_scaled(rhs, self.apply((key, n), vec), cv)
-                        if b.c and self.weights[widx].c_value:
-                            add_scaled(rhs, {(widx, j): self.weights[widx].c_value}, b.c)
-                    except UndefinedActionError:
-                        continue
-                    checked += 1
-                    if lhs != rhs:
-                        failures.append({
-                            "pair": [gen_name(self.algebra, *g1),
-                                     gen_name(self.algebra, *g2)],
-                            "weight_index": widx, "basis_index": j})
-        return checked, failures
 
 
 # -- generator families and windowed spaces -------------------------------------------
@@ -678,56 +641,6 @@ class GCompatibleSplit:
 
     def passed(self):
         return all(v["passed"] for v in self.verdicts.values())
-
-
-def torsion_free_restriction(split: GCompatibleSplit) -> ExplicitModule:
-    """The TF part as a Heisenberg-module slice (h-generator tables only).
-
-    Supports the idempotence check: re-splitting the restriction must produce
-    no torsion. TF is spanned by reduced-echelon rows, so coefficients in the
-    TF basis are read off at pivot columns; an image outside the span leaves
-    the (generator, source) pair undefined in the restriction.
-    """
-    module = split.module
-    keep = sorted(split.torsion_free)
-    new_of_old = {w: i for i, w in enumerate(keep)}
-    weights = [module.weights[w] for w in keep]
-    labels = [[f"tf{w}b{j}" for j in range(len(split.torsion_free[w]))]
-              for w in keep]
-    pivots = {w: rref(split.torsion_free[w], module.dim(w))[1] for w in keep}
-    defined = {}
-    for gk in heisenberg_keys(module.algebra, split.gwindow):
-        per_src = defined[gk] = {}
-        for src in keep:
-            entry = module.table(gk, src)
-            if entry is None:
-                continue
-            mat, tgt, _ = entry
-            if tgt not in new_of_old:
-                # a zero image is exact; anything else leaves the slice
-                if not any(mat.values()):
-                    per_src[new_of_old[src]] = {}
-                continue
-            tgt_rows = split.torsion_free[tgt]
-            piv = pivots[tgt]
-            entries = {}
-            ok = True
-            for col, img in enumerate(_images(mat, split.torsion_free[src])):
-                coeffs = [img.get(p, 0) for p in piv]
-                recon = {}
-                for cval, row in zip(coeffs, tgt_rows):
-                    add_scaled(recon, row, cval)
-                if recon != img:
-                    ok = False
-                    break
-                for r, cval in enumerate(coeffs):
-                    if cval:
-                        entries[(r, col)] = cval
-            if ok:
-                per_src[new_of_old[src]] = entries
-    return ExplicitModule(module.algebra, weights, labels, defined,
-                          provenance=f"{module.provenance}+torsion-free",
-                          loop_window=split.gwindow, meta=None)
 
 
 def g_kernel_raw(module: ExplicitModule, widx, gwindow):

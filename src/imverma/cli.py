@@ -45,8 +45,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_algebra(args) -> AffineAlgebra:
     if getattr(args, "matrix_file", None):
-        with open(args.matrix_file) as fh:
-            cartan = cartan_matrix_from_text(fh.read())
+        with open(args.matrix_file, encoding="utf-8") as fh:
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as ex:
+                raise CartanMatrixError(f"{args.matrix_file}: not text: {ex}") from None
+        cartan = cartan_matrix_from_text(text)
     elif getattr(args, "type", None):
         try:
             cartan = cartan_matrix_of_type(args.type)
@@ -540,7 +544,7 @@ def _apply_config_file(argv):
         return argv
     path = argv[idx + 1]
     extra = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -562,7 +566,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         print(f"cannot read config file: {ex}", file=sys.stderr)
         return 2
     try:

@@ -22,14 +22,7 @@ class AutomorphismError(ImvermaError):
 
 
 class WindowOverflowError(ImvermaError):
-    """An exact result does not fit the requested truncation window.
-
-    required: the smallest cap that would have fit.
-    """
-
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
+    """An exact result does not fit the requested truncation window."""
 
 
 class ModuleDataError(ImvermaError):

@@ -490,16 +490,6 @@ class DiagramAutomorphism:
                     raise AutomorphismError(
                         f"induced map fails to preserve [{key_name(k1)}, {key_name(k2)}]")
 
-    def matrix(self):
-        """Column j = coefficients of the image of basis element j."""
-        alg = self.algebra
-        n = alg.dimension
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for j, key in enumerate(alg.basis):
-            s, k2 = self.image_key(key)
-            m[alg.basis_index[k2]][j] = Fraction(s)
-        return m
-
 
 def diagram_automorphism(algebra: FiniteAlgebra, perm) -> DiagramAutomorphism:
     return DiagramAutomorphism(algebra, perm)

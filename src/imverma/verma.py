@@ -25,8 +25,7 @@ weight spaces with a negative coordinate of s are zero.
 All weight spaces with s != 0 are infinite dimensional; every enumeration is
 over a TruncationWindow (max length L, max per-factor |loop degree| N, max
 height H) and is exact on that slice. The action is exact and uncapped: it
-grows the output rather than truncating, and a per-factor degree cap may be
-supplied to act() to detect (not silently absorb) window escapes.
+grows the output rather than truncating.
 
 The action has one entry point, act_monomial(key, n, mono): the memoised
 sparse image {monomial: coefficient} of key (x) t^n on one PBW monomial.
@@ -210,13 +209,6 @@ class ModuleVector:
     def is_zero(self):
         return not self.terms
 
-    def max_factor_degree(self):
-        worst = 0
-        for mono in self.terms:
-            for sym in mono:
-                worst = max(worst, sym[2] if sym[0] == "B" else abs(sym[2]))
-        return worst
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -296,14 +288,9 @@ class VermaModule:
 
     # -- generator action -----------------------------------------------------
 
-    def act(self, g: LoopElement, v: ModuleVector, degree_cap=None) -> ModuleVector:
+    def act(self, g: LoopElement, v: ModuleVector) -> ModuleVector:
         """Exact action of a loop element: the act_monomial images of its
-        terms on the monomials of v, plus its c and d parts.
-
-        With degree_cap set, raises WindowOverflowError (carrying the smallest
-        sufficient cap) if any output monomial has a per-factor loop degree
-        beyond the cap: results are never silently truncated.
-        """
+        terms on the monomials of v, plus its c and d parts."""
         if g.algebra is not self.algebra:
             raise ContextMismatchError("generator from a different affine context")
         if v.module is not self:
@@ -321,14 +308,7 @@ class VermaModule:
                 val = self.lam.d_value + k
                 if val:
                     add_scaled(out, {mono: cv * g.d * val})
-        result = ModuleVector(self, out)
-        if degree_cap is not None:
-            worst = result.max_factor_degree()
-            if worst > degree_cap:
-                raise WindowOverflowError(
-                    f"action output needs per-factor degree window {worst}, "
-                    f"cap was {degree_cap}", required=worst)
-        return result
+        return ModuleVector(self, out)
 
     def act_monomial(self, key, n, mono):
         """The image of key (x) t^n on the PBW monomial mono (applied to the
@@ -441,8 +421,7 @@ class VermaModule:
             return []
         if root_height(s) > window.H:
             raise WindowOverflowError(
-                f"offset height {root_height(s)} exceeds window H={window.H}",
-                required=root_height(s))
+                f"offset height {root_height(s)} exceeds window H={window.H}")
         out = []
         for multiset in _root_multisets(self.algebra.finite, s):
             flen = len(multiset)

@@ -7,11 +7,23 @@ per action pair instead of shifts cached per weight class, every multiset of
 window symbols instead of pruned PBW enumeration, symbol-by-symbol weight
 offsets, repeated application of VermaModule.act for nilpotency degrees), so
 an agreement is meaningful. sparse_rows and dense_rows convert between the
-dense test matrices and the sparse rows the package kernels take and return."""
+dense test matrices and the sparse rows the package kernels take and return.
 
+The last section holds the checks the tests run on library objects and that
+the library itself never calls: the affine Cartan entries from the finite
+root data, bracket closure of a twisted subalgebra, bracket compatibility of
+explicit action tables, the torsion-free restriction of a split, and the
+trace of a diagram automorphism."""
+
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from imverma._kernels import rank, rref
+from imverma.affine import affine_bracket
+from imverma.category import (ExplicitModule, UndefinedActionError, _images,
+                              gen_name, heisenberg_keys)
+from imverma.finite import add_scaled
 from imverma.verma import Weight, symbol_sort_key
 
 
@@ -269,3 +281,162 @@ def brute_basis_monomials(mod, offset, window):
             if coords == tuple(s) and k in (None, degree):
                 out.append(mono)
     return sorted(out, key=lambda m: [symbol_sort_key(sym) for sym in m])
+
+
+# -- checks on library objects -------------------------------------------------------
+
+
+def affine_cartan_entry(algebra, i, j):
+    """a_ij of the affine Cartan matrix, indices 0..N, from the finite root
+    data: alpha_j(h_0) = -alpha_j(h_theta) since h_0 = c - h_theta, and
+    alpha_0(h_i) = -theta(h_i)."""
+    fin = algebra.finite
+    theta = algebra.theta
+    if i >= 1 and j >= 1:
+        return fin.cartan[i - 1, j - 1]
+    if i == 0 and j == 0:
+        return 2
+    if j == 0:
+        return -fin.roots.pairing(theta, i - 1)
+    # alpha_j(h_theta) = 2 (alpha_j|theta)/(theta|theta)
+    aj = fin.roots.simple_roots[j - 1]
+    val = 2 * fin.root_form(aj, theta) / fin.root_form(theta, theta)
+    assert val.denominator == 1, "non-integral affine Cartan entry"
+    return -int(val)
+
+
+def check_bracket_closure(tw):
+    """Whether [piece_m, piece_m'] lands in piece_{m+m'} + C c for every pair
+    of degrees inside the window of a TwistedSubalgebra."""
+    dim = tw.algebra.finite.dimension
+    failures = []
+    checked = 0
+    for m in range(-tw.window, tw.window + 1):
+        for mp in range(m, tw.window + 1):
+            if abs(m + mp) > tw.window:
+                continue
+            target = tw.even_basis if (m + mp) % 2 == 0 else tw.odd_basis
+            target_rows = [tw._finite_coords(x) for x in target]
+            base_rank = rank(target_rows, dim)
+            for u in tw.graded_basis(m):
+                for v in tw.graded_basis(mp):
+                    w = affine_bracket(u, v)
+                    checked += 1
+                    if w.d:
+                        failures.append({"degrees": [m, mp], "reason": "d component"})
+                        continue
+                    fin_terms = {}
+                    for (k, n), cv in w.terms.items():
+                        if n != m + mp:
+                            failures.append({"degrees": [m, mp],
+                                             "reason": f"stray degree {n}"})
+                            break
+                        fin_terms[k] = cv
+                    else:
+                        x = tw.algebra.finite.element(fin_terms)
+                        if not x.is_zero() and (
+                                rank(target_rows + [tw._finite_coords(x)], dim)
+                                != base_rank):
+                            failures.append({"degrees": [m, mp],
+                                             "reason": "image outside eigenspace"})
+    return {"checked_brackets": checked, "failures": failures,
+            "passed": not failures}
+
+
+def check_bracket_compatibility(module, max_pairs=None, rng_seed=0):
+    """[g,g'] action == commutator of actions wherever everything is defined,
+    on an ExplicitModule.
+
+    Returns (checked, failures). max_pairs samples generator pairs for
+    large modules; None checks every pair.
+    """
+    alg = module.algebra
+    gkeys = module.generator_keys()
+    pairs = [(g1, g2) for i, g1 in enumerate(gkeys) for g2 in gkeys[i + 1:]]
+    if max_pairs is not None and len(pairs) > max_pairs:
+        pairs = random.Random(rng_seed).sample(pairs, max_pairs)
+    checked = 0
+    failures = []
+    for g1, g2 in pairs:
+        b = affine_bracket(alg.loop(alg.finite.element({g1[0]: 1}), g1[1]),
+                           alg.loop(alg.finite.element({g2[0]: 1}), g2[1]))
+        for widx, w in enumerate(module.weights):
+            for j in range(module.dim(widx)):
+                vec = {(widx, j): Fraction(1)}
+                # g1 g2 v == [g1, g2] v + g2 g1 v, compared as sparse dicts
+                try:
+                    lhs = module.apply(g1, module.apply(g2, vec))
+                    rhs = module.apply(g2, module.apply(g1, vec))
+                    for (key, n), cv in b.terms.items():
+                        add_scaled(rhs, module.apply((key, n), vec), cv)
+                    if b.c and w.c_value:
+                        add_scaled(rhs, {(widx, j): w.c_value}, b.c)
+                except UndefinedActionError:
+                    continue
+                checked += 1
+                if lhs != rhs:
+                    failures.append({"pair": [gen_name(alg, *g1), gen_name(alg, *g2)],
+                                     "weight_index": widx, "basis_index": j})
+    return checked, failures
+
+
+def torsion_free_restriction(split):
+    """The TF part of a GCompatibleSplit as a Heisenberg-module slice
+    (h-generator tables only).
+
+    Supports the idempotence check: re-splitting the restriction must produce
+    no torsion. TF is spanned by reduced-echelon rows, so coefficients in the
+    TF basis are read off at pivot columns; an image outside the span leaves
+    the (generator, source) pair undefined in the restriction.
+    """
+    module = split.module
+    keep = sorted(split.torsion_free)
+    new_of_old = {w: i for i, w in enumerate(keep)}
+    weights = [module.weights[w] for w in keep]
+    labels = [[f"tf{w}b{j}" for j in range(len(split.torsion_free[w]))]
+              for w in keep]
+    pivots = {w: rref(split.torsion_free[w], module.dim(w))[1] for w in keep}
+    defined = {}
+    for gk in heisenberg_keys(module.algebra, split.gwindow):
+        per_src = defined[gk] = {}
+        for src in keep:
+            entry = module.table(gk, src)
+            if entry is None:
+                continue
+            mat, tgt, _ = entry
+            if tgt not in new_of_old:
+                # a zero image is exact; anything else leaves the slice
+                if not any(mat.values()):
+                    per_src[new_of_old[src]] = {}
+                continue
+            tgt_rows = split.torsion_free[tgt]
+            piv = pivots[tgt]
+            entries = {}
+            ok = True
+            for col, img in enumerate(_images(mat, split.torsion_free[src])):
+                coeffs = [img.get(p, 0) for p in piv]
+                recon = {}
+                for cval, row in zip(coeffs, tgt_rows):
+                    add_scaled(recon, row, cval)
+                if recon != img:
+                    ok = False
+                    break
+                for r, cval in enumerate(coeffs):
+                    if cval:
+                        entries[(r, col)] = cval
+            if ok:
+                per_src[new_of_old[src]] = entries
+    return ExplicitModule(module.algebra, weights, labels, defined,
+                          provenance=f"{module.provenance}+torsion-free",
+                          loop_window=split.gwindow, meta=None)
+
+
+def automorphism_trace(aut):
+    """Trace of a DiagramAutomorphism on the finite algebra: the sign of each
+    basis key that image_key sends to itself."""
+    total = 0
+    for key in aut.algebra.basis:
+        s, image = aut.image_key(key)
+        if image == key:
+            total += s
+    return total

@@ -18,7 +18,8 @@ from imverma.category import (ExplicitModule, build_loop_module,
 from imverma.finite import build_simple_algebra, diagram_automorphism
 from imverma.verma import (TruncationWindow, VermaModule, Weight, parse_weight)
 
-from oracles import colored_partition_counts
+from oracles import (affine_cartan_entry, automorphism_trace, check_bracket_closure,
+                     colored_partition_counts)
 
 
 def aff(label):
@@ -42,14 +43,14 @@ def test_criterion_1_presentation_consistency():
             assert affine_bracket(a.d_elem(), a.f(i)) == \
                 (Fraction(-1) * a.f(0) if i == 0 else a.zero())
             for j in idx:
-                aij = Fraction(a.affine_cartan_entry(i, j))
+                aij = Fraction(affine_cartan_entry(a, i, j))
                 assert affine_bracket(a.h(i), a.h(j)).is_zero()
                 assert affine_bracket(a.h(i), a.e(j)) == aij * a.e(j)
                 assert affine_bracket(a.h(i), a.f(j)) == -aij * a.f(j)
                 ef = affine_bracket(a.e(i), a.f(j))
                 assert ef == (a.h(i) if i == j else a.zero())
                 if i != j:
-                    power = 1 - a.affine_cartan_entry(i, j)
+                    power = 1 - affine_cartan_entry(a, i, j)
                     for gen, start in ((a.e, a.e(j)), (a.f, a.f(j))):
                         acc = start
                         for _ in range(power):
@@ -203,7 +204,7 @@ def test_criterion_8_twisted_construction():
     a3 = aff("A3")
     aut = diagram_automorphism(a3.finite, {1: 3, 2: 2, 3: 1})
     # eigenspace oracle: the trace of the induced involution fixes both dims
-    tr = sum(aut.matrix()[i][i] for i in range(a3.finite.dimension))
+    tr = automorphism_trace(aut)
     fixed = (a3.finite.dimension + tr) // 2
     assert fixed == 10 and a3.finite.dimension - fixed == 5
     from imverma.affine import twisted_fixed_subalgebra
@@ -211,7 +212,7 @@ def test_criterion_8_twisted_construction():
     for m in range(-4, 5):
         want = 10 if m % 2 == 0 else 5
         assert tw.graded_dimension(m) == want, m
-    closure = tw.check_bracket_closure()
+    closure = check_bracket_closure(tw)
     assert closure["passed"], closure["failures"][:3]
     report(8, "twisted-fixed-subalgebra", t0)
 

@@ -20,9 +20,10 @@ from imverma.category import (ExplicitModule, _mat_mul, audit_decomposition,
                               decompose_into_reduced_vermas,
                               extract_annihilated_vector, g_kernel_raw, gen_name,
                               heisenberg_slice, parse_gen, sl2_irrep_matrices,
-                              torsion_decompose, torsion_free_restriction)
+                              torsion_decompose)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
-from oracles import dense_mat_mul, sparse_rows, t_projection, weight_shift
+from oracles import (check_bracket_compatibility, dense_mat_mul, sparse_rows,
+                     t_projection, torsion_free_restriction, weight_shift)
 
 
 def aff(label):
@@ -71,7 +72,7 @@ def test_generator_names_round_trip():
 
 def test_bracket_compatibility_invariant_full():
     em = verma_a1(kmax=3, loop_window=2)
-    checked, failures = em.check_bracket_compatibility()
+    checked, failures = check_bracket_compatibility(em)
     assert checked > 100 and not failures
 
 
@@ -80,7 +81,7 @@ def test_bracket_compatibility_invariant_a2_sampled():
     em = ExplicitModule.from_reduced_verma(
         A2, lam, height=1, kmax=2, window=TruncationWindow(L=2, N=2, H=1),
         loop_window=2)
-    checked, failures = em.check_bracket_compatibility(max_pairs=120, rng_seed=4)
+    checked, failures = check_bracket_compatibility(em, max_pairs=120, rng_seed=4)
     assert checked > 50 and not failures
 
 
@@ -129,7 +130,6 @@ def test_torsion_axioms_verdict_fields():
 
 def test_torsion_split_idempotent():
     # re-splitting the torsion-free part must find no torsion at all
-    from imverma.category import torsion_free_restriction
     em = ExplicitModule.direct_sum([verma_a1(), verma_a1("h1=-3/2")])
     split = torsion_decompose(em, 4)
     tf_mod = torsion_free_restriction(split)
@@ -340,7 +340,7 @@ def test_loop_module_a2_standard_representation():
     lm = build_loop_module(A2, a2_standard_matrices(), 3, 1)
     assert lm.total_dim == 9
     assert (("x", (1, 1)), 1) in lm.defined and (("x", (-1, -1)), 0) in lm.defined
-    checked, failures = lm.check_bracket_compatibility()
+    checked, failures = check_bracket_compatibility(lm)
     assert checked and failures == []
     flipped = a2_standard_matrices()
     flipped["f2"][2][1] = Fraction(-1)
@@ -489,7 +489,7 @@ def test_scramble_preserves_dims_and_torsion():
     assert [sc.dim(i) for i in range(len(sc.weights))] == \
         [em.dim(i) for i in range(len(em.weights))]
     assert torsion_decompose(sc, 4).torsion_dim() == 2
-    checked, failures = sc.check_bracket_compatibility(max_pairs=80, rng_seed=0)
+    checked, failures = check_bracket_compatibility(sc, max_pairs=80, rng_seed=0)
     assert checked and not failures
 
 

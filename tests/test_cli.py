@@ -192,6 +192,11 @@ def _generator_named_twice(field):
                  id="action-generator-named-twice"),
     pytest.param(_tampered(_generator_named_twice("defined")), "'defined'",
                  id="defined-generator-named-twice"),
+    # h_i (x) t^0 acts from the weights, so a stored table for it is refused
+    pytest.param(_tampered(lambda d: d["actions"].update({"h1@0": [[0, 0, "5"]]})),
+                 "'actions'", id="action-h-degree-zero"),
+    pytest.param(_tampered(lambda d: d["defined"].update({"h1@0": [0]})),
+                 "'defined'", id="defined-h-degree-zero"),
 ])
 def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
     path = tmp_path / "module.json"
@@ -202,6 +207,26 @@ def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert str(path) in err and word in err
+
+
+@pytest.mark.parametrize("argv, content, want_code, word", [
+    pytest.param(("algebra", "--matrix-file", "FILE"), b"2 x\n", 1, "'x'",
+                 id="matrix-entry-not-an-integer"),
+    pytest.param(("algebra", "--matrix-file", "FILE"), b"\xff\n", 1, "0xff",
+                 id="matrix-file-not-utf8"),
+    pytest.param(("--config", "FILE", "algebra", "--type", "A1"), b"\xff\n", 2,
+                 "0xff", id="config-file-not-utf8"),
+])
+def test_unreadable_input_file_is_one_line(tmp_path, capsys, argv, content,
+                                           want_code, word):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == want_code
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert word in err
 
 
 def _reduced_verma_file(tmp_path, edit):

@@ -15,8 +15,8 @@ from imverma.errors import (AutomorphismError, CartanMatrixError,
 from imverma.finite import (build_simple_algebra, diagram_automorphism,
                             invariant_form, root_height)
 
-from oracles import (roots_by_reflection_closure, solve_invariant_form,
-                     string_length_down)
+from oracles import (automorphism_trace, roots_by_reflection_closure,
+                     solve_invariant_form, string_length_down)
 
 
 def alg(label):
@@ -56,6 +56,8 @@ def test_text_ingestion():
     assert cm.entries == ((2, -1), (-1, 2))
     with pytest.raises(CartanMatrixError):
         cartan_matrix_from_text("\n")
+    with pytest.raises(CartanMatrixError, match="'x' is not an integer"):
+        cartan_matrix_from_text("2 x\n")
 
 
 def test_symmetrizer_coprime_and_symmetric():
@@ -231,7 +233,7 @@ def test_a3_flip_order_two():
     aut = diagram_automorphism(a, {1: 3, 2: 2, 3: 1})
     assert aut.order == 2
     # trace determines the eigenspace dimensions
-    tr = sum(aut.matrix()[i][i] for i in range(a.dimension))
+    tr = automorphism_trace(aut)
     assert (a.dimension + tr) / 2 == 10
 
 

@@ -13,7 +13,9 @@ operators that vanish by weight. The three-summand decompose argvs, in which
 two summands share a weight space, were recorded before the category layer
 moved to one table accessor and one windowed-space map. The two larger
 full singular windows, W6 and W9, were recorded before exact elimination fed
-rows shortest first and pivoted on their highest column. A refactor that claims unchanged
+rows shortest first and pivoted on their highest column. The verma-act,
+partition and roots argvs were recorded before the action lost its degree
+cap and the partition spec its custom window. A refactor that claims unchanged
 answers must keep every hash; a change that means to alter a report updates
 its constant and says why."""
 
@@ -123,6 +125,23 @@ PINNED = [
          "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2", "--offset", "2,1,1",
          "--window", "L=4,N=3,H=4", "--delta-max", "4"),
         "25f8f70a82eaba16d4cd756e2b38b93439971356", id="dims-reduced-A3"),
+    # a Cartan loop on an unreduced monomial, with lambda(c) and lambda(d) set
+    pytest.param(
+        ("verma-act", "--type", "A1", "--lambda", "h1=-1/2,c=1,d=2",
+         "--gen", "h1@-2", "--monomial", "F[1]@2,B1@1"),
+        "821c9d1fc13f5e1e2eb1064c8cc9221bc913ee45", id="verma-act-A1-full"),
+    pytest.param(
+        ("verma-act", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3", "--reduced",
+         "--gen", "e1@-1", "--monomial", "F[1,1]@2,F[1,0]@-1"),
+        "f8749adfd7b6bbec07fa1f3c46ca429cb2304422", id="verma-act-A2-reduced"),
+    pytest.param(
+        ("partition", "--type", "A2", "--which", "natural", "--height", "3",
+         "--loop-degree", "3"),
+        "9647dae382c5f74baa3f1f48882395da82acd4da", id="partition-A2-natural"),
+    pytest.param(
+        ("roots", "--type", "A2", "--which", "standard", "--height", "2",
+         "--loop-degree", "2"),
+        "73a12b4fe65296a436c78125fcfc9e1efed0e14c", id="roots-A2-standard"),
 ]
 
 

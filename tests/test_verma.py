@@ -315,7 +315,8 @@ def test_act_is_the_sum_of_monomial_images_loop_elements(reduced, lam_text):
             Fraction(1, 2) * mod.vacuum()
 
 
-def test_act_degree_cap_overflow_on_the_summed_images():
+def test_act_is_the_sum_of_monomial_images_past_the_input_degrees():
+    # the image reaches per-factor loop degree 5, past every input factor
     mod = VermaModule(A1, parse_weight("h1=-1/2", 1), reduced=False)
     alpha = (1,)
     g = A1.h(1, 3) + 2 * A1.e(1, -1)
@@ -325,10 +326,7 @@ def test_act_degree_cap_overflow_on_the_summed_images():
     worst = max(sym[2] if sym[0] == "B" else abs(sym[2])
                 for mono in want for sym in mono)
     assert worst == 5
-    with pytest.raises(WindowOverflowError) as exc:
-        mod.act(g, v, degree_cap=worst - 1)
-    assert exc.value.required == worst
-    assert mod.act(g, v, degree_cap=worst).terms == want
+    assert mod.act(g, v).terms == want
 
 
 def test_act_rejects_foreign_contexts():
@@ -341,13 +339,9 @@ def test_act_rejects_foreign_contexts():
         mod.act(A1.e(1, 0), other_mod.vacuum())
 
 
-def test_window_overflow_reports_required_cap():
+def test_act_grows_the_loop_degree_uncapped():
     mod = VermaModule(A1, LAM_HALF, reduced=True)
     v = mod.monomial(("F", (1,), 2))
-    with pytest.raises(WindowOverflowError) as exc:
-        mod.act(A1.h(1, 3), v, degree_cap=3)
-    assert exc.value.required == 5
-    # uncapped act is exact
     got = mod.act(A1.h(1, 3), v)
     assert got == Fraction(-2) * mod.monomial(("F", (1,), 5))
 
