@@ -21,7 +21,8 @@ from imverma._kernels import nullspace, rank
 from imverma.errors import (AutomorphismError, ContextMismatchError, ImvermaError,
                             NotARootError)
 from imverma.finite import (DiagramAutomorphism, FiniteAlgebra, FiniteElement,
-                            _neg, add_scaled, root_height)
+                            SparseCombination, _neg, add_scaled, key_name,
+                            root_height)
 
 
 @dataclass(frozen=True)
@@ -42,49 +43,18 @@ class AffineRoot:
         return self.n == 0 and all(x == 0 for x in self.finite)
 
 
-@dataclass
-class LoopElement:
+@dataclass(eq=False)
+class LoopElement(SparseCombination):
     """Finite sparse sum of (basis element (x) t^n) terms plus c and d parts."""
 
     algebra: "AffineAlgebra"
     terms: dict = field(default_factory=dict)
     c: Fraction = Fraction(0)
     d: Fraction = Fraction(0)
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ContextMismatchError("loop elements from different algebra contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return LoopElement(self.algebra, add_scaled(dict(self.terms), other.terms),
-                           self.c + other.c, self.d + other.d)
-
-    def __neg__(self):
-        return LoopElement(self.algebra, {k: -v for k, v in self.terms.items()},
-                           -self.c, -self.d)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return LoopElement(self.algebra, {})
-        return LoopElement(self.algebra, {k: scalar * v for k, v in self.terms.items()},
-                           scalar * self.c, scalar * self.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, LoopElement):
-            return NotImplemented
-        return (self.algebra is other.algebra and self.terms == other.terms
-                and self.c == other.c and self.d == other.d)
-
-    def is_zero(self):
-        return not self.terms and not self.c and not self.d
+    _scalars = ("c", "d")
+    _mismatch = "loop elements from different algebra contexts"
 
     def __repr__(self):
-        from imverma.finite import key_name
         bits = [f"{v}*{key_name(k)}@t^{n}" for (k, n), v in sorted(
             self.terms.items(), key=lambda kv: (kv[0][1], str(kv[0][0])))]
         if self.c:

@@ -207,10 +207,6 @@ class ExplicitModule:
     def dim(self, widx) -> int:
         return len(self.labels[widx])
 
-    def target_index(self, gkey, src_widx):
-        """Target weight index of a stored (generator, source) pair, or None."""
-        return self.targets[gkey][src_widx]
-
     def generator_keys(self):
         return sorted(self.defined, key=lambda gk: (gk[1], str(gk[0])))
 
@@ -359,7 +355,7 @@ class ExplicitModule:
         for gk, per_src in self.defined.items():
             defined[gk] = {}
             for src, mat in per_src.items():
-                tgt = self.target_index(gk, src)
+                tgt = self.table(gk, src)[1]
                 if tgt is None and mat:
                     raise ModuleDataError("nonzero block without a target weight")
                 defined[gk][src] = _mat_mul(_mat_mul(invs[tgt], mat), mats[src]) \
@@ -385,7 +381,7 @@ class ExplicitModule:
             triples = []
             for src, mat in sorted(self.defined[gk].items()):
                 base_src = self._starts[src]
-                tgt = self.target_index(gk, src)
+                tgt = self.table(gk, src)[1]
                 base_tgt = self._starts[tgt] if tgt is not None else 0
                 for (r, c), v in sorted(mat.items()):
                     triples.append([base_tgt + r, base_src + c, str(v)])
@@ -470,7 +466,7 @@ class ExplicitModule:
                                 loop_window=loop_window, meta=meta)
         at = [module.windex[w] for w in weights]
         for name, swidx, twidx in sorted(arrows):
-            if module.target_index(arrows[(name, swidx, twidx)], at[swidx]) != at[twidx]:
+            if module.table(arrows[(name, swidx, twidx)], at[swidx])[1] != at[twidx]:
                 raise ModuleDataError(
                     f"bad module data in 'actions': {name} on weight index {swidx} "
                     f"has a row in weight index {twidx}, not in its target weight")
@@ -1079,14 +1075,15 @@ def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
                                   cap: int = 16):
     """Summand weights with highest-weight vectors, plus a dimension audit.
 
-    Requires category membership on the window; each independent torsion
-    vector is pushed to a fully annihilated vector, and the multiset of their
-    weights is audited: on every stored weight space the stored dimension must
-    equal the sum of windowed reduced Verma dimensions of the claimed
-    summands, and no summand space may lie outside the store. Audit failure
-    raises AuditError.
+    Requires category membership on the window, with cap the largest
+    nilpotency degree accepted both by axiom (2) and by extraction; each
+    independent torsion vector is pushed to a fully annihilated vector, and
+    the multiset of their weights is audited: on every stored weight space the
+    stored dimension must equal the sum of windowed reduced Verma dimensions
+    of the claimed summands, and no summand space may lie outside the store.
+    Audit failure raises AuditError.
     """
-    report = check_category_membership(module, gwindow)
+    report = check_category_membership(module, gwindow, cap)
     if not report["passed"]:
         failed = [k for k, v in report["axioms"].items() if not v["passed"]]
         raise ModuleDataError(

@@ -75,13 +75,18 @@ def _parse_window_arg(text):
         raise UsageError(str(ex))
 
 
-def _config_dict(args, keys):
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if v is not None:
-            out[k] = v
-    return out
+# parsed values that are not configuration: the subcommand and its handler
+# (named by the report itself), and where and how the report is written
+_NOT_CONFIG = {"command", "config", "func", "out", "format"}
+
+
+def _report(args, result):
+    """The report of a run: its command, the configuration it ran with (every
+    flag value that was set) and its result."""
+    config = {k: v for k, v in vars(args).items()
+              if v is not None and k not in _NOT_CONFIG}
+    return {"schema_version": SCHEMA_VERSION, "command": args.command,
+            "config": config, "result": result}
 
 
 def _emit(args, payload):
@@ -97,11 +102,6 @@ def _emit(args, payload):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _report(command, config, result):
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "config": config, "result": result}
 
 
 # PBW symbols F[1,1]@-2 and B1@3; a --monomial list splits only at commas
@@ -170,8 +170,7 @@ def _cmd_algebra(args):
             "natural_borel_slice_dims": {str(m): v for m, v in
                                          sorted(tw.natural_borel_slice_dims().items())},
         }
-    cfg = _config_dict(args, ["type", "matrix_file", "twist", "loop_degree"])
-    _emit(args, _report("algebra", cfg, result))
+    _emit(args, _report(args, result))
     return 0
 
 
@@ -200,8 +199,7 @@ def _cmd_roots(args):
             "in_S": spec.contains(r),
             "in_minus_S": spec.contains(-r),
         })
-    cfg = _config_dict(args, ["type", "matrix_file", "which", "height", "loop_degree"])
-    _emit(args, _report("roots", cfg, {"partition": args.which, "roots": records}))
+    _emit(args, _report(args, {"partition": args.which, "roots": records}))
     return 0
 
 
@@ -211,8 +209,7 @@ def _cmd_partition(args):
     spec = natural_spec(alg) if args.which == "natural" else standard_spec(alg)
     rep = check_closed_partition(spec, args.height, args.loop_degree)
     rep["status"] = "pass" if rep["passed"] else "fail"
-    cfg = _config_dict(args, ["type", "matrix_file", "which", "height", "loop_degree"])
-    _emit(args, _report("partition", cfg, rep))
+    _emit(args, _report(args, rep))
     return 0
 
 
@@ -251,11 +248,8 @@ def _cmd_verma_dims(args):
         lines += [f"{k},{d}" for k, d in rows]
         _emit(args, "\n".join(lines) + "\n")
     else:
-        cfg = _config_dict(args, ["type", "matrix_file", "lam", "delta_max",
-                                  "offset", "reduced", "window"])
-        _emit(args, _report("verma-dims", cfg,
-                            {"window": {"L": window.L, "N": window.N, "H": window.H},
-                             "dims": [{"k": k, "dimension": d} for k, d in rows]}))
+        _emit(args, _report(args, {"window": {"L": window.L, "N": window.N, "H": window.H},
+                                   "dims": [{"k": k, "dimension": d} for k, d in rows]}))
     return 0
 
 
@@ -278,9 +272,7 @@ def _cmd_verma_act(args):
             image.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))},
         "flags": list(mod.flags),
     }
-    cfg = _config_dict(args, ["type", "matrix_file", "lam", "reduced", "gen",
-                              "monomial"])
-    _emit(args, _report("verma-act", cfg, result))
+    _emit(args, _report(args, result))
     return 0
 
 
@@ -305,13 +297,12 @@ def _cmd_singular(args):
             for (k, s), v in found
         ],
     }
-    cfg = _config_dict(args, ["type", "matrix_file", "lam", "reduced", "window"])
-    _emit(args, _report("singular", cfg, result))
+    _emit(args, _report(args, result))
     return 0
 
 
 def _load_module(args):
-    _require_nonneg(args, "kmax", "gwindow", "nilpotency_cap")
+    _require_nonneg(args, "kmax", "gwindow")
     if getattr(args, "module", None):
         with open(args.module) as fh:
             try:
@@ -369,25 +360,23 @@ def _split_result(module, split):
 
 
 def _cmd_category_check(args):
+    _require_nonneg(args, "nilpotency_cap")
     module = _load_module(args)
     rep = check_category_membership(module, args.gwindow, args.nilpotency_cap)
     rep.pop("_split", None)
-    cfg = _config_dict(args, ["module", "summands", "type", "window", "kmax",
-                              "gwindow", "scramble", "nilpotency_cap"])
-    _emit(args, _report("category-check", cfg, rep))
+    _emit(args, _report(args, rep))
     return 0
 
 
 def _cmd_category_split(args):
     module = _load_module(args)
     split = torsion_decompose(module, args.gwindow)
-    cfg = _config_dict(args, ["module", "summands", "type", "window", "kmax",
-                              "gwindow", "scramble"])
-    _emit(args, _report("category-split", cfg, _split_result(module, split)))
+    _emit(args, _report(args, _split_result(module, split)))
     return 0
 
 
 def _cmd_category_decompose(args):
+    _require_nonneg(args, "nilpotency_cap")
     module = _load_module(args)
     summands, audit = decompose_into_reduced_vermas(module, args.gwindow,
                                                     args.nilpotency_cap)
@@ -396,9 +385,7 @@ def _cmd_category_decompose(args):
                       "d": str(w.d_value)} for w, _ in summands],
         "audit": audit,
     }
-    cfg = _config_dict(args, ["module", "summands", "type", "window", "kmax",
-                              "gwindow", "scramble", "nilpotency_cap"])
-    _emit(args, _report("category-decompose", cfg, result))
+    _emit(args, _report(args, result))
     return 0
 
 
@@ -416,13 +403,10 @@ def _cmd_loopmod(args):
         _emit(args, blob)
         summary = {"written": args.out, "weights": len(module.weights),
                    "total_dim": module.total_dim}
-        sys.stdout.write(json.dumps(
-            _report("loopmod", _config_dict(args, ["type", "dim", "loop_degree"]),
-                    summary), indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(_report(args, summary), indent=2, sort_keys=True)
+                         + "\n")
     else:
-        _emit(args, _report("loopmod",
-                            _config_dict(args, ["type", "dim", "loop_degree"]),
-                            blob))
+        _emit(args, _report(args, blob))
     return 0
 
 
@@ -512,9 +496,10 @@ def build_parser():
         p.add_argument("--gwindow", type=int, default=2,
                        help="Heisenberg/loop degree window for the checks")
         p.add_argument("--scramble", type=int, help="scramble seed")
-        p.add_argument("--nilpotency-cap", dest="nilpotency_cap", type=int,
-                       default=16,
-                       help="largest nilpotency degree of e_{i,n} accepted")
+        if name != "category-split":
+            p.add_argument("--nilpotency-cap", dest="nilpotency_cap", type=int,
+                           default=16,
+                           help="largest nilpotency degree of e_{i,n} accepted")
         _add_common_out(p)
         p.set_defaults(func=func)
 

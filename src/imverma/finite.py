@@ -60,6 +60,57 @@ def add_scaled(out, terms, scale=1):
     return out
 
 
+class SparseCombination:
+    """The linear arithmetic of a sparse exact combination {key: coeff}.
+
+    A subclass is a dataclass(eq=False) whose fields are, in order, its
+    context (the field named by _context: an algebra or a module), terms, and
+    the scalar parts named by _scalars, which add, negate and scale together
+    with the terms. Operands must share the context object. Combinations are
+    mutable, so they are unhashable.
+    """
+
+    __hash__ = None
+    _context = "algebra"
+    _scalars = ()
+    _mismatch = "elements belong to different algebra contexts"
+
+    def _new(self, terms, scalars):
+        return type(self)(getattr(self, self._context), terms, *scalars)
+
+    def _scalar_parts(self):
+        return [getattr(self, name) for name in self._scalars]
+
+    def __add__(self, other):
+        if getattr(self, self._context) is not getattr(other, self._context):
+            raise ContextMismatchError(self._mismatch)
+        scalars = zip(self._scalar_parts(), other._scalar_parts())
+        return self._new(add_scaled(dict(self.terms), other.terms),
+                         [a + b for a, b in scalars])
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self.terms.items()},
+                         [-a for a in self._scalar_parts()])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, scalar):
+        scalar = Fraction(scalar)
+        terms = {k: scalar * v for k, v in self.terms.items()} if scalar else {}
+        return self._new(terms, [scalar * a for a in self._scalar_parts()])
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (getattr(self, self._context) is getattr(other, self._context)
+                and self.terms == other.terms
+                and self._scalar_parts() == other._scalar_parts())
+
+    def is_zero(self):
+        return not self.terms and not any(self._scalar_parts())
+
+
 class FiniteRootSystem:
     """Root system generated from a Cartan matrix by root strings."""
 
@@ -184,40 +235,12 @@ def _structure_constants(rs: FiniteRootSystem, d_form):
     return full, extraspecial
 
 
-@dataclass
-class FiniteElement:
+@dataclass(eq=False)
+class FiniteElement(SparseCombination):
     """Sparse rational combination of basis keys of one algebra context."""
 
     algebra: "FiniteAlgebra"
     terms: dict = field(default_factory=dict)
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ContextMismatchError("elements belong to different algebra contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return FiniteElement(self.algebra, add_scaled(dict(self.terms), other.terms))
-
-    def __neg__(self):
-        return FiniteElement(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return FiniteElement(self.algebra, {})
-        return FiniteElement(self.algebra, {k: scalar * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, FiniteElement):
-            return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
 
     def __repr__(self):
         if not self.terms:

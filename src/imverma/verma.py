@@ -44,7 +44,7 @@ from functools import cache
 from imverma._kernels import Echelon
 from imverma.affine import AffineAlgebra, LoopElement
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
-from imverma.finite import _neg, add_scaled, root_height
+from imverma.finite import SparseCombination, _neg, add_scaled, root_height
 
 
 @dataclass(frozen=True)
@@ -173,41 +173,15 @@ def monomial_name(mono):
     return "*".join(bits) + "*v"
 
 
-@dataclass
-class ModuleVector:
+@dataclass(eq=False)
+class ModuleVector(SparseCombination):
     """Sparse exact (int | Fraction) combination of PBW monomials in one
     Verma module."""
 
     module: "VermaModule"
     terms: dict = field(default_factory=dict)
-
-    def _check(self, other):
-        if self.module is not other.module:
-            raise ContextMismatchError("vectors from different modules")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModuleVector(self.module, add_scaled(dict(self.terms), other.terms))
-
-    def __neg__(self):
-        return ModuleVector(self.module, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if not scalar:
-            return ModuleVector(self.module, {})
-        return ModuleVector(self.module, {k: scalar * v for k, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleVector):
-            return NotImplemented
-        return self.module is other.module and self.terms == other.terms
-
-    def is_zero(self):
-        return not self.terms
+    _context = "module"
+    _mismatch = "vectors from different modules"
 
     def __repr__(self):
         if not self.terms:

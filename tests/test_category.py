@@ -531,7 +531,7 @@ def test_targets_match_weight_shift(build):
     for gk, per_src in em.defined.items():
         for src in per_src:
             want = em.windex.get(weight_shift(em.algebra, em.weights[src], gk))
-            assert em.target_index(gk, src) == want
+            assert em.table(gk, src)[1] == want
             pairs += 1
     assert pairs
 
@@ -545,7 +545,7 @@ def test_direct_sum_targets_reach_other_summands():
     crossing = 0
     for gk, per_src in em.defined.items():
         for src in per_src:
-            tgt = em.target_index(gk, src)
+            tgt = em.table(gk, src)[1]
             if tgt is not None and not any(
                     em.weights[src] in ws and em.weights[tgt] in ws for ws in owners):
                 crossing += 1

@@ -121,6 +121,9 @@ def test_unknown_type_is_usage_error(capsys):
     pytest.param(("category-decompose", "--type", "A1", "--summands", "h1=-1/2",
                   "--window", "L=3,N=4,H=1", "--nilpotency-cap", "-1"),
                  "nilpotency-cap", id="negative-nilpotency-cap"),
+    pytest.param(("category-split", "--type", "A1", "--summands", "h1=-1/2",
+                  "--window", "L=3,N=4,H=1", "--nilpotency-cap", "1"),
+                 "--nilpotency-cap", id="split-takes-no-nilpotency-cap"),
     pytest.param(("algebra", "--type", "A3", "--twist", "1:3,3:1",
                   "--loop-degree", "-1"), "loop-degree",
                  id="algebra-negative-loop-degree"),
@@ -292,6 +295,22 @@ def test_check_reports_nilpotency_cap_violations(tmp_path, capsys):
         assert axiom["passed"] == (violations == 0)
 
 
+def test_decompose_applies_the_nilpotency_cap(capsys):
+    # both summands' e_{1,n} nilpotency degrees exceed 1, so membership fails
+    # axiom 2 at cap 1 and holds at the default cap of 16
+    argv = ("category-decompose", "--type", "A1", "--summands", "h1=-1/2|h1=-3/2",
+            "--window", "L=3,N=4,H=1", "--gwindow", "3")
+    code, out, err = run(capsys, *argv, "--nilpotency-cap", "1")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "['2']" in err
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["config"]["nilpotency_cap"] == 16
+
+
 def test_verma_act_non_simple_root_monomial(capsys):
     # the comma inside F[1,1] belongs to the root, not to the symbol list
     code, out, _ = run(capsys, "verma-act", "--type", "A2",
@@ -448,6 +467,28 @@ def test_matrix_file_input(tmp_path, capsys):
     code, out, _ = run(capsys, "algebra", "--matrix-file", str(mf))
     data = json.loads(out)
     assert data["result"]["dimension"] == 8
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("algebra",), id="algebra"),
+    pytest.param(("singular", "--lambda", "h1=-1/2", "--window", "L=2,N=1,H=1"),
+                 id="singular"),
+    pytest.param(("category-check", "--summands", "h1=-1/2", "--window", "L=2,N=1,H=1",
+                  "--gwindow", "1"), id="category-check"),
+    pytest.param(("category-split", "--summands", "h1=-1/2", "--window", "L=2,N=1,H=1",
+                  "--gwindow", "1"), id="category-split"),
+    pytest.param(("category-decompose", "--summands", "h1=-1/2", "--window",
+                  "L=2,N=1,H=1", "--gwindow", "1"), id="category-decompose"),
+    pytest.param(("loopmod", "--dim", "2", "--loop-degree", "1"), id="loopmod"),
+])
+def test_report_config_names_the_matrix_file(tmp_path, capsys, argv):
+    mf = tmp_path / "cartan.txt"
+    mf.write_text("2\n")
+    code, out, _ = run(capsys, argv[0], "--matrix-file", str(mf), *argv[1:])
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["matrix_file"] == str(mf)
+    assert "type" not in config
 
 
 # Small valid and malformed values per flag; windows stay within L=2,N=1,H=1

@@ -8,12 +8,14 @@ from fractions import Fraction
 
 import pytest
 
+from imverma.affine import AffineAlgebra, LoopElement
 from imverma.cartan import (cartan_matrix_from_text, cartan_matrix_of_type,
                             make_cartan_matrix)
 from imverma.errors import (AutomorphismError, CartanMatrixError,
                             ContextMismatchError)
-from imverma.finite import (build_simple_algebra, diagram_automorphism,
-                            invariant_form, root_height)
+from imverma.finite import (FiniteElement, bracket_finite, build_simple_algebra,
+                            diagram_automorphism, invariant_form, root_height)
+from imverma.verma import ModuleVector, VermaModule, Weight
 
 from oracles import (automorphism_trace, roots_by_reflection_closure,
                      solve_invariant_form, string_length_down)
@@ -190,6 +192,62 @@ def test_context_mismatch_rejected():
         a.e(1) + b.e(1)
 
 
+def _finite_case():
+    return FiniteElement, alg("A2"), alg("A2"), ("h", 1), ("x", (1, 1)), ()
+
+
+def _loop_case():
+    aff = AffineAlgebra(alg("A1"))
+    return (LoopElement, aff, AffineAlgebra(aff.finite), (("h", 1), 2),
+            (("x", (-1,)), -1), (Fraction(2), Fraction(-1, 3)))
+
+
+def _module_case():
+    mod = VermaModule(AffineAlgebra(alg("A1")), Weight.make([Fraction(-1, 2)]))
+    return (ModuleVector, mod, VermaModule(mod.algebra, mod.lam), (),
+            (("F", (1,), 0),), ())
+
+
+@pytest.mark.parametrize("case, mismatch", [
+    pytest.param(_finite_case, "elements belong to different algebra contexts",
+                 id="FiniteElement"),
+    pytest.param(_loop_case, "loop elements from different algebra contexts",
+                 id="LoopElement"),
+    pytest.param(_module_case, "vectors from different modules", id="ModuleVector"),
+])
+def test_sparse_combination_arithmetic(case, mismatch):
+    # cls(context, terms, *scalars); LoopElement's scalars are c and d, which
+    # must add, negate and scale together with the terms
+    cls, ctx, foreign, k1, k2, s = case()
+    t = tuple(Fraction(1, 2) * a + 1 for a in s)
+    x = cls(ctx, {k1: 2, k2: -1}, *s)
+    y = cls(ctx, {k1: -2, k2: Fraction(1, 2)}, *t)
+    assert x + y == cls(ctx, {k2: Fraction(-1, 2)}, *(a + b for a, b in zip(s, t)))
+    assert x - y == cls(ctx, {k1: 4, k2: Fraction(-3, 2)},
+                        *(a - b for a, b in zip(s, t)))
+    neg = -x
+    assert neg == cls(ctx, {k1: -2, k2: 1}, *(-a for a in s))
+    assert all(type(v) is int for v in neg.terms.values())
+    zero = 0 * x
+    assert type(zero) is cls and zero.terms == {} and zero.is_zero()
+    assert zero == cls(ctx, {}) and zero != cls(foreign, {})
+    assert 3 * x == cls(ctx, {k1: 6, k2: -3}, *(3 * a for a in s))
+    assert Fraction(-1, 2) * x == cls(ctx, {k1: -1, k2: Fraction(1, 2)},
+                                      *(Fraction(-1, 2) * a for a in s))
+    assert (x - x).is_zero() and not x.is_zero()
+    assert x == cls(ctx, dict(x.terms), *s)
+    assert x != y and x != cls(foreign, dict(x.terms), *s)
+    assert x != dict(x.terms)
+    if s:
+        assert not cls(ctx, {}, *s).is_zero()
+        assert x != cls(ctx, dict(x.terms), *t)
+    for op in (lambda: x + cls(foreign, {k1: 1}), lambda: x - cls(foreign, {k1: 1})):
+        with pytest.raises(ContextMismatchError, match=mismatch):
+            op()
+    with pytest.raises(TypeError):
+        hash(x)
+
+
 # -- invariant form --------------------------------------------------------------
 
 
@@ -217,6 +275,16 @@ def test_form_invariance_exhaustive():
             for y in elems:
                 for z in elems:
                     assert a.form(a.bracket(x, y), z) == a.form(x, a.bracket(y, z))
+
+
+def test_exported_aliases_agree_with_the_algebra_methods():
+    a = alg("A2")
+    elems = [a.element({k: 1}) for k in a.basis]
+    elems.append(a.e(1) + 2 * a.f(2) - Fraction(1, 3) * a.h(1))
+    for x in elems:
+        for y in elems:
+            assert invariant_form(x, y) == a.form(x, y)
+            assert bracket_finite(x, y) == a.bracket(x, y)
 
 
 def test_theta_normalization():
