@@ -327,14 +327,12 @@ class ExplicitModule:
                         coff = shift[si][li][1]
                         for (r, c), v in mat.items():
                             entries[(r + roff, c + coff)] = v
+        # metas that agree apart from their kind carry over to the sum
         metas = [m.meta for m in summands]
         meta = None
-        if all(mt is not None for mt in metas):
-            base = [dict(mt, kind=None) for mt in metas]
-            if all(b == base[0] for b in base):
-                meta = {"kind": "direct-sum",
-                        "height": metas[0]["height"], "kmax": metas[0]["kmax"],
-                        "window": dict(metas[0]["window"])}
+        if None not in metas and all(dict(mt, kind=None) == dict(metas[0], kind=None)
+                                     for mt in metas):
+            meta = dict(metas[0], kind="direct-sum")
         lw = min(m.loop_window for m in summands)
         return ExplicitModule(algebra, weights, labels, defined,
                               provenance=provenance, loop_window=lw, meta=meta)
@@ -739,29 +737,34 @@ def _check_axioms(split: GCompatibleSplit):
                                     "weight_index": widx})
     split.verdicts["iv"] = {"passed": not iv_fail, "violations": iv_fail,
                             "skipped": iv_skip}
-    # (ii): each h_{i,l} injective on TF; windowed surjectivity strictly inside
+    # (ii): each degree-l slice G_{l delta} = span{h_{i,l}} injective on TF, and
+    # onto TF at its target where the whole opposite slice is defined there.
+    # TF at an analysed target is the span of every image arriving there, and
+    # 0 at any other, so onto is a rank count
     inj_fail = []
     surj_fail = []
     checked = 0
     skipped = 0
+    gens = range(1, module.algebra.rank + 1)
+    degrees = [l for l in range(-gwindow, gwindow + 1) if l]
     for widx, tf_rows in split.torsion_free.items():
-        for gk in hkeys:
-            entry = module.table(gk, widx)
-            if entry is None:
+        for l in degrees:
+            entries = [module.table((("h", i), l), widx) for i in gens]
+            if None in entries:
                 skipped += 1
                 continue
-            mat, tgt, ntgt = entry
-            images = _images(mat, tf_rows)
             checked += 1
-            base = rank(images, ntgt)
-            if base != len(tf_rows):
-                inj_fail.append({"generator": gen_name(module.algebra, *gk),
-                                 "weight_index": widx})
-            if module.table((gk[0], -gk[1]), tgt) is not None:
-                tgt_tf = split.torsion_free.get(tgt, [])
-                if rank(images + tgt_tf, ntgt) != base or base != len(tgt_tf):
-                    surj_fail.append({"generator": gen_name(module.algebra, *gk),
-                                      "weight_index": widx})
+            _, tgt, ntgt = entries[0]
+            images = [_images(mat, tf_rows) for mat, _, _ in entries]
+            # v -> (h_{1,l} v, ..., h_{r,l} v), one column block per generator
+            stacked = [{c + i * ntgt: x for i, imgs in enumerate(images)
+                        for c, x in imgs[j].items()} for j in range(len(tf_rows))]
+            if rank(stacked, len(gens) * ntgt) != len(tf_rows):
+                inj_fail.append({"degree": l, "weight_index": widx})
+            if all(module.table((("h", i), -l), tgt) is not None for i in gens):
+                spanned = rank([img for imgs in images for img in imgs], ntgt)
+                if spanned != len(split.torsion_free.get(tgt, [])):
+                    surj_fail.append({"degree": l, "weight_index": widx})
             else:
                 skipped += 1
     split.verdicts["ii"] = {"passed": not inj_fail and not surj_fail,

@@ -44,14 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_algebra(args) -> AffineAlgebra:
-    if getattr(args, "matrix_file", None):
+    if args.matrix_file:
         with open(args.matrix_file, encoding="utf-8") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as ex:
                 raise CartanMatrixError(f"{args.matrix_file}: not text: {ex}") from None
         cartan = cartan_matrix_from_text(text)
-    elif getattr(args, "type", None):
+    elif args.type:
         try:
             cartan = cartan_matrix_of_type(args.type)
         except CartanMatrixError as ex:
@@ -77,7 +77,7 @@ def _parse_window_arg(text):
 
 # parsed values that are not configuration: the subcommand and its handler
 # (named by the report itself), and where and how the report is written
-_NOT_CONFIG = {"command", "config", "func", "out", "format"}
+_NOT_CONFIG = {"command", "func", "out", "format"}
 
 
 def _report(args, result):
@@ -89,11 +89,11 @@ def _report(args, result):
             "config": config, "result": result}
 
 
-def _emit(args, payload):
-    """Write a report: a dict as sorted JSON, a str (pre-rendered CSV) as is."""
+def _emit(out, payload):
+    """Write a report to the path out, or to stdout if out is None: a dict as
+    sorted JSON, a str (pre-rendered CSV) as is."""
     text = payload if isinstance(payload, str) else \
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    out = getattr(args, "out", None)
     if out:
         outdir = os.environ.get("IMVERMA_OUTDIR", "")
         if outdir and not os.path.isabs(out):
@@ -134,17 +134,21 @@ def _parse_gen_string(algebra, text):
     return algebra.loop(algebra.finite.element({key: 1}), n)
 
 
-def _require_nonneg(args, *names):
-    for name in names:
-        if getattr(args, name) < 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be non-negative")
+def _count(text):
+    """The argparse type of a count flag: a non-negative int."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+_count.__name__ = "int"  # a non-integer reads "invalid int value", as for int
 
 
 # -- subcommand handlers ---------------------------------------------------------
 
 
 def _cmd_algebra(args):
-    _require_nonneg(args, "loop_degree")
     alg = _load_algebra(args)
     fin = alg.finite
     result = {
@@ -157,7 +161,7 @@ def _cmd_algebra(args):
         "form_scale": str(fin.form_scale),
         "structure_constant_pairs": len(fin.nmat),
     }
-    if getattr(args, "twist", None):
+    if args.twist:
         perm = _parse_perm(args.twist, fin.rank)
         aut = diagram_automorphism(fin, perm)
         tw = twisted_fixed_subalgebra(alg, aut, args.loop_degree)
@@ -170,8 +174,7 @@ def _cmd_algebra(args):
             "natural_borel_slice_dims": {str(m): v for m, v in
                                          sorted(tw.natural_borel_slice_dims().items())},
         }
-    _emit(args, _report(args, result))
-    return 0
+    return result
 
 
 def _parse_perm(text, rank):
@@ -188,7 +191,6 @@ def _parse_perm(text, rank):
 
 
 def _cmd_roots(args):
-    _require_nonneg(args, "height", "loop_degree")
     alg = _load_algebra(args)
     spec = natural_spec(alg) if args.which == "natural" else standard_spec(alg)
     records = []
@@ -199,22 +201,18 @@ def _cmd_roots(args):
             "in_S": spec.contains(r),
             "in_minus_S": spec.contains(-r),
         })
-    _emit(args, _report(args, {"partition": args.which, "roots": records}))
-    return 0
+    return {"partition": args.which, "roots": records}
 
 
 def _cmd_partition(args):
-    _require_nonneg(args, "height", "loop_degree")
     alg = _load_algebra(args)
     spec = natural_spec(alg) if args.which == "natural" else standard_spec(alg)
     rep = check_closed_partition(spec, args.height, args.loop_degree)
     rep["status"] = "pass" if rep["passed"] else "fail"
-    _emit(args, _report(args, rep))
-    return 0
+    return rep
 
 
 def _cmd_verma_dims(args):
-    _require_nonneg(args, "delta_max")
     alg = _load_algebra(args)
     lam = _parse_weight_arg(args.lam, alg.rank)
     window = _parse_window_arg(args.window) if args.window else None
@@ -245,12 +243,9 @@ def _cmd_verma_dims(args):
                  f"# window=L={window.L},N={window.N},H={window.H}",
                  f"# schema_version={SCHEMA_VERSION}",
                  "k,dimension"]
-        lines += [f"{k},{d}" for k, d in rows]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _report(args, {"window": {"L": window.L, "N": window.N, "H": window.H},
-                                   "dims": [{"k": k, "dimension": d} for k, d in rows]}))
-    return 0
+        return "\n".join(lines + [f"{k},{d}" for k, d in rows]) + "\n"
+    return {"window": {"L": window.L, "N": window.N, "H": window.H},
+            "dims": [{"k": k, "dimension": d} for k, d in rows]}
 
 
 def _cmd_verma_act(args):
@@ -265,29 +260,23 @@ def _cmd_verma_act(args):
     v = mod.monomial(*symbols)
     g = _parse_gen_string(alg, args.gen)
     image = mod.act(g, v)
-    result = {
+    return {
         "generator": args.gen,
         "input": monomial_name(tuple(sorted(symbols, key=symbol_sort_key))),
         "image": {monomial_name(m): str(c) for m, c in sorted(
             image.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))},
         "flags": list(mod.flags),
     }
-    _emit(args, _report(args, result))
-    return 0
 
 
 def _cmd_singular(args):
     alg = _load_algebra(args)
     lam = _parse_weight_arg(args.lam, alg.rank)
-    window = _parse_window_arg(args.window) if args.window else None
-    if window is None:
-        raise UsageError("--window L=..,N=..,H=.. is required")
+    window = _parse_window_arg(args.window)
     mod = VermaModule(alg, lam, reduced=args.reduced)
-    offsets = []
-    for s in _nonneg_vectors(alg.rank, window.H):
-        offsets.append((None, s))
+    offsets = [(None, s) for s in _nonneg_vectors(alg.rank, window.H)]
     found = mod.singular_vectors(offsets, window)
-    result = {
+    return {
         "window": {"L": window.L, "N": window.N, "H": window.H},
         "reduced": args.reduced,
         "singular_vectors": [
@@ -297,13 +286,10 @@ def _cmd_singular(args):
             for (k, s), v in found
         ],
     }
-    _emit(args, _report(args, result))
-    return 0
 
 
 def _load_module(args):
-    _require_nonneg(args, "kmax", "gwindow")
-    if getattr(args, "module", None):
+    if args.module:
         with open(args.module) as fh:
             try:
                 data = json.load(fh)
@@ -313,11 +299,11 @@ def _load_module(args):
             return ExplicitModule.from_json_dict(data)
         except ModuleDataError as ex:
             raise ModuleDataError(f"{args.module}: {ex}") from None
-    if getattr(args, "summands", None):
+    if args.summands:
         alg = _load_algebra(args)
-        window = _parse_window_arg(args.window) if args.window else None
-        if window is None:
+        if not args.window:
             raise UsageError("--window is required when building from --summands")
+        window = _parse_window_arg(args.window)
         mods = []
         for text in args.summands.split("|"):
             lam = _parse_weight_arg(text, alg.rank)
@@ -340,12 +326,10 @@ def _split_result(module, split):
             out[str(widx)] = [[str(row.get(i, 0)) for i in range(n)] for row in rows]
         return out
 
-    verdicts = {}
-    for k, v in split.verdicts.items():
-        verdicts[k] = {kk: vv for kk, vv in v.items() if not kk.startswith("_")}
-        if "by_weight" in verdicts[k]:
-            verdicts[k]["by_weight"] = {str(i): b for i, b in
-                                        verdicts[k]["by_weight"].items()}
+    verdicts = {k: dict(v) for k, v in split.verdicts.items()}
+    for v in verdicts.values():
+        if "by_weight" in v:
+            v["by_weight"] = {str(i): b for i, b in v["by_weight"].items()}
     return {
         "weights": [{"h": [str(x) for x in w.h_values], "c": str(w.c_value),
                      "d": str(w.d_value), "dim": module.dim(i)}
@@ -360,67 +344,47 @@ def _split_result(module, split):
 
 
 def _cmd_category_check(args):
-    _require_nonneg(args, "nilpotency_cap")
     module = _load_module(args)
     rep = check_category_membership(module, args.gwindow, args.nilpotency_cap)
     rep.pop("_split", None)
-    _emit(args, _report(args, rep))
-    return 0
+    return rep
 
 
 def _cmd_category_split(args):
     module = _load_module(args)
-    split = torsion_decompose(module, args.gwindow)
-    _emit(args, _report(args, _split_result(module, split)))
-    return 0
+    return _split_result(module, torsion_decompose(module, args.gwindow))
 
 
 def _cmd_category_decompose(args):
-    _require_nonneg(args, "nilpotency_cap")
     module = _load_module(args)
     summands, audit = decompose_into_reduced_vermas(module, args.gwindow,
                                                     args.nilpotency_cap)
-    result = {
+    return {
         "summands": [{"h": [str(x) for x in w.h_values], "c": str(w.c_value),
                       "d": str(w.d_value)} for w, _ in summands],
         "audit": audit,
     }
-    _emit(args, _report(args, result))
-    return 0
 
 
 def _cmd_loopmod(args):
     if args.dim < 1:
         raise UsageError("--dim must be positive")
-    _require_nonneg(args, "loop_degree")
     alg = _load_algebra(args)
     if alg.rank != 1:
         raise UsageError("built-in loop modules exist for type A1 only")
     module = build_loop_module(alg, sl2_irrep_matrices(args.dim), args.dim,
                                args.loop_degree)
     blob = module.to_json_dict()
-    if args.out:
-        _emit(args, blob)
-        summary = {"written": args.out, "weights": len(module.weights),
-                   "total_dim": module.total_dim}
-        sys.stdout.write(json.dumps(_report(args, summary), indent=2, sort_keys=True)
-                         + "\n")
-    else:
-        _emit(args, _report(args, blob))
-    return 0
+    if not args.out:
+        return blob
+    # the module goes to --out and its summary to stdout
+    _emit(args.out, blob)
+    _emit(None, _report(args, {"written": args.out, "weights": len(module.weights),
+                               "total_dim": module.total_dim}))
+    return None
 
 
 # -- argument plumbing ---------------------------------------------------------
-
-
-def _add_algebra_flags(p):
-    p.add_argument("--type", help="algebra type label, e.g. A2, C3")
-    p.add_argument("--matrix-file", dest="matrix_file",
-                   help="Cartan matrix text file: one row per line")
-
-
-def _add_common_out(p):
-    p.add_argument("--out", help="output path (IMVERMA_OUTDIR joins relative paths)")
 
 
 def build_parser():
@@ -430,85 +394,71 @@ def build_parser():
                     "affine Lie algebras in the loop realization.")
     parser.add_argument("--config", help="key=value file supplying default flags")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)  # every subcommand's flags
+    shared.add_argument("--type", help="algebra type label, e.g. A2, C3")
+    shared.add_argument("--matrix-file", help="Cartan matrix text file: one row per line")
+    shared.add_argument("--out", help="output path (IMVERMA_OUTDIR joins relative paths)")
 
-    p = sub.add_parser("algebra", help="build and summarize a finite algebra")
-    _add_algebra_flags(p)
+    def command(name, func, text):
+        p = sub.add_parser(name, parents=[shared], help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("algebra", _cmd_algebra, "build and summarize a finite algebra")
     p.add_argument("--twist", help="diagram permutation, e.g. 1:3,3:1")
-    p.add_argument("--loop-degree", dest="loop_degree", type=int, default=2)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_algebra)
+    p.add_argument("--loop-degree", type=_count, default=2)
 
-    p = sub.add_parser("roots", help="affine roots in a window with partition flags")
-    _add_algebra_flags(p)
-    p.add_argument("--which", choices=["natural", "standard"], default="natural")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--loop-degree", dest="loop_degree", type=int, required=True)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_roots)
+    for name, func, text in (
+            ("roots", _cmd_roots, "affine roots in a window with partition flags"),
+            ("partition", _cmd_partition, "windowed closed-partition check")):
+        p = command(name, func, text)
+        p.add_argument("--which", choices=["natural", "standard"], default="natural")
+        p.add_argument("--height", type=_count, required=True)
+        p.add_argument("--loop-degree", type=_count, required=True)
 
-    p = sub.add_parser("partition", help="windowed closed-partition check")
-    _add_algebra_flags(p)
-    p.add_argument("--which", choices=["natural", "standard"], default="natural")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--loop-degree", dest="loop_degree", type=int, required=True)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_partition)
-
-    p = sub.add_parser("verma-dims", help="delta-string dimension table (CSV)")
-    _add_algebra_flags(p)
+    p = command("verma-dims", _cmd_verma_dims, "delta-string dimension table (CSV)")
     p.add_argument("--lambda", dest="lam", help='e.g. "h1=-1/2,d=0"')
-    p.add_argument("--delta-max", dest="delta_max", type=int, required=True)
+    p.add_argument("--delta-max", type=_count, required=True)
     p.add_argument("--offset", help="finite offset s1,s2,... (default zeros)")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--window", help='e.g. "L=8,N=6,H=4"')
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_verma_dims)
 
-    p = sub.add_parser("verma-act", help="apply a loop generator to a PBW monomial")
-    _add_algebra_flags(p)
+    p = command("verma-act", _cmd_verma_act, "apply a loop generator to a PBW monomial")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--reduced", action="store_true")
     p.add_argument("--gen", required=True, help='generator, e.g. "e1@-2" or "h2@3"')
     p.add_argument("--monomial", help='PBW symbols, e.g. "F[1]@2,B1@3"')
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_verma_act)
 
-    p = sub.add_parser("singular", help="windowed singular-vector kernels")
-    _add_algebra_flags(p)
+    p = command("singular", _cmd_singular, "windowed singular-vector kernels")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--reduced", action="store_true", default=True)
     p.add_argument("--full", dest="reduced", action="store_false",
                    help="search the unreduced module M(lambda)")
     p.add_argument("--window", required=True)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_singular)
 
     for name, func in (("category-check", _cmd_category_check),
                        ("category-split", _cmd_category_split),
                        ("category-decompose", _cmd_category_decompose)):
-        p = sub.add_parser(name, help=f"{name.split('-')[1]} an explicit module")
+        p = command(name, func, f"{name.split('-')[1]} an explicit module")
         p.add_argument("--module", help="ExplicitModule JSON file")
         p.add_argument("--summands", help='build: weights joined by "|"')
-        _add_algebra_flags(p)
         p.add_argument("--window", help="build window for --summands")
-        p.add_argument("--kmax", type=int, default=4)
-        p.add_argument("--gwindow", type=int, default=2,
+        p.add_argument("--kmax", type=_count, default=4)
+        p.add_argument("--gwindow", type=_count, default=2,
                        help="Heisenberg/loop degree window for the checks")
         p.add_argument("--scramble", type=int, help="scramble seed")
         if name != "category-split":
-            p.add_argument("--nilpotency-cap", dest="nilpotency_cap", type=int,
-                           default=16,
+            p.add_argument("--nilpotency-cap", type=_count, default=16,
                            help="largest nilpotency degree of e_{i,n} accepted")
-        _add_common_out(p)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("loopmod", help="loop module of a finite sl2 irrep")
-    _add_algebra_flags(p)
+    p = command("loopmod", _cmd_loopmod, "loop module of a finite sl2 irrep")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--loop-degree", dest="loop_degree", type=int, default=3)
-    _add_common_out(p)
-    p.set_defaults(func=_cmd_loopmod)
+    p.add_argument("--loop-degree", type=_count, default=3)
+    # per subcommand, the flags that take a value: the keys a config file may set
+    parser.value_flags = {cmd: {s for a in cp._actions if a.nargs != 0
+                                for s in a.option_strings}
+                          for cmd, cp in sub.choices.items()}
     return parser
 
 
@@ -521,54 +471,64 @@ def _parser():
     return build_parser()
 
 
+@cache
+def _config_parser():
+    """Finds --config PATH or --config=PATH anywhere in argv."""
+    pre = _Parser(prog="imverma", add_help=False)
+    pre.add_argument("--config")
+    return pre
+
+
 def _apply_config_file(argv):
-    if "--config" not in argv:
+    """argv without its --config flag, and with the config file's key=value
+    lines inserted as flags right after the subcommand.
+
+    A key names a flag that takes a value. The file sets only the flags the
+    subcommand takes, so one file serves several subcommands; a key that no
+    subcommand takes is a usage error, and a flag given in argv wins.
+    """
+    pre, argv = _config_parser().parse_known_args(argv)
+    if pre.config is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
+    try:
+        with open(pre.config, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as ex:
+        raise UsageError(f"cannot read config file: {ex}") from None
+    value_flags = _parser().value_flags
+    command = next((a for a in argv if not a.startswith("-")), None)
+    given = {a.partition("=")[0] for a in argv}
     extra = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            flag = "--" + key.strip().replace("_", "-")
-            if flag in argv:
-                continue  # explicit flags win
-            extra.extend([flag, val.strip()])
-    out = argv[:idx] + argv[idx + 2:]
-    # insert config-derived flags right after the subcommand token
-    for i, a in enumerate(out):
-        if not a.startswith("-"):
-            return out[: i + 1] + extra + out[i + 1:]
-    return out + extra
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        if not any(flag in flags for flags in value_flags.values()):
+            raise UsageError(f"config key {key!r} names no flag that takes a value")
+        if flag in value_flags.get(command, ()) and flag not in given:
+            extra.append(f"{flag}={val}")
+    i = argv.index(command) + 1 if extra else 0
+    return argv[:i] + extra + argv[i:]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config_file(argv)
-    except (OSError, UnicodeDecodeError) as ex:
-        print(f"cannot read config file: {ex}", file=sys.stderr)
-        return 2
-    try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_apply_config_file(argv))
+        result = args.func(args)
+        if result is not None:
+            _emit(args.out, result if isinstance(result, str) else _report(args, result))
     except SystemExit as ex:
         return int(ex.code or 0)
-    try:
-        return args.func(args)
     except UsageError as ex:
         print(str(ex), file=sys.stderr)
         return 2
-    except ImvermaError as ex:
+    except (ImvermaError, OSError) as ex:
         print(str(ex), file=sys.stderr)
         return 1
-    except OSError as ex:
-        print(str(ex), file=sys.stderr)
-        return 1
+    return 0
 
 
 def console_entry():

@@ -153,6 +153,19 @@ def test_same_lambda_sum_multiplicity_two():
     assert widxs[0] == widxs[1]
 
 
+def test_direct_sum_meta_agrees_apart_from_kind():
+    lm = build_loop_module(A1, sl2_irrep_matrices(2), 2, 2)
+    em = ExplicitModule.direct_sum([lm, lm])
+    assert em.meta == dict(lm.meta, kind="direct-sum")
+    assert em.total_dim == 2 * lm.total_dim
+    em = ExplicitModule.direct_sum([verma_a1(), verma_a1("h1=-3/2")])
+    assert em.meta == dict(verma_a1().meta, kind="direct-sum")
+    # summands built to different bounds give a sum without meta
+    other = build_loop_module(A1, sl2_irrep_matrices(3), 3, 2)
+    assert ExplicitModule.direct_sum([lm, other]).meta is None
+    assert ExplicitModule.direct_sum([verma_a1(), lm]).meta is None
+
+
 def test_loop_module_torsion_vanishes_dims_2_and_3():
     for dim in (2, 3):
         lm = build_loop_module(A1, sl2_irrep_matrices(dim), dim, 3)
@@ -217,12 +230,14 @@ def test_invariant_subspace_candidate_independent_of_kernel_basis():
         {"weight_index": 0}, {"weight_index": 1}, {"weight_index": 3}]
 
 
-def _a1_line_module(actions, defined, ds=("0", "1", "2")):
-    """A1 module with one vector at h1 = -1/2 for each d in ds; the global
-    basis index of that vector is its weight index."""
+def _line_module(actions, defined, ds=("0", "1", "2"), label="A1"):
+    """Module with one vector at h_i = -1/2 for each d in ds, over A1 unless
+    label says otherwise; the global basis index of that vector is its
+    weight index."""
+    rank_ = aff(label).rank
     return ExplicitModule.from_json_dict({
-        "algebra": {"label": "A1"},
-        "weights": [{"h": ["-1/2"], "c": "0", "d": d} for d in ds],
+        "algebra": {"label": label},
+        "weights": [{"h": ["-1/2"] * rank_, "c": "0", "d": d} for d in ds],
         "basis": [{"label": f"v{d}", "weight": i} for i, d in enumerate(ds)],
         "actions": actions, "defined": defined,
     })
@@ -230,26 +245,43 @@ def _a1_line_module(actions, defined, ds=("0", "1", "2")):
 
 def test_split_reports_heisenberg_generator_killing_tf():
     # v1 arrives from both sides, so TF = <v1> at d = 1, but h1@1 kills it
-    em = _a1_line_module({"h1@1": [[1, 0, "1"]],
-                          "h1@-1": [[0, 1, "1"], [1, 2, "1"]]},
-                         {"h1@1": [0, 1], "h1@-1": [1, 2]})
+    em = _line_module({"h1@1": [[1, 0, "1"]],
+                       "h1@-1": [[0, 1, "1"], [1, 2, "1"]]},
+                      {"h1@1": [0, 1], "h1@-1": [1, 2]})
     split = torsion_decompose(em, 1)
     assert split.torsion_free == {0: [{0: 1}], 1: [{0: 1}]}
     assert split.verdicts["ii"]["injectivity_violations"] == [
-        {"generator": "h1@1", "weight_index": 1}]
+        {"degree": 1, "weight_index": 1}]
     assert not split.passed()
+
+
+@pytest.mark.parametrize("h2_up, violations", [
+    pytest.param([], [{"degree": 1, "weight_index": 1}], id="slice-kills-v1"),
+    # h1@1 kills v1 but h2@1 does not, so the degree-1 slice is injective
+    pytest.param([[2, 1, "1"]], [], id="h2-keeps-v1"),
+])
+def test_split_tests_the_whole_heisenberg_slice(h2_up, violations):
+    # v1 arrives from both sides, so TF = <v1> at d = 1, and h1@1 kills it
+    em = _line_module({"h1@1": [[1, 0, "1"]], "h2@1": [[1, 0, "1"]] + h2_up,
+                       "h1@-1": [[0, 1, "1"], [1, 2, "1"]],
+                       "h2@-1": [[0, 1, "1"], [1, 2, "1"]]},
+                      {"h1@1": [0, 1], "h2@1": [0, 1],
+                       "h1@-1": [1, 2], "h2@-1": [1, 2]}, label="A2")
+    ii = torsion_decompose(em, 1).verdicts["ii"]
+    assert ii["injectivity_violations"] == violations
+    assert ii["passed"] == (not violations)
 
 
 def test_split_rejects_torsion_meeting_arrivals():
     # every Heisenberg table kills v1, and h1@1 also carries v0 onto it
-    em = _a1_line_module({"h1@1": [[1, 0, "1"]]},
-                         {"h1@1": [0, 1], "h1@-1": [1]}, ds=("0", "1"))
+    em = _line_module({"h1@1": [[1, 0, "1"]]},
+                      {"h1@1": [0, 1], "h1@-1": [1]}, ds=("0", "1"))
     with pytest.raises(ModuleDataError, match="split is not direct"):
         torsion_decompose(em, 1)
 
 
 def test_split_rejects_window_without_heisenberg_tables():
-    em = _a1_line_module({}, {"e1@0": [0]}, ds=("0",))
+    em = _line_module({}, {"e1@0": [0]}, ds=("0",))
     with pytest.raises(ModuleDataError, match="window too small"):
         torsion_decompose(em, 1)
 
@@ -448,6 +480,29 @@ def test_decompose_scrambled_sum_recovers_weights():
     got = sorted(str(w.h_values[0]) for w, _ in summands)
     assert got == ["-1/2", "-3/2", "-7/3"]
     assert audit["passed"]
+
+
+@pytest.mark.parametrize("label, summands", [
+    # A3 and D4 have orthogonal simple roots: a single h_{i,l} with
+    # gamma(h_i) = 0 kills a string, the whole degree-l slice does not
+    pytest.param("A3", "h1=-1/2,h2=-1/3,h3=-1/5|h1=-3/2,h2=-1/3,h3=-1/5", id="A3"),
+    pytest.param("B2", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3", id="B2"),
+    pytest.param("C2", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3", id="C2"),
+    pytest.param("D4", "h1=-1/2,h2=-1/3,h3=-1/5,h4=-1/7|"
+                       "h1=-3/2,h2=-1/3,h3=-1/5,h4=-1/7", id="D4"),
+    pytest.param("G2", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3", id="G2"),
+])
+def test_decompose_scrambled_sum_of_every_type(label, summands):
+    alg = aff(label)
+    lams = [parse_weight(text, alg.rank) for text in summands.split("|")]
+    mods = [ExplicitModule.from_reduced_verma(
+        alg, lam, height=1, kmax=2, window=TruncationWindow(L=3, N=2, H=1),
+        loop_window=2) for lam in lams]
+    got, audit = decompose_into_reduced_vermas(
+        ExplicitModule.direct_sum(mods).scrambled(3), 2)
+    assert sorted(w.h_values for w, _ in got) == sorted(lam.h_values for lam in lams)
+    assert audit["passed"]
+    assert all(row["expected"] == row["stored"] for row in audit["per_weight"])
 
 
 def test_decompose_rejects_non_member():

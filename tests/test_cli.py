@@ -131,6 +131,14 @@ def test_unknown_type_is_usage_error(capsys):
                  "loop-degree", id="loopmod-negative-loop-degree"),
     pytest.param(("algebra", "--type", "A1", "--format", "csv"), "--format",
                  id="format-without-csv-rendering"),
+    pytest.param(("verma-dims", "--type", "A1", "--delta-max", "-1"), "--delta-max",
+                 id="negative-delta-max"),
+    pytest.param(("roots", "--type", "A1", "--height", "1", "--loop-degree", "-1"),
+                 "--loop-degree", id="roots-negative-loop-degree"),
+    pytest.param(("partition", "--type", "A1", "--height", "-1",
+                  "--loop-degree", "1"), "--height", id="partition-negative-height"),
+    pytest.param(("roots", "--type", "A1", "--height", "x", "--loop-degree", "1"),
+                 "invalid int value", id="height-not-int"),
 ])
 def test_malformed_window_is_usage_error(capsys, argv, word):
     code, out, err = run(capsys, *argv)
@@ -449,6 +457,56 @@ def test_config_file(tmp_path, capsys):
     assert code == 0
     rows = [line for line in out.splitlines() if line and not line.startswith("#")]
     assert rows[1:] == ["0,1", "1,1", "2,2", "3,3"]
+
+
+def test_config_file_given_with_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "a2.cfg"
+    cfg.write_text("type=A2\n")
+    code, out, err = run(capsys, f"--config={cfg}", "verma-dims", "--delta-max", "1")
+    assert (code, err) == (0, "")
+    assert "# type=A2" in out
+
+
+def test_config_file_serves_several_subcommands(tmp_path, capsys):
+    # each subcommand takes the keys it has a flag for and skips the others
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("# one file for every run\ntype=A1\nnilpotency_cap=3\nformat=json\n")
+    build = ("--summands", "h1=-1/2", "--window", "L=2,N=1,H=1", "--gwindow", "1")
+    for argv, want in ((("category-check", *build), {"nilpotency_cap": 3}),
+                       (("category-split", *build), {}),
+                       (("roots", "--height", "1", "--loop-degree", "1"), {})):
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, err) == (0, ""), argv
+        config = json.loads(out)["config"]
+        assert config["type"] == "A1"
+        assert config.get("nilpotency_cap") == want.get("nilpotency_cap")
+
+
+def test_config_file_flag_given_in_argv_wins(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("type=A1\nheight=-1\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "roots", "--height=2",
+                       "--loop-degree", "1")
+    assert code == 0
+    assert json.loads(out)["config"]["height"] == 2
+
+
+@pytest.mark.parametrize("text, word", [
+    pytest.param("type=A1\nfoo=1\n", "foo", id="key-of-no-subcommand"),
+    pytest.param("type=A1\nreduced=true\n", "reduced", id="switch"),
+    pytest.param("type=A1\nhelp=1\n", "help", id="help"),
+])
+def test_config_file_key_without_value_flag_is_usage_error(tmp_path, capsys, text,
+                                                           word):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(text)
+    for argv in (("verma-dims", "--delta-max", "1"),
+                 ("roots", "--height", "1", "--loop-degree", "1")):
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert word in err
 
 
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):

@@ -49,12 +49,14 @@ PINNED = [
          "--window", "L=3,N=2,H=2", "--kmax", "2", "--gwindow", "2",
          "--scramble", "3"),
         "502977dd3c52257075c45383adafd22db6082729", id="W4-check-A2"),
+    # re-recorded when verdict (ii) moved from single generators h_{i,l} to
+    # whole degree slices: only its checked and skipped counts halved
     pytest.param(
         ("category-split", "--type", "A2",
          "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
          "--window", "L=3,N=2,H=1", "--kmax", "2", "--gwindow", "2",
          "--scramble", "5"),
-        "0252aad07335e783035e0d06f7a5c47d18aa8c11", id="split-A2-scrambled"),
+        "b3ccfbfb5633e1c750e950a3afaa11f3a9043a80", id="split-A2-scrambled"),
     pytest.param(
         ("category-check", "--type", "A1", "--summands", "h1=-1/2",
          "--window", "L=3,N=4,H=2", "--kmax", "4", "--gwindow", "3"),
