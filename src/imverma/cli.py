@@ -231,9 +231,8 @@ def _cmd_verma_dims(args):
         cap = max(args.delta_max, 1)
         reach = max(cap, sum(offset_s) if min(offset_s) >= 0 else 0)
         window = TruncationWindow(L=reach, N=cap, H=reach)
-    rows = []
-    for k in range(args.delta_max + 1):
-        rows.append((k, mod.weight_dim((-k, offset_s), window)))
+    dims = mod.weight_dims(offset_s, window)
+    rows = [(k, dims.get(-k, 0)) for k in range(args.delta_max + 1)]
     if args.format == "csv":
         lines = ["# command=verma-dims",
                  f"# type={args.type or args.matrix_file}",

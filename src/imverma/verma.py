@@ -27,6 +27,12 @@ over a TruncationWindow (max length L, max per-factor |loop degree| N, max
 height H) and is exact on that slice. The action is exact and uncapped: it
 grows the output rather than truncating.
 
+Windowed dimensions are counted, not enumerated: weight_dims(s, window)
+gives the dimension of every space at the finite offset s in one pass, as
+the coefficients of a truncated product with one geometric factor per PBW
+symbol, and builds no monomial. basis_monomials lists the bases that the
+singular search and the explicit tables need.
+
 The action has one entry point, act_monomial(key, n, mono): the memoised
 sparse image {monomial: coefficient} of key (x) t^n on one PBW monomial.
 Straightening (act_monomial, _prepend) works with the integer Chevalley
@@ -37,9 +43,12 @@ c and d parts of the loop element; the bulk callers (the singular search and
 the explicit tables of the category layer) call act_monomial directly.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate, groupby
+from operator import add
 
 from imverma._kernels import Echelon
 from imverma.affine import AffineAlgebra, LoopElement
@@ -75,10 +84,9 @@ class Weight:
 
 
 def parse_weight(text, rank) -> Weight:
-    """Parse "h1=-1/2,h2=0,c=0,d=0"; unassigned entries default to 0."""
-    h = [Fraction(0)] * rank
-    c = Fraction(0)
-    d = Fraction(0)
+    """Parse "h1=-1/2,h2=0,c=0,d=0"; unassigned entries default to 0, and an
+    entry assigned twice is an error."""
+    values = {}
     text = text.strip()
     if text:
         for part in text.split(","):
@@ -88,15 +96,17 @@ def parse_weight(text, rank) -> Weight:
                 value = Fraction(val.strip())
             except (ValueError, ZeroDivisionError):
                 raise ImvermaError(f"malformed weight assignment {part!r}") from None
-            if key == "c":
-                c = value
-            elif key == "d":
-                d = value
+            if key in ("c", "d"):
+                entry = key
             elif key.startswith("h") and key[1:].isdigit() and 1 <= int(key[1:]) <= rank:
-                h[int(key[1:]) - 1] = value
+                entry = int(key[1:])
             else:
                 raise ImvermaError(f"unknown weight key {key!r} (rank {rank})")
-    return Weight(tuple(h), c, d)
+            if entry in values:
+                raise ImvermaError(f"weight key {key!r} assigned twice")
+            values[entry] = value
+    return Weight.make([values.get(i, 0) for i in range(1, rank + 1)],
+                       values.get("c", 0), values.get("d", 0))
 
 
 @dataclass(frozen=True)
@@ -117,10 +127,13 @@ def parse_window(text) -> TruncationWindow:
     vals = {}
     for part in text.split(","):
         key, _, val = part.partition("=")
-        if key.strip().upper() not in ("L", "N", "H") or not val:
+        key = key.strip().upper()
+        if key not in ("L", "N", "H") or not val:
             raise ImvermaError(f"malformed window component {part!r}")
+        if key in vals:
+            raise ImvermaError(f"window component {key} assigned twice")
         try:
-            vals[key.strip().upper()] = int(val)
+            vals[key] = int(val)
         except ValueError:
             raise ImvermaError(f"malformed window component {part!r}") from None
     if set(vals) != {"L", "N", "H"}:
@@ -429,14 +442,69 @@ class VermaModule:
         out.sort()
         return [mono for _, mono in out]
 
+    def weight_dims(self, s, window: TruncationWindow):
+        """{k: dim} for every nonzero windowed space at the finite offset s:
+        dim is the number of PBW monomials of offset (k, s) inside the window,
+        len(basis_monomials((k, s), window)), counted without building one.
+
+        A monomial is a B-part followed by an F-part. The F-parts of a root
+        multiset of length f <= L are its degree tuples in [-N, N], weakly
+        increasing over each run of equal roots: a run of m equal roots has
+        as many tuples of degree sum t as there are multisets of m values in
+        [0, 2N] with sum t + m*N, and the runs are convolved. The B-parts are
+        the rank-coloured partitions with parts at most N and at most L - f
+        parts (only the empty one in the reduced module). A monomial files
+        under k = F total - B total. Like basis_monomials, an s with a
+        negative coordinate has no space and an s higher than window.H raises
+        WindowOverflowError.
+        """
+        s = tuple(s)
+        if any(x < 0 for x in s):
+            return {}
+        if root_height(s) > window.H:
+            raise WindowOverflowError(
+                f"offset height {root_height(s)} exceeds window H={window.H}")
+        L, N = window.L, window.N
+        # root multisets whose runs of equal roots have the same lengths have
+        # the same F-part counts (equal roots are adjacent in a multiset)
+        shapes = Counter(tuple(sorted(len(list(run)) for _, run in groupby(m)))
+                         for m in _root_multisets(self.algebra.finite, s)
+                         if len(m) <= L)
+        # degree_runs[m][t]: runs of m equal roots with degree sum t - m*N; a
+        # run is no longer than its multiset, which has at most ht(s) roots
+        degree_runs = _multiset_counts(range(2 * N + 1), min(L, root_height(s)))
+        # b_parts[j][b]: the B-parts with at most j parts and total b
+        if self.reduced:
+            b_parts = [[1]] * (L + 1)
+        else:
+            colours = [l for _ in range(self.rank) for l in range(1, N + 1)]
+            b_parts = list(accumulate(_multiset_counts(colours, L),
+                                      lambda a, b: list(map(add, a, b))))
+        dims = {}
+        for runs, times in shapes.items():
+            f = sum(runs)
+            counts = [times]
+            for m in runs:
+                counts = _convolve(counts, degree_runs[m])
+            b_counts = b_parts[L - f]
+            # the product at index i has F total - B total = i - low
+            low = f * N + len(b_counts) - 1
+            for i, c in enumerate(_convolve(counts, b_counts[::-1])):
+                if c:
+                    dims[i - low] = dims.get(i - low, 0) + c
+        return dims
+
     def weight_dim(self, offset, window: TruncationWindow) -> int:
-        """Exact count of PBW monomials at the offset inside the window.
+        """Exact count of PBW monomials at the offset (k, s) inside the
+        window, read from weight_dims(s, window); k = None sums over every k.
 
         For pure-delta offsets (k <= 0, s = 0) the count is stable once both
         N and L reach |k|: it equals the rank-colored partition number of |k|
         in the unreduced module.
         """
-        return len(self.basis_monomials(offset, window))
+        k, s = offset
+        dims = self.weight_dims(s, window)
+        return sum(dims.values()) if k is None else dims.get(k, 0)
 
     # -- singular vectors ----------------------------------------------------------
 
@@ -598,6 +666,32 @@ def _b_multisets(rank, max_l, max_len, total_min, total_max):
                 acc.pop()
 
     rec(0, max_len, 0)
+    return out
+
+
+def _multiset_counts(values, max_len):
+    """table[j][t]: the number of multisets of j entries of values (equal
+    values at two positions count as two colours) with sum t, for
+    j <= max_len; every row has length max_len * max(values) + 1."""
+    top = max_len * max(values)
+    table = [[0] * (top + 1) for _ in range(max_len + 1)]
+    table[0][0] = 1
+    for v in values:
+        # with v used any number of times: row j gains row j - 1 shifted by
+        # v, and row j - 1 already holds the multisets that use v
+        for j in range(1, max_len + 1):
+            prev, row = table[j - 1], table[j]
+            for t in range(v, top + 1):
+                row[t] += prev[t - v]
+    return table
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
     return out
 
 

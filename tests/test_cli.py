@@ -19,7 +19,7 @@ from imverma.cartan import cartan_matrix_of_type
 from imverma.category import ExplicitModule, build_loop_module, sl2_irrep_matrices
 from imverma.cli import main
 from imverma.finite import build_simple_algebra
-from imverma.verma import TruncationWindow, parse_weight
+from imverma.verma import TruncationWindow, VermaModule, parse_weight
 
 
 def run(capsys, *argv):
@@ -81,6 +81,20 @@ def test_verma_dims_user_window_below_offset_height_fails(capsys):
     assert err.strip() == "offset height 3 exceeds window H=2"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verma_dims_counts_without_enumerating(capsys, monkeypatch, fmt):
+    argv = ("verma-dims", "--type", "A2", "--offset", "2,1", "--format", fmt,
+            "--window", "L=3,N=2,H=3", "--delta-max", "3")
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+
+    def enumerate_basis(*_):
+        raise AssertionError("verma-dims enumerated PBW monomials")
+
+    monkeypatch.setattr(VermaModule, "basis_monomials", enumerate_basis)
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_unknown_type_is_usage_error(capsys):
     code, out, err = run(capsys, "verma-dims", "--type", "Z9", "--delta-max", "2")
     assert code == 2
@@ -139,6 +153,18 @@ def test_unknown_type_is_usage_error(capsys):
                   "--loop-degree", "1"), "--height", id="partition-negative-height"),
     pytest.param(("roots", "--type", "A1", "--height", "x", "--loop-degree", "1"),
                  "invalid int value", id="height-not-int"),
+    pytest.param(("verma-dims", "--type", "A1", "--delta-max", "2",
+                  "--window", "L=3,N=2,H=2,L=1"), "component L", id="window-repeated"),
+    pytest.param(("verma-dims", "--type", "A1", "--lambda", "h1=-1/2,h1=5",
+                  "--delta-max", "1"), "'h1'", id="lambda-h-repeated"),
+    # h01 and h1 name the same entry
+    pytest.param(("singular", "--type", "A2", "--lambda", "h1=-1/2,h2=0,h01=1",
+                  "--window", "L=2,N=1,H=1"), "'h01'", id="lambda-h-respelled"),
+    pytest.param(("verma-act", "--type", "A1", "--lambda", "d=1,h1=0,d=2",
+                  "--gen", "e1@0"), "'d'", id="lambda-d-repeated"),
+    pytest.param(("category-check", "--type", "A1",
+                  "--summands", "h1=-1/2|c=0,h1=-3/2,c=0",
+                  "--window", "L=3,N=4,H=1"), "'c'", id="summand-c-repeated"),
 ])
 def test_malformed_window_is_usage_error(capsys, argv, word):
     code, out, err = run(capsys, *argv)

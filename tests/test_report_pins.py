@@ -15,7 +15,9 @@ moved to one table accessor and one windowed-space map. The two larger
 full singular windows, W6 and W9, were recorded before exact elimination fed
 rows shortest first and pivoted on their highest column. The verma-act,
 partition and roots argvs were recorded before the action lost its degree
-cap and the partition spec its custom window. A refactor that claims unchanged
+cap and the partition spec its custom window. The L=N=8 and JSON verma-dims
+argvs were recorded before verma-dims counted its rows instead of listing
+PBW monomials. A refactor that claims unchanged
 answers must keep every hash; a change that means to alter a report updates
 its constant and says why."""
 
@@ -122,6 +124,15 @@ PINNED = [
         ("verma-dims", "--type", "A2", "--offset", "2,1",
          "--window", "L=5,N=5,H=3", "--delta-max", "6"),
         "95896608ed9309289b43124cb33b4cc7e56d412b", id="dims-A2"),
+    pytest.param(
+        ("verma-dims", "--type", "A2", "--offset", "2,1",
+         "--window", "L=5,N=5,H=3", "--delta-max", "6", "--format", "json"),
+        "4434859ebc6bdc8bb565ae535838ff7e7b703a06", id="dims-A2-json"),
+    # rows of 0.3 to 1.4 million monomials each, too many to list in a test
+    pytest.param(
+        ("verma-dims", "--type", "A2", "--offset", "2,1",
+         "--window", "L=8,N=8,H=3", "--delta-max", "10"),
+        "7885865bd605e0acc3e6024cae7b3c0a47859b4c", id="dims-A2-L8"),
     pytest.param(
         ("verma-dims", "--type", "A3", "--reduced",
          "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2", "--offset", "2,1,1",

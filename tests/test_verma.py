@@ -6,10 +6,14 @@ search against the dense oracle over every raising operator's rows, and the
 integer straightening coefficients."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
@@ -158,6 +162,66 @@ def test_offset_height_over_window_rejected():
     mod = VermaModule(A1, LAM_HALF, reduced=True)
     with pytest.raises(WindowOverflowError):
         mod.basis_monomials((0, (5,)), TruncationWindow(L=2, N=2, H=2))
+
+
+DIMS_TYPES = ["A1", "A2", "B2", "C2", "G2", "A3"]
+
+
+@cache
+def dims_module(label, reduced):
+    a = aff(label)
+    return VermaModule(a, Weight.make([Fraction(-1, 2)] * a.rank), reduced=reduced)
+
+
+@st.composite
+def dims_cases(draw):
+    label = draw(st.sampled_from(DIMS_TYPES))
+    rank = dims_module(label, False).rank
+    window = TruncationWindow(L=draw(st.integers(1, 3)), N=draw(st.integers(1, 2)),
+                              H=draw(st.integers(1, 3)))
+    s = tuple(draw(st.lists(st.integers(-1, 2), min_size=rank, max_size=rank)))
+    return label, draw(st.booleans()), window, s
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims_cases())
+@example(("A2", False, TruncationWindow(L=2, N=1, H=1), (3, -1)))  # empty
+@example(("C2", True, TruncationWindow(L=3, N=2, H=2), (2, 1)))    # above H
+def test_property_weight_dims_count_the_basis(case):
+    label, reduced, window, s = case
+    mod = dims_module(label, reduced)
+    if min(s) >= 0 and sum(s) > window.H:
+        with pytest.raises(WindowOverflowError):
+            mod.weight_dims(s, window)
+        with pytest.raises(WindowOverflowError):
+            mod.basis_monomials((None, s), window)
+        return
+    dims = mod.weight_dims(s, window)
+    assert all(dims.values())
+    brute = Counter(monomial_offset(m, mod.rank)[0]
+                    for m in brute_basis_monomials(mod, (None, s), window))
+    assert dims == brute
+    reach = window.L * window.N
+    for k in range(-reach, reach + 1):
+        assert dims.get(k, 0) == len(mod.basis_monomials((k, s), window)) == \
+            mod.weight_dim((k, s), window)
+    assert sum(dims.values()) == len(mod.basis_monomials((None, s), window)) == \
+        mod.weight_dim((None, s), window)
+    if min(s) < 0:
+        assert dims == {}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+def test_pure_delta_dims_past_enumeration(label):
+    # a window far beyond what basis_monomials can list: below |k| = 16 no cap
+    # binds, so the delta string holds the rank-colored partitions of |k|
+    zero = (0,) * dims_module(label, False).rank
+    window = TruncationWindow(L=16, N=16, H=1)
+    dims = dims_module(label, False).weight_dims(zero, window)
+    assert [dims[-k] for k in range(17)] == \
+        colored_partition_counts(len(zero), 16)
+    assert max(dims) == 0
+    assert dims_module(label, True).weight_dims(zero, window) == {0: 1}
 
 
 # -- action ------------------------------------------------------------------------
