@@ -5,10 +5,11 @@ stated number of columns; a missing column is zero and a stored zero is
 ignored. Results go out as sparse rows {column: Fraction} that store no zero,
 keyed in ascending column order. Inside, each nonzero row becomes a primitive
 integer row {column: int}: it is scaled by the lcm of its denominators and
-divided by the gcd of its entries. Rows are reduced one at a time against the
-pivot rows found so far, fraction-free (r <- a*r - b*p, in the spirit of
-Bareiss, Math. Comp. 22 (1968), then the content is divided out), so no
-rational arithmetic happens during elimination.
+divided by the gcd of its entries; an all-int row, such as an action row of
+the singular search, skips the denominator pass. Rows are reduced one at a
+time against the pivot rows found so far, fraction-free (r <- a*r - b*p, in
+the spirit of Bareiss, Math. Comp. 22 (1968), then the content is divided
+out), so no rational arithmetic happens during elimination.
 
 Echelon holds that state and is fed batches of rows; rref, rank and nullspace
 feed it one batch. Elimination stops as soon as every column has a pivot
@@ -48,6 +49,8 @@ def _without_content(row):
 
 def _primitive(row):
     """Primitive integer {column: int} proportional to a sparse row; {} if zero."""
+    if all(type(x) is int for x in row.values()):
+        return _without_content({j: x for j, x in row.items() if x})
     nz = [(j, x.numerator, x.denominator) for j, x in row.items() if x]
     den = lcm(*[d for _, _, d in nz])
     return _without_content({j: n * (den // d) for j, n, d in nz})

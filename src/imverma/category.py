@@ -249,8 +249,8 @@ class ExplicitModule:
         Stores weight spaces lambda + k delta - s (ht(s) <= height, |k| <= kmax)
         with the PBW basis truncated by the window; a (generator, source) pair
         is marked defined exactly when every image stays inside the store. The
-        images are the act_monomial images of the basis monomials; a pair that
-        vanishes_by_weight is a defined zero without acting.
+        images are the act_monomial images of the basis monomials, unscaled;
+        a pair that vanishes_by_weight is a defined zero without acting.
         """
         mod = VermaModule(algebra, lam, reduced=True)
         spaces = list(windowed_spaces(mod, height, kmax, window))
@@ -279,7 +279,7 @@ class ExplicitModule:
                             break
                         if hit[0] != want:
                             raise ImvermaError("weight bookkeeping mismatch")
-                        entries[(hit[1], j)] = c2
+                        entries[(hit[1], j)] = mod.unscale(c2)
                     if not ok:
                         break
                 if ok:
@@ -535,21 +535,21 @@ def _nonneg_vectors(rank_, total_max):
 
 
 def _random_unimodular(rng, n):
-    """(S, S^-1) exact and sparse: a product of elementary shears and swaps."""
+    """(S, S^-1) exact, sparse and int: a product of shears and swaps."""
     ops = []
     for _ in range(2 * n + 2):
         kind = rng.choice(["shear", "swap"]) if n > 1 else "none"
         if kind == "shear":
             i, j = rng.sample(range(n), 2)
-            cval = Fraction(rng.randint(-2, 2))
+            cval = rng.randint(-2, 2)
             if cval:
                 ops.append(("shear", i, j, cval))
         elif kind == "swap":
             i, j = rng.sample(range(n), 2)
             ops.append(("swap", i, j))
     # S applies the row operations in order; S^-1 undoes them in reverse
-    s = [{i: Fraction(1)} for i in range(n)]
-    sinv = [{i: Fraction(1)} for i in range(n)]
+    s = [{i: 1} for i in range(n)]
+    sinv = [{i: 1} for i in range(n)]
     for rows, sequence, sign in ((s, ops, 1), (sinv, reversed(ops), -1)):
         for op in sequence:
             if op[0] == "shear":

@@ -22,6 +22,8 @@ Algebra contexts are immutable after construction and all operations are pure.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
+from operator import add, neg, sub
 
 from imverma.cartan import CartanMatrix, make_cartan_matrix
 from imverma.errors import AutomorphismError, ContextMismatchError, ImvermaError
@@ -32,15 +34,15 @@ def root_height(gamma):
 
 
 def _neg(gamma):
-    return tuple(-x for x in gamma)
+    return tuple(map(neg, gamma))
 
 
 def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def add_scaled(out, terms, scale=1):
@@ -162,20 +164,30 @@ class FiniteRootSystem:
         return p
 
 
-def _structure_constants(rs: FiniteRootSystem, d_form):
+def _exact(num, den, what):
+    """num / den in int arithmetic; a remainder raises: what is non-integral."""
+    q, r = divmod(num, den)
+    if r:
+        raise ImvermaError(f"non-integral {what}")
+    return q
+
+
+def _structure_constants(rs: FiniteRootSystem, norm):
     """Full N_{a,b} lookup for all root pairs with a+b a root.
 
-    d_form(a, b) is any fixed multiple of the invariant form on the root
-    space; only ratios of root norms enter the relations.
+    norm[g] is (g|g) for every root g under any fixed multiple of the
+    invariant form; only ratios of root norms enter the relations. The
+    bootstrap runs in int arithmetic: each ratio is an exact division, and a
+    remainder means the extraspecial bootstrap failed. lookup is memoised, so
+    each constant is derived once.
     """
     pos = rs.positive_roots
     order = {g: i for i, g in enumerate(pos)}
     table = {}
     extraspecial = {}
+    bad = "structure constant; extraspecial bootstrap failed"
 
-    def norm(g):
-        return d_form(g, g)
-
+    @cache
     def lookup(a, b):
         # zero whenever the pair does not bracket to a root vector; non-root
         # arguments appear in vanishing Jacobi terms and must short-circuit
@@ -195,9 +207,9 @@ def _structure_constants(rs: FiniteRootSystem, d_form):
         beta = _neg(b)
         if s in rs.positive_set:
             # (b, a, -s) sums to zero and s + beta = a
-            return -Fraction(norm(s), norm(a)) * lookup(beta, s)
+            return _exact(-norm[s] * lookup(beta, s), norm[a], bad)
         sigma = _neg(s)  # positive, a + sigma = beta
-        return -Fraction(norm(sigma), norm(beta)) * lookup(a, sigma)
+        return _exact(-norm[sigma] * lookup(a, sigma), norm[beta], bad)
 
     for xi in pos:
         if root_height(xi) < 2:
@@ -211,27 +223,20 @@ def _structure_constants(rs: FiniteRootSystem, d_form):
                 specials.append((alpha, beta))
         a1, b1 = specials[0]  # alpha minimal in the order: extraspecial
         n0 = rs.string_down_length(a1, b1) + 1
-        table[(a1, b1)] = Fraction(n0)
-        table[(b1, a1)] = Fraction(-n0)
+        table[(a1, b1)] = n0
+        table[(b1, a1)] = -n0
         extraspecial[xi] = (a1, b1)
         for alpha, beta in specials[1:]:
             # Jacobi on the quadruple (a1, b1, -alpha, -beta)
             t1 = lookup(b1, _neg(alpha)) * lookup(a1, _sub(b1, alpha))
             t2 = lookup(_neg(alpha), a1) * lookup(b1, _sub(a1, alpha))
-            val = -Fraction(norm(xi), norm(beta)) * (t1 + t2) / n0
+            val = _exact(-norm[xi] * (t1 + t2), norm[beta] * n0, bad)
             table[(alpha, beta)] = val
             table[(beta, alpha)] = -val
 
-    full = {}
-    for a in rs.root_set:
-        for b in rs.root_set:
-            s = _add(a, b)
-            if s in rs.root_set:
-                v = lookup(a, b)
-                if v.denominator != 1:
-                    raise ImvermaError("non-integral structure constant; "
-                                       "extraspecial bootstrap failed")
-                full[(a, b)] = int(v)
+    full = {(a, b): lookup(a, b) for a in rs.root_set for b in rs.root_set
+            if _add(a, b) in rs.root_set}
+    lookup.cache_clear()  # lookup is in a reference cycle: free the memo now
     return full, extraspecial
 
 
@@ -270,12 +275,12 @@ class FiniteAlgebra:
         d = cartan.symmetrizer
         self._d_root_form = lambda a, b: sum(
             d[i] * cartan[i, j] * a[i] * b[j]
-            for i in range(self.rank) for j in range(self.rank)
+            for i in range(cartan.rank) for j in range(cartan.rank)
         )
-        theta_norm = self._d_root_form(rs.theta, rs.theta)
-        self.form_scale = Fraction(2, theta_norm)
+        norm = {g: self._d_root_form(g, g) for g in rs.root_set}
+        self.form_scale = Fraction(2, norm[rs.theta])
 
-        self.nmat, self.extraspecial = _structure_constants(rs, self._d_root_form)
+        self.nmat, self.extraspecial = _structure_constants(rs, norm)
 
         self.basis = [("h", i + 1) for i in range(self.rank)]
         self.basis += [("x", g) for g in rs.positive_roots]
@@ -283,22 +288,25 @@ class FiniteAlgebra:
         self.basis_index = {k: i for i, k in enumerate(self.basis)}
         self.dimension = len(self.basis)
 
-        self._coroot = {}
-        for g in rs.root_set:
-            gn = self._d_root_form(g, g)
-            coeffs = []
-            for i in range(self.rank):
-                ai = rs.simple_roots[i]
-                c = Fraction(g[i] * self._d_root_form(ai, ai), gn)
-                if c.denominator != 1:
-                    raise ImvermaError("non-integral coroot; not a root system")
-                coeffs.append(int(c))
-            self._coroot[g] = tuple(coeffs)
+        self._coroot = {g: tuple(_exact(c * norm[a], norm[g], "coroot; not a root system")
+                                 for c, a in zip(g, rs.simple_roots))
+                        for g in rs.root_set}
 
-        self._bracket_table = {}
-        for k1 in self.basis:
-            for k2 in self.basis:
-                self._bracket_table[(k1, k2)] = self._bracket_keys(k1, k2)
+        # [k1, k2] as {basis key: int}, filled from the root data: the
+        # pairings, the coroots and nmat; every other pair brackets to zero
+        hs = self.basis[:self.rank]
+        table = self._bracket_table = {(k1, k2): {} for k1 in self.basis
+                                       for k2 in self.basis}
+        for g in rs.root_set:
+            x = ("x", g)
+            for i, h in enumerate(hs):
+                c = rs.pairing(g, i)
+                if c:
+                    table[(h, x)] = {x: c}
+                    table[(x, h)] = {x: -c}
+            table[(x, ("x", _neg(g)))] = {h: c for h, c in zip(hs, self._coroot[g]) if c}
+        for (a, b), n in self.nmat.items():
+            table[(("x", a), ("x", b))] = {("x", _add(a, b)): n}
 
     # -- element constructors ------------------------------------------------
 
@@ -335,26 +343,6 @@ class FiniteAlgebra:
         return self.element({("h", i + 1): c for i, c in enumerate(self._coroot[tuple(gamma)])})
 
     # -- bracket ---------------------------------------------------------------
-
-    def _bracket_keys(self, k1, k2):
-        """[k1, k2] as {basis key: int}: every structure constant is an integer."""
-        t1, v1 = k1
-        t2, v2 = k2
-        if t1 == "h" and t2 == "h":
-            return {}
-        if t1 == "h":
-            c = self.roots.pairing(v2, v1 - 1)
-            return {k2: c} if c else {}
-        if t2 == "h":
-            c = self.roots.pairing(v1, v2 - 1)
-            return {k1: -c} if c else {}
-        s = _add(v1, v2)
-        if all(x == 0 for x in s):
-            return {("h", i + 1): c for i, c in enumerate(self._coroot[v1]) if c}
-        if s in self.roots.root_set:
-            n = self.nmat[(v1, v2)]
-            return {("x", s): n} if n else {}
-        return {}
 
     def bracket(self, x: FiniteElement, y: FiniteElement) -> FiniteElement:
         if x.algebra is not self or y.algebra is not self:

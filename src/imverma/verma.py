@@ -34,13 +34,14 @@ symbol, and builds no monomial. basis_monomials lists the bases that the
 singular search and the explicit tables need.
 
 The action has one entry point, act_monomial(key, n, mono): the memoised
-sparse image {monomial: coefficient} of key (x) t^n on one PBW monomial.
-Straightening (act_monomial, _prepend) works with the integer Chevalley
-structure constants, so it stays in int arithmetic; lambda enters only on the
-highest-weight vector (_act_vacuum) and, when lambda(c) != 0, through the
-central terms of the brackets. act() is a sum of act_monomial images plus the
-c and d parts of the loop element; the bulk callers (the singular search and
-the explicit tables of the category layer) call act_monomial directly.
+sparse image {monomial: int} of key (x) t^n on one PBW monomial, times
+VermaModule.scale = D, the common denominator of lambda(h_i) and lambda(c).
+Straightening uses the integer structure constants; lambda enters only on
+the highest-weight vector, where _act_vacuum returns D times its value, and
+each term reaches it once, so every coefficient is an int. The singular
+search feeds these rows as they are (the row space is the same); act(), a
+sum of images plus the c and d parts, and the category layer's explicit
+tables divide by D once per coefficient (unscale).
 """
 
 from collections import Counter
@@ -48,6 +49,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, groupby
+from math import lcm
 from operator import add
 
 from imverma._kernels import Echelon
@@ -217,6 +219,8 @@ class VermaModule:
         self.lam = lam
         self.reduced = reduced
         self.rank = algebra.rank
+        self.scale = lcm(*(v.denominator for v in lam.h_values), lam.c_value.denominator)
+        self._f_key = {g: ("x", _neg(g)) for g in algebra.finite.roots.positive_roots}
         self.flags = tuple(
             f"lambda(h{i+1}) is a negative integer; reduced-admissibility of "
             "lower weights is not guaranteed"
@@ -282,31 +286,36 @@ class VermaModule:
             raise ContextMismatchError("generator from a different affine context")
         if v.module is not self:
             raise ContextMismatchError("vector from a different module")
-        out = {}
+        out = {}  # scale times the image
         for mono, cv in v.terms.items():
             for (key, n), cg in g.terms.items():
                 image = self.act_monomial(key, n, mono)
                 if image:
                     add_scaled(out, image, cv * cg)
             if g.c and self.lam.c_value:
-                add_scaled(out, {mono: cv * g.c * self.lam.c_value})
+                add_scaled(out, {mono: cv * g.c * self.lam.c_value * self.scale})
             if g.d:
                 k, _ = monomial_offset(mono, self.rank)
                 val = self.lam.d_value + k
                 if val:
-                    add_scaled(out, {mono: cv * g.d * val})
-        return ModuleVector(self, out)
+                    add_scaled(out, {mono: cv * g.d * val * self.scale})
+        return ModuleVector(self, {m: self.unscale(c) for m, c in out.items()})
+
+    def unscale(self, c):
+        """c / scale: an int where the quotient is integral, else a Fraction."""
+        q, r = divmod(c, self.scale)
+        return Fraction(c, self.scale) if r else q
 
     def act_monomial(self, key, n, mono):
-        """The image of key (x) t^n on the PBW monomial mono (applied to the
-        highest-weight vector), as a sparse dict {monomial: int | Fraction}.
+        """scale times the image of key (x) t^n on the PBW monomial mono
+        (applied to the highest-weight vector), as a sparse dict
+        {monomial: int}: every coefficient is an int whatever lambda is, and
+        unscale(c) gives the coefficient of the image itself.
 
         key is a basis key of the finite algebra, ("h", i) or ("x", gamma),
         or "__c__" for the central element (with n = 0). The image is exact
         and memoised per (key, n, mono): the dict returned is the memo entry
-        and must not be modified. Its coefficients are int unless lambda
-        enters, that is unless a term reaches the highest-weight vector
-        through h_i (x) t^0 or the central element.
+        and must not be modified.
         """
         ck = (key, n, mono)
         hit = self._act_cache.get(ck)
@@ -325,20 +334,20 @@ class VermaModule:
         return out
 
     def _act_vacuum(self, key, n):
-        lam = self.lam
+        lam, scale = self.lam, self.scale
         if key == "__c__":
-            return {(): lam.c_value} if lam.c_value else {}
+            return {(): int(scale * lam.c_value)} if lam.c_value else {}
         if key[0] == "h":
             if n == 0:
                 val = lam.h_values[key[1] - 1]
-                return {(): val} if val else {}
+                return {(): int(scale * val)} if val else {}
             if self.reduced or n > 0:
                 return {}
-            return {(("B", key[1], -n),): 1}
+            return {(("B", key[1], -n),): scale}
         gamma = key[1]
         if gamma in self.algebra.finite.roots.positive_set:
             return {}
-        return {(("F", _neg(gamma), n),): 1}
+        return {(("F", _neg(gamma), n),): scale}
 
     def _symbol_bracket_loop(self, key, n, sym):
         """[key (x) t^n, symbol] as a tuple of ((key2, n2), coeff) loop terms,
@@ -346,7 +355,7 @@ class VermaModule:
 
         A central term is encoded under the sentinel key "__c__"; it commutes
         past everything and evaluates to lambda(c) on the vacuum, so it is
-        left out when lambda(c) = 0.
+        left out when lambda(c) = 0. Its coefficient n (key|key2) is an int.
         """
         ck = (key, n, sym)
         hit = self._bracket_cache.get(ck)
@@ -358,13 +367,13 @@ class VermaModule:
             if sym[0] == "B":
                 k2, n2 = ("h", sym[1]), -sym[2]
             else:
-                k2, n2 = ("x", _neg(sym[1])), sym[2]
+                k2, n2 = self._f_key[sym[1]], sym[2]
             fin = self.algebra.finite
             pairs = [((k, n + n2), c) for k, c in fin._bracket_table[(key, k2)].items()]
             if n == -n2 and n != 0 and self.lam.c_value:
                 cf = fin.form_keys(key, k2)
                 if cf:
-                    pairs.append((("__c__", 0), n * cf))
+                    pairs.append((("__c__", 0), int(n * cf)))
             pairs = tuple(pairs)
         self._bracket_cache[ck] = pairs
         return pairs
@@ -532,10 +541,10 @@ class VermaModule:
 
         Returns a list of (offset, ModuleVector) pairs; the kernel is computed
         weight space by weight space with exact rational elimination. Each
-        raising operator's rows (one per image monomial, built from the
-        act_monomial images of the basis monomials) go to the echelon as one
-        batch, in annihilator_generators order. Two kinds of operator are not
-        applied:
+        raising operator's rows (one per image monomial, from the int
+        act_monomial images of the basis monomials, scale times the true
+        ones) go to the echelon as one batch, in annihilator_generators
+        order. Two kinds of operator are not applied:
 
         - once every basis monomial has a pivot, the kernel is empty and no
           further operator is applied;

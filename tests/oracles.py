@@ -10,7 +10,8 @@ an agreement is meaningful. sparse_rows and dense_rows convert between the
 dense test matrices and the sparse rows the package kernels take and return.
 
 The last section holds the checks the tests run on library objects and that
-the library itself never calls: the affine Cartan entries from the finite
+the library itself never calls: annihilation of singular vectors beyond the
+search window, the affine Cartan entries from the finite
 root data, bracket closure of a twisted subalgebra, bracket compatibility of
 explicit action tables, the torsion-free restriction of a split, and the
 trace of a diagram automorphism."""
@@ -284,6 +285,23 @@ def brute_basis_monomials(mod, offset, window):
 
 
 # -- checks on library objects -------------------------------------------------------
+
+
+def beyond_window_survivors(mod, found, window, extra=2):
+    """The (offset, operator name) pairs where a raising operator just past
+    the window fails to kill a reported singular vector, by exact
+    VermaModule.act: e_{i,m} for N < |m| <= N + extra, and h_{i,l} for
+    N < l <= N + extra in the unreduced module. A singular vector of the
+    module is killed by all of them, so an entry is a window artifact."""
+    alg = mod.algebra
+    beyond = range(window.N + 1, window.N + extra + 1)
+    ops = []
+    for i in range(1, mod.rank + 1):
+        ops += [(f"e{i}@{m}", alg.e(i, m)) for l in beyond for m in (-l, l)]
+        if not mod.reduced:
+            ops += [(f"h{i}@{l}", alg.h(i, l)) for l in beyond]
+    return [(offset, name) for offset, v in found for name, g in ops
+            if not mod.act(g, v).is_zero()]
 
 
 def affine_cartan_entry(algebra, i, j):

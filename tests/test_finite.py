@@ -3,6 +3,7 @@ Serre relations, Jacobi, structure constants against the string-length
 oracle, the invariant form against a from-scratch invariance solve, and
 diagram automorphisms."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -12,8 +13,9 @@ from imverma.affine import AffineAlgebra, LoopElement
 from imverma.cartan import (cartan_matrix_from_text, cartan_matrix_of_type,
                             make_cartan_matrix)
 from imverma.errors import (AutomorphismError, CartanMatrixError,
-                            ContextMismatchError)
-from imverma.finite import (FiniteElement, bracket_finite, build_simple_algebra,
+                            ContextMismatchError, ImvermaError)
+from imverma.finite import (FiniteElement, _neg, _structure_constants,
+                            bracket_finite, build_simple_algebra,
                             diagram_automorphism, invariant_form, root_height)
 from imverma.verma import ModuleVector, VermaModule, Weight
 
@@ -154,12 +156,85 @@ def test_serre_relations():
 
 
 def test_structure_constants_are_string_lengths():
-    for label in ["A2", "A3", "C2", "G2"]:
+    for label in ["A2", "A3", "C2", "G2", "B3", "C3", "D4", "F4", "E6"]:
         a = alg(label)
         for (g1, g2), n in a.nmat.items():
             p = string_length_down(a.roots.root_set, g1, g2)
             assert abs(n) == p + 1, (label, g1, g2, n, p)
 
+
+# sha1 of repr(sorted(nmat.items())) and of the sorted _bracket_table with
+# sorted images, recorded before the structure constants were bootstrapped in
+# int arithmetic and the bracket table filled from the root data
+TABLE_SHA1 = {
+    "A1": ("97d170e1550eee4afc0af065b78cda302a97674c",
+           "a165acc327f3774dec06c82a51bb1797335b5b4f"),
+    "A2": ("59c25c3f8c2ebd671437052f9009eab5e49382c7",
+           "4df8149568d7f69c98c2c505c2a80ae840e5d5a4"),
+    "A3": ("ae86f10627cc4de0fc32dd62fa2e9c2f3b8ca5c6",
+           "420397145df27dc76404ccd0d0f6dd77ffd3c4cd"),
+    "A4": ("9d4695b97211172fa36385547fab5cad5f1ced32",
+           "a61f958c7310c22d13cef3b83068825f479ad690"),
+    "A5": ("f4b379ce6e6d954d4dbf5782dd577223d1b2644d",
+           "55c50f15a0fcd15cd3b6fb50b923c961b2e079cb"),
+    "A6": ("ccb3f09229a4cbac802b0c719213530415631575",
+           "e20bd4bf1c841ec15592f81ef39717da8a364585"),
+    "A7": ("be1fd6bdc602126c4958c87b8468c134de78b981",
+           "da8fd5af14260841c670cdedf9489da709d10409"),
+    "A8": ("53c9c254931b7e960a1576994630f78abfd0c576",
+           "9e71221a9146841493f545aaa716cbe2906e2574"),
+    "B2": ("3a112d47c60275b46fa33ed9361726bb98bc88eb",
+           "bd2d93957e8547fbe1f98ff788c3839e40e063ec"),
+    "B3": ("f876f1c47c9994029982ea2531c9af2b918949f2",
+           "f34787906f995070fa5621002c4c3f34f32e5c42"),
+    "B4": ("727a12800b29c6f44ba91a9392c0b2c97ac785dc",
+           "39cb959296ce1d26d58f85cb64f13fc06dec07a4"),
+    "B5": ("91820ec79d98d81354e7407e633cd4dda84b5ced",
+           "d2d9c4ff10e8d7f372cd05a9787501e95161c8a5"),
+    "C2": ("54549ba729489ef11c266fd16922266c9ed37801",
+           "597271e9abe522941e14d0dcfbe542fa4dfbd67d"),
+    "C3": ("7caa3edf02e55b38b24f45c36c1428ba99e298a5",
+           "4dcb0d0b17cac805a21187fbb507151c61dada06"),
+    "C4": ("3925534f5a37f17eb37f573a658cf7e0226c0c8e",
+           "7436b662c70ec498377d88eb07ba1707e87bbf70"),
+    "C5": ("58529633cac22a05f57987f9df22e94b4a69f264",
+           "9d29f8f56aa29d2f5c8f5b1732d494d00eba414b"),
+    "D4": ("064a1193bf006d65aab67a44bd199f4c37de2674",
+           "dc9476c615ee0cb0f2661311dcda8daa9f974bcc"),
+    "D5": ("b9577cd8f8971f6c4a94d4c4fb8d24c17e53cca9",
+           "7b4cef6c8a3a4b67fd8bc00b1617612db48e8031"),
+    "D6": ("d7819504c8d6e60192a46e121d1b77df00e638c2",
+           "4ac0b9e67725bb5aa667977052c23c9589c7d34a"),
+    "E6": ("55966a4ca61c93e5b9dafa15f1cdfb0b09b6effb",
+           "ef90d244c33777114ff421c5f7923f711b0a8b52"),
+    "E7": ("5582876794f098d5fa7b721cb99a226b6602c9b7",
+           "cfb95016d7444807e1023a3f113b2cce4afd8c0a"),
+    "F4": ("692af9fe2b1c0aa8db4c7c8d98cefecbb0d69986",
+           "d8ec39ba4ffa50d5cbfc2871399a5dd60ae4a4aa"),
+    "G2": ("38e17adf17c9b0dda29cf17a822e99ba99676064",
+           "b589ffe7182324ef8e8f6b2973fefa1cb2e891c7"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_SHA1))
+def test_structure_constant_and_bracket_tables_pinned(label):
+    a = alg(label)
+    nmat = repr(sorted(a.nmat.items()))
+    table = repr(sorted((k, sorted(v.items())) for k, v in a._bracket_table.items()))
+    assert (hashlib.sha1(nmat.encode()).hexdigest(),
+            hashlib.sha1(table.encode()).hexdigest()) == TABLE_SHA1[label]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_inconsistent_root_norms_fail_the_integer_bootstrap(label):
+    # the bootstrap divides by root norms in int arithmetic; norms that no
+    # invariant form has (theta's tripled) leave a remainder, which raises
+    a = alg(label)
+    rs = a.roots
+    norm = {g: a._d_root_form(g, g) * (3 if g in (rs.theta, _neg(rs.theta)) else 1)
+            for g in rs.root_set}
+    with pytest.raises(ImvermaError, match="non-integral structure constant"):
+        _structure_constants(rs, norm)
 
 def test_antisymmetry_and_negation_of_constants():
     a = alg("C2")

@@ -17,9 +17,13 @@ rows shortest first and pivoted on their highest column. The verma-act,
 partition and roots argvs were recorded before the action lost its degree
 cap and the partition spec its custom window. The L=N=8 and JSON verma-dims
 argvs were recorded before verma-dims counted its rows instead of listing
-PBW monomials. A refactor that claims unchanged
-answers must keep every hash; a change that means to alter a report updates
-its constant and says why."""
+PBW monomials. The rank-6 E6 singular argv, the unreduced A2 singular argv
+at lambda(c) = 1/2 and the A2 decompose argv at --scramble 5 were recorded
+before the action was scaled by the common denominator of lambda, the
+structure constants were bootstrapped in int arithmetic and the scrambling
+maps were built from int entries. A refactor that claims unchanged answers
+must keep every hash; a change that means to alter a report updates its
+constant and says why."""
 
 import hashlib
 
@@ -114,6 +118,23 @@ PINNED = [
         ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3",
          "--window", "L=3,N=2,H=2"),
         "80193018fb3c4ae138d96cc777ab33397a4b8293", id="singular-full-A2"),
+    # rank 6: 72 F-symbols per loop degree
+    pytest.param(
+        ("singular", "--type", "E6",
+         "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2,h4=-1/2,h5=-1/2,h6=-1/2",
+         "--window", "L=3,N=2,H=3"),
+        "f495301c9185ab3cb72db03b672d5dc52392b130", id="singular-E6"),
+    # a fractional lambda(c), so the scale takes its denominator too
+    pytest.param(
+        ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3,c=1/2",
+         "--window", "L=3,N=2,H=2"),
+        "d1b1db03b49dc28efcad18c498932dce61c208ac", id="singular-full-A2-central"),
+    pytest.param(
+        ("category-decompose", "--type", "A2",
+         "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
+         "--window", "L=3,N=4,H=1", "--kmax", "4", "--gwindow", "3",
+         "--scramble", "5"),
+        "c95760f073d8464624543e083c4c0d1ef673d579", id="decompose-A2-scrambled"),
     pytest.param(
         ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
         "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),

@@ -23,8 +23,9 @@ from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
                            monomial_offset, parse_weight, parse_window,
                            symbol_sort_key, vanishes_by_weight)
 
-from oracles import (brute_basis_monomials, colored_partition_counts,
-                     gauss_solve_nullspace, nilpotency_degree,
+from oracles import (beyond_window_survivors, brute_basis_monomials,
+                     colored_partition_counts, gauss_solve_nullspace,
+                     nilpotency_degree,
                      sl2_lowering_string_coefficient, weight_offset)
 
 
@@ -339,7 +340,7 @@ def hand_act(mod, g, v):
     for mono, cv in v.terms.items():
         for (key, n), cg in g.terms.items():
             for m2, c2 in mod.act_monomial(key, n, mono).items():
-                out[m2] = out.get(m2, 0) + cv * cg * c2
+                out[m2] = out.get(m2, 0) + cv * cg * Fraction(c2, mod.scale)
         k, _ = monomial_offset(mono, mod.rank)
         out[mono] = (out.get(mono, 0) + cv * g.c * mod.lam.c_value
                      + cv * g.d * (mod.lam.d_value + k))
@@ -512,6 +513,34 @@ def test_singular_vectors_match_oracle_over_all_operators(label, lam_text, reduc
     assert any(s != zero for (_, s), _ in want) == below
 
 
+BEYOND_WINDOW_CASES = [
+    pytest.param("A1", "h1=0", False, "L=3,N=2,H=2", id="A1-h1-zero-full"),
+    pytest.param("A1", "h1=-1/2", False, "L=4,N=3,H=2", id="W1-A1-full-half"),
+    pytest.param("A1", "h1=-1/2", True, "L=4,N=3,H=3", id="A1-reduced-half"),
+    pytest.param("A3", "h1=-1/2,h2=-1/2,h3=-1/2", True, "L=4,N=3,H=3",
+                 id="A3-reduced-half"),
+    pytest.param("A2", "h1=0,h2=-1/2", True, "L=3,N=2,H=2", id="A2-h1-zero"),
+]
+
+
+@pytest.mark.parametrize("label, lam_text, reduced, window_text", BEYOND_WINDOW_CASES)
+def test_singular_vectors_are_killed_beyond_the_window(label, lam_text, reduced,
+                                                       window_text):
+    a = aff(label)
+    mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=reduced)
+    window = parse_window(window_text)
+    found = mod.singular_vectors(offsets_up_to(a.rank, window.H), window)
+    assert found
+    assert beyond_window_survivors(mod, found, window) == []
+    # a lowering line one degree past the window: e_{1,-m} takes
+    # F(alpha_1, m) v to lambda(h_1) v, which is zero only if lambda(h_1) is
+    m = window.N + 1
+    alpha1 = a.finite.roots.simple_roots[0]
+    line = [((m, alpha1), mod.monomial(("F", alpha1, m)))]
+    survivors = beyond_window_survivors(mod, line, window)
+    assert (((m, alpha1), f"e1@{-m}") in survivors) == (mod.lam.h_values[0] != 0)
+
+
 def search_with_calls(mod, offsets, window):
     """singular_vectors, and the (key, n, mono) of each act_monomial call it
     makes itself (the recursion inside act_monomial is not counted)."""
@@ -610,8 +639,28 @@ def test_straightening_coefficients_are_int_away_from_lambda():
         assert all(type(c) is int for c in image.terms.values())
     assert seen > 100
     alpha1 = A2.finite.roots.simple_roots[0]
-    assert mod.act_monomial(("x", alpha1), -1, (("F", alpha1, 1),)) == \
-        {(): Fraction(-1, 2)}
+    assert mod.scale == 6 and mod.act_monomial(("x", alpha1), -1, (("F", alpha1, 1),)) == \
+        {(): -3}
+    assert mod.act(A2.e(1, -1), mod.monomial(("F", alpha1, 1))).terms == {(): Fraction(-1, 2)}
+
+
+@pytest.mark.parametrize("lam_text, reduced", [("h1=-1/2,h2=-1/3", True),
+                                               ("h1=-1/2,h2=-1/3,c=1/2", False)])
+def test_singular_search_memoises_int_images_scaled_by_the_denominator(lam_text,
+                                                                       reduced):
+    # the lcm of the denominators of lambda(h_i) and lambda(c) is 6 in both
+    mod = VermaModule(A2, parse_weight(lam_text, 2), reduced=reduced)
+    window = TruncationWindow(L=3, N=2, H=2)
+    mod.singular_vectors(offsets_up_to(2, window.H), window)
+    assert mod.scale == 6 and mod._act_cache
+    assert all(type(c) is int for image in mod._act_cache.values()
+               for c in image.values())
+    # act() still equals the images summed by hand
+    alpha1, theta = (1, 0), (1, 1)
+    v = mod.vector({(("F", alpha1, -1),): Fraction(2, 3), (("F", theta, 1),): 5})
+    for g in (A2.e(1, 1), A2.f(2, 0), A2.h(1, 0), A2.h(0),
+              A2.h(2, -1) + 3 * A2.c_elem() + A2.d_elem()):
+        assert mod.act(g, v).terms == hand_act(mod, g, v)
 
 
 def test_unreduced_smoke_nonzero_central_charge():
