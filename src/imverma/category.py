@@ -20,8 +20,19 @@ one pair as (block, target index, target dim), or None if undefined. The target
 weight index of each pair is derived once, when the module is built, from the
 weights alone (_targets): x_gamma (x) t^n moves the (h, c) part of a weight by
 gamma and its d value by n, so each (h, c) class is shifted once per root and
-each d value once per loop degree, and a pair then costs integer lookups. No
-constructor hands targets in.
+each d value once per loop degree, on integer (numerator, denominator) cells,
+and a pair then costs integer lookups. No constructor hands targets in, and a
+scrambled copy shares its source's weight index.
+
+The reduced Verma store decides most pairs from the target offset
+(k + n, s - gamma) before any action (from_reduced_verma). A target space is
+zero when s - gamma has a negative coordinate, or is 0 while k + n is not;
+the pair is then a defined zero. A lowering generator x_{-gamma} (x) t^n
+whose target space is not stored is undefined: the reduced module is free of
+rank one over U(n_- (x) C[t, t^-1]), an algebra with no zero divisors, so
+every nonzero vector has a nonzero image. Only the remaining pairs act; a
+raising generator or a Cartan loop into an unstored space still acts, since
+it can kill a vector.
 
 Torsion is the joint kernel of the Heisenberg generators h_{i,l} (l != 0),
 computed per weight space over the reduced-admissible weights; weight spaces
@@ -32,12 +43,13 @@ Heisenberg images arriving from neighboring weight spaces.
 
 The decomposition pipeline: torsion basis -> iterated e_{i,0}-power extraction
 of vectors annihilated by every windowed e_{j,n} -> summand weights -> exact
-dimension audit: the summands' windowed reduced Verma spaces (windowed_spaces,
-the map that also builds a reduced Verma store) must fill every stored weight
-space exactly and no other weight. Audit failures are errors, never silently
-accepted.
+dimension audit: the summands' windowed reduced Verma dimensions, counted by
+VermaModule.weight_dims over the spaces windowed_spaces would list, must fill
+every stored weight space exactly and no other weight. Audit failures are
+errors, never silently accepted.
 """
 
+import copy
 import random
 import re
 from collections import Counter
@@ -50,8 +62,7 @@ from imverma.affine import AffineAlgebra
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
 from imverma.errors import AuditError, ImvermaError, ModuleDataError
 from imverma.finite import _neg, add_scaled, build_simple_algebra
-from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
-                           vanishes_by_weight)
+from imverma.verma import TruncationWindow, VermaModule, Weight, monomial_name
 
 
 class UndefinedActionError(ModuleDataError):
@@ -140,14 +151,20 @@ def _weight_sort_key(w: Weight):
 def _targets(algebra: AffineAlgebra, weights, defined):
     """{gkey: {source: target weight index or None}} for the pairs of defined.
 
-    Weights are indexed by ((h, c) class, d value). Each class is shifted once
-    per root, and each d value once per loop degree; every pair is then a
-    lookup of integers.
+    Weights are indexed by ((h, c) class, d value), each value an integer
+    (numerator, denominator) cell. Each class is shifted once per root, and
+    each d value once per loop degree, by integer arithmetic: adding p to a/b
+    gives (a + p*b)/b, still in lowest terms. Every pair is then a lookup of
+    integers.
     """
     classes = {}
     dvals = {}
-    cells = [(classes.setdefault((w.h_values, w.c_value), len(classes)),
-              dvals.setdefault(w.d_value, len(dvals))) for w in weights]
+    cells = []
+    for w in weights:
+        hc = tuple((q.numerator, q.denominator) for q in w.h_values + (w.c_value,))
+        d = w.d_value
+        cells.append((classes.setdefault(hc, len(classes)),
+                      dvals.setdefault((d.numerator, d.denominator), len(dvals))))
     at = {cell: i for i, cell in enumerate(cells)}
     rs = algebra.finite.roots
     class_moves = {}  # finite key -> per class: shifted class, or None
@@ -159,12 +176,13 @@ def _targets(algebra: AffineAlgebra, weights, defined):
             if key[0] == "h":
                 class_moves[key] = range(len(classes))
             else:
-                shift = [rs.pairing(key[1], i) for i in range(algebra.rank)]
+                # c is last in a class and never moves
+                shift = [rs.pairing(key[1], i) for i in range(algebra.rank)] + [0]
                 class_moves[key] = [
-                    classes.get((tuple(h + p for h, p in zip(hs, shift)), c))
-                    for hs, c in classes]
+                    classes.get(tuple((a + p * b, b) for (a, b), p in zip(hc, shift)))
+                    for hc in classes]
         if n not in d_moves:
-            d_moves[n] = [dvals.get(d + n) for d in dvals]
+            d_moves[n] = [dvals.get((a + n * b, b)) for a, b in dvals]
         cmove, dmove = class_moves[key], d_moves[n]
         targets[gkey] = {s: at.get((cmove[cells[s][0]], dmove[cells[s][1]]))
                          for s in per_src}
@@ -249,8 +267,22 @@ class ExplicitModule:
         Stores weight spaces lambda + k delta - s (ht(s) <= height, |k| <= kmax)
         with the PBW basis truncated by the window; a (generator, source) pair
         is marked defined exactly when every image stays inside the store. The
-        images are the act_monomial images of the basis monomials, unscaled;
-        a pair that vanishes_by_weight is a defined zero without acting.
+        images are the act_monomial images of the basis monomials, unscaled.
+
+        Each pair is first decided from its target offset (k + n, s - gamma),
+        with gamma = 0 for a Cartan loop:
+
+        - the target space is zero when s - gamma has a negative coordinate
+          (vanishes_by_weight), or when s - gamma = 0 and k + n != 0 (the
+          only monomial with s = 0 is the empty one, at k = 0); the pair is
+          a defined zero;
+        - a lowering generator x_{-gamma} (x) t^n whose target space is not
+          stored is undefined: the reduced module is free of rank one over
+          U(n_- (x) C[t, t^-1]), which has no zero divisors, so every basis
+          vector has a nonzero image, and it lies outside the store.
+
+        Only the other pairs act. A raising generator or a Cartan loop whose
+        target is not stored still acts, since it can kill a vector.
         """
         mod = VermaModule(algebra, lam, reduced=True)
         spaces = list(windowed_spaces(mod, height, kmax, window))
@@ -259,16 +291,27 @@ class ExplicitModule:
                       for j, m in enumerate(basis)}
         weights = [w for _, w, _ in spaces]
         labels = [[monomial_name(m) for m in basis] for _, _, basis in spaces]
+        positive = algebra.finite.roots.positive_set
+        zero = (0,) * algebra.rank
+        # finite key -> per space: target s, or None where that space is zero
+        moved = {}
         defined = {}
         for gkey in loop_keys(algebra, loop_window):
             key, n = gkey
             per_src = defined[gkey] = {}
-            shift_s = key[1] if key[0] == "x" else (0,) * algebra.rank
-            for widx, ((k, s), _, basis) in enumerate(spaces):
-                if vanishes_by_weight(key, s):
+            if key not in moved:
+                gamma = key[1] if key[0] == "x" else zero
+                moved[key] = [None if min(ts) < 0 else ts for ts in
+                              (tuple(a - b for a, b in zip(s, gamma))
+                               for (_, s), _, _ in spaces)]
+            lowering = key[0] == "x" and key[1] not in positive
+            for widx, (((k, _), _, basis), ts) in enumerate(zip(spaces, moved[key])):
+                if ts is None or (ts == zero and k + n):
                     per_src[widx] = {}
                     continue
-                want = off_index.get((k + n, tuple(a - b for a, b in zip(s, shift_s))))
+                want = off_index.get((k + n, ts))
+                if want is None and lowering:
+                    continue
                 entries = {}
                 ok = True
                 for j, m in enumerate(basis):
@@ -340,7 +383,9 @@ class ExplicitModule:
     def scrambled(self, seed):
         """Weight-preserving change of basis by random exact invertible maps.
 
-        Each block B becomes S_tgt^-1 B S_src, computed on sparse blocks.
+        Each block B becomes S_tgt^-1 B S_src, computed on sparse blocks. The
+        copy keeps this module's weights, so it shares their order, index,
+        targets and offsets instead of rebuilding them.
         """
         rng = random.Random(seed)
         mats = []
@@ -352,17 +397,19 @@ class ExplicitModule:
         defined = {}
         for gk, per_src in self.defined.items():
             defined[gk] = {}
+            targets = self.targets[gk]
             for src, mat in per_src.items():
-                tgt = self.table(gk, src)[1]
+                tgt = targets[src]
                 if tgt is None and mat:
                     raise ModuleDataError("nonzero block without a target weight")
                 defined[gk][src] = _mat_mul(_mat_mul(invs[tgt], mat), mats[src]) \
                     if mat else {}
-        labels = [[f"w{widx}b{j}" for j in range(self.dim(widx))]
-                  for widx in range(len(self.weights))]
-        return ExplicitModule(self.algebra, list(self.weights), labels, defined,
-                              provenance=f"{self.provenance}+scramble",
-                              loop_window=self.loop_window, meta=self.meta)
+        out = copy.copy(self)
+        out.labels = [[f"w{widx}b{j}" for j in range(self.dim(widx))]
+                      for widx in range(len(self.weights))]
+        out.defined = defined
+        out.provenance = f"{self.provenance}+scramble"
+        return out
 
     # -- serialization ------------------------------------------------------------
 
@@ -519,18 +566,9 @@ def windowed_spaces(verma: VermaModule, height, kmax, window: TruncationWindow):
 
 def _nonneg_vectors(rank_, total_max):
     """Non-negative integer rank_-tuples with sum <= total_max, lexicographic."""
-    out = []
-
-    def rec(i, left, acc):
-        if i == rank_:
-            out.append(tuple(acc))
-            return
-        for v in range(left + 1):
-            acc.append(v)
-            rec(i + 1, left - v, acc)
-            acc.pop()
-
-    rec(0, total_max, [])
+    out = [()]
+    for _ in range(rank_):
+        out = [v + (x,) for v in out for x in range(total_max - sum(v) + 1)]
     return out
 
 
@@ -1103,10 +1141,12 @@ def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
 def audit_decomposition(module: ExplicitModule, summand_weights):
     """Exact windowed dimension audit of a claimed decomposition.
 
-    Each claimed summand's windowed weight spaces (windowed_spaces, with the
-    bounds of the module's build) are added forward onto their weights. Every
-    stored weight space must match its sum, and a summand space of nonzero
-    dimension at a weight the module does not store is a mismatch too.
+    Each claimed summand's windowed weight spaces, with the bounds of the
+    module's build and in the order of windowed_spaces, are counted
+    (VermaModule.weight_dims, one call per s) and added forward onto their
+    weights. Every stored weight space must match its sum, and a summand
+    space of nonzero dimension at a weight the module does not store is a
+    mismatch too.
     """
     meta = module.meta
     if not meta or "window" not in meta:
@@ -1116,8 +1156,12 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
     expected = {}
     for lam, mult in Counter(summand_weights).items():
         verma = VermaModule(module.algebra, lam, reduced=True)
-        for _, w, basis in windowed_spaces(verma, height, kmax, window):
-            expected[w] = expected.get(w, 0) + mult * len(basis)
+        for s in _nonneg_vectors(verma.rank, height):
+            dims = verma.weight_dims(s, window)
+            for k in range(-kmax, kmax + 1):
+                if k in dims:
+                    w = verma.weight_of_offset((k, s))
+                    expected[w] = expected.get(w, 0) + mult * dims[k]
     per_weight = [{"weight_index": nu_idx, "expected": expected.pop(nu, 0),
                    "stored": module.dim(nu_idx)}
                   for nu_idx, nu in enumerate(module.weights)]

@@ -22,7 +22,6 @@ Algebra contexts are immutable after construction and all operations are pure.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from operator import add, neg, sub
 
 from imverma.cartan import CartanMatrix, make_cartan_matrix
@@ -172,45 +171,23 @@ def _exact(num, den, what):
     return q
 
 
+_BOOTSTRAP = "structure constant; extraspecial bootstrap failed"
+
+
 def _structure_constants(rs: FiniteRootSystem, norm):
     """Full N_{a,b} lookup for all root pairs with a+b a root.
 
     norm[g] is (g|g) for every root g under any fixed multiple of the
     invariant form; only ratios of root norms enter the relations. The
     bootstrap runs in int arithmetic: each ratio is an exact division, and a
-    remainder means the extraspecial bootstrap failed. lookup is memoised, so
-    each constant is derived once.
+    remainder means the extraspecial bootstrap failed. _structure_constant
+    memoises in one dict, so each constant is derived once.
     """
     pos = rs.positive_roots
     order = {g: i for i, g in enumerate(pos)}
     table = {}
     extraspecial = {}
-    bad = "structure constant; extraspecial bootstrap failed"
-
-    @cache
-    def lookup(a, b):
-        # zero whenever the pair does not bracket to a root vector; non-root
-        # arguments appear in vanishing Jacobi terms and must short-circuit
-        if a not in rs.root_set or b not in rs.root_set:
-            return 0
-        s = _add(a, b)
-        if s not in rs.root_set:
-            return 0
-        apos, bpos = a in rs.positive_set, b in rs.positive_set
-        if apos and bpos:
-            return table[(a, b)]
-        if not apos and not bpos:
-            return -lookup(_neg(a), _neg(b))
-        if not apos:
-            return -lookup(b, a)
-        # a positive, b negative
-        beta = _neg(b)
-        if s in rs.positive_set:
-            # (b, a, -s) sums to zero and s + beta = a
-            return _exact(-norm[s] * lookup(beta, s), norm[a], bad)
-        sigma = _neg(s)  # positive, a + sigma = beta
-        return _exact(-norm[sigma] * lookup(a, sigma), norm[beta], bad)
-
+    ctx = (rs, norm, table, {})
     for xi in pos:
         if root_height(xi) < 2:
             continue
@@ -228,16 +205,48 @@ def _structure_constants(rs: FiniteRootSystem, norm):
         extraspecial[xi] = (a1, b1)
         for alpha, beta in specials[1:]:
             # Jacobi on the quadruple (a1, b1, -alpha, -beta)
-            t1 = lookup(b1, _neg(alpha)) * lookup(a1, _sub(b1, alpha))
-            t2 = lookup(_neg(alpha), a1) * lookup(b1, _sub(a1, alpha))
-            val = _exact(-norm[xi] * (t1 + t2), norm[beta] * n0, bad)
+            t1 = (_structure_constant(ctx, b1, _neg(alpha))
+                  * _structure_constant(ctx, a1, _sub(b1, alpha)))
+            t2 = (_structure_constant(ctx, _neg(alpha), a1)
+                  * _structure_constant(ctx, b1, _sub(a1, alpha)))
+            val = _exact(-norm[xi] * (t1 + t2), norm[beta] * n0, _BOOTSTRAP)
             table[(alpha, beta)] = val
             table[(beta, alpha)] = -val
-
-    full = {(a, b): lookup(a, b) for a in rs.root_set for b in rs.root_set
-            if _add(a, b) in rs.root_set}
-    lookup.cache_clear()  # lookup is in a reference cycle: free the memo now
+    full = {(a, b): _structure_constant(ctx, a, b) for a in rs.root_set
+            for b in rs.root_set if _add(a, b) in rs.root_set}
     return full, extraspecial
+
+
+def _structure_constant(ctx, a, b):
+    """N_{a,b} from the positive pairs of table, ctx = (root system, norm,
+    table, memo): zero whenever the pair does not bracket to a root vector
+    (non-root arguments appear in vanishing Jacobi terms and short-circuit),
+    otherwise reduced to a positive pair by the sign and norm relations."""
+    rs, norm, table, memo = ctx
+    hit = memo.get((a, b))
+    if hit is not None:
+        return hit
+    s = _add(a, b)
+    if a not in rs.root_set or b not in rs.root_set or s not in rs.root_set:
+        val = 0
+    else:
+        apos, bpos = a in rs.positive_set, b in rs.positive_set
+        if apos and bpos:
+            val = table[(a, b)]
+        elif not apos and not bpos:
+            val = -_structure_constant(ctx, _neg(a), _neg(b))
+        elif not apos:
+            val = -_structure_constant(ctx, b, a)
+        elif s in rs.positive_set:
+            # a positive, b negative: (b, a, -s) sums to zero and s - b = a
+            val = _exact(-norm[s] * _structure_constant(ctx, _neg(b), s), norm[a],
+                         _BOOTSTRAP)
+        else:
+            # sigma = -s is positive and a + sigma = -b
+            val = _exact(-norm[_neg(s)] * _structure_constant(ctx, a, _neg(s)),
+                         norm[_neg(b)], _BOOTSTRAP)
+    memo[(a, b)] = val
+    return val
 
 
 @dataclass(eq=False)

@@ -628,24 +628,26 @@ def _negative_symbol_bracket(fin, s1, s2):
 
 def _root_multisets(fin, s):
     """Weakly decreasing multisets of positive roots with coordinate sum s."""
-    pos = fin.roots.positive_roots
     out = []
-
-    def rec(idx, remaining, acc):
-        if all(x == 0 for x in remaining):
-            out.append(tuple(acc))
-            return
-        if idx >= len(pos):
-            return
-        gamma = pos[idx]
-        if all(r >= g for r, g in zip(remaining, gamma)):
-            acc.append(gamma)
-            rec(idx, tuple(r - g for r, g in zip(remaining, gamma)), acc)
-            acc.pop()
-        rec(idx + 1, remaining, acc)
-
-    rec(0, tuple(s), [])
+    _extend_root_multisets(fin.roots.positive_roots, 0, tuple(s), [], out)
     return out
+
+
+def _extend_root_multisets(pos, idx, remaining, acc, out):
+    """Append to out each extension of acc by a multiset of pos[idx:] with
+    coordinate sum remaining, those taking pos[idx] first."""
+    if all(x == 0 for x in remaining):
+        out.append(tuple(acc))
+        return
+    if idx >= len(pos):
+        return
+    gamma = pos[idx]
+    if all(r >= g for r, g in zip(remaining, gamma)):
+        acc.append(gamma)
+        _extend_root_multisets(pos, idx, tuple(r - g for r, g in zip(remaining, gamma)),
+                               acc, out)
+        acc.pop()
+    _extend_root_multisets(pos, idx + 1, remaining, acc, out)
 
 
 def _b_multisets(rank, max_l, max_len, total_min, total_max):
@@ -657,25 +659,28 @@ def _b_multisets(rank, max_l, max_len, total_min, total_max):
     """
     parts = [("B", i, l) for i in range(1, rank + 1) for l in range(1, max_l + 1)]
     out = []
-    acc = []
-
-    def rec(idx, length_left, total):
-        if total >= total_min:
-            out.append((tuple(acc), total))
-        if not length_left:
-            return
-        # a part l must leave total + l + (length_left - 1) * max_l >= total_min
-        least = total_min - (length_left - 1) * max_l - total
-        most = total_max - total
-        for j in range(idx, len(parts)):
-            sym = parts[j]
-            if least <= sym[2] <= most:
-                acc.append(sym)
-                rec(j, length_left - 1, total + sym[2])
-                acc.pop()
-
-    rec(0, max_len, 0)
+    _extend_b_multisets(parts, 0, max_len, 0, (max_l, total_min, total_max), [], out)
     return out
+
+
+def _extend_b_multisets(parts, idx, length_left, total, bounds, acc, out):
+    """Append to out acc, if its total reaches total_min, then each extension
+    of acc by at most length_left of parts[idx:] (by index, with repeats)."""
+    max_l, total_min, total_max = bounds
+    if total >= total_min:
+        out.append((tuple(acc), total))
+    if not length_left:
+        return
+    # a part l must leave total + l + (length_left - 1) * max_l >= total_min
+    least = total_min - (length_left - 1) * max_l - total
+    most = total_max - total
+    for j in range(idx, len(parts)):
+        sym = parts[j]
+        if least <= sym[2] <= most:
+            acc.append(sym)
+            _extend_b_multisets(parts, j, length_left - 1, total + sym[2], bounds,
+                                acc, out)
+            acc.pop()
 
 
 def _multiset_counts(values, max_len):
@@ -726,22 +731,24 @@ def _degree_assignments(multiset, target, max_n):
         slots.append((gamma, a, last - i - a))
     slots.reverse()
     results = []
-    acc = []
-
-    def rec(i, lo, remaining):
-        if i > last:
-            if not remaining:
-                results.append(tuple(acc))
-            return
-        gamma, a, b = slots[i]
-        hi = max_n
-        if remaining is not None:
-            lo = max(lo, remaining - max_n * (a + b))
-            hi = min(hi, (remaining + max_n * b) // (a + 1))
-        for n in range(lo, hi + 1):
-            acc.append(("F", gamma, n))
-            rec(i + 1, n if a else -max_n, None if remaining is None else remaining - n)
-            acc.pop()
-
-    rec(0, -max_n, target)
+    _assign_degrees(slots, 0, -max_n, target, max_n, [], results)
     return results
+
+
+def _assign_degrees(slots, i, lo, remaining, max_n, acc, results):
+    """Append to results each completion of acc by degrees for slots[i:] (see
+    _degree_assignments), the degree of slot i at least lo."""
+    if i == len(slots):
+        if not remaining:
+            results.append(tuple(acc))
+        return
+    gamma, a, b = slots[i]
+    hi = max_n
+    if remaining is not None:
+        lo = max(lo, remaining - max_n * (a + b))
+        hi = min(hi, (remaining + max_n * b) // (a + 1))
+    for n in range(lo, hi + 1):
+        acc.append(("F", gamma, n))
+        _assign_degrees(slots, i + 1, n if a else -max_n,
+                        None if remaining is None else remaining - n, max_n, acc, results)
+        acc.pop()

@@ -5,9 +5,11 @@ package's sparse fraction-free kernel, dense matrix products and an explicit
 basis inverse instead of sparse blocks and annihilator rows, one weight shift
 per action pair instead of shifts cached per weight class, every multiset of
 window symbols instead of pruned PBW enumeration, symbol-by-symbol weight
-offsets, repeated application of VermaModule.act for nilpotency degrees), so
-an agreement is meaningful. sparse_rows and dense_rows convert between the
-dense test matrices and the sparse rows the package kernels take and return.
+offsets, repeated application of VermaModule.act for nilpotency degrees,
+trial action on every table pair instead of pair rules read from the target
+weights), so an agreement is meaningful. sparse_rows and dense_rows convert
+between the dense test matrices and the sparse rows the package kernels take
+and return.
 
 The last section holds the checks the tests run on library objects and that
 the library itself never calls: annihilation of singular vectors beyond the
@@ -23,9 +25,10 @@ from itertools import combinations_with_replacement
 from imverma._kernels import rank, rref
 from imverma.affine import affine_bracket
 from imverma.category import (ExplicitModule, UndefinedActionError, _images,
-                              gen_name, heisenberg_keys)
+                              gen_name, heisenberg_keys, loop_keys, windowed_spaces)
 from imverma.finite import add_scaled
-from imverma.verma import Weight, symbol_sort_key
+from imverma.verma import (VermaModule, Weight, monomial_name, symbol_sort_key,
+                           vanishes_by_weight)
 
 
 def roots_by_reflection_closure(cartan):
@@ -282,6 +285,42 @@ def brute_basis_monomials(mod, offset, window):
             if coords == tuple(s) and k in (None, degree):
                 out.append(mono)
     return sorted(out, key=lambda m: [symbol_sort_key(sym) for sym in m])
+
+
+def reduced_verma_by_trial_action(algebra, lam, height, kmax, window, loop_window):
+    """ExplicitModule.from_reduced_verma by trial action alone: every
+    (generator, source) pair that does not vanish by weight acts on each
+    basis monomial in turn, and is undefined at the first image monomial
+    outside the store; no pair is decided from its target weight. Every
+    image monomial inside the store must lie at weight_shift of its source."""
+    mod = VermaModule(algebra, lam, reduced=True)
+    spaces = list(windowed_spaces(mod, height, kmax, window))
+    mono_index = {m: (widx, j) for widx, (_, _, basis) in enumerate(spaces)
+                  for j, m in enumerate(basis)}
+    defined = {}
+    for gkey in loop_keys(algebra, loop_window):
+        key, n = gkey
+        per_src = defined[gkey] = {}
+        for widx, ((_, s), w, basis) in enumerate(spaces):
+            if vanishes_by_weight(key, s):
+                per_src[widx] = {}
+                continue
+            entries = {}
+            try:
+                for j, m in enumerate(basis):
+                    for m2, c2 in mod.act_monomial(key, n, m).items():
+                        tgt, r = mono_index[m2]
+                        assert spaces[tgt][1] == weight_shift(algebra, w, gkey)
+                        entries[(r, j)] = mod.unscale(c2)
+            except KeyError:
+                continue
+            per_src[widx] = entries
+    meta = {"kind": "reduced-verma", "height": height, "kmax": kmax,
+            "window": {"L": window.L, "N": window.N, "H": window.H}}
+    return ExplicitModule(algebra, [w for _, w, _ in spaces],
+                          [[monomial_name(m) for m in basis] for _, _, basis in spaces],
+                          defined, provenance="reduced-verma",
+                          loop_window=loop_window, meta=meta)
 
 
 # -- checks on library objects -------------------------------------------------------

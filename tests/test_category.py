@@ -22,8 +22,9 @@ from imverma.category import (ExplicitModule, _mat_mul, audit_decomposition,
                               heisenberg_slice, parse_gen, sl2_irrep_matrices,
                               torsion_decompose)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
-from oracles import (check_bracket_compatibility, dense_mat_mul, sparse_rows,
-                     t_projection, torsion_free_restriction, weight_shift)
+from oracles import (check_bracket_compatibility, dense_mat_mul,
+                     reduced_verma_by_trial_action, sparse_rows, t_projection,
+                     torsion_free_restriction, weight_shift)
 
 
 def aff(label):
@@ -52,6 +53,46 @@ def test_windowed_realization_matches_verma_dims():
         k = int(w.d_value)
         s = (0,) if w.h_values == LAM.h_values else (1,)
         assert em.dim(widx) == mod.weight_dim((k, s), W1)
+
+
+# A negative-integer lambda(h_i) at each H=2 case; kmax 2 and N = 2 leave
+# lowering targets unstored at both window edges.
+TRIAL_CASES = [
+    pytest.param("A1", "h1=-1/2", 1, id="A1-H1"),
+    pytest.param("A1", "h1=-3", 2, id="A1-H2"),
+    pytest.param("A2", "h1=-1/2,h2=-1/3", 1, id="A2-H1"),
+    pytest.param("A2", "h1=-1,h2=-1/3", 2, id="A2-H2"),
+    pytest.param("C2", "h1=-1/2,h2=-1/3", 1, id="C2-H1"),
+    pytest.param("C2", "h1=-3/2,h2=-2", 2, id="C2-H2"),
+    pytest.param("A3", "h1=-1/2,h2=-1/3,h3=-1/5", 1, id="A3-H1"),
+    pytest.param("A3", "h1=-1/2,h2=-1,h3=-1/5", 2, id="A3-H2"),
+]
+
+
+@pytest.mark.parametrize("typ, lam, height", TRIAL_CASES)
+def test_pair_rules_match_trial_action(typ, lam, height):
+    alg = aff(typ)
+    args = (alg, parse_weight(lam, alg.rank), height, 2,
+            TruncationWindow(L=3, N=2, H=height), 2)
+    em = ExplicitModule.from_reduced_verma(*args)
+    assert em.to_json_dict() == reduced_verma_by_trial_action(*args).to_json_dict()
+    # the rules decide something: some pairs are undefined, some defined zero
+    pairs = [per_src.get(widx) for per_src in em.defined.values()
+             for widx in range(len(em.weights))]
+    assert None in pairs and {} in pairs
+
+
+def test_cartan_loops_into_unstored_spaces_still_act():
+    # h_{i,1} on F(alpha_3, 2)v targets k = 3, past kmax: alpha_3(h_1) = 0
+    # kills the vector there, so the pair is a defined zero, while
+    # alpha_3(h_2) = -1 does not, so that pair is undefined
+    a3 = aff("A3")
+    em = ExplicitModule.from_reduced_verma(
+        a3, parse_weight("h1=-1/2,h2=-1/3,h3=-1/5", 3), height=2, kmax=2,
+        window=TruncationWindow(L=3, N=2, H=2), loop_window=2)
+    widx = em.labels.index(["F([0,0,1],2)*v"])
+    assert em.table((("h", 1), 1), widx) == ({}, None, 0)
+    assert em.table((("h", 2), 1), widx) is None
 
 
 def test_generator_names_round_trip():

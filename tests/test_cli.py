@@ -1,6 +1,7 @@
 """CLI surface: the documented subcommands, exit codes, output formats,
 determinism, config file and output-directory environment variable."""
 
+import gc
 import io
 import json
 import os
@@ -26,6 +27,34 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("singular", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/2",
+     "--window", "L=3,N=2,H=2"),
+    ("category-decompose", "--type", "A2",
+     "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
+     "--window", "L=3,N=4,H=1", "--kmax", "4", "--gwindow", "3", "--scramble", "5"),
+], ids=["singular", "category-decompose"])
+def test_a_call_leaves_no_package_cycles(capsys, argv):
+    # everything the package builds in a call is freed by reference counting;
+    # the collector keeps what it finds in gc.garbage under DEBUG_SAVEALL
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run(capsys, *argv)[0] == 0
+        gc.collect()
+        found = [obj for obj in gc.garbage
+                 if str(getattr(obj, "__module__", None)).startswith("imverma")
+                 or type(obj).__module__.startswith("imverma")]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        gc.collect()
+        if not enabled:
+            gc.disable()
+    assert not found
 
 
 def test_verma_dims_matches_documented_example(capsys):
@@ -302,7 +331,7 @@ def test_unreadable_audit_meta_is_one_line(tmp_path, capsys, edit):
 
 
 def test_audit_meta_height_above_window_is_one_line(tmp_path, capsys):
-    # the audit cannot lay out summand spaces above the window's H
+    # the audit cannot count summand spaces above the window's H
     path = _reduced_verma_file(tmp_path, lambda meta: meta.update(height=3))
     code, out, err = run(capsys, "category-decompose", "--module", str(path))
     assert code == 1

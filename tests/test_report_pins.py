@@ -21,9 +21,12 @@ PBW monomials. The rank-6 E6 singular argv, the unreduced A2 singular argv
 at lambda(c) = 1/2 and the A2 decompose argv at --scramble 5 were recorded
 before the action was scaled by the common denominator of lambda, the
 structure constants were bootstrapped in int arithmetic and the scrambling
-maps were built from int entries. A refactor that claims unchanged answers
-must keep every hash; a change that means to alter a report updates its
-constant and says why."""
+maps were built from int entries. The H=2 A3 category-check and C2
+category-split argvs were recorded before the reduced Verma tables decided
+their pairs from the target weights, the weights were indexed by integer
+cells and a scrambled module kept its source's index. A refactor that claims
+unchanged answers must keep every hash; a change that means to alter a
+report updates its constant and says why."""
 
 import hashlib
 
@@ -135,6 +138,17 @@ PINNED = [
          "--window", "L=3,N=4,H=1", "--kmax", "4", "--gwindow", "3",
          "--scramble", "5"),
         "c95760f073d8464624543e083c4c0d1ef673d579", id="decompose-A2-scrambled"),
+    # H=2: lowering targets leave the store at the height and kmax edges
+    pytest.param(
+        ("category-check", "--type", "A3", "--summands", "h1=-1/2,h2=-1/3,h3=-1/5",
+         "--window", "L=3,N=2,H=2", "--kmax", "2", "--gwindow", "2"),
+        "93247eafcf8a1c1153d501a4cd7b85f394ffb902", id="check-A3-H2"),
+    pytest.param(
+        ("category-split", "--type", "C2",
+         "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
+         "--window", "L=3,N=2,H=2", "--kmax", "2", "--gwindow", "2",
+         "--scramble", "3"),
+        "c2395a48fe62b76e23bbed7d57da1064e9323e22", id="split-C2-H2"),
     pytest.param(
         ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
         "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),
