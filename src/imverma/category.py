@@ -8,11 +8,11 @@ when every image of the stored basis stays inside the stored basis; all
 report-style checks count the undefined pairs they skip instead of guessing.
 h_i (x) t^0, d and c act diagonally straight from the weight data.
 
-A block is the only matrix form: a sparse {(target row, source column): v}
-dict. Products, sums and scalings stay sparse (_mat_mul, add_scaled). The
-exact kernels take and return sparse rows {column: v}; _rows and _block
-convert between a block and its rows, and coordinate vectors (torsion and
-torsion-free bases) are kept as such rows.
+A block is the only matrix form: column-major {source coordinate j: {target
+coordinate r: v}}, with no zero and no empty column. Column j is the image of
+basis vector j, in the {coordinate: v} form of the kernels' sparse rows and of
+torsion and torsion-free coordinate vectors: _image applies a block to such a
+vector, and _transpose gives the rows of a block where a kernel needs them.
 
 One map holds the action: defined = {gkey: {source weight index: block}}. A
 present key is a defined pair, and {} is a defined zero action; table() reads
@@ -192,9 +192,9 @@ def _targets(algebra: AffineAlgebra, weights, defined):
 class ExplicitModule:
     """Windowed weight-module data with exact sparse action tables.
 
-    defined gives {gkey: {source: sparse block}} for every (generator, source)
-    pair whose table is exact, indexed like weights; targets gives the target
-    weight index (or None) of the same pairs.
+    defined gives {gkey: {source: column-major block}} for every (generator,
+    source) pair whose table is exact, indexed like weights; targets gives the
+    target weight index (or None) of the same pairs.
     """
 
     def __init__(self, algebra: AffineAlgebra, weights, labels, defined,
@@ -253,8 +253,7 @@ class ExplicitModule:
                 raise UndefinedActionError(
                     f"{gen_name(self.algebra, *gkey)} undefined at weight index {widx}")
             block, tgt, _ = entry
-            column = {(tgt, r): v for (r, c), v in block.items() if c == i and v}
-            add_scaled(out, column, cv)
+            add_scaled(out, {(tgt, r): v for r, v in block.get(i, {}).items()}, cv)
         return out
 
     # -- constructors ----------------------------------------------------------
@@ -312,9 +311,10 @@ class ExplicitModule:
                 want = off_index.get((k + n, ts))
                 if want is None and lowering:
                     continue
-                entries = {}
+                block = {}
                 ok = True
                 for j, m in enumerate(basis):
+                    column = {}
                     for m2, c2 in mod.act_monomial(key, n, m).items():
                         hit = mono_index.get(m2)
                         if hit is None:
@@ -322,11 +322,13 @@ class ExplicitModule:
                             break
                         if hit[0] != want:
                             raise ImvermaError("weight bookkeeping mismatch")
-                        entries[(hit[1], j)] = mod.unscale(c2)
+                        column[hit[1]] = mod.unscale(c2)
                     if not ok:
                         break
+                    if column:
+                        block[j] = column
                 if ok:
-                    per_src[widx] = entries
+                    per_src[widx] = block
         meta = {"kind": "reduced-verma", "height": height, "kmax": kmax,
                 "window": {"L": window.L, "N": window.N, "H": window.H}}
         return ExplicitModule(algebra, weights, labels, defined,
@@ -345,17 +347,17 @@ class ExplicitModule:
                          key=_weight_sort_key)
         windex = {w: i for i, w in enumerate(weights)}
         labels = [[] for _ in weights]
-        shift = []  # per summand: widx_local -> (widx_global, offset)
+        # per weight: (summand index, summand, local weight index) carrying it
+        carriers = [[] for _ in weights]
+        shift = []  # per summand: local weight index -> offset in the sum's space
         for si, m in enumerate(summands):
-            table = {}
+            offsets = []
             for li, w in enumerate(m.weights):
                 gi = windex[w]
-                table[li] = (gi, len(labels[gi]))
+                offsets.append(len(labels[gi]))
+                carriers[gi].append((si, m, li))
                 labels[gi].extend(f"s{si}:{lab}" for lab in m.labels[li])
-            shift.append(table)
-        # per weight: (summand index, summand, local weight index) carrying it
-        carriers = [[(si, m, m.windex[w]) for si, m in enumerate(summands)
-                     if w in m.windex] for w in weights]
+            shift.append(offsets)
         defined = {}
         for gk in dict.fromkeys(gk for m in summands for gk in m.defined):
             per_src = defined[gk] = {}
@@ -363,13 +365,12 @@ class ExplicitModule:
                 tables = [m.table(gk, li) for _, m, li in carried]
                 if None in tables:
                     continue
-                entries = per_src[gi] = {}
+                block = per_src[gi] = {}
                 for (si, _, li), (mat, tgt, _) in zip(carried, tables):
                     if mat:
-                        roff = shift[si][tgt][1]
-                        coff = shift[si][li][1]
-                        for (r, c), v in mat.items():
-                            entries[(r + roff, c + coff)] = v
+                        roff, coff = shift[si][tgt], shift[si][li]
+                        for j, column in mat.items():
+                            block[j + coff] = {r + roff: v for r, v in column.items()}
         # metas that agree apart from their kind carry over to the sum
         metas = [m.meta for m in summands]
         meta = None
@@ -428,8 +429,9 @@ class ExplicitModule:
                 base_src = self._starts[src]
                 tgt = self.table(gk, src)[1]
                 base_tgt = self._starts[tgt] if tgt is not None else 0
-                for (r, c), v in sorted(mat.items()):
-                    triples.append([base_tgt + r, base_src + c, str(v)])
+                triples.extend(sorted([base_tgt + r, base_src + c, str(v)]
+                                      for c, column in mat.items()
+                                      for r, v in column.items()))
             actions[name] = triples
             defined[name] = sorted(self.defined[gk])
         alg = {"label": self.algebra.finite.cartan.label} \
@@ -453,9 +455,11 @@ class ExplicitModule:
 
         Malformed data (a missing key, a bad rational, an index out of range,
         a generator named twice in one field, a table for h_i (x) t^0 (it acts
-        from the weights), an action row outside the generator's target weight
-        or at a source its defined list omits, audit metadata that cannot be
-        read) raises ModuleDataError naming the field.
+        from the weights), two values at one entry of a table, an action row
+        outside the generator's target weight or at a source its defined list
+        omits, audit metadata that cannot be read) raises ModuleDataError
+        naming the field. A zero action value is checked like any other and
+        then not stored.
         """
         with _module_field("algebra"):
             if algebra is None:
@@ -492,14 +496,22 @@ class ExplicitModule:
                 # actions without an explicit defined list are taken as total
                 listed = gk in defined
                 per_src = defined.setdefault(gk, {})
+                seen = set()
                 for r, c, v in triples:
-                    swidx, slocal = locs[_index(c, len(locs))]
-                    twidx, tlocal = locs[_index(r, len(locs))]
+                    c, r = _index(c, len(locs)), _index(r, len(locs))
+                    if (r, c) in seen:
+                        raise ValueError(f"{name} has two values at row {r}, column {c}")
+                    seen.add((r, c))
+                    swidx, slocal = locs[c]
+                    twidx, tlocal = locs[r]
                     if listed and swidx not in per_src:
                         raise ValueError(f"{name} has a row at weight index {swidx}, "
                                          "which its 'defined' list omits")
                     arrows[(name, swidx, twidx)] = gk
-                    per_src.setdefault(swidx, {})[(tlocal, slocal)] = Fraction(v)
+                    block = per_src.setdefault(swidx, {})
+                    value = Fraction(v)
+                    if value:
+                        block.setdefault(slocal, {})[tlocal] = value
         with _module_field("loop_window"):
             loop_window = int(data.get("loop_window", 1))
         with _module_field("meta"):
@@ -542,15 +554,15 @@ def heisenberg_keys(algebra: AffineAlgebra, gwindow):
 
 
 def _nilpotency(module, gkey, vec, cap):
-    """The least p <= cap with gkey^p vec = 0, or None; gkey is applied at
-    most cap times."""
-    p = 0
+    """(p, gkey^(p-1) vec) for the least p <= cap with gkey^p vec = 0, or None;
+    gkey is applied at most cap times."""
+    p, last = 0, None
     while vec:
         if p >= cap:
             return None
-        vec = module.apply(gkey, vec)
+        last, vec = vec, module.apply(gkey, vec)
         p += 1
-    return p
+    return p, last
 
 
 def windowed_spaces(verma: VermaModule, height, kmax, window: TruncationWindow):
@@ -596,40 +608,48 @@ def _random_unimodular(rng, n):
             else:
                 _, i, j = op
                 rows[i], rows[j] = rows[j], rows[i]
-    return tuple({(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-                 for rows in (s, sinv))
+    return _transpose(dict(enumerate(s))), _transpose(dict(enumerate(sinv)))
 
 
-def _mat_mul(a, b):
-    """Product of sparse {(r, c): v} matrices; a zero is never stored."""
-    b_rows = {}
-    for (t, j), v in b.items():
-        if v:
-            b_rows.setdefault(t, []).append((j, v))
+def _image(block, vec):
+    """block @ vec for a sparse coordinate vector {j: v}: the combination of
+    the block's columns; a zero is never stored."""
     out = {}
-    for (i, t), v in a.items():
-        if v and t in b_rows:
-            add_scaled(out, {(i, j): w for j, w in b_rows[t]}, v)
+    for j, v in vec.items():
+        column = block.get(j)
+        if column:
+            add_scaled(out, column, v)
     return out
 
 
-def _rows(mat, nrows):
-    """The sparse rows {column: v} of a block: the form the kernels take."""
-    rows = [{} for _ in range(nrows)]
-    for (r, c), v in mat.items():
-        rows[r][c] = v
-    return rows
+def _transpose(block):
+    """The transpose of a block: its columns are the nonzero rows of the
+    block, {target coordinate r: {source coordinate j: v}}."""
+    out = {}
+    for j, column in block.items():
+        for r, v in column.items():
+            out.setdefault(r, {})[j] = v
+    return out
 
 
-def _block(rows):
-    """The block whose rows are the given sparse rows."""
-    return {(r, c): x for r, row in enumerate(rows) for c, x in row.items()}
+def _mat_mul(a, b):
+    """Product of column-major blocks: column j of a @ b is a @ (column j of
+    b). A zero or an empty column is never stored."""
+    out = {}
+    for j, column in b.items():
+        image = _image(a, column)
+        if image:
+            out[j] = image
+    return out
 
 
-def _images(mat, vectors):
-    """Sparse rows mat @ v, one per sparse coordinate row v in vectors."""
-    transposed = {(c, r): x for (r, c), x in mat.items()}
-    return _rows(_mat_mul(_block(vectors), transposed), len(vectors))
+def _block_sum(terms):
+    """The sum of c * block over the (block, c) terms, column by column."""
+    out = {}
+    for block, c in terms:
+        for j, column in block.items():
+            add_scaled(out.setdefault(j, {}), column, c)
+    return {j: column for j, column in out.items() if column}
 
 
 # -- Heisenberg slice ---------------------------------------------------------------
@@ -685,8 +705,7 @@ def g_kernel_raw(module: ExplicitModule, widx, gwindow):
         if entry is None:
             continue
         used += 1
-        mat, _, ntgt = entry
-        rows.extend(_rows(mat, ntgt))
+        rows.extend(_transpose(entry[0]).values())
     return nullspace(rows, n) if used else None, used
 
 
@@ -726,10 +745,8 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
     for gk in heisenberg_keys(module.algebra, gwindow):
         for src in module.defined.get(gk, ()):
             mat, tgt, _ = module.table(gk, src)
-            if tgt not in arrivals:
-                continue
-            columns = {(c, r): v for (r, c), v in mat.items()}
-            arrivals[tgt].extend(vec for vec in _rows(columns, module.dim(src)) if vec)
+            if tgt in arrivals:
+                arrivals[tgt].extend(mat.values())
     for widx in admissible:
         n = module.dim(widx)
         tf, _ = rref(arrivals[widx], n)
@@ -769,8 +786,8 @@ def _check_axioms(split: GCompatibleSplit):
             if entry is None:
                 iv_skip += 1
                 continue
-            for img in _images(entry[0], rows):
-                if img:
+            for row in rows:
+                if _image(entry[0], row):
                     iv_fail.append({"generator": gen_name(module.algebra, *gk),
                                     "weight_index": widx})
     split.verdicts["iv"] = {"passed": not iv_fail, "violations": iv_fail,
@@ -793,7 +810,7 @@ def _check_axioms(split: GCompatibleSplit):
                 continue
             checked += 1
             _, tgt, ntgt = entries[0]
-            images = [_images(mat, tf_rows) for mat, _, _ in entries]
+            images = [[_image(mat, row) for row in tf_rows] for mat, _, _ in entries]
             # v -> (h_{1,l} v, ..., h_{r,l} v), one column block per generator
             stacked = [{c + i * ntgt: x for i, imgs in enumerate(images)
                         for c, x in imgs[j].items()} for j in range(len(tf_rows))]
@@ -828,11 +845,12 @@ def _check_axioms(split: GCompatibleSplit):
             mat, tgt, ntgt = entry
             if tgt is None:
                 continue
+            # one row per functional, zero rows kept: a constrained TF is tested
+            rows = _transpose(mat)
             if tgt in outside:
-                escape_rows.extend(_rows(mat, ntgt))
+                escape_rows.extend(rows.get(r, {}) for r in range(ntgt))
             else:
-                ann = annihilators[tgt]
-                escape_rows.extend(_rows(_mat_mul(_block(ann), mat), len(ann)))
+                escape_rows.extend(_image(rows, a) for a in annihilators[tgt])
         if not escape_rows:
             continue
         kernel = nullspace(escape_rows, n)
@@ -900,10 +918,11 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
             name = f"{nameprefix}{i}"
             if name not in matrices:
                 raise ModuleDataError(f"missing generator matrix {name!r}")
-            mats[key] = {(r, c): v for r, row in enumerate(matrices[name])
-                         for c, v in enumerate(map(Fraction, row)) if v}
+            rows = {r: {c: v for c, v in enumerate(map(Fraction, row)) if v}
+                    for r, row in enumerate(matrices[name])}
+            mats[key] = _transpose(rows)
     for i in range(1, n + 1):
-        if any(r != c for r, c in mats[("h", i)]):
+        if any(r != c for c, column in mats[("h", i)].items() for r in column):
             raise ModuleDataError(
                 f"h{i} matrix is not diagonal; basis is not a weight basis")
     # derive matrices for all root vectors through extraspecial decompositions
@@ -911,26 +930,22 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
         if sum(g) < 2:
             continue
         a1, b1 = fin.extraspecial[g]
-        nconst = fin.nmat[(a1, b1)]
-        mats[("x", g)] = add_scaled(
-            {}, _commutator(mats[("x", a1)], mats[("x", b1)]), Fraction(1, nconst))
-        nneg = fin.nmat[(_neg(a1), _neg(b1))]
-        mats[("x", _neg(g))] = add_scaled(
-            {}, _commutator(mats[("x", _neg(a1))], mats[("x", _neg(b1))]),
-            Fraction(1, nneg))
+        for root, a, b in ((g, a1, b1), (_neg(g), _neg(a1), _neg(b1))):
+            mats[("x", root)] = _block_sum(
+                [(_commutator(mats[("x", a)], mats[("x", b)]),
+                  Fraction(1, fin.nmat[(a, b)]))])
     # verify the full bracket table
     for k1 in fin.basis:
         for k2 in fin.basis:
-            want = {}
-            for k, cv in fin._bracket_table[(k1, k2)].items():
-                add_scaled(want, mats[k], cv)
+            want = _block_sum((mats[k], cv)
+                              for k, cv in fin._bracket_table[(k1, k2)].items())
             got = _commutator(mats[k1], mats[k2])
             if got != want:
                 from imverma.finite import key_name
                 raise ModuleDataError(
                     "generator matrices violate the bracket table at pair "
                     f"({key_name(k1)}, {key_name(k2)})")
-    fin_weights = [tuple(mats[("h", i)].get((j, j), Fraction(0))
+    fin_weights = [tuple(mats[("h", i)].get(j, {}).get(j, Fraction(0))
                          for i in range(1, n + 1)) for j in range(dim)]
     weights = []
     labels = []
@@ -951,18 +966,12 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
         key, nn = gk
         mat = mats[key]
         per_src = defined[gk] = {}
-        for widx, w in enumerate(weights):
-            l = int(w.d_value)
+        for (j, l), (widx, cj) in locs.items():
             if abs(l + nn) > degree_window:
                 continue
-            entries = {}
-            for (j, lj), (wj, cj) in locs.items():
-                if wj != widx:
-                    continue
-                for (r, c), v in mat.items():
-                    if c == j:
-                        entries[(locs[(r, lj + nn)][1], cj)] = v
-            per_src[widx] = entries
+            block = per_src.setdefault(widx, {})
+            if j in mat:
+                block[cj] = {locs[(r, l + nn)][1]: v for r, v in mat[j].items()}
     return ExplicitModule(algebra, weights, labels, defined,
                           provenance="loop-module", loop_window=degree_window,
                           meta={"kind": "loop-module", "finite_dim": dim,
@@ -970,7 +979,7 @@ def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
 
 
 def _commutator(a, b):
-    return add_scaled(_mat_mul(a, b), _mat_mul(b, a), -1)
+    return _block_sum([(_mat_mul(a, b), 1), (_mat_mul(b, a), -1)])
 
 
 # -- category membership -----------------------------------------------------------
@@ -1003,12 +1012,12 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
         for widx in range(len(module.weights)):
             for j in range(module.dim(widx)):
                 try:
-                    p = _nilpotency(module, gk, {(widx, j): Fraction(1)},
-                                    nilpotency_cap)
+                    found = _nilpotency(module, gk, {(widx, j): Fraction(1)},
+                                        nilpotency_cap)
                 except UndefinedActionError:
                     inconclusive += 1
                     continue
-                if p is None:
+                if found is None:
                     fails.append({"generator": gen_name(module.algebra, *gk),
                                   "weight_index": widx, "basis_index": j,
                                   "cap": nilpotency_cap})
@@ -1068,32 +1077,20 @@ def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
     e_keys = raising_keys(alg, (0,))
 
     def nilp(v, gk):
-        p = _nilpotency(module, gk, v, cap)
-        if p is None:
+        found = _nilpotency(module, gk, v, cap)
+        if found is None:
             raise ModuleDataError(f"nilpotency cap {cap} exceeded during extraction")
-        return p
+        return found
 
     frontier = [vec]
     for _ in range(cap):
-        degrees = []
-        for w in frontier:
-            for gk in e_keys:
-                degrees.append((nilp(w, gk), w, gk))
-        pmax = max(p for p, _, _ in degrees)
+        # (p, e^(p-1) w) per frontier vector w and e in e_keys; e^(p-1) w != 0
+        degrees = [nilp(w, gk) for w in frontier for gk in e_keys]
+        pmax = max(p for p, _ in degrees)
         if pmax == 1:
             out = frontier[0]
             break
-        nxt = []
-        for p, w, gk in degrees:
-            if p == pmax:
-                img = w
-                for _ in range(pmax - 1):
-                    img = module.apply(gk, img)
-                if img:
-                    nxt.append(img)
-        if not nxt:
-            raise ModuleDataError("extraction produced no nonzero vector")
-        frontier = nxt
+        frontier = [img for p, img in degrees if p == pmax]
     else:
         raise ModuleDataError(f"extraction did not stabilize within {cap} rounds")
     # verify annihilation at every windowed loop degree, wherever defined

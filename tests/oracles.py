@@ -15,8 +15,9 @@ The last section holds the checks the tests run on library objects and that
 the library itself never calls: annihilation of singular vectors beyond the
 search window, the affine Cartan entries from the finite
 root data, bracket closure of a twisted subalgebra, bracket compatibility of
-explicit action tables, the torsion-free restriction of a split, and the
-trace of a diagram automorphism."""
+explicit action tables, the torsion-free restriction of a split, the
+column-major form of stored blocks, and the trace of a diagram
+automorphism."""
 
 import random
 from fractions import Fraction
@@ -24,7 +25,7 @@ from itertools import combinations_with_replacement
 
 from imverma._kernels import rank, rref
 from imverma.affine import affine_bracket
-from imverma.category import (ExplicitModule, UndefinedActionError, _images,
+from imverma.category import (ExplicitModule, UndefinedActionError, _image,
                               gen_name, heisenberg_keys, loop_keys, windowed_spaces)
 from imverma.finite import add_scaled
 from imverma.verma import (VermaModule, Weight, monomial_name, symbol_sort_key,
@@ -305,16 +306,16 @@ def reduced_verma_by_trial_action(algebra, lam, height, kmax, window, loop_windo
             if vanishes_by_weight(key, s):
                 per_src[widx] = {}
                 continue
-            entries = {}
+            block = {}
             try:
                 for j, m in enumerate(basis):
                     for m2, c2 in mod.act_monomial(key, n, m).items():
                         tgt, r = mono_index[m2]
                         assert spaces[tgt][1] == weight_shift(algebra, w, gkey)
-                        entries[(r, j)] = mod.unscale(c2)
+                        block.setdefault(j, {})[r] = mod.unscale(c2)
             except KeyError:
                 continue
-            per_src[widx] = entries
+            per_src[widx] = block
     meta = {"kind": "reduced-verma", "height": height, "kmax": kmax,
             "window": {"L": window.L, "N": window.N, "H": window.H}}
     return ExplicitModule(algebra, [w for _, w, _ in spaces],
@@ -463,14 +464,15 @@ def torsion_free_restriction(split):
             mat, tgt, _ = entry
             if tgt not in new_of_old:
                 # a zero image is exact; anything else leaves the slice
-                if not any(mat.values()):
+                if not mat:
                     per_src[new_of_old[src]] = {}
                 continue
             tgt_rows = split.torsion_free[tgt]
             piv = pivots[tgt]
-            entries = {}
+            block = {}
             ok = True
-            for col, img in enumerate(_images(mat, split.torsion_free[src])):
+            for col, tf_row in enumerate(split.torsion_free[src]):
+                img = _image(mat, tf_row)
                 coeffs = [img.get(p, 0) for p in piv]
                 recon = {}
                 for cval, row in zip(coeffs, tgt_rows):
@@ -478,14 +480,41 @@ def torsion_free_restriction(split):
                 if recon != img:
                     ok = False
                     break
-                for r, cval in enumerate(coeffs):
-                    if cval:
-                        entries[(r, col)] = cval
+                column = {r: cval for r, cval in enumerate(coeffs) if cval}
+                if column:
+                    block[col] = column
             if ok:
-                per_src[new_of_old[src]] = entries
+                per_src[new_of_old[src]] = block
     return ExplicitModule(module.algebra, weights, labels, defined,
                           provenance=f"{module.provenance}+torsion-free",
                           loop_window=split.gwindow, meta=None)
+
+
+def block_violations(module):
+    """(generator name, source weight index, reason) for every stored block of
+    an ExplicitModule that breaks the column-major form {source coordinate:
+    {target coordinate: v}}: keys are ints below the source and target
+    dimensions, no value is zero, no column is empty, and a block without a
+    target weight is empty."""
+    out = []
+    for gk, per_src in module.defined.items():
+        name = gen_name(module.algebra, *gk)
+        for src, block in per_src.items():
+            _, tgt, ntgt = module.table(gk, src)
+            if tgt is None and block:
+                out.append((name, src, "nonzero block without a target weight"))
+            for j, column in block.items():
+                if type(j) is not int or not 0 <= j < module.dim(src):
+                    out.append((name, src, f"source key {j!r}"))
+                if not isinstance(column, dict) or not column:
+                    out.append((name, src, f"column {j!r} is not a nonempty dict"))
+                    continue
+                for r, v in column.items():
+                    if type(r) is not int or not 0 <= r < ntgt:
+                        out.append((name, src, f"target key {r!r} in column {j!r}"))
+                    if not v:
+                        out.append((name, src, f"zero at ({r!r}, {j!r})"))
+    return out
 
 
 def automorphism_trace(aut):

@@ -1,15 +1,23 @@
 """The names the benchmark harness under perfbench/ looks up in the library
 still exist: every span site of perfbench/spans.py, and the VermaModule
-methods that perfbench/checks.py calls to verify singular reports. The full
+methods that perfbench/checks.py calls to verify singular reports, and the
+shape of ExplicitModule.defined that spans.py counts. The full
 workload check (perfbench/tests/check_workloads.py) runs the workloads and
 takes about a minute; this only resolves names, so a deletion in the library
 that would break the benchmark fails here first."""
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+from imverma.affine import AffineAlgebra
+from imverma.cartan import cartan_matrix_of_type
+from imverma.category import ExplicitModule
+from imverma.finite import build_simple_algebra
+from imverma.verma import TruncationWindow, parse_weight
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +50,22 @@ def test_checks_module_names_resolve():
     checks = _load("checks")
     for attr in ("annihilator_generators", "act", "basis_monomials"):
         assert callable(getattr(checks.VermaModule, attr))
+
+
+def test_defined_keeps_the_shape_spans_counts():
+    # spans.py counts category.from_reduced_verma.defined_frac as the stored
+    # (generator, source) pairs over generators x weights: defined must stay
+    # {gkey: {source weight index: block}}
+    alg = AffineAlgebra(build_simple_algebra(cartan_matrix_of_type("A1")))
+    em = ExplicitModule.from_reduced_verma(alg, parse_weight("h1=-1/2", 1), height=1,
+                                           kmax=2, window=TruncationWindow(3, 2, 1),
+                                           loop_window=2)
+    for gk, per_src in em.defined.items():
+        assert set(per_src) <= set(range(len(em.weights)))
+        for src, block in per_src.items():
+            assert em.table(gk, src)[0] is block
+    stat = defaultdict(float)
+    SPANS.Tracer()._post("category.from_reduced_verma", stat, (), em)
+    assert stat["defined_pairs"] == sum(len(s) for s in em.defined.values())
+    assert 0 < stat["defined_pairs"] < stat["attempted_pairs"]
+    assert stat["attempted_pairs"] == len(em.defined) * len(em.weights)

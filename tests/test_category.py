@@ -15,14 +15,15 @@ from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import AuditError, ModuleDataError
 from imverma.finite import build_simple_algebra
-from imverma.category import (ExplicitModule, _mat_mul, audit_decomposition,
-                              build_loop_module, check_category_membership,
+from imverma.category import (ExplicitModule, _mat_mul, _transpose,
+                              audit_decomposition, build_loop_module,
+                              check_category_membership,
                               decompose_into_reduced_vermas,
                               extract_annihilated_vector, g_kernel_raw, gen_name,
                               heisenberg_slice, parse_gen, sl2_irrep_matrices,
                               torsion_decompose)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
-from oracles import (check_bracket_compatibility, dense_mat_mul,
+from oracles import (block_violations, check_bracket_compatibility, dense_mat_mul,
                      reduced_verma_by_trial_action, sparse_rows, t_projection,
                      torsion_free_restriction, weight_shift)
 
@@ -269,6 +270,30 @@ def test_invariant_subspace_candidate_independent_of_kernel_basis():
     # the escape kernel at index 1 is {b0 = b1 + b2}; it meets TF in b1 - b2
     assert split.verdicts["iii"]["candidate_invariant_subspaces"] == [
         {"weight_index": 0}, {"weight_index": 1}, {"weight_index": 3}]
+
+
+@pytest.mark.parametrize("h_line, h_side, outside", [
+    pytest.param("-1/2", "3/2", "unchecked", id="unchecked"),
+    pytest.param("-2", "0", "excluded", id="excluded"),
+])
+def test_zero_block_into_outside_space_makes_a_candidate(h_line, h_side, outside):
+    # h1@+-1 join v0 (d = 0) and v1 (d = 1), so TF = <v0> at index 0 and
+    # nothing there escapes into index 2; e1@0 sends v0 to zero in the space
+    # of u (index 1), which is outside the analysis. That zero block is the
+    # only constraint on TF at index 0, so v0 is escape-free: a candidate
+    split = torsion_decompose(ExplicitModule.from_json_dict({
+        "algebra": {"label": "A1"},
+        "weights": [{"h": [h], "c": "0", "d": d}
+                    for h, d in ((h_line, "0"), (h_side, "0"), (h_line, "1"))],
+        "basis": [{"label": lab, "weight": i}
+                  for i, lab in enumerate(["v0", "u", "v1"])],
+        "actions": {"h1@1": [[2, 0, "1"]], "h1@-1": [[0, 2, "1"]], "e1@0": []},
+        "defined": {"h1@1": [0], "h1@-1": [2], "e1@0": [0]},
+    }), 1)
+    assert getattr(split, outside) == [1]
+    assert split.torsion_free == {0: [{0: 1}], 2: [{0: 1}]}
+    assert split.verdicts["iii"]["candidate_invariant_subspaces"] == [
+        {"weight_index": 0}]
 
 
 def _line_module(actions, defined, ds=("0", "1", "2"), label="A1"):
@@ -674,6 +699,26 @@ def test_json_rationals_are_strings():
             Fraction(v)  # parses as exact rational
 
 
+def test_json_zero_triple_is_checked_and_not_stored():
+    line = {"h1@1": [[1, 0, "1"]]}
+    zero = {"h1@1": [[1, 0, "1"], [2, 1, "0"]]}
+    defined = {"h1@1": [0, 1]}
+    assert (_line_module(zero, defined).to_json_dict()
+            == _line_module(line, defined).to_json_dict())
+    # h1@1 on weight index 0 targets index 1, so row 0 is outside the target,
+    # whatever the value
+    for value in ("1", "0"):
+        with pytest.raises(ModuleDataError, match="has a row in weight index 0, "
+                                                  "not in its target weight"):
+            _line_module({"h1@1": [[0, 0, value]]}, defined)
+    with pytest.raises(ModuleDataError, match="'defined' list omits"):
+        _line_module({"h1@1": [[2, 1, "0"]]}, {"h1@1": [0]})
+    # a second value at one entry would leave the table ambiguous, zero or not
+    for value in ("1", "0"):
+        with pytest.raises(ModuleDataError, match="two values at row 1, column 0"):
+            _line_module({"h1@1": [[1, 0, "1"], [1, 0, value]]}, defined)
+
+
 def test_json_defined_defaults_to_action_support():
     em = verma_a1(kmax=2, loop_window=1)
     data = em.to_json_dict()
@@ -688,18 +733,39 @@ def test_json_defined_defaults_to_action_support():
 # -- sparse blocks against dense oracles ------------------------------------------------
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(verma_a1, id="from_reduced_verma"),
+    pytest.param(a2_sum, id="direct_sum"),
+    pytest.param(lambda: a2_sum().scrambled(7), id="scrambled"),
+    pytest.param(lambda: ExplicitModule.from_json_dict(
+        json.loads(json.dumps(a1_sum().scrambled(3).to_json_dict()))),
+                 id="from_json_dict"),
+    pytest.param(lambda: build_loop_module(A2, a2_standard_matrices(), 3, 1),
+                 id="build_loop_module"),
+])
+def test_blocks_are_column_major_without_zeros(build):
+    em = build()
+    assert any(block for per_src in em.defined.values() for block in per_src.values())
+    assert block_violations(em) == []
+
+
 def _as_dense(mat, nrows, ncols):
-    return [[mat.get((r, c), Fraction(0)) for c in range(ncols)] for r in range(nrows)]
+    """The dense rows of a column-major block."""
+    return [[mat.get(c, {}).get(r, Fraction(0)) for c in range(ncols)]
+            for r in range(nrows)]
 
 
 cancelling_value = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1),
                                     Fraction(1, 2), Fraction(-2, 3)])
 
 
-def sparse_matrix(nrows, ncols):
+def sparse_matrix(nrows, ncols, value=cancelling_value):
+    """Column-major nrows x ncols blocks; with the default values, zeros and
+    empty columns are stored at times."""
     return st.dictionaries(
-        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
-        cancelling_value, max_size=nrows * ncols)
+        st.integers(0, ncols - 1),
+        st.dictionaries(st.integers(0, nrows - 1), value, max_size=nrows),
+        max_size=ncols)
 
 
 @st.composite
@@ -714,18 +780,30 @@ def sparse_pair(draw):
 def test_property_sparse_mat_mul_matches_dense(pair):
     a, b, n, k, m = pair
     prod = _mat_mul(a, b)
-    assert all(prod.values())
+    assert all(column and all(column.values()) for column in prod.values())
     assert _as_dense(prod, n, m) == dense_mat_mul(_as_dense(a, n, k), _as_dense(b, k, m))
 
 
 def test_sparse_mat_mul_empty_and_cancelling():
-    assert _mat_mul({}, {(0, 0): Fraction(1)}) == {}
-    assert _mat_mul({(0, 0): Fraction(1)}, {}) == {}
-    assert _mat_mul({(0, 0): Fraction(0)}, {(0, 0): Fraction(1)}) == {}
+    assert _mat_mul({}, {0: {0: Fraction(1)}}) == {}
+    assert _mat_mul({0: {0: Fraction(1)}}, {}) == {}
+    assert _mat_mul({0: {0: Fraction(0)}}, {0: {0: Fraction(1)}}) == {}
     # [1 1] @ [1 -1]^T cancels to zero, which must not be stored
-    a = {(0, 0): Fraction(1), (0, 1): Fraction(1)}
-    b = {(0, 0): Fraction(1), (1, 0): Fraction(-1)}
+    a = {0: {0: Fraction(1)}, 1: {0: Fraction(1)}}
+    b = {0: {0: Fraction(1), 1: Fraction(-1)}}
     assert _mat_mul(a, b) == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.integers(1, 5).flatmap(
+    lambda m: st.tuples(st.just(n), st.just(m), sparse_matrix(
+        n, m, st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2)]))))))
+def test_property_transpose_is_an_involution(case):
+    n, m, mat = case
+    mat = {j: column for j, column in mat.items() if column}
+    flipped = _transpose(mat)
+    assert _as_dense(flipped, m, n) == [list(row) for row in zip(*_as_dense(mat, n, m))]
+    assert _transpose(flipped) == mat
 
 
 @settings(max_examples=80, deadline=None)
