@@ -570,10 +570,10 @@ def windowed_spaces(verma: VermaModule, height, kmax, window: TruncationWindow):
     lambda + k delta - s of a Verma module, ht(s) <= height and |k| <= kmax,
     in order of s (lexicographic), then k."""
     for s in _nonneg_vectors(verma.rank, height):
+        bases = verma.weight_bases(s, window)
         for k in range(-kmax, kmax + 1):
-            basis = verma.basis_monomials((k, s), window)
-            if basis:
-                yield (k, s), verma.weight_of_offset((k, s)), basis
+            if k in bases:
+                yield (k, s), verma.weight_of_offset((k, s)), bases[k]
 
 
 def _nonneg_vectors(rank_, total_max):

@@ -130,7 +130,10 @@ def _parse_gen_string(algebra, text):
     text = text.strip()
     if not re.fullmatch(GEN_NAME, text):
         raise UsageError(f"malformed generator {text!r} (want e1@-2, h2@3 or x[1,1]@2)")
-    key, n = parse_gen(algebra, text)
+    try:
+        key, n = parse_gen(algebra, text)
+    except ModuleDataError as ex:
+        raise UsageError(str(ex)) from None
     return algebra.loop(algebra.finite.element({key: 1}), n)
 
 
@@ -256,7 +259,10 @@ def _cmd_verma_act(args):
         for tok in re.split(_SYMBOL_SEP, args.monomial):
             if tok.strip():
                 symbols.append(_parse_symbol(tok, alg.rank))
-    v = mod.monomial(*symbols)
+    try:
+        v = mod.monomial(*symbols)
+    except ImvermaError as ex:
+        raise UsageError(str(ex)) from None
     g = _parse_gen_string(alg, args.gen)
     image = mod.act(g, v)
     return {
@@ -305,6 +311,8 @@ def _load_module(args):
         window = _parse_window_arg(args.window)
         mods = []
         for text in args.summands.split("|"):
+            if not text.strip():
+                raise UsageError(f"empty --summands entry in {args.summands!r}")
             lam = _parse_weight_arg(text, alg.rank)
             mods.append(ExplicitModule.from_reduced_verma(
                 alg, lam, height=window.H, kmax=args.kmax,

@@ -27,11 +27,13 @@ over a TruncationWindow (max length L, max per-factor |loop degree| N, max
 height H) and is exact on that slice. The action is exact and uncapped: it
 grows the output rather than truncating.
 
-Windowed dimensions are counted, not enumerated: weight_dims(s, window)
-gives the dimension of every space at the finite offset s in one pass, as
-the coefficients of a truncated product with one geometric factor per PBW
-symbol, and builds no monomial. basis_monomials lists the bases that the
-singular search and the explicit tables need.
+Every windowed space at one finite offset s is reached in one pass over s,
+in two twin forms. weight_dims(s, window) counts: it gives the dimension of
+every space as the coefficients of a truncated product with one geometric
+factor per PBW symbol, and builds no monomial. weight_bases(s, window) lists:
+it gives the basis of every space, {k: monomials in canonical order}, which
+the singular search and the explicit tables read; basis_monomials reads one
+offset (k, s), or all of s, from it.
 
 The action has one entry point, act_monomial(key, n, mono): the memoised
 sparse image {monomial: int} of key (x) t^n on one PBW monomial, times
@@ -48,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, groupby
+from itertools import accumulate, combinations_with_replacement, groupby, product
 from math import lcm
 from operator import add
 
@@ -399,62 +401,78 @@ class VermaModule:
     # -- enumeration ------------------------------------------------------------
 
     def basis_monomials(self, offset, window: TruncationWindow):
-        """All PBW monomials of the given (k, s) offset inside the window.
+        """All PBW monomials of the given (k, s) offset inside the window, in
+        canonical PBW order (sorted by the symbol_sort_key sequence), each
+        once: weight_bases(s, window)[k].
 
         k = None aggregates over every delta-degree the window can reach (the
-        weight spaces over a fixed h*-weight, all d-eigenvalues at once).
-
-        The list is in canonical PBW order (sorted by the symbol_sort_key
-        sequence) and holds each monomial once. Nothing is generated only to
-        be dropped: the B-part total is bounded by what the F-degrees can
-        offset, F-degrees are chosen slot by slot within the reach of the
-        remaining slots (see _degree_assignments), and the F-parts for one
-        degree target are computed once and shared by every B-part with it.
+        weight spaces over a fixed h*-weight, all d-eigenvalues at once): the
+        bases of weight_bases(s, window) together, in canonical order.
         """
         k, s = offset
+        bases = self.weight_bases(s, window)
+        if k is not None:
+            return bases.get(k, [])
+        return sorted((m for basis in bases.values() for m in basis),
+                      key=_monomial_sort_key)
+
+    def weight_bases(self, s, window: TruncationWindow):
+        """{k: basis} for every nonzero windowed space at the finite offset s:
+        the PBW monomials of offset (k, s) inside the window, in canonical
+        order, listed in one pass; the listing twin of weight_dims.
+
+        A monomial is a B-part followed by an F-part. The F-parts of a root
+        multiset of length f <= L take one degree tuple in [-N, N] per run of
+        equal roots, weakly increasing (a multiset of degrees); the B-parts
+        are the multisets of at most L - f symbols B(i, l), l <= N (only the
+        empty one in the reduced module). A monomial files under k = F total
+        - B total. Each part's sort key is built once, and the sort keys of
+        distinct monomials differ, so the monomials are never compared. An s
+        with a negative coordinate has no space, and an s higher than
+        window.H raises WindowOverflowError.
+        """
         s = tuple(s)
         if any(x < 0 for x in s):
-            return []
+            return {}
         if root_height(s) > window.H:
             raise WindowOverflowError(
                 f"offset height {root_height(s)} exceeds window H={window.H}")
-        out = []
+        L, N = window.L, window.N
+        # b_parts[j]: (sort key, B-part, B total) of the B-parts of j symbols
+        colours = [] if self.reduced else \
+            [("B", i, l) for i in range(1, self.rank + 1) for l in range(1, N + 1)]
+        b_parts = [[(_monomial_sort_key(b), b, sum(sym[2] for sym in b))
+                    for b in combinations_with_replacement(colours, j)]
+                   for j in range(L + 1)]
+        degrees = range(-N, N + 1)
+        keyed = {}
         for multiset in _root_multisets(self.algebra.finite, s):
-            flen = len(multiset)
-            if flen > window.L:
+            f = len(multiset)
+            if f > L:
                 continue
-            max_b_len = window.L - flen
-            if self.reduced:
-                b_parts = [((), 0)]
-            else:
-                # the F degrees reach at most flen*N in absolute value, so the
-                # B total is confined to a window around -k
-                if k is None:
-                    lo, hi = 0, window.N * max_b_len
-                else:
-                    lo = max(0, -k - flen * window.N)
-                    hi = min(window.N * max_b_len, -k + flen * window.N)
-                if hi < lo:
-                    continue
-                b_parts = _b_multisets(self.rank, window.N, max_b_len, lo, hi)
-            f_parts = {}
-            for b_mono, b_total in b_parts:
-                target = None if k is None else k + b_total
-                fs = f_parts.get(target)
-                if fs is None:
-                    fs = f_parts[target] = [
-                        (_monomial_sort_key(f), f)
-                        for f in _degree_assignments(multiset, target, window.N)]
-                b_key = _monomial_sort_key(b_mono)
-                out += [(b_key + f_key, b_mono + f) for f_key, f in fs]
-        # the sort keys are distinct, so the monomials are never compared
-        out.sort()
-        return [mono for _, mono in out]
+            runs = [(gamma, len(list(run))) for gamma, run in groupby(multiset)]
+            f_parts = []
+            for choice in product(*(combinations_with_replacement(degrees, m)
+                                    for _, m in runs)):
+                mono = tuple(("F", gamma, n) for (gamma, _), ns in zip(runs, choice)
+                             for n in ns)
+                f_parts.append((_monomial_sort_key(mono), mono,
+                                sum(map(sum, choice))))
+            for j in range(L - f + 1):
+                for b_key, b_mono, b_total in b_parts[j]:
+                    for f_key, f_mono, f_total in f_parts:
+                        keyed.setdefault(f_total - b_total, []).append(
+                            (b_key + f_key, b_mono + f_mono))
+        bases = {}
+        for k, pairs in keyed.items():
+            pairs.sort()
+            bases[k] = [mono for _, mono in pairs]
+        return bases
 
     def weight_dims(self, s, window: TruncationWindow):
         """{k: dim} for every nonzero windowed space at the finite offset s:
         dim is the number of PBW monomials of offset (k, s) inside the window,
-        len(basis_monomials((k, s), window)), counted without building one.
+        len(weight_bases(s, window)[k]), counted without building one.
 
         A monomial is a B-part followed by an F-part. The F-parts of a root
         multiset of length f <= L are its degree tuples in [-N, N], weakly
@@ -463,7 +481,7 @@ class VermaModule:
         [0, 2N] with sum t + m*N, and the runs are convolved. The B-parts are
         the rank-coloured partitions with parts at most N and at most L - f
         parts (only the empty one in the reduced module). A monomial files
-        under k = F total - B total. Like basis_monomials, an s with a
+        under k = F total - B total. Like weight_bases, an s with a
         negative coordinate has no space and an s higher than window.H raises
         WindowOverflowError.
         """
@@ -539,12 +557,14 @@ class VermaModule:
     def singular_vectors(self, offsets, window: TruncationWindow):
         """Basis of the joint kernel of all windowed raising operators.
 
-        Returns a list of (offset, ModuleVector) pairs; the kernel is computed
-        weight space by weight space with exact rational elimination. Each
-        raising operator's rows (one per image monomial, from the int
-        act_monomial images of the basis monomials, scale times the true
-        ones) go to the echelon as one batch, in annihilator_generators
-        order. Two kinds of operator are not applied:
+        offsets are (k, s) pairs, k = None for every k at s; each weight
+        space they name is solved once, on its basis from weight_bases.
+        Returns a list of (offset, ModuleVector) pairs sorted by offset; the
+        kernel is computed weight space by weight space with exact rational
+        elimination. Each raising operator's rows (one per image monomial,
+        from the int act_monomial images of the basis monomials, scale times
+        the true ones) go to the echelon as one batch, in
+        annihilator_generators order. Two kinds of operator are not applied:
 
         - once every basis monomial has a pivot, the kernel is empty and no
           further operator is applied;
@@ -559,17 +579,20 @@ class VermaModule:
         ops = self._raising_operators(window)
         live = {}  # s -> the (key, n) that do not vanish by weight at s
         found = []
-        spaces = {}
-        for offset in offsets:
-            for mono in self.basis_monomials(offset, window):
-                exact = monomial_offset(mono, self.rank)
-                spaces.setdefault(exact, set()).add(mono)
-        for exact in sorted(spaces):
+        bases = {}  # s -> weight_bases(s, window)
+        spaces = {}  # (k, s) -> basis
+        for k, s in offsets:
+            s = tuple(s)
+            if s not in bases:
+                bases[s] = self.weight_bases(s, window)
+            for k2, basis in bases[s].items():
+                if k in (None, k2):
+                    spaces[(k2, s)] = basis
+        for exact, basis in sorted(spaces.items()):
             s = exact[1]
             if s not in live:
                 live[s] = [(key, n) for _, key, n in ops
                            if not vanishes_by_weight(key, s)]
-            basis = sorted(spaces[exact], key=_monomial_sort_key)
             echelon = Echelon(len(basis))
             for key, n in live[s]:
                 if echelon.full:
@@ -650,39 +673,6 @@ def _extend_root_multisets(pos, idx, remaining, acc, out):
     _extend_root_multisets(pos, idx + 1, remaining, acc, out)
 
 
-def _b_multisets(rank, max_l, max_len, total_min, total_max):
-    """(B-monomial, total l) pairs: colored partitions with at most max_len
-    parts, each at most max_l, and total in [total_min, total_max].
-
-    A part is added only if the total stays within total_max and can still
-    reach total_min with the parts left, so every branch yields a pair.
-    """
-    parts = [("B", i, l) for i in range(1, rank + 1) for l in range(1, max_l + 1)]
-    out = []
-    _extend_b_multisets(parts, 0, max_len, 0, (max_l, total_min, total_max), [], out)
-    return out
-
-
-def _extend_b_multisets(parts, idx, length_left, total, bounds, acc, out):
-    """Append to out acc, if its total reaches total_min, then each extension
-    of acc by at most length_left of parts[idx:] (by index, with repeats)."""
-    max_l, total_min, total_max = bounds
-    if total >= total_min:
-        out.append((tuple(acc), total))
-    if not length_left:
-        return
-    # a part l must leave total + l + (length_left - 1) * max_l >= total_min
-    least = total_min - (length_left - 1) * max_l - total
-    most = total_max - total
-    for j in range(idx, len(parts)):
-        sym = parts[j]
-        if least <= sym[2] <= most:
-            acc.append(sym)
-            _extend_b_multisets(parts, j, length_left - 1, total + sym[2], bounds,
-                                acc, out)
-            acc.pop()
-
-
 def _multiset_counts(values, max_len):
     """table[j][t]: the number of multisets of j entries of values (equal
     values at two positions count as two colours) with sum t, for
@@ -707,48 +697,3 @@ def _convolve(a, b):
             for j, y in enumerate(b):
                 out[i + j] += x * y
     return out
-
-
-def _degree_assignments(multiset, target, max_n):
-    """Assign per-factor loop degrees, summing to target unless target is None.
-
-    multiset: roots in _root_multisets order; the degrees of equal roots are
-    weakly increasing, each in [-max_n, max_n]. Returns F-symbol tuples in
-    canonical member order.
-
-    Degrees are chosen one slot at a time. With a target, a degree n is tried
-    only while the remainder after it stays reachable: with a slots left for
-    the same root (each at least n) and b slots for other roots after them,
-    the remainder must lie in [n*a - max_n*b, max_n*(a + b)]. Every branch
-    then ends in an assignment; without a target nothing is pruned.
-    """
-    last = len(multiset) - 1
-    slots = []  # (root, a, b) for each slot, from the last one back
-    a = 0
-    for i in range(last, -1, -1):
-        gamma = multiset[i]
-        a = a + 1 if i < last and multiset[i + 1] == gamma else 0
-        slots.append((gamma, a, last - i - a))
-    slots.reverse()
-    results = []
-    _assign_degrees(slots, 0, -max_n, target, max_n, [], results)
-    return results
-
-
-def _assign_degrees(slots, i, lo, remaining, max_n, acc, results):
-    """Append to results each completion of acc by degrees for slots[i:] (see
-    _degree_assignments), the degree of slot i at least lo."""
-    if i == len(slots):
-        if not remaining:
-            results.append(tuple(acc))
-        return
-    gamma, a, b = slots[i]
-    hi = max_n
-    if remaining is not None:
-        lo = max(lo, remaining - max_n * (a + b))
-        hi = min(hi, (remaining + max_n * b) // (a + 1))
-    for n in range(lo, hi + 1):
-        acc.append(("F", gamma, n))
-        _assign_degrees(slots, i + 1, n if a else -max_n,
-                        None if remaining is None else remaining - n, max_n, acc, results)
-        acc.pop()

@@ -1,11 +1,13 @@
 """The names the benchmark harness under perfbench/ looks up in the library
-still exist: every span site of perfbench/spans.py, and the VermaModule
-methods that perfbench/checks.py calls to verify singular reports, and the
-shape of ExplicitModule.defined that spans.py counts. The full
-workload check (perfbench/tests/check_workloads.py) runs the workloads and
-takes about a minute; this only resolves names, so a deletion in the library
-that would break the benchmark fails here first."""
+still exist: every span site of perfbench/spans.py, every name a perfbench
+script imports from the library, the VermaModule methods that
+perfbench/checks.py calls to verify singular reports, and the shape of
+ExplicitModule.defined that spans.py counts. The full workload check
+(perfbench/tests/check_workloads.py) runs the workloads and takes about a
+minute; this only resolves names, so a deletion in the library that would
+break the benchmark fails here first."""
 
+import ast
 import importlib
 import importlib.util
 from collections import defaultdict
@@ -46,7 +48,28 @@ def test_span_method_resolves(span, modname, clsname, attr):
     assert callable(getattr(cls, attr))
 
 
+def _library_imports(name):
+    """(module, name) of every name that perfbench/<name>.py imports from
+    imverma, with name None for a plain import, read from its source."""
+    tree = ast.parse((PERFBENCH / f"{name}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+    return [(m, attr) for m, attr in found if m.split(".")[0] == "imverma"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PERFBENCH.glob("*.py")))
+def test_library_imports_resolve(name):
+    for modname, attr in _library_imports(name):
+        module = importlib.import_module(modname)
+        assert attr is None or hasattr(module, attr), (name, modname, attr)
+
+
 def test_checks_module_names_resolve():
+    assert ("imverma.verma", "VermaModule") in _library_imports("checks")
     checks = _load("checks")
     for attr in ("annihilator_generators", "act", "basis_monomials"):
         assert callable(getattr(checks.VermaModule, attr))

@@ -120,7 +120,8 @@ def test_verma_dims_counts_without_enumerating(capsys, monkeypatch, fmt):
     def enumerate_basis(*_):
         raise AssertionError("verma-dims enumerated PBW monomials")
 
-    monkeypatch.setattr(VermaModule, "basis_monomials", enumerate_basis)
+    for name in ("weight_bases", "basis_monomials"):
+        monkeypatch.setattr(VermaModule, name, enumerate_basis)
     assert run(capsys, *argv) == (0, want, "")
 
 
@@ -194,6 +195,31 @@ def test_unknown_type_is_usage_error(capsys):
     pytest.param(("category-check", "--type", "A1",
                   "--summands", "h1=-1/2|c=0,h1=-3/2,c=0",
                   "--window", "L=3,N=4,H=1"), "'c'", id="summand-c-repeated"),
+    # an empty entry is not the weight 0
+    pytest.param(("category-check", "--type", "A1", "--summands", "h1=-1/2|",
+                  "--window", "L=2,N=2,H=1"), "empty --summands entry",
+                 id="summand-empty-last"),
+    pytest.param(("category-split", "--type", "A1", "--summands", "|h1=-1/2",
+                  "--window", "L=2,N=2,H=1"), "empty --summands entry",
+                 id="summand-empty-first"),
+    pytest.param(("category-decompose", "--type", "A1",
+                  "--summands", "h1=-1/2| |h1=-3/2", "--window", "L=2,N=2,H=1"),
+                 "empty --summands entry", id="summand-blank"),
+    # a generator or symbol the algebra or module has no place for
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e3@0"), "out of range",
+                 id="gen-index"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e2@0"), "out of range",
+                 id="gen-index-rank-plus-one"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "x[1,1]@0"), "no root",
+                 id="gen-root"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
+                  "--monomial", "B2@1"), "out of range", id="symbol-index"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
+                  "--monomial", "F[2]@1"), "positive root", id="symbol-root"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
+                  "--monomial", "F[1,1]@0"), "positive root", id="symbol-root-rank"),
+    pytest.param(("verma-act", "--type", "A1", "--reduced", "--gen", "e1@0",
+                  "--monomial", "B1@1"), "reduced", id="symbol-b-in-reduced"),
 ])
 def test_malformed_window_is_usage_error(capsys, argv, word):
     code, out, err = run(capsys, *argv)
@@ -386,10 +412,10 @@ def test_verma_act_non_simple_root_monomial(capsys):
 
 
 def test_domain_error_exit_one(capsys):
-    code, _, err = run(capsys, "verma-act", "--type", "A1", "--lambda", "h1=0",
-                       "--reduced", "--gen", "e3@0")
+    code, _, err = run(capsys, "verma-act", "--type", "A1", "--lambda", "h1=0,c=1",
+                       "--reduced", "--gen", "e1@0")
     assert code == 1
-    assert "out of range" in err
+    assert "lambda(c) = 0" in err
 
 
 def test_missing_subcommand_usage(capsys):

@@ -152,9 +152,13 @@ def test_basis_monomials_match_brute_force(label, window, offsets, reduced):
     mod = VermaModule(alg, lam, reduced=reduced)
     found = 0
     for s in offsets:
+        bases = mod.weight_bases(s, window)
+        assert all(bases.values())
         for k in [None, *range(-3, 3)]:
             expected = brute_basis_monomials(mod, (k, s), window)
             assert mod.basis_monomials((k, s), window) == expected
+            if k is not None:
+                assert bases.get(k, []) == expected
             found += len(expected)
     assert found
 
@@ -163,6 +167,8 @@ def test_offset_height_over_window_rejected():
     mod = VermaModule(A1, LAM_HALF, reduced=True)
     with pytest.raises(WindowOverflowError):
         mod.basis_monomials((0, (5,)), TruncationWindow(L=2, N=2, H=2))
+    with pytest.raises(WindowOverflowError):
+        mod.weight_bases((5,), TruncationWindow(L=2, N=2, H=2))
 
 
 DIMS_TYPES = ["A1", "A2", "B2", "C2", "G2", "A3"]
@@ -196,12 +202,17 @@ def test_property_weight_dims_count_the_basis(case):
             mod.weight_dims(s, window)
         with pytest.raises(WindowOverflowError):
             mod.basis_monomials((None, s), window)
+        with pytest.raises(WindowOverflowError):
+            mod.weight_bases(s, window)
         return
     dims = mod.weight_dims(s, window)
     assert all(dims.values())
     brute = Counter(monomial_offset(m, mod.rank)[0]
                     for m in brute_basis_monomials(mod, (None, s), window))
     assert dims == brute
+    bases = mod.weight_bases(s, window)
+    assert bases == {k: brute_basis_monomials(mod, (k, s), window) for k in brute}
+    assert {k: len(basis) for k, basis in bases.items()} == dims
     reach = window.L * window.N
     for k in range(-reach, reach + 1):
         assert dims.get(k, 0) == len(mod.basis_monomials((k, s), window)) == \
@@ -209,7 +220,7 @@ def test_property_weight_dims_count_the_basis(case):
     assert sum(dims.values()) == len(mod.basis_monomials((None, s), window)) == \
         mod.weight_dim((None, s), window)
     if min(s) < 0:
-        assert dims == {}
+        assert dims == bases == {}
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3"])
@@ -454,6 +465,27 @@ def test_singular_vectors_generic_lambda_only_highest_weight():
     assert len(found) == 1
     (k, s), v = found[0]
     assert (k, s) == (0, (0,)) and v == mod.vacuum()
+
+
+@pytest.mark.parametrize("label, lam_text, reduced, s", [
+    ("A1", "h1=0", True, (1,)),
+    ("A1", "h1=-1/2", False, (0,)),
+    ("A2", "h1=0,h2=-1/2", True, (1, 0)),
+])
+def test_singular_vectors_offset_forms_agree(label, lam_text, reduced, s):
+    # (k, s) picks the k entries of (None, s); repeated and overlapping
+    # offsets list each weight space once, in (k, s) order
+    a = aff(label)
+    mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=reduced)
+    window = TruncationWindow(L=3, N=2, H=2)
+    whole = mod.singular_vectors([(None, s)], window)
+    assert len({k for (k, _), _ in whole}) > 1
+    for k in range(-4, 5):
+        assert mod.singular_vectors([(k, s)], window) == \
+            [entry for entry in whole if entry[0][0] == k]
+        assert mod.singular_vectors([(None, s), (k, s), (None, s)], window) == whole
+    assert mod.singular_vectors([(2, s), (-1, s), (2, s)], window) == \
+        [entry for entry in whole if entry[0][0] in (-1, 2)]
 
 
 def all_operator_kernel(mod, offsets, window):
