@@ -24,7 +24,9 @@ structure constants were bootstrapped in int arithmetic and the scrambling
 maps were built from int entries. The H=2 A3 category-check and C2
 category-split argvs were recorded before the reduced Verma tables decided
 their pairs from the target weights, the weights were indexed by integer
-cells and a scrambled module kept its source's index. A refactor that claims
+cells and a scrambled module kept its source's index. The stretch argvs R1
+(rank 4) and S1 (an unreduced A1 window of length 9) were recorded before
+the action memo moved from tuple keys to interned monomial ids. A refactor that claims
 unchanged answers must keep every hash; a change that means to alter a
 report updates its constant and says why."""
 
@@ -127,6 +129,16 @@ PINNED = [
          "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2,h4=-1/2,h5=-1/2,h6=-1/2",
          "--window", "L=3,N=2,H=3"),
         "f495301c9185ab3cb72db03b672d5dc52392b130", id="singular-E6"),
+    # the stretch argvs of the action layer, in rank and in window length
+    pytest.param(
+        ("singular", "--type", "A4",
+         "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2,h4=-1/2",
+         "--window", "L=4,N=2,H=4"),
+        "ef0c1e02111f84ce30ed1949440fdb67a0564fca", id="R1-singular-A4"),
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+         "--window", "L=9,N=3,H=2"),
+        "d5a6e46a4dc39587e0f1cda70b2427c53e0b8482", id="S1-singular-full-A1"),
     # a fractional lambda(c), so the scale takes its denominator too
     pytest.param(
         ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3,c=1/2",
