@@ -61,8 +61,9 @@ from imverma._kernels import nullspace, rank, rref
 from imverma.affine import AffineAlgebra
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
 from imverma.errors import AuditError, ImvermaError, ModuleDataError
-from imverma.finite import _neg, add_scaled, build_simple_algebra
-from imverma.verma import TruncationWindow, VermaModule, Weight, monomial_name
+from imverma.finite import _neg, _sub, add_scaled, build_simple_algebra
+from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
+                           nonzero_degrees)
 
 
 class UndefinedActionError(ModuleDataError):
@@ -266,15 +267,16 @@ class ExplicitModule:
         Stores weight spaces lambda + k delta - s (ht(s) <= height, |k| <= kmax)
         with the PBW basis truncated by the window; a (generator, source) pair
         is marked defined exactly when every image stays inside the store. The
-        images are the act_monomial images of the basis monomials, unscaled.
+        images are the action images of the interned basis monomials, read
+        on ids (VermaModule._act) and unscaled.
 
         Each pair is first decided from its target offset (k + n, s - gamma),
         with gamma = 0 for a Cartan loop:
 
-        - the target space is zero when s - gamma has a negative coordinate
-          (vanishes_by_weight), or when s - gamma = 0 and k + n != 0 (the
-          only monomial with s = 0 is the empty one, at k = 0); the pair is
-          a defined zero;
+        - the target space is zero when k + n lies outside
+          nonzero_degrees(s - gamma): s - gamma has a negative coordinate,
+          or s - gamma = 0 and k + n != 0 (the only monomial with s = 0 is
+          the empty one, at k = 0); the pair is a defined zero;
         - a lowering generator x_{-gamma} (x) t^n whose target space is not
           stored is undefined: the reduced module is free of rank one over
           U(n_- (x) C[t, t^-1]), which has no zero divisors, so every basis
@@ -286,26 +288,27 @@ class ExplicitModule:
         mod = VermaModule(algebra, lam, reduced=True)
         spaces = list(windowed_spaces(mod, height, kmax, window))
         off_index = {off: widx for widx, (off, _, _) in enumerate(spaces)}
-        mono_index = {m: (widx, j) for widx, (_, _, basis) in enumerate(spaces)
-                      for j, m in enumerate(basis)}
+        ids = [[mod._intern(m) for m in basis] for _, _, basis in spaces]
+        mono_index = {m: (widx, j) for widx, space in enumerate(ids)
+                      for j, m in enumerate(space)}
         weights = [w for _, w, _ in spaces]
         labels = [[monomial_name(m) for m in basis] for _, _, basis in spaces]
         positive = algebra.finite.roots.positive_set
         zero = (0,) * algebra.rank
-        # finite key -> per space: target s, or None where that space is zero
+        # finite key -> per space: target s and its nonzero_degrees
         moved = {}
         defined = {}
         for gkey in loop_keys(algebra, loop_window):
             key, n = gkey
+            op = mod._op(key, n)
             per_src = defined[gkey] = {}
             if key not in moved:
                 gamma = key[1] if key[0] == "x" else zero
-                moved[key] = [None if min(ts) < 0 else ts for ts in
-                              (tuple(a - b for a, b in zip(s, gamma))
-                               for (_, s), _, _ in spaces)]
+                moved[key] = [(ts,) + nonzero_degrees(ts, reduced=True)
+                              for ts in (_sub(s, gamma) for (_, s), _, _ in spaces)]
             lowering = key[0] == "x" and key[1] not in positive
-            for widx, (((k, _), _, basis), ts) in enumerate(zip(spaces, moved[key])):
-                if ts is None or (ts == zero and k + n):
+            for widx, (((k, _), _, _), (ts, lo, hi)) in enumerate(zip(spaces, moved[key])):
+                if not lo <= k + n <= hi:
                     per_src[widx] = {}
                     continue
                 want = off_index.get((k + n, ts))
@@ -313,9 +316,9 @@ class ExplicitModule:
                     continue
                 block = {}
                 ok = True
-                for j, m in enumerate(basis):
+                for j, m in enumerate(ids[widx]):
                     column = {}
-                    for m2, c2 in mod.act_monomial(key, n, m).items():
+                    for m2, c2 in mod._act(op, m).items():
                         hit = mono_index.get(m2)
                         if hit is None:
                             ok = False

@@ -35,15 +35,21 @@ it gives the basis of every space, {k: monomials in canonical order}, which
 the singular search and the explicit tables read; basis_monomials reads one
 offset (k, s), or all of s, from it.
 
-The action has one entry point, act_monomial(key, n, mono): the memoised
-sparse image {monomial: int} of key (x) t^n on one PBW monomial, times
-VermaModule.scale = D, the common denominator of lambda(h_i) and lambda(c).
-Straightening uses the integer structure constants; lambda enters only on
-the highest-weight vector, where _act_vacuum returns D times its value, and
-each term reaches it once, so every coefficient is an int. The singular
-search feeds these rows as they are (the row space is the same); act(), a
-sum of images plus the c and d parts, and the category layer's explicit
-tables divide by D once per coefficient (unscale).
+Each module interns (hash-conses) its PBW monomials, PBW symbols and loop
+operators (key, n) as small ints: a monomial id keeps its tuple, its head
+symbol id and its rest id; a symbol id keeps its sort key. The action has
+one memo, on these ids: _act(op, m) is the sparse image {monomial id: int}
+of the operator op on the monomial m, times VermaModule.scale = D, the
+common denominator of lambda(h_i) and lambda(c), straightened by recursing
+through head and rest ids, with per-operator and per-symbol memos. It uses
+the integer structure constants; lambda enters only on the highest-weight
+vector, where _act_vacuum returns D times its value, and each term reaches
+it once, so every coefficient is an int. The singular search interns each
+basis monomial once and feeds these rows as they are (the row space is the
+same); the category layer's explicit tables read them on ids too and
+divide by D once per coefficient (unscale). At the tuple boundary,
+act_monomial(key, n, mono) returns one image as a fresh {monomial: int}
+dict, and act() sums images, adds the c and d parts and unscales.
 """
 
 from collections import Counter
@@ -51,13 +57,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, combinations_with_replacement, groupby, product
-from math import lcm
+from math import inf, lcm
 from operator import add
 
 from imverma._kernels import Echelon
 from imverma.affine import AffineAlgebra, LoopElement
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
-from imverma.finite import SparseCombination, _neg, add_scaled, root_height
+from imverma.finite import SparseCombination, _neg, _sub, add_scaled, root_height
 
 
 @dataclass(frozen=True)
@@ -228,9 +234,22 @@ class VermaModule:
             "lower weights is not guaranteed"
             for i, v in enumerate(lam.h_values) if v.denominator == 1 and v < 0
         ) if reduced else ()
-        self._act_cache = {}
-        self._bracket_cache = {}
-        self._prepend_cache = {}
+        # interned PBW monomials: id -> tuple, head symbol id, rest id; the
+        # empty monomial (the highest-weight vector) is id 0
+        self._monos = [()]
+        self._mono_id = {(): 0}
+        self._head = [None]
+        self._rest = [None]
+        # interned PBW symbols: id -> tuple, sort key, prepend memo
+        self._syms = []
+        self._sym_id = {}
+        self._sym_key = []
+        self._prepend_memo = []
+        # interned loop operators (key, n): id -> pair, act memo, bracket memo
+        self._ops = []
+        self._op_id = {}
+        self._act_memo = []
+        self._bracket_memo = []
 
     def __repr__(self):
         tag = "reduced " if self.reduced else ""
@@ -288,20 +307,23 @@ class VermaModule:
             raise ContextMismatchError("generator from a different affine context")
         if v.module is not self:
             raise ContextMismatchError("vector from a different module")
-        out = {}  # scale times the image
+        ops = [(self._op(key, n), cg) for (key, n), cg in g.terms.items()]
+        out = {}  # scale times the image, on monomial ids
         for mono, cv in v.terms.items():
-            for (key, n), cg in g.terms.items():
-                image = self.act_monomial(key, n, mono)
+            m = self._intern(mono)
+            for op, cg in ops:
+                image = self._act(op, m)
                 if image:
                     add_scaled(out, image, cv * cg)
             if g.c and self.lam.c_value:
-                add_scaled(out, {mono: cv * g.c * self.lam.c_value * self.scale})
+                add_scaled(out, {m: cv * g.c * self.lam.c_value * self.scale})
             if g.d:
                 k, _ = monomial_offset(mono, self.rank)
                 val = self.lam.d_value + k
                 if val:
-                    add_scaled(out, {mono: cv * g.d * val * self.scale})
-        return ModuleVector(self, {m: self.unscale(c) for m, c in out.items()})
+                    add_scaled(out, {m: cv * g.d * val * self.scale})
+        monos = self._monos
+        return ModuleVector(self, {monos[m]: self.unscale(c) for m, c in out.items()})
 
     def unscale(self, c):
         """c / scale: an int where the quotient is integral, else a Fraction."""
@@ -315,87 +337,143 @@ class VermaModule:
         unscale(c) gives the coefficient of the image itself.
 
         key is a basis key of the finite algebra, ("h", i) or ("x", gamma),
-        or "__c__" for the central element (with n = 0). The image is exact
-        and memoised per (key, n, mono): the dict returned is the memo entry
-        and must not be modified.
+        or "__c__" for the central element (with n = 0). The image is exact.
+        It is read from the one action memo, _act on interned ids, and
+        returned as a fresh tuple-keyed dict that the caller may modify.
         """
-        ck = (key, n, mono)
-        hit = self._act_cache.get(ck)
+        image = self._act(self._op(key, n), self._intern(mono))
+        monos = self._monos
+        return {monos[m]: c for m, c in image.items()}
+
+    # -- interning ------------------------------------------------------------
+
+    def _intern(self, mono):
+        """The id of the PBW monomial mono, interned with its head and rest."""
+        m = self._mono_id.get(mono)
+        if m is None:
+            m = self._cons(self._sym(mono[0]), self._intern(mono[1:]))
+        return m
+
+    def _cons(self, sym, rest):
+        """The id of the monomial with head symbol id sym and rest id rest."""
+        mono = (self._syms[sym],) + self._monos[rest]
+        m = self._mono_id.get(mono)
+        if m is None:
+            m = self._mono_id[mono] = len(self._monos)
+            self._monos.append(mono)
+            self._head.append(sym)
+            self._rest.append(rest)
+        return m
+
+    def _sym(self, sym):
+        """The id of the PBW symbol sym."""
+        i = self._sym_id.get(sym)
+        if i is None:
+            i = self._sym_id[sym] = len(self._syms)
+            self._syms.append(sym)
+            self._sym_key.append(symbol_sort_key(sym))
+            self._prepend_memo.append({})
+        return i
+
+    def _op(self, key, n):
+        """The id of the loop operator key (x) t^n."""
+        op = self._op_id.get((key, n))
+        if op is None:
+            op = self._op_id[(key, n)] = len(self._ops)
+            self._ops.append((key, n))
+            self._act_memo.append({})
+            self._bracket_memo.append({})
+        return op
+
+    # -- straightening on ids ------------------------------------------------
+
+    def _act(self, op, m):
+        """act_monomial on ids: scale times the image of the operator op on
+        the monomial m, as {monomial id: int}, memoised per op and m. The
+        dict returned is the memo entry and must not be modified."""
+        memo = self._act_memo[op]
+        hit = memo.get(m)
         if hit is not None:
             return hit
-        if not mono:
-            out = self._act_vacuum(key, n)
+        if not m:
+            out = self._act_vacuum(*self._ops[op])
         else:
             out = {}
-            head, rest = mono[0], mono[1:]
-            for m2, c2 in self.act_monomial(key, n, rest).items():
+            head, rest = self._head[m], self._rest[m]
+            for m2, c2 in self._act(op, rest).items():
                 add_scaled(out, self._prepend(head, m2), c2)
-            for (k2, n2), c in self._symbol_bracket_loop(key, n, head):
-                add_scaled(out, self.act_monomial(k2, n2, rest), c)
-        self._act_cache[ck] = out
+            for op2, c in self._bracket(op, head):
+                add_scaled(out, self._act(op2, rest), c)
+        memo[m] = out
         return out
 
     def _act_vacuum(self, key, n):
         lam, scale = self.lam, self.scale
         if key == "__c__":
-            return {(): int(scale * lam.c_value)} if lam.c_value else {}
+            return {0: int(scale * lam.c_value)} if lam.c_value else {}
         if key[0] == "h":
             if n == 0:
                 val = lam.h_values[key[1] - 1]
-                return {(): int(scale * val)} if val else {}
+                return {0: int(scale * val)} if val else {}
             if self.reduced or n > 0:
                 return {}
-            return {(("B", key[1], -n),): scale}
+            return {self._cons(self._sym(("B", key[1], -n)), 0): scale}
         gamma = key[1]
         if gamma in self.algebra.finite.roots.positive_set:
             return {}
-        return {(("F", _neg(gamma), n),): scale}
+        return {self._cons(self._sym(("F", _neg(gamma), n)), 0): scale}
 
-    def _symbol_bracket_loop(self, key, n, sym):
-        """[key (x) t^n, symbol] as a tuple of ((key2, n2), coeff) loop terms,
-        memoised per (key, n, sym).
+    def _bracket(self, op, sym):
+        """[op, symbol] as a tuple of (operator id, coeff) loop terms,
+        memoised per op and sym.
 
         A central term is encoded under the sentinel key "__c__"; it commutes
         past everything and evaluates to lambda(c) on the vacuum, so it is
         left out when lambda(c) = 0. Its coefficient n (key|key2) is an int.
         """
-        ck = (key, n, sym)
-        hit = self._bracket_cache.get(ck)
+        memo = self._bracket_memo[op]
+        hit = memo.get(sym)
         if hit is not None:
             return hit
+        key, n = self._ops[op]
         if key == "__c__":
             pairs = ()
         else:
-            if sym[0] == "B":
-                k2, n2 = ("h", sym[1]), -sym[2]
+            symbol = self._syms[sym]
+            if symbol[0] == "B":
+                k2, n2 = ("h", symbol[1]), -symbol[2]
             else:
-                k2, n2 = self._f_key[sym[1]], sym[2]
+                k2, n2 = self._f_key[symbol[1]], symbol[2]
             fin = self.algebra.finite
-            pairs = [((k, n + n2), c) for k, c in fin._bracket_table[(key, k2)].items()]
+            pairs = [(self._op(k, n + n2), c)
+                     for k, c in fin._bracket_table[(key, k2)].items()]
             if n == -n2 and n != 0 and self.lam.c_value:
                 cf = fin.form_keys(key, k2)
                 if cf:
-                    pairs.append((("__c__", 0), int(n * cf)))
+                    pairs.append((self._op("__c__", 0), int(n * cf)))
             pairs = tuple(pairs)
-        self._bracket_cache[ck] = pairs
+        memo[sym] = pairs
         return pairs
 
-    def _prepend(self, sym, mono):
-        ck = (sym, mono)
-        hit = self._prepend_cache.get(ck)
+    def _prepend(self, sym, m):
+        """The symbol sym times the monomial m, straightened: {monomial id:
+        int}, memoised per sym and m."""
+        memo = self._prepend_memo[sym]
+        hit = memo.get(m)
         if hit is not None:
             return hit
-        if not mono or symbol_sort_key(sym) <= symbol_sort_key(mono[0]):
-            out = {(sym,) + mono: 1}
+        if not m or self._sym_key[sym] <= self._sym_key[self._head[m]]:
+            out = {self._cons(sym, m): 1}
         else:
             out = {}
-            head, rest = mono[0], mono[1:]
+            head, rest = self._head[m], self._rest[m]
             for m2, c2 in self._prepend(sym, rest).items():
                 add_scaled(out, self._prepend(head, m2), c2)
-            br = _negative_symbol_bracket(self.algebra.finite, sym, head)
+            br = _negative_symbol_bracket(self.algebra.finite, self._syms[sym],
+                                          self._syms[head])
             if br is not None:
-                add_scaled(out, self._prepend(br[0], rest), br[1])
-        self._prepend_cache[ck] = out
+                add_scaled(out, self._prepend(self._sym(br[0]), rest), br[1])
+        memo[m] = out
         return out
 
     # -- enumeration ------------------------------------------------------------
@@ -562,22 +640,27 @@ class VermaModule:
         Returns a list of (offset, ModuleVector) pairs sorted by offset; the
         kernel is computed weight space by weight space with exact rational
         elimination. Each raising operator's rows (one per image monomial,
-        from the int act_monomial images of the basis monomials, scale times
+        from the int _act images of the interned basis monomials, scale times
         the true ones) go to the echelon as one batch, in
         annihilator_generators order. Two kinds of operator are not applied:
 
         - once every basis monomial has a pivot, the kernel is empty and no
           further operator is applied;
-        - an operator that vanishes_by_weight on the space: e_i (x) t^m maps
-          the offset s to s - alpha_i, which has a negative coordinate when
-          s_i = 0, and the weight spaces with such an offset are zero.
+        - an operator whose target space is zero by weight: key (x) t^n
+          maps the space at (k, s) into the one at (k + n, s - gamma), with
+          gamma = 0 for h_i (x) t^l, and that space is zero when k + n lies
+          outside nonzero_degrees(s - gamma). So e_i (x) t^n is skipped
+          where s_i = 0, and at s = alpha_i (h_i (x) t^l at s = 0) unless
+          k + n = 0 in the reduced quotient, or k + n <= 0 in the module.
 
         Skipped operators would have fed no row or none that changes the
         echelon, and the reduced row echelon form is unique, so the basis is
         the one that elimination over every operator's rows gives.
         """
-        ops = self._raising_operators(window)
-        live = {}  # s -> the (key, n) that do not vanish by weight at s
+        zero = (0,) * self.rank
+        ops = [(key[1] if key[0] == "x" else zero, n, self._op(key, n))
+               for _, key, n in self._raising_operators(window)]
+        live = {}  # s -> (lo, hi, n, op) of the ops whose targets can be nonzero
         found = []
         bases = {}  # s -> weight_bases(s, window)
         spaces = {}  # (k, s) -> basis
@@ -589,17 +672,23 @@ class VermaModule:
                 if k in (None, k2):
                     spaces[(k2, s)] = basis
         for exact, basis in sorted(spaces.items()):
-            s = exact[1]
-            if s not in live:
-                live[s] = [(key, n) for _, key, n in ops
-                           if not vanishes_by_weight(key, s)]
+            ids = [self._intern(mono) for mono in basis]
             echelon = Echelon(len(basis))
-            for key, n in live[s]:
+            k, s = exact
+            if s not in live:
+                live[s] = []
+                for gamma, n, op in ops:
+                    lo, hi = nonzero_degrees(_sub(s, gamma), self.reduced)
+                    if lo <= hi:
+                        live[s].append((lo, hi, n, op))
+            for lo, hi, n, op in live[s]:
                 if echelon.full:
                     break
+                if not lo <= k + n <= hi:
+                    continue
                 rows = {}
-                for j, mono in enumerate(basis):
-                    for m2, c2 in self.act_monomial(key, n, mono).items():
+                for j, m in enumerate(ids):
+                    for m2, c2 in self._act(op, m).items():
                         rows.setdefault(m2, {})[j] = c2
                 echelon.feed(list(rows.values()))
             for vec in echelon.nullspace():
@@ -619,6 +708,26 @@ def vanishes_by_weight(key, s):
     roots gamma can do this, as s >= 0; Cartan loops keep s and never do.
     """
     return key[0] == "x" and any(a < g for a, g in zip(s, key[1]))
+
+
+def nonzero_degrees(s, reduced):
+    """(lo, hi): the weight space at offset (k, s) is zero in every window,
+    in the module (reduced=False) or in its reduced quotient, unless
+    lo <= k <= hi. The bounds may be infinite, and lo > hi when every space
+    at s is zero.
+
+    Every PBW symbol adds a positive root to s or nothing, so the spaces are
+    zero when s has a negative coordinate. A monomial with s = 0 has no
+    F-symbol: it is the empty one, at k = 0, or in the module a product of
+    B-symbols, at k < 0. A generator key (x) t^n maps the space at (k, s)
+    into the one at (k + n, s - gamma), with gamma = 0 for a Cartan loop;
+    its image is zero when k + n lies outside nonzero_degrees(s - gamma).
+    """
+    if min(s) < 0:
+        return (1, 0)
+    if any(s):
+        return (-inf, inf)
+    return (0, 0) if reduced else (-inf, 0)
 
 
 def _negative_symbol_bracket(fin, s1, s2):

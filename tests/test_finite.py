@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import imverma
 from imverma.affine import AffineAlgebra, LoopElement
 from imverma.cartan import (cartan_matrix_from_text, cartan_matrix_of_type,
                             make_cartan_matrix)
@@ -353,13 +354,22 @@ def test_form_invariance_exhaustive():
 
 
 def test_exported_aliases_agree_with_the_algebra_methods():
-    a = alg("A2")
-    elems = [a.element({k: 1}) for k in a.basis]
-    elems.append(a.e(1) + 2 * a.f(2) - Fraction(1, 3) * a.h(1))
-    for x in elems:
-        for y in elems:
-            assert invariant_form(x, y) == a.form(x, y)
-            assert bracket_finite(x, y) == a.bracket(x, y)
+    # the package exports, imverma.invariant_form and imverma.bracket_finite,
+    # are the finite module's functions and agree with the algebra methods
+    assert imverma.invariant_form is invariant_form
+    assert imverma.bracket_finite is bracket_finite
+    for label in ("A2", "G2"):
+        a = alg(label)
+        elems = [a.element({k: 1}) for k in a.basis]
+        elems.append(a.e(1) + 2 * a.f(2) - Fraction(1, 3) * a.h(1))
+        elems.append(a.element({a.basis[-1]: Fraction(-5, 2), a.basis[0]: 3}))
+        nonzero = 0
+        for x in elems:
+            for y in elems:
+                assert imverma.invariant_form(x, y) == a.form(x, y)
+                assert imverma.bracket_finite(x, y) == a.bracket(x, y)
+                nonzero += bool(a.form(x, y)) + (not a.bracket(x, y).is_zero())
+        assert nonzero > len(elems), label
 
 
 def test_theta_normalization():

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
-from imverma.finite import build_simple_algebra
+from imverma.finite import _sub, build_simple_algebra
 from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
-                           monomial_offset, parse_weight, parse_window,
-                           symbol_sort_key, vanishes_by_weight)
+                           monomial_offset, nonzero_degrees, parse_weight,
+                           parse_window, symbol_sort_key, vanishes_by_weight)
 
 from oracles import (beyond_window_survivors, brute_basis_monomials,
                      colored_partition_counts, gauss_solve_nullspace,
@@ -320,28 +320,49 @@ def test_weight_additivity():
         assert weight_offset(image) == want
 
 
+BRACKET_CASES = [
+    # (type, lambda, reduced); the full cases with lambda(c) != 0 run
+    # the central term of the brackets
+    ("A1", "h1=-1/2", True),
+    ("A2", "h1=-1/2,h2=-2/3", True),
+    ("A1", "h1=-1/2,c=2", False),
+    ("A3", "h1=-1/2,h2=-1/3,h3=-1/5", True),
+    ("A3", "h1=-1/2,h2=-1/3,h3=-1/5", False),
+    ("C2", "h1=-3/4,h2=1/4", True),
+    ("C2", "h1=-3/4,h2=1/4,c=1/2", False),
+    ("G2", "h1=-1/2,h2=-1/3", True),
+    ("G2", "h1=-1/2,h2=-1/3", False),
+]
+
+
 def test_bracket_compatibility_property():
+    # [g1, g2] v = g1 g2 v - g2 g1 v on monomials of up to four symbols,
+    # B- and F-symbols mixed in the full module, so that straightening
+    # reorders symbols of both kinds several positions deep
     rng = random.Random(31)
-    for a, lam_text, reduced in ((A1, "h1=-1/2", True), (A2, "h1=-1/2,h2=-2/3", True),
-                                 (A1, "h1=-1/2,c=2", False)):
-        lam = parse_weight(lam_text, a.rank)
-        mod = VermaModule(a, lam, reduced=reduced)
+    lengths = Counter()
+    for label, lam_text, reduced in BRACKET_CASES:
+        a = aff(label)
+        mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=reduced)
         pos = a.finite.roots.positive_roots
-        for _ in range(70):
+        for _ in range(60):
             g1 = a.loop(a.finite.element({rng.choice(a.finite.basis): 1}),
                         rng.randint(-3, 3))
             g2 = a.loop(a.finite.element({rng.choice(a.finite.basis): 1}),
                         rng.randint(-3, 3))
             symbols = []
-            for _ in range(rng.randint(0, 2)):
+            for _ in range(rng.randint(0, 4)):
                 if not reduced and rng.random() < 0.3:
                     symbols.append(("B", rng.randint(1, a.rank), rng.randint(1, 2)))
                 else:
                     symbols.append(("F", rng.choice(pos), rng.randint(-2, 2)))
+            kinds = {sym[0] for sym in symbols}
+            lengths[len(symbols), len(kinds)] += 1
             v = mod.monomial(*symbols)
             lhs = mod.act(g1, mod.act(g2, v)) - mod.act(g2, mod.act(g1, v))
             rhs = mod.act(affine_bracket(g1, g2), v)
-            assert (lhs - rhs).is_zero()
+            assert (lhs - rhs).is_zero(), (label, reduced, g1, g2, symbols)
+    assert lengths[4, 1] and lengths[4, 2] and lengths[3, 2]
 
 
 def hand_act(mod, g, v):
@@ -574,26 +595,27 @@ def test_singular_vectors_are_killed_beyond_the_window(label, lam_text, reduced,
 
 
 def search_with_calls(mod, offsets, window):
-    """singular_vectors, and the (key, n, mono) of each act_monomial call it
-    makes itself (the recursion inside act_monomial is not counted)."""
+    """singular_vectors, and the (key, n, mono) of each call it makes itself
+    to the action on interned ids, _act(op, m), decoded from the ids (the
+    recursion inside _act is not counted)."""
     calls = []
-    inner = mod.act_monomial
+    inner = mod._act
     depth = [0]
 
-    def counted(key, n, mono):
+    def counted(op, m):
         if not depth[0]:
-            calls.append((key, n, mono))
+            calls.append(mod._ops[op] + (mod._monos[m],))
         depth[0] += 1
         try:
-            return inner(key, n, mono)
+            return inner(op, m)
         finally:
             depth[0] -= 1
 
-    mod.act_monomial = counted
+    mod._act = counted
     try:
         return mod.singular_vectors(offsets, window), calls
     finally:
-        del mod.act_monomial
+        del mod._act
 
 
 def test_singular_search_stops_applying_operators_at_full_rank():
@@ -612,35 +634,92 @@ def test_singular_search_stops_applying_operators_at_full_rank():
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2"])
 def test_skipped_raising_operators_are_zero(label, reduced):
-    # e_i (x) t^m maps the offset s to s - alpha_i, which has a negative
-    # coordinate when s_i = 0: the operator kills the whole space, and the
-    # search never applies it there
+    # e_i (x) t^m maps the offset (k, s) to (k + m, s - alpha_i), which is
+    # zero by weight when s_i = 0 (a negative coordinate), and at
+    # s = alpha_i when k + m != 0 in the reduced module, or k + m > 0 in the
+    # full one: the operator kills the whole space, and the search never
+    # applies it there
     a = aff(label)
     lam = Weight.make([Fraction(-1, 2 + i) for i in range(a.rank)])
     mod = VermaModule(a, lam, reduced=reduced)
     window = TruncationWindow(L=2, N=1, H=2)
     offsets = offsets_up_to(a.rank, window.H)
     simple = a.finite.roots.simple_roots
-    skipped = nonzero = 0
+    skipped = at_root = nonzero = 0
     for _, s in offsets:
         for mono in mod.basis_monomials((None, s), window):
+            k = monomial_offset(mono, a.rank)[0]
             for i in range(1, a.rank + 1):
                 key = ("x", simple[i - 1])
                 assert vanishes_by_weight(key, s) == (s[i - 1] == 0)
+                lo, hi = nonzero_degrees(_sub(s, key[1]), reduced)
                 for m in range(-window.N, window.N + 1):
                     image = mod.act(a.e(i, m), mod.vector({mono: 1}))
                     if s[i - 1] == 0:
+                        assert lo > hi
                         assert mod.act_monomial(key, m, mono) == {}
                         assert image.is_zero(), (i, m, mono)
                         skipped += 1
+                    elif not lo <= k + m <= hi:
+                        assert s == key[1]
+                        assert mod.act_monomial(key, m, mono) == {}
+                        assert image.is_zero(), (i, m, mono)
+                        at_root += 1
                     else:
                         nonzero += not image.is_zero()
-    assert skipped and nonzero
+    assert skipped and at_root and nonzero
     found, calls = search_with_calls(mod, offsets, window)
     assert calls
-    assert not any(vanishes_by_weight(key, monomial_offset(mono, a.rank)[1])
-                   for key, _, mono in calls)
+    zero = (0,) * a.rank
+    for key, n, mono in calls:
+        k, s = monomial_offset(mono, a.rank)
+        assert not vanishes_by_weight(key, s)
+        lo, hi = nonzero_degrees(_sub(s, key[1] if key[0] == "x" else zero), reduced)
+        assert lo <= k + n <= hi, (key, n, mono)
     assert found == all_operator_kernel(mod, offsets, window)
+
+
+@pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
+@pytest.mark.parametrize("label", ["A1", "A2", "C2"])
+def test_nonzero_degrees_bound_every_windowed_space(label, reduced):
+    # every windowed space lies within the degree bounds, and the bounds are
+    # reached where they are finite: the vacuum at (0, 0) and, in the full
+    # module, B-monomials below it
+    a = aff(label)
+    mod = VermaModule(a, Weight.make([Fraction(-1, 2)] * a.rank), reduced=reduced)
+    window = TruncationWindow(L=3, N=2, H=2)
+    for s in product(range(-1, 3), repeat=a.rank):
+        lo, hi = nonzero_degrees(s, reduced)
+        if min(s) < 0:
+            assert lo > hi
+            continue
+        dims = mod.weight_dims(s, window) if sum(s) <= window.H else {}
+        assert all(lo <= k <= hi for k in dims), (s, dims)
+        if not any(s):
+            assert hi == 0 and dims[0] == 1
+            assert (lo == 0) == reduced and (min(dims) < 0) == (not reduced)
+
+
+def test_act_monomial_returns_a_fresh_dict():
+    # act_monomial reads the one action memo and hands out a copy: changing
+    # the dict it returns changes neither a later call nor act()
+    mod = VermaModule(A2, parse_weight("h1=-1/2,h2=-1/3", 2), reduced=False)
+    alpha1, theta = (1, 0), (1, 1)
+    mono = (("B", 2, 1), ("F", alpha1, -1), ("F", theta, 2))
+    v = mod.vector({mono: 1})
+    for key, n in ((("x", alpha1), 1), (("h", 1), 2), (("x", (-1, 0)), 0)):
+        first = mod.act_monomial(key, n, mono)
+        want = dict(first)
+        assert want
+        first.clear()
+        first[()] = 99
+        again = mod.act_monomial(key, n, mono)
+        assert again == want and again is not first
+        again.popitem()
+        assert mod.act_monomial(key, n, mono) == want
+        g = A2.loop(A2.finite.element({key: 1}), n)
+        assert mod.act(g, v).terms == {m: Fraction(c, mod.scale)
+                                       for m, c in want.items()}
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C2", "G2", "D4"])
@@ -684,9 +763,10 @@ def test_singular_search_memoises_int_images_scaled_by_the_denominator(lam_text,
     mod = VermaModule(A2, parse_weight(lam_text, 2), reduced=reduced)
     window = TruncationWindow(L=3, N=2, H=2)
     mod.singular_vectors(offsets_up_to(2, window.H), window)
-    assert mod.scale == 6 and mod._act_cache
-    assert all(type(c) is int for image in mod._act_cache.values()
-               for c in image.values())
+    assert mod.scale == 6 and any(mod._act_memo)
+    assert all(type(m2) is int and type(c) is int
+               for memo in mod._act_memo for image in memo.values()
+               for m2, c in image.items())
     # act() still equals the images summed by hand
     alpha1, theta = (1, 0), (1, 1)
     v = mod.vector({(("F", alpha1, -1),): Fraction(2, 3), (("F", theta, 1),): 5})
