@@ -26,7 +26,11 @@ category-split argvs were recorded before the reduced Verma tables decided
 their pairs from the target weights, the weights were indexed by integer
 cells and a scrambled module kept its source's index. The stretch argvs R1
 (rank 4) and S1 (an unreduced A1 window of length 9) were recorded before
-the action memo moved from tuple keys to interned monomial ids. A refactor that claims
+the action memo moved from tuple keys to interned monomial ids. The
+category stretch argv C1 and the A1 category-check argvs at nilpotency caps
+0 and 1 were recorded before axiom (2) was decided per (generator, weight)
+block instead of per basis vector and weights were hashed on their integer
+cells. A refactor that claims
 unchanged answers must keep every hash; a change that means to alter a
 report updates its constant and says why."""
 
@@ -161,6 +165,24 @@ PINNED = [
          "--window", "L=3,N=2,H=2", "--kmax", "2", "--gwindow", "2",
          "--scramble", "3"),
         "c2395a48fe62b76e23bbed7d57da1064e9323e22", id="split-C2-H2"),
+    # the category stretch argv: 23,632 of its axiom (2) checks are inconclusive
+    pytest.param(
+        ("category-check", "--type", "A2",
+         "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
+         "--window", "L=5,N=4,H=3", "--kmax", "4", "--gwindow", "4"),
+        "10ade84301be5054ec1e50f1a3badbf14df0afa4", id="C1-check-A2"),
+    # cap 0 applies nothing: all 301 basis vectors are axiom (2) violations
+    pytest.param(
+        ("category-check", "--type", "A1", "--summands", "h1=-1/2",
+         "--window", "L=3,N=4,H=2", "--kmax", "4", "--gwindow", "3",
+         "--nilpotency-cap", "0"),
+        "f08a56ed10f92e4192670dae4b4cd154de47cfa0", id="check-A1-H2-cap0"),
+    # cap 1: 200 violations and 38 inconclusive vectors
+    pytest.param(
+        ("category-check", "--type", "A1", "--summands", "h1=-1/2",
+         "--window", "L=3,N=4,H=2", "--kmax", "4", "--gwindow", "3",
+         "--nilpotency-cap", "1"),
+        "bfd7e0bb9a1935327daa8cb4ff5137dc4855a437", id="check-A1-H2-cap1"),
     pytest.param(
         ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
         "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),
