@@ -152,20 +152,19 @@ def _weight_sort_key(w: Weight):
 def _targets(algebra: AffineAlgebra, weights, defined):
     """{gkey: {source: target weight index or None}} for the pairs of defined.
 
-    Weights are indexed by ((h, c) class, d value), each value an integer
-    (numerator, denominator) cell. Each class is shifted once per root, and
-    each d value once per loop degree, by integer arithmetic: adding p to a/b
-    gives (a + p*b)/b, still in lowest terms. Every pair is then a lookup of
-    integers.
+    Weights are indexed by ((h, c) class, d value), each read from the
+    integer (numerator, denominator) cells of Weight.cells. Each class is
+    shifted once per root, and each d value once per loop degree, by integer
+    arithmetic: adding p to a/b gives (a + p*b)/b, still in lowest terms.
+    Every pair is then a lookup of integers.
     """
     classes = {}
     dvals = {}
     cells = []
     for w in weights:
-        hc = tuple((q.numerator, q.denominator) for q in w.h_values + (w.c_value,))
-        d = w.d_value
+        hc, d = w.cells
         cells.append((classes.setdefault(hc, len(classes)),
-                      dvals.setdefault((d.numerator, d.denominator), len(dvals))))
+                      dvals.setdefault(d, len(dvals))))
     at = {cell: i for i, cell in enumerate(cells)}
     rs = algebra.finite.roots
     class_moves = {}  # finite key -> per class: shifted class, or None
@@ -350,7 +349,7 @@ class ExplicitModule:
                          key=_weight_sort_key)
         windex = {w: i for i, w in enumerate(weights)}
         labels = [[] for _ in weights]
-        # per weight: (summand index, summand, local weight index) carrying it
+        # per weight: (summand index, local weight index) carrying it
         carriers = [[] for _ in weights]
         shift = []  # per summand: local weight index -> offset in the sum's space
         for si, m in enumerate(summands):
@@ -358,22 +357,28 @@ class ExplicitModule:
             for li, w in enumerate(m.weights):
                 gi = windex[w]
                 offsets.append(len(labels[gi]))
-                carriers[gi].append((si, m, li))
+                carriers[gi].append((si, li))
                 labels[gi].extend(f"s{si}:{lab}" for lab in m.labels[li])
             shift.append(offsets)
         defined = {}
         for gk in dict.fromkeys(gk for m in summands for gk in m.defined):
+            # per summand: its blocks and targets of gk, or None where it has no gk
+            local = [m.defined.get(gk) for m in summands]
+            targets = [m.targets.get(gk) for m in summands]
             per_src = defined[gk] = {}
             for gi, carried in enumerate(carriers):
-                tables = [m.table(gk, li) for _, m, li in carried]
-                if None in tables:
-                    continue
-                block = per_src[gi] = {}
-                for (si, _, li), (mat, tgt, _) in zip(carried, tables):
+                block = {}
+                for si, li in carried:
+                    blocks = local[si]
+                    if blocks is None or li not in blocks:
+                        break
+                    mat = blocks[li]
                     if mat:
-                        roff, coff = shift[si][tgt], shift[si][li]
+                        roff, coff = shift[si][targets[si][li]], shift[si][li]
                         for j, column in mat.items():
                             block[j + coff] = {r + roff: v for r, v in column.items()}
+                else:
+                    per_src[gi] = block
         # metas that agree apart from their kind carry over to the sum
         metas = [m.meta for m in summands]
         meta = None
@@ -566,6 +571,31 @@ def _nilpotency(module, gkey, vec, cap):
         last, vec = vec, module.apply(gkey, vec)
         p += 1
     return p, last
+
+
+def _block_nilpotency(per_src, targets, widx, n, cap):
+    """Axiom (2) for one raising generator on the n basis vectors of weight
+    widx, given the generator's blocks per_src and their targets: (the
+    coordinates j whose vector is still nonzero after cap applications, the
+    number of vectors whose chain reaches an undefined pair first).
+
+    The basis vectors walk together, as the columns of one block, so each
+    pair on the chain is looked up once. The first block's columns are their
+    images, so an absent column is killed in one step and never applied; a
+    column that vanishes later drops out. At cap 0 nothing is applied and
+    every basis vector is reported, whether or not its pair is defined.
+    """
+    cur = None  # None: the basis vectors themselves; else {j: image of j}
+    t = widx
+    for _ in range(cap):
+        block = per_src.get(t)
+        if block is None:
+            return [], n if cur is None else len(cur)
+        cur = block if cur is None else _mat_mul(block, cur)
+        if not cur:
+            return [], 0
+        t = targets[t]
+    return (list(range(n)) if cur is None else sorted(cur)), 0
 
 
 def windowed_spaces(verma: VermaModule, height, kmax, window: TruncationWindow):
@@ -990,7 +1020,18 @@ def _commutator(a, b):
 
 def check_category_membership(module: ExplicitModule, gwindow: int,
                               nilpotency_cap: int = 16) -> dict:
-    """Report over the four category axioms, with witnesses and skip counts."""
+    """Report over the four category axioms, with witnesses and skip counts.
+
+    Axiom (2) asks each windowed e_{i,n} to kill every basis vector within
+    nilpotency_cap applications. It is decided per (generator, weight) block
+    (_block_nilpotency): an undefined block adds its whole dimension to
+    inconclusive, an absent column is killed in one step (p = 1) with no
+    action applied, and the other columns walk their chain, a vector whose
+    chain reaches an undefined pair counting as inconclusive and one still
+    nonzero after the cap as a violation. At cap 0 every basis vector of
+    every populated weight is a violation. Violations are listed by
+    generator, then weight index, then basis index.
+    """
     report = {"gwindow": gwindow, "axioms": {}}
     # (1) diagonalizability over reduced-admissible weights
     bad_weights = []
@@ -1010,22 +1051,19 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
     inconclusive = 0
     checked = 0
     for gk in raising_keys(module.algebra, range(-gwindow, gwindow + 1)):
-        if gk not in module.defined:
+        per_src = module.defined.get(gk)
+        if per_src is None:
             continue
+        name = gen_name(module.algebra, *gk)
+        targets = module.targets[gk]
         for widx in range(len(module.weights)):
-            for j in range(module.dim(widx)):
-                try:
-                    found = _nilpotency(module, gk, {(widx, j): Fraction(1)},
-                                        nilpotency_cap)
-                except UndefinedActionError:
-                    inconclusive += 1
-                    continue
-                if found is None:
-                    fails.append({"generator": gen_name(module.algebra, *gk),
-                                  "weight_index": widx, "basis_index": j,
-                                  "cap": nilpotency_cap})
-                else:
-                    checked += 1
+            n = module.dim(widx)
+            stuck, undecided = _block_nilpotency(per_src, targets, widx, n,
+                                                 nilpotency_cap)
+            inconclusive += undecided
+            checked += n - len(stuck) - undecided
+            fails.extend({"generator": name, "weight_index": widx, "basis_index": j,
+                          "cap": nilpotency_cap} for j in stuck)
     report["axioms"]["2"] = {"passed": not fails, "violations": fails,
                              "checked": checked, "inconclusive": inconclusive,
                              "cap": nilpotency_cap}

@@ -68,11 +68,25 @@ from imverma.finite import SparseCombination, _neg, _sub, add_scaled, root_heigh
 
 @dataclass(frozen=True)
 class Weight:
-    """A functional on h_1..h_N, c, d with exact rational values."""
+    """A functional on h_1..h_N, c, d with exact rational values.
+
+    A weight computes the integer (numerator, denominator) cells of its
+    values once, as cells = ((h_1, ..., h_N, c cells), d cell), and hashes
+    those. Equality compares the values, so 2/4 and Fraction(1, 2), or 1 and
+    Fraction(1), give equal weights with equal hashes.
+    """
 
     h_values: tuple
     c_value: Fraction = Fraction(0)
     d_value: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        hc = tuple((q.numerator, q.denominator) for q in (*self.h_values, self.c_value))
+        d = self.d_value
+        object.__setattr__(self, "cells", (hc, (d.numerator, d.denominator)))
+
+    def __hash__(self):
+        return hash(self.cells)
 
     @staticmethod
     def make(h_values, c=0, d=0):
@@ -695,19 +709,6 @@ class VermaModule:
                 terms = {basis[j]: x for j, x in vec.items()}
                 found.append((exact, ModuleVector(self, terms)))
         return found
-
-
-def vanishes_by_weight(key, s):
-    """True when key (x) t^n is zero on every weight space of offset s, in the
-    module and in its reduced quotient, for every n.
-
-    A root vector x_gamma maps the offset s to s - gamma. Every PBW monomial
-    has an offset with no negative coordinate, since each symbol adds a
-    positive root or nothing; so when s - gamma has a negative coordinate
-    the target weight space is zero, and so is the image. Only positive
-    roots gamma can do this, as s >= 0; Cartan loops keep s and never do.
-    """
-    return key[0] == "x" and any(a < g for a, g in zip(s, key[1]))
 
 
 def nonzero_degrees(s, reduced):

@@ -7,9 +7,10 @@ per action pair instead of shifts cached per weight class, every multiset of
 window symbols instead of pruned PBW enumeration, symbol-by-symbol weight
 offsets, repeated application of VermaModule.act for nilpotency degrees,
 trial action on every table pair instead of pair rules read from the target
-weights), so an agreement is meaningful. sparse_rows and dense_rows convert
-between the dense test matrices and the sparse rows the package kernels take
-and return.
+weights, axiom (2) one basis vector at a time instead of one chain per
+(generator, weight) block), so an agreement is meaningful. sparse_rows and
+dense_rows convert between the dense test matrices and the sparse rows the
+package kernels take and return.
 
 The last section holds the checks the tests run on library objects and that
 the library itself never calls: annihilation of singular vectors beyond the
@@ -26,10 +27,10 @@ from itertools import combinations_with_replacement
 from imverma._kernels import rank, rref
 from imverma.affine import affine_bracket
 from imverma.category import (ExplicitModule, UndefinedActionError, _image,
-                              gen_name, heisenberg_keys, loop_keys, windowed_spaces)
+                              _nilpotency, gen_name, heisenberg_keys, loop_keys,
+                              raising_keys, windowed_spaces)
 from imverma.finite import add_scaled
-from imverma.verma import (VermaModule, Weight, monomial_name, symbol_sort_key,
-                           vanishes_by_weight)
+from imverma.verma import VermaModule, Weight, monomial_name, symbol_sort_key
 
 
 def roots_by_reflection_closure(cartan):
@@ -246,6 +247,19 @@ def nilpotency_degree(mod, v, i, n, cap=16):
     return None
 
 
+def vanishes_by_weight(key, s):
+    """True when key (x) t^n is zero on every weight space of offset s, in the
+    module and in its reduced quotient, for every n.
+
+    A root vector x_gamma maps the offset s to s - gamma. Every PBW monomial
+    has an offset with no negative coordinate, since each symbol adds a
+    positive root or nothing; so when s - gamma has a negative coordinate
+    the target weight space is zero, and so is the image. Only positive
+    roots gamma can do this, as s >= 0; Cartan loops keep s and never do.
+    """
+    return key[0] == "x" and any(a < g for a, g in zip(s, key[1]))
+
+
 def weight_shift(algebra, w, gkey):
     """The weight x_gamma (x) t^n or h_i (x) t^n maps w to, with
     gamma(h_i) = sum_j c_j a_ij read off the Cartan matrix."""
@@ -286,6 +300,35 @@ def brute_basis_monomials(mod, offset, window):
             if coords == tuple(s) and k in (None, degree):
                 out.append(mono)
     return sorted(out, key=lambda m: [symbol_sort_key(sym) for sym in m])
+
+
+def axiom2_by_basis_vector(module, gwindow, cap):
+    """Axiom (2) of check_category_membership one basis vector at a time:
+    each windowed e_{i,n} that the module stores is applied to each unit
+    vector through ExplicitModule.apply until the image vanishes (checked),
+    the cap is reached first (a violation) or an undefined pair raises
+    (inconclusive)."""
+    fails = []
+    inconclusive = 0
+    checked = 0
+    for gk in raising_keys(module.algebra, range(-gwindow, gwindow + 1)):
+        if gk not in module.defined:
+            continue
+        for widx in range(len(module.weights)):
+            for j in range(module.dim(widx)):
+                try:
+                    found = _nilpotency(module, gk, {(widx, j): Fraction(1)}, cap)
+                except UndefinedActionError:
+                    inconclusive += 1
+                    continue
+                if found is None:
+                    fails.append({"generator": gen_name(module.algebra, *gk),
+                                  "weight_index": widx, "basis_index": j,
+                                  "cap": cap})
+                else:
+                    checked += 1
+    return {"passed": not fails, "violations": fails, "checked": checked,
+            "inconclusive": inconclusive, "cap": cap}
 
 
 def reduced_verma_by_trial_action(algebra, lam, height, kmax, window, loop_window):

@@ -5,6 +5,7 @@ decomposition with scrambles, audits, and the JSON wire format."""
 
 import json
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,7 +24,8 @@ from imverma.category import (ExplicitModule, _mat_mul, _transpose,
                               heisenberg_slice, parse_gen, sl2_irrep_matrices,
                               torsion_decompose)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
-from oracles import (block_violations, check_bracket_compatibility, dense_mat_mul,
+from oracles import (axiom2_by_basis_vector, block_violations,
+                     check_bracket_compatibility, dense_mat_mul,
                      reduced_verma_by_trial_action, sparse_rows, t_projection,
                      torsion_free_restriction, weight_shift)
 
@@ -377,6 +379,88 @@ def test_membership_dominant_lambda_fails_axiom_one_at_vacuum():
     assert not rep["axioms"]["1"]["passed"]
     bad = rep["axioms"]["1"]["violations"]
     assert any(v["h"] == ["2"] for v in bad)
+
+
+def _e1_chain_module(blocks):
+    """A1 module on two 2-dimensional spaces at h1 = -5/2 and h1 = -1/2 (d =
+    0) whose one table is e1@0, with the given blocks per weight index. e1
+    raises h1 by 2: it maps the first space to the second, and the second
+    out of the store."""
+    weights = [Weight.make([Fraction(-5, 2)]), Weight.make([Fraction(-1, 2)])]
+    return ExplicitModule(A1, weights, [["a0", "a1"], ["b0", "b1"]],
+                          {(("x", (1,)), 0): blocks})
+
+
+def _reduced(alg, lam, height, kmax, window):
+    return ExplicitModule.from_reduced_verma(alg, parse_weight(lam, alg.rank),
+                                             height=height, kmax=kmax,
+                                             window=window, loop_window=2)
+
+
+A2_LAMS = ("h1=-1/2,h2=-1/3", "h1=-3/2,h2=-1/3")
+# name -> (module, gwindow); every module stores its tables up to loop degree 2
+AXIOM2_MODULES = {
+    "A1-H1": lambda: _reduced(A1, "h1=-1/2", 1, 3, TruncationWindow(3, 3, 1)),
+    "A1-H2": lambda: _reduced(A1, "h1=-1/2", 2, 3, TruncationWindow(3, 3, 2)),
+    "A2-H1": lambda: _reduced(A2, A2_LAMS[0], 1, 2, TruncationWindow(3, 2, 1)),
+    "A2-H2": lambda: _reduced(A2, A2_LAMS[0], 2, 2, TruncationWindow(3, 2, 2)),
+    "A2-sum-scrambled": lambda: ExplicitModule.direct_sum(
+        [_reduced(A2, lam, 1, 2, TruncationWindow(3, 2, 1))
+         for lam in A2_LAMS]).scrambled(3),
+    # e1@0 is undefined on the populated second space; column 1 is absent
+    "undefined-block": lambda: _e1_chain_module({0: {0: {0: 1, 1: 2}}}),
+    # the second space's column 0 leaves the store after one step
+    "leaves-store": lambda: _e1_chain_module({0: {0: {0: 1, 1: 2}, 1: {1: 1}},
+                                              1: {0: {0: 1}}}),
+}
+
+
+@cache
+def _axiom2_module(name):
+    return AXIOM2_MODULES[name]()
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 16])
+@pytest.mark.parametrize("name", list(AXIOM2_MODULES))
+def test_axiom_two_per_block_matches_basis_vector_reference(name, cap):
+    module = _axiom2_module(name)
+    got = check_category_membership(module, 2, cap)["axioms"]["2"]
+    assert got == axiom2_by_basis_vector(module, 2, cap)
+
+
+@pytest.mark.parametrize("name, cap, counts", [
+    ("undefined-block", 0, (4, 0, 0)),
+    ("undefined-block", 1, (1, 1, 2)),
+    ("undefined-block", 16, (0, 1, 3)),
+    ("leaves-store", 1, (3, 1, 0)),
+    ("leaves-store", 2, (1, 2, 1)),
+    ("leaves-store", 16, (0, 2, 2)),
+])
+def test_axiom_two_counts_on_hand_built_chains(name, cap, counts):
+    # (violations, checked, inconclusive): an undefined block counts its whole
+    # dimension as inconclusive, an absent column is killed in one step, and
+    # a chain that leaves the store is inconclusive once the cap allows the
+    # next step
+    axiom = check_category_membership(_axiom2_module(name), 2, cap)["axioms"]["2"]
+    assert (len(axiom["violations"]), axiom["checked"], axiom["inconclusive"]) == counts
+
+
+def test_equal_weights_written_differently_are_one_key():
+    half = parse_weight("h1=2/4,d=1", 1)
+    same = [Weight((Fraction(1, 2),), Fraction(0), Fraction(1)),
+            Weight((Fraction(1, 2),), 0, 1)]
+    for w in same:
+        assert w == half and hash(w) == hash(half) and w.cells == half.cells
+    ints = Weight((-1,), 0, 2)
+    fracs = Weight.make([Fraction(-1)], Fraction(0), Fraction(2))
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert Weight.make([Fraction(1, 2)], d=2) != half
+    em = ExplicitModule(A1, [half, ints], [["v"], ["u"]], {})
+    assert len(em.windex) == 2
+    assert {em.windex[w] for w in same + [half]} == {em.windex[half]}
+    assert em.windex[fracs] == em.windex[ints]
+    with pytest.raises(ModuleDataError, match="duplicate weights"):
+        ExplicitModule(A1, [half, same[1]], [["v"], ["u"]], {})
 
 
 # -- loop module construction ---------------------------------------------------------

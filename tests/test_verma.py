@@ -21,12 +21,12 @@ from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowErr
 from imverma.finite import _sub, build_simple_algebra
 from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
                            monomial_offset, nonzero_degrees, parse_weight,
-                           parse_window, symbol_sort_key, vanishes_by_weight)
+                           parse_window, symbol_sort_key)
 
 from oracles import (beyond_window_survivors, brute_basis_monomials,
                      colored_partition_counts, gauss_solve_nullspace,
-                     nilpotency_degree,
-                     sl2_lowering_string_coefficient, weight_offset)
+                     nilpotency_degree, sl2_lowering_string_coefficient,
+                     vanishes_by_weight, weight_offset)
 
 
 def aff(label):
