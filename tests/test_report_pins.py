@@ -30,7 +30,9 @@ the action memo moved from tuple keys to interned monomial ids. The
 category stretch argv C1 and the A1 category-check argvs at nilpotency caps
 0 and 1 were recorded before axiom (2) was decided per (generator, weight)
 block instead of per basis vector and weights were hashed on their integer
-cells. A refactor that claims
+cells. The full singular argvs S2 (A2), W8 and S5 (A1 windows of length 7
+and 11) and the full A3 argv were recorded before the unreduced singular
+search fed the Cartan loops h_{i,l} before the e_{i,m}. A refactor that claims
 unchanged answers must keep every hash; a change that means to alter a
 report updates its constant and says why."""
 
@@ -143,6 +145,22 @@ PINNED = [
         ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
          "--window", "L=9,N=3,H=2"),
         "d5a6e46a4dc39587e0f1cda70b2427c53e0b8482", id="S1-singular-full-A1"),
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+         "--window", "L=7,N=3,H=2"),
+        "196eedb10b153d093cfce82cfb11b788c801b017", id="W8-singular-full-A1"),
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+         "--window", "L=11,N=3,H=2"),
+        "4ec053c9480f138ab3f64222c7514c972d9f47a1", id="S5-singular-full-A1"),
+    pytest.param(
+        ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/2",
+         "--window", "L=5,N=2,H=3"),
+        "2ce3acb9a50f0633329b3de744e4d900b4d42881", id="S2-singular-full-A2"),
+    pytest.param(
+        ("singular", "--full", "--type", "A3", "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2",
+         "--window", "L=4,N=2,H=3"),
+        "596abdd20dcbf16648b280f3edf64e971f3159a6", id="singular-full-A3"),
     # a fractional lambda(c), so the scale takes its denominator too
     pytest.param(
         ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3,c=1/2",
