@@ -50,8 +50,21 @@ same); the category layer's explicit tables read them on ids too and
 divide by D once per coefficient (unscale). At the tuple boundary,
 act_monomial(key, n, mono) returns one image as a fresh {monomial: int}
 dict, and act() sums images, adds the c and d parts and unscales.
+
+The singular search feeds the raising operators in one order, that of
+annihilator_generators: in the module the Cartan loops h_i (x) t^l
+(0 < l <= N) come first, then the e_i (x) t^m; the reduced quotient has no
+Cartan loop. A Cartan loop kills v, commutes with every B-symbol up to the
+central term l (h_i|h_j) lambda(c), and sends F(gamma, n) to
+-gamma(h_i) F(gamma, n + l), so its rows are sparse and its images need no
+straightening beyond re-sorting. On A1 it acts on the F-part as
+multiplication by a power sum, which has no kernel. So the Cartan loops
+alone usually bring a space with s != 0 to full column rank, and the search
+stops before the first e_i (x) t^m. The order changes no answer: the rank
+does not depend on it, and the reduced row echelon form is unique.
 """
 
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -521,15 +534,13 @@ class VermaModule:
         - B total. Each part's sort key is built once, and the sort keys of
         distinct monomials differ, so the monomials are never compared. An s
         with a negative coordinate has no space, and an s higher than
-        window.H raises WindowOverflowError.
+        window.H, or an unreduced L too long to index (_max_length), raises
+        WindowOverflowError.
         """
         s = tuple(s)
         if any(x < 0 for x in s):
             return {}
-        if root_height(s) > window.H:
-            raise WindowOverflowError(
-                f"offset height {root_height(s)} exceeds window H={window.H}")
-        L, N = window.L, window.N
+        L, N = self._max_length(s, window), window.N
         # b_parts[j]: (sort key, B-part, B total) of the B-parts of j symbols
         colours = [] if self.reduced else \
             [("B", i, l) for i in range(1, self.rank + 1) for l in range(1, N + 1)]
@@ -574,16 +585,13 @@ class VermaModule:
         the rank-coloured partitions with parts at most N and at most L - f
         parts (only the empty one in the reduced module). A monomial files
         under k = F total - B total. Like weight_bases, an s with a
-        negative coordinate has no space and an s higher than window.H raises
-        WindowOverflowError.
+        negative coordinate has no space, and an s higher than window.H or an
+        unreduced L too long to index raises WindowOverflowError.
         """
         s = tuple(s)
         if any(x < 0 for x in s):
             return {}
-        if root_height(s) > window.H:
-            raise WindowOverflowError(
-                f"offset height {root_height(s)} exceeds window H={window.H}")
-        L, N = window.L, window.N
+        L, N = self._max_length(s, window), window.N
         # root multisets whose runs of equal roots have the same lengths have
         # the same F-part counts (equal roots are adjacent in a multiset)
         shapes = Counter(tuple(sorted(len(list(run)) for _, run in groupby(m)))
@@ -613,6 +621,29 @@ class VermaModule:
                     dims[i - low] = dims.get(i - low, 0) + c
         return dims
 
+    def _max_length(self, s, window):
+        """The longest monomial the window admits at the finite offset s,
+        after checking that s is no higher than window.H.
+
+        A monomial of offset s has at most ht(s) F-symbols, and a reduced
+        monomial has no other symbol, so the reduced length is
+        min(L, ht(s)) however long L is. An unreduced monomial may carry any
+        number of B-symbols, so its length is L itself; the enumeration
+        indexes B-parts by length and by B total, up to L * N, and an L
+        with L * N past the largest list index raises WindowOverflowError.
+        """
+        height = root_height(s)
+        if height > window.H:
+            raise WindowOverflowError(
+                f"offset height {height} exceeds window H={window.H}")
+        if self.reduced:
+            return min(window.L, height)
+        if window.L * window.N >= sys.maxsize:
+            raise WindowOverflowError(
+                f"window L={window.L} is too long to enumerate with N={window.N} "
+                "in the unreduced module")
+        return window.L
+
     def weight_dim(self, offset, window: TruncationWindow) -> int:
         """Exact count of PBW monomials at the offset (k, s) inside the
         window, read from weight_dims(s, window); k = None sums over every k.
@@ -628,7 +659,13 @@ class VermaModule:
     # -- singular vectors ----------------------------------------------------------
 
     def annihilator_generators(self, window: TruncationWindow):
-        """e_{i,m} for |m| <= N, plus h_{i,l} (0 < l <= N) in the unreduced case."""
+        """The windowed raising operators as (name, loop element): in the
+        unreduced module h_{i,l} (0 < l <= N) first, then e_{i,m} for
+        |m| <= N; in the reduced one only the e_{i,m}. Each list is in
+        (i, l) or (i, m) order. The Cartan loops go first because their
+        images are the cheapest and they are almost always injective where
+        s != 0 (see the module docstring); singular_vectors feeds its
+        batches in this order."""
         alg = self.algebra
         return [(name, alg.loop(alg.finite.element({key: 1}), n))
                 for name, key, n in self._raising_operators(window)]
@@ -637,14 +674,12 @@ class VermaModule:
         """The annihilator_generators as (name, key, n), each the single term
         key (x) t^n with coefficient 1, in the same order."""
         simple = self.algebra.finite.roots.simple_roots
-        ops = [(f"e{i}@{m}", ("x", simple[i - 1]), m)
-               for i in range(1, self.rank + 1)
-               for m in range(-window.N, window.N + 1)]
-        if not self.reduced:
-            ops += [(f"h{i}@{l}", ("h", i), l)
-                    for i in range(1, self.rank + 1)
-                    for l in range(1, window.N + 1)]
-        return ops
+        cartan = [] if self.reduced else [
+            (f"h{i}@{l}", ("h", i), l)
+            for i in range(1, self.rank + 1) for l in range(1, window.N + 1)]
+        return cartan + [(f"e{i}@{m}", ("x", simple[i - 1]), m)
+                         for i in range(1, self.rank + 1)
+                         for m in range(-window.N, window.N + 1)]
 
     def singular_vectors(self, offsets, window: TruncationWindow):
         """Basis of the joint kernel of all windowed raising operators.
@@ -656,7 +691,10 @@ class VermaModule:
         elimination. Each raising operator's rows (one per image monomial,
         from the int _act images of the interned basis monomials, scale times
         the true ones) go to the echelon as one batch, in
-        annihilator_generators order. Two kinds of operator are not applied:
+        annihilator_generators order: in the module the Cartan loops
+        h_{i,l} first, whose sparse rows usually reach full rank on their
+        own where s != 0, then the e_{i,m}. Two kinds of operator are not
+        applied:
 
         - once every basis monomial has a pivot, the kernel is empty and no
           further operator is applied;

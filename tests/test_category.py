@@ -85,6 +85,21 @@ def test_pair_rules_match_trial_action(typ, lam, height):
     assert None in pairs and {} in pairs
 
 
+def test_reduced_verma_tables_ignore_lengths_past_the_height():
+    # a reduced monomial of height at most 2 has at most 2 symbols
+    lam = parse_weight("h1=-1/2,h2=-1/3", 2)
+    tables = []
+    for length in (2, 10**6):
+        em = ExplicitModule.from_reduced_verma(
+            A2, lam, height=2, kmax=2, window=TruncationWindow(L=length, N=2, H=2),
+            loop_window=2)
+        data = em.to_json_dict()
+        meta = dict(data.pop("meta"))
+        assert meta.pop("window")["L"] == length
+        tables.append((meta, data))
+    assert tables[0] == tables[1]
+
+
 def test_cartan_loops_into_unstored_spaces_still_act():
     # h_{i,1} on F(alpha_3, 2)v targets k = 3, past kmax: alpha_3(h_1) = 0
     # kills the vector there, so the pair is a defined zero, while

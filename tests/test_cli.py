@@ -110,6 +110,23 @@ def test_verma_dims_user_window_below_offset_height_fails(capsys):
     assert err.strip() == "offset height 3 exceeds window H=2"
 
 
+def test_verma_dims_window_length_past_the_list_index(capsys):
+    # the reduced module caps the length at the offset height; the
+    # unreduced one uses L itself, and one that long is a one-line error
+    argv = ("verma-dims", "--type", "A1", "--lambda", "h1=-1/2", "--offset", "1",
+            "--delta-max", "2")
+    long = ("--window", "L=100000000000000000000,N=1,H=1")
+    code, out, err = run(capsys, *argv, "--reduced", *long)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == \
+        run(capsys, *argv, "--reduced", "--window", "L=1,N=1,H=1")[1].splitlines()[-3:]
+    code, out, err = run(capsys, *argv, *long)
+    assert (code, out) == (1, "")
+    assert err.strip() == ("window L=100000000000000000000 is too long to "
+                           "enumerate with N=1 in the unreduced module")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_verma_dims_counts_without_enumerating(capsys, monkeypatch, fmt):
     argv = ("verma-dims", "--type", "A2", "--offset", "2,1", "--format", fmt,

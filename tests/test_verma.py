@@ -5,6 +5,7 @@ nilpotency against closed-form sl2 Verma coefficients, the singular-vector
 search against the dense oracle over every raising operator's rows, and the
 integer straightening coefficients."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -169,6 +170,33 @@ def test_offset_height_over_window_rejected():
         mod.basis_monomials((0, (5,)), TruncationWindow(L=2, N=2, H=2))
     with pytest.raises(WindowOverflowError):
         mod.weight_bases((5,), TruncationWindow(L=2, N=2, H=2))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "C2"])
+def test_reduced_length_is_capped_at_the_offset_height(label):
+    # a reduced monomial of offset s has at most ht(s) symbols, so a window
+    # of length 10**6 has the spaces and singular vectors of one of length H
+    a = aff(label)
+    mod = VermaModule(a, Weight.make([0] * a.rank), reduced=True)
+    short, long = TruncationWindow(L=2, N=2, H=2), TruncationWindow(L=10**6, N=2, H=2)
+    offsets = offsets_up_to(a.rank, 2)
+    for _, s in offsets:
+        assert mod.weight_dims(s, long) == mod.weight_dims(s, short)
+        assert mod.weight_bases(s, long) == mod.weight_bases(s, short)
+    found = mod.singular_vectors(offsets, long)
+    assert found == mod.singular_vectors(offsets, short)
+    assert any(any(s) for (_, s), _ in found)
+
+
+def test_unreduced_length_past_the_list_index_rejected():
+    # the unreduced listing indexes B-parts by length and by B total, which
+    # reaches L * N
+    mod = VermaModule(A1, LAM_HALF, reduced=False)
+    window = TruncationWindow(L=10**20, N=1, H=1)
+    with pytest.raises(WindowOverflowError, match="L=100000000000000000000"):
+        mod.weight_dims((1,), window)
+    with pytest.raises(WindowOverflowError):
+        mod.weight_bases((1,), window)
 
 
 DIMS_TYPES = ["A1", "A2", "B2", "C2", "G2", "A3"]
@@ -618,17 +646,52 @@ def search_with_calls(mod, offsets, window):
         del mod._act
 
 
-def test_singular_search_stops_applying_operators_at_full_rank():
-    # most weight spaces reach full column rank before the last raising
-    # operator, so fewer actions are computed for the same kernel
-    mod = VermaModule(A1, LAM_HALF, reduced=False)
-    window = TruncationWindow(L=3, N=2, H=2)
-    offsets = offsets_up_to(1, 2)
-    want = all_operator_kernel(mod, offsets, window)
+@pytest.mark.parametrize("integral, c", [(False, 0), (False, Fraction(1, 2)), (True, 0)],
+                         ids=["half", "central", "integral"])
+@pytest.mark.parametrize("label, window_text", [
+    ("A1", "L=3,N=2,H=2"), ("A2", "L=3,N=1,H=2"), ("C2", "L=3,N=1,H=2"),
+    ("G2", "L=2,N=1,H=2"), ("A3", "L=2,N=1,H=2")])
+def test_singular_search_stops_applying_operators_at_full_rank(label, window_text,
+                                                               integral, c):
+    # the unreduced module feeds the Cartan loops h_{i,l} first; they reach
+    # full column rank on every space with s != 0, so no e_{i,m} is applied
+    # there, and e_{i,m} vanishes by weight at s = 0
+    a = aff(label)
+    lam = Weight.make([0 if integral else Fraction(-1, 2 + i) for i in range(a.rank)], c)
+    mod = VermaModule(a, lam, reduced=False)
+    window = parse_window(window_text)
+    gens = [name for name, _ in mod.annihilator_generators(window)]
+    cartan = a.rank * window.N
+    assert all(name.startswith("h") for name in gens[:cartan])
+    assert all(name.startswith("e") for name in gens[cartan:])
+    offsets = offsets_up_to(a.rank, window.H)
     found, calls = search_with_calls(mod, offsets, window)
-    assert found == want
+    assert found == all_operator_kernel(mod, offsets, window)
+    assert calls and all(key[0] == "h" for key, _, _ in calls)
     per_operator = sum(len(mod.basis_monomials(off, window)) for off in offsets)
-    assert 0 < len(calls) < per_operator * len(mod.annihilator_generators(window))
+    assert len(calls) < per_operator * len(gens)
+
+
+@pytest.mark.parametrize("label, lam_text, window_text, count, sha1", [
+    ("A2", "h1=-1/2,h2=-1/3", "L=3,N=2,H=2", 214,
+     "d31c3b5d1dd97d9853de8fedbbc599953bae2668"),
+    ("C2", "h1=0,h2=-1/2", "L=3,N=1,H=2", 86,
+     "2d1e28e808cc9184b7e12a02d797e6ae747c3e8e"),
+])
+def test_reduced_singular_search_calls_are_pinned(label, lam_text, window_text,
+                                                  count, sha1):
+    # the reduced module has no Cartan loops: it applies the e_{i,m} in
+    # (i, m) order, and its calls were recorded before the unreduced module
+    # moved its Cartan loops first
+    a = aff(label)
+    mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=True)
+    window = parse_window(window_text)
+    assert [name for name, _ in mod.annihilator_generators(window)] == \
+        [f"e{i}@{m}" for i in range(1, a.rank + 1)
+         for m in range(-window.N, window.N + 1)]
+    _, calls = search_with_calls(mod, offsets_up_to(a.rank, window.H), window)
+    assert len(calls) == count
+    assert hashlib.sha1(repr(calls).encode()).hexdigest() == sha1
 
 
 @pytest.mark.parametrize("reduced", [True, False], ids=["reduced", "full"])
