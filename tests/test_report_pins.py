@@ -32,7 +32,12 @@ category stretch argv C1 and the A1 category-check argvs at nilpotency caps
 block instead of per basis vector and weights were hashed on their integer
 cells. The full singular argvs S2 (A2), W8 and S5 (A1 windows of length 7
 and 11) and the full A3 argv were recorded before the unreduced singular
-search fed the Cartan loops h_{i,l} before the e_{i,m}. A refactor that claims
+search fed the Cartan loops h_{i,l} before the e_{i,m}. The category-split
+argvs that print the (ii), (iii) and (iv) verdicts with their checked and
+skipped counts (scrambled A1 and A2 sums of three summands at H=1, the single
+A1 summand at H=2 and a scrambled A2 sum at H=2) were recorded before the
+split and those verdicts read one action map per generator instead of one
+table per (generator, weight) pair. A refactor that claims
 unchanged answers must keep every hash; a change that means to alter a
 report updates its constant and says why."""
 
@@ -201,6 +206,29 @@ PINNED = [
          "--window", "L=3,N=4,H=2", "--kmax", "4", "--gwindow", "3",
          "--nilpotency-cap", "1"),
         "bfd7e0bb9a1935327daa8cb4ff5137dc4855a437", id="check-A1-H2-cap1"),
+    # the split and its (ii)-(iv) verdicts with checked and skipped counts
+    pytest.param(
+        ("category-split", "--type", "A1",
+         "--summands", "h1=-3/4|h1=-7/4|h1=-19/4",
+         "--window", "L=4,N=5,H=1", "--kmax", "5", "--gwindow", "4",
+         "--scramble", "3"),
+        "45c08fd2d7616f8912c8fae7f3e9c09e8c97873d", id="split-A1-three"),
+    pytest.param(
+        ("category-split", "--type", "A2",
+         "--summands", "h1=1/4,h2=-7/4|h1=-3/4,h2=-7/4|h1=-7/4,h2=-3/4",
+         "--window", "L=3,N=4,H=1", "--kmax", "4", "--gwindow", "3",
+         "--scramble", "7"),
+        "97c5972ec9af4d64413bfe77e12d5ab5a2c98dff", id="split-A2-three"),
+    pytest.param(
+        ("category-split", "--type", "A1", "--summands", "h1=-1/2",
+         "--window", "L=3,N=4,H=2", "--kmax", "4", "--gwindow", "3"),
+        "610af48b07127a0e38573fc5354b2f78060a5ee9", id="split-A1-H2"),
+    pytest.param(
+        ("category-split", "--type", "A2",
+         "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
+         "--window", "L=3,N=3,H=2", "--kmax", "3", "--gwindow", "2",
+         "--scramble", "5"),
+        "b178267a67b4a3df5af3f10134f42f6c114d0f58", id="split-A2-H2"),
     pytest.param(
         ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
         "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),
