@@ -6,10 +6,12 @@ ignored. Results go out as sparse rows {column: Fraction} that store no zero,
 keyed in ascending column order. Inside, each nonzero row becomes a primitive
 integer row {column: int}: it is scaled by the lcm of its denominators and
 divided by the gcd of its entries; an all-int row, such as an action row of
-the singular search, skips the denominator pass. Rows are reduced one at a
-time against the pivot rows found so far, fraction-free (r <- a*r - b*p, in
-the spirit of Bareiss, Math. Comp. 22 (1968), then the content is divided
-out), so no rational arithmetic happens during elimination.
+the singular search, skips the denominator pass, and a one-entry row {j: x}
+becomes {j: 1} or {j: -1} by the sign of x, with neither pass. Rows are
+reduced one at a time against the pivot rows found so far, fraction-free
+(r <- a*r - b*p, in the spirit of Bareiss, Math. Comp. 22 (1968), then the
+content is divided out), so no rational arithmetic happens during
+elimination.
 
 Echelon holds that state and is fed batches of rows; rref, rank and nullspace
 feed it one batch. Elimination stops as soon as every column has a pivot
@@ -23,7 +25,8 @@ Management Sci. 3 (1957), and of structured Gaussian elimination,
 LaMacchia-Odlyzko 1990):
 
 - feed order: each batch's rows are eliminated fewest nonzeros first (a
-  stable sort, so equal lengths keep their batch order);
+  stable sort, so equal lengths keep their batch order; a batch of one row
+  is not sorted);
 - pivot rule: a row is reduced at its highest column, so a stored row's pivot
   is its largest column;
 - read-out: a full echelon's reduced row echelon form is the identity and its
@@ -48,7 +51,11 @@ def _without_content(row):
 
 
 def _primitive(row):
-    """Primitive integer {column: int} proportional to a sparse row; {} if zero."""
+    """Primitive integer {column: int} proportional to a sparse row; {} if zero.
+    A one-entry row {j: x} is {j: 1} or {j: -1}, with no gcd or lcm pass."""
+    if len(row) == 1:
+        (j, x), = row.items()
+        return {j: 1} if x > 0 else {j: -1} if x else {}
     if all(type(x) is int for x in row.values()):
         return _without_content({j: x for j, x in row.items() if x})
     nz = [(j, x.numerator, x.denominator) for j, x in row.items() if x]
@@ -125,7 +132,7 @@ class Echelon:
             if row and not (min(row) >= 0 and max(row) < ncols):
                 raise ValueError(f"column outside range({ncols})")
         pivots = self.pivots
-        for row in sorted(rows, key=len):
+        for row in rows if len(rows) == 1 else sorted(rows, key=len):
             if len(pivots) == ncols:
                 break
             _insert(pivots, _primitive(row), max)

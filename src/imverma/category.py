@@ -39,7 +39,9 @@ computed per weight space over the reduced-admissible weights; weight spaces
 outside h*_red are reported as excluded (they already violate the
 diagonalizability axiom, and torsion candidates in the source theory carry
 reduced-admissible weights). The torsion-free part is the span of the
-Heisenberg images arriving from neighboring weight spaces.
+Heisenberg images arriving from neighboring weight spaces. The split and its
+verdicts read each generator's blocks and targets once, as one map per
+generator, never through table() one (generator, weight) pair at a time.
 
 The decomposition pipeline: torsion basis -> iterated e_{i,0}-power extraction
 of vectors annihilated by every windowed e_{j,n} -> summand weights -> exact
@@ -728,20 +730,6 @@ class GCompatibleSplit:
         return all(v["passed"] for v in self.verdicts.values())
 
 
-def g_kernel_raw(module: ExplicitModule, widx, gwindow):
-    """Joint kernel of all defined Heisenberg generators at one weight space."""
-    n = module.dim(widx)
-    rows = []
-    used = 0
-    for gk in heisenberg_keys(module.algebra, gwindow):
-        entry = module.table(gk, widx)
-        if entry is None:
-            continue
-        used += 1
-        rows.extend(_transpose(entry[0]).values())
-    return nullspace(rows, n) if used else None, used
-
-
 def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
     """Split V = T + TF over the reduced-admissible weight spaces.
 
@@ -753,8 +741,15 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
     shifts). Spaces where T + TF falls short of the whole space are reported
     deficient; spaces with no evaluable generator are unchecked; weights
     outside h*_red are excluded (axiom (1) already fails there).
+
+    Each generator's blocks and targets are read once, as one map: T, the
+    arrivals and verdict (iv) read one per Heisenberg key, (ii) one list per
+    degree-l slice (and the slice -l for onto), (iii) one per generator.
     """
     split = GCompatibleSplit(module, gwindow)
+    # per Heisenberg key, in heisenberg_keys order; an absent key defines no pair
+    hmaps = [(module.defined.get(gk, {}), module.targets.get(gk, {}))
+             for gk in heisenberg_keys(module.algebra, gwindow)]
     admissible = []
     for widx, w in enumerate(module.weights):
         if module.dim(widx) == 0:
@@ -762,11 +757,13 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
         if not w.is_reduced_admissible():
             split.excluded.append(widx)
             continue
-        kernel, used = g_kernel_raw(module, widx, gwindow)
-        if kernel is None:
+        blocks = [per_src[widx] for per_src, _ in hmaps if widx in per_src]
+        if not blocks:
             split.unchecked.append(widx)
             continue
         admissible.append(widx)
+        rows = [row for block in blocks for row in _transpose(block).values()]
+        kernel = nullspace(rows, module.dim(widx))
         if kernel:
             split.torsion[widx] = kernel
     if split.unchecked and not admissible:
@@ -775,9 +772,9 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
             "admissible weight space")
     # TF per space: span of all arriving Heisenberg images
     arrivals = {widx: [] for widx in admissible}
-    for gk in heisenberg_keys(module.algebra, gwindow):
-        for src in module.defined.get(gk, ()):
-            mat, tgt, _ = module.table(gk, src)
+    for per_src, targets in hmaps:
+        for src, mat in per_src.items():
+            tgt = targets[src]
             if tgt in arrivals:
                 arrivals[tgt].extend(mat.values())
     for widx in admissible:
@@ -793,11 +790,12 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
                 f"{widx}; the split is not direct")
         if joint != n:
             split.deficient.append(widx)
-    _check_axioms(split)
+    _check_axioms(split, hmaps)
     return split
 
 
-def _check_axioms(split: GCompatibleSplit):
+def _check_axioms(split: GCompatibleSplit, hmaps):
+    """The verdicts of a split, given torsion_decompose's Heisenberg maps."""
     module = split.module
     gwindow = split.gwindow
     hkeys = heisenberg_keys(module.algebra, gwindow)
@@ -814,13 +812,13 @@ def _check_axioms(split: GCompatibleSplit):
     iv_fail = []
     iv_skip = 0
     for widx, rows in split.torsion.items():
-        for gk in hkeys:
-            entry = module.table(gk, widx)
-            if entry is None:
+        for gk, (per_src, _) in zip(hkeys, hmaps):
+            block = per_src.get(widx)
+            if block is None:
                 iv_skip += 1
                 continue
             for row in rows:
-                if _image(entry[0], row):
+                if _image(block, row):
                     iv_fail.append({"generator": gen_name(module.algebra, *gk),
                                     "weight_index": widx})
     split.verdicts["iv"] = {"passed": not iv_fail, "violations": iv_fail,
@@ -833,23 +831,25 @@ def _check_axioms(split: GCompatibleSplit):
     surj_fail = []
     checked = 0
     skipped = 0
-    gens = range(1, module.algebra.rank + 1)
-    degrees = [l for l in range(-gwindow, gwindow + 1) if l]
+    slices = {}  # l -> the maps of h_{1,l}, ..., h_{r,l}, l ascending
+    for ((_, l), hmap) in zip(hkeys, hmaps):
+        slices.setdefault(l, []).append(hmap)
     for widx, tf_rows in split.torsion_free.items():
-        for l in degrees:
-            entries = [module.table((("h", i), l), widx) for i in gens]
-            if None in entries:
+        for l, maps in slices.items():
+            blocks = [per_src.get(widx) for per_src, _ in maps]
+            if None in blocks:
                 skipped += 1
                 continue
             checked += 1
-            _, tgt, ntgt = entries[0]
-            images = [[_image(mat, row) for row in tf_rows] for mat, _, _ in entries]
+            tgt = maps[0][1][widx]
+            ntgt = 0 if tgt is None else module.dim(tgt)
+            images = [[_image(mat, row) for row in tf_rows] for mat in blocks]
             # v -> (h_{1,l} v, ..., h_{r,l} v), one column block per generator
             stacked = [{c + i * ntgt: x for i, imgs in enumerate(images)
                         for c, x in imgs[j].items()} for j in range(len(tf_rows))]
-            if rank(stacked, len(gens) * ntgt) != len(tf_rows):
+            if rank(stacked, len(blocks) * ntgt) != len(tf_rows):
                 inj_fail.append({"degree": l, "weight_index": widx})
-            if all(module.table((("h", i), -l), tgt) is not None for i in gens):
+            if all(tgt in per_src for per_src, _ in slices[-l]):
                 spanned = rank([img for imgs in images for img in imgs], ntgt)
                 if spanned != len(split.torsion_free.get(tgt, [])):
                     surj_fail.append({"degree": l, "weight_index": widx})
@@ -867,21 +867,19 @@ def _check_axioms(split: GCompatibleSplit):
     annihilators = {w: nullspace(split.torsion_free.get(w, []), module.dim(w))
                     for w in range(len(module.weights)) if w not in outside}
     iii_candidates = []
-    gkeys = module.generator_keys()
+    gmaps = [(module.defined[gk], module.targets[gk]) for gk in module.generator_keys()]
     for widx, tf_rows in split.torsion_free.items():
         n = module.dim(widx)
         escape_rows = []
-        for gk in gkeys:
-            entry = module.table(gk, widx)
-            if entry is None:
+        for per_src, targets in gmaps:
+            mat = per_src.get(widx)
+            if mat is None or targets[widx] is None:
                 continue
-            mat, tgt, ntgt = entry
-            if tgt is None:
-                continue
+            tgt = targets[widx]
             # one row per functional, zero rows kept: a constrained TF is tested
             rows = _transpose(mat)
             if tgt in outside:
-                escape_rows.extend(rows.get(r, {}) for r in range(ntgt))
+                escape_rows.extend(rows.get(r, {}) for r in range(module.dim(tgt)))
             else:
                 escape_rows.extend(_image(rows, a) for a in annihilators[tgt])
         if not escape_rows:

@@ -8,9 +8,10 @@ window symbols instead of pruned PBW enumeration, symbol-by-symbol weight
 offsets, repeated application of VermaModule.act for nilpotency degrees,
 trial action on every table pair instead of pair rules read from the target
 weights, axiom (2) one basis vector at a time instead of one chain per
-(generator, weight) block), so an agreement is meaningful. sparse_rows and
-dense_rows convert between the dense test matrices and the sparse rows the
-package kernels take and return.
+(generator, weight) block, the torsion split and its verdicts one (generator,
+weight) table at a time instead of one map per generator), so an agreement is
+meaningful. sparse_rows and dense_rows convert between the dense test matrices
+and the sparse rows the package kernels take and return.
 
 The last section holds the checks the tests run on library objects and that
 the library itself never calls: annihilation of singular vectors beyond the
@@ -24,11 +25,13 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from imverma._kernels import rank, rref
+from imverma._kernels import nullspace, rank, rref
 from imverma.affine import affine_bracket
-from imverma.category import (ExplicitModule, UndefinedActionError, _image,
-                              _nilpotency, gen_name, heisenberg_keys, loop_keys,
+from imverma.category import (ExplicitModule, GCompatibleSplit,
+                              UndefinedActionError, _image, _nilpotency,
+                              _transpose, gen_name, heisenberg_keys, loop_keys,
                               raising_keys, windowed_spaces)
+from imverma.errors import ModuleDataError
 from imverma.finite import add_scaled
 from imverma.verma import VermaModule, Weight, monomial_name, symbol_sort_key
 
@@ -329,6 +332,162 @@ def axiom2_by_basis_vector(module, gwindow, cap):
                     checked += 1
     return {"passed": not fails, "violations": fails, "checked": checked,
             "inconclusive": inconclusive, "cap": cap}
+
+
+def g_kernel_raw(module, widx, gwindow):
+    """(joint kernel of the Heisenberg generators defined at one weight space,
+    read one table at a time, or None where none is; their number)."""
+    n = module.dim(widx)
+    rows = []
+    used = 0
+    for gk in heisenberg_keys(module.algebra, gwindow):
+        entry = module.table(gk, widx)
+        if entry is None:
+            continue
+        used += 1
+        rows.extend(_transpose(entry[0]).values())
+    return nullspace(rows, n) if used else None, used
+
+
+def torsion_decompose_by_pair(module, gwindow):
+    """torsion_decompose one (generator, weight) pair at a time: every block
+    and target, for the torsion kernel, the arrivals and verdicts (ii)-(iv),
+    is read through ExplicitModule.table at that pair."""
+    split = GCompatibleSplit(module, gwindow)
+    hkeys = heisenberg_keys(module.algebra, gwindow)
+    admissible = []
+    for widx, w in enumerate(module.weights):
+        if module.dim(widx) == 0:
+            continue
+        if not w.is_reduced_admissible():
+            split.excluded.append(widx)
+            continue
+        kernel, _ = g_kernel_raw(module, widx, gwindow)
+        if kernel is None:
+            split.unchecked.append(widx)
+            continue
+        admissible.append(widx)
+        if kernel:
+            split.torsion[widx] = kernel
+    if split.unchecked and not admissible:
+        raise ModuleDataError(
+            "window too small: no Heisenberg generator is evaluable on any "
+            "admissible weight space")
+    arrivals = {widx: [] for widx in admissible}
+    for gk in hkeys:
+        for src in module.defined.get(gk, ()):
+            mat, tgt, _ = module.table(gk, src)
+            if tgt in arrivals:
+                arrivals[tgt].extend(mat.values())
+    for widx in admissible:
+        n = module.dim(widx)
+        tf, _ = rref(arrivals[widx], n)
+        if tf:
+            split.torsion_free[widx] = tf
+        t_rows = split.torsion.get(widx, [])
+        joint = rank(t_rows + tf, n)
+        if joint != len(t_rows) + len(tf):
+            raise ModuleDataError(
+                f"Heisenberg images meet the torsion kernel at weight index "
+                f"{widx}; the split is not direct")
+        if joint != n:
+            split.deficient.append(widx)
+    _check_axioms_by_pair(split)
+    return split
+
+
+def _check_axioms_by_pair(split):
+    module = split.module
+    gwindow = split.gwindow
+    hkeys = heisenberg_keys(module.algebra, gwindow)
+    t_dim = split.torsion_dim()
+    tf_dim = sum(len(v) for v in split.torsion_free.values())
+    split.verdicts["i"] = {
+        "passed": t_dim > 0 and tf_dim > 0 and not split.deficient,
+        "torsion_dim": t_dim, "torsion_free_dim": tf_dim,
+        "excluded_weight_spaces": len(split.excluded),
+        "unchecked_weight_spaces": len(split.unchecked),
+        "deficient_weight_spaces": split.deficient,
+    }
+    iv_fail = []
+    iv_skip = 0
+    for widx, rows in split.torsion.items():
+        for gk in hkeys:
+            entry = module.table(gk, widx)
+            if entry is None:
+                iv_skip += 1
+                continue
+            for row in rows:
+                if _image(entry[0], row):
+                    iv_fail.append({"generator": gen_name(module.algebra, *gk),
+                                    "weight_index": widx})
+    split.verdicts["iv"] = {"passed": not iv_fail, "violations": iv_fail,
+                            "skipped": iv_skip}
+    inj_fail = []
+    surj_fail = []
+    checked = 0
+    skipped = 0
+    gens = range(1, module.algebra.rank + 1)
+    for widx, tf_rows in split.torsion_free.items():
+        for l in (l for l in range(-gwindow, gwindow + 1) if l):
+            entries = [module.table((("h", i), l), widx) for i in gens]
+            if None in entries:
+                skipped += 1
+                continue
+            checked += 1
+            _, tgt, ntgt = entries[0]
+            images = [[_image(mat, row) for row in tf_rows] for mat, _, _ in entries]
+            stacked = [{c + i * ntgt: x for i, imgs in enumerate(images)
+                        for c, x in imgs[j].items()} for j in range(len(tf_rows))]
+            if rank(stacked, len(gens) * ntgt) != len(tf_rows):
+                inj_fail.append({"degree": l, "weight_index": widx})
+            if all(module.table((("h", i), -l), tgt) is not None for i in gens):
+                spanned = rank([img for imgs in images for img in imgs], ntgt)
+                if spanned != len(split.torsion_free.get(tgt, [])):
+                    surj_fail.append({"degree": l, "weight_index": widx})
+            else:
+                skipped += 1
+    split.verdicts["ii"] = {"passed": not inj_fail and not surj_fail,
+                            "injectivity_violations": inj_fail,
+                            "surjectivity_violations": surj_fail,
+                            "checked": checked, "skipped": skipped}
+    outside = set(split.excluded + split.unchecked + split.deficient)
+    annihilators = {w: nullspace(split.torsion_free.get(w, []), module.dim(w))
+                    for w in range(len(module.weights)) if w not in outside}
+    iii_candidates = []
+    for widx, tf_rows in split.torsion_free.items():
+        n = module.dim(widx)
+        escape_rows = []
+        for gk in module.generator_keys():
+            entry = module.table(gk, widx)
+            if entry is None or entry[1] is None:
+                continue
+            mat, tgt, ntgt = entry
+            rows = _transpose(mat)
+            if tgt in outside:
+                escape_rows.extend(rows.get(r, {}) for r in range(ntgt))
+            else:
+                escape_rows.extend(_image(rows, a) for a in annihilators[tgt])
+        if not escape_rows:
+            continue
+        kernel = nullspace(escape_rows, n)
+        if kernel and rank(kernel + tf_rows, n) < len(kernel) + len(tf_rows):
+            iii_candidates.append({"weight_index": widx})
+    split.verdicts["iii"] = {
+        "passed": not iii_candidates,
+        "candidate_invariant_subspaces": iii_candidates,
+        "note": f"verified within window (loop degrees <= {gwindow}); "
+                "no finite criterion exists beyond the window",
+    }
+    isolated = {}
+    for widx in split.torsion:
+        w = module.weights[widx]
+        isolated[widx] = True
+        for l in range(-gwindow, gwindow + 1):
+            nid = module.windex.get(Weight(w.h_values, w.c_value, w.d_value + l))
+            if l and nid is not None and nid in split.torsion:
+                isolated[widx] = False
+    split.verdicts["torsion_isolated"] = {"passed": True, "by_weight": isolated}
 
 
 def reduced_verma_by_trial_action(algebra, lam, height, kmax, window, loop_window):

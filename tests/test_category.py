@@ -20,14 +20,15 @@ from imverma.category import (ExplicitModule, _mat_mul, _transpose,
                               audit_decomposition, build_loop_module,
                               check_category_membership,
                               decompose_into_reduced_vermas,
-                              extract_annihilated_vector, g_kernel_raw, gen_name,
+                              extract_annihilated_vector, gen_name,
                               heisenberg_slice, parse_gen, sl2_irrep_matrices,
                               torsion_decompose)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
 from oracles import (axiom2_by_basis_vector, block_violations,
-                     check_bracket_compatibility, dense_mat_mul,
+                     check_bracket_compatibility, dense_mat_mul, g_kernel_raw,
                      reduced_verma_by_trial_action, sparse_rows, t_projection,
-                     torsion_free_restriction, weight_shift)
+                     torsion_decompose_by_pair, torsion_free_restriction,
+                     weight_shift)
 
 
 def aff(label):
@@ -367,6 +368,85 @@ def test_split_rejects_window_without_heisenberg_tables():
     em = _line_module({}, {"e1@0": [0]}, ds=("0",))
     with pytest.raises(ModuleDataError, match="window too small"):
         torsion_decompose(em, 1)
+
+
+def _split_fields(split_fn, module, gwindow):
+    """Everything a split reports, or the message of the error it raises."""
+    try:
+        split = split_fn(module, gwindow)
+    except ModuleDataError as ex:
+        return str(ex)
+    return (split.torsion, split.torsion_free, split.excluded, split.unchecked,
+            split.deficient, split.verdicts)
+
+
+A2_THREE = ("h1=1/4,h2=-7/4", "h1=-3/4,h2=-7/4", "h1=-7/4,h2=-3/4")
+# name -> (module, gwindow); the reduced stores keep tables up to loop degree 2
+SPLIT_MODULES = {
+    "A1-H1": lambda: (_reduced(A1, "h1=-1/2", 1, 3, TruncationWindow(3, 3, 1)), 2),
+    "A1-H2": lambda: (_reduced(A1, "h1=-1/2", 2, 3, TruncationWindow(3, 3, 2)), 2),
+    "A2-H1": lambda: (_reduced(A2, A2_LAMS[0], 1, 2, TruncationWindow(3, 2, 1)), 2),
+    "A2-H2": lambda: (_reduced(A2, A2_LAMS[0], 2, 2, TruncationWindow(3, 2, 2)), 2),
+    "C2-H1": lambda: (_reduced(aff("C2"), A2_LAMS[0], 1, 2,
+                               TruncationWindow(3, 2, 1)), 2),
+    "C2-H2": lambda: (_reduced(aff("C2"), A2_LAMS[0], 2, 2,
+                               TruncationWindow(3, 2, 2)), 2),
+    "A1-two-scrambled": lambda: (ExplicitModule.direct_sum(
+        [_reduced(A1, lam, 1, 3, TruncationWindow(3, 3, 1))
+         for lam in ("h1=-1/2", "h1=-3/2")]).scrambled(11), 2),
+    "A2-three-scrambled": lambda: (ExplicitModule.direct_sum(
+        [_reduced(A2, lam, 1, 3, TruncationWindow(3, 3, 1))
+         for lam in A2_THREE]).scrambled(7), 2),
+    # h1@1 is undefined at d = 2 and h1@-1 at d = 0 and 3, all populated;
+    # h1@1 kills v3, so T = <v3> and (iv) skips h1@-1 there
+    "undefined-heisenberg-pair": lambda: (_line_module(
+        {"h1@1": [[1, 0, "1"], [2, 1, "1"]], "h1@-1": [[0, 1, "1"], [1, 2, "1"]]},
+        {"h1@1": [0, 1, 3], "h1@-1": [1, 2]}, ds=("0", "1", "2", "3")), 1),
+    # h1@1 at d = 1 and h1@-1 at d = 0 are defined zeros into unstored spaces
+    "zero-block-unstored-target": lambda: (_line_module(
+        {"h1@1": [[1, 0, "1"]], "h1@-1": [[0, 1, "1"]]},
+        {"h1@1": [0, 1], "h1@-1": [0, 1]}, ds=("0", "1")), 1),
+    "sl2-loop": lambda: (build_loop_module(A1, sl2_irrep_matrices(3), 3, 3), 3),
+    "escape-candidates": lambda: (_escape_module(), 1),
+    # TF = <a, b> at d = 1, but h1@1 carries v0 only onto a and h1@-1 v2
+    # only onto b: two surjectivity violations
+    "images-short-of-tf": lambda: (ExplicitModule.from_json_dict({
+        "algebra": {"label": "A1"},
+        "weights": [{"h": ["-1/2"], "c": "0", "d": d} for d in ("0", "1", "2")],
+        "basis": [{"label": lab, "weight": w}
+                  for lab, w in (("v0", 0), ("a", 1), ("b", 1), ("v2", 2))],
+        "actions": {"h1@1": [[1, 0, "1"], [3, 1, "1"], [3, 2, "1"]],
+                    "h1@-1": [[0, 1, "1"], [2, 3, "1"]]},
+        "defined": {"h1@1": [0, 1], "h1@-1": [1, 2]},
+    }), 1),
+    # h1@1 kills v1, which arrives from both sides: an injectivity violation
+    "slice-kills-tf": lambda: (_line_module(
+        {"h1@1": [[1, 0, "1"]], "h1@-1": [[0, 1, "1"], [1, 2, "1"]]},
+        {"h1@1": [0, 1], "h1@-1": [1, 2]}), 1),
+    # the module of the check-A3-H2 pin: arrivals meet the torsion kernel
+    "check-A3-H2": lambda: (_reduced(aff("A3"), "h1=-1/2,h2=-1/3,h3=-1/5", 2, 2,
+                                     TruncationWindow(3, 2, 2)), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SPLIT_MODULES))
+def test_split_matches_per_pair_reference(name):
+    module, gwindow = SPLIT_MODULES[name]()
+    got = _split_fields(torsion_decompose, module, gwindow)
+    assert got == _split_fields(torsion_decompose_by_pair, module, gwindow)
+    if name == "check-A3-H2":
+        assert "meet the torsion kernel" in got
+
+
+def test_split_reads_no_table(monkeypatch):
+    built = [SPLIT_MODULES[name]() for name in SPLIT_MODULES]
+
+    def refuse(self, gkey, src_widx):
+        raise AssertionError("the split read a table one pair at a time")
+
+    monkeypatch.setattr(ExplicitModule, "table", refuse)
+    for module, gwindow in built:
+        _split_fields(torsion_decompose, module, gwindow)
 
 
 # -- membership --------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Exact row reduction: planted-rank oracles, nullspace verification,
 agreement with the independent dense Gauss-Jordan reference in oracles.py,
 the incremental echelon fed in batches, results that do not depend on the
-order rows are fed in, and a count guard on the elimination order.
+order rows are fed in, one-entry rows, and a count guard on the elimination
+order.
 
 The kernels take and return sparse rows {column: value}; the dense test
 matrices are converted at this boundary (oracles.sparse_rows / dense_rows)."""
@@ -282,3 +283,53 @@ def test_echelon_batch_after_full_rank_rejects_bad_column(bad):
     with pytest.raises(ValueError, match=r"column outside range\(3\)"):
         echelon.feed([{0: 1}, {bad: 2}])
     assert echelon.rank() == 3
+
+
+ONE_ENTRY = [
+    pytest.param([{1: 3}], id="int-positive"),
+    pytest.param([{2: -4}, {0: 7}], id="int-negative"),
+    pytest.param([{1: Fraction(-6, 5)}], id="fraction-negative-non-unit"),
+    pytest.param([{0: 0, 2: -5}], id="stored-zero-beside-nonzero"),
+    pytest.param([{1: 0}], id="all-zero-int"),
+    pytest.param([{2: Fraction(0)}, {0: 0, 1: 0}], id="all-zero-stored"),
+    # one-entry rows eliminated against, and into, longer rows
+    pytest.param([{0: 2, 2: 3}, {2: -3}, {1: Fraction(-4, 9)}, {0: 1, 1: 1, 2: 1}],
+                 id="mixed-lengths"),
+]
+
+
+@pytest.mark.parametrize("rows", ONE_ENTRY)
+def test_one_entry_rows_match_dense(rows):
+    n = 3
+    dense = [[Fraction(row.get(j, 0)) for j in range(n)] for row in rows]
+    before = [dict(row) for row in rows]
+    ech, piv = dense_rref(dense)
+    got, got_piv = rref(rows, n)
+    assert_output_rows(got, n)
+    assert (dense_rows(got, n), got_piv) == (ech, piv)
+    assert rank(rows, n) == len(piv)
+    ns = nullspace(rows, n)
+    assert_output_rows(ns, n)
+    assert dense_rows(ns, n) == gauss_solve_nullspace(dense, n)
+    assert rows == before
+
+
+def test_one_entry_row_is_a_signed_unit():
+    for x, unit in ((3, 1), (-4, -1), (Fraction(-6, 5), -1), (Fraction(7, 2), 1)):
+        got = sparse._primitive({4: x})
+        assert got == {4: unit} and type(got[4]) is int
+    assert sparse._primitive({4: 0}) == {} and sparse._primitive({4: Fraction(0)}) == {}
+
+
+@pytest.mark.parametrize("bad", [pytest.param(-1, id="column-minus-1"),
+                                 pytest.param(2, id="column-ncols")])
+def test_one_row_batch_after_full_rank(bad):
+    echelon = Echelon(2).feed([{0: Fraction(-6, 5)}])
+    assert echelon.nullspace() == [{1: 1}]
+    echelon.feed([{1: -4}])
+    assert echelon.full and echelon.nullspace() == []
+    echelon.feed([{0: 9}])
+    assert echelon.rank() == 2
+    with pytest.raises(ValueError, match=r"column outside range\(2\)"):
+        echelon.feed([{bad: 1}])
+    assert echelon.rank() == 2

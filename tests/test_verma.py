@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import imverma
 from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
@@ -114,6 +115,19 @@ def test_rank2_mixed_offset_enumeration():
     for n in (1, 2, 3):
         window = TruncationWindow(L=4, N=n, H=2)
         assert mod.weight_dim((0, (1, 1)), window) == (2 * n + 1) + 1
+
+
+def test_weight_dim_is_public_and_reads_weight_dims():
+    # VermaModule.weight_dim is public API: the count of one windowed space
+    # (k, s), or of every k at s when k is None, read from weight_dims
+    window = TruncationWindow(L=4, N=3, H=2)
+    for lam, reduced in (("h1=-1/2,h2=-1/3", True), ("h1=-1/2,h2=-1/3,c=1", False)):
+        mod = imverma.VermaModule(A2, parse_weight(lam, 2), reduced=reduced)
+        for s in ((0, 0), (1, 0), (1, 1), (0, 2)):
+            dims = mod.weight_dims(s, window)
+            assert mod.weight_dim((None, s), window) == sum(dims.values())
+            for k in range(-7, 8):
+                assert mod.weight_dim((k, s), window) == dims.get(k, 0), (lam, s, k)
 
 
 def test_basis_monomials_are_canonical_and_unique():
