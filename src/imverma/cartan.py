@@ -170,7 +170,7 @@ def cartan_matrix_of_type(label):
     return make_cartan_matrix(a, label=label)
 
 
-def cartan_matrix_from_text(text, label=""):
+def cartan_matrix_from_text(text):
     """Parse the text format: one row per line, integers whitespace-separated."""
     rows = []
     for line in text.splitlines():
@@ -187,4 +187,4 @@ def cartan_matrix_from_text(text, label=""):
         rows.append(row)
     if not rows:
         raise CartanMatrixError("empty Cartan matrix text")
-    return make_cartan_matrix(rows, label=label)
+    return make_cartan_matrix(rows)

@@ -340,7 +340,7 @@ class ExplicitModule:
                               meta=meta)
 
     @staticmethod
-    def direct_sum(summands, provenance="direct-sum"):
+    def direct_sum(summands):
         if not summands:
             raise ModuleDataError("empty direct sum")
         algebra = summands[0].algebra
@@ -389,7 +389,7 @@ class ExplicitModule:
             meta = dict(metas[0], kind="direct-sum")
         lw = min(m.loop_window for m in summands)
         return ExplicitModule(algebra, weights, labels, defined,
-                              provenance=provenance, loop_window=lw, meta=meta)
+                              provenance="direct-sum", loop_window=lw, meta=meta)
 
     def scrambled(self, seed):
         """Weight-preserving change of basis by random exact invertible maps.
@@ -862,28 +862,24 @@ def _check_axioms(split: GCompatibleSplit, hmaps):
     # (iii): windowed: no escape-free subspace of TF (candidate submodule).
     # The escape of an image is read by the rows vanishing exactly on TF at
     # its target: their kernel is TF, the same as that of the projection onto
-    # T along TF. An image in a space outside the analysis escapes entirely.
+    # T along TF. An image in a space outside the analysis escapes entirely:
+    # TF is taken as 0 there, so every coordinate functional reads it.
     outside = set(split.excluded + split.unchecked + split.deficient)
-    annihilators = {w: nullspace(split.torsion_free.get(w, []), module.dim(w))
-                    for w in range(len(module.weights)) if w not in outside}
+    annihilators = [nullspace([] if w in outside else split.torsion_free.get(w, []),
+                              module.dim(w)) for w in range(len(module.weights))]
     iii_candidates = []
     gmaps = [(module.defined[gk], module.targets[gk]) for gk in module.generator_keys()]
     for widx, tf_rows in split.torsion_free.items():
         n = module.dim(widx)
-        escape_rows = []
-        for per_src, targets in gmaps:
-            mat = per_src.get(widx)
-            if mat is None or targets[widx] is None:
-                continue
-            tgt = targets[widx]
-            # one row per functional, zero rows kept: a constrained TF is tested
-            rows = _transpose(mat)
-            if tgt in outside:
-                escape_rows.extend(rows.get(r, {}) for r in range(module.dim(tgt)))
-            else:
-                escape_rows.extend(_image(rows, a) for a in annihilators[tgt])
-        if not escape_rows:
+        # per generator defined at widx: its rows, the functionals at its target
+        reads = [(_transpose(per_src[widx]), annihilators[targets[widx]])
+                 for per_src, targets in gmaps
+                 if widx in per_src and targets[widx] is not None]
+        constrained = any(funcs for _, funcs in reads)
+        if not constrained:  # a TF is tested only where some functional reads it
             continue
+        escape_rows = [row for rows, funcs in reads for a in funcs
+                       if (row := _image(rows, a))]
         kernel = nullspace(escape_rows, n)
         # a candidate is a nonzero escape-free vector inside TF
         if kernel and rank(kernel + tf_rows, n) < len(kernel) + len(tf_rows):
@@ -1087,14 +1083,14 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
 # -- annihilated-vector extraction and decomposition ------------------------------------
 
 
-def _vec_is_torsion(module, vec, gwindow):
-    for gk in heisenberg_keys(module.algebra, gwindow):
+def _defined_images(module, keys, vec):
+    """(gk, gk . vec) for each generator key whose action on vec is defined."""
+    for gk in keys:
         try:
-            if module.apply(gk, vec):
-                return False
+            image = module.apply(gk, vec)
         except UndefinedActionError:
             continue
-    return True
+        yield gk, image
 
 
 def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
@@ -1109,7 +1105,8 @@ def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
     """
     if not vec:
         raise ModuleDataError("zero vector")
-    if not _vec_is_torsion(module, vec, gwindow):
+    if any(image for _, image in _defined_images(
+            module, heisenberg_keys(module.algebra, gwindow), vec)):
         raise ModuleDataError("not torsion: some Heisenberg generator acts "
                               "nontrivially on the input vector")
     alg = module.algebra
@@ -1134,14 +1131,12 @@ def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
         raise ModuleDataError(f"extraction did not stabilize within {cap} rounds")
     # verify annihilation at every windowed loop degree, wherever defined
     verified = 0
-    for gk in raising_keys(alg, range(-gwindow, gwindow + 1)):
-        try:
-            if module.apply(gk, out):
-                raise ModuleDataError(
-                    f"extracted vector not annihilated by {gen_name(alg, *gk)}")
-            verified += 1
-        except UndefinedActionError:
-            continue
+    for gk, image in _defined_images(module, raising_keys(alg, range(-gwindow, gwindow + 1)),
+                                     out):
+        if image:
+            raise ModuleDataError(
+                f"extracted vector not annihilated by {gen_name(alg, *gk)}")
+        verified += 1
     widxs = {k[0] for k in out}
     if len(widxs) != 1:
         raise ModuleDataError("extracted vector is not weight-homogeneous")

@@ -128,14 +128,8 @@ class FiniteRootSystem:
                     alpha = self.simple_roots[i]
                     if beta == alpha:
                         continue  # 2*alpha is never a root
-                    # descending string: p = max k with beta - k*alpha a root
-                    p = 0
-                    walk = _sub(beta, alpha)
-                    while walk in pos:
-                        p += 1
-                        walk = _sub(walk, alpha)
-                    pairing = sum(c * cartan[i, j] for j, c in enumerate(beta))
-                    if p - pairing > 0:
+                    # every root of lower height than beta is in pos already
+                    if _string_down(pos, alpha, beta) - self.pairing(beta, i) > 0:
                         cand = _add(beta, alpha)
                         if cand not in pos:
                             pos.add(cand)
@@ -155,12 +149,17 @@ class FiniteRootSystem:
 
     def string_down_length(self, alpha, beta):
         """p = max k with beta - k*alpha a root (alpha, beta roots)."""
-        p = 0
-        walk = _sub(beta, alpha)
-        while walk in self.root_set:
-            p += 1
-            walk = _sub(walk, alpha)
-        return p
+        return _string_down(self.root_set, alpha, beta)
+
+
+def _string_down(roots, alpha, beta):
+    """The descending string: max k with beta - k*alpha in roots."""
+    p = 0
+    walk = _sub(beta, alpha)
+    while walk in roots:
+        p += 1
+        walk = _sub(walk, alpha)
+    return p
 
 
 def _exact(num, den, what):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import imverma._kernels.sparse as sparse
+import imverma._kernels as kernels
 from imverma._kernels import Echelon, nullspace, rank, rref
 from imverma.cli import main
 from oracles import dense_rows, dense_rref, gauss_solve_nullspace, sparse_rows
@@ -254,24 +254,35 @@ def test_property_any_row_order_gives_the_same_results(rows, data):
     assert echelon.full == in_order.full == (len(piv) == n)
 
 
-def test_singular_search_elimination_count(monkeypatch):
-    """The W1 singular search (a pinned report) counts its eliminations.
-
-    Counts repeat exactly. Fed in batch order with lowest-column pivots it
-    makes 2,856; shortest rows first alone 1,865; highest-column pivots alone
-    967; both 908. The bound fails if either half of the order is undone.
-    """
+def _eliminations(monkeypatch, argv):
+    """The number of row eliminations one CLI run makes."""
     calls = []
-    eliminate = sparse._eliminate
+    eliminate = kernels._eliminate
 
     def counting(r, p, c):
         calls.append(c)
         return eliminate(r, p, c)
 
-    monkeypatch.setattr(sparse, "_eliminate", counting)
-    assert main(["singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
-                 "--window", "L=4,N=3,H=2"]) == 0
-    assert len(calls) < 950
+    monkeypatch.setattr(kernels, "_eliminate", counting)
+    assert main(argv) == 0
+    return len(calls)
+
+
+def test_singular_search_elimination_count(monkeypatch):
+    """Two pinned singular searches count their eliminations.
+
+    Counts repeat exactly. With the Cartan loops fed first, W1 makes 104;
+    with lowest-column pivots 196, and with each batch fed in its own order
+    instead of shortest rows first 106, so W1 alone catches only the pivot
+    rule. The full A3 search makes 6,984; 7,701 with lowest-column pivots
+    and 8,338 with no sort, so it catches either half of the order undone.
+    """
+    assert _eliminations(monkeypatch, [
+        "singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+        "--window", "L=4,N=3,H=2"]) < 150
+    assert _eliminations(monkeypatch, [
+        "singular", "--full", "--type", "A3", "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2",
+        "--window", "L=4,N=2,H=3"]) < 7300
 
 
 @pytest.mark.parametrize("bad", OUT_OF_RANGE)
@@ -316,9 +327,9 @@ def test_one_entry_rows_match_dense(rows):
 
 def test_one_entry_row_is_a_signed_unit():
     for x, unit in ((3, 1), (-4, -1), (Fraction(-6, 5), -1), (Fraction(7, 2), 1)):
-        got = sparse._primitive({4: x})
+        got = kernels._primitive({4: x})
         assert got == {4: unit} and type(got[4]) is int
-    assert sparse._primitive({4: 0}) == {} and sparse._primitive({4: Fraction(0)}) == {}
+    assert kernels._primitive({4: 0}) == {} and kernels._primitive({4: Fraction(0)}) == {}
 
 
 @pytest.mark.parametrize("bad", [pytest.param(-1, id="column-minus-1"),

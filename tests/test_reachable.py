@@ -3,10 +3,14 @@ only what the system uses, and a helper that only tests call lives in
 tests/oracles.py. A definition counts as reached when its name appears as a
 name or an attribute anywhere in src/ outside its own definition, is
 exported in imverma.__all__, or appears as a name, an attribute or a string
-in a perfbench script (the span sites and the harness's imports). The scan
-reads source with ast and imports nothing but the package itself."""
+in a perfbench script (the span sites and the harness's imports). Public
+methods of the library's classes follow the same rule, read on attributes
+only in src/ (a method is called as obj.method, and a local variable of the
+same name does not reach it), except for a named set kept as public API.
+The scan reads source with ast and imports nothing but the package itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import imverma
@@ -14,39 +18,75 @@ import imverma
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "imverma"
 
+# Public methods that nothing in src/ or perfbench/ calls, kept as API: the
+# vacuum vector, one action on a PBW monomial, the count of one windowed
+# space, the zero elements, the generator e_i (x) t^n, the d element and the
+# twisted graded basis.
+KEPT_PUBLIC = {
+    "VermaModule.vacuum", "VermaModule.act_monomial", "VermaModule.weight_dim",
+    "AffineAlgebra.zero", "AffineAlgebra.e", "AffineAlgebra.d_elem",
+    "FiniteAlgebra.zero", "TwistedSubalgebra.graded_basis",
+}
 
-def _names(tree, strings=False):
-    """Every Name id and Attribute attr in tree, and string constants when
-    strings is set."""
-    out = set()
+
+def _names(tree, names=True, strings=False):
+    """Every Attribute attr in tree, once per occurrence, with every Name id
+    when names is set and string constants when strings is set."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
+        if names and isinstance(node, ast.Name):
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            yield node.attr
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            yield node.value
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _unreached(definitions, names, exported=()):
+    """The labels of the (label, definition node) pairs that nothing reaches:
+    the name is used nowhere in src/ outside the node (as _names reads it),
+    is not exported and is not in a perfbench script."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
+    uses = Counter(name for tree in trees for name in _names(tree, names))
+    reached = set(exported)
+    for path in ROOT.joinpath("perfbench").glob("*.py"):
+        reached.update(_names(ast.parse(path.read_text()), strings=True))
+    return [label for label, node in definitions
+            if node.name not in reached
+            and uses[node.name] == Counter(_names(node, names))[node.name]]
+
+
+def _top_level():
+    """(file name, top-level statement) over every file of src/imverma."""
+    return [(path.name, node) for path in sorted(SRC.glob("*.py"))
+            for node in ast.parse(path.read_text()).body]
+
+
 def unreached_definitions():
     """(file, name) of each top-level function or class in src/imverma/*.py
     that nothing reaches."""
-    # (path, top-level statement, the names it uses) over every file of src/
-    top = [(path, node, _names(node)) for path in sorted(SRC.rglob("*.py"))
-           for node in ast.parse(path.read_text()).body]
-    reached = set(imverma.__all__)
-    for path in ROOT.joinpath("perfbench").glob("*.py"):
-        reached |= _names(ast.parse(path.read_text()), strings=True)
-    return [(path.name, node.name) for path, node, _ in top
-            if path.parent == SRC and isinstance(node, DEFINITIONS)
-            and node.name not in reached
-            and not any(node.name in names for _, other, names in top
-                        if other is not node)]
+    definitions = [((name, node.name), node) for name, node in _top_level()
+                   if isinstance(node, DEFINITIONS)]
+    return _unreached(definitions, names=True, exported=imverma.__all__)
+
+
+def unreached_public_methods():
+    """"Class.method" for each public method of a top-level class in
+    src/imverma/*.py that nothing reaches."""
+    methods = [(f"{cls.name}.{node.name}", node)
+               for _, cls in _top_level() if isinstance(cls, ast.ClassDef)
+               for node in cls.body
+               if isinstance(node, DEFINITIONS) and not node.name.startswith("_")]
+    return set(_unreached(methods, names=False))
 
 
 def test_every_library_definition_is_reached():
     assert unreached_definitions() == []
+
+
+def test_unreached_public_methods_are_the_kept_ones():
+    """A new public method nothing calls fails, and so does a kept entry
+    that something now calls or that is gone."""
+    assert unreached_public_methods() == KEPT_PUBLIC
