@@ -6,7 +6,7 @@ Indices are 0-based internally; the public generator names h1..hN are 1-based.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from imverma.errors import CartanMatrixError
 
@@ -49,7 +49,11 @@ def _validate_axioms(a):
 
 
 def _symmetrizer(a):
-    """Coprime positive integers d with d_i a_ij = d_j a_ji, or raise."""
+    """Coprime positive integers d with d_i a_ij = d_j a_ji, or raise.
+
+    Every node is popped once and compares each of its edges, so the walk
+    checks the whole matrix; a_ij, a_ji < 0 (_validate_axioms) keeps d > 0.
+    """
     n = len(a)
     d = [None] * n
     for start in range(n):
@@ -68,22 +72,10 @@ def _symmetrizer(a):
                     stack.append(j)
                 elif d[j] != want:
                     raise CartanMatrixError("matrix is not symmetrizable")
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    if any(x <= 0 for x in ints):
-        raise CartanMatrixError("matrix is not symmetrizable (no positive symmetrizer)")
-    # paranoia: check the defining property on the integer vector
-    for i in range(n):
-        for j in range(n):
-            if ints[i] * a[i][j] != ints[j] * a[j][i]:
-                raise CartanMatrixError("matrix is not symmetrizable")
-    return tuple(ints)
+    scale = lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def _is_positive_definite(sym):

@@ -97,7 +97,8 @@ def parse_gen(algebra: AffineAlgebra, name: str):
         raise ModuleDataError(f"{name[0]} is implicit and has no stored table")
     match = re.fullmatch(GEN_NAME, name)
     if match is None:
-        raise ModuleDataError(f"malformed generator name {name!r}")
+        raise ModuleDataError(f"malformed generator name {name!r} "
+                              "(want e1@-2, h2@3 or x[1,1]@2)")
     kind, index, coords, deg = match.groups()
     n = int(deg)
     if coords is not None:
@@ -742,9 +743,10 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
     deficient; spaces with no evaluable generator are unchecked; weights
     outside h*_red are excluded (axiom (1) already fails there).
 
-    Each generator's blocks and targets are read once, as one map: T, the
-    arrivals and verdict (iv) read one per Heisenberg key, (ii) one list per
-    degree-l slice (and the slice -l for onto), (iii) one per generator.
+    Each generator's blocks and targets are read once, as one map: T and the
+    arrivals read one per Heisenberg key, (ii) one list per degree-l slice
+    (and the slice -l for onto), (iii) one per generator. Verdict (iv), G
+    kills T, holds by construction; it reports only the undefined pairs.
     """
     split = GCompatibleSplit(module, gwindow)
     # per Heisenberg key, in heisenberg_keys order; an absent key defines no pair
@@ -808,21 +810,10 @@ def _check_axioms(split: GCompatibleSplit, hmaps):
         "unchecked_weight_spaces": len(split.unchecked),
         "deficient_weight_spaces": split.deficient,
     }
-    # (iv): G kills T, exactly, for every evaluable generator
-    iv_fail = []
-    iv_skip = 0
-    for widx, rows in split.torsion.items():
-        for gk, (per_src, _) in zip(hkeys, hmaps):
-            block = per_src.get(widx)
-            if block is None:
-                iv_skip += 1
-                continue
-            for row in rows:
-                if _image(block, row):
-                    iv_fail.append({"generator": gen_name(module.algebra, *gk),
-                                    "weight_index": widx})
-    split.verdicts["iv"] = {"passed": not iv_fail, "violations": iv_fail,
-                            "skipped": iv_skip}
+    # (iv): G kills T by construction, since T is the joint kernel of every
+    # block defined at its space; only the undefined pairs are reported
+    split.verdicts["iv"] = {"passed": True, "violations": [], "skipped": sum(
+        widx not in per_src for widx in split.torsion for per_src, _ in hmaps)}
     # (ii): each degree-l slice G_{l delta} = span{h_{i,l}} injective on TF, and
     # onto TF at its target where the whole opposite slice is defined there.
     # TF at an analysed target is the span of every image arriving there, and

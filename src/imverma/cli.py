@@ -20,10 +20,9 @@ from functools import cache
 from imverma.affine import (AffineAlgebra, check_closed_partition, natural_spec,
                             standard_spec, twisted_fixed_subalgebra)
 from imverma.cartan import cartan_matrix_of_type, cartan_matrix_from_text
-from imverma.category import (GEN_NAME, ExplicitModule, _nonneg_vectors,
-                              build_loop_module, check_category_membership,
-                              decompose_into_reduced_vermas, parse_gen,
-                              sl2_irrep_matrices, torsion_decompose)
+from imverma.category import (ExplicitModule, _nonneg_vectors, build_loop_module,
+                              check_category_membership, decompose_into_reduced_vermas,
+                              parse_gen, sl2_irrep_matrices, torsion_decompose)
 from imverma.errors import CartanMatrixError, ImvermaError, ModuleDataError
 from imverma.finite import build_simple_algebra, diagram_automorphism
 from imverma.verma import (TruncationWindow, VermaModule, _monomial_sort_key,
@@ -110,7 +109,8 @@ _SYMBOL = r"F\[(-?\d+(?:,-?\d+)*)\]@(-?\d+)|B(\d+)@(-?\d+)"
 _SYMBOL_SEP = r",(?![^\[\]]*\])"
 
 
-def _parse_symbol(text, rank):
+def _parse_symbol(text):
+    """The shape of a PBW symbol; VermaModule.vector validates it."""
     text = text.strip()
     match = re.fullmatch(_SYMBOL, text)
     if match is None:
@@ -118,20 +118,12 @@ def _parse_symbol(text, rank):
     coords, n, i, l = match.groups()
     if coords is not None:
         return ("F", tuple(int(x) for x in coords.split(",")), int(n))
-    i, l = int(i), int(l)
-    if not 1 <= i <= rank:
-        raise UsageError(f"B symbol index out of range in {text!r}")
-    if l <= 0:
-        raise UsageError(f"B symbol needs positive degree: {text!r}")
-    return ("B", i, l)
+    return ("B", int(i), int(l))
 
 
 def _parse_gen_string(algebra, text):
-    text = text.strip()
-    if not re.fullmatch(GEN_NAME, text):
-        raise UsageError(f"malformed generator {text!r} (want e1@-2, h2@3 or x[1,1]@2)")
     try:
-        key, n = parse_gen(algebra, text)
+        key, n = parse_gen(algebra, text.strip())
     except ModuleDataError as ex:
         raise UsageError(str(ex)) from None
     return algebra.loop(algebra.finite.element({key: 1}), n)
@@ -258,7 +250,7 @@ def _cmd_verma_act(args):
     if args.monomial:
         for tok in re.split(_SYMBOL_SEP, args.monomial):
             if tok.strip():
-                symbols.append(_parse_symbol(tok, alg.rank))
+                symbols.append(_parse_symbol(tok))
     try:
         v = mod.monomial(*symbols)
     except ImvermaError as ex:

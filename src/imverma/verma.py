@@ -798,7 +798,8 @@ def _negative_symbol_bracket(fin, s1, s2):
 
 
 def _root_multisets(fin, s):
-    """Weakly decreasing multisets of positive roots with coordinate sum s."""
+    """Multisets of positive roots with coordinate sum s, each a tuple weakly
+    increasing in positive_roots order (height, then coordinates)."""
     out = []
     _extend_root_multisets(fin.roots.positive_roots, 0, tuple(s), [], out)
     return out

@@ -237,6 +237,19 @@ def test_unknown_type_is_usage_error(capsys):
                   "--monomial", "F[1,1]@0"), "positive root", id="symbol-root-rank"),
     pytest.param(("verma-act", "--type", "A1", "--reduced", "--gen", "e1@0",
                   "--monomial", "B1@1"), "reduced", id="symbol-b-in-reduced"),
+    # the CLI parses a symbol's shape; VermaModule.vector and parse_gen judge it
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
+                  "--monomial", "B1@0"), "l > 0", id="symbol-b-degree-zero"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
+                  "--monomial", "B1@-2"), "l > 0", id="symbol-b-degree-negative"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
+                  "--monomial", "B0@1"), "out of range", id="symbol-b-index-zero"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "c@0"), "implicit",
+                 id="gen-c"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "d@1"), "implicit",
+                 id="gen-d"),
+    pytest.param(("verma-act", "--type", "A1", "--gen", "e1@x"), "want e1@-2",
+                 id="gen-malformed-hint"),
 ])
 def test_malformed_window_is_usage_error(capsys, argv, word):
     code, out, err = run(capsys, *argv)
@@ -323,6 +336,9 @@ def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
                  id="matrix-entry-not-an-integer"),
     pytest.param(("algebra", "--matrix-file", "FILE"), b"\xff\n", 1, "0xff",
                  id="matrix-file-not-utf8"),
+    # cycle 1-2-3 has products a_12 a_23 a_31 = -2 and a_21 a_32 a_13 = -1
+    pytest.param(("algebra", "--matrix-file", "FILE"), b"2 -1 -1\n-1 2 -1\n-2 -1 2\n",
+                 1, "matrix is not symmetrizable", id="matrix-not-symmetrizable"),
     pytest.param(("--config", "FILE", "algebra", "--type", "A1"), b"\xff\n", 2,
                  "0xff", id="config-file-not-utf8"),
 ])

@@ -4,6 +4,7 @@ oracle, the invariant form against a from-scratch invariance solve, and
 diagram automorphisms."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -65,19 +66,25 @@ def test_text_ingestion():
         cartan_matrix_from_text("2 x\n")
 
 
+def test_rejects_non_symmetrizable_matrix():
+    # around the cycle 1-2-3, a_12 a_23 a_31 = -2 but a_21 a_32 a_13 = -1
+    with pytest.raises(CartanMatrixError, match="matrix is not symmetrizable"):
+        make_cartan_matrix([[2, -1, -1], [-1, 2, -1], [-2, -1, 2]])
+
+
 def test_symmetrizer_coprime_and_symmetric():
-    for label in ["A3", "B3", "C3", "G2", "F4"]:
+    labels = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+              + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(3, 9)]
+              + ["E6", "E7", "E8", "F4", "G2"])
+    for label in labels:
         cm = cartan_matrix_of_type(label)
         d = cm.symmetrizer
         n = cm.rank
+        assert len(d) == n and all(x > 0 for x in d), label
         for i in range(n):
             for j in range(n):
-                assert d[i] * cm[i, j] == d[j] * cm[j, i]
-        from math import gcd
-        g = 0
-        for x in d:
-            g = gcd(g, x)
-        assert g == 1
+                assert d[i] * cm[i, j] == d[j] * cm[j, i], label
+        assert math.gcd(*d) == 1, label
 
 
 # -- root systems -------------------------------------------------------------
