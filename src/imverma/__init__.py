@@ -9,21 +9,20 @@ splits, membership reports, decomposition into reduced summands), cli.
 All arithmetic is exact rational; contexts are immutable and operations pure.
 """
 
-from imverma.affine import (AffineAlgebra, AffineRoot, LoopElement, affine_bracket,
-                            check_closed_partition, natural_partition_contains,
-                            natural_spec, standard_partition_contains, standard_spec,
-                            twisted_fixed_subalgebra)
+from imverma.affine import (AffineAlgebra, AffineRoot, LoopElement, TwistedSubalgebra,
+                            affine_bracket, check_closed_partition,
+                            natural_partition_contains, natural_spec,
+                            standard_partition_contains, standard_spec)
 from imverma.cartan import (CartanMatrix, cartan_matrix_from_text,
                             cartan_matrix_of_type, make_cartan_matrix)
 from imverma.category import (ExplicitModule, build_loop_module,
                               check_category_membership,
                               decompose_into_reduced_vermas,
-                              extract_annihilated_vector, heisenberg_slice,
-                              sl2_irrep_matrices, torsion_decompose)
+                              extract_annihilated_vector, sl2_irrep_matrices,
+                              torsion_decompose)
 from imverma.errors import ImvermaError, WindowOverflowError
 from imverma.finite import (DiagramAutomorphism, FiniteAlgebra, FiniteElement,
-                            bracket_finite, build_simple_algebra,
-                            diagram_automorphism, invariant_form)
+                            build_simple_algebra)
 from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
                            parse_weight, parse_window)
 
@@ -32,14 +31,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineAlgebra", "AffineRoot", "CartanMatrix", "DiagramAutomorphism",
     "ExplicitModule", "FiniteAlgebra", "FiniteElement", "ImvermaError",
-    "LoopElement", "ModuleVector", "TruncationWindow", "VermaModule", "Weight",
-    "WindowOverflowError", "affine_bracket", "bracket_finite", "build_loop_module",
-    "build_simple_algebra", "cartan_matrix_from_text", "cartan_matrix_of_type",
-    "check_category_membership", "check_closed_partition",
-    "decompose_into_reduced_vermas", "diagram_automorphism",
-    "extract_annihilated_vector", "heisenberg_slice", "invariant_form",
+    "LoopElement", "ModuleVector", "TruncationWindow", "TwistedSubalgebra",
+    "VermaModule", "Weight", "WindowOverflowError", "affine_bracket",
+    "build_loop_module", "build_simple_algebra", "cartan_matrix_from_text",
+    "cartan_matrix_of_type", "check_category_membership", "check_closed_partition",
+    "decompose_into_reduced_vermas", "extract_annihilated_vector",
     "make_cartan_matrix", "natural_partition_contains", "natural_spec",
     "parse_weight", "parse_window", "sl2_irrep_matrices",
     "standard_partition_contains", "standard_spec", "torsion_decompose",
-    "twisted_fixed_subalgebra",
 ]

@@ -328,7 +328,3 @@ class TwistedSubalgebra:
             dims[m] = inter + (2 if m == 0 else 0)  # c and d at degree 0
         return dims
 
-
-def twisted_fixed_subalgebra(algebra: AffineAlgebra, aut: DiagramAutomorphism,
-                             window: int) -> TwistedSubalgebra:
-    return TwistedSubalgebra(algebra, aut, window)

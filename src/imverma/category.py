@@ -16,7 +16,7 @@ vector, and _transpose gives the rows of a block where a kernel needs them.
 
 One map holds the action: defined = {gkey: {source weight index: block}}. A
 present key is a defined pair, and {} is a defined zero action; table() reads
-one pair as (block, target index, target dim), or None if undefined. The target
+one pair as (block, target index), or None if undefined. The target
 weight index of each pair is derived once, when the module is built, from the
 weights alone (_targets): x_gamma (x) t^n moves the (h, c) part of a weight by
 gamma and its d value by n, so each (h, c) class is shifted once per root and
@@ -63,7 +63,8 @@ from imverma._kernels import nullspace, rank, rref
 from imverma.affine import AffineAlgebra
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
 from imverma.errors import AuditError, ImvermaError, ModuleDataError
-from imverma.finite import _neg, _sub, add_scaled, build_simple_algebra
+from imverma.finite import (_broken_bracket, _extend_by_extraspecial, _neg, _sub,
+                            add_scaled, build_simple_algebra, key_name)
 from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
                            nonzero_degrees)
 
@@ -94,7 +95,8 @@ GEN_NAME = r"(?:([efh])(\d+)|x\[(-?\d+(?:,-?\d+)*)\])@(-?\d+)"
 
 def parse_gen(algebra: AffineAlgebra, name: str):
     if name.partition("@")[0] in ("c", "d"):
-        raise ModuleDataError(f"{name[0]} is implicit and has no stored table")
+        raise ModuleDataError(f"{name[0]} acts by a scalar on every weight space "
+                              "and has no generator name")
     match = re.fullmatch(GEN_NAME, name)
     if match is None:
         raise ModuleDataError(f"malformed generator name {name!r} "
@@ -234,13 +236,12 @@ class ExplicitModule:
     # -- action ------------------------------------------------------------------
 
     def table(self, gkey, src_widx):
-        """(sparse block, target index, target dim) of a stored (generator,
+        """(sparse block, target index or None) of a stored (generator,
         source) pair, or None where the pair is undefined."""
         per_src = self.defined.get(gkey)
         if per_src is None or src_widx not in per_src:
             return None
-        tgt = self.targets[gkey][src_widx]
-        return per_src[src_widx], tgt, 0 if tgt is None else len(self.labels[tgt])
+        return per_src[src_widx], self.targets[gkey][src_widx]
 
     def apply(self, gkey, vec):
         """Apply a generator to {(widx, i): coeff}; exact or raises."""
@@ -255,18 +256,18 @@ class ExplicitModule:
             if entry is None:
                 raise UndefinedActionError(
                     f"{gen_name(self.algebra, *gkey)} undefined at weight index {widx}")
-            block, tgt, _ = entry
+            block, tgt = entry
             add_scaled(out, {(tgt, r): v for r, v in block.get(i, {}).items()}, cv)
         return out
 
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def from_reduced_verma(algebra: AffineAlgebra, lam: Weight, height, kmax,
+    def from_reduced_verma(algebra: AffineAlgebra, lam: Weight, kmax,
                            window: TruncationWindow, loop_window):
         """Windowed realization of the reduced module with exact tables.
 
-        Stores weight spaces lambda + k delta - s (ht(s) <= height, |k| <= kmax)
+        Stores weight spaces lambda + k delta - s (ht(s) <= window.H, |k| <= kmax)
         with the PBW basis truncated by the window; a (generator, source) pair
         is marked defined exactly when every image stays inside the store. The
         images are the action images of the interned basis monomials, read
@@ -288,7 +289,7 @@ class ExplicitModule:
         target is not stored still acts, since it can kill a vector.
         """
         mod = VermaModule(algebra, lam, reduced=True)
-        spaces = list(windowed_spaces(mod, height, kmax, window))
+        spaces = list(windowed_spaces(mod, kmax, window))
         off_index = {off: widx for widx, (off, _, _) in enumerate(spaces)}
         ids = [[mod._intern(m) for m in basis] for _, _, basis in spaces]
         mono_index = {m: (widx, j) for widx, space in enumerate(ids)
@@ -334,7 +335,7 @@ class ExplicitModule:
                         block[j] = column
                 if ok:
                     per_src[widx] = block
-        meta = {"kind": "reduced-verma", "height": height, "kmax": kmax,
+        meta = {"kind": "reduced-verma", "height": window.H, "kmax": kmax,
                 "window": {"L": window.L, "N": window.N, "H": window.H}}
         return ExplicitModule(algebra, weights, labels, defined,
                               provenance="reduced-verma", loop_window=loop_window,
@@ -461,7 +462,7 @@ class ExplicitModule:
         }
 
     @staticmethod
-    def from_json_dict(data, algebra=None):
+    def from_json_dict(data):
         """Rebuild a module from to_json_dict output.
 
         Malformed data (a missing key, a bad rational, an index out of range,
@@ -473,11 +474,10 @@ class ExplicitModule:
         then not stored.
         """
         with _module_field("algebra"):
-            if algebra is None:
-                spec = data["algebra"]
-                cartan = cartan_matrix_of_type(spec["label"]) if "label" in spec \
-                    else make_cartan_matrix(spec["cartan"])
-                algebra = AffineAlgebra(build_simple_algebra(cartan))
+            spec = data["algebra"]
+            cartan = cartan_matrix_of_type(spec["label"]) if "label" in spec \
+                else make_cartan_matrix(spec["cartan"])
+            algebra = AffineAlgebra(build_simple_algebra(cartan))
         with _module_field("weights"):
             weights = [Weight(tuple(Fraction(x) for x in w["h"]), Fraction(w["c"]),
                               Fraction(w["d"]))
@@ -601,11 +601,11 @@ def _block_nilpotency(per_src, targets, widx, n, cap):
     return (list(range(n)) if cur is None else sorted(cur)), 0
 
 
-def windowed_spaces(verma: VermaModule, height, kmax, window: TruncationWindow):
+def windowed_spaces(verma: VermaModule, kmax, window: TruncationWindow):
     """((k, s), weight, PBW basis) of each nonzero windowed weight space
-    lambda + k delta - s of a Verma module, ht(s) <= height and |k| <= kmax,
+    lambda + k delta - s of a Verma module, ht(s) <= window.H and |k| <= kmax,
     in order of s (lexicographic), then k."""
-    for s in _nonneg_vectors(verma.rank, height):
+    for s in _nonneg_vectors(verma.rank, window.H):
         bases = verma.weight_bases(s, window)
         for k in range(-kmax, kmax + 1):
             if k in bases:
@@ -686,21 +686,6 @@ def _block_sum(terms):
         for j, column in block.items():
             add_scaled(out.setdefault(j, {}), column, c)
     return {j: column for j, column in out.items() if column}
-
-
-# -- Heisenberg slice ---------------------------------------------------------------
-
-
-def heisenberg_slice(algebra: AffineAlgebra, gwindow: int):
-    """Basis of the degree-k delta spaces, 0 < |k| <= gwindow, plus c.
-
-    For an untwisted algebra each slice is the Cartan at loop degree k, so the
-    dimension per k is the rank.
-    """
-    out = {"c": algebra.c_elem(), "slices": {}}
-    for (_, i), k in heisenberg_keys(algebra, gwindow):
-        out["slices"].setdefault(k, []).append(algebra.h(i, k))
-    return out
 
 
 # -- torsion decomposition -------------------------------------------------------------
@@ -914,55 +899,43 @@ def sl2_irrep_matrices(dim):
     return {"e1": e, "f1": f, "h1": h}
 
 
-def build_loop_module(algebra: AffineAlgebra, matrices, dim, degree_window):
+def build_loop_module(algebra: AffineAlgebra, matrices, degree_window):
     """Loop module of a finite-dimensional weight module, on a degree window.
 
-    matrices maps "e1".."eN", "f1".."fN", "h1".."hN" to dim x dim rational
-    matrices; h-matrices must be diagonal (weight basis). The action tables
-    for every root vector are derived through the structure constants and the
-    whole table is verified against the finite bracket table before use.
+    matrices maps "e1".."eN", "f1".."fN", "h1".."hN" to square rational
+    matrices of one size, the dimension of the module; h-matrices must be
+    diagonal (weight basis). The action tables for every root vector are
+    derived through the extraspecial pairs and the whole table is verified
+    against the finite bracket table before use.
     """
     fin = algebra.finite
     n = algebra.rank
+    keys = {}
+    for i, simple in enumerate(fin.roots.simple_roots, 1):
+        keys.update({f"e{i}": ("x", simple), f"f{i}": ("x", _neg(simple)), f"h{i}": ("h", i)})
+    for name in keys:
+        if name not in matrices:
+            raise ModuleDataError(f"missing generator matrix {name!r}")
+    dim = len(matrices["e1"])
+    for name in keys:
+        if {len(matrices[name]), *map(len, matrices[name])} - {dim}:
+            raise ModuleDataError(f"generator matrix {name!r} is not {dim} x {dim} like 'e1'")
     if dim == 0:
         return ExplicitModule(algebra, [], [], {}, provenance="loop-module",
                               loop_window=degree_window,
                               meta={"kind": "loop-module", "finite_dim": 0})
-    mats = {}
-    for i in range(1, n + 1):
-        for nameprefix, key in (("e", ("x", fin.roots.simple_roots[i - 1])),
-                                ("f", ("x", _neg(fin.roots.simple_roots[i - 1]))),
-                                ("h", ("h", i))):
-            name = f"{nameprefix}{i}"
-            if name not in matrices:
-                raise ModuleDataError(f"missing generator matrix {name!r}")
-            rows = {r: {c: v for c, v in enumerate(map(Fraction, row)) if v}
-                    for r, row in enumerate(matrices[name])}
-            mats[key] = _transpose(rows)
+    mats = {key: _transpose({r: {c: v for c, v in enumerate(map(Fraction, row)) if v}
+                             for r, row in enumerate(matrices[name])})
+            for name, key in keys.items()}
     for i in range(1, n + 1):
         if any(r != c for c, column in mats[("h", i)].items() for r in column):
             raise ModuleDataError(
                 f"h{i} matrix is not diagonal; basis is not a weight basis")
-    # derive matrices for all root vectors through extraspecial decompositions
-    for g in fin.roots.positive_roots:
-        if sum(g) < 2:
-            continue
-        a1, b1 = fin.extraspecial[g]
-        for root, a, b in ((g, a1, b1), (_neg(g), _neg(a1), _neg(b1))):
-            mats[("x", root)] = _block_sum(
-                [(_commutator(mats[("x", a)], mats[("x", b)]),
-                  Fraction(1, fin.nmat[(a, b)]))])
-    # verify the full bracket table
-    for k1 in fin.basis:
-        for k2 in fin.basis:
-            want = _block_sum((mats[k], cv)
-                              for k, cv in fin._bracket_table[(k1, k2)].items())
-            got = _commutator(mats[k1], mats[k2])
-            if got != want:
-                from imverma.finite import key_name
-                raise ModuleDataError(
-                    "generator matrices violate the bracket table at pair "
-                    f"({key_name(k1)}, {key_name(k2)})")
+    _extend_by_extraspecial(fin, mats, _commutator, _block_sum)
+    broken = _broken_bracket(fin, mats, _commutator, _block_sum)
+    if broken:
+        raise ModuleDataError("generator matrices violate the bracket table at pair "
+                              f"({key_name(broken[0])}, {key_name(broken[1])})")
     fin_weights = [tuple(mats[("h", i)].get(j, {}).get(j, Fraction(0))
                          for i in range(1, n + 1)) for j in range(dim)]
     weights = []

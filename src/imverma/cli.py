@@ -17,14 +17,14 @@ import re
 import sys
 from functools import cache
 
-from imverma.affine import (AffineAlgebra, check_closed_partition, natural_spec,
-                            standard_spec, twisted_fixed_subalgebra)
+from imverma.affine import (AffineAlgebra, TwistedSubalgebra, check_closed_partition,
+                            natural_spec, standard_spec)
 from imverma.cartan import cartan_matrix_of_type, cartan_matrix_from_text
 from imverma.category import (ExplicitModule, _nonneg_vectors, build_loop_module,
                               check_category_membership, decompose_into_reduced_vermas,
                               parse_gen, sl2_irrep_matrices, torsion_decompose)
 from imverma.errors import CartanMatrixError, ImvermaError, ModuleDataError
-from imverma.finite import build_simple_algebra, diagram_automorphism
+from imverma.finite import DiagramAutomorphism, build_simple_algebra
 from imverma.verma import (TruncationWindow, VermaModule, _monomial_sort_key,
                            monomial_name, parse_weight, parse_window, symbol_sort_key)
 
@@ -158,8 +158,8 @@ def _cmd_algebra(args):
     }
     if args.twist:
         perm = _parse_perm(args.twist, fin.rank)
-        aut = diagram_automorphism(fin, perm)
-        tw = twisted_fixed_subalgebra(alg, aut, args.loop_degree)
+        aut = DiagramAutomorphism(fin, perm)
+        tw = TwistedSubalgebra(alg, aut, args.loop_degree)
         result["twist"] = {
             "permutation": {str(k): v for k, v in sorted(perm.items())},
             "order": aut.order,
@@ -307,8 +307,7 @@ def _load_module(args):
                 raise UsageError(f"empty --summands entry in {args.summands!r}")
             lam = _parse_weight_arg(text, alg.rank)
             mods.append(ExplicitModule.from_reduced_verma(
-                alg, lam, height=window.H, kmax=args.kmax,
-                window=window, loop_window=args.gwindow))
+                alg, lam, kmax=args.kmax, window=window, loop_window=args.gwindow))
         em = mods[0] if len(mods) == 1 else ExplicitModule.direct_sum(mods)
         if args.scramble is not None:
             em = em.scrambled(args.scramble)
@@ -371,8 +370,7 @@ def _cmd_loopmod(args):
     alg = _load_algebra(args)
     if alg.rank != 1:
         raise UsageError("built-in loop modules exist for type A1 only")
-    module = build_loop_module(alg, sl2_irrep_matrices(args.dim), args.dim,
-                               args.loop_degree)
+    module = build_loop_module(alg, sl2_irrep_matrices(args.dim), args.loop_degree)
     blob = module.to_json_dict()
     if not args.out:
         return blob

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, neg, sub
 
-from imverma.cartan import CartanMatrix, make_cartan_matrix
+from imverma.cartan import CartanMatrix
 from imverma.errors import AutomorphismError, ContextMismatchError, ImvermaError
 
 
@@ -397,34 +397,52 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({label}, dim={self.dimension})"
 
 
-def build_simple_algebra(cartan) -> FiniteAlgebra:
-    """Build the algebra context from a Cartan matrix (or raw entries)."""
-    if not isinstance(cartan, CartanMatrix):
-        cartan = make_cartan_matrix(cartan)
+def build_simple_algebra(cartan: CartanMatrix) -> FiniteAlgebra:
+    """Build the algebra context from a Cartan matrix."""
     return FiniteAlgebra(cartan)
 
 
-def bracket_finite(x: FiniteElement, y: FiniteElement) -> FiniteElement:
-    return x.algebra.bracket(x, y)
+def _extend_by_extraspecial(algebra, images, bracket, combine):
+    """Extend images, a map given on the e_i, f_i and h_i keys, in place to
+    every root vector key: x_xi maps to [x_a, x_b] / N_{a,b} over the
+    extraspecial pair (a, b) of xi, and x_{-xi} over (-a, -b), in order of
+    height. bracket(u, v) brackets two images; combine(terms) sums c * u over
+    the (u, c) terms."""
+    for g in algebra.roots.positive_roots:
+        if root_height(g) > 1:
+            a1, b1 = algebra.extraspecial[g]
+            for root, a, b in ((g, a1, b1), (_neg(g), _neg(a1), _neg(b1))):
+                images[("x", root)] = combine(
+                    [(bracket(images[("x", a)], images[("x", b)]),
+                      Fraction(1, algebra.nmat[(a, b)]))])
 
 
-def invariant_form(x: FiniteElement, y: FiniteElement) -> Fraction:
-    return x.algebra.form(x, y)
+def _broken_bracket(algebra, images, bracket, combine):
+    """The first pair of basis keys (k1, k2) whose images do not bracket to
+    the image of [k1, k2], or None; bracket and combine as above."""
+    for k1 in algebra.basis:
+        for k2 in algebra.basis:
+            want = combine((images[k], c)
+                           for k, c in algebra._bracket_table[(k1, k2)].items())
+            if bracket(images[k1], images[k2]) != want:
+                return k1, k2
+    return None
 
 
 class DiagramAutomorphism:
     """Automorphism induced by a Dynkin-diagram symmetry.
 
-    perm maps 1-based node i to perm[i]; images of non-simple root vectors are
-    computed through the extraspecial decomposition, so every x_gamma maps to
+    perm is a dict that maps 1-based node i to perm[i]. The map sends e_i,
+    f_i and h_i to e_perm[i], f_perm[i] and h_perm[i], and is extended to
+    every root vector through the extraspecial pairs
+    (_extend_by_extraspecial), so every x_gamma maps to
     sign * x_{sigma(gamma)}. The construction verifies the bracket table.
     """
 
     def __init__(self, algebra: FiniteAlgebra, perm: dict):
         self.algebra = algebra
         n = algebra.rank
-        self.perm = {int(i): int(perm[i]) for i in perm} if isinstance(perm, dict) \
-            else {i + 1: perm[i] for i in range(len(perm))}
+        self.perm = dict(perm)
         if sorted(self.perm) != list(range(1, n + 1)) or \
                 sorted(self.perm.values()) != list(range(1, n + 1)):
             raise AutomorphismError("permutation must be a bijection of 1..N")
@@ -439,9 +457,26 @@ class DiagramAutomorphism:
             raise AutomorphismError(
                 f"diagram automorphism of order {self.order} is not supported (order 3 "
                 "twists are out of scope; only order 1 and 2)")
+        images = {("h", i): algebra.element({("h", j): 1}) for i, j in self.perm.items()}
+        for g in algebra.roots.simple_roots:
+            for root in (g, _neg(g)):
+                images[("x", root)] = algebra.element({("x", self.root_image(root)): 1})
+
+        def combine(terms):
+            return sum((c * u for u, c in terms), FiniteElement(algebra, {}))
+
+        _extend_by_extraspecial(algebra, images, algebra.bracket, combine)
+        # each image must be a unit multiple of x_{sigma(gamma)}
         self._sign = {}
-        self._build_signs()
-        self._verify()
+        for g in algebra.roots.root_set:
+            s = images[("x", g)].terms.get(("x", self.root_image(g)))
+            if s not in (1, -1):
+                raise ImvermaError("automorphism sign is not a unit; bootstrap failed")
+            self._sign[g] = int(s)
+        broken = _broken_bracket(algebra, images, algebra.bracket, combine)
+        if broken:
+            raise AutomorphismError("induced map fails to preserve "
+                                    f"[{key_name(broken[0])}, {key_name(broken[1])}]")
 
     def _perm_order(self):
         order = 1
@@ -456,32 +491,6 @@ class DiagramAutomorphism:
         for i, c in enumerate(gamma):
             out[self.perm[i + 1] - 1] = c
         return tuple(out)
-
-    def _sign_of(self, gamma):
-        if gamma in self._sign:
-            return self._sign[gamma]
-        rs = self.algebra.roots
-        pos = gamma in rs.positive_set
-        base = gamma if pos else _neg(gamma)
-        a1, b1 = self.algebra.extraspecial[base]
-        if not pos:
-            a1, b1 = _neg(a1), _neg(b1)
-        n_here = self.algebra.nmat[(a1, b1)]
-        n_image = self.algebra.nmat[(self.root_image(a1), self.root_image(b1))]
-        s = self._sign_of(a1) * self._sign_of(b1) * Fraction(n_image, n_here)
-        if s not in (1, -1):
-            raise ImvermaError("automorphism sign is not a unit; bootstrap failed")
-        self._sign[gamma] = int(s)
-        return self._sign[gamma]
-
-    def _build_signs(self):
-        rs = self.algebra.roots
-        for g in rs.simple_roots:
-            self._sign[g] = 1
-            self._sign[_neg(g)] = 1
-        for g in rs.positive_roots:
-            self._sign_of(g)
-            self._sign_of(_neg(g))
 
     def image_key(self, key):
         """(sign, image basis key)."""
@@ -498,17 +507,3 @@ class DiagramAutomorphism:
             s, k2 = self.image_key(k)
             add_scaled(out, {k2: c}, s)
         return FiniteElement(self.algebra, out)
-
-    def _verify(self):
-        alg = self.algebra
-        for k1 in alg.basis:
-            x = alg.element({k1: 1})
-            for k2 in alg.basis:
-                y = alg.element({k2: 1})
-                if self.apply(alg.bracket(x, y)) != alg.bracket(self.apply(x), self.apply(y)):
-                    raise AutomorphismError(
-                        f"induced map fails to preserve [{key_name(k1)}, {key_name(k2)}]")
-
-
-def diagram_automorphism(algebra: FiniteAlgebra, perm) -> DiagramAutomorphism:
-    return DiagramAutomorphism(algebra, perm)

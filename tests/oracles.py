@@ -376,7 +376,7 @@ def torsion_decompose_by_pair(module, gwindow):
     arrivals = {widx: [] for widx in admissible}
     for gk in hkeys:
         for src in module.defined.get(gk, ()):
-            mat, tgt, _ = module.table(gk, src)
+            mat, tgt = module.table(gk, src)
             if tgt in arrivals:
                 arrivals[tgt].extend(mat.values())
     for widx in admissible:
@@ -435,8 +435,9 @@ def _check_axioms_by_pair(split):
                 skipped += 1
                 continue
             checked += 1
-            _, tgt, ntgt = entries[0]
-            images = [[_image(mat, row) for row in tf_rows] for mat, _, _ in entries]
+            tgt = entries[0][1]
+            ntgt = 0 if tgt is None else module.dim(tgt)
+            images = [[_image(mat, row) for row in tf_rows] for mat, _ in entries]
             stacked = [{c + i * ntgt: x for i, imgs in enumerate(images)
                         for c, x in imgs[j].items()} for j in range(len(tf_rows))]
             if rank(stacked, len(gens) * ntgt) != len(tf_rows):
@@ -462,7 +463,8 @@ def _check_axioms_by_pair(split):
             entry = module.table(gk, widx)
             if entry is None or entry[1] is None:
                 continue
-            mat, tgt, ntgt = entry
+            mat, tgt = entry
+            ntgt = module.dim(tgt)
             rows = _transpose(mat)
             if tgt in outside:
                 escape_rows.extend(rows.get(r, {}) for r in range(ntgt))
@@ -490,14 +492,14 @@ def _check_axioms_by_pair(split):
     split.verdicts["torsion_isolated"] = {"passed": True, "by_weight": isolated}
 
 
-def reduced_verma_by_trial_action(algebra, lam, height, kmax, window, loop_window):
+def reduced_verma_by_trial_action(algebra, lam, kmax, window, loop_window):
     """ExplicitModule.from_reduced_verma by trial action alone: every
     (generator, source) pair that does not vanish by weight acts on each
     basis monomial in turn, and is undefined at the first image monomial
     outside the store; no pair is decided from its target weight. Every
     image monomial inside the store must lie at weight_shift of its source."""
     mod = VermaModule(algebra, lam, reduced=True)
-    spaces = list(windowed_spaces(mod, height, kmax, window))
+    spaces = list(windowed_spaces(mod, kmax, window))
     mono_index = {m: (widx, j) for widx, (_, _, basis) in enumerate(spaces)
                   for j, m in enumerate(basis)}
     defined = {}
@@ -518,7 +520,7 @@ def reduced_verma_by_trial_action(algebra, lam, height, kmax, window, loop_windo
             except KeyError:
                 continue
             per_src[widx] = block
-    meta = {"kind": "reduced-verma", "height": height, "kmax": kmax,
+    meta = {"kind": "reduced-verma", "height": window.H, "kmax": kmax,
             "window": {"L": window.L, "N": window.N, "H": window.H}}
     return ExplicitModule(algebra, [w for _, w, _ in spaces],
                           [[monomial_name(m) for m in basis] for _, _, basis in spaces],
@@ -663,7 +665,7 @@ def torsion_free_restriction(split):
             entry = module.table(gk, src)
             if entry is None:
                 continue
-            mat, tgt, _ = entry
+            mat, tgt = entry
             if tgt not in new_of_old:
                 # a zero image is exact; anything else leaves the slice
                 if not mat:
@@ -702,7 +704,8 @@ def block_violations(module):
     for gk, per_src in module.defined.items():
         name = gen_name(module.algebra, *gk)
         for src, block in per_src.items():
-            _, tgt, ntgt = module.table(gk, src)
+            tgt = module.table(gk, src)[1]
+            ntgt = 0 if tgt is None else module.dim(tgt)
             if tgt is None and block:
                 out.append((name, src, "nonzero block without a target weight"))
             for j, column in block.items():

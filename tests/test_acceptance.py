@@ -9,13 +9,13 @@ import random
 import time
 from fractions import Fraction
 
-from imverma.affine import AffineAlgebra, affine_bracket
+from imverma.affine import AffineAlgebra, TwistedSubalgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
 from imverma.category import (ExplicitModule, build_loop_module,
                               check_category_membership,
                               decompose_into_reduced_vermas, sl2_irrep_matrices,
                               torsion_decompose)
-from imverma.finite import build_simple_algebra, diagram_automorphism
+from imverma.finite import DiagramAutomorphism, build_simple_algebra
 from imverma.verma import (TruncationWindow, VermaModule, Weight, parse_weight)
 
 from oracles import (affine_cartan_entry, automorphism_trace, check_bracket_closure,
@@ -135,7 +135,7 @@ def test_criterion_5_reduced_verma_torsion_split():
     a1 = aff("A1")
     lam = parse_weight("h1=-1/2", 1)
     em = ExplicitModule.from_reduced_verma(
-        a1, lam, height=1, kmax=5, window=TruncationWindow(L=3, N=5, H=1),
+        a1, lam, kmax=5, window=TruncationWindow(L=3, N=5, H=1),
         loop_window=4)
     split = torsion_decompose(em, 4)
     assert split.torsion_dim() == 1
@@ -152,7 +152,7 @@ def test_criterion_6_loop_modules_excluded():
     t0 = time.time()
     a1 = aff("A1")
     for dim in (2, 3):
-        lm = build_loop_module(a1, sl2_irrep_matrices(dim), dim, 3)
+        lm = build_loop_module(a1, sl2_irrep_matrices(dim), 3)
         split = torsion_decompose(lm, 3)
         assert split.torsion_dim() == 0, f"dim {dim}: torsion must vanish"
         rep = check_category_membership(lm, 3)
@@ -175,15 +175,15 @@ def test_criterion_7_randomized_decompositions():
     for label, count in cases:
         a = aff(label)
         if label == "A1":
-            height, kmax, window, lw, gw = 1, 4, TruncationWindow(3, 4, 1), 3, 3
+            kmax, window, lw, gw = 4, TruncationWindow(3, 4, 1), 3, 3
         else:
-            height, kmax, window, lw, gw = 1, 3, TruncationWindow(2, 3, 1), 2, 2
+            kmax, window, lw, gw = 3, TruncationWindow(2, 3, 1), 2, 2
         for instance in range(count):
             t_inst = time.time()
             r = rng.randint(1, 3)
             lams = [parse_weight(random_lambda(a.rank), a.rank) for _ in range(r)]
             mods = [ExplicitModule.from_reduced_verma(
-                a, lam, height=height, kmax=kmax, window=window, loop_window=lw)
+                a, lam, kmax=kmax, window=window, loop_window=lw)
                 for lam in lams]
             em = mods[0] if r == 1 else ExplicitModule.direct_sum(mods)
             em = em.scrambled(rng.randint(0, 10 ** 6))
@@ -202,13 +202,12 @@ def test_criterion_7_randomized_decompositions():
 def test_criterion_8_twisted_construction():
     t0 = time.time()
     a3 = aff("A3")
-    aut = diagram_automorphism(a3.finite, {1: 3, 2: 2, 3: 1})
+    aut = DiagramAutomorphism(a3.finite, {1: 3, 2: 2, 3: 1})
     # eigenspace oracle: the trace of the induced involution fixes both dims
     tr = automorphism_trace(aut)
     fixed = (a3.finite.dimension + tr) // 2
     assert fixed == 10 and a3.finite.dimension - fixed == 5
-    from imverma.affine import twisted_fixed_subalgebra
-    tw = twisted_fixed_subalgebra(a3, aut, 4)
+    tw = TwistedSubalgebra(a3, aut, 4)
     for m in range(-4, 5):
         want = 10 if m % 2 == 0 else 5
         assert tw.graded_dimension(m) == want, m

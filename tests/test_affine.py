@@ -8,13 +8,12 @@ from fractions import Fraction
 import pytest
 
 from imverma.affine import (AffineAlgebra, AffineRoot, ClosedPartitionSpec,
-                            affine_bracket, check_closed_partition,
+                            TwistedSubalgebra, affine_bracket, check_closed_partition,
                             natural_partition_contains, natural_spec,
-                            standard_partition_contains, standard_spec,
-                            twisted_fixed_subalgebra)
+                            standard_partition_contains, standard_spec)
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import AutomorphismError, ContextMismatchError, NotARootError
-from imverma.finite import _neg, build_simple_algebra, diagram_automorphism
+from imverma.finite import DiagramAutomorphism, _neg, build_simple_algebra
 
 from oracles import affine_cartan_entry, automorphism_trace, check_bracket_closure
 
@@ -192,10 +191,10 @@ def test_tampered_partition_detected():
 
 def test_twisted_a3_dimensions_match_trace_oracle():
     a = aff("A3")
-    aut = diagram_automorphism(a.finite, {1: 3, 2: 2, 3: 1})
+    aut = DiagramAutomorphism(a.finite, {1: 3, 2: 2, 3: 1})
     tr = automorphism_trace(aut)
     dim_fixed = (a.finite.dimension + tr) // 2
-    tw = twisted_fixed_subalgebra(a, aut, 4)
+    tw = TwistedSubalgebra(a, aut, 4)
     for m in range(-4, 5):
         want = dim_fixed if m % 2 == 0 else a.finite.dimension - dim_fixed
         assert tw.graded_dimension(m) == want
@@ -203,8 +202,8 @@ def test_twisted_a3_dimensions_match_trace_oracle():
 
 def test_twisted_eigenvector_property():
     a = aff("A3")
-    aut = diagram_automorphism(a.finite, {1: 3, 2: 2, 3: 1})
-    tw = twisted_fixed_subalgebra(a, aut, 2)
+    aut = DiagramAutomorphism(a.finite, {1: 3, 2: 2, 3: 1})
+    tw = TwistedSubalgebra(a, aut, 2)
     for x in tw.even_basis:
         assert aut.apply(x) == x
     for x in tw.odd_basis:
@@ -213,23 +212,23 @@ def test_twisted_eigenvector_property():
 
 def test_twisted_bracket_closure():
     a = aff("A2")
-    aut = diagram_automorphism(a.finite, {1: 2, 2: 1})
-    tw = twisted_fixed_subalgebra(a, aut, 3)
+    aut = DiagramAutomorphism(a.finite, {1: 2, 2: 1})
+    tw = TwistedSubalgebra(a, aut, 3)
     rep = check_bracket_closure(tw)
     assert rep["passed"] and rep["checked_brackets"] > 0
 
 
 def test_twisted_rejects_identity():
     a = aff("A2")
-    ident = diagram_automorphism(a.finite, {1: 1, 2: 2})
+    ident = DiagramAutomorphism(a.finite, {1: 1, 2: 2})
     with pytest.raises(AutomorphismError, match="order 1"):
-        twisted_fixed_subalgebra(a, ident, 2)
+        TwistedSubalgebra(a, ident, 2)
 
 
 def test_twisted_borel_slices():
     a = aff("A3")
-    aut = diagram_automorphism(a.finite, {1: 3, 2: 2, 3: 1})
-    tw = twisted_fixed_subalgebra(a, aut, 2)
+    aut = DiagramAutomorphism(a.finite, {1: 3, 2: 2, 3: 1})
+    tw = TwistedSubalgebra(a, aut, 2)
     dims = tw.natural_borel_slice_dims()
     # negative degrees intersect n_+ only, so slices are smaller there;
     # degree 0 adjoins c and d

@@ -80,7 +80,7 @@ def test_defined_keeps_the_shape_spans_counts():
     # (generator, source) pairs over generators x weights: defined must stay
     # {gkey: {source weight index: block}}
     alg = AffineAlgebra(build_simple_algebra(cartan_matrix_of_type("A1")))
-    em = ExplicitModule.from_reduced_verma(alg, parse_weight("h1=-1/2", 1), height=1,
+    em = ExplicitModule.from_reduced_verma(alg, parse_weight("h1=-1/2", 1),
                                            kmax=2, window=TruncationWindow(3, 2, 1),
                                            loop_window=2)
     for gk, per_src in em.defined.items():

@@ -21,7 +21,7 @@ from imverma.category import (ExplicitModule, _mat_mul, _transpose,
                               check_category_membership,
                               decompose_into_reduced_vermas,
                               extract_annihilated_vector, gen_name,
-                              heisenberg_slice, parse_gen, sl2_irrep_matrices,
+                              parse_gen, sl2_irrep_matrices,
                               torsion_decompose)
 from imverma.verma import TruncationWindow, VermaModule, Weight, parse_weight
 from oracles import (axiom2_by_basis_vector, block_violations,
@@ -43,8 +43,8 @@ LAM = parse_weight("h1=-1/2", 1)
 
 def verma_a1(lam_text="h1=-1/2", kmax=5, loop_window=4):
     lam = parse_weight(lam_text, 1)
-    return ExplicitModule.from_reduced_verma(A1, lam, height=1, kmax=kmax,
-                                             window=W1, loop_window=loop_window)
+    return ExplicitModule.from_reduced_verma(A1, lam, kmax=kmax, window=W1,
+                                             loop_window=loop_window)
 
 
 # -- construction consistency -----------------------------------------------------
@@ -76,7 +76,7 @@ TRIAL_CASES = [
 @pytest.mark.parametrize("typ, lam, height", TRIAL_CASES)
 def test_pair_rules_match_trial_action(typ, lam, height):
     alg = aff(typ)
-    args = (alg, parse_weight(lam, alg.rank), height, 2,
+    args = (alg, parse_weight(lam, alg.rank), 2,
             TruncationWindow(L=3, N=2, H=height), 2)
     em = ExplicitModule.from_reduced_verma(*args)
     assert em.to_json_dict() == reduced_verma_by_trial_action(*args).to_json_dict()
@@ -92,7 +92,7 @@ def test_reduced_verma_tables_ignore_lengths_past_the_height():
     tables = []
     for length in (2, 10**6):
         em = ExplicitModule.from_reduced_verma(
-            A2, lam, height=2, kmax=2, window=TruncationWindow(L=length, N=2, H=2),
+            A2, lam, kmax=2, window=TruncationWindow(L=length, N=2, H=2),
             loop_window=2)
         data = em.to_json_dict()
         meta = dict(data.pop("meta"))
@@ -107,10 +107,10 @@ def test_cartan_loops_into_unstored_spaces_still_act():
     # alpha_3(h_2) = -1 does not, so that pair is undefined
     a3 = aff("A3")
     em = ExplicitModule.from_reduced_verma(
-        a3, parse_weight("h1=-1/2,h2=-1/3,h3=-1/5", 3), height=2, kmax=2,
+        a3, parse_weight("h1=-1/2,h2=-1/3,h3=-1/5", 3), kmax=2,
         window=TruncationWindow(L=3, N=2, H=2), loop_window=2)
     widx = em.labels.index(["F([0,0,1],2)*v"])
-    assert em.table((("h", 1), 1), widx) == ({}, None, 0)
+    assert em.table((("h", 1), 1), widx) == ({}, None)
     assert em.table((("h", 2), 1), widx) is None
 
 
@@ -139,7 +139,7 @@ def test_bracket_compatibility_invariant_full():
 def test_bracket_compatibility_invariant_a2_sampled():
     lam = parse_weight("h1=-1/2,h2=-5/3", 2)
     em = ExplicitModule.from_reduced_verma(
-        A2, lam, height=1, kmax=2, window=TruncationWindow(L=2, N=2, H=1),
+        A2, lam, kmax=2, window=TruncationWindow(L=2, N=2, H=1),
         loop_window=2)
     checked, failures = check_bracket_compatibility(em, max_pairs=120, rng_seed=4)
     assert checked > 50 and not failures
@@ -149,20 +149,23 @@ def test_bracket_compatibility_invariant_a2_sampled():
 
 
 def test_heisenberg_slice_relations():
-    hs = heisenberg_slice(A2, 3)
-    for k, basis in hs["slices"].items():
+    # the degree-k delta slice, 0 < |k| <= 3, is the Cartan at loop degree k
+    slices = {k: [A2.h(i, k) for i in range(1, A2.rank + 1)]
+              for k in range(-3, 4) if k}
+    c = A2.c_elem()
+    for k, basis in slices.items():
         assert len(basis) == 2  # rank
-        for kp, basis2 in hs["slices"].items():
+        for kp, basis2 in slices.items():
             for u in basis:
                 for v in basis2:
                     w = affine_bracket(u, v)
                     assert not w.terms and not w.d
+                    assert w == w.c * c
                     if k != -kp:
                         assert w.c == 0
         if k > 0:
             # [h_i (x) t^k, h_j (x) t^-k] = k (h_i|h_j) c is nonzero somewhere
-            vals = [affine_bracket(u, v).c for u in hs["slices"][k]
-                    for v in hs["slices"][-k]]
+            vals = [affine_bracket(u, v).c for u in slices[k] for v in slices[-k]]
             assert any(vals)
 
 
@@ -214,21 +217,21 @@ def test_same_lambda_sum_multiplicity_two():
 
 
 def test_direct_sum_meta_agrees_apart_from_kind():
-    lm = build_loop_module(A1, sl2_irrep_matrices(2), 2, 2)
+    lm = build_loop_module(A1, sl2_irrep_matrices(2), 2)
     em = ExplicitModule.direct_sum([lm, lm])
     assert em.meta == dict(lm.meta, kind="direct-sum")
     assert em.total_dim == 2 * lm.total_dim
     em = ExplicitModule.direct_sum([verma_a1(), verma_a1("h1=-3/2")])
     assert em.meta == dict(verma_a1().meta, kind="direct-sum")
     # summands built to different bounds give a sum without meta
-    other = build_loop_module(A1, sl2_irrep_matrices(3), 3, 2)
+    other = build_loop_module(A1, sl2_irrep_matrices(3), 2)
     assert ExplicitModule.direct_sum([lm, other]).meta is None
     assert ExplicitModule.direct_sum([verma_a1(), lm]).meta is None
 
 
 def test_loop_module_torsion_vanishes_dims_2_and_3():
     for dim in (2, 3):
-        lm = build_loop_module(A1, sl2_irrep_matrices(dim), dim, 3)
+        lm = build_loop_module(A1, sl2_irrep_matrices(dim), 3)
         split = torsion_decompose(lm, 3)
         assert split.torsion_dim() == 0, dim
         assert not split.verdicts["i"]["passed"]
@@ -238,7 +241,7 @@ def test_raw_kernel_vanishes_at_nonzero_h_weights():
     # the per-weight computation behind the torsion report: at any weight with
     # some nonzero h-value the joint kernel of the h_{j,r} actions is zero
     for dim in (2, 3):
-        lm = build_loop_module(A1, sl2_irrep_matrices(dim), dim, 3)
+        lm = build_loop_module(A1, sl2_irrep_matrices(dim), 3)
         for widx, w in enumerate(lm.weights):
             kernel, used = g_kernel_raw(lm, widx, 2)
             if kernel is None:
@@ -383,19 +386,19 @@ def _split_fields(split_fn, module, gwindow):
 A2_THREE = ("h1=1/4,h2=-7/4", "h1=-3/4,h2=-7/4", "h1=-7/4,h2=-3/4")
 # name -> (module, gwindow); the reduced stores keep tables up to loop degree 2
 SPLIT_MODULES = {
-    "A1-H1": lambda: (_reduced(A1, "h1=-1/2", 1, 3, TruncationWindow(3, 3, 1)), 2),
-    "A1-H2": lambda: (_reduced(A1, "h1=-1/2", 2, 3, TruncationWindow(3, 3, 2)), 2),
-    "A2-H1": lambda: (_reduced(A2, A2_LAMS[0], 1, 2, TruncationWindow(3, 2, 1)), 2),
-    "A2-H2": lambda: (_reduced(A2, A2_LAMS[0], 2, 2, TruncationWindow(3, 2, 2)), 2),
-    "C2-H1": lambda: (_reduced(aff("C2"), A2_LAMS[0], 1, 2,
+    "A1-H1": lambda: (_reduced(A1, "h1=-1/2", 3, TruncationWindow(3, 3, 1)), 2),
+    "A1-H2": lambda: (_reduced(A1, "h1=-1/2", 3, TruncationWindow(3, 3, 2)), 2),
+    "A2-H1": lambda: (_reduced(A2, A2_LAMS[0], 2, TruncationWindow(3, 2, 1)), 2),
+    "A2-H2": lambda: (_reduced(A2, A2_LAMS[0], 2, TruncationWindow(3, 2, 2)), 2),
+    "C2-H1": lambda: (_reduced(aff("C2"), A2_LAMS[0], 2,
                                TruncationWindow(3, 2, 1)), 2),
-    "C2-H2": lambda: (_reduced(aff("C2"), A2_LAMS[0], 2, 2,
+    "C2-H2": lambda: (_reduced(aff("C2"), A2_LAMS[0], 2,
                                TruncationWindow(3, 2, 2)), 2),
     "A1-two-scrambled": lambda: (ExplicitModule.direct_sum(
-        [_reduced(A1, lam, 1, 3, TruncationWindow(3, 3, 1))
+        [_reduced(A1, lam, 3, TruncationWindow(3, 3, 1))
          for lam in ("h1=-1/2", "h1=-3/2")]).scrambled(11), 2),
     "A2-three-scrambled": lambda: (ExplicitModule.direct_sum(
-        [_reduced(A2, lam, 1, 3, TruncationWindow(3, 3, 1))
+        [_reduced(A2, lam, 3, TruncationWindow(3, 3, 1))
          for lam in A2_THREE]).scrambled(7), 2),
     # h1@1 is undefined at d = 2 and h1@-1 at d = 0 and 3, all populated;
     # h1@1 kills v3, so T = <v3> and (iv) skips h1@-1 there
@@ -406,7 +409,7 @@ SPLIT_MODULES = {
     "zero-block-unstored-target": lambda: (_line_module(
         {"h1@1": [[1, 0, "1"]], "h1@-1": [[0, 1, "1"]]},
         {"h1@1": [0, 1], "h1@-1": [0, 1]}, ds=("0", "1")), 1),
-    "sl2-loop": lambda: (build_loop_module(A1, sl2_irrep_matrices(3), 3, 3), 3),
+    "sl2-loop": lambda: (build_loop_module(A1, sl2_irrep_matrices(3), 3), 3),
     "escape-candidates": lambda: (_escape_module(), 1),
     # TF = <a, b> at d = 1, but h1@1 carries v0 only onto a and h1@-1 v2
     # only onto b: two surjectivity violations
@@ -424,7 +427,7 @@ SPLIT_MODULES = {
         {"h1@1": [[1, 0, "1"]], "h1@-1": [[0, 1, "1"], [1, 2, "1"]]},
         {"h1@1": [0, 1], "h1@-1": [1, 2]}), 1),
     # the module of the check-A3-H2 pin: arrivals meet the torsion kernel
-    "check-A3-H2": lambda: (_reduced(aff("A3"), "h1=-1/2,h2=-1/3,h3=-1/5", 2, 2,
+    "check-A3-H2": lambda: (_reduced(aff("A3"), "h1=-1/2,h2=-1/3,h3=-1/5", 2,
                                      TruncationWindow(3, 2, 2)), 2),
 }
 
@@ -460,7 +463,7 @@ def test_membership_reduced_verma_passes():
 
 def test_membership_loop_module_fails_one_and_three():
     for dim in (2, 3):
-        lm = build_loop_module(A1, sl2_irrep_matrices(dim), dim, 3)
+        lm = build_loop_module(A1, sl2_irrep_matrices(dim), 3)
         rep = check_category_membership(lm, 3)
         assert not rep["axioms"]["1"]["passed"]
         assert rep["axioms"]["2"]["passed"]
@@ -486,21 +489,20 @@ def _e1_chain_module(blocks):
                           {(("x", (1,)), 0): blocks})
 
 
-def _reduced(alg, lam, height, kmax, window):
+def _reduced(alg, lam, kmax, window):
     return ExplicitModule.from_reduced_verma(alg, parse_weight(lam, alg.rank),
-                                             height=height, kmax=kmax,
-                                             window=window, loop_window=2)
+                                             kmax=kmax, window=window, loop_window=2)
 
 
 A2_LAMS = ("h1=-1/2,h2=-1/3", "h1=-3/2,h2=-1/3")
 # name -> (module, gwindow); every module stores its tables up to loop degree 2
 AXIOM2_MODULES = {
-    "A1-H1": lambda: _reduced(A1, "h1=-1/2", 1, 3, TruncationWindow(3, 3, 1)),
-    "A1-H2": lambda: _reduced(A1, "h1=-1/2", 2, 3, TruncationWindow(3, 3, 2)),
-    "A2-H1": lambda: _reduced(A2, A2_LAMS[0], 1, 2, TruncationWindow(3, 2, 1)),
-    "A2-H2": lambda: _reduced(A2, A2_LAMS[0], 2, 2, TruncationWindow(3, 2, 2)),
+    "A1-H1": lambda: _reduced(A1, "h1=-1/2", 3, TruncationWindow(3, 3, 1)),
+    "A1-H2": lambda: _reduced(A1, "h1=-1/2", 3, TruncationWindow(3, 3, 2)),
+    "A2-H1": lambda: _reduced(A2, A2_LAMS[0], 2, TruncationWindow(3, 2, 1)),
+    "A2-H2": lambda: _reduced(A2, A2_LAMS[0], 2, TruncationWindow(3, 2, 2)),
     "A2-sum-scrambled": lambda: ExplicitModule.direct_sum(
-        [_reduced(A2, lam, 1, 2, TruncationWindow(3, 2, 1))
+        [_reduced(A2, lam, 2, TruncationWindow(3, 2, 1))
          for lam in A2_LAMS]).scrambled(3),
     # e1@0 is undefined on the populated second space; column 1 is absent
     "undefined-block": lambda: _e1_chain_module({0: {0: {0: 1, 1: 2}}}),
@@ -562,7 +564,7 @@ def test_equal_weights_written_differently_are_one_key():
 
 
 def test_loop_module_weight_grid():
-    lm = build_loop_module(A1, sl2_irrep_matrices(2), 2, 3)
+    lm = build_loop_module(A1, sl2_irrep_matrices(2), 3)
     hvals = sorted({w.h_values[0] for w in lm.weights})
     assert hvals == [Fraction(-1), Fraction(1)]
     dvals = sorted({w.d_value for w in lm.weights})
@@ -571,7 +573,7 @@ def test_loop_module_weight_grid():
 
 
 def test_loop_module_action_degree_shift():
-    lm = build_loop_module(A1, sl2_irrep_matrices(2), 2, 2)
+    lm = build_loop_module(A1, sl2_irrep_matrices(2), 2)
     # f1@1 sends the highest vector at degree 0 to the lower one at degree 1
     src = next(i for i, w in enumerate(lm.weights)
                if w.h_values == (Fraction(1),) and w.d_value == 0)
@@ -582,7 +584,7 @@ def test_loop_module_action_degree_shift():
 
 
 def test_zero_module():
-    lm = build_loop_module(A1, sl2_irrep_matrices(1), 0, 2)
+    lm = build_loop_module(A1, sl2_irrep_matrices(0), 2)
     assert lm.total_dim == 0 and not lm.weights
 
 
@@ -591,13 +593,26 @@ def test_bad_generator_matrices_rejected():
     broken = {k: [list(r) for r in v] for k, v in mats.items()}
     broken["e1"][0][1] = Fraction(5)  # now [e,f] != h
     with pytest.raises(ModuleDataError, match="bracket table"):
-        build_loop_module(A1, broken, 2, 2)
+        build_loop_module(A1, broken, 2)
     nondiag = {k: [list(r) for r in v] for k, v in mats.items()}
     nondiag["h1"][0][1] = Fraction(1)
     with pytest.raises(ModuleDataError, match="not diagonal"):
-        build_loop_module(A1, nondiag, 2, 2)
+        build_loop_module(A1, nondiag, 2)
     with pytest.raises(ModuleDataError, match="missing generator"):
-        build_loop_module(A1, {"e1": mats["e1"]}, 2, 2)
+        build_loop_module(A1, {"e1": mats["e1"]}, 2)
+
+
+@pytest.mark.parametrize("edit, name", [
+    pytest.param(lambda m: m.update(h1=sl2_irrep_matrices(3)["h1"]), "h1",
+                 id="h1-3x3-beside-2x2"),
+    pytest.param(lambda m: m["f1"][0].append(Fraction(0)), "f1", id="ragged-row"),
+])
+def test_generator_matrices_of_another_size_rejected(edit, name):
+    # the module's dimension is the size of e1, and every matrix must match it
+    mats = {k: [list(r) for r in v] for k, v in sl2_irrep_matrices(2).items()}
+    edit(mats)
+    with pytest.raises(ModuleDataError, match=f"generator matrix '{name}' is not 2 x 2"):
+        build_loop_module(A1, mats, 2)
 
 
 def a2_standard_matrices():
@@ -614,7 +629,7 @@ def a2_standard_matrices():
 
 def test_loop_module_a2_standard_representation():
     # x_{+-(alpha1+alpha2)} are derived from the simple root matrices
-    lm = build_loop_module(A2, a2_standard_matrices(), 3, 1)
+    lm = build_loop_module(A2, a2_standard_matrices(), 1)
     assert lm.total_dim == 9
     assert (("x", (1, 1)), 1) in lm.defined and (("x", (-1, -1)), 0) in lm.defined
     checked, failures = check_bracket_compatibility(lm)
@@ -622,7 +637,7 @@ def test_loop_module_a2_standard_representation():
     flipped = a2_standard_matrices()
     flipped["f2"][2][1] = Fraction(-1)
     with pytest.raises(ModuleDataError, match="violate the bracket table"):
-        build_loop_module(A2, flipped, 3, 1)
+        build_loop_module(A2, flipped, 1)
 
 
 # -- extraction ----------------------------------------------------------------------
@@ -741,7 +756,7 @@ def test_decompose_scrambled_sum_of_every_type(label, summands):
     alg = aff(label)
     lams = [parse_weight(text, alg.rank) for text in summands.split("|")]
     mods = [ExplicitModule.from_reduced_verma(
-        alg, lam, height=1, kmax=2, window=TruncationWindow(L=3, N=2, H=1),
+        alg, lam, kmax=2, window=TruncationWindow(L=3, N=2, H=1),
         loop_window=2) for lam in lams]
     got, audit = decompose_into_reduced_vermas(
         ExplicitModule.direct_sum(mods).scrambled(3), 2)
@@ -751,7 +766,7 @@ def test_decompose_scrambled_sum_of_every_type(label, summands):
 
 
 def test_decompose_rejects_non_member():
-    lm = build_loop_module(A1, sl2_irrep_matrices(2), 2, 3)
+    lm = build_loop_module(A1, sl2_irrep_matrices(2), 3)
     with pytest.raises(ModuleDataError, match="membership"):
         decompose_into_reduced_vermas(lm, 3)
 
@@ -798,8 +813,8 @@ def test_scramble_preserves_dims_and_torsion():
 
 def a2_summands():
     window = TruncationWindow(L=3, N=4, H=1)
-    return [ExplicitModule.from_reduced_verma(A2, parse_weight(t, 2), height=1,
-                                              kmax=4, window=window, loop_window=3)
+    return [ExplicitModule.from_reduced_verma(A2, parse_weight(t, 2), kmax=4,
+                                              window=window, loop_window=3)
             for t in ("h1=1/4,h2=-7/4", "h1=-7/4,h2=-3/4")]
 
 
@@ -822,7 +837,7 @@ def a1_sum():
     pytest.param(lambda: ExplicitModule.from_json_dict(
         json.loads(json.dumps(a2_sum().scrambled(7).to_json_dict()))),
                  id="from_json_dict"),
-    pytest.param(lambda: build_loop_module(A1, sl2_irrep_matrices(3), 3, 2),
+    pytest.param(lambda: build_loop_module(A1, sl2_irrep_matrices(3), 2),
                  id="build_loop_module"),
 ])
 def test_targets_match_weight_shift(build):
@@ -919,7 +934,7 @@ def test_json_defined_defaults_to_action_support():
     pytest.param(lambda: ExplicitModule.from_json_dict(
         json.loads(json.dumps(a1_sum().scrambled(3).to_json_dict()))),
                  id="from_json_dict"),
-    pytest.param(lambda: build_loop_module(A2, a2_standard_matrices(), 3, 1),
+    pytest.param(lambda: build_loop_module(A2, a2_standard_matrices(), 1),
                  id="build_loop_module"),
 ])
 def test_blocks_are_column_major_without_zeros(build):

@@ -244,9 +244,9 @@ def test_unknown_type_is_usage_error(capsys):
                   "--monomial", "B1@-2"), "l > 0", id="symbol-b-degree-negative"),
     pytest.param(("verma-act", "--type", "A1", "--gen", "e1@0",
                   "--monomial", "B0@1"), "out of range", id="symbol-b-index-zero"),
-    pytest.param(("verma-act", "--type", "A1", "--gen", "c@0"), "implicit",
+    pytest.param(("verma-act", "--type", "A1", "--gen", "c@0"), "acts by a scalar",
                  id="gen-c"),
-    pytest.param(("verma-act", "--type", "A1", "--gen", "d@1"), "implicit",
+    pytest.param(("verma-act", "--type", "A1", "--gen", "d@1"), "acts by a scalar",
                  id="gen-d"),
     pytest.param(("verma-act", "--type", "A1", "--gen", "e1@x"), "want e1@-2",
                  id="gen-malformed-hint"),
@@ -263,7 +263,7 @@ def test_malformed_window_is_usage_error(capsys, argv, word):
 def _tampered(edit):
     data = build_loop_module(
         AffineAlgebra(build_simple_algebra(cartan_matrix_of_type("A1"))),
-        sl2_irrep_matrices(2), 2, 1).to_json_dict()
+        sl2_irrep_matrices(2), 1).to_json_dict()
     edit(data)
     return json.dumps(data)
 
@@ -319,6 +319,11 @@ def _generator_named_twice(field):
                  "'actions'", id="action-h-degree-zero"),
     pytest.param(_tampered(lambda d: d["defined"].update({"h1@0": [0]})),
                  "'defined'", id="defined-h-degree-zero"),
+    # c and d act by scalars from the weights and have no generator name
+    pytest.param(_tampered(lambda d: d["actions"].update({"c@0": [[0, 0, "1"]]})),
+                 "'actions'", id="action-c"),
+    pytest.param(_tampered(lambda d: d["defined"].update({"d@0": [0]})),
+                 "'defined'", id="defined-d"),
 ])
 def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
     path = tmp_path / "module.json"
@@ -357,7 +362,7 @@ def test_unreadable_input_file_is_one_line(tmp_path, capsys, argv, content,
 def _reduced_verma_file(tmp_path, edit):
     alg = AffineAlgebra(build_simple_algebra(cartan_matrix_of_type("A1")))
     data = ExplicitModule.from_reduced_verma(
-        alg, parse_weight("h1=-1/2", 1), height=1, kmax=3,
+        alg, parse_weight("h1=-1/2", 1), kmax=3,
         window=TruncationWindow(L=3, N=4, H=1), loop_window=3).to_json_dict()
     edit(data["meta"])
     path = tmp_path / "module.json"

@@ -10,15 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-import imverma
 from imverma.affine import AffineAlgebra, LoopElement
 from imverma.cartan import (cartan_matrix_from_text, cartan_matrix_of_type,
                             make_cartan_matrix)
 from imverma.errors import (AutomorphismError, CartanMatrixError,
                             ContextMismatchError, ImvermaError)
-from imverma.finite import (FiniteElement, _neg, _structure_constants,
-                            bracket_finite, build_simple_algebra,
-                            diagram_automorphism, invariant_form, root_height)
+from imverma.finite import (DiagramAutomorphism, FiniteElement, _neg,
+                            _structure_constants, build_simple_algebra, root_height)
 from imverma.verma import ModuleVector, VermaModule, Weight
 
 from oracles import (automorphism_trace, roots_by_reflection_closure,
@@ -360,11 +358,9 @@ def test_form_invariance_exhaustive():
                     assert a.form(a.bracket(x, y), z) == a.form(x, a.bracket(y, z))
 
 
-def test_exported_aliases_agree_with_the_algebra_methods():
-    # the package exports, imverma.invariant_form and imverma.bracket_finite,
-    # are the finite module's functions and agree with the algebra methods
-    assert imverma.invariant_form is invariant_form
-    assert imverma.bracket_finite is bracket_finite
+def test_form_and_bracket_expand_over_basis_pairs():
+    # form and bracket of mixed elements are the bilinear expansions of
+    # form_keys and the bracket table over the pairs of their basis keys
     for label in ("A2", "G2"):
         a = alg(label)
         elems = [a.element({k: 1}) for k in a.basis]
@@ -373,8 +369,14 @@ def test_exported_aliases_agree_with_the_algebra_methods():
         nonzero = 0
         for x in elems:
             for y in elems:
-                assert imverma.invariant_form(x, y) == a.form(x, y)
-                assert imverma.bracket_finite(x, y) == a.bracket(x, y)
+                pairs = [(k1, k2, c1 * c2) for k1, c1 in x.terms.items()
+                         for k2, c2 in y.terms.items()]
+                bracket = {}
+                for k1, k2, c in pairs:
+                    for k, v in a._bracket_table[(k1, k2)].items():
+                        bracket[k] = bracket.get(k, 0) + c * v
+                assert a.form(x, y) == sum(c * a.form_keys(k1, k2) for k1, k2, c in pairs)
+                assert a.bracket(x, y) == a.element(bracket)
                 nonzero += bool(a.form(x, y)) + (not a.bracket(x, y).is_zero())
         assert nonzero > len(elems), label
 
@@ -390,7 +392,7 @@ def test_theta_normalization():
 
 def test_a3_flip_order_two():
     a = alg("A3")
-    aut = diagram_automorphism(a, {1: 3, 2: 2, 3: 1})
+    aut = DiagramAutomorphism(a, {1: 3, 2: 2, 3: 1})
     assert aut.order == 2
     # trace determines the eigenspace dimensions
     tr = automorphism_trace(aut)
@@ -399,16 +401,16 @@ def test_a3_flip_order_two():
 
 def test_a2_flip_and_identity():
     a = alg("A2")
-    aut = diagram_automorphism(a, {1: 2, 2: 1})
+    aut = DiagramAutomorphism(a, {1: 2, 2: 1})
     assert aut.order == 2
-    ident = diagram_automorphism(a, {1: 1, 2: 2})
+    ident = DiagramAutomorphism(a, {1: 1, 2: 2})
     assert ident.order == 1
     assert ident.apply(a.e(1)) == a.e(1)
 
 
 def test_automorphism_preserves_brackets():
     a = alg("A3")
-    aut = diagram_automorphism(a, {1: 3, 2: 2, 3: 1})
+    aut = DiagramAutomorphism(a, {1: 3, 2: 2, 3: 1})
     rng = random.Random(2)
     for _ in range(50):
         x = a.element({rng.choice(a.basis): rng.randint(1, 3)})
@@ -418,7 +420,7 @@ def test_automorphism_preserves_brackets():
 
 def test_involution_squares_to_identity():
     a = alg("A3")
-    aut = diagram_automorphism(a, {1: 3, 2: 2, 3: 1})
+    aut = DiagramAutomorphism(a, {1: 3, 2: 2, 3: 1})
     for k in a.basis:
         x = a.element({k: 1})
         assert aut.apply(aut.apply(x)) == x
@@ -427,12 +429,12 @@ def test_involution_squares_to_identity():
 def test_triality_rejected():
     d4 = alg("D4")
     with pytest.raises(AutomorphismError, match="order 3"):
-        diagram_automorphism(d4, {1: 3, 3: 4, 4: 1, 2: 2})
+        DiagramAutomorphism(d4, {1: 3, 3: 4, 4: 1, 2: 2})
 
 
 def test_non_symmetry_rejected():
     a3 = alg("A3")
     with pytest.raises(AutomorphismError, match="not a diagram symmetry"):
-        diagram_automorphism(a3, {1: 2, 2: 1, 3: 3})
+        DiagramAutomorphism(a3, {1: 2, 2: 1, 3: 3})
     with pytest.raises(AutomorphismError, match="bijection"):
-        diagram_automorphism(a3, {1: 1, 2: 1, 3: 3})
+        DiagramAutomorphism(a3, {1: 1, 2: 1, 3: 3})

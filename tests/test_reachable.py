@@ -7,6 +7,7 @@ in a perfbench script (the span sites and the harness's imports). Public
 methods of the library's classes follow the same rule, read on attributes
 only in src/ (a method is called as obj.method, and a local variable of the
 same name does not reach it), except for a named set kept as public API.
+imverma.__all__ itself is pinned as a literal list.
 The scan reads source with ast and imports nothing but the package itself."""
 
 import ast
@@ -20,13 +21,28 @@ SRC = ROOT / "src" / "imverma"
 
 # Public methods that nothing in src/ or perfbench/ calls, kept as API: the
 # vacuum vector, one action on a PBW monomial, the count of one windowed
-# space, the zero elements, the generator e_i (x) t^n, the d element and the
-# twisted graded basis.
+# space, the zero elements, the generator e_i (x) t^n, the d element, the
+# twisted graded basis and the invariant form on elements.
 KEPT_PUBLIC = {
     "VermaModule.vacuum", "VermaModule.act_monomial", "VermaModule.weight_dim",
     "AffineAlgebra.zero", "AffineAlgebra.e", "AffineAlgebra.d_elem",
-    "FiniteAlgebra.zero", "TwistedSubalgebra.graded_basis",
+    "FiniteAlgebra.zero", "TwistedSubalgebra.graded_basis", "FiniteAlgebra.form",
 }
+
+# The package's public names. Adding or dropping an export is a public-API
+# decision, so it edits this list on purpose.
+PUBLIC_API = [
+    "AffineAlgebra", "AffineRoot", "CartanMatrix", "DiagramAutomorphism",
+    "ExplicitModule", "FiniteAlgebra", "FiniteElement", "ImvermaError",
+    "LoopElement", "ModuleVector", "TruncationWindow", "TwistedSubalgebra",
+    "VermaModule", "Weight", "WindowOverflowError", "affine_bracket",
+    "build_loop_module", "build_simple_algebra", "cartan_matrix_from_text",
+    "cartan_matrix_of_type", "check_category_membership", "check_closed_partition",
+    "decompose_into_reduced_vermas", "extract_annihilated_vector",
+    "make_cartan_matrix", "natural_partition_contains", "natural_spec",
+    "parse_weight", "parse_window", "sl2_irrep_matrices",
+    "standard_partition_contains", "standard_spec", "torsion_decompose",
+]
 
 
 def _names(tree, names=True, strings=False):
@@ -90,3 +106,7 @@ def test_unreached_public_methods_are_the_kept_ones():
     """A new public method nothing calls fails, and so does a kept entry
     that something now calls or that is gone."""
     assert unreached_public_methods() == KEPT_PUBLIC
+
+
+def test_public_api_is_the_pinned_list():
+    assert sorted(imverma.__all__) == PUBLIC_API
