@@ -37,9 +37,11 @@ argvs that print the (ii), (iii) and (iv) verdicts with their checked and
 skipped counts (scrambled A1 and A2 sums of three summands at H=1, the single
 A1 summand at H=2 and a scrambled A2 sum at H=2) were recorded before the
 split and those verdicts read one action map per generator instead of one
-table per (generator, weight) pair. A refactor that claims
-unchanged answers must keep every hash; a change that means to alter a
-report updates its constant and says why."""
+table per (generator, weight) pair. The rank-7 E7 and rank-8 E8 singular
+argvs were recorded before the PBW enumeration read its root multisets from
+a table kept by the root system instead of walking them on every call. A
+refactor that claims unchanged answers must keep every hash; a change that
+means to alter a report updates its constant and says why."""
 
 import hashlib
 
@@ -140,6 +142,18 @@ PINNED = [
          "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2,h4=-1/2,h5=-1/2,h6=-1/2",
          "--window", "L=3,N=2,H=3"),
         "f495301c9185ab3cb72db03b672d5dc52392b130", id="singular-E6"),
+    # ranks 7 and 8: 63 and 120 positive roots
+    pytest.param(
+        ("singular", "--type", "E7",
+         "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2,h4=-1/2,h5=-1/2,h6=-1/2,h7=-1/2",
+         "--window", "L=3,N=2,H=3"),
+        "e9193e31a9c478c0c724599141095819a4714bac", id="singular-E7"),
+    pytest.param(
+        ("singular", "--type", "E8",
+         "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2,h4=-1/2,h5=-1/2,h6=-1/2,h7=-1/2,"
+         "h8=-1/2",
+         "--window", "L=3,N=1,H=3"),
+        "9faf99ea8e3c880c979bc48cb6c73f35cefbd536", id="singular-E8s"),
     # the stretch argvs of the action layer, in rank and in window length
     pytest.param(
         ("singular", "--type", "A4",
