@@ -11,8 +11,7 @@ All arithmetic is exact rational; contexts are immutable and operations pure.
 
 from imverma.affine import (AffineAlgebra, AffineRoot, LoopElement, TwistedSubalgebra,
                             affine_bracket, check_closed_partition,
-                            natural_partition_contains, natural_spec,
-                            standard_partition_contains, standard_spec)
+                            natural_partition_contains, standard_partition_contains)
 from imverma.cartan import (CartanMatrix, cartan_matrix_from_text,
                             cartan_matrix_of_type, make_cartan_matrix)
 from imverma.category import (ExplicitModule, build_loop_module,
@@ -36,7 +35,7 @@ __all__ = [
     "build_loop_module", "build_simple_algebra", "cartan_matrix_from_text",
     "cartan_matrix_of_type", "check_category_membership", "check_closed_partition",
     "decompose_into_reduced_vermas", "extract_annihilated_vector",
-    "make_cartan_matrix", "natural_partition_contains", "natural_spec",
-    "parse_weight", "parse_window", "sl2_irrep_matrices",
-    "standard_partition_contains", "standard_spec", "torsion_decompose",
+    "make_cartan_matrix", "natural_partition_contains", "parse_weight",
+    "parse_window", "sl2_irrep_matrices", "standard_partition_contains",
+    "torsion_decompose",
 ]

@@ -39,9 +39,6 @@ class AffineRoot:
         return AffineRoot(tuple(a + b for a, b in zip(self.finite, other.finite)),
                           self.n + other.n)
 
-    def is_zero(self):
-        return self.n == 0 and all(x == 0 for x in self.finite)
-
 
 @dataclass(eq=False)
 class LoopElement(SparseCombination):
@@ -129,15 +126,10 @@ class AffineAlgebra:
 
     def roots_in_window(self, height, degree):
         """All affine roots with |finite height| <= height and |n| <= degree."""
-        out = []
         fins = [g for g in self.finite.roots.root_set if abs(root_height(g)) <= height]
         fins.append(tuple(0 for _ in range(self.rank)))
-        for g in sorted(fins):
-            for n in range(-degree, degree + 1):
-                r = AffineRoot(g, n)
-                if not r.is_zero() and self.is_affine_root(r):
-                    out.append(r)
-        return out
+        return [r for g in sorted(fins) for n in range(-degree, degree + 1)
+                if self.is_affine_root(r := AffineRoot(g, n))]
 
 
 def affine_bracket(a: LoopElement, b: LoopElement) -> LoopElement:
@@ -186,64 +178,40 @@ def standard_partition_contains(algebra: AffineAlgebra, r: AffineRoot) -> bool:
     return False
 
 
-@dataclass
-class ClosedPartitionSpec:
-    """Membership predicate for a candidate closed partition; for the named
-    partitions the predicate is global."""
-
-    algebra: AffineAlgebra
-    name: str
-    _predicate: object
-
-    def contains(self, r: AffineRoot) -> bool:
-        return self._predicate(r)
-
-
-def natural_spec(algebra) -> ClosedPartitionSpec:
-    return ClosedPartitionSpec(algebra, "natural",
-                               lambda r: natural_partition_contains(algebra, r))
-
-
-def standard_spec(algebra) -> ClosedPartitionSpec:
-    return ClosedPartitionSpec(algebra, "standard",
-                               lambda r: standard_partition_contains(algebra, r))
-
-
-def check_closed_partition(spec: ClosedPartitionSpec, height, degree) -> dict:
-    """Windowed closed-partition report.
+def check_closed_partition(alg: AffineAlgebra, contains, height, degree) -> dict:
+    """Windowed report on the candidate closed partition S whose membership
+    predicate is contains(alg, root), such as natural_partition_contains.
 
     Checks, over all affine roots with |finite height| <= height and
     |n| <= degree: S(r) xor S(-r) for every root, and closure under addition
     for every pair of members whose sum is again a root. Sums escaping the
     window are counted as skipped, never as failures.
     """
-    alg = spec.algebra
     window_roots = alg.roots_in_window(height, degree)
     violations = []
     members = []
     for r in window_roots:
-        in_s = spec.contains(r)
-        in_neg = spec.contains(-r)
+        in_s = contains(alg, r)
+        in_neg = contains(alg, -r)
         if in_s == in_neg:
             axiom = "disjointness" if in_s else "covering"
             violations.append({"axiom": axiom, "witness": [_root_record(r)]})
         if in_s:
             members.append(r)
     skipped = 0
-    inside = {(r.finite, r.n) for r in window_roots}
+    inside = set(window_roots)
     for i, r1 in enumerate(members):
         for r2 in members[i:]:
             s = r1 + r2
-            if s.is_zero() or not alg.is_affine_root(s):
+            if not alg.is_affine_root(s):
                 continue
-            if (s.finite, s.n) not in inside:
+            if s not in inside:
                 skipped += 1
                 continue
-            if not spec.contains(s):
+            if not contains(alg, s):
                 violations.append({"axiom": "closure",
                                    "witness": [_root_record(r1), _root_record(r2)]})
     return {
-        "partition": spec.name,
         "window": {"height": height, "loop_degree": degree},
         "roots_checked": len(window_roots),
         "skipped_sums": skipped,

@@ -913,19 +913,22 @@ def build_loop_module(algebra: AffineAlgebra, matrices, degree_window):
     keys = {}
     for i, simple in enumerate(fin.roots.simple_roots, 1):
         keys.update({f"e{i}": ("x", simple), f"f{i}": ("x", _neg(simple)), f"h{i}": ("h", i)})
+    rows = {}
     for name in keys:
         if name not in matrices:
             raise ModuleDataError(f"missing generator matrix {name!r}")
-    dim = len(matrices["e1"])
-    for name in keys:
-        if {len(matrices[name]), *map(len, matrices[name])} - {dim}:
+        with _module_field(name):
+            rows[name] = [list(map(Fraction, row)) for row in matrices[name]]
+    dim = len(rows["e1"])
+    for name, block in rows.items():
+        if {len(block), *map(len, block)} - {dim}:
             raise ModuleDataError(f"generator matrix {name!r} is not {dim} x {dim} like 'e1'")
     if dim == 0:
         return ExplicitModule(algebra, [], [], {}, provenance="loop-module",
                               loop_window=degree_window,
                               meta={"kind": "loop-module", "finite_dim": 0})
-    mats = {key: _transpose({r: {c: v for c, v in enumerate(map(Fraction, row)) if v}
-                             for r, row in enumerate(matrices[name])})
+    mats = {key: _transpose({r: {c: v for c, v in enumerate(row) if v}
+                             for r, row in enumerate(rows[name])})
             for name, key in keys.items()}
     for i in range(1, n + 1):
         if any(r != c for c, column in mats[("h", i)].items() for r in column):

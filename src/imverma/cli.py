@@ -18,7 +18,7 @@ import sys
 from functools import cache
 
 from imverma.affine import (AffineAlgebra, TwistedSubalgebra, check_closed_partition,
-                            natural_spec, standard_spec)
+                            natural_partition_contains, standard_partition_contains)
 from imverma.cartan import cartan_matrix_of_type, cartan_matrix_from_text
 from imverma.category import (ExplicitModule, _nonneg_vectors, build_loop_module,
                               check_category_membership, decompose_into_reduced_vermas,
@@ -185,26 +185,29 @@ def _parse_perm(text, rank):
     return perm
 
 
+PARTITIONS = {"natural": natural_partition_contains,
+              "standard": standard_partition_contains}
+
+
 def _cmd_roots(args):
     alg = _load_algebra(args)
-    spec = natural_spec(alg) if args.which == "natural" else standard_spec(alg)
+    contains = PARTITIONS[args.which]
     records = []
     for r in alg.roots_in_window(args.height, args.loop_degree):
         records.append({
             "root": {"finite": list(r.finite), "delta": r.n},
             "real": alg.classify_root(r) == "real",
-            "in_S": spec.contains(r),
-            "in_minus_S": spec.contains(-r),
+            "in_S": contains(alg, r),
+            "in_minus_S": contains(alg, -r),
         })
     return {"partition": args.which, "roots": records}
 
 
 def _cmd_partition(args):
-    alg = _load_algebra(args)
-    spec = natural_spec(alg) if args.which == "natural" else standard_spec(alg)
-    rep = check_closed_partition(spec, args.height, args.loop_degree)
-    rep["status"] = "pass" if rep["passed"] else "fail"
-    return rep
+    rep = check_closed_partition(_load_algebra(args), PARTITIONS[args.which],
+                                 args.height, args.loop_degree)
+    return {**rep, "partition": args.which,
+            "status": "pass" if rep["passed"] else "fail"}
 
 
 def _cmd_verma_dims(args):

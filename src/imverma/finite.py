@@ -18,11 +18,13 @@ root theta; this is the single normalization point of the whole package (it
 makes the affine central term come out in standard level units).
 
 Algebra contexts are immutable after construction and all operations are pure.
+The root system keeps the root multisets it has listed, one list per sum;
+their values do not depend on the order of the calls.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, le, neg, sub
 
 from imverma.cartan import CartanMatrix
 from imverma.errors import AutomorphismError, ContextMismatchError, ImvermaError
@@ -142,6 +144,8 @@ class FiniteRootSystem:
         top = [g for g in pos if root_height(g) == root_height(self.theta)]
         if len(top) != 1:
             raise ImvermaError("no unique highest root; matrix is not irreducible simple type")
+        self._place = {g: i for i, g in enumerate(self.positive_roots)}
+        self._multisets = {tuple([0] * n): ((),)}
 
     def pairing(self, gamma, i):
         """gamma(h_{i+1}) = sum_j c_j a_{i j} (0-based i)."""
@@ -150,6 +154,19 @@ class FiniteRootSystem:
     def string_down_length(self, alpha, beta):
         """p = max k with beta - k*alpha a root (alpha, beta roots)."""
         return _string_down(self.root_set, alpha, beta)
+
+    def root_multisets(self, s):
+        """Kostant's partitions of s: the multisets of positive roots with
+        sum s, tuples in positive_roots order, listed once and kept. Those at
+        s are those at s - gamma followed by each gamma <= s that comes no
+        earlier than their last root."""
+        s = tuple(s)
+        if s not in self._multisets:
+            self._multisets[s] = tuple(
+                m + (gamma,) for i, gamma in enumerate(self.positive_roots)
+                if all(map(le, gamma, s)) for m in self.root_multisets(_sub(s, gamma))
+                if not m or self._place[m[-1]] <= i)
+        return self._multisets[s]
 
 
 def _string_down(roots, alpha, beta):

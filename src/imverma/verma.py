@@ -33,7 +33,8 @@ every space as the coefficients of a truncated product with one geometric
 factor per PBW symbol, and builds no monomial. weight_bases(s, window) lists:
 it gives the basis of every space, {k: monomials in canonical order}, which
 the singular search and the explicit tables read; basis_monomials reads one
-offset (k, s), or all of s, from it.
+offset (k, s), or all of s, from it. Both read the root multisets of s from
+the root system's table, FiniteRootSystem.root_multisets.
 
 Each module interns (hash-conses) its PBW monomials, PBW symbols and loop
 operators (key, n) as small ints: a monomial id keeps its tuple, its head
@@ -526,16 +527,16 @@ class VermaModule:
         the PBW monomials of offset (k, s) inside the window, in canonical
         order, listed in one pass; the listing twin of weight_dims.
 
-        A monomial is a B-part followed by an F-part. The F-parts of a root
-        multiset of length f <= L take one degree tuple in [-N, N] per run of
-        equal roots, weakly increasing (a multiset of degrees); the B-parts
-        are the multisets of at most L - f symbols B(i, l), l <= N (only the
-        empty one in the reduced module). A monomial files under k = F total
-        - B total. Each part's sort key is built once, and the sort keys of
-        distinct monomials differ, so the monomials are never compared. An s
-        with a negative coordinate has no space, and an s higher than
-        window.H, or an unreduced L too long to index (_max_length), raises
-        WindowOverflowError.
+        A monomial is a B-part followed by an F-part. The F-parts of a
+        multiset of f <= L roots from the table root_multisets(s) take one
+        degree tuple in [-N, N] per run of equal roots, weakly increasing (a
+        multiset of degrees); the B-parts are the multisets of at most L - f
+        symbols B(i, l), l <= N (only the empty one in the reduced module). A
+        monomial files under k = F total - B total. Each part's sort key is
+        built once, and the sort keys of distinct monomials differ, so the
+        monomials are never compared. An s with a negative coordinate has no
+        space, and an s higher than window.H, or an unreduced L too long to
+        index (_max_length), raises WindowOverflowError.
         """
         s = tuple(s)
         if any(x < 0 for x in s):
@@ -549,7 +550,7 @@ class VermaModule:
                    for j in range(L + 1)]
         degrees = range(-N, N + 1)
         keyed = {}
-        for multiset in _root_multisets(self.algebra.finite, s):
+        for multiset in self.algebra.finite.roots.root_multisets(s):
             f = len(multiset)
             if f > L:
                 continue
@@ -577,16 +578,17 @@ class VermaModule:
         dim is the number of PBW monomials of offset (k, s) inside the window,
         len(weight_bases(s, window)[k]), counted without building one.
 
-        A monomial is a B-part followed by an F-part. The F-parts of a root
-        multiset of length f <= L are its degree tuples in [-N, N], weakly
-        increasing over each run of equal roots: a run of m equal roots has
-        as many tuples of degree sum t as there are multisets of m values in
-        [0, 2N] with sum t + m*N, and the runs are convolved. The B-parts are
-        the rank-coloured partitions with parts at most N and at most L - f
-        parts (only the empty one in the reduced module). A monomial files
-        under k = F total - B total. Like weight_bases, an s with a
-        negative coordinate has no space, and an s higher than window.H or an
-        unreduced L too long to index raises WindowOverflowError.
+        A monomial is a B-part followed by an F-part. The F-parts of a
+        multiset of f <= L roots from the table root_multisets(s) are its
+        degree tuples in [-N, N], weakly increasing over each run of equal
+        roots: a run of m equal roots has as many tuples of degree sum t as
+        there are multisets of m values in [0, 2N] with sum t + m*N, and the
+        runs are convolved. The B-parts are the rank-coloured partitions with
+        parts at most N and at most L - f parts (only the empty one in the
+        reduced module). A monomial files under k = F total - B total. Like
+        weight_bases, an s with a negative coordinate has no space, and an s
+        higher than window.H or an unreduced L too long to index raises
+        WindowOverflowError.
         """
         s = tuple(s)
         if any(x < 0 for x in s):
@@ -595,7 +597,7 @@ class VermaModule:
         # root multisets whose runs of equal roots have the same lengths have
         # the same F-part counts (equal roots are adjacent in a multiset)
         shapes = Counter(tuple(sorted(len(list(run)) for _, run in groupby(m)))
-                         for m in _root_multisets(self.algebra.finite, s)
+                         for m in self.algebra.finite.roots.root_multisets(s)
                          if len(m) <= L)
         # degree_runs[m][t]: runs of m equal roots with degree sum t - m*N; a
         # run is no longer than its multiset, which has at most ht(s) roots
@@ -795,31 +797,6 @@ def _negative_symbol_bracket(fin, s1, s2):
         return None
     n = fin.nmat[(_neg(g1), _neg(g2))]
     return (("F", total, n1 + n2), n) if n else None
-
-
-def _root_multisets(fin, s):
-    """Multisets of positive roots with coordinate sum s, each a tuple weakly
-    increasing in positive_roots order (height, then coordinates)."""
-    out = []
-    _extend_root_multisets(fin.roots.positive_roots, 0, tuple(s), [], out)
-    return out
-
-
-def _extend_root_multisets(pos, idx, remaining, acc, out):
-    """Append to out each extension of acc by a multiset of pos[idx:] with
-    coordinate sum remaining, those taking pos[idx] first."""
-    if all(x == 0 for x in remaining):
-        out.append(tuple(acc))
-        return
-    if idx >= len(pos):
-        return
-    gamma = pos[idx]
-    if all(r >= g for r, g in zip(remaining, gamma)):
-        acc.append(gamma)
-        _extend_root_multisets(pos, idx, tuple(r - g for r, g in zip(remaining, gamma)),
-                               acc, out)
-        acc.pop()
-    _extend_root_multisets(pos, idx + 1, remaining, acc, out)
 
 
 def _multiset_counts(values, max_len):

@@ -9,8 +9,9 @@ offsets, repeated application of VermaModule.act for nilpotency degrees,
 trial action on every table pair instead of pair rules read from the target
 weights, axiom (2) one basis vector at a time instead of one chain per
 (generator, weight) block, the torsion split and its verdicts one (generator,
-weight) table at a time instead of one map per generator), so an agreement is
-meaningful. sparse_rows and dense_rows convert between the dense test matrices
+weight) table at a time instead of one map per generator, every multiset of at
+most ht(s) positive roots instead of the root system's table of Kostant
+partitions), so an agreement is meaningful. sparse_rows and dense_rows convert between the dense test matrices
 and the sparse rows the package kernels take and return.
 
 The last section holds the checks the tests run on library objects and that
@@ -57,6 +58,15 @@ def roots_by_reflection_closure(cartan):
                     nxt.append(image)
         frontier = nxt
     return roots
+
+
+def kostant_partitions(positive_roots, s):
+    """The multisets of positive roots with coordinate sum s, by brute force:
+    every multiset of at most ht(s) roots, each a tuple in positive_roots
+    order, kept when its coordinates sum to s."""
+    return [combo for f in range(sum(s) + 1)
+            for combo in combinations_with_replacement(positive_roots, f)
+            if all(sum(g[i] for g in combo) == x for i, x in enumerate(s))]
 
 
 def colored_partition_counts(ncolors, kmax):

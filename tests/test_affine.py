@@ -7,10 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from imverma.affine import (AffineAlgebra, AffineRoot, ClosedPartitionSpec,
-                            TwistedSubalgebra, affine_bracket, check_closed_partition,
-                            natural_partition_contains, natural_spec,
-                            standard_partition_contains, standard_spec)
+from imverma.affine import (AffineAlgebra, AffineRoot, TwistedSubalgebra,
+                            affine_bracket, check_closed_partition,
+                            natural_partition_contains, standard_partition_contains)
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import AutomorphismError, ContextMismatchError, NotARootError
 from imverma.finite import DiagramAutomorphism, _neg, build_simple_algebra
@@ -159,27 +158,28 @@ def test_partition_membership_examples():
 
 def test_partition_xor_property():
     a = aff("C2")
-    for spec in (natural_spec(a), standard_spec(a)):
+    for contains in (natural_partition_contains, standard_partition_contains):
         for r in a.roots_in_window(3, 3):
-            assert spec.contains(r) != spec.contains(-r)
+            assert contains(a, r) != contains(a, -r)
 
 
 def test_closed_partition_reports_pass():
     for label in ["A2", "C2"]:
         a = aff(label)
-        for spec in (natural_spec(a), standard_spec(a)):
-            rep = check_closed_partition(spec, 3, 4)
-            assert rep["passed"], (label, spec.name, rep["violations"][:3])
+        for contains in (natural_partition_contains, standard_partition_contains):
+            rep = check_closed_partition(a, contains, 3, 4)
+            assert rep["passed"], (label, contains.__name__, rep["violations"][:3])
             assert rep["skipped_sums"] > 0  # window edges exist
 
 
 def test_tampered_partition_detected():
     a = aff("A2")
-    tampered = ClosedPartitionSpec(
-        a, "tampered",
-        lambda r: natural_partition_contains(a, r)
-        and not (all(x == 0 for x in r.finite) and r.n == 3))
-    rep = check_closed_partition(tampered, 3, 4)
+
+    def tampered(alg, r):
+        return (natural_partition_contains(alg, r)
+                and not (all(x == 0 for x in r.finite) and r.n == 3))
+
+    rep = check_closed_partition(a, tampered, 3, 4)
     assert not rep["passed"]
     closure = [v for v in rep["violations"] if v["axiom"] == "closure"]
     witnesses = {tuple(sorted((w["delta"] for w in v["witness"]))) for v in closure}

@@ -615,6 +615,19 @@ def test_generator_matrices_of_another_size_rejected(edit, name):
         build_loop_module(A1, mats, 2)
 
 
+@pytest.mark.parametrize("edit, name", [
+    pytest.param(lambda m: m.update(h1=[5, 6]), "h1", id="rows-not-lists"),
+    pytest.param(lambda m: m["e1"][0].__setitem__(1, "x"), "e1", id="not-a-number"),
+    pytest.param(lambda m: m["f1"][1].__setitem__(0, "1/0"), "f1", id="zero-denominator"),
+])
+def test_malformed_generator_entries_rejected(edit, name):
+    # an entry that is not a rational number is bad data in the matrix holding it
+    mats = {k: [list(r) for r in v] for k, v in sl2_irrep_matrices(2).items()}
+    edit(mats)
+    with pytest.raises(ModuleDataError, match=f"bad module data in '{name}'"):
+        build_loop_module(A1, mats, 2)
+
+
 def a2_standard_matrices():
     """e_i = E_{i,i+1}, f_i = E_{i+1,i}, h_i = E_{ii} - E_{i+1,i+1} on C^3."""
     def unit(*entries):

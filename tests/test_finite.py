@@ -7,6 +7,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,8 +20,9 @@ from imverma.finite import (DiagramAutomorphism, FiniteElement, _neg,
                             _structure_constants, build_simple_algebra, root_height)
 from imverma.verma import ModuleVector, VermaModule, Weight
 
-from oracles import (automorphism_trace, roots_by_reflection_closure,
-                     solve_invariant_form, string_length_down)
+from oracles import (automorphism_trace, kostant_partitions,
+                     roots_by_reflection_closure, solve_invariant_form,
+                     string_length_down)
 
 
 def alg(label):
@@ -101,6 +103,26 @@ def test_highest_root_is_unique_maximum():
         tops = [g for g in a.roots.positive_roots
                 if root_height(g) == root_height(theta)]
         assert tops == [theta]
+
+
+def test_root_multisets_are_the_kostant_partitions():
+    # every multiset of at most ht(s) positive roots summing to s, once, in
+    # positive_roots order, up to a height that falls as the rank grows
+    tops = {"A1": 6, "A2": 5, "A3": 4, "A4": 4, "B3": 4, "C3": 4, "D4": 3,
+            "G2": 6, "F4": 3}
+    for label, top in tops.items():
+        roots = alg(label).roots
+        for s in product(range(top + 1), repeat=len(roots.simple_roots)):
+            if sum(s) <= top:
+                got = roots.root_multisets(s)
+                assert len(set(got)) == len(got), (label, s)
+                assert sorted(got) == sorted(
+                    kostant_partitions(roots.positive_roots, s)), (label, s)
+    # each root system keeps its own table: the loop above asked A2 first,
+    # and here G2 goes first; alpha1 + 2 alpha2 is a root of G2 only
+    g2, a2 = alg("G2").roots, alg("A2").roots
+    assert len(g2.root_multisets((1, 2))) == 3
+    assert len(a2.root_multisets((1, 2))) == 2
 
 
 def test_positive_negative_split():

@@ -39,9 +39,9 @@ PUBLIC_API = [
     "build_loop_module", "build_simple_algebra", "cartan_matrix_from_text",
     "cartan_matrix_of_type", "check_category_membership", "check_closed_partition",
     "decompose_into_reduced_vermas", "extract_annihilated_vector",
-    "make_cartan_matrix", "natural_partition_contains", "natural_spec",
-    "parse_weight", "parse_window", "sl2_irrep_matrices",
-    "standard_partition_contains", "standard_spec", "torsion_decompose",
+    "make_cartan_matrix", "natural_partition_contains", "parse_weight",
+    "parse_window", "sl2_irrep_matrices", "standard_partition_contains",
+    "torsion_decompose",
 ]
 
 
