@@ -412,7 +412,7 @@ def build_parser():
             ("roots", _cmd_roots, "affine roots in a window with partition flags"),
             ("partition", _cmd_partition, "windowed closed-partition check")):
         p = command(name, func, text)
-        p.add_argument("--which", choices=["natural", "standard"], default="natural")
+        p.add_argument("--which", choices=list(PARTITIONS), default="natural")
         p.add_argument("--height", type=_count, required=True)
         p.add_argument("--loop-degree", type=_count, required=True)
 

@@ -18,7 +18,7 @@ root theta; this is the single normalization point of the whole package (it
 makes the affine central term come out in standard level units).
 
 Algebra contexts are immutable after construction and all operations are pure.
-The root system keeps the root multisets it has listed, one list per sum;
+The root system keeps the root multisets it has listed, one tuple per sum;
 their values do not depend on the order of the calls.
 """
 
