@@ -193,7 +193,9 @@ def test_structure_constants_are_string_lengths():
 
 # sha1 of repr(sorted(nmat.items())) and of the sorted _bracket_table with
 # sorted images, recorded before the structure constants were bootstrapped in
-# int arithmetic and the bracket table filled from the root data
+# int arithmetic and the bracket table filled from the root data; B6, C6, D7
+# and E8 were recorded before the context was built from the positive root
+# triples
 TABLE_SHA1 = {
     "A1": ("97d170e1550eee4afc0af065b78cda302a97674c",
            "a165acc327f3774dec06c82a51bb1797335b5b4f"),
@@ -219,6 +221,8 @@ TABLE_SHA1 = {
            "39cb959296ce1d26d58f85cb64f13fc06dec07a4"),
     "B5": ("91820ec79d98d81354e7407e633cd4dda84b5ced",
            "d2d9c4ff10e8d7f372cd05a9787501e95161c8a5"),
+    "B6": ("1b3cc3acfce0b9d15234ecd6d9c057afab6ead83",
+           "8a5c4ba8a6cc8b6f998cb99803eeae504dbe4c2a"),
     "C2": ("54549ba729489ef11c266fd16922266c9ed37801",
            "597271e9abe522941e14d0dcfbe542fa4dfbd67d"),
     "C3": ("7caa3edf02e55b38b24f45c36c1428ba99e298a5",
@@ -227,16 +231,22 @@ TABLE_SHA1 = {
            "7436b662c70ec498377d88eb07ba1707e87bbf70"),
     "C5": ("58529633cac22a05f57987f9df22e94b4a69f264",
            "9d29f8f56aa29d2f5c8f5b1732d494d00eba414b"),
+    "C6": ("4e719c75ba4b2c110c954103a121560c868b661e",
+           "77587d65f52168e08ebe16fcea578e430cc9af78"),
     "D4": ("064a1193bf006d65aab67a44bd199f4c37de2674",
            "dc9476c615ee0cb0f2661311dcda8daa9f974bcc"),
     "D5": ("b9577cd8f8971f6c4a94d4c4fb8d24c17e53cca9",
            "7b4cef6c8a3a4b67fd8bc00b1617612db48e8031"),
     "D6": ("d7819504c8d6e60192a46e121d1b77df00e638c2",
            "4ac0b9e67725bb5aa667977052c23c9589c7d34a"),
+    "D7": ("53761a9ae303cad3bf5d0823bcdfeb1619f7690c",
+           "73ec040c430f633d885428ef896eaf2917fca686"),
     "E6": ("55966a4ca61c93e5b9dafa15f1cdfb0b09b6effb",
            "ef90d244c33777114ff421c5f7923f711b0a8b52"),
     "E7": ("5582876794f098d5fa7b721cb99a226b6602c9b7",
            "cfb95016d7444807e1023a3f113b2cce4afd8c0a"),
+    "E8": ("749314a655db779ec9954594209a6fc4961c2821",
+           "1c5aa2352e8435fcdba9313ddb1d0e21f4abb5ec"),
     "F4": ("692af9fe2b1c0aa8db4c7c8d98cefecbb0d69986",
            "d8ec39ba4ffa50d5cbfc2871399a5dd60ae4a4aa"),
     "G2": ("38e17adf17c9b0dda29cf17a822e99ba99676064",

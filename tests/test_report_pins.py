@@ -39,7 +39,10 @@ A1 summand at H=2 and a scrambled A2 sum at H=2) were recorded before the
 split and those verdicts read one action map per generator instead of one
 table per (generator, weight) pair. The rank-7 E7 and rank-8 E8 singular
 argvs were recorded before the PBW enumeration read its root multisets from
-a table kept by the root system instead of walking them on every call. A
+a table kept by the root system instead of walking them on every call. The
+E8, F4 and G2 algebra argvs and the five verma-dims argvs of the benchmark's
+dims workload at seed 1 were recorded before the algebra context was built in
+int arithmetic from the positive root triples, with a sparse bracket table. A
 refactor that claims unchanged answers must keep every hash; a change that
 means to alter a report updates its constant and says why."""
 
@@ -249,10 +252,37 @@ PINNED = [
     pytest.param(
         ("algebra", "--type", "D4", "--twist", "3:4,4:3", "--loop-degree", "3"),
         "b4f73960dbc127b28cd0021cd7517d8285d3ab7d", id="algebra-twist-D4"),
+    pytest.param(("algebra", "--type", "E8"),
+                 "c180bdf10c22680420f27b6939eead3e744ddffc", id="algebra-E8"),
+    pytest.param(("algebra", "--type", "F4"),
+                 "f3217153a8518191d60ac9d0a1ab904b512e3518", id="algebra-F4"),
+    pytest.param(("algebra", "--type", "G2"),
+                 "27841f1c16c029f77971cdcbbb594a215db26a12", id="algebra-G2"),
     pytest.param(
         ("verma-dims", "--type", "A2", "--offset", "2,1",
          "--window", "L=5,N=5,H=3", "--delta-max", "6"),
         "95896608ed9309289b43124cb33b4cc7e56d412b", id="dims-A2"),
+    # the dims workload of the benchmark at seed 1
+    pytest.param(
+        ("verma-dims", "--type", "A2", "--lambda", "h1=-7/4,h2=-15/4",
+         "--offset", "1,1", "--window", "L=5,N=5,H=2", "--delta-max", "6"),
+        "7ae564d50262be1396a0c3d38065a53bcc853c43", id="dims-bench-A2-11"),
+    pytest.param(
+        ("verma-dims", "--type", "A2", "--lambda", "h1=1/4,h2=1/4",
+         "--offset", "2,1", "--window", "L=5,N=5,H=3", "--delta-max", "6"),
+        "d3fb27c1ae266f2d3bfd9d0d55138de057293629", id="dims-bench-A2-21"),
+    pytest.param(
+        ("verma-dims", "--type", "A1", "--lambda", "h1=-11/4",
+         "--offset", "2", "--window", "L=7,N=7,H=2", "--delta-max", "9"),
+        "00aa4b46c505b572d649ab2a74fd2f22cccc4f70", id="dims-bench-A1"),
+    pytest.param(
+        ("verma-dims", "--type", "C2", "--lambda", "h1=9/4,h2=9/4",
+         "--offset", "1,1", "--window", "L=5,N=5,H=2", "--delta-max", "6"),
+        "671a31d43fe4fd00579628fdd004c9e56cac2152", id="dims-bench-C2"),
+    pytest.param(
+        ("verma-dims", "--type", "A3", "--lambda", "h1=9/4,h2=1/4,h3=5/4",
+         "--offset", "1,1,0", "--window", "L=4,N=4,H=2", "--delta-max", "4"),
+        "b489b8f804a5e9818926b637242502fb5a4bfcd6", id="dims-bench-A3"),
     pytest.param(
         ("verma-dims", "--type", "A2", "--offset", "2,1",
          "--window", "L=5,N=5,H=3", "--delta-max", "6", "--format", "json"),
