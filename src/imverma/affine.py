@@ -71,7 +71,7 @@ class AffineAlgebra:
         self.theta = theta
         # h_0 = c - h_theta, realized and recorded rather than postulated;
         # [e_0, f_0] is checked against it in the test suite.
-        self._h0_finite = -1 * finite.coroot(theta)
+        self._h0_finite = finite.coroot(_neg(theta))  # h_{-theta} = -h_theta
 
     # -- element factories -------------------------------------------------
 
@@ -143,7 +143,7 @@ def affine_bracket(a: LoopElement, b: LoopElement) -> LoopElement:
     for (k1, n1), c1 in a.terms.items():
         for (k2, n2), c2 in b.terms.items():
             coeff = c1 * c2
-            image = fin._bracket_table[(k1, k2)]
+            image = fin._bracket_table.get((k1, k2), {})
             add_scaled(terms, {(k, n1 + n2): c for k, c in image.items()}, coeff)
             if n1 == -n2 and n1 != 0:
                 c_out += coeff * n1 * fin.form_keys(k1, k2)

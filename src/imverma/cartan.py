@@ -2,10 +2,16 @@
 
 Convention: a[i][j] = <alpha_j, alpha_i^vee>, so [h_i, e_j] = a[i][j] e_j.
 Indices are 0-based internally; the public generator names h1..hN are 1-based.
+
+Validation runs in int arithmetic. The symmetrizer d is walked along the
+edges of the Dynkin diagram from node 1 as integer (numerator, denominator)
+pairs, and a node it does not reach rejects the matrix as decomposable: the
+diagram of a simple algebra is connected. Finite type is Sylvester's
+criterion on the symmetrization d_i a_ij, whose leading principal minors are
+the pivots of Bareiss's fraction-free elimination (Math. Comp. 22, 1968).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from imverma.errors import CartanMatrixError
@@ -51,61 +57,62 @@ def _validate_axioms(a):
 def _symmetrizer(a):
     """Coprime positive integers d with d_i a_ij = d_j a_ji, or raise.
 
-    Every node is popped once and compares each of its edges, so the walk
-    checks the whole matrix; a_ij, a_ji < 0 (_validate_axioms) keeps d > 0.
+    d_i is walked from node 1 as an integer pair (numerator, denominator):
+    each popped node compares every edge, so the walk checks the whole of a
+    connected matrix, and a_ij, a_ji < 0 (_validate_axioms) keeps d > 0. A
+    node the walk does not reach means the Dynkin diagram is not connected.
     """
     n = len(a)
     d = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if a[i][j] == 0 or i == j:
-                    continue
-                want = d[i] * a[i][j] / a[j][i]
-                if d[j] is None:
-                    d[j] = want
-                    stack.append(j)
-                elif d[j] != want:
-                    raise CartanMatrixError("matrix is not symmetrizable")
-    scale = lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
+    d[0] = (1, 1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        p, q = d[i]
+        for j in range(n):
+            if a[i][j] == 0 or i == j:
+                continue
+            want = (-p * a[i][j], -q * a[j][i])  # d_j = d_i a_ij / a_ji
+            if d[j] is None:
+                d[j] = want
+                stack.append(j)
+            elif d[j][0] * want[1] != want[0] * d[j][1]:
+                raise CartanMatrixError("matrix is not symmetrizable")
+    if None in d:
+        raise CartanMatrixError("matrix is decomposable: its Dynkin diagram is not connected")
+    scale = lcm(*(q for _, q in d))
+    ints = [p * (scale // q) for p, q in d]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
 def _is_positive_definite(sym):
-    """Leading principal minors of an exact symmetric matrix, Sylvester."""
-    n = len(sym)
-    m = [[Fraction(x) for x in row] for row in sym]
-    det = Fraction(1)
+    """Sylvester's criterion on an integer symmetric matrix: Bareiss's
+    fraction-free elimination makes its k-th pivot the k-th leading principal
+    minor, and every division exact, so each minor is checked > 0 in ints."""
+    m = [list(row) for row in sym]
+    n = len(m)
+    prev = 1
     for k in range(n):
-        # partial pivot within the leading block is unnecessary: positive
-        # definite matrices have nonzero leading minors; a zero pivot means
-        # some minor vanished, so the matrix is not positive definite.
-        if m[k][k] == 0:
-            return False
-        det *= m[k][k]
-        if det <= 0:
+        pivot = m[k][k]
+        if pivot <= 0:
             return False
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
+            row, f = m[i], m[i][k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - f * m[k][j]) // prev
+        prev = pivot
     return True
 
 
 def make_cartan_matrix(entries, label=""):
     """Validate and package a finite-type Cartan matrix."""
     a = tuple(tuple(int(x) for x in row) for row in entries)
+    if not a:
+        raise CartanMatrixError("empty Cartan matrix")
     _validate_axioms(a)
     d = _symmetrizer(a)
-    sym = [[d[i] * a[i][j] for j in range(len(a))] for i in range(len(a))]
-    if not _is_positive_definite(sym):
+    if not _is_positive_definite([[di * x for x in row] for di, row in zip(d, a)]):
         raise CartanMatrixError("matrix is not of finite type "
                                 "(symmetrization is not positive definite)")
     return CartanMatrix(entries=a, symmetrizer=d, label=label)
@@ -177,6 +184,4 @@ def cartan_matrix_from_text(text):
                 raise CartanMatrixError(
                     f"Cartan matrix entry {tok!r} is not an integer") from None
         rows.append(row)
-    if not rows:
-        raise CartanMatrixError("empty Cartan matrix text")
     return make_cartan_matrix(rows)

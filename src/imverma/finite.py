@@ -24,7 +24,7 @@ their values do not depend on the order of the calls.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, neg, sub
+from operator import add, le, mul, neg, sub
 
 from imverma.cartan import CartanMatrix
 from imverma.errors import AutomorphismError, ContextMismatchError, ImvermaError
@@ -121,35 +121,35 @@ class FiniteRootSystem:
         self.cartan = cartan
         n = cartan.rank
         self.simple_roots = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        pos = set(self.simple_roots)
+        # the pairings (gamma(h_1), ..., gamma(h_n)) of each positive root,
+        # added up along the walk: alpha_i(h_j) = a_ji
+        simple_pairings = list(zip(*cartan.entries))
+        pos = self._pairings = dict(zip(self.simple_roots, simple_pairings))
         frontier = list(self.simple_roots)
         while frontier:
             nxt = []
             for beta in frontier:
-                for i in range(n):
-                    alpha = self.simple_roots[i]
+                for i, alpha in enumerate(self.simple_roots):
                     if beta == alpha:
                         continue  # 2*alpha is never a root
                     # every root of lower height than beta is in pos already
-                    if _string_down(pos, alpha, beta) - self.pairing(beta, i) > 0:
+                    if _string_down(pos, alpha, beta) - pos[beta][i] > 0:
                         cand = _add(beta, alpha)
                         if cand not in pos:
-                            pos.add(cand)
+                            pos[cand] = _add(pos[beta], simple_pairings[i])
                             nxt.append(cand)
             frontier = nxt
         self.positive_roots = sorted(pos, key=lambda g: (root_height(g), g))
         self.positive_set = frozenset(pos)
-        self.root_set = frozenset(pos) | frozenset(_neg(g) for g in pos)
+        self.root_set = self.positive_set | frozenset(_neg(g) for g in pos)
+        # unique: make_cartan_matrix admits connected Dynkin diagrams only
         self.theta = self.positive_roots[-1]
-        top = [g for g in pos if root_height(g) == root_height(self.theta)]
-        if len(top) != 1:
-            raise ImvermaError("no unique highest root; matrix is not irreducible simple type")
         self._place = {g: i for i, g in enumerate(self.positive_roots)}
         self._multisets = {tuple([0] * n): ((),)}
 
     def pairing(self, gamma, i):
         """gamma(h_{i+1}) = sum_j c_j a_{i j} (0-based i)."""
-        return sum(c * self.cartan[i, j] for j, c in enumerate(gamma))
+        return sum(map(mul, gamma, self.cartan.entries[i]))
 
     def string_down_length(self, alpha, beta):
         """p = max k with beta - k*alpha a root (alpha, beta roots)."""
@@ -191,78 +191,60 @@ _BOOTSTRAP = "structure constant; extraspecial bootstrap failed"
 
 
 def _structure_constants(rs: FiniteRootSystem, norm):
-    """Full N_{a,b} lookup for all root pairs with a+b a root.
+    """N_{a,b} for every root pair with a+b a root, the extraspecial pairs,
+    and the root-vector brackets {(("x", a), ("x", b)): {("x", a+b): N_{a,b}}}.
 
-    norm[g] is (g|g) for every root g under any fixed multiple of the
-    invariant form; only ratios of root norms enter the relations. The
-    bootstrap runs in int arithmetic: each ratio is an exact division, and a
-    remainder means the extraspecial bootstrap failed. _structure_constant
-    memoises in one dict, so each constant is derived once.
+    norm[g] is (g|g) for every positive root g under any fixed multiple of
+    the invariant form; only ratios of root norms enter. Positive roots xi
+    are taken in order: the extraspecial pair of xi gets p + 1, its other
+    positive pairs follow from Jacobi on constants of lower height, and each
+    positive pair then writes the twelve pairs of its triple in closed form.
+    The whole bootstrap runs in int arithmetic: each ratio is an exact
+    division, and a remainder means the extraspecial bootstrap failed.
     """
     pos = rs.positive_roots
-    order = {g: i for i, g in enumerate(pos)}
-    table = {}
+    order = rs._place
+    height = [root_height(g) for g in pos]
+    full = {}
+    brackets = {}
     extraspecial = {}
-    ctx = (rs, norm, table, {})
-    for xi in pos:
-        if root_height(xi) < 2:
-            continue
+    for k, xi in enumerate(pos):
         specials = []
-        for alpha in pos:
-            if order[alpha] >= order[xi]:
-                break
+        for alpha, h in zip(pos, height):
+            if 2 * h > height[k]:
+                break  # then beta = xi - alpha is lower than alpha
             beta = _sub(xi, alpha)
             if beta in rs.positive_set and order[alpha] < order[beta]:
                 specials.append((alpha, beta))
+        if not specials:
+            continue  # a simple root
         a1, b1 = specials[0]  # alpha minimal in the order: extraspecial
         n0 = rs.string_down_length(a1, b1) + 1
-        table[(a1, b1)] = n0
-        table[(b1, a1)] = -n0
         extraspecial[xi] = (a1, b1)
+        values = [n0]
         for alpha, beta in specials[1:]:
-            # Jacobi on the quadruple (a1, b1, -alpha, -beta)
-            t1 = (_structure_constant(ctx, b1, _neg(alpha))
-                  * _structure_constant(ctx, a1, _sub(b1, alpha)))
-            t2 = (_structure_constant(ctx, _neg(alpha), a1)
-                  * _structure_constant(ctx, b1, _sub(a1, alpha)))
-            val = _exact(-norm[xi] * (t1 + t2), norm[beta] * n0, _BOOTSTRAP)
-            table[(alpha, beta)] = val
-            table[(beta, alpha)] = -val
-    full = {(a, b): _structure_constant(ctx, a, b) for a in rs.root_set
-            for b in rs.root_set if _add(a, b) in rs.root_set}
-    return full, extraspecial
-
-
-def _structure_constant(ctx, a, b):
-    """N_{a,b} from the positive pairs of table, ctx = (root system, norm,
-    table, memo): zero whenever the pair does not bracket to a root vector
-    (non-root arguments appear in vanishing Jacobi terms and short-circuit),
-    otherwise reduced to a positive pair by the sign and norm relations."""
-    rs, norm, table, memo = ctx
-    hit = memo.get((a, b))
-    if hit is not None:
-        return hit
-    s = _add(a, b)
-    if a not in rs.root_set or b not in rs.root_set or s not in rs.root_set:
-        val = 0
-    else:
-        apos, bpos = a in rs.positive_set, b in rs.positive_set
-        if apos and bpos:
-            val = table[(a, b)]
-        elif not apos and not bpos:
-            val = -_structure_constant(ctx, _neg(a), _neg(b))
-        elif not apos:
-            val = -_structure_constant(ctx, b, a)
-        elif s in rs.positive_set:
-            # a positive, b negative: (b, a, -s) sums to zero and s - b = a
-            val = _exact(-norm[s] * _structure_constant(ctx, _neg(b), s), norm[a],
-                         _BOOTSTRAP)
-        else:
-            # sigma = -s is positive and a + sigma = -b
-            val = _exact(-norm[_neg(s)] * _structure_constant(ctx, a, _neg(s)),
-                         norm[_neg(b)], _BOOTSTRAP)
-    memo[(a, b)] = val
-    return val
+            # Jacobi on the quadruple (a1, b1, -alpha, -beta); every factor is
+            # a constant of a triple of lower height, or zero
+            na = _neg(alpha)
+            t1 = full.get((b1, na), 0) * full.get((a1, _sub(b1, alpha)), 0)
+            t2 = full.get((na, a1), 0) * full.get((b1, _sub(a1, alpha)), 0)
+            values.append(_exact(-norm[xi] * (t1 + t2), norm[beta] * n0, _BOOTSTRAP))
+        nxi = _neg(xi)
+        for (alpha, beta), n in zip(specials, values):
+            # (a, b, c) sums to zero: N_{b,c} = N_{a,b} (a|a)/(c|c) and
+            # N_{c,a} = N_{a,b} (b|b)/(c|c); the negated triple negates them
+            p = _exact(n * norm[alpha], norm[xi], _BOOTSTRAP)
+            q = _exact(n * norm[beta], norm[xi], _BOOTSTRAP)
+            tri, neg_tri = (alpha, beta, nxi), (_neg(alpha), _neg(beta), xi)
+            for sign, (a, b, c), (na, nb, nc) in ((1, tri, neg_tri), (-1, neg_tri, tri)):
+                for u, v, w, m in ((a, b, nc, n), (b, c, na, p), (c, a, nb, q)):
+                    m *= sign
+                    xu, xv, xw = ("x", u), ("x", v), ("x", w)
+                    full[(u, v)] = m
+                    full[(v, u)] = -m
+                    brackets[(xu, xv)] = {xw: m}
+                    brackets[(xv, xu)] = {xw: -m}
+    return full, extraspecial, brackets
 
 
 @dataclass(eq=False)
@@ -302,10 +284,11 @@ class FiniteAlgebra:
             d[i] * cartan[i, j] * a[i] * b[j]
             for i in range(cartan.rank) for j in range(cartan.rank)
         )
-        norm = {g: self._d_root_form(g, g) for g in rs.root_set}
+        # (g|g) = sum_i g_i d_i g(h_i) under the form d_i a_ij
+        norm = {g: sum(map(mul, g, map(mul, d, p))) for g, p in rs._pairings.items()}
         self.form_scale = Fraction(2, norm[rs.theta])
 
-        self.nmat, self.extraspecial = _structure_constants(rs, norm)
+        self.nmat, self.extraspecial, table = _structure_constants(rs, norm)
 
         self.basis = [("h", i + 1) for i in range(self.rank)]
         self.basis += [("x", g) for g in rs.positive_roots]
@@ -313,25 +296,24 @@ class FiniteAlgebra:
         self.basis_index = {k: i for i, k in enumerate(self.basis)}
         self.dimension = len(self.basis)
 
-        self._coroot = {g: tuple(_exact(c * norm[a], norm[g], "coroot; not a root system")
-                                 for c, a in zip(g, rs.simple_roots))
-                        for g in rs.root_set}
-
-        # [k1, k2] as {basis key: int}, filled from the root data: the
-        # pairings, the coroots and nmat; every other pair brackets to zero
+        # [k1, k2] as {basis key: int} for the nonzero brackets only, from the
+        # root data: nmat, the pairings and the coroots
+        # h_g = sum_i g_i (alpha_i|alpha_i)/(g|g) h_i, (alpha_i|alpha_i) = 2 d_i
+        self._bracket_table = table
+        self._coroot = {}
         hs = self.basis[:self.rank]
-        table = self._bracket_table = {(k1, k2): {} for k1 in self.basis
-                                       for k2 in self.basis}
-        for g in rs.root_set:
-            x = ("x", g)
-            for i, h in enumerate(hs):
-                c = rs.pairing(g, i)
+        for g, pairs in rs._pairings.items():
+            coroot = tuple(_exact(2 * c * di, norm[g], "coroot; not a root system")
+                           for c, di in zip(g, d))
+            ng = _neg(g)
+            self._coroot[g], self._coroot[ng] = coroot, _neg(coroot)
+            x, y = ("x", g), ("x", ng)
+            table[(x, y)] = {h: c for h, c in zip(hs, coroot) if c}
+            table[(y, x)] = {h: -c for h, c in zip(hs, coroot) if c}
+            for h, c in zip(hs, pairs):
                 if c:
-                    table[(h, x)] = {x: c}
-                    table[(x, h)] = {x: -c}
-            table[(x, ("x", _neg(g)))] = {h: c for h, c in zip(hs, self._coroot[g]) if c}
-        for (a, b), n in self.nmat.items():
-            table[(("x", a), ("x", b))] = {("x", _add(a, b)): n}
+                    table[(h, x)], table[(x, h)] = {x: c}, {x: -c}
+                    table[(h, y)], table[(y, h)] = {y: -c}, {y: c}
 
     # -- element constructors ------------------------------------------------
 
@@ -375,7 +357,7 @@ class FiniteAlgebra:
         out = {}
         for k1, c1 in x.terms.items():
             for k2, c2 in y.terms.items():
-                image = self._bracket_table[(k1, k2)]
+                image = self._bracket_table.get((k1, k2))
                 if image:
                     add_scaled(out, image, c1 * c2)
         return FiniteElement(self, out)
@@ -440,7 +422,7 @@ def _broken_bracket(algebra, images, bracket, combine):
     for k1 in algebra.basis:
         for k2 in algebra.basis:
             want = combine((images[k], c)
-                           for k, c in algebra._bracket_table[(k1, k2)].items())
+                           for k, c in algebra._bracket_table.get((k1, k2), {}).items())
             if bracket(images[k1], images[k2]) != want:
                 return k1, k2
     return None

@@ -474,7 +474,7 @@ class VermaModule:
                 k2, n2 = self._f_key[symbol[1]], symbol[2]
             fin = self.algebra.finite
             pairs = [(self._op(k, n + n2), c)
-                     for k, c in fin._bracket_table[(key, k2)].items()]
+                     for k, c in fin._bracket_table.get((key, k2), {}).items()]
             if n == -n2 and n != 0 and self.lam.c_value:
                 cf = fin.form_keys(key, k2)
                 if cf:

@@ -207,9 +207,9 @@ def solve_invariant_form(algebra):
         for j in range(n):
             for k in range(n):
                 row = [Fraction(0)] * nvars
-                for key, c in algebra._bracket_table[(basis[i], basis[j])].items():
+                for key, c in algebra._bracket_table.get((basis[i], basis[j]), {}).items():
                     row[vi(algebra.basis_index[key], k)] += c
-                for key, c in algebra._bracket_table[(basis[j], basis[k])].items():
+                for key, c in algebra._bracket_table.get((basis[j], basis[k]), {}).items():
                     row[vi(i, algebra.basis_index[key])] -= c
                 if any(row):
                     rows.append(row)
