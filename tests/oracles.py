@@ -11,7 +11,9 @@ weights, axiom (2) one basis vector at a time instead of one chain per
 (generator, weight) block, the torsion split and its verdicts one (generator,
 weight) table at a time instead of one map per generator, every multiset of at
 most ht(s) positive roots instead of the root system's table of Kostant
-partitions), so an agreement is meaningful. sparse_rows and dense_rows convert between the dense test matrices
+partitions, every root pair's structure constant reduced to a positive pair
+in Fractions instead of each positive triple written out in ints), so an
+agreement is meaningful. sparse_rows and dense_rows convert between the dense test matrices
 and the sparse rows the package kernels take and return.
 
 The last section holds the checks the tests run on library objects and that
@@ -88,6 +90,56 @@ def string_length_down(root_set, alpha, beta):
         p += 1
         walk = tuple(w - a for a, w in zip(alpha, walk))
     return p
+
+
+def structure_constants_by_pairs(rs, norm):
+    """N_{a,b} for every pair (a, b) of roots with a + b a root, norm[g] =
+    (g|g) for every root g. The positive pairs are bootstrapped from the
+    extraspecial pairs (N = p + 1) by Jacobi; every other pair is reduced to
+    a positive one by antisymmetry, negation and the norm relation of its
+    zero-sum triple, memoised in Fractions."""
+    def plus(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def minus(a):
+        return tuple(-x for x in a)
+
+    table, memo = {}, {}
+
+    def const(a, b):
+        if (a, b) not in memo:
+            s = plus(a, b)
+            if not {a, b, s} <= rs.root_set:
+                val = 0
+            elif a in rs.positive_set and b in rs.positive_set:
+                val = table[(a, b)]
+            elif a not in rs.positive_set and b not in rs.positive_set:
+                val = -const(minus(a), minus(b))
+            elif a not in rs.positive_set:
+                val = -const(b, a)
+            elif s in rs.positive_set:
+                val = Fraction(-norm[s] * const(minus(b), s), norm[a])
+            else:
+                val = Fraction(-norm[minus(s)] * const(a, minus(s)), norm[minus(b)])
+            memo[(a, b)] = val
+        return memo[(a, b)]
+
+    pos = rs.positive_roots
+    for k, xi in enumerate(pos):
+        specials = [(a, b) for j, a in enumerate(pos[:k])
+                    if (b := plus(xi, minus(a))) in rs.positive_set and pos.index(b) > j]
+        if not specials:
+            continue
+        (a1, b1), n0 = specials[0], string_length_down(rs.root_set, *specials[0]) + 1
+        table[(a1, b1)], table[(b1, a1)] = n0, -n0
+        for alpha, beta in specials[1:]:
+            # Jacobi on the quadruple (a1, b1, -alpha, -beta)
+            t1 = const(b1, minus(alpha)) * const(a1, plus(b1, minus(alpha)))
+            t2 = const(minus(alpha), a1) * const(b1, plus(a1, minus(alpha)))
+            val = Fraction(-norm[xi] * (t1 + t2), norm[beta] * n0)
+            table[(alpha, beta)], table[(beta, alpha)] = val, -val
+    return {(a, b): const(a, b) for a in rs.root_set for b in rs.root_set
+            if plus(a, b) in rs.root_set}
 
 
 def dense_rref(rows):

@@ -290,6 +290,8 @@ def _generator_named_twice(field):
     pytest.param("{}", "'algebra'", id="empty-object"),
     pytest.param('{"weights": [{"h": ["x"]}]}', "'algebra'", id="no-algebra"),
     pytest.param("[1, 2]", "'algebra'", id="not-an-object"),
+    pytest.param(_tampered(lambda d: d.update(algebra={"cartan": []})),
+                 "empty Cartan matrix", id="empty-cartan"),
     pytest.param(_tampered(lambda d: d["weights"][0].update(h=["x"])), "'weights'",
                  id="bad-rational"),
     pytest.param(_tampered(lambda d: d["weights"][0].update(c="1/0")), "'weights'",
@@ -344,6 +346,15 @@ def test_malformed_module_file_is_one_line(tmp_path, capsys, text, word):
     # cycle 1-2-3 has products a_12 a_23 a_31 = -2 and a_21 a_32 a_13 = -1
     pytest.param(("algebra", "--matrix-file", "FILE"), b"2 -1 -1\n-1 2 -1\n-2 -1 2\n",
                  1, "matrix is not symmetrizable", id="matrix-not-symmetrizable"),
+    # A2 + A1 and A2 + B2: Dynkin diagrams of two components
+    pytest.param(("algebra", "--matrix-file", "FILE"), b"2 -1 0\n-1 2 0\n0 0 2\n",
+                 1, "matrix is decomposable", id="matrix-decomposable"),
+    pytest.param(("algebra", "--matrix-file", "FILE"),
+                 b"2 -1 0 0\n-1 2 0 0\n0 0 2 -1\n0 0 -2 2\n",
+                 1, "matrix is decomposable", id="matrix-decomposable-B2"),
+    pytest.param(("singular", "--matrix-file", "FILE", "--window", "L=2,N=1,H=1"),
+                 b"2 -1 0\n-1 2 0\n0 0 2\n", 1, "matrix is decomposable",
+                 id="singular-matrix-decomposable"),
     pytest.param(("--config", "FILE", "algebra", "--type", "A1"), b"\xff\n", 2,
                  "0xff", id="config-file-not-utf8"),
 ])

@@ -22,7 +22,7 @@ from imverma.verma import ModuleVector, VermaModule, Weight
 
 from oracles import (automorphism_trace, kostant_partitions,
                      roots_by_reflection_closure, solve_invariant_form,
-                     string_length_down)
+                     string_length_down, structure_constants_by_pairs)
 
 
 def alg(label):
@@ -48,6 +48,38 @@ def test_rejects_broken_zero_symmetry():
 def test_rejects_affine_matrix_as_non_finite_type():
     with pytest.raises(CartanMatrixError, match="not of finite type"):
         make_cartan_matrix([[2, -2], [-2, 2]])
+
+
+@pytest.mark.parametrize("rows", [
+    # the last leading minor of the symmetrization is 0
+    pytest.param([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], id="affine-A2"),
+    pytest.param([[2, -1], [-4, 2]], id="twisted-A2"),
+    pytest.param([[2, 0, -1, 0, 0], [0, 2, -1, 0, 0], [-1, -1, 2, -1, -1],
+                  [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], id="affine-D4"),
+    # leading minors 2, 3 and -2
+    pytest.param([[2, -1, 0], [-1, 2, -2], [0, -2, 2]], id="negative-last-minor"),
+])
+def test_rejects_a_non_positive_leading_minor(rows):
+    with pytest.raises(CartanMatrixError, match="not of finite type"):
+        make_cartan_matrix(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([[2, 0], [0, 2]], id="A1+A1"),
+    pytest.param([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], id="A2+A1"),
+    pytest.param([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -2, 2]],
+                 id="A2+B2"),
+])
+def test_rejects_decomposable_matrix(rows):
+    # a simple algebra has a connected Dynkin diagram; A2+A1 and A2+B2 have
+    # components of different highest heights and once built an algebra
+    with pytest.raises(CartanMatrixError, match="matrix is decomposable"):
+        make_cartan_matrix(rows)
+
+
+def test_rejects_empty_matrix():
+    with pytest.raises(CartanMatrixError, match="empty Cartan matrix"):
+        make_cartan_matrix([])
 
 
 def test_rejects_bad_diagonal_and_positive_offdiagonal():
@@ -264,6 +296,21 @@ def test_structure_constant_and_bracket_tables_pinned(label):
                         for k in product(a.basis, a.basis)))
     assert (hashlib.sha1(nmat.encode()).hexdigest(),
             hashlib.sha1(table.encode()).hexdigest()) == TABLE_SHA1[label]
+
+
+@pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 9)]
+                         + [f"B{n}" for n in range(2, 7)] + [f"C{n}" for n in range(2, 7)]
+                         + [f"D{n}" for n in range(4, 8)] + ["E6", "E7", "E8", "F4", "G2"])
+def test_structure_constants_match_the_pairwise_oracle(label):
+    # every root pair with a root sum, and no other, has the value that the
+    # pairwise reduction to positive pairs gives
+    a = alg(label)
+    rs = a.roots
+    norm = {g: a._d_root_form(g, g) for g in rs.root_set}
+    pairs = {(x, y) for x in rs.root_set for y in rs.root_set
+             if tuple(map(sum, zip(x, y))) in rs.root_set}
+    assert set(a.nmat) == pairs
+    assert a.nmat == structure_constants_by_pairs(rs, norm)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
