@@ -13,6 +13,16 @@ consequences
     a+b+c = 0:      N_{a,b}/(c|c) = N_{b,c}/(a|a) = N_{c,a}/(b|b)
     a+b+c+d = 0:    N_{b,c} N_{a,b+c} + N_{c,a} N_{b,c+a} + N_{a,b} N_{c,a+b} = 0
 
+The quadruple relation fixes the other positive pairs of each xi from
+constants of lower height. A positive pair alpha + beta = xi with N =
+N_{alpha,beta} then writes its triple (alpha, beta, -xi) in closed form: the
+twelve pairs are (alpha, beta), (beta, -xi) and (-xi, alpha), with N,
+N (alpha|alpha)/(xi|xi) and N (beta|beta)/(xi|xi), their reverses with the
+negated values, and the pairs of the negated triple (-alpha, -beta, xi) with
+the negated values again. Everything runs in int arithmetic, each ratio an
+exact division. The bracket table holds the nonzero brackets only; a pair of
+basis keys it does not hold brackets to zero.
+
 The invariant form is normalized so that (theta|theta) = 2 for the highest
 root theta; this is the single normalization point of the whole package (it
 makes the affine central term come out in standard level units).
@@ -298,11 +308,11 @@ class FiniteAlgebra:
 
         # [k1, k2] as {basis key: int} for the nonzero brackets only, from the
         # root data: nmat, the pairings and the coroots
-        # h_g = sum_i g_i (alpha_i|alpha_i)/(g|g) h_i, (alpha_i|alpha_i) = 2 d_i
         self._bracket_table = table
         self._coroot = {}
         hs = self.basis[:self.rank]
         for g, pairs in rs._pairings.items():
+            # h_g = sum_i g_i (alpha_i|alpha_i)/(g|g) h_i, (alpha_i|alpha_i) = 2 d_i
             coroot = tuple(_exact(2 * c * di, norm[g], "coroot; not a root system")
                            for c, di in zip(g, d))
             ng = _neg(g)
