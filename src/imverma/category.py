@@ -58,6 +58,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from imverma._kernels import nullspace, rank, rref
 from imverma.affine import AffineAlgebra
@@ -71,6 +72,9 @@ from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
 
 class UndefinedActionError(ModuleDataError):
     """The requested action table entry is outside the stored window."""
+
+
+NILPOTENCY_CAP = 16  # the largest nilpotency degree of e_{i,n} accepted by default
 
 
 # -- generator naming ------------------------------------------------------------
@@ -218,12 +222,7 @@ class ExplicitModule:
         self.provenance = provenance
         self.loop_window = loop_window
         self.meta = meta
-        self._starts = []
-        total = 0
-        for lab in self.labels:
-            self._starts.append(total)
-            total += len(lab)
-        self.total_dim = total
+        self.total_dim = sum(map(len, self.labels))
 
     # -- structure -----------------------------------------------------------
 
@@ -243,22 +242,22 @@ class ExplicitModule:
             return None
         return per_src[src_widx], self.targets[gkey][src_widx]
 
-    def apply(self, gkey, vec):
-        """Apply a generator to {(widx, i): coeff}; exact or raises."""
+    def apply(self, gkey, widx, vec):
+        """Apply a generator to the row vec {i: c} of weight space widx:
+        (target weight index, image row), exact. h_i (x) t^0 scales by
+        lambda(h_i), an undefined pair raises UndefinedActionError, and the
+        zero vector maps to (None, {}) under every generator."""
+        if not vec:
+            return None, {}
         (kind, val), n = gkey
-        out = {}
         if kind == "h" and n == 0:
-            for (widx, i), cv in vec.items():
-                add_scaled(out, {(widx, i): cv}, self.weights[widx].h_values[val - 1])
-            return out
-        for (widx, i), cv in vec.items():
-            entry = self.table(gkey, widx)
-            if entry is None:
-                raise UndefinedActionError(
-                    f"{gen_name(self.algebra, *gkey)} undefined at weight index {widx}")
-            block, tgt = entry
-            add_scaled(out, {(tgt, r): v for r, v in block.get(i, {}).items()}, cv)
-        return out
+            return widx, add_scaled({}, vec, self.weights[widx].h_values[val - 1])
+        entry = self.table(gkey, widx)
+        if entry is None:
+            raise UndefinedActionError(
+                f"{gen_name(self.algebra, *gkey)} undefined at weight index {widx}")
+        block, tgt = entry
+        return tgt, _image(block, vec)
 
     # -- constructors ----------------------------------------------------------
 
@@ -397,8 +396,8 @@ class ExplicitModule:
         """Weight-preserving change of basis by random exact invertible maps.
 
         Each block B becomes S_tgt^-1 B S_src, computed on sparse blocks. The
-        copy keeps this module's weights, so it shares their order, index,
-        targets and offsets instead of rebuilding them.
+        copy keeps this module's weights, so it shares their order, index and
+        targets instead of rebuilding them.
         """
         rng = random.Random(seed)
         mats = []
@@ -432,15 +431,16 @@ class ExplicitModule:
         basis = []
         for widx, labs in enumerate(self.labels):
             basis.extend({"label": lab, "weight": widx} for lab in labs)
+        starts = [0, *accumulate(map(len, self.labels))]
         actions = {}
         defined = {}
         for gk in self.generator_keys():
             name = gen_name(self.algebra, *gk)
             triples = []
             for src, mat in sorted(self.defined[gk].items()):
-                base_src = self._starts[src]
-                tgt = self.table(gk, src)[1]
-                base_tgt = self._starts[tgt] if tgt is not None else 0
+                base_src = starts[src]
+                tgt = self.targets[gk][src]
+                base_tgt = starts[tgt] if tgt is not None else 0
                 triples.extend(sorted([base_tgt + r, base_src + c, str(v)]
                                       for c, column in mat.items()
                                       for r, v in column.items()))
@@ -564,14 +564,16 @@ def heisenberg_keys(algebra: AffineAlgebra, gwindow):
             for i in range(1, algebra.rank + 1)]
 
 
-def _nilpotency(module, gkey, vec, cap):
-    """(p, gkey^(p-1) vec) for the least p <= cap with gkey^p vec = 0, or None;
-    gkey is applied at most cap times."""
+def _nilpotency(module, gkey, widx, vec, cap):
+    """(p, (weight index, gkey^(p-1) vec)) for the least p <= cap with
+    gkey^p vec = 0 on the row vec of space widx, or None; gkey is applied at
+    most cap times."""
     p, last = 0, None
     while vec:
         if p >= cap:
             return None
-        last, vec = vec, module.apply(gkey, vec)
+        last = widx, vec
+        widx, vec = module.apply(gkey, widx, vec)
         p += 1
     return p, last
 
@@ -706,11 +708,9 @@ class GCompatibleSplit:
         return sum(len(v) for v in self.torsion.values())
 
     def torsion_vectors(self):
-        out = []
-        for widx in sorted(self.torsion):
-            for row in self.torsion[widx]:
-                out.append((widx, {(widx, i): v for i, v in row.items()}))
-        return out
+        """(weight index, row copy) of each torsion basis vector, by weight index."""
+        return [(widx, dict(row)) for widx in sorted(self.torsion)
+                for row in self.torsion[widx]]
 
     def passed(self):
         return all(v["passed"] for v in self.verdicts.values())
@@ -980,7 +980,7 @@ def _commutator(a, b):
 
 
 def check_category_membership(module: ExplicitModule, gwindow: int,
-                              nilpotency_cap: int = 16) -> dict:
+                              nilpotency_cap: int = NILPOTENCY_CAP) -> dict:
     """Report over the four category axioms, with witnesses and skip counts.
 
     Axiom (2) asks each windowed e_{i,n} to kill every basis vector within
@@ -1050,42 +1050,43 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
 # -- annihilated-vector extraction and decomposition ------------------------------------
 
 
-def _defined_images(module, keys, vec):
-    """(gk, gk . vec) for each generator key whose action on vec is defined."""
+def _defined_images(module, keys, widx, vec):
+    """(gk, image row) for each key of keys defined on the row vec of space widx."""
     for gk in keys:
         try:
-            image = module.apply(gk, vec)
+            _, image = module.apply(gk, widx, vec)
         except UndefinedActionError:
             continue
         yield gk, image
 
 
-def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
-                               cap: int = 16):
+def extract_annihilated_vector(module: ExplicitModule, widx, vec, gwindow: int,
+                               cap: int = NILPOTENCY_CAP):
     """Iterated e_{i,0}-power extraction of a fully annihilated vector.
 
-    Given a torsion vector v, repeatedly applies the maximal (p-1)-th powers
-    of the zero-degree raising generators until some nonzero result is killed
-    by every e_{i,0}; the output is then verified to be annihilated by every
-    windowed e_{j,n} that is defined at its weight. Raises on non-torsion
-    input or when the cap is exceeded.
+    Given a torsion vector v, the row vec of weight space widx, repeatedly
+    applies the maximal (p-1)-th powers of the zero-degree raising generators
+    until some nonzero result is killed by every e_{i,0}; the output is then
+    verified to be annihilated by every windowed e_{j,n} that is defined at
+    its weight. Returns (weight, (weight index, row), generators verified).
+    Raises on non-torsion input or when the cap is exceeded.
     """
     if not vec:
         raise ModuleDataError("zero vector")
     if any(image for _, image in _defined_images(
-            module, heisenberg_keys(module.algebra, gwindow), vec)):
+            module, heisenberg_keys(module.algebra, gwindow), widx, vec)):
         raise ModuleDataError("not torsion: some Heisenberg generator acts "
                               "nontrivially on the input vector")
     alg = module.algebra
     e_keys = raising_keys(alg, (0,))
 
     def nilp(v, gk):
-        found = _nilpotency(module, gk, v, cap)
+        found = _nilpotency(module, gk, *v, cap)
         if found is None:
             raise ModuleDataError(f"nilpotency cap {cap} exceeded during extraction")
         return found
 
-    frontier = [vec]
+    frontier = [(widx, vec)]
     for _ in range(cap):
         # (p, e^(p-1) w) per frontier vector w and e in e_keys; e^(p-1) w != 0
         degrees = [nilp(w, gk) for w in frontier for gk in e_keys]
@@ -1099,19 +1100,16 @@ def extract_annihilated_vector(module: ExplicitModule, vec, gwindow: int,
     # verify annihilation at every windowed loop degree, wherever defined
     verified = 0
     for gk, image in _defined_images(module, raising_keys(alg, range(-gwindow, gwindow + 1)),
-                                     out):
+                                     *out):
         if image:
             raise ModuleDataError(
                 f"extracted vector not annihilated by {gen_name(alg, *gk)}")
         verified += 1
-    widxs = {k[0] for k in out}
-    if len(widxs) != 1:
-        raise ModuleDataError("extracted vector is not weight-homogeneous")
-    return module.weights[widxs.pop()], out, verified
+    return module.weights[out[0]], out, verified
 
 
 def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
-                                  cap: int = 16):
+                                  cap: int = NILPOTENCY_CAP):
     """Summand weights with highest-weight vectors, plus a dimension audit.
 
     Requires category membership on the window, with cap the largest
@@ -1120,18 +1118,15 @@ def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
     the multiset of their weights is audited: on every stored weight space the
     stored dimension must equal the sum of windowed reduced Verma dimensions
     of the claimed summands, and no summand space may lie outside the store.
-    Audit failure raises AuditError.
+    Audit failure raises AuditError. A summand is (weight, (weight index, row)).
     """
     report = check_category_membership(module, gwindow, cap)
     if not report["passed"]:
         failed = [k for k, v in report["axioms"].items() if not v["passed"]]
         raise ModuleDataError(
             f"module fails category membership axioms {failed}; not decomposable")
-    split = report["_split"]
-    summands = []
-    for widx, vec in split.torsion_vectors():
-        w, out, _ = extract_annihilated_vector(module, vec, gwindow, cap)
-        summands.append((w, out))
+    summands = [extract_annihilated_vector(module, widx, vec, gwindow, cap)[:2]
+                for widx, vec in report["_split"].torsion_vectors()]
     audit = audit_decomposition(module, [w for w, _ in summands])
     return summands, audit
 

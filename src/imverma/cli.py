@@ -20,13 +20,14 @@ from functools import cache
 from imverma.affine import (AffineAlgebra, TwistedSubalgebra, check_closed_partition,
                             natural_partition_contains, standard_partition_contains)
 from imverma.cartan import cartan_matrix_of_type, cartan_matrix_from_text
-from imverma.category import (ExplicitModule, _nonneg_vectors, build_loop_module,
-                              check_category_membership, decompose_into_reduced_vermas,
-                              parse_gen, sl2_irrep_matrices, torsion_decompose)
+from imverma.category import (NILPOTENCY_CAP, ExplicitModule, _nonneg_vectors,
+                              build_loop_module, check_category_membership,
+                              decompose_into_reduced_vermas, parse_gen,
+                              sl2_irrep_matrices, torsion_decompose)
 from imverma.errors import CartanMatrixError, ImvermaError, ModuleDataError
 from imverma.finite import DiagramAutomorphism, build_simple_algebra
-from imverma.verma import (TruncationWindow, VermaModule, _monomial_sort_key,
-                           monomial_name, parse_weight, parse_window, symbol_sort_key)
+from imverma.verma import (TruncationWindow, VermaModule, monomial_name, parse_weight,
+                           parse_window)
 
 SCHEMA_VERSION = "1"
 
@@ -161,13 +162,13 @@ def _cmd_algebra(args):
         aut = DiagramAutomorphism(fin, perm)
         tw = TwistedSubalgebra(alg, aut, args.loop_degree)
         result["twist"] = {
-            "permutation": {str(k): v for k, v in sorted(perm.items())},
+            "permutation": {str(k): v for k, v in perm.items()},
             "order": aut.order,
             "graded_dimensions": {str(m): tw.graded_dimension(m)
                                   for m in range(-args.loop_degree,
                                                  args.loop_degree + 1)},
             "natural_borel_slice_dims": {str(m): v for m, v in
-                                         sorted(tw.natural_borel_slice_dims().items())},
+                                         tw.natural_borel_slice_dims().items()},
         }
     return result
 
@@ -262,9 +263,8 @@ def _cmd_verma_act(args):
     image = mod.act(g, v)
     return {
         "generator": args.gen,
-        "input": monomial_name(tuple(sorted(symbols, key=symbol_sort_key))),
-        "image": {monomial_name(m): str(c) for m, c in sorted(
-            image.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))},
+        "input": monomial_name(next(iter(v.terms))),
+        "image": {monomial_name(m): str(c) for m, c in image.terms.items()},
         "flags": list(mod.flags),
     }
 
@@ -281,8 +281,7 @@ def _cmd_singular(args):
         "reduced": args.reduced,
         "singular_vectors": [
             {"offset": {"delta": k, "finite": list(s)},
-             "vector": {monomial_name(m): str(c) for m, c in sorted(
-                 v.terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))}}
+             "vector": {monomial_name(m): str(c) for m, c in v.terms.items()}}
             for (k, s), v in found
         ],
     }
@@ -319,14 +318,6 @@ def _load_module(args):
 
 
 def _split_result(module, split):
-    def vecs(rows_by_widx):
-        # the report lists every coordinate of a vector, zeros included
-        out = {}
-        for widx, rows in sorted(rows_by_widx.items()):
-            n = module.dim(widx)
-            out[str(widx)] = [[str(row.get(i, 0)) for i in range(n)] for row in rows]
-        return out
-
     verdicts = {k: dict(v) for k, v in split.verdicts.items()}
     for v in verdicts.values():
         if "by_weight" in v:
@@ -335,9 +326,10 @@ def _split_result(module, split):
         "weights": [{"h": [str(x) for x in w.h_values], "c": str(w.c_value),
                      "d": str(w.d_value), "dim": module.dim(i)}
                     for i, w in enumerate(module.weights)],
-        "torsion": vecs(split.torsion),
-        "torsion_free_dims": {str(w): len(r) for w, r in
-                              sorted(split.torsion_free.items())},
+        # every coordinate of a torsion vector, zeros included
+        "torsion": {str(w): [[str(row.get(i, 0)) for i in range(module.dim(w))]
+                             for row in rows] for w, rows in split.torsion.items()},
+        "torsion_free_dims": {str(w): len(r) for w, r in split.torsion_free.items()},
         "excluded_weight_indices": split.excluded,
         "unchecked_weight_indices": split.unchecked,
         "verdicts": verdicts,
@@ -449,7 +441,7 @@ def build_parser():
                        help="Heisenberg/loop degree window for the checks")
         p.add_argument("--scramble", type=int, help="scramble seed")
         if name != "category-split":
-            p.add_argument("--nilpotency-cap", type=_count, default=16,
+            p.add_argument("--nilpotency-cap", type=_count, default=NILPOTENCY_CAP,
                            help="largest nilpotency degree of e_{i,n} accepted")
 
     p = command("loopmod", _cmd_loopmod, "loop module of a finite sl2 irrep")

@@ -290,10 +290,6 @@ class FiniteAlgebra:
         rs = self.roots
 
         d = cartan.symmetrizer
-        self._d_root_form = lambda a, b: sum(
-            d[i] * cartan[i, j] * a[i] * b[j]
-            for i in range(cartan.rank) for j in range(cartan.rank)
-        )
         # (g|g) = sum_i g_i d_i g(h_i) under the form d_i a_ij
         norm = {g: sum(map(mul, g, map(mul, d, p))) for g, p in rs._pairings.items()}
         self.form_scale = Fraction(2, norm[rs.theta])
@@ -375,17 +371,20 @@ class FiniteAlgebra:
     # -- invariant form ----------------------------------------------------------
 
     def root_form(self, a, b):
-        """Invariant form on the root space, normalized to (theta|theta) = 2."""
-        return self.form_scale * self._d_root_form(a, b)
+        """Invariant form on the root space, normalized to (theta|theta) = 2:
+        form_scale * sum_i d_i a_i b(h_i), the sum behind the int root norms."""
+        return self.form_scale * sum(
+            di * ai * self.roots.pairing(b, i)
+            for i, (di, ai) in enumerate(zip(self.cartan.symmetrizer, a)))
 
     def form_keys(self, k1, k2):
+        """The invariant form on two basis keys; on (h_i, h_j) the closed form of
+        4 (alpha_i|alpha_j) / ((alpha_i|alpha_i)(alpha_j|alpha_j)), a_ij / (d_j form_scale)."""
         t1, v1 = k1
         t2, v2 = k2
         if t1 == "h" and t2 == "h":
-            a = self.roots.simple_roots[v1 - 1]
-            b = self.roots.simple_roots[v2 - 1]
-            return Fraction(4) * self.root_form(a, b) / (
-                self.root_form(a, a) * self.root_form(b, b))
+            return self.cartan[v1 - 1, v2 - 1] / (
+                self.cartan.symmetrizer[v2 - 1] * self.form_scale)
         if t1 == "h" or t2 == "h":
             return Fraction(0)
         if v1 == _neg(v2):

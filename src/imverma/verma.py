@@ -256,7 +256,6 @@ class VermaModule:
         self.reduced = reduced
         self.rank = algebra.rank
         self.scale = lcm(*(v.denominator for v in lam.h_values), lam.c_value.denominator)
-        self._f_key = {g: ("x", _neg(g)) for g in algebra.finite.roots.positive_roots}
         self.flags = tuple(
             f"lambda(h{i+1}) is a negative integer; reduced-admissibility of "
             "lower weights is not guaranteed"
@@ -471,7 +470,7 @@ class VermaModule:
             if symbol[0] == "B":
                 k2, n2 = ("h", symbol[1]), -symbol[2]
             else:
-                k2, n2 = self._f_key[symbol[1]], symbol[2]
+                k2, n2 = ("x", _neg(symbol[1])), symbol[2]
             fin = self.algebra.finite
             pairs = [(self._op(k, n + n2), c)
                      for k, c in fin._bracket_table.get((key, k2), {}).items()]
@@ -716,16 +715,13 @@ class VermaModule:
                for _, key, n in self._raising_operators(window)]
         live = {}  # s -> (lo, hi, n, op) of the ops whose targets can be nonzero
         found = []
-        bases = {}  # s -> weight_bases(s, window)
-        spaces = {}  # (k, s) -> basis
+        asked = {}  # s -> the k asked for there, None for every k
         for k, s in offsets:
-            s = tuple(s)
-            if s not in bases:
-                bases[s] = self.weight_bases(s, window)
-            for k2, basis in bases[s].items():
-                if k in (None, k2):
-                    spaces[(k2, s)] = basis
-        for exact, basis in sorted(spaces.items()):
+            asked.setdefault(tuple(s), set()).add(k)
+        spaces = sorted(((k, s), basis) for s, ks in asked.items()
+                        for k, basis in self.weight_bases(s, window).items()
+                        if None in ks or k in ks)
+        for exact, basis in spaces:
             ids = [self._intern(mono) for mono in basis]
             echelon = Echelon(len(basis))
             k, s = exact

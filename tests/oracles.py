@@ -6,6 +6,7 @@ basis inverse instead of sparse blocks and annihilator rows, one weight shift
 per action pair instead of shifts cached per weight class, every multiset of
 window symbols instead of pruned PBW enumeration, symbol-by-symbol weight
 offsets, repeated application of VermaModule.act for nilpotency degrees,
+the full module's singular report in closed form instead of by elimination,
 trial action on every table pair instead of pair rules read from the target
 weights, axiom (2) one basis vector at a time instead of one chain per
 (generator, weight) block, the torsion split and its verdicts one (generator,
@@ -367,6 +368,28 @@ def brute_basis_monomials(mod, offset, window):
     return sorted(out, key=lambda m: [symbol_sort_key(sym) for sym in m])
 
 
+def full_singular_closed_form(mod, window):
+    """The windowed singular report of the full module M(lambda), in closed
+    form instead of by elimination, as the (offset, {monomial: 1}) pairs that
+    singular_vectors lists over every s of height <= window.H.
+
+    At lambda(c) = 0 a Cartan loop h_{i,l} (l > 0) commutes with every
+    B-symbol and multiplies the F-part by sum_j -gamma_j(h_i) z_j^l, so the
+    h_{i,1} are jointly injective on every space with s != 0; every vector
+    at s = 0 is killed, by the h_{i,l} since they kill v, and by the e_{i,m}
+    by weight. The report is each PBW basis vector at s = 0
+    (brute_basis_monomials), a unit vector, by k, then in canonical order.
+    At lambda(c) != 0 it is the line of v (Futorny, Canad. Math. Bull. 37,
+    1994).
+    """
+    zero = (0,) * mod.rank
+    if mod.lam.c_value:
+        return [((0, zero), {(): 1})]
+    monos = brute_basis_monomials(mod, (None, zero), window)
+    return sorted((((-sum(sym[2] for sym in m), zero), {m: 1}) for m in monos),
+                  key=lambda pair: pair[0][0])
+
+
 def axiom2_by_basis_vector(module, gwindow, cap):
     """Axiom (2) of check_category_membership one basis vector at a time:
     each windowed e_{i,n} that the module stores is applied to each unit
@@ -382,7 +405,7 @@ def axiom2_by_basis_vector(module, gwindow, cap):
         for widx in range(len(module.weights)):
             for j in range(module.dim(widx)):
                 try:
-                    found = _nilpotency(module, gk, {(widx, j): Fraction(1)}, cap)
+                    found = _nilpotency(module, gk, widx, {j: Fraction(1)}, cap)
                 except UndefinedActionError:
                     inconclusive += 1
                     continue
@@ -667,6 +690,12 @@ def check_bracket_closure(tw):
             "passed": not failures}
 
 
+def _keyed(image):
+    """An apply result (target, row) as {(target, r): v}."""
+    target, row = image
+    return {(target, r): v for r, v in row.items()}
+
+
 def check_bracket_compatibility(module, max_pairs=None, rng_seed=0):
     """[g,g'] action == commutator of actions wherever everything is defined,
     on an ExplicitModule.
@@ -686,13 +715,13 @@ def check_bracket_compatibility(module, max_pairs=None, rng_seed=0):
                            alg.loop(alg.finite.element({g2[0]: 1}), g2[1]))
         for widx, w in enumerate(module.weights):
             for j in range(module.dim(widx)):
-                vec = {(widx, j): Fraction(1)}
+                vec = {j: Fraction(1)}
                 # g1 g2 v == [g1, g2] v + g2 g1 v, compared as sparse dicts
                 try:
-                    lhs = module.apply(g1, module.apply(g2, vec))
-                    rhs = module.apply(g2, module.apply(g1, vec))
+                    lhs = _keyed(module.apply(g1, *module.apply(g2, widx, vec)))
+                    rhs = _keyed(module.apply(g2, *module.apply(g1, widx, vec)))
                     for (key, n), cv in b.terms.items():
-                        add_scaled(rhs, module.apply((key, n), vec), cv)
+                        add_scaled(rhs, _keyed(module.apply((key, n), widx, vec)), cv)
                     if b.c and w.c_value:
                         add_scaled(rhs, {(widx, j): w.c_value}, b.c)
                 except UndefinedActionError:

@@ -577,8 +577,8 @@ def test_loop_module_action_degree_shift():
     # f1@1 sends the highest vector at degree 0 to the lower one at degree 1
     src = next(i for i, w in enumerate(lm.weights)
                if w.h_values == (Fraction(1),) and w.d_value == 0)
-    out = lm.apply((("x", (-1,)), 1), {(src, 0): Fraction(1)})
-    [(tgt, j)] = list(out)
+    tgt, out = lm.apply((("x", (-1,)), 1), src, {0: Fraction(1)})
+    [j] = list(out)
     assert lm.weights[tgt].h_values == (Fraction(-1),)
     assert lm.weights[tgt].d_value == 1
 
@@ -660,9 +660,9 @@ def test_extract_on_highest_weight_vector_is_identity_path():
     em = verma_a1()
     split = torsion_decompose(em, 4)
     [(widx, vec)] = split.torsion_vectors()
-    w, out, verified = extract_annihilated_vector(em, vec, 4)
+    w, out, verified = extract_annihilated_vector(em, widx, vec, 4)
     assert w.h_values == LAM.h_values
-    assert out == vec
+    assert out == (widx, vec)
     assert verified > 0
 
 
@@ -674,25 +674,25 @@ def test_extract_on_sum_of_highest_weight_vectors():
     # different weights: combine only if same weight space; here they differ,
     # so extract each separately and also a same-space combination
     for widx, vec in vecs:
-        w, out, _ = extract_annihilated_vector(em, vec, 4)
-        assert out == vec
+        w, out, _ = extract_annihilated_vector(em, widx, vec, 4)
+        assert out == (widx, vec)
     em2 = ExplicitModule.direct_sum([verma_a1(), verma_a1()])
     split2 = torsion_decompose(em2, 4)
     (wa, va), (wb, vb) = split2.torsion_vectors()
+    assert wa == wb
     both = dict(va)
     for k, v in vb.items():
         both[k] = both.get(k, 0) + v
-    w, out, _ = extract_annihilated_vector(em2, both, 4)
-    assert out == both
+    w, out, _ = extract_annihilated_vector(em2, wa, both, 4)
+    assert out == (wa, both)
 
 
 def test_extract_rejects_non_torsion():
     em = verma_a1()
     fidx = next(i for i, w in enumerate(em.weights)
                 if w.h_values != LAM.h_values and w.d_value == 0)
-    vec = {(fidx, 0): Fraction(1)}
     with pytest.raises(ModuleDataError, match="not torsion"):
-        extract_annihilated_vector(em, vec, 4)
+        extract_annihilated_vector(em, fidx, {0: Fraction(1)}, 4)
 
 
 def test_extract_power_iteration_path():
@@ -706,10 +706,9 @@ def test_extract_power_iteration_path():
             em.defined[gk] = {}
     fidx = next(i for i, w in enumerate(em.weights)
                 if w.h_values != LAM.h_values and w.d_value == 0)
-    vec = {(fidx, 0): Fraction(1)}
-    w, out, verified = extract_annihilated_vector(em, vec, 3)
+    w, (widx, out), verified = extract_annihilated_vector(em, fidx, {0: Fraction(1)}, 3)
     assert w.h_values == LAM.h_values
-    [(widx, j)] = list(out)
+    [j] = list(out)
     assert em.labels[widx][j] == "v"
     assert verified > 0
 
@@ -723,9 +722,8 @@ def test_extract_cap_exceeded():
             em.defined[gk] = {}
     fidx = next(i for i, w in enumerate(em.weights)
                 if w.h_values != LAM.h_values and w.d_value == 0)
-    vec = {(fidx, 0): Fraction(1)}
     with pytest.raises(ModuleDataError, match="cap"):
-        extract_annihilated_vector(em, vec, 3, cap=1)
+        extract_annihilated_vector(em, fidx, {0: Fraction(1)}, 3, cap=1)
 
 
 # -- decomposition -------------------------------------------------------------------

@@ -298,6 +298,13 @@ def test_structure_constant_and_bracket_tables_pinned(label):
             hashlib.sha1(table.encode()).hexdigest()) == TABLE_SHA1[label]
 
 
+def _d_norm(cartan, g):
+    """(g|g) under the form d_i a_ij: the double sum sum_ij d_i a_ij g_i g_j."""
+    d = cartan.symmetrizer
+    return sum(d[i] * cartan[i, j] * g[i] * g[j]
+               for i in range(cartan.rank) for j in range(cartan.rank))
+
+
 @pytest.mark.parametrize("label", [f"A{n}" for n in range(1, 9)]
                          + [f"B{n}" for n in range(2, 7)] + [f"C{n}" for n in range(2, 7)]
                          + [f"D{n}" for n in range(4, 8)] + ["E6", "E7", "E8", "F4", "G2"])
@@ -306,7 +313,7 @@ def test_structure_constants_match_the_pairwise_oracle(label):
     # pairwise reduction to positive pairs gives
     a = alg(label)
     rs = a.roots
-    norm = {g: a._d_root_form(g, g) for g in rs.root_set}
+    norm = {g: _d_norm(a.cartan, g) for g in rs.root_set}
     pairs = {(x, y) for x in rs.root_set for y in rs.root_set
              if tuple(map(sum, zip(x, y))) in rs.root_set}
     assert set(a.nmat) == pairs
@@ -319,7 +326,7 @@ def test_inconsistent_root_norms_fail_the_integer_bootstrap(label):
     # invariant form has (theta's tripled) leave a remainder, which raises
     a = alg(label)
     rs = a.roots
-    norm = {g: a._d_root_form(g, g) * (3 if g in (rs.theta, _neg(rs.theta)) else 1)
+    norm = {g: _d_norm(a.cartan, g) * (3 if g in (rs.theta, _neg(rs.theta)) else 1)
             for g in rs.root_set}
     with pytest.raises(ImvermaError, match="non-integral structure constant"):
         _structure_constants(rs, norm)

@@ -2,12 +2,15 @@
 only what the system uses, and a helper that only tests call lives in
 tests/oracles.py. A definition counts as reached when its name appears as a
 name or an attribute anywhere in src/ outside its own definition, is
-exported in imverma.__all__, or appears as a name, an attribute or a string
-in a perfbench script (the span sites and the harness's imports). Public
-methods of the library's classes follow the same rule, read on attributes
-only in src/ (a method is called as obj.method, and a local variable of the
-same name does not reach it), except for a named set kept as public API.
-imverma.__all__ itself is pinned as a literal list.
+exported in imverma.__all__, or is reached from a perfbench script. A
+perfbench script reaches a library name in three ways only: it imports the
+name with `from imverma... import`, reads it as an attribute, or names it as
+the class or attribute of a span site in spans.FUNCTIONS or spans.METHODS.
+Its other names and strings (a local variable f, a JSON key "h") reach
+nothing. Public methods of the library's classes follow the same rule, read
+on attributes only in src/ (a method is called as obj.method, and a local
+variable of the same name does not reach it), except for a named set kept as
+public API. imverma.__all__ itself is pinned as a literal list.
 The scan reads source with ast and imports nothing but the package itself."""
 
 import ast
@@ -21,12 +24,13 @@ SRC = ROOT / "src" / "imverma"
 
 # Public methods that nothing in src/ or perfbench/ calls, kept as API: the
 # vacuum vector, one action on a PBW monomial, the count of one windowed
-# space, the zero elements, the generator e_i (x) t^n, the d element, the
-# twisted graded basis and the invariant form on elements.
+# space, the zero elements, the affine generators e_i, f_i and h_i (x) t^n,
+# the d element, the twisted graded basis and the invariant form on elements.
 KEPT_PUBLIC = {
     "VermaModule.vacuum", "VermaModule.act_monomial", "VermaModule.weight_dim",
-    "AffineAlgebra.zero", "AffineAlgebra.e", "AffineAlgebra.d_elem",
-    "FiniteAlgebra.zero", "TwistedSubalgebra.graded_basis", "FiniteAlgebra.form",
+    "AffineAlgebra.zero", "AffineAlgebra.e", "AffineAlgebra.f", "AffineAlgebra.h",
+    "AffineAlgebra.d_elem", "FiniteAlgebra.zero", "TwistedSubalgebra.graded_basis",
+    "FiniteAlgebra.form",
 }
 
 # The package's public names. Adding or dropping an export is a public-API
@@ -45,16 +49,33 @@ PUBLIC_API = [
 ]
 
 
-def _names(tree, names=True, strings=False):
+def _names(tree, names=True):
     """Every Attribute attr in tree, once per occurrence, with every Name id
-    when names is set and string constants when strings is set."""
+    when names is set."""
     for node in ast.walk(tree):
         if names and isinstance(node, ast.Name):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value
+
+
+SPAN_TABLES = ("FUNCTIONS", "METHODS")
+
+
+def _perfbench_reach(tree):
+    """The library names a perfbench script reaches: each name it imports
+    from imverma, each attribute it reads, and the class and attribute of
+    each span site in a SPAN_TABLES assignment ((span, module, attribute) or
+    (span, module, class, attribute))."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("imverma"):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id in SPAN_TABLES for t in node.targets):
+            for site in ast.literal_eval(node.value):
+                yield from site[2:]
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -63,12 +84,12 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def _unreached(definitions, names, exported=()):
     """The labels of the (label, definition node) pairs that nothing reaches:
     the name is used nowhere in src/ outside the node (as _names reads it),
-    is not exported and is not in a perfbench script."""
+    is not exported and no perfbench script reaches it (_perfbench_reach)."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
     uses = Counter(name for tree in trees for name in _names(tree, names))
     reached = set(exported)
     for path in ROOT.joinpath("perfbench").glob("*.py"):
-        reached.update(_names(ast.parse(path.read_text()), strings=True))
+        reached.update(_perfbench_reach(ast.parse(path.read_text())))
     return [label for label, node in definitions
             if node.name not in reached
             and uses[node.name] == Counter(_names(node, names))[node.name]]

@@ -26,7 +26,8 @@ from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
                            parse_window, symbol_sort_key)
 
 from oracles import (beyond_window_survivors, brute_basis_monomials,
-                     colored_partition_counts, gauss_solve_nullspace,
+                     colored_partition_counts, dense_rows, dense_rref,
+                     full_singular_closed_form, gauss_solve_nullspace,
                      nilpotency_degree, sl2_lowering_string_coefficient,
                      vanishes_by_weight, weight_offset)
 
@@ -684,6 +685,51 @@ def test_singular_search_stops_applying_operators_at_full_rank(label, window_tex
     assert calls and all(key[0] == "h" for key, _, _ in calls)
     per_operator = sum(len(mod.basis_monomials(off, window)) for off in offsets)
     assert len(calls) < per_operator * len(gens)
+
+
+@pytest.mark.parametrize("label, lam_text, window_text, count", [
+    ("A1", "h1=-1/2", "L=3,N=2,H=2", 10), ("A1", "h1=0", "L=3,N=2,H=2", 10),
+    ("A2", "h1=-1/2,h2=-1/3", "L=3,N=2,H=2", 35),
+    ("C2", "h1=0,h2=-1/2", "L=2,N=1,H=2", 6),
+    ("A1", "h1=-1/2,c=1", "L=3,N=2,H=2", 1),
+    ("A2", "h1=-1/2,h2=-1/3,c=-2", "L=3,N=2,H=2", 1)])
+def test_full_module_singular_report_is_the_closed_form(label, lam_text, window_text,
+                                                        count):
+    # ROADMAP item 8's lemma: at lambda(c) = 0 the report is every basis
+    # vector at s = 0, at lambda(c) != 0 only v
+    a = aff(label)
+    mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=False)
+    window = parse_window(window_text)
+    found = mod.singular_vectors(offsets_up_to(a.rank, window.H), window)
+    assert [(offset, v.terms) for offset, v in found] == \
+        full_singular_closed_form(mod, window)
+    assert len(found) == count
+
+
+@pytest.mark.parametrize("label, lam_text", [
+    ("A1", "h1=-1/2"), ("A1", "h1=0"), ("A2", "h1=-1/2,h2=-1/3"),
+    ("C2", "h1=0,h2=-1/2"), ("G2", "h1=-1/2,h2=-1/3"), ("A1", "h1=-1/2,c=1")])
+def test_degree_one_cartan_loops_alone_reach_full_rank(label, lam_text):
+    # the lemma behind the Cartan-first order: on every space with s != 0
+    # the rows of h_{1,1}, ..., h_{r,1} alone have full column rank, so the
+    # search applies no e_{i,m} there
+    a = aff(label)
+    mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=False)
+    window = parse_window("L=3,N=2,H=2")
+    spaces = 0
+    for _, s in offsets_up_to(a.rank, window.H):
+        if not any(s):
+            continue
+        for basis in mod.weight_bases(s, window).values():
+            rows = {}
+            for j, mono in enumerate(basis):
+                for i in range(1, a.rank + 1):
+                    for m2, c in mod.act_monomial(("h", i), 1, mono).items():
+                        rows.setdefault((i, m2), {})[j] = c
+            _, pivots = dense_rref(dense_rows(list(rows.values()), len(basis)))
+            assert len(pivots) == len(basis), (s, basis)
+            spaces += 1
+    assert spaces
 
 
 @pytest.mark.parametrize("label, lam_text, window_text, count, sha1", [
