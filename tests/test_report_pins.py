@@ -42,7 +42,11 @@ argvs were recorded before the PBW enumeration read its root multisets from
 a table kept by the root system instead of walking them on every call. The
 E8, F4 and G2 algebra argvs and the five verma-dims argvs of the benchmark's
 dims workload at seed 1 were recorded before the algebra context was built in
-int arithmetic from the positive root triples, with a sparse bracket table. A
+int arithmetic from the positive root triples, with a sparse bracket table. The
+reduced G2 singular argv at lambda = 0 and the G2 and C2 verma-act argvs,
+which straighten F-symbols past F-symbols (the verma-act argvs also past
+B-symbols) in types that are not simply laced, were recorded before the PBW symbols were interned as the
+loop operators they name and straightened through the one bracket table. A
 refactor that claims unchanged answers must keep every hash; a change that
 means to alter a report updates its constant and says why."""
 
@@ -306,6 +310,19 @@ PINNED = [
         ("verma-act", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3", "--reduced",
          "--gen", "e1@-1", "--monomial", "F[1,1]@2,F[1,0]@-1"),
         "f8749adfd7b6bbec07fa1f3c46ca429cb2304422", id="verma-act-A2-reduced"),
+    # straightening past B- and F-symbols outside the simply-laced types
+    pytest.param(
+        ("singular", "--type", "G2", "--lambda", "h1=0,h2=0",
+         "--window", "L=3,N=1,H=3"),
+        "4ee0aa9bed9984865994639f34b675ca2a10655a", id="singular-G2-reduced"),
+    pytest.param(
+        ("verma-act", "--type", "G2", "--lambda", "h1=-1/2,h2=-1/3",
+         "--gen", "x[-1,-1]@1", "--monomial", "B2@1,F[1,0]@0,F[0,1]@1"),
+        "daa807e24da1780f5ba20a3f938b5295deb07819", id="verma-act-G2-full"),
+    pytest.param(
+        ("verma-act", "--type", "C2", "--lambda", "h1=-3/4,h2=1/4,c=1/2",
+         "--gen", "x[-1,-1]@-1", "--monomial", "B2@2,F[1,0]@1,F[0,1]@0"),
+        "f7e91b0feba43e4bd3275f0decca7355be0cb5d2", id="verma-act-C2-full"),
     pytest.param(
         ("partition", "--type", "A2", "--which", "natural", "--height", "3",
          "--loop-degree", "3"),
