@@ -178,9 +178,12 @@ def _parse_perm(text, rank):
     for part in text.split(","):
         a, _, b = part.partition(":")
         try:
-            perm[int(a)] = int(b)
+            node, image = int(a), int(b)
         except ValueError:
             raise UsageError(f"malformed permutation {text!r} (want 1:3,3:1)") from None
+        if node in perm:
+            raise UsageError(f"twist node {node} assigned twice")
+        perm[node] = image
     for i in range(1, rank + 1):
         perm.setdefault(i, i)
     return perm

@@ -36,21 +36,23 @@ the singular search and the explicit tables read; basis_monomials reads one
 offset (k, s), or all of s, from it. Both read the root multisets of s from
 the root system's table, FiniteRootSystem.root_multisets.
 
-Each module interns (hash-conses) its PBW monomials, PBW symbols and loop
-operators (key, n) as small ints: a monomial id keeps its tuple, its head
-symbol id and its rest id; a symbol id keeps its sort key. The action has
-one memo, on these ids: _act(op, m) is the sparse image {monomial id: int}
-of the operator op on the monomial m, times VermaModule.scale = D, the
-common denominator of lambda(h_i) and lambda(c), straightened by recursing
-through head and rest ids, with per-operator and per-symbol memos. It uses
-the integer structure constants; lambda enters only on the highest-weight
-vector, where _act_vacuum returns D times its value, and each term reaches
-it once, so every coefficient is an int. The singular search interns each
-basis monomial once and feeds these rows as they are (the row space is the
-same); the category layer's explicit tables read them on ids too and
-divide by D once per coefficient (unscale). At the tuple boundary,
-act_monomial(key, n, mono) returns one image as a fresh {monomial: int}
-dict, and act() sums images, adds the c and d parts and unscales.
+Each module interns (hash-conses) its PBW monomials and loop operators
+(key, n) as small ints. A PBW symbol is the lowering operator it names, so
+its id is that operator's id: a monomial id keeps its tuple, its head
+operator id and its rest id. The action has one memo, on these ids:
+_act(op, m) is the sparse image {monomial id: int} of the operator op on the
+monomial m, times VermaModule.scale = D, the common denominator of
+lambda(h_i) and lambda(c), straightened by recursing through head and rest
+ids. One memoised bracket, _bracket, read from the integer bracket table,
+moves an operator past a symbol and a symbol past a symbol. lambda enters
+only on the highest-weight vector, where _act_vacuum returns D times its
+value, and each term reaches it once, so every coefficient is an int. The
+singular search interns each basis monomial once and feeds these rows as
+they are (the row space is the same); the category layer's explicit tables
+read them on ids too and divide by D once per coefficient (unscale). At the
+tuple boundary, act_monomial(key, n, mono) returns one image as a fresh
+{monomial: int} dict, and act() sums images (a c part through the operator
+c), adds the d part and unscales.
 
 The singular search feeds the raising operators in one order, that of
 annihilator_generators: in the module the Cartan loops h_i (x) t^l
@@ -261,22 +263,22 @@ class VermaModule:
             "lower weights is not guaranteed"
             for i, v in enumerate(lam.h_values) if v.denominator == 1 and v < 0
         ) if reduced else ()
-        # interned PBW monomials: id -> tuple, head symbol id, rest id; the
+        # interned PBW monomials: id -> tuple, head operator id, rest id; the
         # empty monomial (the highest-weight vector) is id 0
         self._monos = [()]
         self._mono_id = {(): 0}
         self._head = [None]
         self._rest = [None]
-        # interned PBW symbols: id -> tuple, sort key, prepend memo
-        self._syms = []
-        self._sym_id = {}
-        self._sym_key = []
-        self._prepend_memo = []
-        # interned loop operators (key, n): id -> pair, act memo, bracket memo
+        # interned loop operators (key, n): id -> pair, act memo, bracket
+        # memo, and the PBW symbol it is (None if none), its sort key and its
+        # prepend memo
         self._ops = []
         self._op_id = {}
         self._act_memo = []
         self._bracket_memo = []
+        self._syms = []
+        self._sym_key = []
+        self._prepend_memo = []
 
     def __repr__(self):
         tag = "reduced " if self.reduced else ""
@@ -335,6 +337,8 @@ class VermaModule:
         if v.module is not self:
             raise ContextMismatchError("vector from a different module")
         ops = [(self._op(key, n), cg) for (key, n), cg in g.terms.items()]
+        if g.c:
+            ops.append((self._op("__c__", 0), g.c))
         out = {}  # scale times the image, on monomial ids
         for mono, cv in v.terms.items():
             m = self._intern(mono)
@@ -342,8 +346,6 @@ class VermaModule:
                 image = self._act(op, m)
                 if image:
                     add_scaled(out, image, cv * cg)
-            if g.c and self.lam.c_value:
-                add_scaled(out, {m: cv * g.c * self.lam.c_value * self.scale})
             if g.d:
                 k, _ = monomial_offset(mono, self.rank)
                 val = self.lam.d_value + k
@@ -381,35 +383,42 @@ class VermaModule:
             m = self._cons(self._sym(mono[0]), self._intern(mono[1:]))
         return m
 
-    def _cons(self, sym, rest):
-        """The id of the monomial with head symbol id sym and rest id rest."""
-        mono = (self._syms[sym],) + self._monos[rest]
+    def _cons(self, op, rest):
+        """The id of the monomial with head symbol op and rest id rest."""
+        mono = (self._syms[op],) + self._monos[rest]
         m = self._mono_id.get(mono)
         if m is None:
             m = self._mono_id[mono] = len(self._monos)
             self._monos.append(mono)
-            self._head.append(sym)
+            self._head.append(op)
             self._rest.append(rest)
         return m
 
     def _sym(self, sym):
-        """The id of the PBW symbol sym."""
-        i = self._sym_id.get(sym)
-        if i is None:
-            i = self._sym_id[sym] = len(self._syms)
-            self._syms.append(sym)
-            self._sym_key.append(symbol_sort_key(sym))
-            self._prepend_memo.append({})
-        return i
+        """The operator id of the PBW symbol sym: B(i, l) is h_i (x) t^{-l},
+        F(gamma, n) is x_{-gamma} (x) t^n."""
+        if sym[0] == "B":
+            return self._op(("h", sym[1]), -sym[2])
+        return self._op(("x", _neg(sym[1])), sym[2])
 
     def _op(self, key, n):
-        """The id of the loop operator key (x) t^n."""
+        """The id of the loop operator key (x) t^n. A lowering operator is
+        the PBW symbol B(i, l) or F(gamma, n) it names, in the reduced module
+        too, and keeps that symbol, its sort key and its prepend memo."""
         op = self._op_id.get((key, n))
         if op is None:
             op = self._op_id[(key, n)] = len(self._ops)
             self._ops.append((key, n))
             self._act_memo.append({})
             self._bracket_memo.append({})
+            sym = None
+            if key[0] == "h" and n < 0:
+                sym = ("B", key[1], -n)
+            elif key[0] == "x" and key[1] not in self.algebra.finite.roots.positive_set:
+                sym = ("F", _neg(key[1]), n)
+            self._syms.append(sym)
+            self._sym_key.append(sym and symbol_sort_key(sym))
+            self._prepend_memo.append(sym and {})
         return op
 
     # -- straightening on ids ------------------------------------------------
@@ -423,7 +432,7 @@ class VermaModule:
         if hit is not None:
             return hit
         if not m:
-            out = self._act_vacuum(*self._ops[op])
+            out = self._act_vacuum(op)
         else:
             out = {}
             head, rest = self._head[m], self._rest[m]
@@ -434,43 +443,40 @@ class VermaModule:
         memo[m] = out
         return out
 
-    def _act_vacuum(self, key, n):
-        lam, scale = self.lam, self.scale
+    def _act_vacuum(self, op):
+        """scale times op on v: a symbol creates itself, but a B-symbol kills
+        v in the reduced quotient; h_i (x) t^0 and c give their scalars;
+        anything else kills v."""
+        sym = self._syms[op]
+        if sym is not None and not (self.reduced and sym[0] == "B"):
+            return {self._cons(op, 0): self.scale}
+        key, n = self._ops[op]
         if key == "__c__":
-            return {0: int(scale * lam.c_value)} if lam.c_value else {}
-        if key[0] == "h":
-            if n == 0:
-                val = lam.h_values[key[1] - 1]
-                return {0: int(scale * val)} if val else {}
-            if self.reduced or n > 0:
-                return {}
-            return {self._cons(self._sym(("B", key[1], -n)), 0): scale}
-        gamma = key[1]
-        if gamma in self.algebra.finite.roots.positive_set:
+            val = self.lam.c_value
+        elif key[0] == "h" and n == 0:
+            val = self.lam.h_values[key[1] - 1]
+        else:
             return {}
-        return {self._cons(self._sym(("F", _neg(gamma), n)), 0): scale}
+        return {0: int(self.scale * val)} if val else {}
 
-    def _bracket(self, op, sym):
-        """[op, symbol] as a tuple of (operator id, coeff) loop terms,
-        memoised per op and sym.
+    def _bracket(self, op, op2):
+        """[op, op2] as a tuple of (operator id, coeff) loop terms from the
+        bracket table, memoised per op and op2; op2 is a PBW symbol.
 
         A central term is encoded under the sentinel key "__c__"; it commutes
         past everything and evaluates to lambda(c) on the vacuum, so it is
         left out when lambda(c) = 0. Its coefficient n (key|key2) is an int.
+        Two symbols have none, so their bracket is one symbol or nothing.
         """
         memo = self._bracket_memo[op]
-        hit = memo.get(sym)
+        hit = memo.get(op2)
         if hit is not None:
             return hit
         key, n = self._ops[op]
         if key == "__c__":
             pairs = ()
         else:
-            symbol = self._syms[sym]
-            if symbol[0] == "B":
-                k2, n2 = ("h", symbol[1]), -symbol[2]
-            else:
-                k2, n2 = ("x", _neg(symbol[1])), symbol[2]
+            k2, n2 = self._ops[op2]
             fin = self.algebra.finite
             pairs = [(self._op(k, n + n2), c)
                      for k, c in fin._bracket_table.get((key, k2), {}).items()]
@@ -479,12 +485,12 @@ class VermaModule:
                 if cf:
                     pairs.append((self._op("__c__", 0), int(n * cf)))
             pairs = tuple(pairs)
-        memo[sym] = pairs
+        memo[op2] = pairs
         return pairs
 
     def _prepend(self, sym, m):
         """The symbol sym times the monomial m, straightened: {monomial id:
-        int}, memoised per sym and m."""
+        int}, memoised per sym and m; a swap adds the _bracket of the two."""
         memo = self._prepend_memo[sym]
         hit = memo.get(m)
         if hit is not None:
@@ -496,10 +502,8 @@ class VermaModule:
             head, rest = self._head[m], self._rest[m]
             for m2, c2 in self._prepend(sym, rest).items():
                 add_scaled(out, self._prepend(head, m2), c2)
-            br = _negative_symbol_bracket(self.algebra.finite, self._syms[sym],
-                                          self._syms[head])
-            if br is not None:
-                add_scaled(out, self._prepend(self._sym(br[0]), rest), br[1])
+            for op, c in self._bracket(sym, head):
+                add_scaled(out, self._prepend(op, rest), c)
         memo[m] = out
         return out
 
@@ -765,34 +769,6 @@ def nonzero_degrees(s, reduced):
     if any(s):
         return (-inf, inf)
     return (0, 0) if reduced else (-inf, 0)
-
-
-def _negative_symbol_bracket(fin, s1, s2):
-    """[s1, s2] of two negative-side symbols: one symbol with a coefficient.
-
-    B-B pairs commute; B-F rescales the F loop degree; F-F may produce another
-    F. No central terms arise among negative symbols.
-    """
-    if s1[0] == "B" and s2[0] == "B":
-        return None
-    if s1[0] == "B":
-        i, l = s1[1], s1[2]
-        gamma, n = s2[1], s2[2]
-        c = -fin.roots.pairing(gamma, i - 1)
-        return (("F", gamma, n - l), c) if c else None
-    if s2[0] == "B":
-        res = _negative_symbol_bracket(fin, s2, s1)
-        if res is None:
-            return None
-        sym, c = res
-        return (sym, -c)
-    g1, n1 = s1[1], s1[2]
-    g2, n2 = s2[1], s2[2]
-    total = tuple(a + b for a, b in zip(g1, g2))
-    if total not in fin.roots.positive_set:
-        return None
-    n = fin.nmat[(_neg(g1), _neg(g2))]
-    return (("F", total, n1 + n2), n) if n else None
 
 
 def _multiset_counts(values, max_len):

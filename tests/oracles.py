@@ -13,9 +13,11 @@ weights, axiom (2) one basis vector at a time instead of one chain per
 weight) table at a time instead of one map per generator, every multiset of at
 most ht(s) positive roots instead of the root system's table of Kostant
 partitions, every root pair's structure constant reduced to a positive pair
-in Fractions instead of each positive triple written out in ints), so an
-agreement is meaningful. sparse_rows and dense_rows convert between the dense test matrices
-and the sparse rows the package kernels take and return.
+in Fractions instead of each positive triple written out in ints, the
+bracket of two PBW symbols from the root pairing and the structure constants
+instead of the bracket table), so an agreement is meaningful. sparse_rows
+and dense_rows convert between the dense test matrices and the sparse rows
+the package kernels take and return.
 
 The last section holds the checks the tests run on library objects and that
 the library itself never calls: annihilation of singular vectors beyond the
@@ -36,7 +38,7 @@ from imverma.category import (ExplicitModule, GCompatibleSplit,
                               _transpose, gen_name, heisenberg_keys, loop_keys,
                               raising_keys, windowed_spaces)
 from imverma.errors import ModuleDataError
-from imverma.finite import add_scaled
+from imverma.finite import _neg, add_scaled
 from imverma.verma import VermaModule, Weight, monomial_name, symbol_sort_key
 
 
@@ -336,6 +338,34 @@ def weight_shift(algebra, w, gkey):
         hs = tuple(h + sum(c * cartan[i, j] for j, c in enumerate(val))
                    for i, h in enumerate(hs))
     return Weight(hs, w.c_value, w.d_value + n)
+
+
+def negative_symbol_bracket(fin, s1, s2):
+    """[s1, s2] of two negative-side symbols: one symbol with a coefficient.
+
+    B-B pairs commute; B-F rescales the F loop degree; F-F may produce another
+    F. No central terms arise among negative symbols.
+    """
+    if s1[0] == "B" and s2[0] == "B":
+        return None
+    if s1[0] == "B":
+        i, l = s1[1], s1[2]
+        gamma, n = s2[1], s2[2]
+        c = -fin.roots.pairing(gamma, i - 1)
+        return (("F", gamma, n - l), c) if c else None
+    if s2[0] == "B":
+        res = negative_symbol_bracket(fin, s2, s1)
+        if res is None:
+            return None
+        sym, c = res
+        return (sym, -c)
+    g1, n1 = s1[1], s1[2]
+    g2, n2 = s2[1], s2[2]
+    total = tuple(a + b for a, b in zip(g1, g2))
+    if total not in fin.roots.positive_set:
+        return None
+    n = fin.nmat[(_neg(g1), _neg(g2))]
+    return (("F", total, n1 + n2), n) if n else None
 
 
 def brute_basis_monomials(mod, offset, window):

@@ -169,6 +169,11 @@ def test_unknown_type_is_usage_error(capsys):
                   "--delta-max", "2"), "offset", id="offset-not-int"),
     pytest.param(("algebra", "--type", "A3", "--twist", "1:x"), "permutation",
                  id="twist-not-int"),
+    # a node mapped twice, to the same image or to another one
+    pytest.param(("algebra", "--type", "A3", "--twist", "1:3,3:1,1:3"),
+                 "twist node 1 assigned twice", id="twist-node-repeated"),
+    pytest.param(("algebra", "--type", "A3", "--twist", "1:3,1:1"),
+                 "twist node 1 assigned twice", id="twist-node-reassigned"),
     pytest.param(("loopmod", "--type", "A1", "--dim", "-1"), "dim",
                  id="negative-dim"),
     pytest.param(("loopmod", "--type", "A1", "--dim", "0"), "dim",

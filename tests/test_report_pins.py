@@ -45,9 +45,9 @@ dims workload at seed 1 were recorded before the algebra context was built in
 int arithmetic from the positive root triples, with a sparse bracket table. The
 reduced G2 singular argv at lambda = 0 and the G2 and C2 verma-act argvs,
 which straighten F-symbols past F-symbols (the verma-act argvs also past
-B-symbols) in types that are not simply laced, were recorded before the PBW symbols were interned as the
-loop operators they name and straightened through the one bracket table. A
-refactor that claims unchanged answers must keep every hash; a change that
+B-symbols) in types that are not simply laced, were recorded before the PBW
+symbols were interned as the loop operators they name and straightened
+through the one bracket table. A refactor that claims unchanged answers must keep every hash; a change that
 means to alter a report updates its constant and says why."""
 
 import hashlib

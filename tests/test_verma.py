@@ -28,8 +28,9 @@ from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
 from oracles import (beyond_window_survivors, brute_basis_monomials,
                      colored_partition_counts, dense_rows, dense_rref,
                      full_singular_closed_form, gauss_solve_nullspace,
-                     nilpotency_degree, sl2_lowering_string_coefficient,
-                     vanishes_by_weight, weight_offset)
+                     negative_symbol_bracket, nilpotency_degree,
+                     sl2_lowering_string_coefficient, vanishes_by_weight,
+                     weight_offset)
 
 
 def aff(label):
@@ -333,6 +334,31 @@ def test_straightening_rank2_relation():
         A2.finite.bracket(A2.finite.f(1), A2.finite.f(2)), 0), v)
     assert diff == theta_term
     assert not diff.is_zero()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4",
+                                   "F4", "G2"])
+def test_symbol_bracket_is_the_pairing_rule(label):
+    # a PBW symbol is the loop operator it names, so two symbols bracket
+    # through the one operator bracket; the reference builds [s1, s2] from
+    # the root pairing and the structure constants instead. The bracket is
+    # one symbol or nothing, and moving s1 past a later s2 adds it
+    a = aff(label)
+    lam = Weight.make([Fraction(-1, i + 1) for i in range(1, a.rank + 1)], c=1)
+    mod = VermaModule(a, lam, reduced=False)
+    symbols = [("B", i, l) for i in range(1, a.rank + 1) for l in (1, 2)] + \
+        [("F", gamma, n) for gamma in a.finite.roots.positive_roots for n in (-1, 0, 2)]
+    for s1, s2 in product(symbols, repeat=2):
+        got = mod._bracket(mod._sym(s1), mod._sym(s2))
+        want = negative_symbol_bracket(a.finite, s1, s2)
+        assert got == (() if want is None else ((mod._sym(want[0]), want[1]),))
+        for op, _ in got:
+            assert mod._syms[op] is not None and mod._sym(mod._syms[op]) == op
+        if symbol_sort_key(s1) > symbol_sort_key(s2):
+            swapped = {mod._intern((s2, s1)): 1}
+            if want is not None:
+                swapped[mod._intern((want[0],))] = want[1]
+            assert mod._prepend(mod._sym(s1), mod._intern((s2,))) == swapped
 
 
 def test_weight_additivity():
@@ -704,6 +730,36 @@ def test_full_module_singular_report_is_the_closed_form(label, lam_text, window_
     assert [(offset, v.terms) for offset, v in found] == \
         full_singular_closed_form(mod, window)
     assert len(found) == count
+
+
+@cache
+def closed_form_algebra(label):
+    return aff(label)
+
+
+@st.composite
+def closed_form_cases(draw):
+    label = draw(st.sampled_from(["A1", "A2", "B2", "C2", "G2"]))
+    rank = closed_form_algebra(label).rank
+    value = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 2, 3]))
+    hs = draw(st.lists(value, min_size=rank, max_size=rank))
+    c = draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
+    window = TruncationWindow(L=draw(st.integers(1, 3)), N=draw(st.integers(1, 2)),
+                              H=draw(st.integers(1, 2)))
+    return label, Weight.make(hs, c), window
+
+
+@settings(max_examples=60, deadline=None)
+@given(closed_form_cases())
+def test_property_full_module_singular_report_is_the_closed_form(case):
+    # ROADMAP item 8's lemma over random types, lambda (0 and integers
+    # included) and windows
+    label, lam, window = case
+    a = closed_form_algebra(label)
+    mod = VermaModule(a, lam, reduced=False)
+    found = mod.singular_vectors(offsets_up_to(a.rank, window.H), window)
+    assert [(offset, v.terms) for offset, v in found] == \
+        full_singular_closed_form(mod, window)
 
 
 @pytest.mark.parametrize("label, lam_text", [
