@@ -47,8 +47,14 @@ reduced G2 singular argv at lambda = 0 and the G2 and C2 verma-act argvs,
 which straighten F-symbols past F-symbols (the verma-act argvs also past
 B-symbols) in types that are not simply laced, were recorded before the PBW
 symbols were interned as the loop operators they name and straightened
-through the one bracket table. A refactor that claims unchanged answers must keep every hash; a change that
-means to alter a report updates its constant and says why."""
+through the one bracket table. The kernel-bearing singular argvs over A3, C2
+and G2, whose searches run to the end and report 13 to 238 vectors, were
+recorded before the offsets a window reaches were decided in one place. The
+beyond-reach argvs, whose windows list offsets higher than L times the height
+of the highest root, were recorded at the same commit, so that the rule that
+such an offset holds no windowed monomial keeps their reports. A refactor
+that claims unchanged answers must keep every hash; a change that means to
+alter a report updates its constant and says why."""
 
 import hashlib
 
@@ -323,6 +329,44 @@ PINNED = [
         ("verma-act", "--type", "C2", "--lambda", "h1=-3/4,h2=1/4,c=1/2",
          "--gen", "x[-1,-1]@-1", "--monomial", "B2@2,F[1,0]@1,F[0,1]@0"),
         "f7e91b0feba43e4bd3275f0decca7355be0cb5d2", id="verma-act-C2-full"),
+    # searches that run to the end and report vectors beyond v
+    pytest.param(
+        ("singular", "--type", "A3", "--lambda", "h1=0,h2=-1/2,h3=-1/2",
+         "--window", "L=4,N=2,H=3"),
+        "275d1746faef6cead64ccdb2a5dc5b3c699cbd76", id="singular-A3-kernel"),
+    pytest.param(
+        ("singular", "--type", "A3", "--lambda", "h1=0,h2=0,h3=0",
+         "--window", "L=4,N=2,H=3"),
+        "22db3902f296979795dd82b0d9ee93c4079753fc", id="singular-A3-zero"),
+    pytest.param(
+        ("singular", "--type", "C2", "--lambda", "h1=0,h2=-1/2",
+         "--window", "L=4,N=3,H=3"),
+        "82d2cc02d7fab361f013238015f68e27277917bd", id="singular-C2-kernel"),
+    pytest.param(
+        ("singular", "--type", "G2", "--lambda", "h1=-1/2,h2=0",
+         "--window", "L=3,N=2,H=3"),
+        "6115687ec7ec0d72ff37c3db79e1f24b5c0db957", id="singular-G2-kernel"),
+    # offsets and heights beyond L * ht(theta), where no windowed monomial lies
+    pytest.param(
+        ("verma-dims", "--type", "A3", "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2",
+         "--offset", "6,6,6", "--window", "L=2,N=2,H=18", "--delta-max", "2"),
+        "4324553e786d944d831eafd2f57e0ed9c5124571", id="dims-A3-beyond-reach"),
+    pytest.param(
+        ("verma-dims", "--type", "A2", "--reduced", "--lambda", "h1=-1/2,h2=-1/3",
+         "--offset", "5,5", "--window", "L=3,N=2,H=10", "--delta-max", "3"),
+        "329ca7d3104ddf64a017d6f05cb182ea2b259f46", id="dims-A2-reduced-beyond-reach"),
+    pytest.param(
+        ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+         "--window", "L=2,N=1,H=6"),
+        "7b5385c064e62e66143ebe12600d3b96ed821192", id="singular-A1-full-beyond-reach"),
+    pytest.param(
+        ("singular", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3",
+         "--window", "L=1,N=1,H=4"),
+        "0f2db7e11544a85bb419b191336c85b3b1e246ec", id="singular-A2-beyond-reach"),
+    pytest.param(
+        ("category-decompose", "--type", "A1", "--summands", "h1=-1/2|h1=-3/2",
+         "--window", "L=1,N=3,H=3", "--kmax", "3", "--gwindow", "2"),
+        "f5216034c9f50b55d59671b51765c3d1b8e42f14", id="decompose-A1-beyond-reach"),
     pytest.param(
         ("partition", "--type", "A2", "--which", "natural", "--height", "3",
          "--loop-degree", "3"),
