@@ -11,15 +11,20 @@ ghat = g (x) C[t,t^-1] + C c + C d with
 (-theta, 1) and e_0 = x_{-theta} (x) t, f_0 = x_theta (x) t^{-1},
 h_0 = [e_0, f_0] = c - h_theta.
 
+A loop generator key (x) t^n is the pair (key, n), written e1@-2, f2@0, h1@3
+or x[1,1]@2 (gen_name, read back by parse_gen); loop_keys, raising_keys and
+heisenberg_keys list the stored, raising and Heisenberg families.
+
 Everything here is immutable after construction; operations are pure.
 """
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from imverma._kernels import nullspace, rank
 from imverma.errors import (AutomorphismError, ContextMismatchError, ImvermaError,
-                            NotARootError)
+                            ModuleDataError, NotARootError)
 from imverma.finite import (DiagramAutomorphism, FiniteAlgebra, FiniteElement,
                             SparseCombination, _neg, add_scaled, key_name,
                             root_height)
@@ -130,6 +135,70 @@ class AffineAlgebra:
         fins.append(tuple(0 for _ in range(self.rank)))
         return [r for g in sorted(fins) for n in range(-degree, degree + 1)
                 if self.is_affine_root(r := AffineRoot(g, n))]
+
+
+# -- loop generators -----------------------------------------------------------
+
+
+def gen_name(algebra: AffineAlgebra, key, n) -> str:
+    kind, val = key
+    if kind == "h":
+        return f"h{val}@{n}"
+    rs = algebra.finite.roots
+    if val in rs.positive_set and sum(val) == 1:
+        return f"e{val.index(1) + 1}@{n}"
+    neg = _neg(val)
+    if neg in rs.positive_set and sum(neg) == 1:
+        return f"f{neg.index(1) + 1}@{n}"
+    return "x[" + ",".join(str(c) for c in val) + f"]@{n}"
+
+
+# e1@-2, f2@0, h1@3, x[1,1]@2: kind, index or root coordinates, loop degree
+GEN_NAME = r"(?:([efh])(\d+)|x\[(-?\d+(?:,-?\d+)*)\])@(-?\d+)"
+
+
+def parse_gen(algebra: AffineAlgebra, name: str):
+    if name.partition("@")[0] in ("c", "d"):
+        raise ModuleDataError(f"{name[0]} acts by a scalar on every weight space "
+                              "and has no generator name")
+    match = re.fullmatch(GEN_NAME, name)
+    if match is None:
+        raise ModuleDataError(f"malformed generator name {name!r} "
+                              "(want e1@-2, h2@3 or x[1,1]@2)")
+    kind, index, coords, deg = match.groups()
+    n = int(deg)
+    if coords is not None:
+        root = tuple(int(t) for t in coords.split(","))
+        if root not in algebra.finite.roots.root_set:
+            raise ModuleDataError(f"{name!r} names no root of the algebra")
+        return ("x", root), n
+    i = int(index)
+    if not 1 <= i <= algebra.rank:
+        raise ModuleDataError(f"generator index out of range in {name!r}")
+    if kind == "h":
+        return ("h", i), n
+    simple = algebra.finite.roots.simple_roots[i - 1]
+    return ("x", simple if kind == "e" else _neg(simple)), n
+
+
+def loop_keys(algebra: AffineAlgebra, window):
+    """The stored loop generators key (x) t^n, |n| <= window: every finite basis
+    key at every degree except h_i (x) t^0, which acts from the weights."""
+    return [(key, n) for key in algebra.finite.basis
+            for n in range(-window, window + 1)
+            if not (key[0] == "h" and n == 0)]
+
+
+def raising_keys(algebra: AffineAlgebra, degrees):
+    """e_i (x) t^n for each simple root, then each degree n."""
+    return [(("x", simple), n) for simple in algebra.finite.roots.simple_roots
+            for n in degrees]
+
+
+def heisenberg_keys(algebra: AffineAlgebra, gwindow):
+    """h_i (x) t^l for 0 < |l| <= gwindow, ordered by l, then i."""
+    return [(("h", i), l) for l in range(-gwindow, gwindow + 1) if l
+            for i in range(1, algebra.rank + 1)]
 
 
 def affine_bracket(a: LoopElement, b: LoopElement) -> LoopElement:

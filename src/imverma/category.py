@@ -53,21 +53,21 @@ errors, never silently accepted.
 
 import copy
 import random
-import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
 from imverma._kernels import nullspace, rank, rref
-from imverma.affine import AffineAlgebra
+from imverma.affine import (AffineAlgebra, gen_name, heisenberg_keys, loop_keys,
+                            parse_gen, raising_keys)
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
 from imverma.errors import AuditError, ImvermaError, ModuleDataError
 from imverma.finite import (_broken_bracket, _extend_by_extraspecial, _neg, _sub,
                             add_scaled, build_simple_algebra, key_name)
-from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
-                           nonzero_degrees)
+from imverma.verma import (TruncationWindow, VermaModule, Weight, finite_offsets,
+                           monomial_name, nonzero_degrees)
 
 
 class UndefinedActionError(ModuleDataError):
@@ -75,50 +75,6 @@ class UndefinedActionError(ModuleDataError):
 
 
 NILPOTENCY_CAP = 16  # the largest nilpotency degree of e_{i,n} accepted by default
-
-
-# -- generator naming ------------------------------------------------------------
-
-
-def gen_name(algebra: AffineAlgebra, key, n) -> str:
-    kind, val = key
-    if kind == "h":
-        return f"h{val}@{n}"
-    rs = algebra.finite.roots
-    if val in rs.positive_set and sum(val) == 1:
-        return f"e{val.index(1) + 1}@{n}"
-    neg = _neg(val)
-    if neg in rs.positive_set and sum(neg) == 1:
-        return f"f{neg.index(1) + 1}@{n}"
-    return "x[" + ",".join(str(c) for c in val) + f"]@{n}"
-
-
-# e1@-2, f2@0, h1@3, x[1,1]@2: kind, index or root coordinates, loop degree
-GEN_NAME = r"(?:([efh])(\d+)|x\[(-?\d+(?:,-?\d+)*)\])@(-?\d+)"
-
-
-def parse_gen(algebra: AffineAlgebra, name: str):
-    if name.partition("@")[0] in ("c", "d"):
-        raise ModuleDataError(f"{name[0]} acts by a scalar on every weight space "
-                              "and has no generator name")
-    match = re.fullmatch(GEN_NAME, name)
-    if match is None:
-        raise ModuleDataError(f"malformed generator name {name!r} "
-                              "(want e1@-2, h2@3 or x[1,1]@2)")
-    kind, index, coords, deg = match.groups()
-    n = int(deg)
-    if coords is not None:
-        root = tuple(int(t) for t in coords.split(","))
-        if root not in algebra.finite.roots.root_set:
-            raise ModuleDataError(f"{name!r} names no root of the algebra")
-        return ("x", root), n
-    i = int(index)
-    if not 1 <= i <= algebra.rank:
-        raise ModuleDataError(f"generator index out of range in {name!r}")
-    if kind == "h":
-        return ("h", i), n
-    simple = algebra.finite.roots.simple_roots[i - 1]
-    return ("x", simple if kind == "e" else _neg(simple)), n
 
 
 def _parse_gen_once(algebra, name, named):
@@ -335,7 +291,7 @@ class ExplicitModule:
                 if ok:
                     per_src[widx] = block
         meta = {"kind": "reduced-verma", "height": window.H, "kmax": kmax,
-                "window": {"L": window.L, "N": window.N, "H": window.H}}
+                "window": asdict(window)}
         return ExplicitModule(algebra, weights, labels, defined,
                               provenance="reduced-verma", loop_window=loop_window,
                               meta=meta)
@@ -426,8 +382,7 @@ class ExplicitModule:
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self):
-        weights = [{"h": [str(v) for v in w.h_values], "c": str(w.c_value),
-                    "d": str(w.d_value)} for w in self.weights]
+        weights = [w.to_json_dict() for w in self.weights]
         basis = []
         for widx, labs in enumerate(self.labels):
             basis.extend({"label": lab, "weight": widx} for lab in labs)
@@ -479,9 +434,7 @@ class ExplicitModule:
                 else make_cartan_matrix(spec["cartan"])
             algebra = AffineAlgebra(build_simple_algebra(cartan))
         with _module_field("weights"):
-            weights = [Weight(tuple(Fraction(x) for x in w["h"]), Fraction(w["c"]),
-                              Fraction(w["d"]))
-                       for w in data["weights"]]
+            weights = [Weight.make(w["h"], w["c"], w["d"]) for w in data["weights"]]
             for w in weights:
                 if len(w.h_values) != algebra.rank:
                     raise ValueError(f"{len(w.h_values)} h values for rank "
@@ -541,27 +494,7 @@ class ExplicitModule:
         return module
 
 
-# -- generator families and windowed spaces -------------------------------------------
-
-
-def loop_keys(algebra: AffineAlgebra, window):
-    """The stored loop generators key (x) t^n, |n| <= window: every finite basis
-    key at every degree except h_i (x) t^0, which acts from the weights."""
-    return [(key, n) for key in algebra.finite.basis
-            for n in range(-window, window + 1)
-            if not (key[0] == "h" and n == 0)]
-
-
-def raising_keys(algebra: AffineAlgebra, degrees):
-    """e_i (x) t^n for each simple root, then each degree n."""
-    return [(("x", simple), n) for simple in algebra.finite.roots.simple_roots
-            for n in degrees]
-
-
-def heisenberg_keys(algebra: AffineAlgebra, gwindow):
-    """h_i (x) t^l for 0 < |l| <= gwindow, ordered by l, then i."""
-    return [(("h", i), l) for l in range(-gwindow, gwindow + 1) if l
-            for i in range(1, algebra.rank + 1)]
+# -- nilpotency chains and windowed spaces --------------------------------------------
 
 
 def _nilpotency(module, gkey, widx, vec, cap):
@@ -606,20 +539,13 @@ def _block_nilpotency(per_src, targets, widx, n, cap):
 def windowed_spaces(verma: VermaModule, kmax, window: TruncationWindow):
     """((k, s), weight, PBW basis) of each nonzero windowed weight space
     lambda + k delta - s of a Verma module, ht(s) <= window.H and |k| <= kmax,
-    in order of s (lexicographic), then k."""
-    for s in _nonneg_vectors(verma.rank, window.H):
+    in order of s (lexicographic), then k; an s beyond the window's reach
+    (VermaModule.reached_offsets) is not listed."""
+    for s in verma.reached_offsets(window):
         bases = verma.weight_bases(s, window)
         for k in range(-kmax, kmax + 1):
             if k in bases:
                 yield (k, s), verma.weight_of_offset((k, s)), bases[k]
-
-
-def _nonneg_vectors(rank_, total_max):
-    """Non-negative integer rank_-tuples with sum <= total_max, lexicographic."""
-    out = [()]
-    for _ in range(rank_):
-        out = [v + (x,) for v in out for x in range(total_max - sum(v) + 1)]
-    return out
 
 
 def _random_unimodular(rng, n):
@@ -1149,7 +1075,7 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
     expected = {}
     for lam, mult in Counter(summand_weights).items():
         verma = VermaModule(module.algebra, lam, reduced=True)
-        for s in _nonneg_vectors(verma.rank, height):
+        for s in finite_offsets(verma.rank, height):
             dims = verma.weight_dims(s, window)
             for k in range(-kmax, kmax + 1):
                 if k in dims:

@@ -15,14 +15,15 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from imverma.affine import (AffineAlgebra, TwistedSubalgebra, check_closed_partition,
-                            natural_partition_contains, standard_partition_contains)
+                            natural_partition_contains, parse_gen,
+                            standard_partition_contains)
 from imverma.cartan import cartan_matrix_of_type, cartan_matrix_from_text
-from imverma.category import (NILPOTENCY_CAP, ExplicitModule, _nonneg_vectors,
-                              build_loop_module, check_category_membership,
-                              decompose_into_reduced_vermas, parse_gen,
+from imverma.category import (NILPOTENCY_CAP, ExplicitModule, build_loop_module,
+                              check_category_membership, decompose_into_reduced_vermas,
                               sl2_irrep_matrices, torsion_decompose)
 from imverma.errors import CartanMatrixError, ImvermaError, ModuleDataError
 from imverma.finite import DiagramAutomorphism, build_simple_algebra
@@ -52,27 +53,19 @@ def _load_algebra(args) -> AffineAlgebra:
                 raise CartanMatrixError(f"{args.matrix_file}: not text: {ex}") from None
         cartan = cartan_matrix_from_text(text)
     elif args.type:
-        try:
-            cartan = cartan_matrix_of_type(args.type)
-        except CartanMatrixError as ex:
-            raise UsageError(str(ex))
+        cartan = _usage(cartan_matrix_of_type, args.type)
     else:
         raise UsageError("one of --type or --matrix-file is required")
     return AffineAlgebra(build_simple_algebra(cartan))
 
 
-def _parse_weight_arg(text, rank):
+def _usage(parse, *args):
+    """parse(*args), with a flag value the library rejects (ImvermaError)
+    reported as a usage error."""
     try:
-        return parse_weight(text or "", rank)
+        return parse(*args)
     except ImvermaError as ex:
-        raise UsageError(str(ex))
-
-
-def _parse_window_arg(text):
-    try:
-        return parse_window(text)
-    except ImvermaError as ex:
-        raise UsageError(str(ex))
+        raise UsageError(str(ex)) from None
 
 
 # parsed values that are not configuration: the subcommand and its handler
@@ -120,14 +113,6 @@ def _parse_symbol(text):
     if coords is not None:
         return ("F", tuple(int(x) for x in coords.split(",")), int(n))
     return ("B", int(i), int(l))
-
-
-def _parse_gen_string(algebra, text):
-    try:
-        key, n = parse_gen(algebra, text.strip())
-    except ModuleDataError as ex:
-        raise UsageError(str(ex)) from None
-    return algebra.loop(algebra.finite.element({key: 1}), n)
 
 
 def _count(text):
@@ -216,8 +201,8 @@ def _cmd_partition(args):
 
 def _cmd_verma_dims(args):
     alg = _load_algebra(args)
-    lam = _parse_weight_arg(args.lam, alg.rank)
-    window = _parse_window_arg(args.window) if args.window else None
+    lam = _usage(parse_weight, args.lam or "", alg.rank)
+    window = _usage(parse_window, args.window) if args.window else None
     mod = VermaModule(alg, lam, reduced=args.reduced)
     try:
         offset_s = tuple(int(x) for x in args.offset.split(",")) if args.offset \
@@ -245,25 +230,22 @@ def _cmd_verma_dims(args):
                  f"# schema_version={SCHEMA_VERSION}",
                  "k,dimension"]
         return "\n".join(lines + [f"{k},{d}" for k, d in rows]) + "\n"
-    return {"window": {"L": window.L, "N": window.N, "H": window.H},
+    return {"window": asdict(window),
             "dims": [{"k": k, "dimension": d} for k, d in rows]}
 
 
 def _cmd_verma_act(args):
     alg = _load_algebra(args)
-    lam = _parse_weight_arg(args.lam, alg.rank)
+    lam = _usage(parse_weight, args.lam or "", alg.rank)
     mod = VermaModule(alg, lam, reduced=args.reduced)
     symbols = []
     if args.monomial:
         for tok in re.split(_SYMBOL_SEP, args.monomial):
             if tok.strip():
                 symbols.append(_parse_symbol(tok))
-    try:
-        v = mod.monomial(*symbols)
-    except ImvermaError as ex:
-        raise UsageError(str(ex)) from None
-    g = _parse_gen_string(alg, args.gen)
-    image = mod.act(g, v)
+    v = _usage(mod.monomial, *symbols)
+    key, n = _usage(parse_gen, alg, args.gen.strip())
+    image = mod.act(alg.loop(alg.finite.element({key: 1}), n), v)
     return {
         "generator": args.gen,
         "input": monomial_name(next(iter(v.terms))),
@@ -274,13 +256,12 @@ def _cmd_verma_act(args):
 
 def _cmd_singular(args):
     alg = _load_algebra(args)
-    lam = _parse_weight_arg(args.lam, alg.rank)
-    window = _parse_window_arg(args.window)
+    lam = _usage(parse_weight, args.lam or "", alg.rank)
+    window = _usage(parse_window, args.window)
     mod = VermaModule(alg, lam, reduced=args.reduced)
-    offsets = [(None, s) for s in _nonneg_vectors(alg.rank, window.H)]
-    found = mod.singular_vectors(offsets, window)
+    found = mod.singular_vectors([(None, s) for s in mod.reached_offsets(window)], window)
     return {
-        "window": {"L": window.L, "N": window.N, "H": window.H},
+        "window": asdict(window),
         "reduced": args.reduced,
         "singular_vectors": [
             {"offset": {"delta": k, "finite": list(s)},
@@ -305,12 +286,12 @@ def _load_module(args):
         alg = _load_algebra(args)
         if not args.window:
             raise UsageError("--window is required when building from --summands")
-        window = _parse_window_arg(args.window)
+        window = _usage(parse_window, args.window)
         mods = []
         for text in args.summands.split("|"):
             if not text.strip():
                 raise UsageError(f"empty --summands entry in {args.summands!r}")
-            lam = _parse_weight_arg(text, alg.rank)
+            lam = _usage(parse_weight, text, alg.rank)
             mods.append(ExplicitModule.from_reduced_verma(
                 alg, lam, kmax=args.kmax, window=window, loop_window=args.gwindow))
         em = mods[0] if len(mods) == 1 else ExplicitModule.direct_sum(mods)
@@ -326,8 +307,7 @@ def _split_result(module, split):
         if "by_weight" in v:
             v["by_weight"] = {str(i): b for i, b in v["by_weight"].items()}
     return {
-        "weights": [{"h": [str(x) for x in w.h_values], "c": str(w.c_value),
-                     "d": str(w.d_value), "dim": module.dim(i)}
+        "weights": [{**w.to_json_dict(), "dim": module.dim(i)}
                     for i, w in enumerate(module.weights)],
         # every coordinate of a torsion vector, zeros included
         "torsion": {str(w): [[str(row.get(i, 0)) for i in range(module.dim(w))]
@@ -356,8 +336,7 @@ def _cmd_category_decompose(args):
     summands, audit = decompose_into_reduced_vermas(module, args.gwindow,
                                                     args.nilpotency_cap)
     return {
-        "summands": [{"h": [str(x) for x in w.h_values], "c": str(w.c_value),
-                      "d": str(w.d_value)} for w, _ in summands],
+        "summands": [w.to_json_dict() for w, _ in summands],
         "audit": audit,
     }
 

@@ -161,22 +161,29 @@ class FiniteRootSystem:
         """gamma(h_{i+1}) = sum_j c_j a_{i j} (0-based i)."""
         return sum(map(mul, gamma, self.cartan.entries[i]))
 
-    def string_down_length(self, alpha, beta):
-        """p = max k with beta - k*alpha a root (alpha, beta roots)."""
-        return _string_down(self.root_set, alpha, beta)
-
     def root_multisets(self, s):
         """Kostant's partitions of s: the multisets of positive roots with
         sum s, tuples in positive_roots order, listed once and kept. Those at
         s are those at s - gamma followed by each gamma <= s that comes no
-        earlier than their last root."""
+        earlier than their last root. The sums are filled from an explicit
+        stack, each once all its s - gamma are kept, so no recursion grows
+        with ht(s)."""
+        memo = self._multisets
         s = tuple(s)
-        if s not in self._multisets:
-            self._multisets[s] = tuple(
-                m + (gamma,) for i, gamma in enumerate(self.positive_roots)
-                if all(map(le, gamma, s)) for m in self.root_multisets(_sub(s, gamma))
-                if not m or self._place[m[-1]] <= i)
-        return self._multisets[s]
+        stack = [s]
+        while stack:
+            t = stack.pop()
+            if t in memo:
+                continue
+            below = [(i, gamma, _sub(t, gamma))
+                     for i, gamma in enumerate(self.positive_roots) if all(map(le, gamma, t))]
+            missing = [u for _, _, u in below if u not in memo]
+            if missing:
+                stack += [t, *missing]
+            else:
+                memo[t] = tuple(m + (gamma,) for i, gamma, u in below for m in memo[u]
+                                if not m or self._place[m[-1]] <= i)
+        return memo[s]
 
 
 def _string_down(roots, alpha, beta):
@@ -229,7 +236,7 @@ def _structure_constants(rs: FiniteRootSystem, norm):
         if not specials:
             continue  # a simple root
         a1, b1 = specials[0]  # alpha minimal in the order: extraspecial
-        n0 = rs.string_down_length(a1, b1) + 1
+        n0 = _string_down(rs.root_set, a1, b1) + 1
         extraspecial[xi] = (a1, b1)
         values = [n0]
         for alpha, beta in specials[1:]:

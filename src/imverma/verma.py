@@ -33,8 +33,11 @@ every space as the coefficients of a truncated product with one geometric
 factor per PBW symbol, and builds no monomial. weight_bases(s, window) lists:
 it gives the basis of every space, {k: monomials in canonical order}, which
 the singular search and the explicit tables read; basis_monomials reads one
-offset (k, s), or all of s, from it. Both read the root multisets of s from
-the root system's table, FiniteRootSystem.root_multisets.
+offset (k, s), or all of s, from it. Both read what the window reaches at s
+from _reach(s, window), the one place that decides it: the root multisets of
+s short enough to fit, or nothing, as for an s higher than L * ht(theta)
+(every symbol adds a root no higher than theta, or nothing). The offsets it
+reaches are reached_offsets(window), listed by finite_offsets.
 
 Each module interns (hash-conses) its PBW monomials and loop operators
 (key, n) as small ints. A PBW symbol is the lowering operator it names, so
@@ -77,7 +80,7 @@ from math import inf, lcm
 from operator import add
 
 from imverma._kernels import Echelon
-from imverma.affine import AffineAlgebra, LoopElement
+from imverma.affine import AffineAlgebra, LoopElement, gen_name, raising_keys
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
 from imverma.finite import SparseCombination, _neg, _sub, add_scaled, root_height
 
@@ -121,6 +124,11 @@ class Weight:
     def __repr__(self):
         hs = ",".join(f"h{i+1}={v}" for i, v in enumerate(self.h_values))
         return f"Weight({hs},c={self.c_value},d={self.d_value})"
+
+    def to_json_dict(self):
+        """{"h": [...], "c": ..., "d": ...} in "p/q" strings, read back by make."""
+        return {"h": [str(v) for v in self.h_values], "c": str(self.c_value),
+                "d": str(self.d_value)}
 
 
 def parse_weight(text, rank) -> Weight:
@@ -531,20 +539,19 @@ class VermaModule:
         order, listed in one pass; the listing twin of weight_dims.
 
         A monomial is a B-part followed by an F-part. The F-parts of a
-        multiset of f <= L roots from the table root_multisets(s) take one
-        degree tuple in [-N, N] per run of equal roots, weakly increasing (a
-        multiset of degrees); the B-parts are the multisets of at most L - f
-        symbols B(i, l), l <= N (only the empty one in the reduced module). A
-        monomial files under k = F total - B total. Each part's sort key is
-        built once, and the sort keys of distinct monomials differ, so the
-        monomials are never compared. An s with a negative coordinate has no
-        space, and an s higher than window.H, or an unreduced L too long to
-        index (_max_length), raises WindowOverflowError.
+        multiset of f <= L roots from _reach take one degree tuple in [-N, N]
+        per run of equal roots, weakly increasing (a multiset of degrees);
+        the B-parts are the multisets of at most L - f symbols B(i, l),
+        l <= N (only the empty one in the reduced module). A monomial files
+        under k = F total - B total. Each part's sort key is built once, and
+        the sort keys of distinct monomials differ, so the monomials are
+        never compared. Where _reach finds no monomial there is no space, and
+        where it raises WindowOverflowError so does this.
         """
-        s = tuple(s)
-        if any(x < 0 for x in s):
+        reach = self._reach(s, window)
+        if reach is None:
             return {}
-        L, N = self._max_length(s, window), window.N
+        L, N, multisets = reach
         # b_parts[j]: (sort key, B-part, B total) of the B-parts of j symbols
         colours = [] if self.reduced else \
             [("B", i, l) for i in range(1, self.rank + 1) for l in range(1, N + 1)]
@@ -553,10 +560,7 @@ class VermaModule:
                    for j in range(L + 1)]
         degrees = range(-N, N + 1)
         keyed = {}
-        for multiset in self.algebra.finite.roots.root_multisets(s):
-            f = len(multiset)
-            if f > L:
-                continue
+        for multiset in multisets:
             runs = [(gamma, len(list(run))) for gamma, run in groupby(multiset)]
             f_parts = []
             for choice in product(*(combinations_with_replacement(degrees, m)
@@ -565,7 +569,7 @@ class VermaModule:
                              for n in ns)
                 f_parts.append((_monomial_sort_key(mono), mono,
                                 sum(map(sum, choice))))
-            for j in range(L - f + 1):
+            for j in range(L - len(multiset) + 1):
                 for b_key, b_mono, b_total in b_parts[j]:
                     for f_key, f_mono, f_total in f_parts:
                         keyed.setdefault(f_total - b_total, []).append(
@@ -582,26 +586,24 @@ class VermaModule:
         len(weight_bases(s, window)[k]), counted without building one.
 
         A monomial is a B-part followed by an F-part. The F-parts of a
-        multiset of f <= L roots from the table root_multisets(s) are its
-        degree tuples in [-N, N], weakly increasing over each run of equal
-        roots: a run of m equal roots has as many tuples of degree sum t as
-        there are multisets of m values in [0, 2N] with sum t + m*N, and the
-        runs are convolved. The B-parts are the rank-coloured partitions with
-        parts at most N and at most L - f parts (only the empty one in the
-        reduced module). A monomial files under k = F total - B total. Like
-        weight_bases, an s with a negative coordinate has no space, and an s
-        higher than window.H or an unreduced L too long to index raises
-        WindowOverflowError.
+        multiset of f <= L roots from _reach are its degree tuples in
+        [-N, N], weakly increasing over each run of equal roots: a run of m
+        equal roots has as many tuples of degree sum t as there are
+        multisets of m values in [0, 2N] with sum t + m*N, and the runs are
+        convolved. The B-parts are the rank-coloured partitions with parts
+        at most N and at most L - f parts (only the empty one in the reduced
+        module). A monomial files under k = F total - B total. Like
+        weight_bases, it reads _reach: no space where that finds no
+        monomial, and WindowOverflowError where that raises it.
         """
-        s = tuple(s)
-        if any(x < 0 for x in s):
+        reach = self._reach(s, window)
+        if reach is None:
             return {}
-        L, N = self._max_length(s, window), window.N
+        L, N, multisets = reach
         # root multisets whose runs of equal roots have the same lengths have
         # the same F-part counts (equal roots are adjacent in a multiset)
         shapes = Counter(tuple(sorted(len(list(run)) for _, run in groupby(m)))
-                         for m in self.algebra.finite.roots.root_multisets(s)
-                         if len(m) <= L)
+                         for m in multisets)
         # degree_runs[m][t]: runs of m equal roots with degree sum t - m*N; a
         # run is no longer than its multiset, which has at most ht(s) roots
         degree_runs = _multiset_counts(range(2 * N + 1), min(L, root_height(s)))
@@ -626,28 +628,40 @@ class VermaModule:
                     dims[i - low] = dims.get(i - low, 0) + c
         return dims
 
-    def _max_length(self, s, window):
-        """The longest monomial the window admits at the finite offset s,
-        after checking that s is no higher than window.H.
+    def _reach(self, s, window):
+        """(L, N, the root multisets of s with at most L roots): the longest
+        monomial the window admits at the finite offset s and its degree cap;
+        or None where no windowed monomial has offset s.
 
-        A monomial of offset s has at most ht(s) F-symbols, and a reduced
-        monomial has no other symbol, so the reduced length is
-        min(L, ht(s)) however long L is. An unreduced monomial may carry any
-        number of B-symbols, so its length is L itself; the enumeration
-        indexes B-parts by length and by B total, up to L * N, and an L
-        with L * N past the largest list index raises WindowOverflowError.
+        An s with a negative coordinate has none. An s higher than window.H,
+        or an unreduced L * N past the largest index of the B-part tables,
+        raises WindowOverflowError. An s higher than L * ht(theta) is the sum
+        of no L roots, so it has none, and its multisets are never listed. A
+        reduced monomial has only its at most ht(s) F-symbols, so its L is
+        min(L, ht(s)); an unreduced one may add any number of B-symbols.
         """
+        s = tuple(s)
+        if min(s) < 0:
+            return None
         height = root_height(s)
         if height > window.H:
             raise WindowOverflowError(
                 f"offset height {height} exceeds window H={window.H}")
-        if self.reduced:
-            return min(window.L, height)
-        if window.L * window.N >= sys.maxsize:
+        if not self.reduced and window.L * window.N >= sys.maxsize:
             raise WindowOverflowError(
                 f"window L={window.L} is too long to enumerate with N={window.N} "
                 "in the unreduced module")
-        return window.L
+        if height > window.L * root_height(self.algebra.theta):
+            return None
+        L = min(window.L, height) if self.reduced else window.L
+        return L, window.N, (m for m in self.algebra.finite.roots.root_multisets(s)
+                             if len(m) <= L)
+
+    def reached_offsets(self, window: TruncationWindow):
+        """The finite offsets s, lexicographic, at which the window may hold
+        a monomial: s >= 0 no higher than window.H or L * ht(theta)."""
+        top = window.L * root_height(self.algebra.theta)
+        return finite_offsets(self.rank, min(window.H, top))
 
     def weight_dim(self, offset, window: TruncationWindow) -> int:
         """Exact count of PBW monomials at the offset (k, s) inside the
@@ -672,19 +686,15 @@ class VermaModule:
         s != 0 (see the module docstring); singular_vectors feeds its
         batches in this order."""
         alg = self.algebra
-        return [(name, alg.loop(alg.finite.element({key: 1}), n))
-                for name, key, n in self._raising_operators(window)]
+        return [(gen_name(alg, key, n), alg.loop(alg.finite.element({key: 1}), n))
+                for key, n in self._raising_operators(window)]
 
     def _raising_operators(self, window):
-        """The annihilator_generators as (name, key, n), each the single term
+        """The annihilator_generators as (key, n), each the single term
         key (x) t^n with coefficient 1, in the same order."""
-        simple = self.algebra.finite.roots.simple_roots
         cartan = [] if self.reduced else [
-            (f"h{i}@{l}", ("h", i), l)
-            for i in range(1, self.rank + 1) for l in range(1, window.N + 1)]
-        return cartan + [(f"e{i}@{m}", ("x", simple[i - 1]), m)
-                         for i in range(1, self.rank + 1)
-                         for m in range(-window.N, window.N + 1)]
+            (("h", i), l) for i in range(1, self.rank + 1) for l in range(1, window.N + 1)]
+        return cartan + raising_keys(self.algebra, range(-window.N, window.N + 1))
 
     def singular_vectors(self, offsets, window: TruncationWindow):
         """Basis of the joint kernel of all windowed raising operators.
@@ -716,7 +726,7 @@ class VermaModule:
         """
         zero = (0,) * self.rank
         ops = [(key[1] if key[0] == "x" else zero, n, self._op(key, n))
-               for _, key, n in self._raising_operators(window)]
+               for key, n in self._raising_operators(window)]
         live = {}  # s -> (lo, hi, n, op) of the ops whose targets can be nonzero
         found = []
         asked = {}  # s -> the k asked for there, None for every k
@@ -769,6 +779,14 @@ def nonzero_degrees(s, reduced):
     if any(s):
         return (-inf, inf)
     return (0, 0) if reduced else (-inf, 0)
+
+
+def finite_offsets(rank, height):
+    """Non-negative integer rank-tuples with sum <= height, lexicographic."""
+    out = [()]
+    for _ in range(rank):
+        out = [v + (x,) for v in out for x in range(height - sum(v) + 1)]
+    return out
 
 
 def _multiset_counts(values, max_len):

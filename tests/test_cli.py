@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -100,6 +101,38 @@ def test_verma_dims_default_window_reaches_offset_height(capsys, typ, lam, offse
     assert (code, err) == (0, "")
     assert f"# window={window}" in out
     assert out.splitlines()[-3:] == ["k,dimension", *rows]
+
+
+@pytest.mark.parametrize("typ, offset, window", [
+    ("A1", "500", "L=2,N=1,H=500"),
+    ("A3", "30,30,30", "L=2,N=1,H=90"),
+])
+def test_verma_dims_offset_beyond_reach_lists_zeros(capsys, typ, offset, window):
+    # two symbols reach no higher than 2 ht(theta), so the rows are zero and
+    # no root multiset of the offset is listed
+    code, out, err = run(capsys, "verma-dims", "--type", typ, "--offset", offset,
+                         "--window", window, "--delta-max", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == ["k,dimension", "0,0", "1,0"]
+
+
+def test_verma_dims_offset_higher_than_the_recursion_limit(capsys):
+    # 500 copies of F(alpha_1, n), n in [-1, 1]: a copies of n = 1 and b of
+    # n = -1 with a + b <= 500, a - b = k
+    code, out, err = run(capsys, "verma-dims", "--type", "A1", "--lambda", "h1=-1/2",
+                         "--offset", "500", "--window", "L=500,N=1,H=500",
+                         "--delta-max", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == ["k,dimension", "0,251", "1,250"]
+
+
+def test_singular_height_beyond_reach_lists_nothing_more(capsys):
+    argv = ("singular", "--type", "A1", "--lambda", "h1=-1/2", "--window")
+    code, out, err = run(capsys, *argv, "L=2,N=1,H=1000000000")
+    assert (code, err) == (0, "")
+    _, short, _ = run(capsys, *argv, "L=2,N=1,H=2")
+    assert json.loads(out)["result"]["singular_vectors"] == \
+        json.loads(short)["result"]["singular_vectors"]
 
 
 def test_verma_dims_user_window_below_offset_height_fails(capsys):
@@ -742,3 +775,24 @@ def test_argv_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if code:
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+def _readme_cli_examples():
+    """The argvs of the fenced block under README's "## CLI" heading, with
+    backslash continuations joined and trailing # comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.strip()]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # loopmod --out loop3.json writes the module that category-check reads
+    monkeypatch.delenv("IMVERMA_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_cli_examples()
+    assert examples
+    for argv in examples:
+        assert argv[0] == "imverma"
+        code, _, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv

@@ -157,6 +157,13 @@ def test_root_multisets_are_the_kostant_partitions():
     assert len(a2.root_multisets((1, 2))) == 2
 
 
+def test_root_multisets_of_a_high_sum_need_no_deep_recursion():
+    # the table is filled from an explicit stack, so a sum far past the
+    # interpreter's recursion limit is listed on a fresh root system
+    roots = alg("A1").roots
+    assert roots.root_multisets((2000,)) == (((1,),) * 2000,)
+
+
 def test_positive_negative_split():
     a = alg("A3")
     pos = a.roots.positive_set

@@ -17,13 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import imverma
-from imverma.affine import AffineAlgebra, affine_bracket
+from imverma.affine import AffineAlgebra, affine_bracket, gen_name
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
 from imverma.finite import _sub, build_simple_algebra
 from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
-                           monomial_offset, nonzero_degrees, parse_weight,
-                           parse_window, symbol_sort_key)
+                           finite_offsets, monomial_offset, nonzero_degrees,
+                           parse_weight, parse_window, symbol_sort_key)
 
 from oracles import (beyond_window_survivors, brute_basis_monomials,
                      colored_partition_counts, dense_rows, dense_rref,
@@ -57,6 +57,14 @@ def test_weight_parsing_and_admissibility():
         parse_weight("h9=1", 1)
     with pytest.raises(ImvermaError, match="malformed"):
         parse_weight("h1", 1)
+
+
+def test_weight_json_dict_round_trips_through_make():
+    w = Weight.make([Fraction(-1, 2), Fraction(7, 3)], Fraction(5, 4), Fraction(-2, 9))
+    data = w.to_json_dict()
+    assert data == {"h": ["-1/2", "7/3"], "c": "5/4", "d": "-2/9"}
+    back = Weight.make(data["h"], data["c"], data["d"])
+    assert back == w and back.cells == w.cells
 
 
 def test_window_parsing():
@@ -202,6 +210,28 @@ def test_reduced_length_is_capped_at_the_offset_height(label):
     found = mod.singular_vectors(offsets, long)
     assert found == mod.singular_vectors(offsets, short)
     assert any(any(s) for (_, s), _ in found)
+
+
+SEAM_TYPES = ["A1", "A2", "A3", "C2", "G2"]
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("label", SEAM_TYPES)
+@pytest.mark.parametrize("L", [1, 2])
+def test_offsets_beyond_reach_hold_no_monomial(label, reduced, L):
+    # every symbol adds a root no higher than theta, or nothing, so a window
+    # of length L reaches no s higher than L * ht(theta), whatever its H
+    a = aff(label)
+    mod = VermaModule(a, Weight.make([Fraction(-1, 2)] * a.rank), reduced=reduced)
+    top = L * sum(a.theta)
+    window = TruncationWindow(L=L, N=1, H=top + 2)
+    beyond = [s for s in finite_offsets(a.rank, window.H) if sum(s) > top]
+    assert beyond
+    for s in beyond:
+        assert mod._reach(s, window) is None
+        assert mod.weight_dims(s, window) == mod.weight_bases(s, window) == {}
+        assert brute_basis_monomials(mod, (None, s), window) == []
+    assert mod.reached_offsets(window) == finite_offsets(a.rank, top)
 
 
 def test_unreduced_length_past_the_list_index_rejected():
@@ -523,6 +553,22 @@ def test_vector_validation():
 
 
 # -- singular vectors ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("label", SEAM_TYPES)
+def test_annihilator_generators_are_the_named_raising_operators(label, reduced):
+    # the Cartan loops h_{i,l} by i, then l, and then the e_{i,m} by i, then m
+    a = aff(label)
+    mod = VermaModule(a, Weight.make([Fraction(-1, 2)] * a.rank), reduced=reduced)
+    window = TruncationWindow(L=2, N=2, H=2)
+    gens = mod.annihilator_generators(window)
+    assert gens == [(gen_name(a, key, n), a.loop(a.finite.element({key: 1}), n))
+                    for key, n in mod._raising_operators(window)]
+    indices = range(1, a.rank + 1)
+    cartan = [] if reduced else [f"h{i}@{l}" for i in indices for l in (1, 2)]
+    assert [name for name, _ in gens] == \
+        cartan + [f"e{i}@{m}" for i in indices for m in range(-2, 3)]
 
 
 def test_singular_vectors_zero_h_direction():
