@@ -34,6 +34,7 @@ their values do not depend on the order of the calls.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from operator import add, le, mul, neg, sub
 
 from imverma.cartan import CartanMatrix
@@ -165,24 +166,19 @@ class FiniteRootSystem:
         """Kostant's partitions of s: the multisets of positive roots with
         sum s, tuples in positive_roots order, listed once and kept. Those at
         s are those at s - gamma followed by each gamma <= s that comes no
-        earlier than their last root. The sums are filled from an explicit
-        stack, each once all its s - gamma are kept, so no recursion grows
-        with ht(s)."""
+        earlier than their last root. Every t with 0 <= t <= s is such an
+        s - gamma - gamma' - ..., since the simple roots are positive, so the
+        box is filled in lexicographic order, where each t - gamma comes
+        before t, and no recursion grows with ht(s)."""
         memo = self._multisets
         s = tuple(s)
-        stack = [s]
-        while stack:
-            t = stack.pop()
-            if t in memo:
-                continue
-            below = [(i, gamma, _sub(t, gamma))
-                     for i, gamma in enumerate(self.positive_roots) if all(map(le, gamma, t))]
-            missing = [u for _, _, u in below if u not in memo]
-            if missing:
-                stack += [t, *missing]
-            else:
-                memo[t] = tuple(m + (gamma,) for i, gamma, u in below for m in memo[u]
-                                if not m or self._place[m[-1]] <= i)
+        if s not in memo:
+            for t in product(*(range(x + 1) for x in s)):
+                if t not in memo:
+                    memo[t] = tuple(
+                        m + (gamma,) for i, gamma in enumerate(self.positive_roots)
+                        if all(map(le, gamma, t)) for m in memo[_sub(t, gamma)]
+                        if not m or self._place[m[-1]] <= i)
         return memo[s]
 
 
