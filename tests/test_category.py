@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from imverma._kernels import nullspace, rank, rref
 from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
-from imverma.errors import AuditError, ModuleDataError
+from imverma.errors import AuditError, ModuleDataError, WindowOverflowError
 from imverma.finite import build_simple_algebra
-from imverma.category import (ExplicitModule, _mat_mul, _transpose,
+from imverma.category import (ExplicitModule, UndefinedActionError, _mat_mul,
+                              _transpose,
                               audit_decomposition, build_loop_module,
                               check_category_membership,
                               decompose_into_reduced_vermas,
@@ -726,6 +727,14 @@ def test_extract_cap_exceeded():
         extract_annihilated_vector(em, fidx, {0: Fraction(1)}, 3, cap=1)
 
 
+def test_extract_chain_reaching_an_undefined_pair_raises():
+    # e1@0 maps the first space into the second, where it is undefined; no
+    # Heisenberg table is stored, so the vector passes as torsion
+    em = _axiom2_module("undefined-block")
+    with pytest.raises(UndefinedActionError, match="^e1@0 undefined at weight index 1$"):
+        extract_annihilated_vector(em, 0, {0: Fraction(1)}, 2)
+
+
 # -- decomposition -------------------------------------------------------------------
 
 
@@ -807,6 +816,16 @@ def test_audit_requires_window_metadata():
     em.meta = None
     with pytest.raises(AuditError, match="window metadata"):
         audit_decomposition(em, [Weight.make([Fraction(-1, 2)])])
+
+
+def test_audit_height_above_window_fails_within_reach():
+    # L * ht(theta) = 1 <= H = 2, so every offset the window reaches is within
+    # H; a build height above H still fails with the window error
+    em = _reduced(A1, "h1=-1/2", 3, TruncationWindow(1, 3, 2))
+    em.meta = dict(em.meta, height=3)
+    with pytest.raises(WindowOverflowError,
+                       match="^offset height 3 exceeds window H=2$"):
+        audit_decomposition(em, [LAM])
 
 
 def test_scramble_preserves_dims_and_torsion():

@@ -52,7 +52,10 @@ and G2, whose searches run to the end and report 13 to 238 vectors, were
 recorded before the offsets a window reaches were decided in one place. The
 beyond-reach argvs, whose windows list offsets higher than L times the height
 of the highest root, were recorded at the same commit, so that the rule that
-such an offset holds no windowed monomial keeps their reports. A refactor
+such an offset holds no windowed monomial keeps their reports. The A2
+decompose argv at H=300, whose audit would list tens of thousands of offsets
+beyond the window's reach, was recorded before the audit listed only the
+offsets the build reaches. A refactor
 that claims unchanged answers must keep every hash; a change that means to
 alter a report updates its constant and says why."""
 
@@ -367,6 +370,11 @@ PINNED = [
         ("category-decompose", "--type", "A1", "--summands", "h1=-1/2|h1=-3/2",
          "--window", "L=1,N=3,H=3", "--kmax", "3", "--gwindow", "2"),
         "f5216034c9f50b55d59671b51765c3d1b8e42f14", id="decompose-A1-beyond-reach"),
+    pytest.param(
+        ("category-decompose", "--type", "A2",
+         "--summands", "h1=-1/2,h2=-1/3|h1=-3/2,h2=-1/3",
+         "--window", "L=1,N=2,H=300", "--kmax", "2", "--gwindow", "2"),
+        "0e302af2c71d458ce45e2b2d46ce33444c80b336", id="decompose-A2-high-window"),
     pytest.param(
         ("partition", "--type", "A2", "--which", "natural", "--height", "3",
          "--loop-degree", "3"),
