@@ -39,16 +39,20 @@ computed per weight space over the reduced-admissible weights; weight spaces
 outside h*_red are reported as excluded (they already violate the
 diagonalizability axiom, and torsion candidates in the source theory carry
 reduced-admissible weights). The torsion-free part is the span of the
-Heisenberg images arriving from neighboring weight spaces. The split and its
-verdicts read each generator's blocks and targets once, as one map per
-generator, never through table() one (generator, weight) pair at a time.
+Heisenberg images arriving from neighboring weight spaces.
+
+Membership, the split, its verdicts and extraction have one reader of the
+action: each generator's blocks and targets, read as one map, never through
+table() or apply() one (generator, weight) pair at a time. Powers of a
+generator have one walk (_power_walk), which axiom (2) starts from a weight's
+basis and extraction from one vector.
 
 The decomposition pipeline: torsion basis -> iterated e_{i,0}-power extraction
 of vectors annihilated by every windowed e_{j,n} -> summand weights -> exact
 dimension audit: the summands' windowed reduced Verma dimensions, counted by
-VermaModule.weight_dims over the spaces windowed_spaces would list, must fill
-every stored weight space exactly and no other weight. Audit failures are
-errors, never silently accepted.
+VermaModule.weight_dims once per offset the build reaches, must fill every
+stored weight space exactly and no other weight. Audit failures are errors,
+never silently accepted.
 """
 
 import copy
@@ -63,11 +67,11 @@ from imverma._kernels import nullspace, rank, rref
 from imverma.affine import (AffineAlgebra, gen_name, heisenberg_keys, loop_keys,
                             parse_gen, raising_keys)
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
-from imverma.errors import AuditError, ImvermaError, ModuleDataError
+from imverma.errors import AuditError, ImvermaError, ModuleDataError, WindowOverflowError
 from imverma.finite import (_broken_bracket, _extend_by_extraspecial, _neg, _sub,
                             add_scaled, build_simple_algebra, key_name)
-from imverma.verma import (TruncationWindow, VermaModule, Weight, finite_offsets,
-                           monomial_name, nonzero_degrees)
+from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
+                           nonzero_degrees)
 
 
 class UndefinedActionError(ModuleDataError):
@@ -497,43 +501,24 @@ class ExplicitModule:
 # -- nilpotency chains and windowed spaces --------------------------------------------
 
 
-def _nilpotency(module, gkey, widx, vec, cap):
-    """(p, (weight index, gkey^(p-1) vec)) for the least p <= cap with
-    gkey^p vec = 0 on the row vec of space widx, or None; gkey is applied at
-    most cap times."""
-    p, last = 0, None
-    while vec:
-        if p >= cap:
-            return None
-        last = widx, vec
-        widx, vec = module.apply(gkey, widx, vec)
-        p += 1
-    return p, last
-
-
-def _block_nilpotency(per_src, targets, widx, n, cap):
-    """Axiom (2) for one raising generator on the n basis vectors of weight
-    widx, given the generator's blocks per_src and their targets: (the
-    coordinates j whose vector is still nonzero after cap applications, the
-    number of vectors whose chain reaches an undefined pair first).
-
-    The basis vectors walk together, as the columns of one block, so each
-    pair on the chain is looked up once. The first block's columns are their
-    images, so an absent column is killed in one step and never applied; a
-    column that vanishes later drops out. At cap 0 nothing is applied and
-    every basis vector is reported, whether or not its pair is defined.
-    """
-    cur = None  # None: the basis vectors themselves; else {j: image of j}
-    t = widx
-    for _ in range(cap):
-        block = per_src.get(t)
+def _power_walk(per_src, targets, widx, cur, cap):
+    """Apply one generator, given its blocks per_src and their targets, at
+    most cap times to the columns cur {j: vector} of weight widx; cur None
+    stands for the basis, whose first images are the block's own columns.
+    The columns walk together and each drops out once it dies. Returns
+    (stop, p, t, cur): "killed" where the p-th application kills every
+    column, cur at weight t being what the one before left; "undefined"
+    where the pair at t, reached after p applications, is undefined; "cap"
+    where cur at t is still nonzero after p = cap applications."""
+    for p in range(cap):
+        block = per_src.get(widx)
         if block is None:
-            return [], n if cur is None else len(cur)
-        cur = block if cur is None else _mat_mul(block, cur)
-        if not cur:
-            return [], 0
-        t = targets[t]
-    return (list(range(n)) if cur is None else sorted(cur)), 0
+            return "undefined", p, widx, cur
+        image = block if cur is None else _mat_mul(block, cur)
+        if not image:
+            return "killed", p + 1, widx, cur
+        widx, cur = targets[widx], image
+    return "cap", cap, widx, cur
 
 
 def windowed_spaces(verma: VermaModule, kmax, window: TruncationWindow):
@@ -910,15 +895,19 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
     """Report over the four category axioms, with witnesses and skip counts.
 
     Axiom (2) asks each windowed e_{i,n} to kill every basis vector within
-    nilpotency_cap applications. It is decided per (generator, weight) block
-    (_block_nilpotency): an undefined block adds its whole dimension to
+    nilpotency_cap applications. The basis vectors of a weight walk together
+    (_power_walk): an undefined block adds its whole dimension to
     inconclusive, an absent column is killed in one step (p = 1) with no
-    action applied, and the other columns walk their chain, a vector whose
-    chain reaches an undefined pair counting as inconclusive and one still
-    nonzero after the cap as a violation. At cap 0 every basis vector of
-    every populated weight is a violation. Violations are listed by
-    generator, then weight index, then basis index.
+    action applied, a vector whose chain reaches an undefined pair is
+    inconclusive and one still nonzero after the cap a violation. At cap 0
+    every basis vector of every populated weight is a violation. Violations
+    are listed by generator, then weight index, then basis index.
     """
+    return _membership(module, gwindow, nilpotency_cap)[0]
+
+
+def _membership(module, gwindow, nilpotency_cap):
+    """(check_category_membership's report, axiom (3)'s split or None)."""
     report = {"gwindow": gwindow, "axioms": {}}
     # (1) diagonalizability over reduced-admissible weights
     bad_weights = []
@@ -945,16 +934,20 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
         targets = module.targets[gk]
         for widx in range(len(module.weights)):
             n = module.dim(widx)
-            stuck, undecided = _block_nilpotency(per_src, targets, widx, n,
-                                                 nilpotency_cap)
-            inconclusive += undecided
-            checked += n - len(stuck) - undecided
-            fails.extend({"generator": name, "weight_index": widx, "basis_index": j,
-                          "cap": nilpotency_cap} for j in stuck)
+            stop, _, _, cur = _power_walk(per_src, targets, widx, None, nilpotency_cap)
+            # the basis coordinates still alive where the walk stopped
+            live = [] if stop == "killed" else range(n) if cur is None else sorted(cur)
+            checked += n - len(live)
+            if stop == "undefined":
+                inconclusive += len(live)
+            else:
+                fails.extend({"generator": name, "weight_index": widx,
+                              "basis_index": j, "cap": nilpotency_cap} for j in live)
     report["axioms"]["2"] = {"passed": not fails, "violations": fails,
                              "checked": checked, "inconclusive": inconclusive,
                              "cap": nilpotency_cap}
     # (3) G-compatibility
+    split = None
     try:
         split = torsion_decompose(module, gwindow)
         report["axioms"]["3"] = {
@@ -963,27 +956,22 @@ def check_category_membership(module: ExplicitModule, gwindow: int,
                            split.verdicts.items() if k in ("i", "ii", "iii", "iv")},
             "torsion_dim": split.torsion_dim(),
         }
-        report["_split"] = split
     except ModuleDataError as ex:
         report["axioms"]["3"] = {"passed": False, "error": str(ex)}
     # (4) morphisms: a property of the category, vacuous for a single module
     report["axioms"]["4"] = {"passed": True,
                              "note": "morphism axiom is vacuous for a single module"}
     report["passed"] = all(a["passed"] for a in report["axioms"].values())
-    return report
+    return report, split
 
 
 # -- annihilated-vector extraction and decomposition ------------------------------------
 
 
-def _defined_images(module, keys, widx, vec):
-    """(gk, image row) for each key of keys defined on the row vec of space widx."""
-    for gk in keys:
-        try:
-            _, image = module.apply(gk, widx, vec)
-        except UndefinedActionError:
-            continue
-        yield gk, image
+def _blocks_at(module, keys, widx):
+    """(gk, block) for each key of keys defined at weight widx."""
+    return [(gk, module.defined[gk][widx]) for gk in keys
+            if widx in module.defined.get(gk, ())]
 
 
 def extract_annihilated_vector(module: ExplicitModule, widx, vec, gwindow: int,
@@ -995,22 +983,26 @@ def extract_annihilated_vector(module: ExplicitModule, widx, vec, gwindow: int,
     until some nonzero result is killed by every e_{i,0}; the output is then
     verified to be annihilated by every windowed e_{j,n} that is defined at
     its weight. Returns (weight, (weight index, row), generators verified).
-    Raises on non-torsion input or when the cap is exceeded.
+    Raises on non-torsion input, when the cap is exceeded, and
+    UndefinedActionError where an e_{i,0} chain reaches an undefined pair.
     """
     if not vec:
         raise ModuleDataError("zero vector")
-    if any(image for _, image in _defined_images(
-            module, heisenberg_keys(module.algebra, gwindow), widx, vec)):
+    if any(_image(block, vec) for _, block in _blocks_at(
+            module, heisenberg_keys(module.algebra, gwindow), widx)):
         raise ModuleDataError("not torsion: some Heisenberg generator acts "
                               "nontrivially on the input vector")
     alg = module.algebra
     e_keys = raising_keys(alg, (0,))
 
     def nilp(v, gk):
-        found = _nilpotency(module, gk, *v, cap)
-        if found is None:
+        stop, p, t, cur = _power_walk(module.defined.get(gk, {}), module.targets.get(gk),
+                                      v[0], {0: v[1]}, cap)
+        if stop == "undefined":
+            raise UndefinedActionError(f"{gen_name(alg, *gk)} undefined at weight index {t}")
+        if stop == "cap":
             raise ModuleDataError(f"nilpotency cap {cap} exceeded during extraction")
-        return found
+        return p, (t, cur[0])
 
     frontier = [(widx, vec)]
     for _ in range(cap):
@@ -1024,14 +1016,12 @@ def extract_annihilated_vector(module: ExplicitModule, widx, vec, gwindow: int,
     else:
         raise ModuleDataError(f"extraction did not stabilize within {cap} rounds")
     # verify annihilation at every windowed loop degree, wherever defined
-    verified = 0
-    for gk, image in _defined_images(module, raising_keys(alg, range(-gwindow, gwindow + 1)),
-                                     *out):
-        if image:
+    blocks = _blocks_at(module, raising_keys(alg, range(-gwindow, gwindow + 1)), out[0])
+    for gk, block in blocks:
+        if _image(block, out[1]):
             raise ModuleDataError(
                 f"extracted vector not annihilated by {gen_name(alg, *gk)}")
-        verified += 1
-    return module.weights[out[0]], out, verified
+    return module.weights[out[0]], out, len(blocks)
 
 
 def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
@@ -1046,13 +1036,13 @@ def decompose_into_reduced_vermas(module: ExplicitModule, gwindow: int,
     of the claimed summands, and no summand space may lie outside the store.
     Audit failure raises AuditError. A summand is (weight, (weight index, row)).
     """
-    report = check_category_membership(module, gwindow, cap)
+    report, split = _membership(module, gwindow, cap)
     if not report["passed"]:
         failed = [k for k, v in report["axioms"].items() if not v["passed"]]
         raise ModuleDataError(
             f"module fails category membership axioms {failed}; not decomposable")
     summands = [extract_annihilated_vector(module, widx, vec, gwindow, cap)[:2]
-                for widx, vec in report["_split"].torsion_vectors()]
+                for widx, vec in split.torsion_vectors()]
     audit = audit_decomposition(module, [w for w, _ in summands])
     return summands, audit
 
@@ -1061,11 +1051,12 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
     """Exact windowed dimension audit of a claimed decomposition.
 
     Each claimed summand's windowed weight spaces, with the bounds of the
-    module's build and in the order of windowed_spaces, are counted
-    (VermaModule.weight_dims, one call per s) and added forward onto their
-    weights. Every stored weight space must match its sum, and a summand
+    module's build and in the order of windowed_spaces, are added forward
+    onto their weights: each offset s the build reaches (reached_offsets, no
+    higher than its height) is counted once by weight_dims, which reads no
+    lambda. Every stored weight space must match its sum, and a summand
     space of nonzero dimension at a weight the module does not store is a
-    mismatch too.
+    mismatch too. A build higher than its window raises WindowOverflowError.
     """
     meta = module.meta
     if not meta or "window" not in meta:
@@ -1073,10 +1064,16 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
                          "against windowed reduced Verma dimensions")
     window, height, kmax = _audit_bounds(meta)
     expected = {}
+    reached = None  # (s, weight_dims at s) per offset the build reaches
     for lam, mult in Counter(summand_weights).items():
         verma = VermaModule(module.algebra, lam, reduced=True)
-        for s in finite_offsets(verma.rank, height):
-            dims = verma.weight_dims(s, window)
+        if reached is None:
+            if height > window.H:  # weight_dims fails at the lowest offset past H
+                raise WindowOverflowError(
+                    f"offset height {window.H + 1} exceeds window H={window.H}")
+            reached = [(s, verma.weight_dims(s, window))
+                       for s in verma.reached_offsets(window) if sum(s) <= height]
+        for s, dims in reached:
             for k in range(-kmax, kmax + 1):
                 if k in dims:
                     w = verma.weight_of_offset((k, s))

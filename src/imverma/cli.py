@@ -321,9 +321,7 @@ def _split_result(module, split):
 
 def _cmd_category_check(args):
     module = _load_module(args)
-    rep = check_category_membership(module, args.gwindow, args.nilpotency_cap)
-    rep.pop("_split", None)
-    return rep
+    return check_category_membership(module, args.gwindow, args.nilpotency_cap)
 
 
 def _cmd_category_split(args):
@@ -501,6 +499,10 @@ def main(argv=None) -> int:
         return 2
     except (ImvermaError, OSError) as ex:
         print(str(ex), file=sys.stderr)
+        return 1
+    except (RecursionError, MemoryError) as ex:
+        # a MemoryError carries no message: the exception's name is the cause
+        print(f"{type(ex).__name__}: the input is too large to compute", file=sys.stderr)
         return 1
     return 0
 

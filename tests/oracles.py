@@ -34,9 +34,9 @@ from itertools import combinations_with_replacement
 from imverma._kernels import nullspace, rank, rref
 from imverma.affine import affine_bracket
 from imverma.category import (ExplicitModule, GCompatibleSplit,
-                              UndefinedActionError, _image, _nilpotency,
-                              _transpose, gen_name, heisenberg_keys, loop_keys,
-                              raising_keys, windowed_spaces)
+                              UndefinedActionError, _image, _transpose, gen_name,
+                              heisenberg_keys, loop_keys, raising_keys,
+                              windowed_spaces)
 from imverma.errors import ModuleDataError
 from imverma.finite import _neg, add_scaled
 from imverma.verma import VermaModule, Weight, monomial_name, symbol_sort_key
@@ -418,6 +418,20 @@ def full_singular_closed_form(mod, window):
     monos = brute_basis_monomials(mod, (None, zero), window)
     return sorted((((-sum(sym[2] for sym in m), zero), {m: 1}) for m in monos),
                   key=lambda pair: pair[0][0])
+
+
+def _nilpotency(module, gkey, widx, vec, cap):
+    """(p, (weight index, gkey^(p-1) vec)) for the least p <= cap with
+    gkey^p vec = 0 on the row vec of space widx, or None; gkey is applied at
+    most cap times."""
+    p, last = 0, None
+    while vec:
+        if p >= cap:
+            return None
+        last = widx, vec
+        widx, vec = module.apply(gkey, widx, vec)
+        p += 1
+    return p, last
 
 
 def axiom2_by_basis_vector(module, gwindow, cap):

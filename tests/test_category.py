@@ -526,6 +526,13 @@ def test_axiom_two_per_block_matches_basis_vector_reference(name, cap):
     assert got == axiom2_by_basis_vector(module, 2, cap)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 2, 16])
+@pytest.mark.parametrize("name", list(AXIOM2_MODULES))
+def test_membership_report_is_json_data(name, cap):
+    report = check_category_membership(_axiom2_module(name), 2, cap)
+    assert json.loads(json.dumps(report)) == report
+
+
 @pytest.mark.parametrize("name, cap, counts", [
     ("undefined-block", 0, (4, 0, 0)),
     ("undefined-block", 1, (1, 1, 2)),
@@ -826,6 +833,15 @@ def test_audit_height_above_window_fails_within_reach():
     with pytest.raises(WindowOverflowError,
                        match="^offset height 3 exceeds window H=2$"):
         audit_decomposition(em, [LAM])
+
+
+def test_audit_reads_only_the_offsets_the_build_reaches():
+    # L * ht(theta) = 1 for A1 at L = 1: a build height far above it lists
+    # no further offset, so every count is the same
+    em = _reduced(A1, "h1=-1/2", 3, TruncationWindow(1, 3, 1))
+    at_reach = audit_decomposition(em, [LAM])["per_weight"]
+    em.meta = dict(em.meta, height=10**9, window={"L": 1, "N": 3, "H": 10**9})
+    assert audit_decomposition(em, [LAM])["per_weight"] == at_reach
 
 
 def test_scramble_preserves_dims_and_torsion():

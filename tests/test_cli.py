@@ -505,6 +505,28 @@ def test_domain_error_exit_one(capsys):
     assert "lambda(c) = 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verma-act", "--type", "A1", "--gen", "h1@1", "--monomial", ",".join(["B1@1"] * 1000)),
+    ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
+     "--window", "L=1000,N=1,H=1"),
+], ids=["verma-act-long-monomial", "singular-long-window"])
+def test_recursion_error_is_one_line_exit_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "RecursionError: the input is too large to compute\n"
+
+
+def test_memory_error_is_one_line_exit_one(capsys, monkeypatch):
+    def exhausted(self, window):
+        raise MemoryError
+
+    monkeypatch.setattr(VermaModule, "reached_offsets", exhausted)
+    code, out, err = run(capsys, "singular", "--type", "A1", "--lambda", "h1=-1/2",
+                         "--window", "L=100000000,N=1,H=100000000")
+    assert (code, out) == (1, "")
+    assert err == "MemoryError: the input is too large to compute\n"
+
+
 def test_missing_subcommand_usage(capsys):
     code = main([])
     assert code == 2

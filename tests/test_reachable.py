@@ -11,6 +11,9 @@ nothing. Public methods of the library's classes follow the same rule, read
 on attributes only in src/ (a method is called as obj.method, and a local
 variable of the same name does not reach it), except for a named set kept as
 public API. imverma.__all__ itself is pinned as a literal list.
+The other half of the rule: every top-level definition of tests/oracles.py is
+reached from a tests/test_*.py module, by name or through another oracle
+definition that is.
 The scan reads source with ast and imports nothing but the package itself."""
 
 import ast
@@ -21,6 +24,7 @@ import imverma
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "imverma"
+TESTS = ROOT / "tests"
 
 # Public methods that nothing in src/ or perfbench/ calls, kept as API: the
 # vacuum vector, one action on a PBW monomial, the count of one windowed
@@ -119,6 +123,21 @@ def unreached_public_methods():
     return set(_unreached(methods, names=False))
 
 
+def unreached_oracles():
+    """Each top-level function or class of tests/oracles.py that no test
+    module names, directly or through oracle definitions it names."""
+    definitions = {node.name: node for node in ast.parse(
+        (TESTS / "oracles.py").read_text()).body if isinstance(node, DEFINITIONS)}
+    frontier = {name for path in TESTS.glob("test_*.py")
+                for name in _names(ast.parse(path.read_text()))}
+    reached = set()
+    while frontier:
+        reached |= frontier
+        frontier = {name for found in frontier & definitions.keys()
+                    for name in _names(definitions[found])} - reached
+    return sorted(definitions.keys() - reached)
+
+
 def test_every_library_definition_is_reached():
     assert unreached_definitions() == []
 
@@ -127,6 +146,10 @@ def test_unreached_public_methods_are_the_kept_ones():
     """A new public method nothing calls fails, and so does a kept entry
     that something now calls or that is gone."""
     assert unreached_public_methods() == KEPT_PUBLIC
+
+
+def test_every_oracle_is_reached_from_a_test():
+    assert unreached_oracles() == []
 
 
 def test_public_api_is_the_pinned_list():
