@@ -71,20 +71,23 @@ TRIAL_CASES = [
     pytest.param("C2", "h1=-3/2,h2=-2", 2, id="C2-H2"),
     pytest.param("A3", "h1=-1/2,h2=-1/3,h3=-1/5", 1, id="A3-H1"),
     pytest.param("A3", "h1=-1/2,h2=-1,h3=-1/5", 2, id="A3-H2"),
+    pytest.param("G2", "h1=-1/2,h2=-1/3", 1, id="G2-H1"),
+    pytest.param("G2", "h1=-1/2,h2=-2", 2, id="G2-H2"),
 ]
 
 
 @pytest.mark.parametrize("typ, lam, height", TRIAL_CASES)
 def test_pair_rules_match_trial_action(typ, lam, height):
     alg = aff(typ)
-    args = (alg, parse_weight(lam, alg.rank), 2,
-            TruncationWindow(L=3, N=2, H=height), 2)
-    em = ExplicitModule.from_reduced_verma(*args)
-    assert em.to_json_dict() == reduced_verma_by_trial_action(*args).to_json_dict()
-    # the rules decide something: some pairs are undefined, some defined zero
-    pairs = [per_src.get(widx) for per_src in em.defined.values()
-             for widx in range(len(em.weights))]
-    assert None in pairs and {} in pairs
+    for loop_window in (1, 2, 3):
+        args = (alg, parse_weight(lam, alg.rank), 2,
+                TruncationWindow(L=3, N=2, H=height), loop_window)
+        em = ExplicitModule.from_reduced_verma(*args)
+        assert em.to_json_dict() == reduced_verma_by_trial_action(*args).to_json_dict()
+        # the rules decide something: some pairs are undefined, some defined zero
+        pairs = [per_src.get(widx) for per_src in em.defined.values()
+                 for widx in range(len(em.weights))]
+        assert None in pairs and {} in pairs
 
 
 def test_reduced_verma_tables_ignore_lengths_past_the_height():

@@ -808,6 +808,32 @@ def test_property_full_module_singular_report_is_the_closed_form(case):
         full_singular_closed_form(mod, window)
 
 
+@st.composite
+def survivor_cases(draw):
+    label = draw(st.sampled_from(["A1", "A2", "A3", "C2", "G2"]))
+    rank = closed_form_algebra(label).rank
+    value = st.sampled_from([0, 1, -1, 2, Fraction(-1, 2), Fraction(1, 3),
+                             Fraction(-2, 3)])
+    hs = draw(st.lists(value, min_size=rank, max_size=rank))
+    reduced = draw(st.booleans())
+    c = 0 if reduced else draw(st.sampled_from([0, 1]))
+    window = TruncationWindow(L=draw(st.integers(1, 3)), N=draw(st.integers(1, 2)),
+                              H=draw(st.integers(1, 3 if label == "A1" else 2)))
+    return label, Weight.make(hs, c), reduced, window
+
+
+@settings(max_examples=100, deadline=None)
+@given(survivor_cases())
+def test_property_singular_vectors_are_killed_beyond_the_window(case):
+    # ROADMAP item 4(c): every reported vector is killed by the raising
+    # operators just past the window, whatever the search skipped by weight
+    label, lam, reduced, window = case
+    a = closed_form_algebra(label)
+    mod = VermaModule(a, lam, reduced=reduced)
+    found = mod.singular_vectors(offsets_up_to(a.rank, window.H), window)
+    assert beyond_window_survivors(mod, found, window) == []
+
+
 @pytest.mark.parametrize("label, lam_text", [
     ("A1", "h1=-1/2"), ("A1", "h1=0"), ("A2", "h1=-1/2,h2=-1/3"),
     ("C2", "h1=0,h2=-1/2"), ("G2", "h1=-1/2,h2=-1/3"), ("A1", "h1=-1/2,c=1")])
