@@ -4,8 +4,9 @@ tests/oracles.py. A definition counts as reached when its name appears as a
 name or an attribute anywhere in src/ outside its own definition, is
 exported in imverma.__all__, or is reached from a perfbench script. A
 perfbench script reaches a library name in three ways only: it imports the
-name with `from imverma... import`, reads it as an attribute, or names it as
-the class or attribute of a span site in spans.FUNCTIONS or spans.METHODS.
+name with `from imverma... import`, reads it as an attribute, or names it in
+a span site of spans.FUNCTIONS or spans.METHODS: a function site reaches its
+function, and a method site its class and its own Class.method only.
 Its other names and strings (a local variable f, a JSON key "h") reach
 nothing. Public methods of the library's classes follow the same rule, read
 on attributes only in src/ (a method is called as obj.method, and a local
@@ -29,12 +30,13 @@ TESTS = ROOT / "tests"
 # Public methods that nothing in src/ or perfbench/ calls, kept as API: the
 # vacuum vector, one action on a PBW monomial, the count of one windowed
 # space, the zero elements, the affine generators e_i, f_i and h_i (x) t^n,
-# the d element, the twisted graded basis and the invariant form on elements.
+# the d element, the twisted graded basis, the invariant form on elements and
+# a diagram automorphism applied to an element.
 KEPT_PUBLIC = {
     "VermaModule.vacuum", "VermaModule.act_monomial", "VermaModule.weight_dim",
     "AffineAlgebra.zero", "AffineAlgebra.e", "AffineAlgebra.f", "AffineAlgebra.h",
     "AffineAlgebra.d_elem", "FiniteAlgebra.zero", "TwistedSubalgebra.graded_basis",
-    "FiniteAlgebra.form",
+    "FiniteAlgebra.form", "DiagramAutomorphism.apply",
 }
 
 # The package's public names. Adding or dropping an export is a public-API
@@ -68,9 +70,10 @@ SPAN_TABLES = ("FUNCTIONS", "METHODS")
 
 def _perfbench_reach(tree):
     """The library names a perfbench script reaches: each name it imports
-    from imverma, each attribute it reads, and the class and attribute of
-    each span site in a SPAN_TABLES assignment ((span, module, attribute) or
-    (span, module, class, attribute))."""
+    from imverma, each attribute it reads, and for each span site in a
+    SPAN_TABLES assignment its function ((span, module, attribute)) or its
+    class and "class.attribute" ((span, module, class, attribute)), so a
+    method site reaches no method of the same name on another class."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("imverma"):
             yield from (alias.name for alias in node.names)
@@ -79,7 +82,9 @@ def _perfbench_reach(tree):
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id in SPAN_TABLES for t in node.targets):
             for site in ast.literal_eval(node.value):
-                yield from site[2:]
+                yield site[2]
+                if len(site) == 4:
+                    yield ".".join(site[2:])
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -88,14 +93,15 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 def _unreached(definitions, names, exported=()):
     """The labels of the (label, definition node) pairs that nothing reaches:
     the name is used nowhere in src/ outside the node (as _names reads it),
-    is not exported and no perfbench script reaches it (_perfbench_reach)."""
+    is not exported and no perfbench script reaches the name or the label
+    (_perfbench_reach)."""
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
     uses = Counter(name for tree in trees for name in _names(tree, names))
     reached = set(exported)
     for path in ROOT.joinpath("perfbench").glob("*.py"):
         reached.update(_perfbench_reach(ast.parse(path.read_text())))
     return [label for label, node in definitions
-            if node.name not in reached
+            if node.name not in reached and label not in reached
             and uses[node.name] == Counter(_names(node, names))[node.name]]
 
 
