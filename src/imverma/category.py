@@ -24,15 +24,9 @@ each d value once per loop degree, on integer (numerator, denominator) cells,
 and a pair then costs integer lookups. No constructor hands targets in, and a
 scrambled copy shares its source's weight index.
 
-The reduced Verma store decides most pairs from the target offset
-(k + n, s - gamma) before any action (from_reduced_verma). A target space is
-zero when s - gamma has a negative coordinate, or is 0 while k + n is not;
-the pair is then a defined zero. A lowering generator x_{-gamma} (x) t^n
-whose target space is not stored is undefined: the reduced module is free of
-rank one over U(n_- (x) C[t, t^-1]), an algebra with no zero divisors, so
-every nonzero vector has a nonzero image. Only the remaining pairs act; a
-raising generator or a Cartan loop into an unstored space still acts, since
-it can kill a vector.
+A reduced Verma store is built by the module it stores
+(VermaModule.windowed_store), which decides its pairs; this layer adds only
+the labels and the build's meta (from_reduced_verma).
 
 Torsion is the joint kernel of the Heisenberg generators h_{i,l} (l != 0),
 computed per weight space over the reduced-admissible weights; weight spaces
@@ -68,10 +62,9 @@ from imverma.affine import (AffineAlgebra, gen_name, heisenberg_keys, loop_keys,
                             parse_gen, raising_keys)
 from imverma.cartan import cartan_matrix_of_type, make_cartan_matrix
 from imverma.errors import AuditError, ImvermaError, ModuleDataError, WindowOverflowError
-from imverma.finite import (_broken_bracket, _extend_by_extraspecial, _neg, _sub,
+from imverma.finite import (_broken_bracket, _extend_by_extraspecial, _neg,
                             add_scaled, build_simple_algebra, key_name)
-from imverma.verma import (TruncationWindow, VermaModule, Weight, monomial_name,
-                           nonzero_degrees)
+from imverma.verma import TruncationWindow, VermaModule, Weight, monomial_name
 
 
 class UndefinedActionError(ModuleDataError):
@@ -224,79 +217,18 @@ class ExplicitModule:
     @staticmethod
     def from_reduced_verma(algebra: AffineAlgebra, lam: Weight, kmax,
                            window: TruncationWindow, loop_window):
-        """Windowed realization of the reduced module with exact tables.
-
-        Stores weight spaces lambda + k delta - s (ht(s) <= window.H, |k| <= kmax)
-        with the PBW basis truncated by the window; a (generator, source) pair
-        is marked defined exactly when every image stays inside the store. The
-        images are the action images of the interned basis monomials, read
-        on ids (VermaModule._act) and unscaled.
-
-        Each pair is first decided from its target offset (k + n, s - gamma),
-        with gamma = 0 for a Cartan loop:
-
-        - the target space is zero when k + n lies outside
-          nonzero_degrees(s - gamma): s - gamma has a negative coordinate,
-          or s - gamma = 0 and k + n != 0 (the only monomial with s = 0 is
-          the empty one, at k = 0); the pair is a defined zero;
-        - a lowering generator x_{-gamma} (x) t^n whose target space is not
-          stored is undefined: the reduced module is free of rank one over
-          U(n_- (x) C[t, t^-1]), which has no zero divisors, so every basis
-          vector has a nonzero image, and it lies outside the store.
-
-        Only the other pairs act. A raising generator or a Cartan loop whose
-        target is not stored still acts, since it can kill a vector.
-        """
+        """Windowed realization of the reduced module with exact tables:
+        weight spaces lambda + k delta - s (ht(s) <= window.H, |k| <= kmax)
+        with the PBW basis truncated by the window, and the tables of every
+        loop generator of degree at most loop_window, as the module stores
+        itself (VermaModule.windowed_store)."""
         mod = VermaModule(algebra, lam, reduced=True)
-        spaces = list(windowed_spaces(mod, kmax, window))
-        off_index = {off: widx for widx, (off, _, _) in enumerate(spaces)}
-        ids = [[mod._intern(m) for m in basis] for _, _, basis in spaces]
-        mono_index = {m: (widx, j) for widx, space in enumerate(ids)
-                      for j, m in enumerate(space)}
-        weights = [w for _, w, _ in spaces]
+        spaces, defined = mod.windowed_store(kmax, window,
+                                             loop_keys(algebra, loop_window))
         labels = [[monomial_name(m) for m in basis] for _, _, basis in spaces]
-        positive = algebra.finite.roots.positive_set
-        zero = (0,) * algebra.rank
-        # finite key -> per space: target s and its nonzero_degrees
-        moved = {}
-        defined = {}
-        for gkey in loop_keys(algebra, loop_window):
-            key, n = gkey
-            op = mod._op(key, n)
-            per_src = defined[gkey] = {}
-            if key not in moved:
-                gamma = key[1] if key[0] == "x" else zero
-                moved[key] = [(ts,) + nonzero_degrees(ts, reduced=True)
-                              for ts in (_sub(s, gamma) for (_, s), _, _ in spaces)]
-            lowering = key[0] == "x" and key[1] not in positive
-            for widx, (((k, _), _, _), (ts, lo, hi)) in enumerate(zip(spaces, moved[key])):
-                if not lo <= k + n <= hi:
-                    per_src[widx] = {}
-                    continue
-                want = off_index.get((k + n, ts))
-                if want is None and lowering:
-                    continue
-                block = {}
-                ok = True
-                for j, m in enumerate(ids[widx]):
-                    column = {}
-                    for m2, c2 in mod._act(op, m).items():
-                        hit = mono_index.get(m2)
-                        if hit is None:
-                            ok = False
-                            break
-                        if hit[0] != want:
-                            raise ImvermaError("weight bookkeeping mismatch")
-                        column[hit[1]] = mod.unscale(c2)
-                    if not ok:
-                        break
-                    if column:
-                        block[j] = column
-                if ok:
-                    per_src[widx] = block
         meta = {"kind": "reduced-verma", "height": window.H, "kmax": kmax,
                 "window": asdict(window)}
-        return ExplicitModule(algebra, weights, labels, defined,
+        return ExplicitModule(algebra, [w for _, w, _ in spaces], labels, defined,
                               provenance="reduced-verma", loop_window=loop_window,
                               meta=meta)
 
@@ -519,18 +451,6 @@ def _power_walk(per_src, targets, widx, cur, cap):
             return "killed", p + 1, widx, cur
         widx, cur = targets[widx], image
     return "cap", cap, widx, cur
-
-
-def windowed_spaces(verma: VermaModule, kmax, window: TruncationWindow):
-    """((k, s), weight, PBW basis) of each nonzero windowed weight space
-    lambda + k delta - s of a Verma module, ht(s) <= window.H and |k| <= kmax,
-    in order of s (lexicographic), then k; an s beyond the window's reach
-    (VermaModule.reached_offsets) is not listed."""
-    for s in verma.reached_offsets(window):
-        bases = verma.weight_bases(s, window)
-        for k in range(-kmax, kmax + 1):
-            if k in bases:
-                yield (k, s), verma.weight_of_offset((k, s)), bases[k]
 
 
 def _random_unimodular(rng, n):

@@ -51,11 +51,13 @@ moves an operator past a symbol and a symbol past a symbol. lambda enters
 only on the highest-weight vector, where _act_vacuum returns D times its
 value, and each term reaches it once, so every coefficient is an int. The
 singular search interns each basis monomial once and feeds these rows as
-they are (the row space is the same); the category layer's explicit tables
-read them on ids too and divide by D once per coefficient (unscale). At the
-tuple boundary, act_monomial(key, n, mono) returns one image as a fresh
-{monomial: int} dict, and act() sums images (a c part through the operator
-c), adds the d part and unscales.
+they are (the row space is the same). A reduced store of the category layer
+is built by the module it stores (windowed_store), on ids too, dividing by D
+once per coefficient (unscale); it and the search read one landing rule for
+an operator's target space (_landing). At the tuple boundary,
+act_monomial(key, n, mono) returns one image as a fresh {monomial: int}
+dict, and act() sums images (a c part through the operator c), adds the d
+part and unscales.
 
 The singular search feeds the raising operators in one order, that of
 annihilator_generators: in the module the Cartan loops h_i (x) t^l
@@ -713,20 +715,16 @@ class VermaModule:
 
         - once every basis monomial has a pivot, the kernel is empty and no
           further operator is applied;
-        - an operator whose target space is zero by weight: key (x) t^n
-          maps the space at (k, s) into the one at (k + n, s - gamma), with
-          gamma = 0 for h_i (x) t^l, and that space is zero when k + n lies
-          outside nonzero_degrees(s - gamma). So e_i (x) t^n is skipped
-          where s_i = 0, and at s = alpha_i (h_i (x) t^l at s = 0) unless
-          k + n = 0 in the reduced quotient, or k + n <= 0 in the module.
+        - an operator whose target space is zero by weight (_landing). So
+          e_i (x) t^n is skipped where s_i = 0, and at s = alpha_i
+          (h_i (x) t^l at s = 0) unless k + n = 0 in the reduced quotient,
+          or k + n <= 0 in the module.
 
         Skipped operators would have fed no row or none that changes the
         echelon, and the reduced row echelon form is unique, so the basis is
         the one that elimination over every operator's rows gives.
         """
-        zero = (0,) * self.rank
-        ops = [(key[1] if key[0] == "x" else zero, n, self._op(key, n))
-               for key, n in self._raising_operators(window)]
+        ops = [(key, n, self._op(key, n)) for key, n in self._raising_operators(window)]
         live = {}  # s -> (lo, hi, n, op) of the ops whose targets can be nonzero
         found = []
         asked = {}  # s -> the k asked for there, None for every k
@@ -741,8 +739,8 @@ class VermaModule:
             k, s = exact
             if s not in live:
                 live[s] = []
-                for gamma, n, op in ops:
-                    lo, hi = nonzero_degrees(_sub(s, gamma), self.reduced)
+                for key, n, op in ops:
+                    _, lo, hi = self._landing(key, s)
                     if lo <= hi:
                         live[s].append((lo, hi, n, op))
             for lo, hi, n, op in live[s]:
@@ -760,6 +758,75 @@ class VermaModule:
                 found.append((exact, ModuleVector(self, terms)))
         return found
 
+    def _landing(self, key, s):
+        """(s - gamma, lo, hi) for the finite key of a loop operator: key (x)
+        t^n, with gamma its root (0 for h_i), maps the space at (k, s) into
+        the one at (k + n, s - gamma), which is zero unless lo <= k + n <= hi
+        (nonzero_degrees). The one landing rule of the singular search and of
+        windowed_store."""
+        ts = _sub(s, key[1]) if key[0] == "x" else s
+        return (ts,) + nonzero_degrees(ts, self.reduced)
+
+    # -- the windowed store ----------------------------------------------------
+
+    def windowed_store(self, kmax, window: TruncationWindow, keys):
+        """(spaces, defined): the spaces of windowed_spaces(self, kmax,
+        window), and the exact tables of the loop generators keys, (key, n)
+        each, on them: {gkey: {space index: block}}. Column j of a block is
+        the unscaled image of basis monomial j, {target coordinate: value};
+        a pair is stored only when every image stays inside the store.
+
+        Each pair of the reduced module is first decided from where it lands
+        (_landing). Into a zero space it is a defined zero. A lowering
+        generator x_{-gamma} (x) t^n into a space not stored is undefined:
+        the reduced module is free of rank one over U(n_- (x) C[t, t^-1]),
+        which has no zero divisors, so every basis vector has a nonzero
+        image, and it lies outside the store. Only the other pairs act, on
+        the interned basis (_act); a raising generator or a Cartan loop into
+        a space not stored still acts, since it can kill a vector.
+        """
+        spaces = list(windowed_spaces(self, kmax, window))
+        off_index = {off: widx for widx, (off, _, _) in enumerate(spaces)}
+        ids = [[self._intern(m) for m in basis] for _, _, basis in spaces]
+        mono_index = {m: (widx, j) for widx, space in enumerate(ids)
+                      for j, m in enumerate(space)}
+        positive = self.algebra.finite.roots.positive_set
+        landed = {}  # finite key -> per space: _landing at its s
+        defined = {}
+        for gkey in keys:
+            key, n = gkey
+            op = self._op(key, n)
+            per_src = defined[gkey] = {}
+            if key not in landed:
+                landed[key] = [self._landing(key, s) for (_, s), _, _ in spaces]
+            lowering = key[0] == "x" and key[1] not in positive
+            for widx, (((k, _), _, _), (ts, lo, hi)) in enumerate(zip(spaces, landed[key])):
+                if not lo <= k + n <= hi:
+                    per_src[widx] = {}
+                    continue
+                want = off_index.get((k + n, ts))
+                if want is None and lowering:
+                    continue
+                block = {}
+                ok = True
+                for j, m in enumerate(ids[widx]):
+                    column = {}
+                    for m2, c2 in self._act(op, m).items():
+                        hit = mono_index.get(m2)
+                        if hit is None:
+                            ok = False
+                            break
+                        if hit[0] != want:
+                            raise ImvermaError("weight bookkeeping mismatch")
+                        column[hit[1]] = self.unscale(c2)
+                    if not ok:
+                        break
+                    if column:
+                        block[j] = column
+                if ok:
+                    per_src[widx] = block
+        return spaces, defined
+
 
 def nonzero_degrees(s, reduced):
     """(lo, hi): the weight space at offset (k, s) is zero in every window,
@@ -770,15 +837,25 @@ def nonzero_degrees(s, reduced):
     Every PBW symbol adds a positive root to s or nothing, so the spaces are
     zero when s has a negative coordinate. A monomial with s = 0 has no
     F-symbol: it is the empty one, at k = 0, or in the module a product of
-    B-symbols, at k < 0. A generator key (x) t^n maps the space at (k, s)
-    into the one at (k + n, s - gamma), with gamma = 0 for a Cartan loop;
-    its image is zero when k + n lies outside nonzero_degrees(s - gamma).
+    B-symbols, at k < 0.
     """
     if min(s) < 0:
         return (1, 0)
     if any(s):
         return (-inf, inf)
     return (0, 0) if reduced else (-inf, 0)
+
+
+def windowed_spaces(verma: VermaModule, kmax, window: TruncationWindow):
+    """((k, s), weight, PBW basis) of each nonzero windowed weight space
+    lambda + k delta - s of a Verma module, ht(s) <= window.H and |k| <= kmax,
+    in order of s (lexicographic), then k; an s beyond the window's reach
+    (VermaModule.reached_offsets) is not listed."""
+    for s in verma.reached_offsets(window):
+        bases = verma.weight_bases(s, window)
+        for k in range(-kmax, kmax + 1):
+            if k in bases:
+                yield (k, s), verma.weight_of_offset((k, s)), bases[k]
 
 
 def finite_offsets(rank, height):

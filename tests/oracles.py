@@ -35,11 +35,11 @@ from imverma._kernels import nullspace, rank, rref
 from imverma.affine import affine_bracket
 from imverma.category import (ExplicitModule, GCompatibleSplit,
                               UndefinedActionError, _image, _transpose, gen_name,
-                              heisenberg_keys, loop_keys, raising_keys,
-                              windowed_spaces)
+                              heisenberg_keys, loop_keys, raising_keys)
 from imverma.errors import ModuleDataError
 from imverma.finite import _neg, add_scaled
-from imverma.verma import VermaModule, Weight, monomial_name, symbol_sort_key
+from imverma.verma import (VermaModule, Weight, monomial_name, symbol_sort_key,
+                           windowed_spaces)
 
 
 def roots_by_reflection_closure(cartan):

@@ -15,6 +15,9 @@ public API. imverma.__all__ itself is pinned as a literal list.
 The other half of the rule: every top-level definition of tests/oracles.py is
 reached from a tests/test_*.py module, by name or through another oracle
 definition that is.
+One boundary is checked the same way: imverma.category reads no private
+member of VermaModule, so the PBW action on interned ids stays in
+imverma.verma.
 The scan reads source with ast and imports nothing but the package itself."""
 
 import ast
@@ -142,6 +145,25 @@ def unreached_oracles():
         frontier = {name for found in frontier & definitions.keys()
                     for name in _names(definitions[found])} - reached
     return sorted(definitions.keys() - reached)
+
+
+def private_verma_reads():
+    """The attribute names that category.py reads, once each, that start
+    with _ and that VermaModule defines: a method, or an attribute its
+    methods assign on self."""
+    verma = next(node for node in ast.parse((SRC / "verma.py").read_text()).body
+                 if isinstance(node, ast.ClassDef) and node.name == "VermaModule")
+    members = {node.name for node in verma.body if isinstance(node, DEFINITIONS)}
+    members.update(node.attr for node in ast.walk(verma)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == "self")
+    category = ast.parse((SRC / "category.py").read_text())
+    return sorted({name for name in _names(category, names=False)
+                   if name.startswith("_") and name in members})
+
+
+def test_category_reads_no_private_verma_member():
+    assert private_verma_reads() == []
 
 
 def test_every_library_definition_is_reached():
