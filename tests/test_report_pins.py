@@ -55,7 +55,11 @@ of the highest root, were recorded at the same commit, so that the rule that
 such an offset holds no windowed monomial keeps their reports. The A2
 decompose argv at H=300, whose audit would list tens of thousands of offsets
 beyond the window's reach, was recorded before the audit listed only the
-offsets the build reaches. A refactor
+offsets the build reaches. The category-split argv of a delta-shifted A1
+sum, the only pinned report with (iii) candidates, torsion-free planes and
+deficient Heisenberg targets, was recorded before verdicts (ii) and (iii)
+were decided on torsion-free coordinates; its verdicts show the window
+defect of ROADMAP item 1, so a fix of that item re-records it. A refactor
 that claims unchanged answers must keep every hash; a change that means to
 alter a report updates its constant and says why."""
 
@@ -259,6 +263,11 @@ PINNED = [
          "--window", "L=3,N=3,H=2", "--kmax", "3", "--gwindow", "2",
          "--scramble", "5"),
         "b178267a67b4a3df5af3f10134f42f6c114d0f58", id="split-A2-H2"),
+    # (iii) candidates at weight indices 1 and 10, TF planes, deficient 0 and 11
+    pytest.param(
+        ("category-split", "--type", "A1", "--summands", "h1=-1/2,d=1|h1=-1/2",
+         "--window", "L=3,N=4,H=1", "--kmax", "4", "--gwindow", "3"),
+        "c881c72f8ae869e5156377037322aec373519df1", id="split-A1-dshift"),
     pytest.param(
         ("algebra", "--type", "A3", "--twist", "1:3,3:1", "--loop-degree", "2"),
         "1850a4e5717c30e393751fa1dd48761869bd1fdf", id="algebra-twist-A3"),
