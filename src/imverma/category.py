@@ -561,8 +561,10 @@ def torsion_decompose(module: ExplicitModule, gwindow: int) -> GCompatibleSplit:
 
     Each generator's blocks and targets are read once, as one map: T and the
     arrivals read one per Heisenberg key, (ii) one list per degree-l slice
-    (and the slice -l for onto), (iii) one per generator. Verdict (iv), G
-    kills T, holds by construction; it reports only the undefined pairs.
+    (and the slice -l for onto), (iii) one per generator. Verdicts (ii) and
+    (iii) read TF through the reduced rows kept here, with no annihilator,
+    and on a TF line neither eliminates. Verdict (iv), G kills T, holds by
+    construction; it reports only the undefined pairs.
     """
     split = GCompatibleSplit(module, gwindow)
     # per Heisenberg key, in heisenberg_keys order; an absent key defines no pair
@@ -633,7 +635,8 @@ def _check_axioms(split: GCompatibleSplit, hmaps):
     # (ii): each degree-l slice G_{l delta} = span{h_{i,l}} injective on TF, and
     # onto TF at its target where the whole opposite slice is defined there.
     # TF at an analysed target is the span of every image arriving there, and
-    # 0 at any other, so onto is a rank count
+    # 0 at any other, so onto is a rank count. Where TF, or TF at the target,
+    # is at most a line, whether some image is nonzero decides, with no rank
     inj_fail = []
     surj_fail = []
     checked = 0
@@ -651,14 +654,18 @@ def _check_axioms(split: GCompatibleSplit, hmaps):
             tgt = maps[0][1][widx]
             ntgt = 0 if tgt is None else module.dim(tgt)
             images = [[_image(mat, row) for row in tf_rows] for mat in blocks]
+            moved = any(map(any, images))
             # v -> (h_{1,l} v, ..., h_{r,l} v), one column block per generator
-            stacked = [{c + i * ntgt: x for i, imgs in enumerate(images)
-                        for c, x in imgs[j].items()} for j in range(len(tf_rows))]
-            if rank(stacked, len(blocks) * ntgt) != len(tf_rows):
+            if not moved or len(tf_rows) > 1 and rank(
+                    [{c + i * ntgt: x for i, imgs in enumerate(images)
+                      for c, x in imgs[j].items()} for j in range(len(tf_rows))],
+                    len(blocks) * ntgt) < len(tf_rows):
                 inj_fail.append({"degree": l, "weight_index": widx})
             if all(tgt in per_src for per_src, _ in slices[-l]):
-                spanned = rank([img for imgs in images for img in imgs], ntgt)
-                if spanned != len(split.torsion_free.get(tgt, [])):
+                tf_tgt = len(split.torsion_free.get(tgt, []))
+                spanned = moved if tf_tgt <= 1 else rank(
+                    [img for imgs in images for img in imgs], ntgt)
+                if spanned != tf_tgt:
                     surj_fail.append({"degree": l, "weight_index": widx})
             else:
                 skipped += 1
@@ -666,30 +673,35 @@ def _check_axioms(split: GCompatibleSplit, hmaps):
                             "injectivity_violations": inj_fail,
                             "surjectivity_violations": surj_fail,
                             "checked": checked, "skipped": skipped}
-    # (iii): windowed: no escape-free subspace of TF (candidate submodule).
-    # The escape of an image is read by the rows vanishing exactly on TF at
-    # its target: their kernel is TF, the same as that of the projection onto
-    # T along TF. An image in a space outside the analysis escapes entirely:
-    # TF is taken as 0 there, so every coordinate functional reads it.
+    # (iii): windowed: no escape-free subspace of TF (candidate submodule). An
+    # image escapes unless its remainder against the reduced rows of TF at its
+    # target, img - _image(proj[t], img), is zero; TF is 0 outside the
+    # analysis. An h_{i,l} image (|l| <= gwindow) at an analysed target lies
+    # in TF by construction, so it is not computed
     outside = set(split.excluded + split.unchecked + split.deficient)
-    annihilators = [nullspace([] if w in outside else split.torsion_free.get(w, []),
-                              module.dim(w)) for w in range(len(module.weights))]
+    proj = {w: {min(row): row for row in rows}
+            for w, rows in split.torsion_free.items() if w not in outside}
+    gmaps = [(gk in hkeys, module.defined[gk], module.targets[gk])
+             for gk in module.generator_keys()]
     iii_candidates = []
-    gmaps = [(module.defined[gk], module.targets[gk]) for gk in module.generator_keys()]
     for widx, tf_rows in split.torsion_free.items():
-        n = module.dim(widx)
-        # per generator defined at widx: its rows, the functionals at its target
-        reads = [(_transpose(per_src[widx]), annihilators[targets[widx]])
-                 for per_src, targets in gmaps
+        reads = [(heis, per_src[widx], targets[widx]) for heis, per_src, targets in gmaps
                  if widx in per_src and targets[widx] is not None]
-        constrained = any(funcs for _, funcs in reads)
-        if not constrained:  # a TF is tested only where some functional reads it
+        # a TF is tested only where TF at some target falls short of its space
+        if all(len(proj.get(t, ())) == module.dim(t) for _, _, t in reads):
             continue
-        escape_rows = [row for rows, funcs in reads for a in funcs
-                       if (row := _image(rows, a))]
-        kernel = nullspace(escape_rows, n)
-        # a candidate is a nonzero escape-free vector inside TF
-        if kernel and rank(kernel + tf_rows, n) < len(kernel) + len(tf_rows):
+        stacked = [{} for _ in tf_rows]  # per TF row: its remainders side by side
+        offset = 0
+        for heis, block, t in reads:
+            if heis and t not in outside:
+                continue
+            for row, v in zip(stacked, tf_rows):
+                img = _image(block, v)
+                add_scaled(img, _image(proj.get(t, {}), img), -1)
+                row.update((c + offset, x) for c, x in img.items())
+            offset += module.dim(t)
+        # a candidate is a nonzero vector of TF whose every remainder is zero
+        if (not stacked[0]) if len(stacked) == 1 else rank(stacked, offset) < len(stacked):
             iii_candidates.append({"weight_index": widx})
     split.verdicts["iii"] = {
         "passed": not iii_candidates,
@@ -701,15 +713,9 @@ def _check_axioms(split: GCompatibleSplit, hmaps):
     isolated = {}
     for widx in split.torsion:
         w = module.weights[widx]
-        alone = True
-        for l in range(-gwindow, gwindow + 1):
-            if l == 0:
-                continue
-            neighbor = Weight(w.h_values, w.c_value, w.d_value + l)
-            nid = module.windex.get(neighbor)
-            if nid is not None and nid in split.torsion:
-                alone = False
-        isolated[widx] = alone
+        isolated[widx] = not any(
+            module.windex.get(Weight(w.h_values, w.c_value, w.d_value + l)) in split.torsion
+            for l in range(-gwindow, gwindow + 1) if l)
     split.verdicts["torsion_isolated"] = {"passed": True, "by_weight": isolated}
 
 

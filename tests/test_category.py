@@ -15,6 +15,7 @@ from imverma._kernels import nullspace, rank, rref
 from imverma.affine import AffineAlgebra, affine_bracket
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import AuditError, ModuleDataError, WindowOverflowError
+from imverma import category
 from imverma.finite import build_simple_algebra
 from imverma.category import (ExplicitModule, UndefinedActionError, _mat_mul,
                               _transpose,
@@ -38,6 +39,7 @@ def aff(label):
 
 A1 = aff("A1")
 A2 = aff("A2")
+C2 = aff("C2")
 W1 = TruncationWindow(L=3, N=5, H=1)
 LAM = parse_weight("h1=-1/2", 1)
 
@@ -288,6 +290,83 @@ def _escape_module():
     })
 
 
+def _image_inside_tf_module():
+    """A1 module whose TF line <v0> has a nonzero image that stays in TF.
+
+    Weights (h, d) = (-1/2, 0), (3/2, 0), (-1/2, 1), (3/2, 1) hold v0 | u, z |
+    v1 | w. h_{1,+-1} join v0 with v1 and u with w and kill z, so T = <z> and
+    TF = <u> at (3/2, 0). e_{1,0} sends v0 to u, inside TF but nonzero, and
+    TF there falls short of its space, so <v0> is tested and is a candidate.
+    """
+    labels = ["v0", "u", "z", "v1", "w"]
+    widx = [0, 1, 1, 2, 3]
+    return ExplicitModule.from_json_dict({
+        "algebra": {"label": "A1"},
+        "weights": [{"h": [h], "c": "0", "d": d}
+                    for h, d in (("-1/2", "0"), ("3/2", "0"), ("-1/2", "1"),
+                                 ("3/2", "1"))],
+        "basis": [{"label": lab, "weight": w} for lab, w in zip(labels, widx)],
+        "actions": {"h1@1": [[3, 0, "1"], [4, 1, "1"]],
+                    "h1@-1": [[0, 3, "1"], [1, 4, "1"]],
+                    "e1@0": [[1, 0, "1"]]},
+        "defined": {"h1@1": [0, 1], "h1@-1": [2, 3], "e1@0": [0]},
+    })
+
+
+def _long_heisenberg_escape_module():
+    """A1 line module, at loop window 2, whose h_{1,2} carries TF out of TF.
+
+    Weights d = 0, 1, 2 (h = -1/2) hold v0 | v1 | a, t. At gwindow 1,
+    h_{1,+-1} join v0, v1 and a and kill t, so T = <t> and TF = <a> at d = 2.
+    h_{1,2} lies outside heisenberg_keys(A1, 1) and sends v0 to t, out of TF:
+    it alone blocks the candidate <v0>.
+    """
+    return ExplicitModule.from_json_dict({
+        "algebra": {"label": "A1"},
+        "loop_window": 2,
+        "weights": [{"h": ["-1/2"], "c": "0", "d": d} for d in ("0", "1", "2")],
+        "basis": [{"label": lab, "weight": w}
+                  for lab, w in (("v0", 0), ("v1", 1), ("a", 2), ("t", 2))],
+        "actions": {"h1@1": [[1, 0, "1"], [2, 1, "1"]],
+                    "h1@-1": [[0, 1, "1"], [1, 2, "1"]],
+                    "h1@2": [[3, 0, "1"]]},
+        "defined": {"h1@1": [0, 1], "h1@-1": [1, 2], "h1@2": [0]},
+    })
+
+
+def _deficient_target_module():
+    """A1 line module whose TF lines escape only through h_{1,+-1} into a
+    deficient space.
+
+    Weights d = 0, 1, 2 (h = -1/2) hold v0 | a, b | u. h_{1,1} sends v0 to a
+    and b to u, h_{1,-1} sends a to v0 and u to a, so TF = <v0>, <a>, <u> and
+    b lies in neither T nor TF: d = 1 is deficient, TF is taken as 0 there,
+    and the nonzero images of v0 and u into it escape.
+    """
+    return ExplicitModule.from_json_dict({
+        "algebra": {"label": "A1"},
+        "weights": [{"h": ["-1/2"], "c": "0", "d": d} for d in ("0", "1", "2")],
+        "basis": [{"label": lab, "weight": w}
+                  for lab, w in (("v0", 0), ("a", 1), ("b", 1), ("u", 2))],
+        "actions": {"h1@1": [[1, 0, "1"], [3, 2, "1"]],
+                    "h1@-1": [[0, 1, "1"], [1, 3, "1"]]},
+        "defined": {"h1@1": [0, 1], "h1@-1": [1, 2]},
+    })
+
+
+@pytest.mark.parametrize("build, torsion, candidates", [
+    pytest.param(_image_inside_tf_module, {1: [{1: 1}]}, [0, 3], id="image-inside-tf"),
+    pytest.param(_long_heisenberg_escape_module, {2: [{1: 1}]}, [1],
+                 id="long-heisenberg-escape"),
+    pytest.param(_deficient_target_module, {}, [], id="deficient-target"),
+])
+def test_candidates_read_remainders_against_tf(build, torsion, candidates):
+    split = torsion_decompose(build(), 1)
+    assert split.torsion == torsion
+    assert [c["weight_index"] for c in
+            split.verdicts["iii"]["candidate_invariant_subspaces"]] == candidates
+
+
 def test_invariant_subspace_candidate_independent_of_kernel_basis():
     split = torsion_decompose(_escape_module(), 1)
     assert split.torsion == {1: [{0: 1}]}
@@ -388,6 +467,17 @@ def _split_fields(split_fn, module, gwindow):
 
 
 A2_THREE = ("h1=1/4,h2=-7/4", "h1=-3/4,h2=-7/4", "h1=-7/4,h2=-3/4")
+DSHIFT = ("h1=-1/2,d=1", "h1=-1/2")
+
+
+def _cli_sum(alg, lams, kmax=4, window=TruncationWindow(3, 4, 1), gwindow=3):
+    """The direct sum that category commands build from --summands, with
+    tables up to loop degree gwindow."""
+    return ExplicitModule.direct_sum([ExplicitModule.from_reduced_verma(
+        alg, parse_weight(lam, alg.rank), kmax=kmax, window=window,
+        loop_window=gwindow) for lam in lams])
+
+
 # name -> (module, gwindow); the reduced stores keep tables up to loop degree 2
 SPLIT_MODULES = {
     "A1-H1": lambda: (_reduced(A1, "h1=-1/2", 3, TruncationWindow(3, 3, 1)), 2),
@@ -430,6 +520,15 @@ SPLIT_MODULES = {
     "slice-kills-tf": lambda: (_line_module(
         {"h1@1": [[1, 0, "1"]], "h1@-1": [[0, 1, "1"], [1, 2, "1"]]},
         {"h1@1": [0, 1], "h1@-1": [1, 2]}), 1),
+    "image-inside-tf": lambda: (_image_inside_tf_module(), 1),
+    # h1@2 is past gwindow 1, so its image is tested even into an analysed space
+    "long-heisenberg-escape": lambda: (_long_heisenberg_escape_module(), 1),
+    # h1@+-1 images into a deficient space block every TF line
+    "deficient-target": lambda: (_deficient_target_module(), 1),
+    # the module of the split-A1-dshift pin: (iii) candidates, TF planes and
+    # deficient Heisenberg targets
+    "A1-dshift": lambda: (_cli_sum(A1, DSHIFT), 3),
+    "A1-dshift-scrambled": lambda: (_cli_sum(A1, DSHIFT).scrambled(5), 3),
     # the module of the check-A3-H2 pin: arrivals meet the torsion kernel
     "check-A3-H2": lambda: (_reduced(aff("A3"), "h1=-1/2,h2=-1/3,h3=-1/5", 2,
                                      TruncationWindow(3, 2, 2)), 2),
@@ -443,6 +542,57 @@ def test_split_matches_per_pair_reference(name):
     assert got == _split_fields(torsion_decompose_by_pair, module, gwindow)
     if name == "check-A3-H2":
         assert "meet the torsion kernel" in got
+
+
+@st.composite
+def reduced_sums(draw):
+    """(module, gwindow): a direct sum of 1-3 reduced Vermas over A1, A2 or
+    C2 at H = 1, scrambled or not. lambda(h_i) is a shared p/4 plus an integer
+    shift per summand, so summands may share weight spaces, and lambda(d) is
+    0, 1 or 2; tables reach loop degree 1-3, below or past gwindow."""
+    alg = draw(st.sampled_from([A1, A2, C2]))
+    base = draw(st.lists(st.integers(-9, 9), min_size=alg.rank, max_size=alg.rank))
+    lams = [",".join([f"h{i}={Fraction(p, 4) + k}" for i, (p, k) in
+                      enumerate(zip(base, shifts), 1)] + [f"d={d}"])
+            for shifts, d in draw(st.lists(st.tuples(
+                st.lists(st.integers(-1, 1), min_size=alg.rank, max_size=alg.rank),
+                st.integers(0, 2)), min_size=1, max_size=3))]
+    window = TruncationWindow(draw(st.integers(2, 4)), draw(st.integers(2, 4)), 1)
+    module = _cli_sum(alg, lams, draw(st.integers(1, 3)), window,
+                      draw(st.integers(1, 3)))
+    seed = draw(st.none() | st.integers(0, 99))
+    return (module if seed is None else module.scrambled(seed)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduced_sums())
+def test_property_split_matches_per_pair_reference(case):
+    module, gwindow = case
+    assert (_split_fields(torsion_decompose, module, gwindow)
+            == _split_fields(torsion_decompose_by_pair, module, gwindow))
+
+
+def test_line_verdicts_make_no_kernel_call(monkeypatch):
+    # the decompose-A1-three pin's module, where every TF is a line
+    module = _cli_sum(A1, ("h1=-3/4", "h1=-7/4", "h1=-19/4"), 5,
+                      TruncationWindow(4, 5, 1), 4).scrambled(7)
+    calls = []
+    for name in ("rank", "nullspace", "rref"):
+        kernel = getattr(category, name)
+        monkeypatch.setattr(category, name,
+                            lambda *args, kernel=kernel: calls.append(1) or kernel(*args))
+    check_axioms = category._check_axioms
+    made = []
+
+    def counted(split, hmaps):
+        before = len(calls)
+        check_axioms(split, hmaps)
+        made.append(len(calls) - before)
+
+    monkeypatch.setattr(category, "_check_axioms", counted)
+    split = torsion_decompose(module, 4)
+    assert {len(rows) for rows in split.torsion_free.values()} == {1}
+    assert calls and split.passed() and made == [0]
 
 
 def test_split_reads_no_table(monkeypatch):
