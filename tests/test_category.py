@@ -470,12 +470,12 @@ A2_THREE = ("h1=1/4,h2=-7/4", "h1=-3/4,h2=-7/4", "h1=-7/4,h2=-3/4")
 DSHIFT = ("h1=-1/2,d=1", "h1=-1/2")
 
 
-def _cli_sum(alg, lams, kmax=4, window=TruncationWindow(3, 4, 1), gwindow=3):
-    """The direct sum that category commands build from --summands, with
-    tables up to loop degree gwindow."""
+def _cli_sum(alg, lams, kmax=4, window=TruncationWindow(3, 4, 1), loop_window=3):
+    """The direct sum of the reduced stores that category commands build from
+    --summands, which pass their gwindow as loop_window."""
     return ExplicitModule.direct_sum([ExplicitModule.from_reduced_verma(
         alg, parse_weight(lam, alg.rank), kmax=kmax, window=window,
-        loop_window=gwindow) for lam in lams])
+        loop_window=loop_window) for lam in lams])
 
 
 # name -> (module, gwindow); the reduced stores keep tables up to loop degree 2
