@@ -59,7 +59,10 @@ offsets the build reaches. The category-split argv of a delta-shifted A1
 sum, the only pinned report with (iii) candidates, torsion-free planes and
 deficient Heisenberg targets, was recorded before verdicts (ii) and (iii)
 were decided on torsion-free coordinates; its verdicts show the window
-defect of ROADMAP item 1, so a fix of that item re-records it. A refactor
+defect of ROADMAP item 1, so a fix of that item re-records it. The two
+reduced singular argvs of the benchmark's singular-rank workload at seed 1
+over A2 and A3 at N=3 were recorded before the PBW layer was hash-consed on
+int keys, with tuples built only at the report boundary. A refactor
 that claims unchanged answers must keep every hash; a change that means to
 alter a report updates its constant and says why."""
 
@@ -151,6 +154,15 @@ PINNED = [
         ("singular", "--type", "C2", "--lambda", "h1=-3/4,h2=1/4",
          "--window", "L=3,N=3,H=2"),
         "67b2615432946e966b9d3c7429054cc35baa521e", id="singular-C2"),
+    # the singular-rank workload of the benchmark at seed 1
+    pytest.param(
+        ("singular", "--type", "A2", "--lambda", "h1=-7/4,h2=9/4",
+         "--window", "L=3,N=3,H=2"),
+        "2efc42314113c7a85f1e73352342900ee6474307", id="singular-rank-bench-A2"),
+    pytest.param(
+        ("singular", "--type", "A3", "--lambda", "h1=13/4,h2=-15/4,h3=9/4",
+         "--window", "L=3,N=3,H=2"),
+        "7e4d0210abd6606d9af0d13e7ae8ee07ab5c2ee0", id="singular-rank-bench-A3"),
     # the Cartan loops h_{i,l} at rank 2
     pytest.param(
         ("singular", "--full", "--type", "A2", "--lambda", "h1=-1/2,h2=-1/3",
