@@ -977,10 +977,10 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
     """Exact windowed dimension audit of a claimed decomposition.
 
     Each claimed summand's windowed weight spaces, with the bounds of the
-    module's build and in the order of windowed_spaces, are added forward
-    onto their weights: each offset s the build reaches (reached_offsets, no
-    higher than its height) is counted once by weight_dims, which reads no
-    lambda. Every stored weight space must match its sum, and a summand
+    module's build and in the order of VermaModule.windowed_store, are added
+    forward onto their weights: each offset s the build reaches
+    (reached_offsets, no higher than its height) is counted once by
+    weight_dims, which reads no lambda. Every stored weight space must match its sum, and a summand
     space of nonzero dimension at a weight the module does not store is a
     mismatch too. A build higher than its window raises WindowOverflowError.
     """

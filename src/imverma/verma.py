@@ -273,22 +273,28 @@ class VermaModule:
             "lower weights is not guaranteed"
             for i, v in enumerate(lam.h_values) if v.denominator == 1 and v < 0
         ) if reduced else ()
-        # interned PBW monomials: id -> tuple, head operator id, rest id; the
-        # empty monomial (the highest-weight vector) is id 0
-        self._monos = [()]
-        self._mono_id = {(): 0}
+        # interned PBW monomials: id -> head operator id, rest id, and tuple
+        # (built by _mono when first asked for); the empty monomial (the
+        # highest-weight vector) is id 0
         self._head = [None]
         self._rest = [None]
-        # interned loop operators (key, n): id -> pair, act memo, bracket
-        # memo, and the PBW symbol it is (None if none), its sort key and its
-        # prepend memo
+        self._monos = [()]
+        # interned loop operators key (x) t^n, keyed by the index i of key in
+        # the finite basis (c is one past it) and n: per i, {n: id}; per id,
+        # (i, n), act memo, bracket memo, and the PBW symbol it is (None if
+        # none), its sort key, its prepend memo and its cons memo {rest: id}
+        self._keys = algebra.finite.basis + ["__c__"]
+        self._index = {key: i for i, key in enumerate(self._keys)}
+        self._op_of = [{} for _ in self._keys]
         self._ops = []
-        self._op_id = {}
         self._act_memo = []
         self._bracket_memo = []
         self._syms = []
         self._sym_key = []
         self._prepend_memo = []
+        self._cons_memo = []
+        # the finite brackets met: i * len(_keys) + j -> ((index, int), ...)
+        self._fin_bracket = {}
 
     def __repr__(self):
         tag = "reduced " if self.reduced else ""
@@ -346,9 +352,10 @@ class VermaModule:
             raise ContextMismatchError("generator from a different affine context")
         if v.module is not self:
             raise ContextMismatchError("vector from a different module")
-        ops = [(self._op(key, n), cg) for (key, n), cg in g.terms.items()]
+        index = self._index
+        ops = [(self._op(index[key], n), cg) for (key, n), cg in g.terms.items()]
         if g.c:
-            ops.append((self._op("__c__", 0), g.c))
+            ops.append((self._op(index["__c__"], 0), g.c))
         out = {}  # scale times the image, on monomial ids
         for mono, cv in v.terms.items():
             m = self._intern(mono)
@@ -361,8 +368,7 @@ class VermaModule:
                 val = self.lam.d_value + k
                 if val:
                     add_scaled(out, {m: cv * g.d * val * self.scale})
-        monos = self._monos
-        return ModuleVector(self, {monos[m]: self.unscale(c) for m, c in out.items()})
+        return ModuleVector(self, {self._mono(m): self.unscale(c) for m, c in out.items()})
 
     def unscale(self, c):
         """c / scale: an int where the quotient is integral, else a Fraction."""
@@ -380,47 +386,56 @@ class VermaModule:
         It is read from the one action memo, _act on interned ids, and
         returned as a fresh tuple-keyed dict that the caller may modify.
         """
-        image = self._act(self._op(key, n), self._intern(mono))
-        monos = self._monos
-        return {monos[m]: c for m, c in image.items()}
+        image = self._act(self._op(self._index[key], n), self._intern(mono))
+        return {self._mono(m): c for m, c in image.items()}
 
     # -- interning ------------------------------------------------------------
 
     def _intern(self, mono):
-        """The id of the PBW monomial mono, interned with its head and rest."""
-        m = self._mono_id.get(mono)
-        if m is None:
-            m = self._cons(self._sym(mono[0]), self._intern(mono[1:]))
+        """The id of the PBW monomial mono, consed right to left."""
+        m = 0
+        for sym in reversed(mono):
+            m = self._cons(self._sym(sym), m)
         return m
 
     def _cons(self, op, rest):
-        """The id of the monomial with head symbol op and rest id rest."""
-        mono = (self._syms[op],) + self._monos[rest]
-        m = self._mono_id.get(mono)
+        """The id of the monomial with head symbol op and rest id rest,
+        hash-consed on the int pair."""
+        memo = self._cons_memo[op]
+        m = memo.get(rest)
         if m is None:
-            m = self._mono_id[mono] = len(self._monos)
-            self._monos.append(mono)
+            m = memo[rest] = len(self._head)
             self._head.append(op)
             self._rest.append(rest)
+            self._monos.append(None)
         return m
+
+    def _mono(self, m):
+        """The tuple of the monomial m, built the first time it is asked for."""
+        mono = self._monos[m]
+        if mono is None:
+            mono = self._monos[m] = (self._syms[self._head[m]],) + self._mono(self._rest[m])
+        return mono
 
     def _sym(self, sym):
         """The operator id of the PBW symbol sym: B(i, l) is h_i (x) t^{-l},
         F(gamma, n) is x_{-gamma} (x) t^n."""
         if sym[0] == "B":
-            return self._op(("h", sym[1]), -sym[2])
-        return self._op(("x", _neg(sym[1])), sym[2])
+            return self._op(self._index[("h", sym[1])], -sym[2])
+        return self._op(self._index[("x", _neg(sym[1]))], sym[2])
 
-    def _op(self, key, n):
-        """The id of the loop operator key (x) t^n. A lowering operator is
-        the PBW symbol B(i, l) or F(gamma, n) it names, in the reduced module
-        too, and keeps that symbol, its sort key and its prepend memo."""
-        op = self._op_id.get((key, n))
+    def _op(self, i, n):
+        """The id of the loop operator key (x) t^n, key = _keys[i]. A lowering
+        operator is the PBW symbol B(i, l) or F(gamma, n) it names, in the
+        reduced module too, and keeps that symbol and its memos."""
+        ops = self._op_of[i]
+        op = ops.get(n)
         if op is None:
-            op = self._op_id[(key, n)] = len(self._ops)
-            self._ops.append((key, n))
+            op = ops[n] = len(self._ops)
+            self._ops.append((i, n))
             self._act_memo.append({})
             self._bracket_memo.append({})
+            key = self._keys[i]
             sym = None
             if key[0] == "h" and n < 0:
                 sym = ("B", key[1], -n)
@@ -429,6 +444,7 @@ class VermaModule:
             self._syms.append(sym)
             self._sym_key.append(sym and symbol_sort_key(sym))
             self._prepend_memo.append(sym and {})
+            self._cons_memo.append(sym and {})
         return op
 
     # -- straightening on ids ------------------------------------------------
@@ -460,7 +476,8 @@ class VermaModule:
         sym = self._syms[op]
         if sym is not None and not (self.reduced and sym[0] == "B"):
             return {self._cons(op, 0): self.scale}
-        key, n = self._ops[op]
+        i, n = self._ops[op]
+        key = self._keys[i]
         if key == "__c__":
             val = self.lam.c_value
         elif key[0] == "h" and n == 0:
@@ -470,8 +487,9 @@ class VermaModule:
         return {0: int(self.scale * val)} if val else {}
 
     def _bracket(self, op, op2):
-        """[op, op2] as a tuple of (operator id, coeff) loop terms from the
-        bracket table, memoised per op and op2; op2 is a PBW symbol.
+        """[op, op2] as a tuple of (operator id, coeff) loop terms, memoised
+        per op and op2; op2 is a PBW symbol. A miss reads the finite bracket
+        of the two basis indices, kept in _fin_bracket once met.
 
         A central term is encoded under the sentinel key "__c__"; it commutes
         past everything and evaluates to lambda(c) on the vacuum, so it is
@@ -482,18 +500,24 @@ class VermaModule:
         hit = memo.get(op2)
         if hit is not None:
             return hit
-        key, n = self._ops[op]
-        if key == "__c__":
+        i, n = self._ops[op]
+        j, n2 = self._ops[op2]
+        keys = self._keys
+        if keys[i] == "__c__":
             pairs = ()
         else:
-            k2, n2 = self._ops[op2]
             fin = self.algebra.finite
-            pairs = [(self._op(k, n + n2), c)
-                     for k, c in fin._bracket_table.get((key, k2), {}).items()]
+            ij = i * len(keys) + j
+            terms = self._fin_bracket.get(ij)
+            if terms is None:
+                terms = self._fin_bracket[ij] = tuple(
+                    (self._index[k], c)
+                    for k, c in fin._bracket_table.get((keys[i], keys[j]), {}).items())
+            pairs = [(self._op(t, n + n2), c) for t, c in terms]
             if n == -n2 and n != 0 and self.lam.c_value:
-                cf = fin.form_keys(key, k2)
+                cf = fin.form_keys(keys[i], keys[j])
                 if cf:
-                    pairs.append((self._op("__c__", 0), int(n * cf)))
+                    pairs.append((self._op(self._index["__c__"], 0), int(n * cf)))
             pairs = tuple(pairs)
         memo[op2] = pairs
         return pairs
@@ -538,48 +562,71 @@ class VermaModule:
     def weight_bases(self, s, window: TruncationWindow):
         """{k: basis} for every nonzero windowed space at the finite offset s:
         the PBW monomials of offset (k, s) inside the window, in canonical
-        order, listed in one pass; the listing twin of weight_dims.
+        order, listed in one pass; the listing twin of weight_dims, and the
+        tuple view of _weight_ids."""
+        return {k: [self._mono(m) for m in ids]
+                for k, ids in self._weight_ids(s, window).items()}
+
+    def _weight_ids(self, s, window, kmax=inf):
+        """weight_bases on interned ids, for the spaces with |k| <= kmax.
 
         A monomial is a B-part followed by an F-part. The F-parts of a
         multiset of f <= L roots from _reach take one degree tuple in [-N, N]
         per run of equal roots, weakly increasing (a multiset of degrees);
         the B-parts are the multisets of at most L - f symbols B(i, l),
         l <= N (only the empty one in the reduced module). A monomial files
-        under k = F total - B total. Each part's sort key is built once, and
-        the sort keys of distinct monomials differ, so the monomials are
-        never compared. Where _reach finds no monomial there is no space, and
+        under k = F total - B total; one in range is consed right to left.
+        The symbols are ranked once by _sym_key, each part keeps its ranks,
+        and the rank tuples of distinct monomials differ, so each k sorts on
+        them alone. Where _reach finds no monomial there is no space, and
         where it raises WindowOverflowError so does this.
         """
         reach = self._reach(s, window)
         if reach is None:
             return {}
         L, N, multisets = reach
-        # b_parts[j]: (sort key, B-part, B total) of the B-parts of j symbols
-        colours = [] if self.reduced else \
-            [("B", i, l) for i in range(1, self.rank + 1) for l in range(1, N + 1)]
-        b_parts = [[(_monomial_sort_key(b), b, sum(sym[2] for sym in b))
-                    for b in combinations_with_replacement(colours, j)]
-                   for j in range(L + 1)]
-        degrees = range(-N, N + 1)
+        multisets = list(multisets)
+        index, degree = self._index, self._ops
+        b_ops = [] if self.reduced else [self._op(index[("h", i)], -l)
+                                         for i in range(1, self.rank + 1)
+                                         for l in range(1, N + 1)]
+        f_ops = {gamma: [self._op(index[("x", _neg(gamma))], n) for n in range(-N, N + 1)]
+                 for gamma in {gamma for multiset in multisets for gamma in multiset}}
+        rank = {op: r for r, op in enumerate(sorted(
+            b_ops + [op for ops in f_ops.values() for op in ops], key=self._sym_key.__getitem__))}
+
+        def parts(ops, j):
+            """(ranks, operators reversed, degree sum) of each multiset of j ops."""
+            return [(tuple(map(rank.__getitem__, c)), c[::-1], sum(degree[op][1] for op in c))
+                    for c in combinations_with_replacement(ops, j)]
+
+        # b_parts[j]: the B-parts of at most j symbols; a B(i, l) has degree -l
+        b_parts = list(accumulate(parts(b_ops, j) for j in range(L + 1)))
+        cons = self._cons
         keyed = {}
         for multiset in multisets:
-            runs = [(gamma, len(list(run))) for gamma, run in groupby(multiset)]
-            f_parts = []
-            for choice in product(*(combinations_with_replacement(degrees, m)
-                                    for _, m in runs)):
-                mono = tuple(("F", gamma, n) for (gamma, _), ns in zip(runs, choice)
-                             for n in ns)
-                f_parts.append((_monomial_sort_key(mono), mono,
-                                sum(map(sum, choice))))
-            for j in range(L - len(multiset) + 1):
-                for b_key, b_mono, b_total in b_parts[j]:
-                    for f_key, f_mono, f_total in f_parts:
-                        keyed.setdefault(f_total - b_total, []).append(
-                            (b_key + f_key, b_mono + f_mono))
+            f_parts = [((), (), 0)]
+            for gamma, run in groupby(multiset):
+                run = parts(f_ops[gamma], len(list(run)))
+                f_parts = [(ra + rb, ob + oa, ta + tb)
+                           for ra, oa, ta in f_parts for rb, ob, tb in run]
+            for f_rank, f_rev, f_total in f_parts:
+                f = None
+                for b_rank, b_rev, b_total in b_parts[L - len(multiset)]:
+                    k = f_total + b_total
+                    if -kmax <= k <= kmax:
+                        if f is None:
+                            f = 0
+                            for op in f_rev:
+                                f = cons(op, f)
+                        m = f
+                        for op in b_rev:
+                            m = cons(op, m)
+                        keyed.setdefault(k, []).append((b_rank + f_rank, m))
         bases = {}
         for k, pairs in keyed.items():
             pairs.sort()
-            bases[k] = [mono for _, mono in pairs]
+            bases[k] = [m for _, m in pairs]
         return bases
 
     def weight_dims(self, s, window: TruncationWindow):
@@ -724,18 +771,18 @@ class VermaModule:
         echelon, and the reduced row echelon form is unique, so the basis is
         the one that elimination over every operator's rows gives.
         """
-        ops = [(key, n, self._op(key, n)) for key, n in self._raising_operators(window)]
+        ops = [(key, n, self._op(self._index[key], n))
+               for key, n in self._raising_operators(window)]
         live = {}  # s -> (lo, hi, n, op) of the ops whose targets can be nonzero
         found = []
         asked = {}  # s -> the k asked for there, None for every k
         for k, s in offsets:
             asked.setdefault(tuple(s), set()).add(k)
-        spaces = sorted(((k, s), basis) for s, ks in asked.items()
-                        for k, basis in self.weight_bases(s, window).items()
+        spaces = sorted(((k, s), ids) for s, ks in asked.items()
+                        for k, ids in self._weight_ids(s, window).items()
                         if None in ks or k in ks)
-        for exact, basis in spaces:
-            ids = [self._intern(mono) for mono in basis]
-            echelon = Echelon(len(basis))
+        for exact, ids in spaces:
+            echelon = Echelon(len(ids))
             k, s = exact
             if s not in live:
                 live[s] = []
@@ -754,7 +801,7 @@ class VermaModule:
                         rows.setdefault(m2, {})[j] = c2
                 echelon.feed(list(rows.values()))
             for vec in echelon.nullspace():
-                terms = {basis[j]: x for j, x in vec.items()}
+                terms = {self._mono(ids[j]): x for j, x in vec.items()}
                 found.append((exact, ModuleVector(self, terms)))
         return found
 
@@ -770,9 +817,11 @@ class VermaModule:
     # -- the windowed store ----------------------------------------------------
 
     def windowed_store(self, kmax, window: TruncationWindow, keys):
-        """(spaces, defined): the spaces of windowed_spaces(self, kmax,
-        window), and the exact tables of the loop generators keys, (key, n)
-        each, on them: {gkey: {space index: block}}. Column j of a block is
+        """(spaces, defined): ((k, s), weight, PBW basis) of each nonzero
+        windowed space with |k| <= kmax, in order of s (reached_offsets),
+        then k, listed on ids (_weight_ids, which conses no k out of range);
+        and the exact tables of the loop generators keys, (key, n) each, on
+        them: {gkey: {space index: block}}. Column j of a block is
         the unscaled image of basis monomial j, {target coordinate: value};
         a pair is stored only when every image stays inside the store.
 
@@ -785,9 +834,11 @@ class VermaModule:
         the interned basis (_act); a raising generator or a Cartan loop into
         a space not stored still acts, since it can kill a vector.
         """
-        spaces = list(windowed_spaces(self, kmax, window))
+        spaces = [((k, s), self.weight_of_offset((k, s)), ids)
+                  for s in self.reached_offsets(window)
+                  for k, ids in sorted(self._weight_ids(s, window, kmax).items())]
         off_index = {off: widx for widx, (off, _, _) in enumerate(spaces)}
-        ids = [[self._intern(m) for m in basis] for _, _, basis in spaces]
+        ids = [space for _, _, space in spaces]
         mono_index = {m: (widx, j) for widx, space in enumerate(ids)
                       for j, m in enumerate(space)}
         positive = self.algebra.finite.roots.positive_set
@@ -795,7 +846,7 @@ class VermaModule:
         defined = {}
         for gkey in keys:
             key, n = gkey
-            op = self._op(key, n)
+            op = self._op(self._index[key], n)
             per_src = defined[gkey] = {}
             if key not in landed:
                 landed[key] = [self._landing(key, s) for (_, s), _, _ in spaces]
@@ -825,7 +876,7 @@ class VermaModule:
                         block[j] = column
                 if ok:
                     per_src[widx] = block
-        return spaces, defined
+        return [(off, w, [self._mono(m) for m in space]) for off, w, space in spaces], defined
 
 
 def nonzero_degrees(s, reduced):
@@ -844,18 +895,6 @@ def nonzero_degrees(s, reduced):
     if any(s):
         return (-inf, inf)
     return (0, 0) if reduced else (-inf, 0)
-
-
-def windowed_spaces(verma: VermaModule, kmax, window: TruncationWindow):
-    """((k, s), weight, PBW basis) of each nonzero windowed weight space
-    lambda + k delta - s of a Verma module, ht(s) <= window.H and |k| <= kmax,
-    in order of s (lexicographic), then k; an s beyond the window's reach
-    (VermaModule.reached_offsets) is not listed."""
-    for s in verma.reached_offsets(window):
-        bases = verma.weight_bases(s, window)
-        for k in range(-kmax, kmax + 1):
-            if k in bases:
-                yield (k, s), verma.weight_of_offset((k, s)), bases[k]
 
 
 def finite_offsets(rank, height):

@@ -38,8 +38,7 @@ from imverma.category import (ExplicitModule, GCompatibleSplit,
                               heisenberg_keys, loop_keys, raising_keys)
 from imverma.errors import ModuleDataError
 from imverma.finite import _neg, add_scaled
-from imverma.verma import (VermaModule, Weight, monomial_name, symbol_sort_key,
-                           windowed_spaces)
+from imverma.verma import VermaModule, Weight, monomial_name, symbol_sort_key
 
 
 def roots_by_reflection_closure(cartan):
@@ -619,6 +618,18 @@ def _check_axioms_by_pair(split):
             if l and nid is not None and nid in split.torsion:
                 isolated[widx] = False
     split.verdicts["torsion_isolated"] = {"passed": True, "by_weight": isolated}
+
+
+def windowed_spaces(mod, kmax, window):
+    """((k, s), weight, PBW basis) of each nonzero windowed weight space of
+    mod with |k| <= kmax, in order of s, then k: every space that
+    weight_bases lists at each reached s, with those out of range dropped
+    after listing (VermaModule.windowed_store drops them before)."""
+    for s in mod.reached_offsets(window):
+        bases = mod.weight_bases(s, window)
+        for k in range(-kmax, kmax + 1):
+            if k in bases:
+                yield (k, s), mod.weight_of_offset((k, s)), bases[k]
 
 
 def reduced_verma_by_trial_action(algebra, lam, kmax, window, loop_window):

@@ -719,7 +719,8 @@ def search_with_calls(mod, offsets, window):
 
     def counted(op, m):
         if not depth[0]:
-            calls.append(mod._ops[op] + (mod._monos[m],))
+            i, n = mod._ops[op]
+            calls.append((mod._keys[i], n, mod._mono(m)))
         depth[0] += 1
         try:
             return inner(op, m)
