@@ -31,45 +31,44 @@ Every windowed space at one finite offset s is reached in one pass over s,
 in two twin forms. weight_dims(s, window) counts: it gives the dimension of
 every space as the coefficients of a truncated product with one geometric
 factor per PBW symbol, and builds no monomial. weight_bases(s, window) lists:
-it gives the basis of every space, {k: monomials in canonical order}, which
-the singular search and the explicit tables read; basis_monomials reads one
-offset (k, s), or all of s, from it. Both read what the window reaches at s
-from _reach(s, window), the one place that decides it: the root multisets of
-s short enough to fit, or nothing, as for an s higher than L * ht(theta)
-(every symbol adds a root no higher than theta, or nothing). The offsets it
-reaches are reached_offsets(window), listed by finite_offsets.
+it gives the basis of every space, {k: monomials in canonical order};
+basis_monomials reads one offset (k, s), or all of s, from it. Both read what
+the window reaches at s from _reach(s, window), the one place that decides
+it: the root multisets of s short enough to fit, or nothing, as for an s
+higher than L * ht(theta) (every symbol adds a root no higher than theta, or
+nothing). The offsets it reaches are reached_offsets(window).
 
-Each module interns (hash-conses) its PBW monomials and loop operators
-(key, n) as small ints. A PBW symbol is the lowering operator it names, so
-its id is that operator's id: a monomial id keeps its tuple, its head
-operator id and its rest id. The action has one memo, on these ids:
-_act(op, m) is the sparse image {monomial id: int} of the operator op on the
-monomial m, times VermaModule.scale = D, the common denominator of
-lambda(h_i) and lambda(c), straightened by recursing through head and rest
-ids. One memoised bracket, _bracket, read from the integer bracket table,
-moves an operator past a symbol and a symbol past a symbol. lambda enters
-only on the highest-weight vector, where _act_vacuum returns D times its
-value, and each term reaches it once, so every coefficient is an int. The
-singular search interns each basis monomial once and feeds these rows as
-they are (the row space is the same). A reduced store of the category layer
-is built by the module it stores (windowed_store), on ids too, dividing by D
-once per coefficient (unscale); it and the search read one landing rule for
-an operator's target space (_landing). At the tuple boundary,
-act_monomial(key, n, mono) returns one image as a fresh {monomial: int}
-dict, and act() sums images (a c part through the operator c), adds the d
-part and unscales.
+Each module hash-conses its loop operators and PBW monomials as small ints.
+An operator key (x) t^n is keyed by the index of key in the finite basis and
+n; a PBW symbol is the lowering operator it names, so its id is that
+operator's id. A monomial is consed right to left on the int pair (head
+operator id, rest id) (_cons), and its tuple is built only when asked for
+(_mono): for a report, a label, act or act_monomial. _weight_ids lists each
+basis as ids, which the singular search and the reduced store
+(windowed_store) read; weight_bases is its tuple view. The action has one
+memo, on ids: _act(op, m) is the sparse image {monomial id: int} of op on m
+times VermaModule.scale = D, the common denominator of lambda(h_i) and
+lambda(c), straightened by recursing through head and rest ids. One
+memoised bracket, _bracket, moves an operator past a symbol and a symbol
+past a symbol; a miss reads the finite bracket of the two basis indices,
+kept once met. lambda enters only on the highest-weight vector, where
+_act_vacuum returns D times its value, and each term reaches it once, so
+every coefficient is an int. The search feeds these rows as they are (the
+row space is the same); the store divides by D once per coefficient
+(unscale); both read one landing rule for an operator's target space
+(_landing). act_monomial(key, n, mono) returns one image as a fresh
+{monomial: int} dict, and act() sums images (a c part through the operator
+c), adds the d part and unscales.
 
-The singular search feeds the raising operators in one order, that of
+The singular search feeds the raising operators in the order of
 annihilator_generators: in the module the Cartan loops h_i (x) t^l
-(0 < l <= N) come first, then the e_i (x) t^m; the reduced quotient has no
-Cartan loop. A Cartan loop kills v, commutes with every B-symbol up to the
-central term l (h_i|h_j) lambda(c), and sends F(gamma, n) to
--gamma(h_i) F(gamma, n + l), so its rows are sparse and its images need no
-straightening beyond re-sorting. On A1 it acts on the F-part as
-multiplication by a power sum, which has no kernel. So the Cartan loops
-alone usually bring a space with s != 0 to full column rank, and the search
-stops before the first e_i (x) t^m. The order changes no answer: the rank
-does not depend on it, and the reduced row echelon form is unique.
+(0 < l <= N) first, then the e_i (x) t^m. A Cartan loop kills v, commutes
+with every B-symbol up to the central term l (h_i|h_j) lambda(c), and sends
+F(gamma, n) to -gamma(h_i) F(gamma, n + l): its rows are sparse, and on A1 it
+acts on the F-part as multiplication by a power sum, which has no kernel. So
+the Cartan loops alone usually bring a space with s != 0 to full column
+rank, and the search stops before the first e_i (x) t^m. The order changes
+no answer: the reduced row echelon form is unique.
 """
 
 import sys
@@ -77,7 +76,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, combinations_with_replacement, groupby, product
+from itertools import accumulate, combinations_with_replacement, groupby
 from math import inf, lcm
 from operator import add
 
@@ -274,11 +273,8 @@ class VermaModule:
             for i, v in enumerate(lam.h_values) if v.denominator == 1 and v < 0
         ) if reduced else ()
         # interned PBW monomials: id -> head operator id, rest id, and tuple
-        # (built by _mono when first asked for); the empty monomial (the
-        # highest-weight vector) is id 0
-        self._head = [None]
-        self._rest = [None]
-        self._monos = [()]
+        # (None until _mono builds it); the empty monomial (v) is id 0
+        self._head, self._rest, self._monos = [None], [None], [()]
         # interned loop operators key (x) t^n, keyed by the index i of key in
         # the finite basis (c is one past it) and n: per i, {n: id}; per id,
         # (i, n), act memo, bracket memo, and the PBW symbol it is (None if
@@ -286,13 +282,8 @@ class VermaModule:
         self._keys = algebra.finite.basis + ["__c__"]
         self._index = {key: i for i, key in enumerate(self._keys)}
         self._op_of = [{} for _ in self._keys]
-        self._ops = []
-        self._act_memo = []
-        self._bracket_memo = []
-        self._syms = []
-        self._sym_key = []
-        self._prepend_memo = []
-        self._cons_memo = []
+        self._ops, self._act_memo, self._bracket_memo = [], [], []
+        self._syms, self._sym_key, self._prepend_memo, self._cons_memo = [], [], [], []
         # the finite brackets met: i * len(_keys) + j -> ((index, int), ...)
         self._fin_bracket = {}
 
@@ -377,14 +368,10 @@ class VermaModule:
 
     def act_monomial(self, key, n, mono):
         """scale times the image of key (x) t^n on the PBW monomial mono
-        (applied to the highest-weight vector), as a sparse dict
-        {monomial: int}: every coefficient is an int whatever lambda is, and
-        unscale(c) gives the coefficient of the image itself.
-
-        key is a basis key of the finite algebra, ("h", i) or ("x", gamma),
-        or "__c__" for the central element (with n = 0). The image is exact.
-        It is read from the one action memo, _act on interned ids, and
-        returned as a fresh tuple-keyed dict that the caller may modify.
+        (applied to v), as a fresh {monomial: int} dict that the caller may
+        modify: unscale(c) is the coefficient of the image itself. key is a
+        finite basis key, ("h", i) or ("x", gamma), or "__c__" for c (with
+        n = 0). It is read from the one action memo, _act on interned ids.
         """
         image = self._act(self._op(self._index[key], n), self._intern(mono))
         return {self._mono(m): c for m, c in image.items()}
@@ -489,11 +476,9 @@ class VermaModule:
     def _bracket(self, op, op2):
         """[op, op2] as a tuple of (operator id, coeff) loop terms, memoised
         per op and op2; op2 is a PBW symbol. A miss reads the finite bracket
-        of the two basis indices, kept in _fin_bracket once met.
-
-        A central term is encoded under the sentinel key "__c__"; it commutes
-        past everything and evaluates to lambda(c) on the vacuum, so it is
-        left out when lambda(c) = 0. Its coefficient n (key|key2) is an int.
+        of the two basis indices, kept in _fin_bracket once met. A central
+        term is the operator c; it evaluates to lambda(c) on v, so it is left
+        out when lambda(c) = 0, and its coefficient n (key|key2) is an int.
         Two symbols have none, so their bracket is one symbol or nothing.
         """
         memo = self._bracket_memo[op]
@@ -545,13 +530,9 @@ class VermaModule:
 
     def basis_monomials(self, offset, window: TruncationWindow):
         """All PBW monomials of the given (k, s) offset inside the window, in
-        canonical PBW order (sorted by the symbol_sort_key sequence), each
-        once: weight_bases(s, window)[k].
-
-        k = None aggregates over every delta-degree the window can reach (the
-        weight spaces over a fixed h*-weight, all d-eigenvalues at once): the
-        bases of weight_bases(s, window) together, in canonical order.
-        """
+        canonical PBW order, each once: weight_bases(s, window)[k]. k = None
+        aggregates over every delta-degree the window reaches: the bases of
+        weight_bases(s, window) together, in canonical order."""
         k, s = offset
         bases = self.weight_bases(s, window)
         if k is not None:
@@ -571,33 +552,32 @@ class VermaModule:
         """weight_bases on interned ids, for the spaces with |k| <= kmax.
 
         A monomial is a B-part followed by an F-part. The F-parts of a
-        multiset of f <= L roots from _reach take one degree tuple in [-N, N]
-        per run of equal roots, weakly increasing (a multiset of degrees);
-        the B-parts are the multisets of at most L - f symbols B(i, l),
-        l <= N (only the empty one in the reduced module). A monomial files
-        under k = F total - B total; one in range is consed right to left.
-        The symbols are ranked once by _sym_key, each part keeps its ranks,
-        and the rank tuples of distinct monomials differ, so each k sorts on
-        them alone. Where _reach finds no monomial there is no space, and
-        where it raises WindowOverflowError so does this.
+        multiset of f <= L roots from _reach take a multiset of degrees in
+        [-N, N] per run of equal roots; the B-parts are the multisets of at
+        most L - f symbols B(i, l), l <= N (none in the reduced module). A
+        monomial has k = its total degree, and is consed only if |k| <= kmax.
+        Its sort key is the tuple of its symbols' ranks by _sym_key, distinct
+        for distinct monomials. No space where _reach finds no monomial, and
+        WindowOverflowError where it raises it.
         """
         reach = self._reach(s, window)
         if reach is None:
             return {}
         L, N, multisets = reach
         multisets = list(multisets)
-        index, degree = self._index, self._ops
-        b_ops = [] if self.reduced else [self._op(index[("h", i)], -l)
-                                         for i in range(1, self.rank + 1)
-                                         for l in range(1, N + 1)]
+        index = self._index
+        b_ops = [] if self.reduced else [self._op(index[("h", i)], -l) for i in
+                                         range(1, self.rank + 1) for l in range(1, N + 1)]
         f_ops = {gamma: [self._op(index[("x", _neg(gamma))], n) for n in range(-N, N + 1)]
                  for gamma in {gamma for multiset in multisets for gamma in multiset}}
-        rank = {op: r for r, op in enumerate(sorted(
-            b_ops + [op for ops in f_ops.values() for op in ops], key=self._sym_key.__getitem__))}
+        ranked = sorted(b_ops + [op for ops in f_ops.values() for op in ops],
+                        key=self._sym_key.__getitem__)
+        place = {op: r for r, op in enumerate(ranked)}
 
         def parts(ops, j):
             """(ranks, operators reversed, degree sum) of each multiset of j ops."""
-            return [(tuple(map(rank.__getitem__, c)), c[::-1], sum(degree[op][1] for op in c))
+            return [(tuple(map(place.__getitem__, c)), c[::-1],
+                     sum(self._ops[op][1] for op in c))
                     for c in combinations_with_replacement(ops, j)]
 
         # b_parts[j]: the B-parts of at most j symbols; a B(i, l) has degree -l
@@ -610,40 +590,26 @@ class VermaModule:
                 run = parts(f_ops[gamma], len(list(run)))
                 f_parts = [(ra + rb, ob + oa, ta + tb)
                            for ra, oa, ta in f_parts for rb, ob, tb in run]
-            for f_rank, f_rev, f_total in f_parts:
-                f = None
-                for b_rank, b_rev, b_total in b_parts[L - len(multiset)]:
+            for b_rank, b_rev, b_total in b_parts[L - len(multiset)]:
+                for f_rank, f_rev, f_total in f_parts:
                     k = f_total + b_total
                     if -kmax <= k <= kmax:
-                        if f is None:
-                            f = 0
-                            for op in f_rev:
-                                f = cons(op, f)
-                        m = f
-                        for op in b_rev:
+                        m = 0
+                        for op in f_rev + b_rev:
                             m = cons(op, m)
                         keyed.setdefault(k, []).append((b_rank + f_rank, m))
-        bases = {}
-        for k, pairs in keyed.items():
-            pairs.sort()
-            bases[k] = [m for _, m in pairs]
-        return bases
+        return {k: [m for _, m in sorted(pairs)] for k, pairs in keyed.items()}
 
     def weight_dims(self, s, window: TruncationWindow):
         """{k: dim} for every nonzero windowed space at the finite offset s:
         dim is the number of PBW monomials of offset (k, s) inside the window,
         len(weight_bases(s, window)[k]), counted without building one.
 
-        A monomial is a B-part followed by an F-part. The F-parts of a
-        multiset of f <= L roots from _reach are its degree tuples in
-        [-N, N], weakly increasing over each run of equal roots: a run of m
-        equal roots has as many tuples of degree sum t as there are
-        multisets of m values in [0, 2N] with sum t + m*N, and the runs are
-        convolved. The B-parts are the rank-coloured partitions with parts
-        at most N and at most L - f parts (only the empty one in the reduced
-        module). A monomial files under k = F total - B total. Like
-        weight_bases, it reads _reach: no space where that finds no
-        monomial, and WindowOverflowError where that raises it.
+        The parts are those of _weight_ids: a run of m equal roots has as
+        many degree tuples of sum t as there are multisets of m values in
+        [0, 2N] with sum t + m*N, the runs are convolved, and the B-parts are
+        the rank-coloured partitions with parts at most N and at most L - f
+        parts. It reads _reach as _weight_ids does.
         """
         reach = self._reach(s, window)
         if reach is None:
@@ -715,11 +681,8 @@ class VermaModule:
     def weight_dim(self, offset, window: TruncationWindow) -> int:
         """Exact count of PBW monomials at the offset (k, s) inside the
         window, read from weight_dims(s, window); k = None sums over every k.
-
-        For pure-delta offsets (k <= 0, s = 0) the count is stable once both
-        N and L reach |k|: it equals the rank-colored partition number of |k|
-        in the unreduced module.
-        """
+        At s = 0, k <= 0 the count is stable once N and L reach |k|: the
+        rank-colored partition number of |k| in the unreduced module."""
         k, s = offset
         dims = self.weight_dims(s, window)
         return sum(dims.values()) if k is None else dims.get(k, 0)
@@ -749,16 +712,12 @@ class VermaModule:
         """Basis of the joint kernel of all windowed raising operators.
 
         offsets are (k, s) pairs, k = None for every k at s; each weight
-        space they name is solved once, on its basis from weight_bases.
-        Returns a list of (offset, ModuleVector) pairs sorted by offset; the
-        kernel is computed weight space by weight space with exact rational
-        elimination. Each raising operator's rows (one per image monomial,
-        from the int _act images of the interned basis monomials, scale times
-        the true ones) go to the echelon as one batch, in
-        annihilator_generators order: in the module the Cartan loops
-        h_{i,l} first, whose sparse rows usually reach full rank on their
-        own where s != 0, then the e_{i,m}. Two kinds of operator are not
-        applied:
+        space they name is solved once, on its basis of ids (_weight_ids).
+        Returns a list of (offset, ModuleVector) pairs sorted by offset,
+        computed space by space with exact elimination. Each raising
+        operator's rows (one per image monomial of its int _act images,
+        scale times the true ones) go to the echelon as one batch, in
+        annihilator_generators order. Two kinds of operator are not applied:
 
         - once every basis monomial has a pivot, the kernel is empty and no
           further operator is applied;
@@ -767,9 +726,8 @@ class VermaModule:
           (h_i (x) t^l at s = 0) unless k + n = 0 in the reduced quotient,
           or k + n <= 0 in the module.
 
-        Skipped operators would have fed no row or none that changes the
-        echelon, and the reduced row echelon form is unique, so the basis is
-        the one that elimination over every operator's rows gives.
+        Neither changes the echelon, and the reduced row echelon form is
+        unique, so the basis is the one elimination over every row gives.
         """
         ops = [(key, n, self._op(self._index[key], n))
                for key, n in self._raising_operators(window)]
@@ -818,28 +776,25 @@ class VermaModule:
 
     def windowed_store(self, kmax, window: TruncationWindow, keys):
         """(spaces, defined): ((k, s), weight, PBW basis) of each nonzero
-        windowed space with |k| <= kmax, in order of s (reached_offsets),
-        then k, listed on ids (_weight_ids, which conses no k out of range);
-        and the exact tables of the loop generators keys, (key, n) each, on
-        them: {gkey: {space index: block}}. Column j of a block is
-        the unscaled image of basis monomial j, {target coordinate: value};
-        a pair is stored only when every image stays inside the store.
+        windowed space with |k| <= kmax, in order of s, then k, listed on ids
+        (_weight_ids); and the exact tables of the loop generators keys,
+        (key, n) each, on them: {gkey: {space index: block}}. Column j of a
+        block is the unscaled image of basis monomial j, {target coordinate:
+        value}; a pair is stored only when every image stays in the store.
 
-        Each pair of the reduced module is first decided from where it lands
-        (_landing). Into a zero space it is a defined zero. A lowering
-        generator x_{-gamma} (x) t^n into a space not stored is undefined:
-        the reduced module is free of rank one over U(n_- (x) C[t, t^-1]),
-        which has no zero divisors, so every basis vector has a nonzero
-        image, and it lies outside the store. Only the other pairs act, on
-        the interned basis (_act); a raising generator or a Cartan loop into
-        a space not stored still acts, since it can kill a vector.
+        A pair is first decided from where it lands (_landing): into a zero
+        space it is a defined zero. A lowering generator x_{-gamma} (x) t^n
+        into a space not stored is undefined: the reduced module is free of
+        rank one over U(n_- (x) C[t, t^-1]), which has no zero divisors, so
+        every basis vector has a nonzero image outside the store. The other
+        pairs act (_act); a raising generator or a Cartan loop into a space
+        not stored still acts, since it can kill a vector.
         """
         spaces = [((k, s), self.weight_of_offset((k, s)), ids)
                   for s in self.reached_offsets(window)
                   for k, ids in sorted(self._weight_ids(s, window, kmax).items())]
         off_index = {off: widx for widx, (off, _, _) in enumerate(spaces)}
-        ids = [space for _, _, space in spaces]
-        mono_index = {m: (widx, j) for widx, space in enumerate(ids)
+        mono_index = {m: (widx, j) for widx, (_, _, space) in enumerate(spaces)
                       for j, m in enumerate(space)}
         positive = self.algebra.finite.roots.positive_set
         landed = {}  # finite key -> per space: _landing at its s
@@ -851,7 +806,8 @@ class VermaModule:
             if key not in landed:
                 landed[key] = [self._landing(key, s) for (_, s), _, _ in spaces]
             lowering = key[0] == "x" and key[1] not in positive
-            for widx, (((k, _), _, _), (ts, lo, hi)) in enumerate(zip(spaces, landed[key])):
+            for widx, (ts, lo, hi) in enumerate(landed[key]):
+                (k, _), _, space = spaces[widx]
                 if not lo <= k + n <= hi:
                     per_src[widx] = {}
                     continue
@@ -860,7 +816,7 @@ class VermaModule:
                     continue
                 block = {}
                 ok = True
-                for j, m in enumerate(ids[widx]):
+                for j, m in enumerate(space):
                     column = {}
                     for m2, c2 in self._act(op, m).items():
                         hit = mono_index.get(m2)
@@ -876,7 +832,8 @@ class VermaModule:
                         block[j] = column
                 if ok:
                     per_src[widx] = block
-        return [(off, w, [self._mono(m) for m in space]) for off, w, space in spaces], defined
+        return [(off, w, [self._mono(m) for m in space])
+                for off, w, space in spaces], defined
 
 
 def nonzero_degrees(s, reduced):
