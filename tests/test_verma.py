@@ -188,6 +188,64 @@ def test_basis_monomials_match_brute_force(label, window, offsets, reduced):
     assert found
 
 
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("label", ["A2", "C2", "G2"])
+def test_listed_ids_round_trip_to_the_brute_tuples(label, reduced):
+    # the listing hands out ids; each one's lazily built tuple is the brute
+    # monomial in the same place, interning that tuple gives the id back,
+    # and listing again hands out the same ids
+    a = aff(label)
+    mod = VermaModule(a, Weight.make([Fraction(-1, 2)] * a.rank), reduced=reduced)
+    window = TruncationWindow(L=3, N=2, H=2)
+    seen = 0
+    for s in mod.reached_offsets(window):
+        listed = mod._weight_ids(s, window)
+        brute = {}
+        for mono in brute_basis_monomials(mod, (None, s), window):
+            brute.setdefault(monomial_offset(mono, a.rank)[0], []).append(mono)
+        assert {k: [mod._mono(m) for m in ids] for k, ids in listed.items()} == brute
+        for ids in listed.values():
+            assert [mod._intern(mod._mono(m)) for m in ids] == ids
+            seen += len(ids)
+        assert mod._weight_ids(s, window) == listed
+    assert seen > 50
+
+
+@pytest.mark.parametrize("kmax", [0, 2, 4])
+def test_listing_with_kmax_conses_only_spaces_in_range(kmax):
+    # |k| <= kmax is decided before consing: the spaces kept are those of
+    # the full listing, and every monomial interned is a kept basis monomial
+    # or the rest of one
+    a = aff("A2")
+    lam = parse_weight("h1=-1/2,h2=-1/3", 2)
+    window = TruncationWindow(L=5, N=4, H=3)
+    for s in finite_offsets(2, 3):
+        mod = VermaModule(a, lam, reduced=True)
+        kept = mod._weight_ids(s, window, kmax)
+        assert {k: [mod._mono(m) for m in ids] for k, ids in kept.items()} == \
+            {k: basis for k, basis in
+             VermaModule(a, lam, reduced=True).weight_bases(s, window).items()
+             if abs(k) <= kmax}
+        closure = set()
+        for m in (m for ids in kept.values() for m in ids):
+            while m and m not in closure:
+                closure.add(m)
+                m = mod._rest[m]
+        assert closure == set(range(1, len(mod._head)))
+
+
+def test_finite_brackets_are_read_only_for_the_pairs_met():
+    # the E8s search: one finite bracket per (basis index, basis index) pair
+    # that a _bracket miss reads, far fewer than the 248**2 pairs of E8
+    e8 = aff("E8")
+    mod = VermaModule(e8, Weight.make([Fraction(-1, 2)] * 8), reduced=True)
+    window = parse_window("L=3,N=1,H=3")
+    assert mod.singular_vectors(offsets_up_to(8, window.H), window)
+    misses = sum(map(len, mod._bracket_memo))
+    assert 0 < len(mod._fin_bracket) <= misses
+    assert len(mod._fin_bracket) * 20 < e8.finite.dimension ** 2
+
+
 def test_offset_height_over_window_rejected():
     mod = VermaModule(A1, LAM_HALF, reduced=True)
     with pytest.raises(WindowOverflowError):
@@ -711,8 +769,10 @@ def test_singular_vectors_are_killed_beyond_the_window(label, lam_text, reduced,
 
 def search_with_calls(mod, offsets, window):
     """singular_vectors, and the (key, n, mono) of each call it makes itself
-    to the action on interned ids, _act(op, m), decoded from the ids (the
-    recursion inside _act is not counted)."""
+    to the action on interned ids, _act(op, m), decoded from the ids: the
+    operator's (basis index, n) through the finite basis, and the monomial
+    through its tuple accessor _mono, since a listed monomial's tuple is
+    built only when asked for (the recursion inside _act is not counted)."""
     calls = []
     inner = mod._act
     depth = [0]
