@@ -980,9 +980,10 @@ def audit_decomposition(module: ExplicitModule, summand_weights):
     module's build and in the order of VermaModule.windowed_store, are added
     forward onto their weights: each offset s the build reaches
     (reached_offsets, no higher than its height) is counted once by
-    weight_dims, which reads no lambda. Every stored weight space must match its sum, and a summand
-    space of nonzero dimension at a weight the module does not store is a
-    mismatch too. A build higher than its window raises WindowOverflowError.
+    weight_dims, which reads no lambda. Every stored weight space must match
+    its sum, and a summand space of nonzero dimension at a weight the module
+    does not store is a mismatch too. A build higher than its window raises
+    WindowOverflowError.
     """
     meta = module.meta
     if not meta or "window" not in meta:
