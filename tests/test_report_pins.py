@@ -62,7 +62,10 @@ were decided on torsion-free coordinates; its verdicts show the window
 defect of ROADMAP item 1, so a fix of that item re-records it. The two
 reduced singular argvs of the benchmark's singular-rank workload at seed 1
 over A2 and A3 at N=3 were recorded before the PBW layer was hash-consed on
-int keys, with tuples built only at the report boundary. A refactor
+int keys, with tuples built only at the report boundary. The
+kernel-bearing singular argvs over A4, D4 and A3 at H=4, whose kernels sit at
+many finite offsets, were recorded before the singular search solved one
+finite offset at a time, its spaces in listing order. A refactor
 that claims unchanged answers must keep every hash; a change that means to
 alter a report updates its constant and says why."""
 
@@ -370,6 +373,19 @@ PINNED = [
         ("singular", "--type", "G2", "--lambda", "h1=-1/2,h2=0",
          "--window", "L=3,N=2,H=3"),
         "6115687ec7ec0d72ff37c3db79e1f24b5c0db957", id="singular-G2-kernel"),
+    # kernels at many offsets, which a per-offset search visits in its own order
+    pytest.param(
+        ("singular", "--type", "A4", "--lambda", "h1=0,h2=1,h3=0,h4=-1",
+         "--window", "L=4,N=1,H=4"),
+        "bb74b505be1e5706519dd327b87d5d926db23748", id="singular-A4-kernel"),
+    pytest.param(
+        ("singular", "--type", "D4", "--lambda", "h1=0,h2=-1/2,h3=0,h4=0",
+         "--window", "L=3,N=1,H=3"),
+        "5a616d14d3b6bd9eebade9e6b13532d583732497", id="singular-D4-kernel"),
+    pytest.param(
+        ("singular", "--type", "A3", "--lambda", "h1=0,h2=-1/2,h3=0",
+         "--window", "L=4,N=2,H=4"),
+        "e2313f5391c39f0da487bb17d389b51657561985", id="singular-A3-kernel-H4"),
     # offsets and heights beyond L * ht(theta), where no windowed monomial lies
     pytest.param(
         ("verma-dims", "--type", "A3", "--lambda", "h1=-1/2,h2=-1/2,h3=-1/2",
