@@ -107,10 +107,6 @@ def _index(value, size):
     return i
 
 
-def _weight_sort_key(w: Weight):
-    return (w.d_value, w.h_values, w.c_value)
-
-
 def _targets(algebra: AffineAlgebra, weights, defined):
     """{gkey: {source: target weight index or None}} for the pairs of defined.
 
@@ -156,13 +152,15 @@ class ExplicitModule:
 
     defined gives {gkey: {source: column-major block}} for every (generator,
     source) pair whose table is exact, indexed like weights; targets gives the
-    target weight index (or None) of the same pairs.
+    target weight index (or None) of the same pairs. The module keeps its
+    weights in (d, h, c) value order, whatever order its constructor lists.
     """
 
     def __init__(self, algebra: AffineAlgebra, weights, labels, defined,
                  provenance="user-supplied", loop_window=1, meta=None):
         self.algebra = algebra
-        order = sorted(range(len(weights)), key=lambda i: _weight_sort_key(weights[i]))
+        keys = [(w.d_value, w.h_values, w.c_value) for w in weights]
+        order = sorted(range(len(weights)), key=keys.__getitem__)
         remap = {old: new for new, old in enumerate(order)}
         self.weights = [weights[i] for i in order]
         self.labels = [list(labels[i]) for i in order]
@@ -240,8 +238,7 @@ class ExplicitModule:
         for m in summands:
             if m.algebra is not algebra:
                 raise ModuleDataError("direct sum over mixed algebra contexts")
-        weights = sorted({w for m in summands for w in m.weights},
-                         key=_weight_sort_key)
+        weights = list(dict.fromkeys(w for m in summands for w in m.weights))
         windex = {w: i for i, w in enumerate(weights)}
         labels = [[] for _ in weights]
         # per weight: (summand index, local weight index) carrying it
@@ -760,10 +757,6 @@ def build_loop_module(algebra: AffineAlgebra, matrices, degree_window):
     for name, block in rows.items():
         if {len(block), *map(len, block)} - {dim}:
             raise ModuleDataError(f"generator matrix {name!r} is not {dim} x {dim} like 'e1'")
-    if dim == 0:
-        return ExplicitModule(algebra, [], [], {}, provenance="loop-module",
-                              loop_window=degree_window,
-                              meta={"kind": "loop-module", "finite_dim": 0})
     mats = {key: _transpose({r: {c: v for c, v in enumerate(row) if v}
                              for r, row in enumerate(rows[name])})
             for name, key in keys.items()}

@@ -75,7 +75,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, combinations_with_replacement, groupby
 from math import inf, lcm
 from operator import add
@@ -195,10 +194,9 @@ def parse_window(text) -> TruncationWindow:
 # ("B", i, l): h_i (x) t^{-l}, l > 0       ("F", gamma, n): x_{-gamma} (x) t^n
 
 
-@cache
 def symbol_sort_key(sym):
-    """The canonical PBW order of one symbol; cached, since a window holds
-    few distinct symbols and every sort and straightening step compares them."""
+    """The canonical PBW order of one symbol. A module keeps each operator's
+    key once, in _sym_key; this is read by input validation and tuple sorts."""
     if sym[0] == "B":
         return (0, 0, (sym[1],), sym[2])
     _, gamma, n = sym
@@ -711,10 +709,13 @@ class VermaModule:
     def singular_vectors(self, offsets, window: TruncationWindow):
         """Basis of the joint kernel of all windowed raising operators.
 
-        offsets are (k, s) pairs, k = None for every k at s; each weight
-        space they name is solved once, on its basis of ids (_weight_ids).
-        Returns a list of (offset, ModuleVector) pairs sorted by offset,
-        computed space by space with exact elimination. Each raising
+        offsets are (k, s) pairs, k = None for every k at s. The search
+        takes one finite offset at a time, in the order offsets names them,
+        and solves each weight space there once, on its basis of ids, in
+        _weight_ids' listing order: at s = 0 of the module, short B-parts
+        first, so each image finds its rest's image memoised and the
+        recursion stays shallow. Returns (offset, ModuleVector) pairs, sorted
+        by offset once at the end, computed with exact elimination. Each raising
         operator's rows (one per image monomial of its int _act images,
         scale times the true ones) go to the echelon as one batch, in
         annihilator_generators order. Two kinds of operator are not applied:
@@ -731,36 +732,34 @@ class VermaModule:
         """
         ops = [(key, n, self._op(self._index[key], n))
                for key, n in self._raising_operators(window)]
-        live = {}  # s -> (lo, hi, n, op) of the ops whose targets can be nonzero
-        found = []
         asked = {}  # s -> the k asked for there, None for every k
         for k, s in offsets:
             asked.setdefault(tuple(s), set()).add(k)
-        spaces = sorted(((k, s), ids) for s, ks in asked.items()
-                        for k, ids in self._weight_ids(s, window).items()
-                        if None in ks or k in ks)
-        for exact, ids in spaces:
-            echelon = Echelon(len(ids))
-            k, s = exact
-            if s not in live:
-                live[s] = []
-                for key, n, op in ops:
-                    _, lo, hi = self._landing(key, s)
-                    if lo <= hi:
-                        live[s].append((lo, hi, n, op))
-            for lo, hi, n, op in live[s]:
-                if echelon.full:
-                    break
-                if not lo <= k + n <= hi:
+        found = []
+        for s, ks in asked.items():
+            live = []  # (lo, hi, n, op) of the ops whose targets can be nonzero
+            for key, n, op in ops:
+                _, lo, hi = self._landing(key, s)
+                if lo <= hi:
+                    live.append((lo, hi, n, op))
+            for k, ids in self._weight_ids(s, window).items():
+                if None not in ks and k not in ks:
                     continue
-                rows = {}
-                for j, m in enumerate(ids):
-                    for m2, c2 in self._act(op, m).items():
-                        rows.setdefault(m2, {})[j] = c2
-                echelon.feed(list(rows.values()))
-            for vec in echelon.nullspace():
-                terms = {self._mono(ids[j]): x for j, x in vec.items()}
-                found.append((exact, ModuleVector(self, terms)))
+                echelon = Echelon(len(ids))
+                for lo, hi, n, op in live:
+                    if echelon.full:
+                        break
+                    if not lo <= k + n <= hi:
+                        continue
+                    rows = {}
+                    for j, m in enumerate(ids):
+                        for m2, c2 in self._act(op, m).items():
+                            rows.setdefault(m2, {})[j] = c2
+                    echelon.feed(list(rows.values()))
+                for vec in echelon.nullspace():
+                    terms = {self._mono(ids[j]): x for j, x in vec.items()}
+                    found.append(((k, s), ModuleVector(self, terms)))
+        found.sort(key=lambda pair: pair[0])
         return found
 
     def _landing(self, key, s):

@@ -15,7 +15,8 @@ most ht(s) positive roots instead of the root system's table of Kostant
 partitions, every root pair's structure constant reduced to a positive pair
 in Fractions instead of each positive triple written out in ints, the
 bracket of two PBW symbols from the root pairing and the structure constants
-instead of the bracket table), so an agreement is meaningful. sparse_rows
+instead of the bracket table, the affine bracket's central term against the
+loop translations T_mu), so an agreement is meaningful. sparse_rows
 and dense_rows convert between the dense test matrices and the sparse rows
 the package kernels take and return.
 
@@ -32,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from imverma._kernels import nullspace, rank, rref
-from imverma.affine import affine_bracket
+from imverma.affine import LoopElement, affine_bracket
 from imverma.category import (ExplicitModule, GCompatibleSplit,
                               UndefinedActionError, _image, _transpose, gen_name,
                               heisenberg_keys, loop_keys, raising_keys)
@@ -339,6 +340,31 @@ def weight_shift(algebra, w, gkey):
     return Weight(hs, w.c_value, w.d_value + n)
 
 
+def loop_translation(algebra, mu, x):
+    """T_mu(x) for a loop element x with no d part and mu = sum_i m_i h_i in
+    the coroot lattice, given as (m_1, ..., m_N), with c fixed:
+
+        T_mu(x_gamma (x) t^n) = x_gamma (x) t^{n + gamma(mu)}
+        T_mu(h (x) t^n)       = h (x) t^n + delta_{n,0} (mu|h) c
+
+    gamma(mu) is read through FiniteRootSystem.pairing and (mu|h) through
+    form_keys. T_mu is an automorphism of the loop algebra plus C c: the
+    central shift is what the bracket's central term asks for."""
+    fin = algebra.finite
+    terms = {}
+    c = x.c
+    for (key, n), v in x.terms.items():
+        if key[0] == "x":
+            terms[(key, n + sum(m * fin.roots.pairing(key[1], i)
+                                for i, m in enumerate(mu)))] = v
+        else:
+            terms[(key, n)] = v
+            if n == 0:
+                c += v * sum(m * fin.form_keys(("h", i + 1), key)
+                             for i, m in enumerate(mu))
+    return LoopElement(algebra, terms, c=c)
+
+
 def negative_symbol_bracket(fin, s1, s2):
     """[s1, s2] of two negative-side symbols: one symbol with a coefficient.
 
@@ -406,17 +432,21 @@ def full_singular_closed_form(mod, window):
     B-symbol and multiplies the F-part by sum_j -gamma_j(h_i) z_j^l, so the
     h_{i,1} are jointly injective on every space with s != 0; every vector
     at s = 0 is killed, by the h_{i,l} since they kill v, and by the e_{i,m}
-    by weight. The report is each PBW basis vector at s = 0
-    (brute_basis_monomials), a unit vector, by k, then in canonical order.
+    by weight. The report is each PBW basis vector at s = 0, a unit vector,
+    by k, then in canonical order: every F-symbol adds a positive root to s,
+    so these are the multisets of at most window.L symbols B(i, l), l <= N.
     At lambda(c) != 0 it is the line of v (Futorny, Canad. Math. Bull. 37,
     1994).
     """
     zero = (0,) * mod.rank
     if mod.lam.c_value:
         return [((0, zero), {(): 1})]
-    monos = brute_basis_monomials(mod, (None, zero), window)
-    return sorted((((-sum(sym[2] for sym in m), zero), {m: 1}) for m in monos),
-                  key=lambda pair: pair[0][0])
+    symbols = sorted((("B", i, l) for i in range(1, mod.rank + 1)
+                      for l in range(1, window.N + 1)), key=symbol_sort_key)
+    monos = [m for length in range(window.L + 1)
+             for m in combinations_with_replacement(symbols, length)]
+    monos.sort(key=lambda m: (-sum(sym[2] for sym in m), [symbol_sort_key(s) for s in m]))
+    return [((-sum(sym[2] for sym in m), zero), {m: 1}) for m in monos]
 
 
 def _nilpotency(module, gkey, widx, vec, cap):

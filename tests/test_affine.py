@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from imverma.affine import (AffineAlgebra, AffineRoot, TwistedSubalgebra,
+from imverma.affine import (AffineAlgebra, AffineRoot, LoopElement, TwistedSubalgebra,
                             affine_bracket, check_closed_partition,
                             natural_partition_contains, standard_partition_contains)
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import AutomorphismError, ContextMismatchError, NotARootError
 from imverma.finite import DiagramAutomorphism, _neg, build_simple_algebra
 
-from oracles import affine_cartan_entry, automorphism_trace, check_bracket_closure
+from oracles import (affine_cartan_entry, automorphism_trace, check_bracket_closure,
+                     loop_translation)
 
 
 def aff(label):
@@ -59,6 +60,35 @@ def test_jacobi_random_triples():
                 + affine_bracket(y, affine_bracket(z, x)) \
                 + affine_bracket(z, affine_bracket(x, y))
             assert j.is_zero()
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "C2", "G2", "B3"])
+def test_loop_translations_preserve_the_bracket(label):
+    # T_mu shifts x_gamma (x) t^n by gamma(mu) and h (x) t^0 by (mu|h) c;
+    # with the central shift's sign flipped it is no longer a homomorphism
+    rng = random.Random(7)
+    a = aff(label)
+    keys = a.finite.basis
+
+    def rnd():
+        terms = {(rng.choice(keys), rng.randint(-2, 2)): Fraction(rng.randint(-3, 3) or 1,
+                                                               rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 3))}
+        return LoopElement(a, terms, c=Fraction(rng.randint(-2, 2)))
+
+    def flipped(mu, x):
+        tx = loop_translation(a, mu, x)
+        return LoopElement(a, tx.terms, c=2 * x.c - tx.c)
+
+    broken = 0
+    for _ in range(200):
+        mu = [rng.randint(-2, 2) for _ in range(a.rank)]
+        x, y = rnd(), rnd()
+        xy = affine_bracket(x, y)
+        assert affine_bracket(loop_translation(a, mu, x), loop_translation(a, mu, y)) == \
+            loop_translation(a, mu, xy)
+        broken += affine_bracket(flipped(mu, x), flipped(mu, y)) != flipped(mu, xy)
+    assert broken
 
 
 def test_context_mismatch():

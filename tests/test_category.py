@@ -745,8 +745,14 @@ def test_loop_module_action_degree_shift():
 
 
 def test_zero_module():
+    # the general path builds it, with the meta of every loop module
     lm = build_loop_module(A1, sl2_irrep_matrices(0), 2)
     assert lm.total_dim == 0 and not lm.weights
+    assert lm.meta == {"kind": "loop-module", "finite_dim": 0, "degree_window": 2}
+    data = lm.to_json_dict()
+    back = ExplicitModule.from_json_dict(data)
+    assert back.total_dim == 0 and not back.weights
+    assert back.to_json_dict() == data
 
 
 def test_bad_generator_matrices_rejected():

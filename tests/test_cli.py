@@ -21,7 +21,9 @@ from imverma.cartan import cartan_matrix_of_type
 from imverma.category import ExplicitModule, build_loop_module, sl2_irrep_matrices
 from imverma.cli import main
 from imverma.finite import build_simple_algebra
-from imverma.verma import TruncationWindow, VermaModule, parse_weight
+from imverma.verma import (TruncationWindow, VermaModule, monomial_name, parse_weight,
+                           parse_window)
+from oracles import full_singular_closed_form
 
 
 def run(capsys, *argv):
@@ -507,13 +509,28 @@ def test_domain_error_exit_one(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("verma-act", "--type", "A1", "--gen", "h1@1", "--monomial", ",".join(["B1@1"] * 1000)),
-    ("singular", "--full", "--type", "A1", "--lambda", "h1=-1/2",
-     "--window", "L=1000,N=1,H=1"),
-], ids=["verma-act-long-monomial", "singular-long-window"])
+], ids=["verma-act-long-monomial"])
 def test_recursion_error_is_one_line_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "RecursionError: the input is too large to compute\n"
+
+
+def test_long_full_window_prints_the_closed_form(capsys):
+    # the search solves the spaces at s = 0 in listing order, short B-parts
+    # first, so the image of B(1,1)^j finds that of B(1,1)^(j-1) memoised;
+    # most negative k first would straighten B(1,1)^1000 on an empty memo
+    code, out, err = run(capsys, "singular", "--full", "--type", "A1",
+                         "--lambda", "h1=-1/2", "--window", "L=1000,N=1,H=1")
+    assert (code, err) == (0, "")
+    alg = AffineAlgebra(build_simple_algebra(cartan_matrix_of_type("A1")))
+    mod = VermaModule(alg, parse_weight("h1=-1/2", 1))
+    closed = full_singular_closed_form(mod, parse_window("L=1000,N=1,H=1"))
+    expected = [{"offset": {"delta": k, "finite": list(s)},
+                 "vector": {monomial_name(m): str(c) for m, c in terms.items()}}
+                for (k, s), terms in closed]
+    assert len(expected) == 1001
+    assert json.loads(out)["result"]["singular_vectors"] == expected
 
 
 def test_memory_error_is_one_line_exit_one(capsys, monkeypatch):

@@ -922,16 +922,18 @@ def test_degree_one_cartan_loops_alone_reach_full_rank(label, lam_text):
 
 
 @pytest.mark.parametrize("label, lam_text, window_text, count, sha1", [
-    ("A2", "h1=-1/2,h2=-1/3", "L=3,N=2,H=2", 214,
-     "d31c3b5d1dd97d9853de8fedbbc599953bae2668"),
-    ("C2", "h1=0,h2=-1/2", "L=3,N=1,H=2", 86,
-     "2d1e28e808cc9184b7e12a02d797e6ae747c3e8e"),
+    pytest.param("A2", "h1=-1/2,h2=-1/3", "L=3,N=2,H=2", 214,
+                 "1d764132807d7297e94523225a3221456ab62b6c", id="A2-214"),
+    pytest.param("C2", "h1=0,h2=-1/2", "L=3,N=1,H=2", 86,
+                 "1d186d823ce04a9f41635f79c105d99ccac3ad7a", id="C2-86"),
 ])
 def test_reduced_singular_search_calls_are_pinned(label, lam_text, window_text,
                                                   count, sha1):
     # the reduced module has no Cartan loops: it applies the e_{i,m} in
     # (i, m) order, and its calls were recorded before the unreduced module
-    # moved its Cartan loops first
+    # moved its Cartan loops first; re-recorded when the search moved to one
+    # finite offset at a time, its spaces in listing order, with the calls
+    # grouped by the offset of their monomial unchanged
     a = aff(label)
     mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=True)
     window = parse_window(window_text)
