@@ -745,7 +745,7 @@ def test_loop_module_action_degree_shift():
 
 
 def test_zero_module():
-    # the general path builds it, with the meta of every loop module
+    # its meta names the degree window, like every other loop module's
     lm = build_loop_module(A1, sl2_irrep_matrices(0), 2)
     assert lm.total_dim == 0 and not lm.weights
     assert lm.meta == {"kind": "loop-module", "finite_dim": 0, "degree_window": 2}

@@ -46,10 +46,8 @@ KEPT_PUBLIC = {
     "FiniteAlgebra.form", "DiagramAutomorphism.apply",
 }
 
-# Public method and property names that two or more library classes define.
-# The scan reads a method use as obj.name, whatever obj is, so a use of one
-# of these reaches every class that defines the name: an unused twin passes
-# unseen. Adding a name here means checking KEPT_PUBLIC for it by hand.
+# Public method and property names that two or more library classes define,
+# which the scan cannot tell apart (see the module docstring).
 SHARED_PUBLIC = {"apply", "e", "f", "h", "rank", "to_json_dict", "zero"}
 
 # The package's public names. Adding or dropping an export is a public-API
