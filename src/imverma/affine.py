@@ -44,6 +44,10 @@ class AffineRoot:
         return AffineRoot(tuple(a + b for a, b in zip(self.finite, other.finite)),
                           self.n + other.n)
 
+    def to_json_dict(self):
+        """{"finite": [...], "delta": n}: the record of a root in every report."""
+        return {"finite": list(self.finite), "delta": self.n}
+
 
 @dataclass(eq=False)
 class LoopElement(SparseCombination):
@@ -264,7 +268,7 @@ def check_closed_partition(alg: AffineAlgebra, contains, height, degree) -> dict
         in_neg = contains(alg, -r)
         if in_s == in_neg:
             axiom = "disjointness" if in_s else "covering"
-            violations.append({"axiom": axiom, "witness": [_root_record(r)]})
+            violations.append({"axiom": axiom, "witness": [r.to_json_dict()]})
         if in_s:
             members.append(r)
     skipped = 0
@@ -279,7 +283,7 @@ def check_closed_partition(alg: AffineAlgebra, contains, height, degree) -> dict
                 continue
             if not contains(alg, s):
                 violations.append({"axiom": "closure",
-                                   "witness": [_root_record(r1), _root_record(r2)]})
+                                   "witness": [r1.to_json_dict(), r2.to_json_dict()]})
     return {
         "window": {"height": height, "loop_degree": degree},
         "roots_checked": len(window_roots),
@@ -287,10 +291,6 @@ def check_closed_partition(alg: AffineAlgebra, contains, height, degree) -> dict
         "violations": violations,
         "passed": not violations,
     }
-
-
-def _root_record(r: AffineRoot):
-    return {"finite": list(r.finite), "delta": r.n}
 
 
 # -- order-2 twisted fixed-point subalgebras -----------------------------------

@@ -183,6 +183,13 @@ class ExplicitModule:
     def generator_keys(self):
         return sorted(self.defined, key=lambda gk: (gk[1], str(gk[0])))
 
+    def _block_target(self, gkey, src_widx):
+        """The target weight index of a stored nonzero block, which needs one."""
+        tgt = self.targets[gkey][src_widx]
+        if tgt is None:
+            raise ModuleDataError("nonzero block without a target weight")
+        return tgt
+
     # -- action ------------------------------------------------------------------
 
     def table(self, gkey, src_widx):
@@ -254,17 +261,16 @@ class ExplicitModule:
             shift.append(offsets)
         defined = {}
         for gk in dict.fromkeys(gk for m in summands for gk in m.defined):
-            # per summand: its blocks and targets of gk, or None where it has no gk
-            local = [m.defined.get(gk) for m in summands]
-            targets = [m.targets.get(gk) for m in summands]
+            # per summand: its blocks and targets of gk, empty where it has no gk
+            local = [m.defined.get(gk, {}) for m in summands]
+            targets = [m.targets.get(gk, {}) for m in summands]
             per_src = defined[gk] = {}
             for gi, carried in enumerate(carriers):
                 block = {}
                 for si, li in carried:
-                    blocks = local[si]
-                    if blocks is None or li not in blocks:
+                    if li not in local[si]:
                         break
-                    mat = blocks[li]
+                    mat = local[si][li]
                     if mat:
                         roff, coff = shift[si][targets[si][li]], shift[si][li]
                         for j, column in mat.items():
@@ -298,13 +304,9 @@ class ExplicitModule:
         defined = {}
         for gk, per_src in self.defined.items():
             defined[gk] = {}
-            targets = self.targets[gk]
             for src, mat in per_src.items():
-                tgt = targets[src]
-                if tgt is None and mat:
-                    raise ModuleDataError("nonzero block without a target weight")
-                defined[gk][src] = _mat_mul(_mat_mul(invs[tgt], mat), mats[src]) \
-                    if mat else {}
+                defined[gk][src] = _mat_mul(_mat_mul(
+                    invs[self._block_target(gk, src)], mat), mats[src]) if mat else {}
         out = copy.copy(self)
         out.labels = [[f"w{widx}b{j}" for j in range(self.dim(widx))]
                       for widx in range(len(self.weights))]
@@ -326,12 +328,11 @@ class ExplicitModule:
             name = gen_name(self.algebra, *gk)
             triples = []
             for src, mat in sorted(self.defined[gk].items()):
-                base_src = starts[src]
-                tgt = self.targets[gk][src]
-                base_tgt = starts[tgt] if tgt is not None else 0
-                triples.extend(sorted([base_tgt + r, base_src + c, str(v)]
-                                      for c, column in mat.items()
-                                      for r, v in column.items()))
+                if mat:
+                    base_tgt = starts[self._block_target(gk, src)]
+                    triples.extend(sorted([base_tgt + r, starts[src] + c, str(v)]
+                                          for c, column in mat.items()
+                                          for r, v in column.items()))
             actions[name] = triples
             defined[name] = sorted(self.defined[gk])
         alg = {"label": self.algebra.finite.cartan.label} \
@@ -706,11 +707,11 @@ def _check_axioms(split: GCompatibleSplit, hmaps):
         "note": f"verified within window (loop degrees <= {gwindow}); "
                 "no finite criterion exists beyond the window",
     }
-    # isolated-point structure of torsion weights (reported, not required)
+    # isolated-point structure of torsion weights by str(widx) (reported, not required)
     isolated = {}
     for widx in split.torsion:
         w = module.weights[widx]
-        isolated[widx] = not any(
+        isolated[str(widx)] = not any(
             module.windex.get(Weight(w.h_values, w.c_value, w.d_value + l)) in split.torsion
             for l in range(-gwindow, gwindow + 1) if l)
     split.verdicts["torsion_isolated"] = {"passed": True, "by_weight": isolated}

@@ -184,7 +184,7 @@ def _cmd_roots(args):
     records = []
     for r in alg.roots_in_window(args.height, args.loop_degree):
         records.append({
-            "root": {"finite": list(r.finite), "delta": r.n},
+            "root": r.to_json_dict(),
             "real": alg.classify_root(r) == "real",
             "in_S": contains(alg, r),
             "in_minus_S": contains(alg, -r),
@@ -302,10 +302,6 @@ def _load_module(args):
 
 
 def _split_result(module, split):
-    verdicts = {k: dict(v) for k, v in split.verdicts.items()}
-    for v in verdicts.values():
-        if "by_weight" in v:
-            v["by_weight"] = {str(i): b for i, b in v["by_weight"].items()}
     return {
         "weights": [{**w.to_json_dict(), "dim": module.dim(i)}
                     for i, w in enumerate(module.weights)],
@@ -315,7 +311,7 @@ def _split_result(module, split):
         "torsion_free_dims": {str(w): len(r) for w, r in split.torsion_free.items()},
         "excluded_weight_indices": split.excluded,
         "unchecked_weight_indices": split.unchecked,
-        "verdicts": verdicts,
+        "verdicts": split.verdicts,
     }
 
 

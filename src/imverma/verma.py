@@ -43,7 +43,7 @@ An operator key (x) t^n is keyed by the index of key in the finite basis and
 n; a PBW symbol is the lowering operator it names, so its id is that
 operator's id. A monomial is consed right to left on the int pair (head
 operator id, rest id) (_cons), and its tuple is built only when asked for
-(_mono): for a report, a label, act or act_monomial. _weight_ids lists each
+(_mono): for a report, a label or act_monomial. _weight_ids lists each
 basis as ids, which the singular search and the reduced store
 (windowed_store) read; weight_bases is its tuple view. The action has one
 memo, on ids: _act(op, m) is the sparse image {monomial id: int} of op on m
@@ -57,8 +57,8 @@ every coefficient is an int. The search feeds these rows as they are (the
 row space is the same); the store divides by D once per coefficient
 (unscale); both read one landing rule for an operator's target space
 (_landing). act_monomial(key, n, mono) returns one image as a fresh
-{monomial: int} dict, and act() sums images (a c part through the operator
-c), adds the d part and unscales.
+{monomial: int} dict, and act() sums those images (a c part through the
+operator c), adds the d part and unscales.
 
 The singular search feeds the raising operators in the order of
 annihilator_generators: in the module the Cartan loops h_i (x) t^l
@@ -336,28 +336,22 @@ class VermaModule:
 
     def act(self, g: LoopElement, v: ModuleVector) -> ModuleVector:
         """Exact action of a loop element: the act_monomial images of its
-        terms on the monomials of v, plus its c and d parts."""
+        terms and of its c part on the monomials of v, plus its d part."""
         if g.algebra is not self.algebra:
             raise ContextMismatchError("generator from a different affine context")
         if v.module is not self:
             raise ContextMismatchError("vector from a different module")
-        index = self._index
-        ops = [(self._op(index[key], n), cg) for (key, n), cg in g.terms.items()]
+        terms = list(g.terms.items())
         if g.c:
-            ops.append((self._op(index["__c__"], 0), g.c))
-        out = {}  # scale times the image, on monomial ids
+            terms.append((("__c__", 0), g.c))
+        out = {}  # scale times the image
         for mono, cv in v.terms.items():
-            m = self._intern(mono)
-            for op, cg in ops:
-                image = self._act(op, m)
-                if image:
-                    add_scaled(out, image, cv * cg)
+            for (key, n), cg in terms:
+                add_scaled(out, self.act_monomial(key, n, mono), cv * cg)
             if g.d:
                 k, _ = monomial_offset(mono, self.rank)
-                val = self.lam.d_value + k
-                if val:
-                    add_scaled(out, {m: cv * g.d * val * self.scale})
-        return ModuleVector(self, {self._mono(m): self.unscale(c) for m, c in out.items()})
+                add_scaled(out, {mono: cv * g.d * (self.lam.d_value + k) * self.scale})
+        return ModuleVector(self, {m: self.unscale(c) for m, c in out.items()})
 
     def unscale(self, c):
         """c / scale: an int where the quotient is integral, else a Fraction."""
@@ -620,13 +614,12 @@ class VermaModule:
         # degree_runs[m][t]: runs of m equal roots with degree sum t - m*N; a
         # run is no longer than its multiset, which has at most ht(s) roots
         degree_runs = _multiset_counts(range(2 * N + 1), min(L, root_height(s)))
-        # b_parts[j][b]: the B-parts with at most j parts and total b
-        if self.reduced:
-            b_parts = [[1]] * (L + 1)
-        else:
-            colours = [l for _ in range(self.rank) for l in range(1, N + 1)]
-            b_parts = list(accumulate(_multiset_counts(colours, L),
-                                      lambda a, b: list(map(add, a, b))))
+        # b_parts[j][b]: the B-parts with at most j parts and total b; the
+        # reduced module has only the empty one
+        colours = [] if self.reduced else [l for _ in range(self.rank)
+                                           for l in range(1, N + 1)]
+        b_parts = list(accumulate(_multiset_counts(colours, L),
+                                  lambda a, b: list(map(add, a, b))))
         dims = {}
         for runs, times in shapes.items():
             f = sum(runs)
@@ -864,8 +857,8 @@ def finite_offsets(rank, height):
 def _multiset_counts(values, max_len):
     """table[j][t]: the number of multisets of j entries of values (equal
     values at two positions count as two colours) with sum t, for
-    j <= max_len; every row has length max_len * max(values) + 1."""
-    top = max_len * max(values)
+    j <= max_len; every row has length max_len * max(values, default=0) + 1."""
+    top = max_len * max(values, default=0)
     table = [[0] * (top + 1) for _ in range(max_len + 1)]
     table[0][0] = 1
     for v in values:

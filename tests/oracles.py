@@ -7,6 +7,8 @@ per action pair instead of shifts cached per weight class, every multiset of
 window symbols instead of pruned PBW enumeration, symbol-by-symbol weight
 offsets, repeated application of VermaModule.act for nilpotency degrees,
 the full module's singular report in closed form instead of by elimination,
+the reduced module's singular space at an offset whose support is
+disconnected as products of its components' spaces instead of one search,
 trial action on every table pair instead of pair rules read from the target
 weights, axiom (2) one basis vector at a time instead of one chain per
 (generator, weight) block, the torsion split and its verdicts one (generator,
@@ -449,6 +451,49 @@ def full_singular_closed_form(mod, window):
     return [((-sum(sym[2] for sym in m), zero), {m: 1}) for m in monos]
 
 
+def support_components(cartan, s):
+    """s = s_1 + ... + s_c split by the connected components of its support
+    in the Dynkin diagram (i and j adjacent when a_ij != 0), each s_j the
+    restriction of s to one component, by least index."""
+    left = [i for i, x in enumerate(s) if x]
+    parts = []
+    while left:
+        component = [left.pop(0)]
+        for i in component:  # a breadth-first walk: the list grows as it is read
+            near = [j for j in left if cartan[i, j]]
+            component += near
+            left = [j for j in left if j not in near]
+        parts.append(tuple(x if i in component else 0 for i, x in enumerate(s)))
+    return parts
+
+
+def factored_singular_space(mod, s, window):
+    """{k: singular vectors as {monomial: coeff}} at the finite offset s of the
+    reduced module mod, built from its components instead of one search: for
+    s = s_1 + ... + s_c split by support_components, the products
+    u_1 ... u_c v of the search's vectors u_j v at (k_j, s_j) over every
+    k_1 + ... + k_c = k. F-symbols of different components commute (their
+    roots' sum is not a root, and the reduced module has no central term), so
+    a product of monomials is their symbols merged in canonical order, with
+    the product of the coefficients. With window.L >= ht(s) these span the
+    search's space at each (k, s) (README, Windowing semantics)."""
+    assert mod.reduced and sum(s) <= window.L
+    products = {0: [{(): 1}]}
+    for part in support_components(mod.algebra.finite.cartan, s):
+        found = {}
+        for (k, _), u in mod.singular_vectors([(None, part)], window):
+            found.setdefault(k, []).append(u.terms)
+        convolved = {}
+        for k1, us in products.items():
+            for k2, ws in found.items():
+                convolved.setdefault(k1 + k2, []).extend(
+                    {tuple(sorted(m1 + m2, key=symbol_sort_key)): c1 * c2
+                     for m1, c1 in u.items() for m2, c2 in w.items()}
+                    for u in us for w in ws)
+        products = convolved
+    return products
+
+
 def _nilpotency(module, gkey, widx, vec, cap):
     """(p, (weight index, gkey^(p-1) vec)) for the least p <= cap with
     gkey^p vec = 0 on the row vec of space widx, or None; gkey is applied at
@@ -642,11 +687,11 @@ def _check_axioms_by_pair(split):
     isolated = {}
     for widx in split.torsion:
         w = module.weights[widx]
-        isolated[widx] = True
+        isolated[str(widx)] = True
         for l in range(-gwindow, gwindow + 1):
             nid = module.windex.get(Weight(w.h_values, w.c_value, w.d_value + l))
             if l and nid is not None and nid in split.torsion:
-                isolated[widx] = False
+                isolated[str(widx)] = False
     split.verdicts["torsion_isolated"] = {"passed": True, "by_weight": isolated}
 
 

@@ -544,6 +544,15 @@ def test_split_matches_per_pair_reference(name):
         assert "meet the torsion kernel" in got
 
 
+# check-A3-H2's split raises before its verdicts
+@pytest.mark.parametrize("name", [name for name in SPLIT_MODULES if name != "check-A3-H2"])
+def test_split_verdicts_are_json_data(name):
+    # like the membership report: the CLI passes them through as they are
+    module, gwindow = SPLIT_MODULES[name]()
+    split = torsion_decompose(module, gwindow)
+    assert json.loads(json.dumps(split.verdicts)) == split.verdicts
+
+
 @st.composite
 def reduced_sums(draw):
     """(module, gwindow): a direct sum of 1-3 reduced Vermas over A1, A2 or
@@ -1087,6 +1096,27 @@ def test_json_round_trip():
     assert audit["passed"]
     blob2 = json.dumps(em2.to_json_dict(), sort_keys=True)
     assert blob2 == blob  # deterministic serialization
+
+
+def test_writer_refuses_a_block_without_a_target_weight():
+    # e1@0 sends the second space of leaves-store out of the store: the file
+    # written would hold [0, 2, "1"], which the reader rejects ("has a row in
+    # weight index 0, not in its target weight"); scrambled refuses it too
+    module = AXIOM2_MODULES["leaves-store"]()
+    for write in (module.to_json_dict, lambda: module.scrambled(1)):
+        with pytest.raises(ModuleDataError, match="nonzero block without a target weight"):
+            write()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(build, id=f"{table}-{name}")
+    for table, modules in (("split", SPLIT_MODULES), ("axiom2", AXIOM2_MODULES))
+    for name, build in modules.items() if name != "leaves-store"])
+def test_library_built_modules_round_trip(build):
+    module = build()
+    module = module[0] if isinstance(module, tuple) else module
+    data = json.loads(json.dumps(module.to_json_dict()))
+    assert ExplicitModule.from_json_dict(data).to_json_dict() == data
 
 
 def test_json_rationals_are_strings():

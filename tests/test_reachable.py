@@ -21,7 +21,9 @@ reached from a tests/test_*.py module, by name or through another oracle
 definition that is.
 One boundary is checked the same way: imverma.category reads no private
 member of VermaModule, so the PBW action on interned ids stays in
-imverma.verma.
+imverma.verma. And one claim of the README's Concurrency section: no library
+function keeps a process-wide memo through functools.cache or lru_cache,
+except the CLI's two argument parsers.
 The scan reads source with ast and imports nothing but the package itself."""
 
 import ast
@@ -35,12 +37,12 @@ SRC = ROOT / "src" / "imverma"
 TESTS = ROOT / "tests"
 
 # Public methods that nothing in src/ or perfbench/ calls, kept as API: the
-# vacuum vector, one action on a PBW monomial, the count of one windowed
-# space, the zero elements, the affine generators e_i, f_i and h_i (x) t^n,
-# the d element, the twisted graded basis, the invariant form on elements and
-# a diagram automorphism applied to an element.
+# vacuum vector, the count of one windowed space, the zero elements, the
+# affine generators e_i, f_i and h_i (x) t^n, the d element, the twisted
+# graded basis, the invariant form on elements and a diagram automorphism
+# applied to an element.
 KEPT_PUBLIC = {
-    "VermaModule.vacuum", "VermaModule.act_monomial", "VermaModule.weight_dim",
+    "VermaModule.vacuum", "VermaModule.weight_dim",
     "AffineAlgebra.zero", "AffineAlgebra.e", "AffineAlgebra.f", "AffineAlgebra.h",
     "AffineAlgebra.d_elem", "FiniteAlgebra.zero", "TwistedSubalgebra.graded_basis",
     "FiniteAlgebra.form", "DiagramAutomorphism.apply",
@@ -182,8 +184,39 @@ def private_verma_reads():
                    if name.startswith("_") and name in members})
 
 
+# The definitions allowed a functools memo: the CLI builds its argument
+# parsers once per process and never modifies them.
+MEMOISED = {("cli.py", "_parser"), ("cli.py", "_config_parser")}
+MEMO_NAMES = {"cache", "lru_cache"}
+
+
+def memoised_definitions():
+    """(file, name) of each function or method of src/imverma whose
+    decorators include functools.cache or lru_cache, bare or called, read as
+    an attribute or imported from functools under any name."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        memos = MEMO_NAMES | {alias.asname for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom)
+                              and node.module == "functools"
+                              for alias in node.names
+                              if alias.name in MEMO_NAMES and alias.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(dec, "attr", getattr(dec, "id", None)) in memos:
+                        found.add((path.name, node.name))
+    return found
+
+
 def test_category_reads_no_private_verma_member():
     assert private_verma_reads() == []
+
+
+def test_no_definition_keeps_a_memo_but_the_cli_parsers():
+    assert memoised_definitions() - MEMOISED == set()
 
 
 def test_every_library_definition_is_reached():

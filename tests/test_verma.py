@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import imverma
+from imverma._kernels import rank
 from imverma.affine import AffineAlgebra, affine_bracket, gen_name
 from imverma.cartan import cartan_matrix_of_type
 from imverma.errors import ContextMismatchError, ImvermaError, WindowOverflowError
@@ -27,10 +28,10 @@ from imverma.verma import (ModuleVector, TruncationWindow, VermaModule, Weight,
 
 from oracles import (beyond_window_survivors, brute_basis_monomials,
                      colored_partition_counts, dense_rows, dense_rref,
-                     full_singular_closed_form, gauss_solve_nullspace,
-                     negative_symbol_bracket, nilpotency_degree,
-                     sl2_lowering_string_coefficient, vanishes_by_weight,
-                     weight_offset)
+                     factored_singular_space, full_singular_closed_form,
+                     gauss_solve_nullspace, negative_symbol_bracket,
+                     nilpotency_degree, sl2_lowering_string_coefficient,
+                     support_components, vanishes_by_weight, weight_offset)
 
 
 def aff(label):
@@ -893,6 +894,66 @@ def test_property_singular_vectors_are_killed_beyond_the_window(case):
     mod = VermaModule(a, lam, reduced=reduced)
     found = mod.singular_vectors(offsets_up_to(a.rank, window.H), window)
     assert beyond_window_survivors(mod, found, window) == []
+
+
+def factorization_check(mod, window):
+    """(spaces, vectors, mismatches) of factored_singular_space against the
+    search over every finite offset s of the window with a disconnected
+    support and ht(s) <= window.L: at each (k, s) where either finds a vector,
+    the two sets must have equal counts, equal ranks and the same rank as
+    their union; the (k, s) where they do not are the mismatches."""
+    cartan = mod.algebra.finite.cartan
+    offsets = [s for s in mod.reached_offsets(window)
+               if sum(s) <= window.L and len(support_components(cartan, s)) > 1]
+    searched = {}
+    for (k, s), u in mod.singular_vectors([(None, s) for s in offsets], window):
+        searched.setdefault((k, s), []).append(u.terms)
+    spaces = vectors = 0
+    mismatches = []
+    for s in offsets:
+        factored = factored_singular_space(mod, s, window)
+        for k in sorted(factored.keys() | {k for k, t in searched if t == s}):
+            a, b = searched.get((k, s), []), factored.get(k, [])
+            cols = {m: j for j, m in enumerate(dict.fromkeys(m for u in a + b for m in u))}
+            ranks = {rank([{cols[m]: c for m, c in u.items()} for u in us], len(cols))
+                     for us in (a, b, a + b)}
+            if len(a) != len(b) or len(ranks) != 1:
+                mismatches.append((k, s))
+            spaces += 1
+            vectors += len(a)
+    return spaces, vectors, mismatches
+
+
+@pytest.mark.parametrize("label, lam_text, window_text", [
+    pytest.param("A4", "h1=0,h2=1,h3=0,h4=-1", "L=4,N=1,H=4", id="A4-kernel"),
+    pytest.param("D4", "h1=0,h2=-1/2,h3=0,h4=0", "L=3,N=1,H=3", id="D4-kernel"),
+    pytest.param("A3", "h1=0,h2=-1/2,h3=0", "L=4,N=2,H=4", id="A3-kernel-H4"),
+    pytest.param("A3", "h1=0,h2=0,h3=0", "L=3,N=1,H=3", id="A3-zero"),
+    pytest.param("B3", "h1=0,h2=-1/2,h3=0", "L=3,N=1,H=3", id="B3"),
+    pytest.param("C3", "h1=0,h2=-1/2,h3=0", "L=3,N=1,H=3", id="C3"),
+])
+def test_disconnected_singular_spaces_factor(label, lam_text, window_text):
+    # ROADMAP item 15's lemma on the three pinned kernel-bearing argvs and
+    # three more: the search's space at a disconnected s is the convolution
+    # over k of its components' spaces
+    a = closed_form_algebra(label)
+    mod = VermaModule(a, parse_weight(lam_text, a.rank), reduced=True)
+    spaces, vectors, mismatches = factorization_check(mod, parse_window(window_text))
+    assert mismatches == [] and vectors
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A3", "A4", "B3", "C3", "D4"]).flatmap(lambda label: st.tuples(
+    st.just(label),
+    st.lists(st.sampled_from([0, Fraction(-1, 2), 1, -1]),
+             min_size=closed_form_algebra(label).rank,
+             max_size=closed_form_algebra(label).rank),
+    st.builds(TruncationWindow, L=st.integers(2, 4), N=st.integers(1, 2),
+              H=st.integers(2, 3)))))
+def test_property_disconnected_singular_spaces_factor(case):
+    label, hs, window = case
+    mod = VermaModule(closed_form_algebra(label), Weight.make(hs), reduced=True)
+    assert factorization_check(mod, window)[2] == []
 
 
 @pytest.mark.parametrize("label, lam_text", [
